@@ -14,6 +14,7 @@ exception with the old snapshot still in hand).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -67,14 +68,11 @@ class SolverError(AmmError):
 
 @dataclass(frozen=True, slots=True)
 class FeeParams:
-    trade_fee: float = 0.0  # charged on the input amount, in [0, 1)
-    surcharge_k: float = 0.0  # imbalance-surcharge magnitude, in [0, 1]
+    trade_fee: float = 0.0  # in [0, 1); the pricing family picks the side it is charged on
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.trade_fee < 1.0:
             raise DomainError(f"trade_fee must be in [0, 1): {self.trade_fee}")
-        if not 0.0 <= self.surcharge_k <= 1.0:
-            raise DomainError(f"surcharge_k must be in [0, 1]: {self.surcharge_k}")
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +93,8 @@ def new_ledger(token: TokenId, balances: Mapping[AccountId, float] | None = None
     """Build a ledger snapshot; total supply is the sum of initial balances."""
     balances = dict(balances or {})
     for account, value in balances.items():
-        if value < 0.0:
-            raise DomainError(f"negative balance for {account!r}: {value}")
+        if not 0.0 <= value < math.inf:
+            raise DomainError(f"balance for {account!r} must be finite and >= 0: {value}")
     return Ledger(
         token=token,
         balances=MappingProxyType(balances),
@@ -109,8 +107,8 @@ def balance_of(ledger: Ledger, account: AccountId) -> float:
 
 
 def _require_amount(amount: float) -> None:
-    if not amount >= 0.0:  # also rejects NaN
-        raise DomainError(f"amount must be non-negative: {amount}")
+    if not 0.0 <= amount < math.inf:  # also rejects NaN
+        raise DomainError(f"amount must be finite and non-negative: {amount}")
 
 
 def ledger_transfer(ledger: Ledger, src: AccountId, dst: AccountId, amount: float) -> Ledger:

@@ -27,13 +27,19 @@ Token legs are integer indices into the reserves vector. Two conventions:
 LMSR uses ``None`` for the collateral leg (reserves are outstanding share
 quantities), and the exponential curve expects ``reserves = (reserve_balance,
 circulating_supply)`` with index 0 the reserve token and 1 the issued token.
+
+Each spec class names itself three ways: ``spec_name`` (its ``curve =`` value
+in a pool specification file), ``label`` (its Price Discovery taxonomy
+label) and ``family`` (the pricing family the engine prices it with).  Its
+dataclass fields are its specification keys.  ``CURVES`` lists the classes;
+the spec parser, the engine and the probe read everything else from there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, ClassVar, Sequence, Union
 
 from .core import DepletionError, DomainError, SolverError, UnsupportedOperation
 
@@ -43,6 +49,12 @@ BISECT_MAX_ITER = 200
 
 WEIGHT_SUM_TOL = 1e-9
 
+# pricing families (see engine.py)
+CONSERVATION = "conservation"
+PRICE_ADOPTION = "price-adoption"
+SCORING_RULE = "scoring-rule"
+BONDING = "bonding"
+
 
 # ---------------------------------------------------------------------------
 # curve specifications
@@ -51,39 +63,55 @@ WEIGHT_SUM_TOL = 1e-9
 
 @dataclass(frozen=True, slots=True)
 class ConstantProduct:
-    pass
+    spec_name: ClassVar[str] = "constant-product"
+    label: ClassVar[str] = "Constant-product"
+    family: ClassVar[str] = CONSERVATION
 
 
 @dataclass(frozen=True, slots=True)
 class GeometricMean:
+    spec_name: ClassVar[str] = "geometric-mean"
+    label: ClassVar[str] = "Geometric Mean"
+    family: ClassVar[str] = CONSERVATION
+
     weights: tuple[float, ...]  # one weight per token, positive, summing to 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if len(self.weights) < 2:
             raise DomainError("geometric mean needs at least two weights")
-        if any(w <= 0.0 for w in self.weights):
-            raise DomainError(f"weights must be positive: {self.weights}")
+        if any(not (w > 0.0 and math.isfinite(w)) for w in self.weights):
+            raise DomainError(f"weights must be positive and finite: {self.weights}")
         if abs(sum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
             raise DomainError(f"weights must sum to 1: {self.weights}")
 
 
 @dataclass(frozen=True, slots=True)
 class ConstantSum:
-    pass
+    spec_name: ClassVar[str] = "constant-sum"
+    label: ClassVar[str] = "Constant-sum"
+    family: ClassVar[str] = CONSERVATION
 
 
 @dataclass(frozen=True, slots=True)
 class ConstantProductSum:
-    chi: float  # leverage factor, >= 0; 0 -> constant product, inf -> constant sum
+    spec_name: ClassVar[str] = "constant-product-sum"
+    label: ClassVar[str] = "Constant-product-sum"
+    family: ClassVar[str] = CONSERVATION
+
+    chi: float  # leverage factor, finite, >= 0; 0 -> constant product, large -> sum
 
     def __post_init__(self) -> None:
-        if not self.chi >= 0.0:
-            raise DomainError(f"chi must be >= 0: {self.chi}")
+        if not (self.chi >= 0.0 and math.isfinite(self.chi)):
+            raise DomainError(f"chi must be finite and >= 0: {self.chi}")
 
 
 @dataclass(frozen=True, slots=True)
 class ConstantPowerSum:
+    spec_name: ClassVar[str] = "constant-power-sum"
+    label: ClassVar[str] = "Constant-power-sum"
+    family: ClassVar[str] = CONSERVATION
+
     t: float  # curvature in [0, 1); 0 degenerates to constant sum
 
     def __post_init__(self) -> None:
@@ -93,15 +121,23 @@ class ConstantPowerSum:
 
 @dataclass(frozen=True, slots=True)
 class Lmsr:
-    b: float  # liquidity parameter, > 0
+    spec_name: ClassVar[str] = "lmsr"
+    label: ClassVar[str] = "Logarithmic Market Scoring"
+    family: ClassVar[str] = SCORING_RULE
+
+    b: float  # liquidity parameter, finite, > 0
 
     def __post_init__(self) -> None:
-        if not self.b > 0.0:
-            raise DomainError(f"b must be > 0: {self.b}")
+        if not (self.b > 0.0 and math.isfinite(self.b)):
+            raise DomainError(f"b must be finite and > 0: {self.b}")
 
 
 @dataclass(frozen=True, slots=True)
 class PriceAdoption:
+    spec_name: ClassVar[str] = "price-adoption"
+    label: ClassVar[str] = "Price Adoption"
+    family: ClassVar[str] = PRICE_ADOPTION
+
     k: float  # surcharge magnitude, in [0, 1]
     target_reserves: tuple[float, ...]  # (t0, t1); t0 drives the imbalance term
 
@@ -113,20 +149,26 @@ class PriceAdoption:
             raise DomainError(f"k must be in [0, 1]: {self.k}")
         if len(self.target_reserves) != 2:
             raise DomainError("price adoption is a two-token mechanism")
-        if any(t <= 0.0 for t in self.target_reserves):
-            raise DomainError(f"target reserves must be positive: {self.target_reserves}")
+        if any(not (t > 0.0 and math.isfinite(t)) for t in self.target_reserves):
+            raise DomainError(
+                f"target reserves must be positive and finite: {self.target_reserves}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
 class Exponential:
-    kappa: float  # curvature, > 0
-    c: float  # invariant constant, > 0
+    spec_name: ClassVar[str] = "exponential"
+    label: ClassVar[str] = "Exponential Function"
+    family: ClassVar[str] = BONDING
+
+    kappa: float  # curvature, finite, > 0
+    c: float  # invariant constant, finite, > 0
 
     def __post_init__(self) -> None:
-        if not self.kappa > 0.0:
-            raise DomainError(f"kappa must be > 0: {self.kappa}")
-        if not self.c > 0.0:
-            raise DomainError(f"c must be > 0: {self.c}")
+        if not (self.kappa > 0.0 and math.isfinite(self.kappa)):
+            raise DomainError(f"kappa must be finite and > 0: {self.kappa}")
+        if not (self.c > 0.0 and math.isfinite(self.c)):
+            raise DomainError(f"c must be finite and > 0: {self.c}")
 
 
 CurveSpec = Union[
@@ -140,14 +182,20 @@ CurveSpec = Union[
     Exponential,
 ]
 
-#: curves whose conservation value defines quoting (and path deficiency)
-CONSERVATION_CURVES = (
+#: every curve spec class, in specification-file order
+CURVES = (
     ConstantProduct,
     GeometricMean,
     ConstantSum,
     ConstantProductSum,
     ConstantPowerSum,
+    Lmsr,
+    PriceAdoption,
+    Exponential,
 )
+
+#: curves whose conservation value defines quoting (and path deficiency)
+CONSERVATION_CURVES = tuple(c for c in CURVES if c.family == CONSERVATION)
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +638,11 @@ def quote_exact_out(
 
 def lmsr_trade_cost(b: float, q: Sequence[float], dq: Sequence[float]) -> float:
     """C(q + dq) - C(q); positive means the trader pays collateral."""
+    # LMSR quoting below prices through the same body
+    return _lmsr_trade_cost(b, q, dq)
+
+
+def _lmsr_trade_cost(b: float, q: Sequence[float], dq: Sequence[float]) -> float:
     if not b > 0.0:
         raise DomainError(f"b must be > 0: {b}")
     if len(q) != len(dq):
@@ -629,7 +682,7 @@ def _lmsr_quote_in(
             raise DepletionError(f"only {q[j]} outstanding shares of outcome {j}")
         dq = [0.0] * len(q)
         dq[j] = -dx
-        return -lmsr_trade_cost(b, q, dq)
+        return -_lmsr_trade_cost(b, q, dq)
     # exact collateral in: invert C(q + s*e_j) - C(q) = dx for s
     base = _lmsr_cost(b, q)
     price_now = _lmsr_price(b, q, j)
@@ -661,7 +714,7 @@ def _lmsr_quote_out(
         # exact shares out: direct cost difference
         dq = [0.0] * len(q)
         dq[j] = dy
-        return lmsr_trade_cost(b, q, dq)
+        return _lmsr_trade_cost(b, q, dq)
     # exact collateral out: solve C(q) - C(q - s*e_j) = dy for shares in
     base = _lmsr_cost(b, q)
     depleted = list(q)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -52,16 +52,13 @@ from .core import (
     new_ledger,
 )
 from .curves import (
-    CONSERVATION_CURVES,
-    ConstantProduct,
-    ConstantProductSum,
-    ConstantPowerSum,
-    ConstantSum,
+    BONDING,
+    CONSERVATION,
+    CURVES,
+    PRICE_ADOPTION,
+    SCORING_RULE,
     CurveSpec,
-    Exponential,
-    GeometricMean,
-    Lmsr,
-    PriceAdoption,
+    invariant_value,
     quote_exact_in,
     quote_exact_out,
     spot_price,
@@ -124,8 +121,10 @@ class PoolConfig:
         if any(r < 0.0 or not math.isfinite(r) for r in self.reserves):
             raise DomainError(f"reserves out of range: {self.reserves}")
         FeeParams(trade_fee=self.fee_rate)  # validates the rate
-        if self.oracle_price is not None and not self.oracle_price > 0.0:
-            raise DomainError(f"oracle price must be positive: {self.oracle_price}")
+        if self.oracle_price is not None and not 0.0 < self.oracle_price < math.inf:
+            raise DomainError(
+                f"oracle price must be positive and finite: {self.oracle_price}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,38 +190,371 @@ class TradeReceipt:
 
 
 # ---------------------------------------------------------------------------
-# creation
+# pricing families
 # ---------------------------------------------------------------------------
 
 
-def _check_compat(archetype: str, curve: CurveSpec, n_tokens: int) -> None:
-    if archetype == PRICE_ADOPTING_LP_BASED:
-        if not isinstance(curve, PriceAdoption):
-            raise DomainError("price-adopting pools need a price-adoption curve")
+State = tuple[float, ...]
+
+_ARCHETYPE_CURVES = {
+    PRICE_DISCOVERING_LP_BASED: (
+        "price-discovering LP pools need a conservation-function or LMSR curve"
+    ),
+    PRICE_ADOPTING_LP_BASED: "price-adopting pools need a price-adoption curve",
+    PRICE_DISCOVERING_SUPPLY_SOVEREIGN: "supply-sovereign pools need an exponential curve",
+}
+
+
+class PricingFamily:
+    """How one pricing family prices, settles and observes a pool.
+
+    The base class is the conservation family; each other family overrides
+    what differs.  A family is bound to a curve spec (and, for price
+    adoption, the adopted price) and works on a state view: a tuple indexed
+    like the pool's tokens.  Legs from `issued_from` up are tokens the pool
+    mints and burns instead of holding; a trader who pays in one of them pays
+    the fee out of the payout, everyone else pays it on the input.  The fee
+    stays in the reserves unless `fee_in_reserves` is False, and is booked in
+    `accumulated_fees` on the side that paid it either way.
+    """
+
+    __slots__ = ("curve", "price")
+
+    archetype = PRICE_DISCOVERING_LP_BASED
+    risky = 0  # canonical risky leg; the numeraire is leg 1 - risky
+    marked = 0  # the leg a portfolio mark values at the reference price
+    issued_from: float = math.inf
+    fee_in_reserves = True
+    lp_error: str | None = None  # why the pool takes no deposits
+    arb_error: str | None = None  # why the pool cannot be arbitraged
+
+    def __init__(self, curve: CurveSpec, price: float | None = None) -> None:
+        self.curve = curve
+        self.price = price
+
+    @staticmethod
+    def of(curve: CurveSpec, price: float | None = None) -> PricingFamily:
+        """The family that prices `curve`, bound to it and the adopted price."""
+        return _FAMILIES[curve.family](curve, price)
+
+    # -- state view and creation --------------------------------------------
+
+    def view(self, pool: PoolState) -> State:
+        return pool.reserves
+
+    def stored(self, pool: PoolState, state: State) -> dict:
+        """PoolState fields that hold `state`, the inverse of view."""
+        return {"reserves": state}
+
+    def curve_args(self, state: State, i: int, j: int) -> tuple:
+        """(curve-layer reserves, leg in, leg out) of a trade from i to j."""
+        return state, i, j
+
+    def check(self, archetype: str, n_tokens: int) -> None:
+        if archetype != self.archetype:
+            raise DomainError(_ARCHETYPE_CURVES[archetype])
+        weights = getattr(self.curve, "weights", None)
+        if weights is not None and len(weights) != n_tokens:
+            raise DomainError(f"{len(weights)} weights for {n_tokens} tokens")
+
+    def open(self, deposit: State, creator: AccountId) -> tuple:
+        """(reserves, LP share supply, LP shares) of a new pool."""
+        if any(not a > 0.0 for a in deposit):
+            raise DomainError(
+                f"LP-based pools need strictly positive initial deposits: {deposit}"
+            )
+        lp_supply = math.prod(deposit) ** (1.0 / len(deposit))
+        return deposit, lp_supply, {creator: lp_supply}
+
+    def materialize(
+        self, config: PoolConfig, creator: AccountId
+    ) -> tuple[PoolState, dict[TokenId, Ledger]]:
+        ledgers = {
+            token: new_ledger(token, {creator: amount} if amount > 0.0 else {})
+            for token, amount in zip(config.tokens, config.reserves)
+        }
+        return create_pool(config, config.reserves, creator, ledgers)
+
+    # -- trading ------------------------------------------------------------
+
+    def trade(
+        self, state: State, i: int, j: int, kind: str, amount: float, fee: float
+    ) -> tuple[float, float, float, State]:
+        """Trade token i for token j: (amount_in, amount_out, fee_paid, state
+        after).  `amount` is the exact input or output, fee included."""
+        view, leg_in, leg_out = self.curve_args(state, i, j)
+        if i >= self.issued_from:  # the fee comes out of the payout
+            if kind == EXACT_IN:
+                amount_in = amount
+                gross = quote_exact_in(
+                    self.curve, view, leg_in, leg_out, amount_in, self.price
+                )
+                amount_out = gross * (1.0 - fee)
+                fee_paid = gross - amount_out
+            else:
+                amount_out = amount
+                gross = amount_out / (1.0 - fee)
+                fee_paid = gross - amount_out
+                amount_in = quote_exact_out(
+                    self.curve, view, leg_in, leg_out, gross, self.price
+                )
+        elif kind == EXACT_IN:  # the fee comes off the input
+            amount_in = amount
+            net = amount_in * (1.0 - fee)
+            fee_paid = amount_in - net
+            amount_out = quote_exact_in(
+                self.curve, view, leg_in, leg_out, net, self.price
+            )
+        else:
+            amount_out = amount
+            net = quote_exact_out(
+                self.curve, view, leg_in, leg_out, amount_out, self.price
+            )
+            amount_in = net / (1.0 - fee)
+            fee_paid = amount_in - net
+        after = self.after(state, i, j, amount_in, amount_out, fee_paid)
+        return amount_in, amount_out, fee_paid, after
+
+    def after(
+        self, state: State, i: int, j: int, amount_in: float, amount_out: float,
+        fee_paid: float,
+    ) -> State:
+        """The state once a trade of these amounts has settled."""
+        outside = 0.0 if self.fee_in_reserves else fee_paid
+        after = list(state)
+        after[i] += -amount_in if i >= self.issued_from else amount_in - outside
+        after[j] += amount_out if j >= self.issued_from else -(amount_out + outside)
+        return tuple(after)
+
+    def surcharge(
+        self, i: int, kind: str, amount_in: float, amount_out: float, fee: float
+    ) -> float:
+        return 0.0
+
+    def settle(
+        self,
+        pool: PoolState,
+        trader: AccountId,
+        i: int,
+        j: int,
+        paid: float,
+        received: float,
+        ledgers: Ledgers,
+    ) -> dict[TokenId, Ledger]:
+        """Take `paid` of token i from the trader and give `received` of
+        token j, burning and minting the issued legs."""
+        led_in = _ledger_for(ledgers, pool.tokens[i])
+        if i >= self.issued_from:
+            led_in = ledger_burn(led_in, trader, paid)
+        else:
+            led_in = ledger_transfer(led_in, trader, pool.account, paid)
+        led_out = _ledger_for(ledgers, pool.tokens[j])
+        if j >= self.issued_from:
+            led_out = ledger_mint(led_out, trader, received)
+        else:
+            led_out = ledger_transfer(led_out, pool.account, trader, received)
+        return _with(ledgers, led_in, led_out)
+
+    def apply(
+        self, pool: PoolState, i: int, j: int, fee_paid: float, state: State
+    ) -> PoolState:
+        """The pool at the post-trade `state`, its fee booked on the side that paid."""
+        fees = list(pool.accumulated_fees)
+        fees[j if i >= self.issued_from else i] += fee_paid
+        return replace(pool, accumulated_fees=tuple(fees), **self.stored(pool, state))
+
+    # -- observations -------------------------------------------------------
+
+    def spot_between(self, state: State, i: int, j: int) -> float:
+        """Instantaneous units of token j per unit of token i."""
+        view, leg_in, leg_out = self.curve_args(state, i, j)
+        return spot_price(self.curve, view, leg_in, leg_out, self.price)
+
+    def spot(self, state: State) -> float:
+        """Spot of the risky leg in the numeraire."""
+        return spot_price(self.curve, state, self.risky, 1 - self.risky, self.price)
+
+    def spots(self, state: State) -> tuple[float, ...]:
+        return (self.spot(state),)
+
+    def invariant(self, state: State) -> float | None:
+        return invariant_value(self.curve, state)
+
+    def deficiency(self, state: State) -> float:
+        """Value the pool holds beyond what its pricing rule owes."""
+        return invariant_value(self.curve, state)
+
+    def deficiency_ref(self, state0: State) -> float:
+        """Scale that deficiency changes are measured against."""
+        return self.deficiency(state0)
+
+    def surcharged(self) -> bool:
+        return False
+
+
+class AdoptionFamily(PricingFamily):
+    """Price adoption: reserves (r0, r1) priced around the adopted price."""
+
+    __slots__ = ()
+    archetype = PRICE_ADOPTING_LP_BASED
+
+    def check(self, archetype: str, n_tokens: int) -> None:
+        super().check(archetype, n_tokens)
         if n_tokens != 2:
             raise DomainError("price adoption is a two-token mechanism")
-    elif archetype == PRICE_DISCOVERING_SUPPLY_SOVEREIGN:
-        if not isinstance(curve, Exponential):
-            raise DomainError("supply-sovereign pools need an exponential curve")
+
+    def trade(self, state, i, j, kind, amount, fee):
+        if self.price is None:
+            raise DomainError("no oracle price set; call set_oracle_price first")
+        return super().trade(state, i, j, kind, amount, fee)
+
+    def surcharge(self, i, kind, amount_in, amount_out, fee):
+        # counterfactual at k = 0: trade at the flat adopted price
+        p = self.price
+        if kind == EXACT_IN:
+            effective = amount_in * (1.0 - fee)
+            flat_out = effective * p if i == 0 else effective / p
+            return max(0.0, flat_out - amount_out)
+        flat_in = amount_out / p if i == 0 else amount_out * p
+        return max(0.0, (amount_in * (1.0 - fee)) - flat_in)
+
+    def spots(self, state):
+        """(bid, ask) for token 0, both in token 1."""
+        return (self.spot(state), 1.0 / self.spot_between(state, 1, 0))
+
+    def invariant(self, state):
+        return None  # price adoption has no conservation function
+
+    def deficiency(self, state):
+        return state[1] + self.price * state[0]
+
+    def surcharged(self):
+        return self.curve.k > 0.0
+
+
+class ScoringFamily(PricingFamily):
+    """Market scoring rule: state (collateral, *outstanding shares); the
+    pool issues the outcome shares and keeps fees in the collateral."""
+
+    __slots__ = ()
+    risky = 1  # outcome 0
+    issued_from = 1
+    lp_error = "LMSR pools are funded by the creation subsidy only"
+    arb_error = "arbitrage needs a two-token pool, not a prediction market"
+
+    def curve_args(self, state, i, j):
+        if i != 0 and j != 0:
+            raise UnsupportedOperation("LMSR trades one outcome against collateral")
+        return state[1:], *((None, j - 1) if i == 0 else (i - 1, None))
+
+    def check(self, archetype, n_tokens):
+        super().check(archetype, n_tokens)
+        if n_tokens < 3:
+            raise DomainError(
+                "an LMSR pool needs a collateral token and at least two outcomes"
+            )
+
+    def open(self, deposit, creator):
+        n = len(deposit)
+        subsidy = deposit[0]
+        liability = self.curve.b * math.log(n - 1)
+        if subsidy < liability - 1e-9:
+            raise DomainError(
+                f"collateral subsidy {subsidy} is below the worst-case "
+                f"resolution liability b*ln({n - 1}) = {liability}"
+            )
+        if any(a != 0.0 for a in deposit[1:]):
+            raise DomainError("LMSR pools start with zero outstanding shares")
+        return (subsidy,) + (0.0,) * (n - 1), 0.0, {}
+
+    def spot(self, state):
+        return spot_price(self.curve, state[1:], 0, None)
+
+    def invariant(self, state):
+        return invariant_value(self.curve, state[1:])
+
+    def deficiency(self, state):
+        return state[0] - invariant_value(self.curve, state[1:])
+
+    def deficiency_ref(self, state0):
+        return self.curve.b
+
+
+class BondingFamily(PricingFamily):
+    """Bonding curve: state (bonded reserve, circulating supply); the pool
+    issues token 1 and keeps fees outside the bonded reserve."""
+
+    __slots__ = ()
+    archetype = PRICE_DISCOVERING_SUPPLY_SOVEREIGN
+    risky = marked = issued_from = 1
+    fee_in_reserves = False
+    lp_error = "supply-sovereign pools have no LP shares"
+
+    def view(self, pool):
+        return (pool.reserves[0], pool.circulating_supply)
+
+    def stored(self, pool, state):
+        reserve, supply = state
+        if reserve < 0.0:
+            # float dust from a full drain; anything larger is a real inconsistency
+            if reserve < -1e-9 * max(1.0, pool.reserves[0]):
+                raise DepletionError(f"bonded reserve underflow: {reserve}")
+            reserve = 0.0
+        return {"reserves": (reserve, 0.0), "circulating_supply": supply}
+
+    def check(self, archetype, n_tokens):
+        super().check(archetype, n_tokens)
         if n_tokens != 2:
             raise DomainError("supply-sovereign pools hold (reserve, issued) tokens")
-    elif archetype == PRICE_DISCOVERING_LP_BASED:
-        if isinstance(curve, Lmsr):
-            if n_tokens < 3:
-                raise DomainError(
-                    "an LMSR pool needs a collateral token and at least two outcomes"
-                )
-        elif isinstance(curve, CONSERVATION_CURVES):
-            if isinstance(curve, GeometricMean) and len(curve.weights) != n_tokens:
-                raise DomainError(
-                    f"{len(curve.weights)} weights for {n_tokens} tokens"
-                )
-        else:
-            raise DomainError(
-                "price-discovering LP pools need a conservation-function or LMSR curve"
+
+    def open(self, deposit, creator):
+        if any(a != 0.0 for a in deposit):
+            raise DomainError("supply-sovereign pools start with zero supply")
+        return (0.0, 0.0), 0.0, {}
+
+    def primed(self, bonded: float) -> State:
+        """The (reserve, supply) state whose bonded reserve is `bonded`."""
+        return (bonded, (self.curve.c * bonded) ** (1.0 / self.curve.kappa))
+
+    def materialize(self, config, creator):
+        if any(r != 0.0 for r in config.reserves[1:]):
+            raise DomainError("supply-sovereign reserves are (bonded_reserve, 0)")
+        pool, ledgers = create_pool(config, (0.0, 0.0), creator, {})
+        r0, supply = self.primed(config.reserves[0])
+        if r0 > 0.0:
+            reserve_token, issued_token = config.tokens
+            ledgers[reserve_token] = ledger_mint(ledgers[reserve_token], pool.account, r0)
+            ledgers[issued_token] = ledger_mint(
+                ledgers[issued_token], BOOTSTRAP_ACCOUNT, supply
             )
-    else:  # pragma: no cover - PoolConfig already rejects unknown archetypes
-        raise DomainError(f"unknown archetype {archetype!r}")
+            pool = replace(pool, reserves=(r0, 0.0), circulating_supply=supply)
+        return pool, ledgers
+
+    def deficiency(self, state):
+        return state[0] - state[1] ** self.curve.kappa / self.curve.c
+
+    def deficiency_ref(self, state0):
+        return state0[0]
+
+
+_FAMILIES = {
+    CONSERVATION: PricingFamily,
+    PRICE_ADOPTION: AdoptionFamily,
+    SCORING_RULE: ScoringFamily,
+    BONDING: BondingFamily,
+}
+
+
+def _require_family(pool: PoolState, family: type, message: str) -> PricingFamily:
+    found = PricingFamily.of(pool.curve, pool.oracle_price)
+    if not isinstance(found, family):
+        raise UnsupportedOperation(message)
+    return found
+
+
+# ---------------------------------------------------------------------------
+# creation
+# ---------------------------------------------------------------------------
 
 
 def _with(ledgers: Ledgers, *updated: Ledger) -> dict[TokenId, Ledger]:
@@ -246,57 +578,28 @@ def create_pool(
     """Open a pool, settling the creator's initial deposit against ledgers."""
     tokens = config.tokens
     n = len(tokens)
-    _check_compat(config.archetype, config.curve, n)
+    family = PricingFamily.of(config.curve, config.oracle_price)
+    family.check(config.archetype, n)
     deposit = tuple(float(a) for a in initial_deposit)
     if len(deposit) != n:
         raise DomainError(f"{len(deposit)} deposit amounts for {n} tokens")
     if any(a < 0.0 or not math.isfinite(a) for a in deposit):
         raise DomainError(f"deposit amounts out of range: {deposit}")
 
-    surcharge_k = config.curve.k if isinstance(config.curve, PriceAdoption) else 0.0
-    fee = FeeParams(trade_fee=config.fee_rate, surcharge_k=surcharge_k)
     account = "pool:" + "/".join(tokens)
     updated = {t: _ledger_for(ledgers, t) for t in ledgers}
     for t in tokens:
         updated.setdefault(t, new_ledger(t))
-
-    if config.archetype == PRICE_DISCOVERING_SUPPLY_SOVEREIGN:
-        if any(a != 0.0 for a in deposit):
-            raise DomainError("supply-sovereign pools start with zero supply")
-        reserves = (0.0, 0.0)
-        lp_supply, lp_shares = 0.0, {}
-    elif isinstance(config.curve, Lmsr):
-        subsidy = deposit[0]
-        liability = config.curve.b * math.log(n - 1)
-        if subsidy < liability - 1e-9:
-            raise DomainError(
-                f"collateral subsidy {subsidy} is below the worst-case "
-                f"resolution liability b*ln({n - 1}) = {liability}"
-            )
-        if any(a != 0.0 for a in deposit[1:]):
-            raise DomainError("LMSR pools start with zero outstanding shares")
-        updated[tokens[0]] = ledger_transfer(
-            updated[tokens[0]], creator, account, subsidy
-        )
-        reserves = (subsidy,) + (0.0,) * (n - 1)
-        lp_supply, lp_shares = 0.0, {}
-    else:
-        if any(not a > 0.0 for a in deposit):
-            raise DomainError(
-                f"LP-based pools need strictly positive initial deposits: {deposit}"
-            )
-        for t, amount in zip(tokens, deposit):
-            updated[t] = ledger_transfer(updated[t], creator, account, amount)
-        reserves = deposit
-        lp_supply = math.prod(deposit) ** (1.0 / n)
-        lp_shares = {creator: lp_supply}
+    reserves, lp_supply, lp_shares = family.open(deposit, creator)
+    for t, amount in zip(tokens, deposit):
+        updated[t] = ledger_transfer(updated[t], creator, account, amount)
 
     pool = PoolState(
         archetype=config.archetype,
         tokens=tokens,
         curve=config.curve,
         reserves=reserves,
-        fee=fee,
+        fee=FeeParams(trade_fee=config.fee_rate),
         lp_share_supply=lp_supply,
         lp_shares=lp_shares,
         circulating_supply=0.0,
@@ -309,7 +612,7 @@ def create_pool(
 
 
 # ---------------------------------------------------------------------------
-# quoting
+# quoting and settlement
 # ---------------------------------------------------------------------------
 
 
@@ -323,8 +626,8 @@ def _token_index(pool: PoolState, token: TokenId) -> int:
 def _validate_order(pool: PoolState, order: TradeOrder) -> tuple[int, int]:
     if order.kind not in (EXACT_IN, EXACT_OUT):
         raise DomainError(f"order kind must be exact-in or exact-out: {order.kind!r}")
-    if not order.amount > 0.0:
-        raise DomainError(f"order amount must be positive: {order.amount}")
+    if not 0.0 < order.amount < math.inf:
+        raise DomainError(f"order amount must be positive and finite: {order.amount}")
     i = _token_index(pool, order.token_in)
     j = _token_index(pool, order.token_out)
     if i == j:
@@ -332,15 +635,10 @@ def _validate_order(pool: PoolState, order: TradeOrder) -> tuple[int, int]:
     return i, j
 
 
-def _safe_spot(
-    curve: CurveSpec,
-    reserves: Sequence[float],
-    leg_in: int | None,
-    leg_out: int | None,
-    adopted_price: float | None,
-) -> float:
+def _safe_spot(family: PricingFamily, state: State, i: int, j: int) -> float:
+    view, leg_in, leg_out = family.curve_args(state, i, j)
     try:
-        return spot_price(curve, reserves, leg_in, leg_out, adopted_price)
+        return spot_price(family.curve, view, leg_in, leg_out, family.price)
     except DomainError:
         return math.nan
 
@@ -350,150 +648,25 @@ def quote(pool: PoolState, order: TradeOrder) -> Quote:
     if pool.closed:
         raise UnsupportedOperation("pool is closed")
     i, j = _validate_order(pool, order)
-    if pool.archetype == PRICE_DISCOVERING_SUPPLY_SOVEREIGN:
-        return _quote_sovereign(pool, order, i, j)
-    if isinstance(pool.curve, Lmsr):
-        return _quote_lmsr(pool, order, i, j)
-    return _quote_lp(pool, order, i, j)
-
-
-def _quote_lp(pool: PoolState, order: TradeOrder, i: int, j: int) -> Quote:
-    curve = pool.curve
-    adopting = isinstance(curve, PriceAdoption)
-    p = pool.oracle_price if adopting else None
-    if adopting and p is None:
-        raise DomainError("no oracle price set; call set_oracle_price first")
+    family = PricingFamily.of(pool.curve, pool.oracle_price)
+    state = family.view(pool)
     fee = pool.fee.trade_fee
-    reserves = pool.reserves
-
-    if order.kind == EXACT_IN:
-        amount_in = order.amount
-        effective = amount_in * (1.0 - fee)
-        fee_paid = amount_in - effective
-        amount_out = quote_exact_in(curve, reserves, i, j, effective, p)
-    else:
-        amount_out = order.amount
-        dx_curve = quote_exact_out(curve, reserves, i, j, amount_out, p)
-        amount_in = dx_curve / (1.0 - fee)
-        fee_paid = amount_in - dx_curve
-
-    surcharge = 0.0
-    if adopting:
-        # counterfactual at k = 0: trade at the flat adopted price
-        if order.kind == EXACT_IN:
-            effective = amount_in * (1.0 - fee)
-            flat_out = effective * p if i == 0 else effective / p
-            surcharge = max(0.0, flat_out - amount_out)
-        else:
-            flat_in = amount_out / p if i == 0 else amount_out * p
-            surcharge = max(0.0, (amount_in * (1.0 - fee)) - flat_in)
-
-    after = list(reserves)
-    after[i] += amount_in
-    after[j] -= amount_out
+    amount_in, amount_out, fee_paid, after = family.trade(
+        state, i, j, order.kind, order.amount, fee
+    )
+    if not 0.0 < amount_in < math.inf:
+        raise DomainError(
+            f"cannot price {order.kind} {order.amount}: the input would be {amount_in}"
+        )
     return Quote(
         amount_in=amount_in,
         amount_out=amount_out,
         fee_paid=fee_paid,
-        surcharge_component=surcharge,
-        spot_before=_safe_spot(curve, reserves, i, j, p),
-        spot_after=_safe_spot(curve, after, i, j, p),
+        surcharge_component=family.surcharge(i, order.kind, amount_in, amount_out, fee),
+        spot_before=_safe_spot(family, state, i, j),
+        spot_after=_safe_spot(family, after, i, j),
         mean_price=amount_out / amount_in,
     )
-
-
-def _quote_lmsr(pool: PoolState, order: TradeOrder, i: int, j: int) -> Quote:
-    if i != 0 and j != 0:
-        raise UnsupportedOperation("LMSR trades one outcome against collateral")
-    curve = pool.curve
-    q = pool.reserves[1:]
-    fee = pool.fee.trade_fee
-    buying = i == 0
-    leg_in, leg_out = (None, j - 1) if buying else (i - 1, None)
-
-    if buying:
-        if order.kind == EXACT_IN:
-            amount_in = order.amount
-            effective = amount_in * (1.0 - fee)
-            fee_paid = amount_in - effective
-            amount_out = quote_exact_in(curve, q, None, j - 1, effective)
-        else:
-            amount_out = order.amount
-            cost = quote_exact_out(curve, q, None, j - 1, amount_out)
-            amount_in = cost / (1.0 - fee)
-            fee_paid = amount_in - cost
-        q_after = list(q)
-        q_after[j - 1] += amount_out
-    else:
-        # fee comes out of the collateral payout
-        if order.kind == EXACT_IN:
-            amount_in = order.amount
-            raw = quote_exact_in(curve, q, i - 1, None, amount_in)
-            amount_out = raw * (1.0 - fee)
-            fee_paid = raw - amount_out
-        else:
-            amount_out = order.amount
-            raw = amount_out / (1.0 - fee)
-            fee_paid = raw - amount_out
-            amount_in = quote_exact_out(curve, q, i - 1, None, raw)
-        q_after = list(q)
-        q_after[i - 1] -= amount_in
-
-    return Quote(
-        amount_in=amount_in,
-        amount_out=amount_out,
-        fee_paid=fee_paid,
-        surcharge_component=0.0,
-        spot_before=_safe_spot(curve, q, leg_in, leg_out, None),
-        spot_after=_safe_spot(curve, q_after, leg_in, leg_out, None),
-        mean_price=amount_out / amount_in,
-    )
-
-
-def _quote_sovereign(pool: PoolState, order: TradeOrder, i: int, j: int) -> Quote:
-    curve = pool.curve
-    state = (pool.reserves[0], pool.circulating_supply)
-    fee = pool.fee.trade_fee
-
-    if i == 0:  # bond reserve, receive issued tokens
-        if order.kind == EXACT_IN:
-            amount_in = order.amount
-            bonded = amount_in * (1.0 - fee)
-            fee_paid = amount_in - bonded
-            amount_out = quote_exact_in(curve, state, 0, 1, bonded)
-        else:
-            amount_out = order.amount
-            bonded = quote_exact_out(curve, state, 0, 1, amount_out)
-            amount_in = bonded / (1.0 - fee)
-            fee_paid = amount_in - bonded
-        after = (state[0] + amount_in * (1.0 - fee), state[1] + amount_out)
-    else:  # burn issued tokens, receive reserve (fee off the payout)
-        if order.kind == EXACT_IN:
-            amount_in = order.amount
-            raw = quote_exact_in(curve, state, 1, 0, amount_in)
-            amount_out = raw * (1.0 - fee)
-            fee_paid = raw - amount_out
-        else:
-            amount_out = order.amount
-            raw = amount_out / (1.0 - fee)
-            fee_paid = raw - amount_out
-            amount_in = quote_exact_out(curve, state, 1, 0, raw)
-        after = (state[0] - (amount_out + fee_paid), state[1] - amount_in)
-
-    return Quote(
-        amount_in=amount_in,
-        amount_out=amount_out,
-        fee_paid=fee_paid,
-        surcharge_component=0.0,
-        spot_before=_safe_spot(curve, state, i, j, None),
-        spot_after=_safe_spot(curve, after, i, j, None),
-        mean_price=amount_out / amount_in,
-    )
-
-
-# ---------------------------------------------------------------------------
-# settlement
-# ---------------------------------------------------------------------------
 
 
 def execute_swap(
@@ -502,55 +675,10 @@ def execute_swap(
     """Quote the order, move tokens, and advance the pool state atomically."""
     q = quote(pool, order)
     i, j = _token_index(pool, order.token_in), _token_index(pool, order.token_out)
-    trader = order.trader
-
-    if pool.archetype == PRICE_DISCOVERING_SUPPLY_SOVEREIGN:
-        if i == 0:
-            pool2, _, updated = curve_buy(pool, trader, q.amount_in, ledgers)
-        else:
-            pool2, _, updated = curve_sell(pool, trader, q.amount_in, ledgers)
-    elif isinstance(pool.curve, Lmsr):
-        tin, tout = pool.tokens[i], pool.tokens[j]
-        fees = list(pool.accumulated_fees)
-        reserves = list(pool.reserves)
-        if i == 0:  # buy shares with collateral
-            cash = ledger_transfer(
-                _ledger_for(ledgers, tin), trader, pool.account, q.amount_in
-            )
-            shares = ledger_mint(_ledger_for(ledgers, tout), trader, q.amount_out)
-            reserves[0] += q.amount_in
-            reserves[j] += q.amount_out
-            fees[0] += q.fee_paid
-        else:  # sell shares for collateral
-            shares = ledger_burn(_ledger_for(ledgers, tin), trader, q.amount_in)
-            cash = ledger_transfer(
-                _ledger_for(ledgers, tout), pool.account, trader, q.amount_out
-            )
-            reserves[0] -= q.amount_out
-            reserves[i] -= q.amount_in
-            fees[0] += q.fee_paid
-        updated = _with(ledgers, cash, shares)
-        pool2 = replace(
-            pool, reserves=tuple(reserves), accumulated_fees=tuple(fees)
-        )
-    else:
-        tin, tout = pool.tokens[i], pool.tokens[j]
-        led_in = ledger_transfer(
-            _ledger_for(ledgers, tin), trader, pool.account, q.amount_in
-        )
-        led_out = ledger_transfer(
-            _ledger_for(ledgers, tout), pool.account, trader, q.amount_out
-        )
-        updated = _with(ledgers, led_in, led_out)
-        reserves = list(pool.reserves)
-        reserves[i] += q.amount_in
-        reserves[j] -= q.amount_out
-        fees = list(pool.accumulated_fees)
-        fees[i] += q.fee_paid
-        pool2 = replace(
-            pool, reserves=tuple(reserves), accumulated_fees=tuple(fees)
-        )
-
+    family = PricingFamily.of(pool.curve, pool.oracle_price)
+    after = family.after(family.view(pool), i, j, q.amount_in, q.amount_out, q.fee_paid)
+    updated = family.settle(pool, order.trader, i, j, q.amount_in, q.amount_out, ledgers)
+    pool2 = family.apply(pool, i, j, q.fee_paid, after)
     receipt = TradeReceipt(
         quote=q,
         reserves_after=pool2.reserves,
@@ -567,20 +695,17 @@ def execute_swap(
 # ---------------------------------------------------------------------------
 
 
-def _require_lp_archetype(pool: PoolState) -> None:
-    if pool.archetype == PRICE_DISCOVERING_SUPPLY_SOVEREIGN:
-        raise UnsupportedOperation("supply-sovereign pools have no LP shares")
-    if isinstance(pool.curve, Lmsr):
-        raise UnsupportedOperation(
-            "LMSR pools are funded by the creation subsidy only"
-        )
+def _require_lp_pool(pool: PoolState) -> None:
+    reason = PricingFamily.of(pool.curve).lp_error
+    if reason is not None:
+        raise UnsupportedOperation(reason)
 
 
 def deposit_liquidity(
     pool: PoolState, provider: AccountId, amounts: Sequence[float], ledgers: Ledgers
 ) -> tuple[PoolState, float, dict[TokenId, Ledger]]:
     """Add reserve-proportional liquidity, minting LP shares pro rata."""
-    _require_lp_archetype(pool)
+    _require_lp_pool(pool)
     if pool.closed:
         raise UnsupportedOperation("pool is closed")
     deposit = tuple(float(a) for a in amounts)
@@ -622,7 +747,7 @@ def withdraw_liquidity(
     pool: PoolState, provider: AccountId, shares: float, ledgers: Ledgers
 ) -> tuple[PoolState, tuple[float, ...], dict[TokenId, Ledger]]:
     """Burn LP shares for a pro-rata slice of every reserve."""
-    _require_lp_archetype(pool)
+    _require_lp_pool(pool)
     if not shares >= 0.0:
         raise DomainError(f"share amount must be non-negative: {shares}")
     if shares == 0.0:
@@ -656,55 +781,47 @@ def withdraw_liquidity(
 # supply-sovereign mint/burn
 # ---------------------------------------------------------------------------
 
+_NOT_SOVEREIGN = "curve buy/sell applies only to supply-sovereign pools"
 
-def _require_sovereign(pool: PoolState) -> None:
-    if pool.archetype != PRICE_DISCOVERING_SUPPLY_SOVEREIGN:
-        raise UnsupportedOperation(
-            "curve buy/sell applies only to supply-sovereign pools"
-        )
+
+def _bond(
+    pool: PoolState,
+    family: PricingFamily,
+    trader: AccountId,
+    i: int,
+    amount: float,
+    paid: float,
+    ledgers: Ledgers,
+) -> tuple[PoolState, float, dict[TokenId, Ledger]]:
+    """Exact-in trade of `amount` from token i, settled from its one quote."""
+    state = family.view(pool)
+    _, out, fee_paid, after = family.trade(state, i, 1 - i, EXACT_IN, amount, pool.fee.trade_fee)
+    updated = family.settle(pool, trader, i, 1 - i, paid, out, ledgers)
+    return family.apply(pool, i, 1 - i, fee_paid, after), out, updated
 
 
 def curve_buy(
     pool: PoolState, buyer: AccountId, reserve_in: float, ledgers: Ledgers
 ) -> tuple[PoolState, float, dict[TokenId, Ledger]]:
     """Bond reserve tokens into the pool, minting issued tokens to the buyer."""
-    _require_sovereign(pool)
+    family = _require_family(pool, BondingFamily, _NOT_SOVEREIGN)
     if not reserve_in >= 0.0:
         raise DomainError(f"amount must be non-negative: {reserve_in}")
     if reserve_in == 0.0:
         return pool, 0.0, dict(ledgers)
-    fee_amount = reserve_in * pool.fee.trade_fee
-    bonded = reserve_in - fee_amount
-    minted = quote_exact_in(
-        pool.curve, (pool.reserves[0], pool.circulating_supply), 0, 1, bonded
-    )
-    reserve_token, issued_token = pool.tokens
-    led_reserve = ledger_transfer(
-        _ledger_for(ledgers, reserve_token), buyer, pool.account, reserve_in
-    )
-    led_issued = ledger_mint(_ledger_for(ledgers, issued_token), buyer, minted)
-    fees = list(pool.accumulated_fees)
-    fees[0] += fee_amount
-    pool2 = replace(
-        pool,
-        reserves=(pool.reserves[0] + bonded, 0.0),
-        circulating_supply=pool.circulating_supply + minted,
-        accumulated_fees=tuple(fees),
-    )
-    return pool2, minted, _with(ledgers, led_reserve, led_issued)
+    return _bond(pool, family, buyer, 0, reserve_in, reserve_in, ledgers)
 
 
 def curve_sell(
     pool: PoolState, seller: AccountId, tokens_in: float, ledgers: Ledgers
 ) -> tuple[PoolState, float, dict[TokenId, Ledger]]:
     """Burn issued tokens, paying out unbonded reserve minus the fee."""
-    _require_sovereign(pool)
+    family = _require_family(pool, BondingFamily, _NOT_SOVEREIGN)
     if not tokens_in >= 0.0:
         raise DomainError(f"amount must be non-negative: {tokens_in}")
     if tokens_in == 0.0:
         return pool, 0.0, dict(ledgers)
-    reserve_token, issued_token = pool.tokens
-    held = balance_of(_ledger_for(ledgers, issued_token), seller)
+    held = balance_of(_ledger_for(ledgers, pool.tokens[1]), seller)
     if tokens_in > held:
         raise InsufficientBalance(
             f"{seller!r} holds {held} issued tokens, cannot sell {tokens_in}"
@@ -720,30 +837,7 @@ def curve_sell(
                 f"{pool.circulating_supply}"
             )
         burn = pool.circulating_supply
-    raw = quote_exact_in(
-        pool.curve, (pool.reserves[0], pool.circulating_supply), 1, 0, burn
-    )
-    payout = raw * (1.0 - pool.fee.trade_fee)
-    fee_amount = raw - payout
-    led_issued = ledger_burn(_ledger_for(ledgers, issued_token), seller, tokens_in)
-    led_reserve = ledger_transfer(
-        _ledger_for(ledgers, reserve_token), pool.account, seller, payout
-    )
-    new_reserve = pool.reserves[0] - raw
-    if new_reserve < 0.0:
-        # float dust from a full drain; anything larger is a real inconsistency
-        if new_reserve < -1e-9 * max(1.0, pool.reserves[0]):
-            raise DepletionError(f"bonded reserve underflow: {new_reserve}")
-        new_reserve = 0.0
-    fees = list(pool.accumulated_fees)
-    fees[0] += fee_amount
-    pool2 = replace(
-        pool,
-        reserves=(new_reserve, 0.0),
-        circulating_supply=max(pool.circulating_supply - tokens_in, 0.0),
-        accumulated_fees=tuple(fees),
-    )
-    return pool2, payout, _with(ledgers, led_reserve, led_issued)
+    return _bond(pool, family, seller, 1, burn, tokens_in, ledgers)
 
 
 # ---------------------------------------------------------------------------
@@ -753,10 +847,9 @@ def curve_sell(
 
 def set_oracle_price(pool: PoolState, price: float) -> PoolState:
     """Adopt a new external price; reserves are untouched."""
-    if pool.archetype != PRICE_ADOPTING_LP_BASED:
-        raise UnsupportedOperation("only price-adopting pools take oracle prices")
-    if not price > 0.0:
-        raise DomainError(f"oracle price must be positive: {price}")
+    _require_family(pool, AdoptionFamily, "only price-adopting pools take oracle prices")
+    if not 0.0 < price < math.inf:
+        raise DomainError(f"oracle price must be positive and finite: {price}")
     return replace(pool, oracle_price=price)
 
 
@@ -764,8 +857,7 @@ def resolve_prediction(
     pool: PoolState, winning_outcome: int, ledgers: Ledgers
 ) -> tuple[PoolState, dict[TokenId, Ledger]]:
     """Settle an LMSR market: 1 collateral per winning share, then close."""
-    if not isinstance(pool.curve, Lmsr):
-        raise UnsupportedOperation("only LMSR pools resolve to an outcome")
+    _require_family(pool, ScoringFamily, "only LMSR pools resolve to an outcome")
     if pool.closed:
         raise UnsupportedOperation("market already resolved")
     n_outcomes = len(pool.tokens) - 1
@@ -793,35 +885,19 @@ def resolve_prediction(
 # pool specification files and built-in pools
 # ---------------------------------------------------------------------------
 
-_POOL_KEYS = frozenset(
-    {
-        "archetype",
-        "curve",
-        "tokens",
-        "reserves",
-        "fee",
-        "weights",
-        "chi",
-        "t",
-        "b",
-        "k",
-        "target_reserves",
-        "kappa",
-        "c",
-        "oracle_price",
-    }
-)
+_CURVE_CLASSES = {curve.spec_name: curve for curve in CURVES}
 
+#: specification keys of each curve, from its spec dataclass fields
 _CURVE_PARAMS = {
-    "constant-product": (),
-    "geometric-mean": ("weights",),
-    "constant-sum": (),
-    "constant-product-sum": ("chi",),
-    "constant-power-sum": ("t",),
-    "lmsr": ("b",),
-    "price-adoption": ("k", "target_reserves"),
-    "exponential": ("kappa", "c"),
+    name: tuple(f.name for f in fields(curve)) for name, curve in _CURVE_CLASSES.items()
 }
+
+_ALL_CURVE_PARAMS = frozenset(p for params in _CURVE_PARAMS.values() for p in params)
+
+_POOL_KEYS = (
+    frozenset({"archetype", "curve", "tokens", "reserves", "fee", "oracle_price"})
+    | _ALL_CURVE_PARAMS
+)
 
 
 def _parse_float(key: str, value: str) -> float:
@@ -867,35 +943,21 @@ def parse_pool_spec(text: str) -> PoolConfig:
     for param in needed:
         if param not in entries:
             raise DomainError(f"curve {curve_name!r} requires key {param!r}")
-    all_params = {"weights", "chi", "t", "b", "k", "target_reserves", "kappa", "c"}
-    stray = sorted(set(entries) & (all_params - set(needed)))
+    stray = sorted(set(entries) & (_ALL_CURVE_PARAMS - set(needed)))
     if stray:
         raise DomainError(
             f"keys {', '.join(stray)} do not apply to curve {curve_name!r}"
         )
 
-    if curve_name == "constant-product":
-        curve: CurveSpec = ConstantProduct()
-    elif curve_name == "geometric-mean":
-        curve = GeometricMean(weights=_parse_floats("weights", entries["weights"]))
-    elif curve_name == "constant-sum":
-        curve = ConstantSum()
-    elif curve_name == "constant-product-sum":
-        curve = ConstantProductSum(chi=_parse_float("chi", entries["chi"]))
-    elif curve_name == "constant-power-sum":
-        curve = ConstantPowerSum(t=_parse_float("t", entries["t"]))
-    elif curve_name == "lmsr":
-        curve = Lmsr(b=_parse_float("b", entries["b"]))
-    elif curve_name == "price-adoption":
-        curve = PriceAdoption(
-            k=_parse_float("k", entries["k"]),
-            target_reserves=_parse_floats("target_reserves", entries["target_reserves"]),
-        )
-    else:
-        curve = Exponential(
-            kappa=_parse_float("kappa", entries["kappa"]),
-            c=_parse_float("c", entries["c"]),
-        )
+    curve_class = _CURVE_CLASSES[curve_name]
+    curve = curve_class(
+        **{
+            f.name: (_parse_floats if f.type.startswith("tuple") else _parse_float)(
+                f.name, entries[f.name]
+            )
+            for f in fields(curve_class)
+        }
+    )
 
     tokens = tuple(tok.strip() for tok in entries["tokens"].split(","))
     oracle = entries.get("oracle_price")
@@ -980,28 +1042,7 @@ def materialize_pool(
     """
     if not config.reserves:
         raise DomainError("pool configuration carries no reserves")
-    if config.archetype == PRICE_DISCOVERING_SUPPLY_SOVEREIGN:
-        if any(r != 0.0 for r in config.reserves[1:]):
-            raise DomainError("supply-sovereign reserves are (bonded_reserve, 0)")
-        pool, ledgers = create_pool(config, (0.0, 0.0), creator, {})
-        r0 = config.reserves[0]
-        if r0 > 0.0:
-            curve = config.curve
-            supply = (curve.c * r0) ** (1.0 / curve.kappa)
-            reserve_token, issued_token = config.tokens
-            ledgers[reserve_token] = ledger_mint(
-                ledgers[reserve_token], pool.account, r0
-            )
-            ledgers[issued_token] = ledger_mint(
-                ledgers[issued_token], BOOTSTRAP_ACCOUNT, supply
-            )
-            pool = replace(pool, reserves=(r0, 0.0), circulating_supply=supply)
-        return pool, ledgers
-    ledgers = {
-        token: new_ledger(token, {creator: amount} if amount > 0.0 else {})
-        for token, amount in zip(config.tokens, config.reserves)
-    }
-    return create_pool(config, config.reserves, creator, ledgers)
+    return PricingFamily.of(config.curve, config.oracle_price).materialize(config, creator)
 
 
 def load_pool_config(source: str) -> PoolConfig:

@@ -36,26 +36,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import DepletionError, DomainError
-from .curves import (
-    CurveSpec,
-    ConstantProduct,
-    ConstantProductSum,
-    ConstantPowerSum,
-    ConstantSum,
-    Exponential,
-    GeometricMean,
-    Lmsr,
-    PriceAdoption,
-    invariant_value,
-    lmsr_trade_cost,
-    quote_exact_in,
-    quote_exact_out,
-    spot_price,
-)
+from .curves import lmsr_trade_cost
 from .engine import (
+    EXACT_IN,
+    EXACT_OUT,
     PRICE_ADOPTING_LP_BASED,
+    PRICE_DISCOVERING_LP_BASED,
     PRICE_DISCOVERING_SUPPLY_SOVEREIGN,
+    AdoptionFamily,
+    BondingFamily,
     PoolConfig,
+    PricingFamily,
+    ScoringFamily,
 )
 
 DIM_INFORMATION = "Information Incorporation"
@@ -159,27 +151,27 @@ def _shift(before: Sequence[float], after: Sequence[float]) -> float:
     )
 
 
-class _ConservationProbe:
-    """Displaces token 0 against token 1 on a conservation curve."""
+class _Probe:
+    """Displaces the family's canonical risky leg through its trade step.
 
-    def __init__(self, curve: CurveSpec, reserves: tuple[float, ...]):
-        self.curve = curve
-        self.state0 = reserves
-        self.scale = min(reserves)
+    A buy is an exact-out purchase of the risky leg with the numeraire, a
+    sell an exact-in sale of it, so a displacement multiset reaches the same
+    terminal risky balance in any order.  Subclasses add the probe-only
+    moves of one family.
+    """
 
-    def _swap(self, state, d0: float, d1: float):
-        out = list(state)
-        out[0] += d0
-        out[1] += d1
-        return tuple(out)
+    def __init__(self, family: PricingFamily, state0: tuple[float, ...], scale: float):
+        self.family = family
+        self.state0 = state0
+        self.scale = scale
 
-    def buy(self, state, qty: float):
-        dx = quote_exact_out(self.curve, state, 1, 0, qty)
-        return self._swap(state, -qty, dx)
+    def buy(self, state, qty: float, fee: float = 0.0):
+        risky = self.family.risky
+        return self.family.trade(state, 1 - risky, risky, EXACT_OUT, qty, fee)[3]
 
-    def sell(self, state, qty: float):
-        dy = quote_exact_in(self.curve, state, 0, 1, qty)
-        return self._swap(state, qty, -dy)
+    def sell(self, state, qty: float, fee: float = 0.0):
+        risky = self.family.risky
+        return self.family.trade(state, risky, 1 - risky, EXACT_IN, qty, fee)[3]
 
     def can_sell(self, state, qty: float) -> bool:
         return True
@@ -187,95 +179,63 @@ class _ConservationProbe:
     def path_base(self):
         return self.state0
 
-    def spots(self, state) -> tuple[float, ...]:
-        return (spot_price(self.curve, state, 0, 1),)
+    def mean_price(self, state, volume: float) -> float:
+        """Mean sale price of `volume` risky units."""
+        risky = self.family.risky
+        _, out, _, _ = self.family.trade(state, risky, 1 - risky, EXACT_IN, volume, 0.0)
+        return out / volume
+
+
+class _ConservationProbe(_Probe):
+    """Displaces token 0 against token 1 on a conservation curve."""
+
+    def __init__(self, family: PricingFamily, reserves: tuple[float, ...]):
+        super().__init__(family, reserves, min(reserves))
 
     def basket_cost(self, state, amount: float) -> float:
         total = 1.0  # one unit of the numeraire token 1
         for i in range(len(state)):
             if i != 1:
-                total += spot_price(self.curve, state, i, 1)
+                total += self.family.spot_between(state, i, 1)
         return amount * total
 
-    def mean_price(self, state, volume: float) -> float:
-        return quote_exact_in(self.curve, state, 0, 1, volume) / volume
-
     def tenx(self):
-        return _ConservationProbe(self.curve, tuple(10.0 * r for r in self.state0))
+        return _ConservationProbe(self.family, tuple(10.0 * r for r in self.state0))
 
     def walk_up(self, state, fraction: float):
         return self.buy(state, fraction * state[0])
 
     def walk_down(self, state, fraction: float):
-        dy = fraction * state[1]
-        dx = quote_exact_out(self.curve, state, 0, 1, dy)
-        return self._swap(state, dx, -dy)
-
-    def fee_buy(self, state, qty: float, fee: float):
-        dx = quote_exact_out(self.curve, state, 1, 0, qty) / (1.0 - fee)
-        return self._swap(state, -qty, dx)
-
-    def fee_sell(self, state, qty: float, fee: float):
-        dy = quote_exact_in(self.curve, state, 0, 1, qty * (1.0 - fee))
-        return self._swap(state, qty, -dy)
-
-    def deficiency_value(self, state) -> float:
-        return invariant_value(self.curve, state)
-
-    def deficiency_ref(self) -> float:
-        return invariant_value(self.curve, self.state0)
+        return self.family.trade(state, 0, 1, EXACT_OUT, fraction * state[1], 0.0)[3]
 
 
-class _AdoptionProbe:
+class _AdoptionProbe(_ConservationProbe):
     """Displaces token 0 against token 1 under an adopted external price."""
 
-    def __init__(self, curve: PriceAdoption, reserves: tuple[float, ...], price: float):
-        self.curve = curve
-        self.state0 = (reserves[0], reserves[1])
-        self.price = price
-        self.scale = min(curve.target_reserves)
-
-    def buy(self, state, qty: float):
-        dx = quote_exact_out(self.curve, state, 1, 0, qty, self.price)
-        return (state[0] - qty, state[1] + dx)
-
-    def sell(self, state, qty: float):
-        dy = quote_exact_in(self.curve, state, 0, 1, qty, self.price)
-        return (state[0] + qty, state[1] - dy)
-
-    def can_sell(self, state, qty: float) -> bool:
-        return True
-
-    def path_base(self):
-        return self.state0
-
-    def spots(self, state) -> tuple[float, ...]:
-        bid = spot_price(self.curve, state, 0, 1, self.price)
-        ask = 1.0 / spot_price(self.curve, state, 1, 0, self.price)
-        return (bid, ask)
+    def __init__(self, family: PricingFamily, reserves: tuple[float, ...]):
+        if family.price is None:
+            raise DomainError("probing a price-adopting pool requires an oracle price")
+        _Probe.__init__(
+            self, family, (reserves[0], reserves[1]), min(family.curve.target_reserves)
+        )
 
     def basket_cost(self, state, amount: float) -> float:
-        k, t0 = self.curve.k, self.curve.target_reserves[0]
-        mid = self.price * (1.0 + k * (t0 - state[0]) / t0)
+        k, t0 = self.family.curve.k, self.family.curve.target_reserves[0]
+        mid = self.family.price * (1.0 + k * (t0 - state[0]) / t0)
         return amount * (1.0 + mid)
 
-    def mean_price(self, state, volume: float) -> float:
-        return quote_exact_in(self.curve, state, 0, 1, volume, self.price) / volume
-
     def tenx(self):
+        curve = self.family.curve
         scaled = dataclasses.replace(
-            self.curve,
-            target_reserves=tuple(10.0 * t for t in self.curve.target_reserves),
+            curve, target_reserves=tuple(10.0 * t for t in curve.target_reserves)
         )
         return _AdoptionProbe(
-            scaled, tuple(10.0 * r for r in self.state0), self.price
+            PricingFamily.of(scaled, self.family.price),
+            tuple(10.0 * r for r in self.state0),
         )
 
-    def walk_up(self, state, fraction: float):
-        return self.buy(state, fraction * state[0])
-
     def walk_down(self, state, fraction: float):
-        k, t0 = self.curve.k, self.curve.target_reserves[0]
+        k, t0 = self.family.curve.k, self.family.curve.target_reserves[0]
         if k > 0.0:
             # walk toward the reserve level where the bid floors at zero
             span = t0 * (1.0 + 1.0 / k) - state[0]
@@ -284,134 +244,72 @@ class _AdoptionProbe:
                     return self.sell(state, fraction * span)
                 except DepletionError:
                     pass  # the quote reserve runs out first; drain that instead
-        dy = fraction * state[1]
-        dx = quote_exact_out(self.curve, state, 0, 1, dy, self.price)
-        return (state[0] + dx, state[1] - dy)
-
-    def fee_buy(self, state, qty: float, fee: float):
-        dx = quote_exact_out(self.curve, state, 1, 0, qty, self.price) / (1.0 - fee)
-        return (state[0] - qty, state[1] + dx)
-
-    def fee_sell(self, state, qty: float, fee: float):
-        dy = quote_exact_in(self.curve, state, 0, 1, qty * (1.0 - fee), self.price)
-        return (state[0] + qty, state[1] - dy)
-
-    def deficiency_value(self, state) -> float:
-        return state[1] + self.price * state[0]
-
-    def deficiency_ref(self) -> float:
-        return self.deficiency_value(self.state0)
+        return super().walk_down(state, fraction)
 
 
-class _ScoringProbe:
+class _ScoringProbe(_Probe):
     """Displaces outstanding shares of outcome 0 against collateral."""
 
-    def __init__(self, curve: Lmsr, reserves: tuple[float, ...]):
-        self.curve = curve
-        self.state0 = reserves  # (collateral held, *outstanding shares)
-        self.scale = curve.b
-
-    def _q(self, state) -> tuple[float, ...]:
-        return state[1:]
-
-    def _apply(self, state, dq: Sequence[float]):
-        cost = lmsr_trade_cost(self.curve.b, self._q(state), dq)
-        q = tuple(v + d for v, d in zip(self._q(state), dq))
-        return (state[0] + cost, *q)
-
-    def _delta(self, qty: float) -> tuple[float, ...]:
-        return (qty,) + (0.0,) * (len(self.state0) - 2)
-
-    def buy(self, state, qty: float):
-        return self._apply(state, self._delta(qty))
-
-    def sell(self, state, qty: float):
-        return self._apply(state, self._delta(-qty))
+    def __init__(self, family: PricingFamily, reserves: tuple[float, ...]):
+        # state: (collateral held, *outstanding shares)
+        super().__init__(family, reserves, family.curve.b)
 
     def can_sell(self, state, qty: float) -> bool:
         return state[1] >= qty
 
     def path_base(self):
         # sell headroom for outcome 0 in every permutation of a displacement set
-        return self.buy(self.state0, self.curve.b)
-
-    def spots(self, state) -> tuple[float, ...]:
-        return (spot_price(self.curve, self._q(state), 0, None),)
+        return self.buy(self.state0, self.family.curve.b)
 
     def basket_cost(self, state, amount: float) -> float:
         n = len(self.state0) - 1
-        return lmsr_trade_cost(self.curve.b, self._q(state), (amount,) * n)
+        return lmsr_trade_cost(self.family.curve.b, state[1:], (amount,) * n)
 
     def mean_price(self, state, volume: float) -> float:
-        return lmsr_trade_cost(self.curve.b, self._q(state), self._delta(volume)) / volume
+        """Mean purchase price of `volume` shares."""
+        return self.family.trade(state, 0, 1, EXACT_OUT, volume, 0.0)[0] / volume
 
     def tenx(self):
-        scaled = dataclasses.replace(self.curve, b=10.0 * self.curve.b)
-        return _ScoringProbe(scaled, tuple(10.0 * v for v in self.state0))
+        scaled = dataclasses.replace(self.family.curve, b=10.0 * self.family.curve.b)
+        return _ScoringProbe(
+            PricingFamily.of(scaled), tuple(10.0 * v for v in self.state0)
+        )
 
     def walk_up(self, state, fraction: float):
-        return self.buy(state, 2.0 * self.curve.b / (1.0 - fraction) * fraction)
+        return self.buy(state, 2.0 * self.family.curve.b / (1.0 - fraction) * fraction)
 
     def walk_down(self, state, fraction: float):
-        qty = 2.0 * self.curve.b / (1.0 - fraction) * fraction
+        # buy every other outcome at once
+        b = self.family.curve.b
+        qty = 2.0 * b / (1.0 - fraction) * fraction
         dq = (0.0,) + (qty,) * (len(self.state0) - 2)
-        return self._apply(state, dq)
-
-    def fee_buy(self, state, qty: float, fee: float):
-        cost = lmsr_trade_cost(self.curve.b, self._q(state), self._delta(qty))
-        q = self._q(self._apply(state, self._delta(qty)))
-        return (state[0] + cost / (1.0 - fee), *q)
-
-    def fee_sell(self, state, qty: float, fee: float):
-        raw = -lmsr_trade_cost(self.curve.b, self._q(state), self._delta(-qty))
-        q = self._q(self._apply(state, self._delta(-qty)))
-        return (state[0] - raw * (1.0 - fee), *q)
-
-    def deficiency_value(self, state) -> float:
-        return state[0] - invariant_value(self.curve, self._q(state))
-
-    def deficiency_ref(self) -> float:
-        return self.curve.b
+        cost = lmsr_trade_cost(b, state[1:], dq)
+        return (state[0] + cost, *(v + d for v, d in zip(state[1:], dq)))
 
 
-class _BondingProbe:
+class _BondingProbe(_Probe):
     """Displaces circulating supply against the bonded reserve."""
 
-    def __init__(self, curve: Exponential, bonded: float):
+    def __init__(self, family: PricingFamily, bonded: float):
         if not bonded > 0.0:
             raise DomainError(
                 f"probing a bonding pool requires a positive reserve: {bonded}"
             )
-        self.curve = curve
-        supply = (curve.c * bonded) ** (1.0 / curve.kappa)
-        self.state0 = (bonded, supply)
-        self.scale = supply
-
-    def buy(self, state, qty: float):
-        cost = quote_exact_out(self.curve, state, 0, 1, qty)
-        return (state[0] + cost, state[1] + qty)
-
-    def sell(self, state, qty: float):
-        payout = quote_exact_in(self.curve, state, 1, 0, qty)
-        return (state[0] - payout, state[1] - qty)
+        state0 = family.primed(bonded)
+        super().__init__(family, state0, state0[1])
 
     def can_sell(self, state, qty: float) -> bool:
         return state[1] > qty
 
-    def path_base(self):
-        return self.state0
-
-    def spots(self, state) -> tuple[float, ...]:
-        return (spot_price(self.curve, state, 1, 0),)
-
     def basket_cost(self, state, amount: float) -> float:
-        return amount * (1.0 + self.spots(state)[0])
+        return amount * (1.0 + self.family.spot(state))
 
     def mean_price(self, state, volume: float) -> float:
-        return quote_exact_out(self.curve, state, 0, 1, volume) / volume
+        """Mean purchase price of `volume` issued tokens."""
+        return self.family.trade(state, 0, 1, EXACT_OUT, volume, 0.0)[0] / volume
 
     def tenx(self):
-        return _BondingProbe(self.curve, 10.0 * self.state0[0])
+        return _BondingProbe(self.family, 10.0 * self.state0[0])
 
     def walk_up(self, state, fraction: float):
         target = state[1] / (1.0 - fraction)
@@ -420,34 +318,13 @@ class _BondingProbe:
     def walk_down(self, state, fraction: float):
         return self.sell(state, fraction * state[1])
 
-    def fee_buy(self, state, qty: float, fee: float):
-        # the fee is charged on top of the bond cost and kept outside it
-        return self.buy(state, qty)
 
-    def fee_sell(self, state, qty: float, fee: float):
-        # the fee is withheld from the payout and kept outside the reserve
-        return self.sell(state, qty)
-
-    def deficiency_value(self, state) -> float:
-        return state[0] - state[1] ** self.curve.kappa / self.curve.c
-
-    def deficiency_ref(self) -> float:
-        return self.state0[0]
-
-
-def _build_probe(config: PoolConfig):
-    if not config.reserves:
-        raise DomainError("probing requires a pool spec with initial reserves")
-    curve = config.curve
-    if isinstance(curve, PriceAdoption):
-        if config.oracle_price is None:
-            raise DomainError("probing a price-adopting pool requires an oracle price")
-        return _AdoptionProbe(curve, config.reserves, config.oracle_price)
-    if isinstance(curve, Lmsr):
-        return _ScoringProbe(curve, config.reserves)
-    if isinstance(curve, Exponential):
-        return _BondingProbe(curve, config.reserves[0])
-    return _ConservationProbe(curve, config.reserves)
+_PROBES = {
+    PricingFamily: _ConservationProbe,
+    AdoptionFamily: _AdoptionProbe,
+    ScoringFamily: _ScoringProbe,
+    BondingFamily: lambda family, reserves: _BondingProbe(family, reserves[0]),
+}
 
 
 def _prime(probe, rng: random.Random):
@@ -480,7 +357,8 @@ def _probe_information(probe, rng, trials):
     for _ in range(trials):
         state = _prime(probe, rng)
         qty = _draw(rng, _SIZE_LO, _SIZE_HI, probe.scale)
-        worst = max(worst, _shift(probe.spots(state), probe.spots(probe.buy(state, qty))))
+        spots = probe.family.spots
+        worst = max(worst, _shift(spots(state), spots(probe.buy(state, qty))))
     return _classify_variant(worst, "Incorporative", "Non-incorporative"), worst
 
 
@@ -489,23 +367,29 @@ def _probe_sensitivity(probe, rng, trials):
     worst = 0.0
     for _ in range(trials):
         qty = _draw(rng, _SIZE_LO, _SIZE_HI, probe.scale)
-        impact_base = _shift(probe.spots(probe.state0), probe.spots(probe.buy(probe.state0, qty)))
-        impact_big = _shift(big.spots(big.state0), big.spots(big.buy(big.state0, qty)))
+        impact_base = _shift(
+            probe.family.spots(probe.state0),
+            probe.family.spots(probe.buy(probe.state0, qty)),
+        )
+        impact_big = _shift(
+            big.family.spots(big.state0), big.family.spots(big.buy(big.state0, qty))
+        )
         worst = max(worst, abs(impact_base - impact_big))
     return _classify_variant(worst, "Sensitive", "Insensitive"), worst
 
 
 def _probe_deficiency(probe, rng, trials, fee):
-    ref = probe.deficiency_ref()
+    deficiency = probe.family.deficiency
+    ref = probe.family.deficiency_ref(probe.state0)
     floor = math.inf
     for _ in range(trials):
         state = _prime(probe, rng)
         qty = _draw(rng, _WALK_LO, _WALK_HI, probe.scale)
-        bought = probe.fee_buy(state, qty, fee)
-        sold = probe.fee_sell(bought, qty, fee)
-        w0 = probe.deficiency_value(state)
-        w1 = probe.deficiency_value(bought)
-        w2 = probe.deficiency_value(sold)
+        bought = probe.buy(state, qty, fee)
+        sold = probe.sell(bought, qty, fee)
+        w0 = deficiency(state)
+        w1 = deficiency(bought)
+        w2 = deficiency(sold)
         floor = min(floor, (w1 - w0) / ref, (w2 - w1) / ref)
     if floor > TOL_DEFICIENCY:
         label = "Strictly Deficient"
@@ -538,14 +422,13 @@ def _probe_independence(probe, rng, trials):
 
 
 def _probe_bounding(probe, rng, trials):
-    start = probe.spots(probe.state0)
+    spots = probe.family.spots
+    start = spots(probe.state0)
     up = down = 0.0
     for _ in range(trials):
         fraction = rng.uniform(0.90, 0.99)
-        up = max(up, _shift(start, probe.spots(probe.walk_up(probe.state0, fraction))))
-        down = max(
-            down, _shift(start, probe.spots(probe.walk_down(probe.state0, fraction)))
-        )
+        up = max(up, _shift(start, spots(probe.walk_up(probe.state0, fraction))))
+        down = max(down, _shift(start, spots(probe.walk_down(probe.state0, fraction))))
     responds_up, flat_up = up > TOL_VARIANT, up < TOL_INVARIANT
     responds_dn, flat_dn = down > TOL_VARIANT, down < TOL_INVARIANT
     if responds_up and responds_dn:
@@ -607,7 +490,10 @@ def run_dimension_probe(
     if trials < MIN_TRIALS:
         raise DomainError(f"at least {MIN_TRIALS} trials required: {trials}")
 
-    probe = _build_probe(config)
+    if not config.reserves:
+        raise DomainError("probing requires a pool spec with initial reserves")
+    family = PricingFamily.of(config.curve, config.oracle_price)
+    probe = _PROBES[type(family)](family, config.reserves)
     rng = random.Random(seed * 7919 + DIMENSION_ORDER.index(dimension))
     tolerance = TOL_VARIANT
     if dimension == DIM_INFORMATION:
@@ -628,35 +514,27 @@ def run_dimension_probe(
     return DimensionVerdict(dimension, label, deviation, trials, tolerance)
 
 
-_DISCOVERY_LABELS = {
-    ConstantProduct: "Constant-product",
-    GeometricMean: "Geometric Mean",
-    ConstantSum: "Constant-sum",
-    ConstantProductSum: "Constant-product-sum",
-    ConstantPowerSum: "Constant-power-sum",
-    Lmsr: "Logarithmic Market Scoring",
-    PriceAdoption: "Price Adoption",
-    Exponential: "Exponential Function",
+# (Token Price Source, Source of Liquidity) per archetype
+_ARCHETYPE_SOURCES = {
+    PRICE_DISCOVERING_LP_BASED: ("Internal", "External"),
+    PRICE_ADOPTING_LP_BASED: ("External", "External"),
+    PRICE_DISCOVERING_SUPPLY_SOVEREIGN: ("Internal", "Internal"),
 }
 
 
 def _static_characteristic(config: PoolConfig, dimension: str) -> str:
     if dimension == DIM_DISCOVERY:
-        return _DISCOVERY_LABELS[type(config.curve)]
+        return config.curve.label
     if dimension == DIM_PRICE_SOURCE:
-        return "External" if config.archetype == PRICE_ADOPTING_LP_BASED else "Internal"
+        return _ARCHETYPE_SOURCES[config.archetype][0]
     if dimension == DIM_TOKENS:
         return "Two" if len(config.tokens) == 2 else "Three or More"
     if dimension == DIM_RISK:
-        if isinstance(config.curve, PriceAdoption) and config.curve.k > 0.0:
+        if PricingFamily.of(config.curve).surcharged():
             return "Imbalance Surcharges"
         return "No Risk Management"
     if dimension == DIM_LIQUIDITY_SOURCE:
-        return (
-            "Internal"
-            if config.archetype == PRICE_DISCOVERING_SUPPLY_SOVEREIGN
-            else "External"
-        )
+        return _ARCHETYPE_SOURCES[config.archetype][1]
     raise DomainError(f"not a static dimension: {dimension!r}")
 
 

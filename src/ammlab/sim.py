@@ -12,10 +12,10 @@ strictly positive.  After an arb step on a two-token pool the spot price
 therefore sits within the no-trade fee band around the reference:
 |spot - reference| / max(spot, reference) <= fee.
 
-Metrics mark portfolios to the reference: the risky asset (token0 for
-conservation and price-adoption pools, the issued token for
-supply-sovereign pools) is valued at the reference price and everything
-else at par.  Cells that need an undefined reference are left empty.
+Metrics mark portfolios to the reference: the pricing family's marked leg
+(token0 for conservation and price-adoption pools, the issued token for
+supply-sovereign pools, the collateral for prediction markets) is valued at
+the reference price and everything else at par.  Cells that need an undefined reference are left empty.
 Divergence loss compares the pool's current holdings to a buy-and-hold
 baseline that grows with deposits and shrinks pro rata with withdrawals,
 so a deposit-only scenario reports exactly zero.
@@ -35,13 +35,12 @@ from .core import (
     ledger_mint,
     new_ledger,
 )
-from .curves import Exponential, Lmsr, PriceAdoption, invariant_value, spot_price
 from .engine import (
     EXACT_IN,
     EXACT_OUT,
-    PRICE_DISCOVERING_SUPPLY_SOVEREIGN,
     Ledgers,
     PoolState,
+    PricingFamily,
     TradeOrder,
     TradeReceipt,
     deposit_liquidity,
@@ -369,12 +368,6 @@ def _best_size(profit, cap: float, tol: float, start: float) -> tuple[float, flo
     return _golden_max(profit, 0.0, hi, tol)
 
 
-def _risky_index(pool: PoolState) -> int:
-    if pool.archetype == PRICE_DISCOVERING_SUPPLY_SOVEREIGN:
-        return 1
-    return 0
-
-
 def arbitrage_step(
     pool: PoolState,
     reference_price: float,
@@ -391,22 +384,22 @@ def arbitrage_step(
     """
     if pool.closed:
         raise UnsupportedOperation("pool is closed")
-    if isinstance(pool.curve, Lmsr):
-        raise UnsupportedOperation(
-            "arbitrage needs a two-token pool, not a prediction market"
-        )
+    family = PricingFamily.of(pool.curve, pool.oracle_price)
+    if family.arb_error is not None:
+        raise UnsupportedOperation(family.arb_error)
     if not (math.isfinite(reference_price) and reference_price > 0.0):
         raise DomainError(f"reference price must be > 0: {reference_price}")
 
-    risky = _risky_index(pool)
+    risky = family.risky
     risky_token = pool.tokens[risky]
     numeraire_token = pool.tokens[1 - risky]
-    if pool.archetype == PRICE_DISCOVERING_SUPPLY_SOVEREIGN:
-        held = pool.circulating_supply
+    held = family.view(pool)[risky]
+    if risky >= family.issued_from:  # minting is unbounded, burning stops at the supply
         scale = max(held, 1.0)
-    else:
-        held = pool.reserves[risky]
+        buy_cap, sell_cap = 1e15 * scale, held * (1.0 - 1e-12)
+    else:  # buying stops short of the reserve, selling is unbounded
         scale = held
+        buy_cap, sell_cap = held * (1.0 - 1e-9), 1e15 * scale
     tol = _SEARCH_TOL * scale
 
     def buy_profit(amount: float) -> float:
@@ -426,12 +419,6 @@ def arbitrage_step(
             return quote(pool, order).amount_out - amount * reference_price
         except AmmError:
             return -math.inf
-
-    if pool.archetype == PRICE_DISCOVERING_SUPPLY_SOVEREIGN:
-        buy_cap = 1e15 * scale  # minting is unbounded
-    else:
-        buy_cap = pool.reserves[risky] * (1.0 - 1e-9)
-    sell_cap = held * (1.0 - 1e-12) if risky == 1 else 1e15 * scale
 
     start = 1e-6 * scale
     buy_size, buy_value = _best_size(buy_profit, buy_cap, tol, start)
@@ -466,48 +453,16 @@ def _resolve_outcome_index(pool: PoolState, token: str, line: int) -> int:
     raise DomainError(f"scenario line {line}: unknown outcome {token!r}")
 
 
-def _is_lp_pool(pool: PoolState) -> bool:
-    if pool.archetype == PRICE_DISCOVERING_SUPPLY_SOVEREIGN:
-        return False
-    return not isinstance(pool.curve, Lmsr)
-
-
-def _observe_spot(pool: PoolState) -> float | None:
+def _observed(observe, state) -> float | None:
     try:
-        if isinstance(pool.curve, Lmsr):
-            return spot_price(pool.curve, pool.reserves[1:], 0, None)
-        if isinstance(pool.curve, Exponential):
-            if not pool.circulating_supply > 0.0:
-                return None
-            state = (pool.reserves[0], pool.circulating_supply)
-            return spot_price(pool.curve, state, 1, 0)
-        if isinstance(pool.curve, PriceAdoption):
-            if pool.oracle_price is None:
-                return None
-            return spot_price(pool.curve, pool.reserves, 0, 1, pool.oracle_price)
-        return spot_price(pool.curve, pool.reserves, 0, 1)
+        return observe(state)
     except AmmError:
         return None
 
 
-def _observe_invariant(pool: PoolState) -> float | None:
-    try:
-        if isinstance(pool.curve, Lmsr):
-            return invariant_value(pool.curve, pool.reserves[1:])
-        if isinstance(pool.curve, Exponential):
-            state = (pool.reserves[0], pool.circulating_supply)
-            return invariant_value(pool.curve, state)
-        if isinstance(pool.curve, PriceAdoption):
-            return None
-        return invariant_value(pool.curve, pool.reserves)
-    except AmmError:
-        return None
-
-
-def _mark(pool: PoolState, amounts, reference: float | None) -> float | None:
+def _mark(risky: int, amounts, reference: float | None) -> float | None:
     """Value a token vector at the reference; None when that needs an
     undefined reference."""
-    risky = _risky_index(pool)
     value = 0.0
     for index, amount in enumerate(amounts):
         if index == risky and amount != 0.0:
@@ -526,20 +481,25 @@ def _observe(
     hold: list[float],
     fees_vector,
 ) -> MetricsRecord:
+    family = PricingFamily.of(pool.curve, pool.oracle_price)
     closed = pool.closed
-    spot = None if closed else _observe_spot(pool)
-    invariant = None if closed else _observe_invariant(pool)
+    spot = invariant = None
+    if not closed:
+        state = family.view(pool)
+        spot = _observed(family.spot, state)
+        invariant = _observed(family.invariant, state)
     tracking = None
     if spot is not None and reference is not None:
         tracking = abs(spot - reference) / reference
+    risky = family.marked
     lp_value = None
     divergence = None
-    if _is_lp_pool(pool) and not closed:
-        lp_value = _mark(pool, pool.reserves, reference)
-        hold_value = _mark(pool, hold, reference)
+    if family.lp_error is None and not closed:
+        lp_value = _mark(risky, pool.reserves, reference)
+        hold_value = _mark(risky, hold, reference)
         if lp_value is not None and hold_value:
             divergence = lp_value / hold_value - 1.0
-    fees_cum = _mark(pool, fees_vector, reference)
+    fees_cum = _mark(risky, fees_vector, reference)
     return MetricsRecord(
         step=event.step,
         event=event.verb,

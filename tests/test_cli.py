@@ -51,6 +51,25 @@ class TestQuote:
             assert field in captured.out
         assert captured.err == ""
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--amount", "inf"],
+            ["--amount", "nan"],
+            ["--amount", "1e-300", "--kind", "exact-out"],
+        ],
+    )
+    def test_unpriceable_amount_is_an_engine_error(self, extra, capsys):
+        code = main(
+            ["quote", "--pool", "uniswap-v2-like", "--in", "TOKEN0", "--out", "TOKEN1"]
+            + extra
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
     def test_builtin_pool_with_fee(self, capsys):
         code = main(
             ["quote", "--pool", "uniswap-v2-like", "--in", "TOKEN0",

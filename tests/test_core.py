@@ -114,6 +114,25 @@ class TestMintBurn:
             ledger_mint(led, "a", -1.0)
 
 
+class TestNonFiniteAmounts:
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    def test_new_ledger_rejects(self, value):
+        with pytest.raises(DomainError):
+            new_ledger("TOK", {"a": value})
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("operation", ["transfer", "mint", "burn"])
+    def test_operations_reject(self, operation, value):
+        led = new_ledger("TOK", {"a": 1.0})
+        with pytest.raises(DomainError):
+            if operation == "transfer":
+                ledger_transfer(led, "a", "b", value)
+            elif operation == "mint":
+                ledger_mint(led, "a", value)
+            else:
+                ledger_burn(led, "a", value)
+
+
 # ---------------------------------------------------------------------------
 # fee parameters
 # ---------------------------------------------------------------------------
@@ -123,21 +142,15 @@ class TestFeeParams:
     def test_defaults_are_zero(self):
         fees = FeeParams()
         assert fees.trade_fee == 0.0
-        assert fees.surcharge_k == 0.0
 
     @pytest.mark.parametrize("fee", [-0.1, 1.0, 1.5])
     def test_trade_fee_domain(self, fee):
         with pytest.raises(DomainError):
             FeeParams(trade_fee=fee)
 
-    @pytest.mark.parametrize("k", [-0.01, 1.01])
-    def test_surcharge_domain(self, k):
-        with pytest.raises(DomainError):
-            FeeParams(surcharge_k=k)
-
     def test_boundary_values_accepted(self):
-        FeeParams(trade_fee=0.0, surcharge_k=0.0)
-        FeeParams(trade_fee=0.999, surcharge_k=1.0)
+        FeeParams(trade_fee=0.0)
+        FeeParams(trade_fee=0.999)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from ammlab.core import DepletionError, DomainError, UnsupportedOperation
 from ammlab.curves import (
+    CURVES,
     ConstantPowerSum,
     ConstantProduct,
     ConstantProductSum,
@@ -564,6 +565,32 @@ class TestLmsrPriceLaws:
 
 
 class TestCurveSpecDomains:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GeometricMean(weights=(math.nan, 0.5)),
+            lambda: GeometricMean(weights=(math.inf, 0.5)),
+            lambda: ConstantProductSum(chi=math.inf),
+            lambda: ConstantProductSum(chi=math.nan),
+            lambda: ConstantPowerSum(t=math.nan),
+            lambda: Lmsr(b=math.inf),
+            lambda: Lmsr(b=math.nan),
+            lambda: PriceAdoption(k=math.nan, target_reserves=(1.0, 1.0)),
+            lambda: PriceAdoption(k=0.5, target_reserves=(math.inf, 1.0)),
+            lambda: PriceAdoption(k=0.5, target_reserves=(1.0, math.nan)),
+            lambda: Exponential(kappa=math.inf, c=1.0),
+            lambda: Exponential(kappa=2.0, c=math.inf),
+            lambda: Exponential(kappa=math.nan, c=1.0),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, build):
+        with pytest.raises(DomainError):
+            build()
+
+    def test_curve_table_names_are_unique(self):
+        assert len({c.spec_name for c in CURVES}) == len(CURVES)
+        assert len({c.label for c in CURVES}) == len(CURVES)
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(DomainError):
             GeometricMean(weights=(0.5, 0.6))

@@ -17,12 +17,14 @@ tests may use curves functions as oracles for the pure pricing component.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ammlab.core import (
+    AmmError,
     DepletionError,
     DomainError,
     InsufficientBalance,
@@ -31,9 +33,13 @@ from ammlab.core import (
     new_ledger,
 )
 from ammlab.curves import (
+    CURVES,
+    ConstantPowerSum,
     ConstantProduct,
+    ConstantProductSum,
     ConstantSum,
     Exponential,
+    GeometricMean,
     Lmsr,
     PriceAdoption,
     quote_exact_in,
@@ -293,6 +299,21 @@ class TestQuote:
         pool, _ = make_lmsr_pool()
         with pytest.raises(UnsupportedOperation):
             quote(pool, TradeOrder("a", "OUT0", "OUT1", 1.0, "exact-in"))
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_POOLS))
+    @pytest.mark.parametrize(
+        "amount,kind",
+        [
+            (math.inf, "exact-in"),
+            (math.inf, "exact-out"),
+            (math.nan, "exact-in"),
+            (1e-300, "exact-out"),  # the input underflows to zero
+        ],
+    )
+    def test_unpriceable_order_is_an_engine_error(self, name, amount, kind):
+        pool, _ = load_pool(name)
+        with pytest.raises(AmmError):
+            quote(pool, TradeOrder("a", pool.tokens[0], pool.tokens[1], amount, kind))
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +634,38 @@ class TestSupplySovereign:
             assert abs(pool.reserves[0]) <= 1e-6 * 1e6
 
 
+    @pytest.mark.parametrize("fee", [0.0, 0.003])
+    @pytest.mark.parametrize("kind", ["exact-in", "exact-out"])
+    def test_swap_settles_the_quote_it_returns(self, kind, fee):
+        # ledgers and the supply tracker move by exactly the receipt's
+        # amounts, bit for bit, in both directions
+        pool, ledgers = make_sovereign_pool(fee=fee, kappa=3.0, c=1.0)
+        ledgers["RESERVE"] = new_ledger("RESERVE", {"alice": 1e12})
+        pool, _, ledgers = curve_buy(pool, "alice", 100.0, ledgers)
+        rng = random.Random(5)
+        for _ in range(200):
+            buying = rng.random() < 0.5
+            token_in, token_out = ("RESERVE", "ISSUED") if buying else ("ISSUED", "RESERVE")
+            sized = token_in if kind == "exact-in" else token_out
+            held = pool.circulating_supply if sized == "ISSUED" else pool.reserves[0]
+            size = rng.uniform(0.01, 0.1) * held
+            order = TradeOrder("alice", token_in, token_out, size, kind)
+            before = {t: balance_of(ledgers[t], "alice") for t in ("RESERVE", "ISSUED")}
+            supply = pool.circulating_supply
+            issued = ledgers["ISSUED"].total_supply
+            pool, receipt, ledgers = execute_swap(pool, order, ledgers)
+            q = receipt.quote
+            assert receipt.trader_deltas == {token_in: -q.amount_in, token_out: q.amount_out}
+            assert balance_of(ledgers[token_in], "alice") == before[token_in] - q.amount_in
+            assert balance_of(ledgers[token_out], "alice") == before[token_out] + q.amount_out
+            if buying:
+                assert pool.circulating_supply == supply + q.amount_out
+                assert ledgers["ISSUED"].total_supply == issued + q.amount_out
+            else:
+                assert pool.circulating_supply == supply - q.amount_in
+                assert ledgers["ISSUED"].total_supply == issued - q.amount_in
+
+
 # ---------------------------------------------------------------------------
 # oracle adoption
 # ---------------------------------------------------------------------------
@@ -644,6 +697,14 @@ class TestOracle:
             set_oracle_price(pool, 0.0)
         with pytest.raises(DomainError):
             set_oracle_price(pool, -1.0)
+
+    @pytest.mark.parametrize("price", [math.inf, math.nan])
+    def test_non_finite_price_rejected(self, price):
+        pool, _ = make_pmm_pool()
+        with pytest.raises(DomainError):
+            set_oracle_price(pool, price)
+        with pytest.raises(DomainError):
+            make_pmm_pool(oracle=price)
 
 
 # ---------------------------------------------------------------------------
@@ -779,6 +840,48 @@ oracle_price = 10
         config = parse_pool_spec(text)
         assert config.curve == PriceAdoption(k=0.5, target_reserves=(100.0, 1000.0))
         assert config.oracle_price == 10.0
+
+    # one case per curve; the keys after the common ones are the curve's
+    CURVE_CASES = {
+        "constant-product": ("", ConstantProduct()),
+        "geometric-mean": ("weights = 0.25, 0.75\n", GeometricMean(weights=(0.25, 0.75))),
+        "constant-sum": ("", ConstantSum()),
+        "constant-product-sum": ("chi = 10\n", ConstantProductSum(chi=10.0)),
+        "constant-power-sum": ("t = 0.5\n", ConstantPowerSum(t=0.5)),
+        "lmsr": ("b = 100\n", Lmsr(b=100.0)),
+        "price-adoption": (
+            "k = 0.5\ntarget_reserves = 100, 1000\n",
+            PriceAdoption(k=0.5, target_reserves=(100.0, 1000.0)),
+        ),
+        "exponential": ("kappa = 2\nc = 1\n", Exponential(kappa=2.0, c=1.0)),
+    }
+
+    def _spec(self, curve_name: str, params: str) -> str:
+        return self.CP_TEXT.replace("constant-product", curve_name) + params
+
+    def test_every_curve_has_a_case(self):
+        assert sorted(self.CURVE_CASES) == sorted(c.spec_name for c in CURVES)
+
+    @pytest.mark.parametrize("curve_name", sorted(CURVE_CASES))
+    def test_every_curve_parses(self, curve_name):
+        params, expected = self.CURVE_CASES[curve_name]
+        assert parse_pool_spec(self._spec(curve_name, params)).curve == expected
+
+    @pytest.mark.parametrize(
+        "curve_name", sorted(name for name, (params, _) in CURVE_CASES.items() if params)
+    )
+    def test_first_missing_curve_key_is_named(self, curve_name):
+        params, _ = self.CURVE_CASES[curve_name]
+        keys = [line.split("=")[0].strip() for line in params.splitlines()]
+        with pytest.raises(DomainError, match=f"requires key '{keys[0]}'"):
+            parse_pool_spec(self._spec(curve_name, ""))
+
+    @pytest.mark.parametrize("curve_name", sorted(CURVE_CASES))
+    def test_keys_of_other_curves_rejected(self, curve_name):
+        params, _ = self.CURVE_CASES[curve_name]
+        stray = "b = 5\n" if curve_name != "lmsr" else "chi = 5\n"
+        with pytest.raises(DomainError, match="do not apply to curve"):
+            parse_pool_spec(self._spec(curve_name, params + stray))
 
     def test_load_pool_from_file(self, tmp_path):
         path = tmp_path / "pool.txt"
