@@ -28,18 +28,19 @@ LMSR uses ``None`` for the collateral leg (reserves are outstanding share
 quantities), and the exponential curve expects ``reserves = (reserve_balance,
 circulating_supply)`` with index 0 the reserve token and 1 the issued token.
 
-Each spec class names itself three ways: ``spec_name`` (its ``curve =`` value
-in a pool specification file), ``label`` (its Price Discovery taxonomy
-label) and ``family`` (the pricing family the engine prices it with).  Its
-dataclass fields are its specification keys.  ``CURVES`` lists the classes;
-the spec parser, the engine and the probe read everything else from there.
+Each spec class is declared with ``@_curve(spec_name, label, family)``: its
+``curve =`` value in a pool specification file, its Price Discovery taxonomy
+label, and the pricing family the engine prices it with.  Its dataclass
+fields are its specification keys.  The declaration lists the class in
+``CURVES``; the spec parser, the engine and the probe read everything else
+from there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .core import DepletionError, DomainError, SolverError, UnsupportedOperation
 
@@ -55,25 +56,35 @@ PRICE_ADOPTION = "price-adoption"
 SCORING_RULE = "scoring-rule"
 BONDING = "bonding"
 
+#: every curve spec class, in specification-file order
+CURVES: list[type] = []
+
+
+def _curve(spec_name: str, label: str, family: str):
+    """Name a curve spec class and list it in CURVES."""
+
+    def declare(cls: type) -> type:
+        cls.spec_name, cls.label, cls.family = spec_name, label, family
+        CURVES.append(cls)
+        return cls
+
+    return declare
+
 
 # ---------------------------------------------------------------------------
 # curve specifications
 # ---------------------------------------------------------------------------
 
 
+@_curve("constant-product", "Constant-product", CONSERVATION)
 @dataclass(frozen=True, slots=True)
 class ConstantProduct:
-    spec_name: ClassVar[str] = "constant-product"
-    label: ClassVar[str] = "Constant-product"
-    family: ClassVar[str] = CONSERVATION
+    pass
 
 
+@_curve("geometric-mean", "Geometric Mean", CONSERVATION)
 @dataclass(frozen=True, slots=True)
 class GeometricMean:
-    spec_name: ClassVar[str] = "geometric-mean"
-    label: ClassVar[str] = "Geometric Mean"
-    family: ClassVar[str] = CONSERVATION
-
     weights: tuple[float, ...]  # one weight per token, positive, summing to 1
 
     def __post_init__(self) -> None:
@@ -86,19 +97,15 @@ class GeometricMean:
             raise DomainError(f"weights must sum to 1: {self.weights}")
 
 
+@_curve("constant-sum", "Constant-sum", CONSERVATION)
 @dataclass(frozen=True, slots=True)
 class ConstantSum:
-    spec_name: ClassVar[str] = "constant-sum"
-    label: ClassVar[str] = "Constant-sum"
-    family: ClassVar[str] = CONSERVATION
+    pass
 
 
+@_curve("constant-product-sum", "Constant-product-sum", CONSERVATION)
 @dataclass(frozen=True, slots=True)
 class ConstantProductSum:
-    spec_name: ClassVar[str] = "constant-product-sum"
-    label: ClassVar[str] = "Constant-product-sum"
-    family: ClassVar[str] = CONSERVATION
-
     chi: float  # leverage factor, finite, >= 0; 0 -> constant product, large -> sum
 
     def __post_init__(self) -> None:
@@ -106,12 +113,9 @@ class ConstantProductSum:
             raise DomainError(f"chi must be finite and >= 0: {self.chi}")
 
 
+@_curve("constant-power-sum", "Constant-power-sum", CONSERVATION)
 @dataclass(frozen=True, slots=True)
 class ConstantPowerSum:
-    spec_name: ClassVar[str] = "constant-power-sum"
-    label: ClassVar[str] = "Constant-power-sum"
-    family: ClassVar[str] = CONSERVATION
-
     t: float  # curvature in [0, 1); 0 degenerates to constant sum
 
     def __post_init__(self) -> None:
@@ -119,12 +123,9 @@ class ConstantPowerSum:
             raise DomainError(f"t must be in [0, 1): {self.t}")
 
 
+@_curve("lmsr", "Logarithmic Market Scoring", SCORING_RULE)
 @dataclass(frozen=True, slots=True)
 class Lmsr:
-    spec_name: ClassVar[str] = "lmsr"
-    label: ClassVar[str] = "Logarithmic Market Scoring"
-    family: ClassVar[str] = SCORING_RULE
-
     b: float  # liquidity parameter, finite, > 0
 
     def __post_init__(self) -> None:
@@ -132,12 +133,9 @@ class Lmsr:
             raise DomainError(f"b must be finite and > 0: {self.b}")
 
 
+@_curve("price-adoption", "Price Adoption", PRICE_ADOPTION)
 @dataclass(frozen=True, slots=True)
 class PriceAdoption:
-    spec_name: ClassVar[str] = "price-adoption"
-    label: ClassVar[str] = "Price Adoption"
-    family: ClassVar[str] = PRICE_ADOPTION
-
     k: float  # surcharge magnitude, in [0, 1]
     target_reserves: tuple[float, ...]  # (t0, t1); t0 drives the imbalance term
 
@@ -155,12 +153,9 @@ class PriceAdoption:
             )
 
 
+@_curve("exponential", "Exponential Function", BONDING)
 @dataclass(frozen=True, slots=True)
 class Exponential:
-    spec_name: ClassVar[str] = "exponential"
-    label: ClassVar[str] = "Exponential Function"
-    family: ClassVar[str] = BONDING
-
     kappa: float  # curvature, finite, > 0
     c: float  # invariant constant, finite, > 0
 
@@ -181,18 +176,6 @@ CurveSpec = Union[
     PriceAdoption,
     Exponential,
 ]
-
-#: every curve spec class, in specification-file order
-CURVES = (
-    ConstantProduct,
-    GeometricMean,
-    ConstantSum,
-    ConstantProductSum,
-    ConstantPowerSum,
-    Lmsr,
-    PriceAdoption,
-    Exponential,
-)
 
 #: curves whose conservation value defines quoting (and path deficiency)
 CONSERVATION_CURVES = tuple(c for c in CURVES if c.family == CONSERVATION)
@@ -638,11 +621,6 @@ def quote_exact_out(
 
 def lmsr_trade_cost(b: float, q: Sequence[float], dq: Sequence[float]) -> float:
     """C(q + dq) - C(q); positive means the trader pays collateral."""
-    # LMSR quoting below prices through the same body
-    return _lmsr_trade_cost(b, q, dq)
-
-
-def _lmsr_trade_cost(b: float, q: Sequence[float], dq: Sequence[float]) -> float:
     if not b > 0.0:
         raise DomainError(f"b must be > 0: {b}")
     if len(q) != len(dq):
@@ -652,6 +630,14 @@ def _lmsr_trade_cost(b: float, q: Sequence[float], dq: Sequence[float]) -> float
         raise DomainError(f"share quantities cannot go negative: {after}")
     if all(d == 0.0 for d in dq):
         return 0.0
+    return _lmsr_cost(b, after) - _lmsr_cost(b, q)
+
+
+def _lmsr_leg_cost(b: float, q: Sequence[float], j: int, ds: float) -> float:
+    """C(q + ds*e_j) - C(q) for a nonzero ds that keeps q_j >= 0, which the
+    LMSR quotes below have already checked."""
+    after = list(q)
+    after[j] += ds
     return _lmsr_cost(b, after) - _lmsr_cost(b, q)
 
 
@@ -680,9 +666,7 @@ def _lmsr_quote_in(
         # exact shares in, collateral out
         if dx > q[j]:
             raise DepletionError(f"only {q[j]} outstanding shares of outcome {j}")
-        dq = [0.0] * len(q)
-        dq[j] = -dx
-        return -_lmsr_trade_cost(b, q, dq)
+        return -_lmsr_leg_cost(b, q, j, -dx)
     # exact collateral in: invert C(q + s*e_j) - C(q) = dx for s
     base = _lmsr_cost(b, q)
     price_now = _lmsr_price(b, q, j)
@@ -712,9 +696,7 @@ def _lmsr_quote_out(
     b = spec.b
     if buying:
         # exact shares out: direct cost difference
-        dq = [0.0] * len(q)
-        dq[j] = dy
-        return _lmsr_trade_cost(b, q, dq)
+        return _lmsr_leg_cost(b, q, j, dy)
     # exact collateral out: solve C(q) - C(q - s*e_j) = dy for shares in
     base = _lmsr_cost(b, q)
     depleted = list(q)

@@ -6,13 +6,30 @@ Three archetypes share one pool abstraction:
   price-adopting-lp-based           the price-adoption (oracle + surcharge) curve
   price-discovering-supply-sovereign  the exponential bonding curve
 
-Conventions chosen here (the pricing layer itself lives in curves.py):
+Each curve belongs to one of four pricing families, and the family table
+below (`PricingFamily` and its subclasses, looked up once from the curve's
+`family`) is the only place that knows the difference.  A family owns the
+state view of a pool, its canonical risky leg, the fee-aware trade step,
+settlement against the ledgers, the archetype check, and the spot,
+invariant and deficiency observations that the simulator and the probe
+read:
 
-  * Fees are charged on the input amount before curve math and retained by
-    the pool, except that payout-side mechanisms (LMSR sells, bonding-curve
-    sells) charge the fee on the collateral/reserve payout instead, and
-    supply-sovereign pools keep fees out of the bonded reserve so the
-    solvency identity reserves[0] = S**kappa / c stays exact.
+  family        curves                     state view            fee paid on         fee kept
+  conservation  constant product, geometric reserves              the input           in the reserves
+                mean, constant sum, product-
+                sum, power-sum
+  adoption      price adoption             (r0, r1) + oracle     the input           in the reserves
+  scoring rule  LMSR                       (collateral, *shares) buys: the input;    in the collateral
+                                                                 sells: the payout   reserve
+  bonding       exponential                (reserve, supply)     buys: the input;    outside the bonded
+                                                                 sells: the payout   reserve
+
+Every fee is also booked in `accumulated_fees` on the side that paid it.
+Keeping bonding fees out of the bonded reserve keeps the solvency identity
+reserves[0] = S**kappa / c exact.
+
+Other conventions chosen here (the pricing layer itself lives in curves.py):
+
   * The first liquidity provider mints the geometric mean of the deposit;
     later deposits must be reserve-proportional (1e-9 relative) and mint
     pro rata. Withdrawals pay a pro-rata slice of every reserve.
@@ -23,9 +40,17 @@ Conventions chosen here (the pricing layer itself lives in curves.py):
     the pool, and deposit/withdraw are not supported after creation.
   * Resolution pays 1 collateral per winning share, burns the redeemed
     shares, sweeps leftover collateral to the creator, and closes the pool.
+  * A quote that cannot be priced (a non-finite amount, or an input that
+    underflows to zero) raises DomainError.
 
 All operations are pure: they return new PoolState / ledger values and on
 failure raise without having changed anything the caller holds.
+
+Adding a curve: declare its spec class in curves.py with
+`@_curve(spec_name, label, family)` (its dataclass fields are its
+specification keys), teach the curves-layer functions its pricing, and
+export it from the package.  The spec parser, the family table, the
+simulator and the probe pick it up from there.
 """
 
 from __future__ import annotations
@@ -228,14 +253,13 @@ class PricingFamily:
     lp_error: str | None = None  # why the pool takes no deposits
     arb_error: str | None = None  # why the pool cannot be arbitraged
 
-    def __init__(self, curve: CurveSpec, price: float | None = None) -> None:
-        self.curve = curve
-        self.price = price
-
     @staticmethod
     def of(curve: CurveSpec, price: float | None = None) -> PricingFamily:
         """The family that prices `curve`, bound to it and the adopted price."""
-        return _FAMILIES[curve.family](curve, price)
+        family = object.__new__(_FAMILIES[curve.family])
+        family.curve = curve
+        family.price = price
+        return family
 
     # -- state view and creation --------------------------------------------
 
@@ -266,9 +290,8 @@ class PricingFamily:
         lp_supply = math.prod(deposit) ** (1.0 / len(deposit))
         return deposit, lp_supply, {creator: lp_supply}
 
-    def materialize(
-        self, config: PoolConfig, creator: AccountId
-    ) -> tuple[PoolState, dict[TokenId, Ledger]]:
+    def materialize(self, config: PoolConfig, creator: AccountId) -> tuple:
+        """A live pool at the configured reserves, and its ledgers."""
         ledgers = {
             token: new_ledger(token, {creator: amount} if amount > 0.0 else {})
             for token, amount in zip(config.tokens, config.reserves)
@@ -283,64 +306,43 @@ class PricingFamily:
         """Trade token i for token j: (amount_in, amount_out, fee_paid, state
         after).  `amount` is the exact input or output, fee included."""
         view, leg_in, leg_out = self.curve_args(state, i, j)
+        keep = 1.0 - fee
         if i >= self.issued_from:  # the fee comes out of the payout
             if kind == EXACT_IN:
                 amount_in = amount
-                gross = quote_exact_in(
-                    self.curve, view, leg_in, leg_out, amount_in, self.price
-                )
-                amount_out = gross * (1.0 - fee)
-                fee_paid = gross - amount_out
+                gross = quote_exact_in(self.curve, view, leg_in, leg_out, amount, self.price)
+                amount_out = gross * keep
             else:
                 amount_out = amount
-                gross = amount_out / (1.0 - fee)
-                fee_paid = gross - amount_out
-                amount_in = quote_exact_out(
-                    self.curve, view, leg_in, leg_out, gross, self.price
-                )
+                gross = amount / keep
+                amount_in = quote_exact_out(self.curve, view, leg_in, leg_out, gross, self.price)
+            fee_paid = gross - amount_out
         elif kind == EXACT_IN:  # the fee comes off the input
             amount_in = amount
-            net = amount_in * (1.0 - fee)
+            net = amount * keep
+            amount_out = quote_exact_in(self.curve, view, leg_in, leg_out, net, self.price)
             fee_paid = amount_in - net
-            amount_out = quote_exact_in(
-                self.curve, view, leg_in, leg_out, net, self.price
-            )
         else:
             amount_out = amount
-            net = quote_exact_out(
-                self.curve, view, leg_in, leg_out, amount_out, self.price
-            )
-            amount_in = net / (1.0 - fee)
+            net = quote_exact_out(self.curve, view, leg_in, leg_out, amount, self.price)
+            amount_in = net / keep
             fee_paid = amount_in - net
         after = self.after(state, i, j, amount_in, amount_out, fee_paid)
         return amount_in, amount_out, fee_paid, after
 
-    def after(
-        self, state: State, i: int, j: int, amount_in: float, amount_out: float,
-        fee_paid: float,
-    ) -> State:
-        """The state once a trade of these amounts has settled."""
-        outside = 0.0 if self.fee_in_reserves else fee_paid
+    def after(self, state: State, i: int, j: int, paid: float, got: float, fee: float):
+        """The state once a trade paying `paid` for `got` (fee `fee`) settles."""
+        outside = 0.0 if self.fee_in_reserves else fee
         after = list(state)
-        after[i] += -amount_in if i >= self.issued_from else amount_in - outside
-        after[j] += amount_out if j >= self.issued_from else -(amount_out + outside)
+        after[i] += -paid if i >= self.issued_from else paid - outside
+        after[j] += got if j >= self.issued_from else -(got + outside)
         return tuple(after)
 
-    def surcharge(
-        self, i: int, kind: str, amount_in: float, amount_out: float, fee: float
-    ) -> float:
+    def surcharge(self, i: int, kind: str, paid: float, got: float, fee: float) -> float:
         return 0.0
 
-    def settle(
-        self,
-        pool: PoolState,
-        trader: AccountId,
-        i: int,
-        j: int,
-        paid: float,
-        received: float,
-        ledgers: Ledgers,
-    ) -> dict[TokenId, Ledger]:
+    def settle(self, pool: PoolState, trader: AccountId, i: int, j: int,
+               paid: float, received: float, ledgers: Ledgers) -> dict:
         """Take `paid` of token i from the trader and give `received` of
         token j, burning and minting the issued legs."""
         led_in = _ledger_for(ledgers, pool.tokens[i])
@@ -355,12 +357,12 @@ class PricingFamily:
             led_out = ledger_transfer(led_out, pool.account, trader, received)
         return _with(ledgers, led_in, led_out)
 
-    def apply(
-        self, pool: PoolState, i: int, j: int, fee_paid: float, state: State
-    ) -> PoolState:
-        """The pool at the post-trade `state`, its fee booked on the side that paid."""
+    def apply(self, pool: PoolState, i: int, j: int, paid: float, got: float, fee: float):
+        """The pool once a trade paying `paid` of token i for `got` of token j
+        settles, its fee booked on the side that paid it."""
+        state = self.after(self.view(pool), i, j, paid, got, fee)
         fees = list(pool.accumulated_fees)
-        fees[j if i >= self.issued_from else i] += fee_paid
+        fees[j if i >= self.issued_from else i] += fee
         return replace(pool, accumulated_fees=tuple(fees), **self.stored(pool, state))
 
     # -- observations -------------------------------------------------------
@@ -375,14 +377,15 @@ class PricingFamily:
         return spot_price(self.curve, state, self.risky, 1 - self.risky, self.price)
 
     def spots(self, state: State) -> tuple[float, ...]:
-        return (self.spot(state),)
+        """Every spot the probe watches; by default the risky leg's."""
+        return (spot_price(self.curve, state, self.risky, 1 - self.risky, self.price),)
 
     def invariant(self, state: State) -> float | None:
         return invariant_value(self.curve, state)
 
     def deficiency(self, state: State) -> float:
         """Value the pool holds beyond what its pricing rule owes."""
-        return invariant_value(self.curve, state)
+        return self.invariant(state)
 
     def deficiency_ref(self, state0: State) -> float:
         """Scale that deficiency changes are measured against."""
@@ -403,24 +406,25 @@ class AdoptionFamily(PricingFamily):
         if n_tokens != 2:
             raise DomainError("price adoption is a two-token mechanism")
 
-    def trade(self, state, i, j, kind, amount, fee):
+    def curve_args(self, state, i, j):
         if self.price is None:
             raise DomainError("no oracle price set; call set_oracle_price first")
-        return super().trade(state, i, j, kind, amount, fee)
+        return state, i, j
 
-    def surcharge(self, i, kind, amount_in, amount_out, fee):
+    def surcharge(self, i, kind, paid, got, fee):
         # counterfactual at k = 0: trade at the flat adopted price
         p = self.price
         if kind == EXACT_IN:
-            effective = amount_in * (1.0 - fee)
+            effective = paid * (1.0 - fee)
             flat_out = effective * p if i == 0 else effective / p
-            return max(0.0, flat_out - amount_out)
-        flat_in = amount_out / p if i == 0 else amount_out * p
-        return max(0.0, (amount_in * (1.0 - fee)) - flat_in)
+            return max(0.0, flat_out - got)
+        flat_in = got / p if i == 0 else got * p
+        return max(0.0, (paid * (1.0 - fee)) - flat_in)
 
     def spots(self, state):
         """(bid, ask) for token 0, both in token 1."""
-        return (self.spot(state), 1.0 / self.spot_between(state, 1, 0))
+        ask = spot_price(self.curve, state, 1, 0, self.price)
+        return (spot_price(self.curve, state, 0, 1, self.price), 1.0 / ask)
 
     def invariant(self, state):
         return None  # price adoption has no conservation function
@@ -450,9 +454,7 @@ class ScoringFamily(PricingFamily):
     def check(self, archetype, n_tokens):
         super().check(archetype, n_tokens)
         if n_tokens < 3:
-            raise DomainError(
-                "an LMSR pool needs a collateral token and at least two outcomes"
-            )
+            raise DomainError("an LMSR pool needs a collateral token and at least two outcomes")
 
     def open(self, deposit, creator):
         n = len(deposit)
@@ -469,6 +471,9 @@ class ScoringFamily(PricingFamily):
 
     def spot(self, state):
         return spot_price(self.curve, state[1:], 0, None)
+
+    def spots(self, state):
+        return (spot_price(self.curve, state[1:], 0, None),)
 
     def invariant(self, state):
         return invariant_value(self.curve, state[1:])
@@ -524,9 +529,7 @@ class BondingFamily(PricingFamily):
         if r0 > 0.0:
             reserve_token, issued_token = config.tokens
             ledgers[reserve_token] = ledger_mint(ledgers[reserve_token], pool.account, r0)
-            ledgers[issued_token] = ledger_mint(
-                ledgers[issued_token], BOOTSTRAP_ACCOUNT, supply
-            )
+            ledgers[issued_token] = ledger_mint(ledgers[issued_token], BOOTSTRAP_ACCOUNT, supply)
             pool = replace(pool, reserves=(r0, 0.0), circulating_supply=supply)
         return pool, ledgers
 
@@ -676,9 +679,8 @@ def execute_swap(
     q = quote(pool, order)
     i, j = _token_index(pool, order.token_in), _token_index(pool, order.token_out)
     family = PricingFamily.of(pool.curve, pool.oracle_price)
-    after = family.after(family.view(pool), i, j, q.amount_in, q.amount_out, q.fee_paid)
     updated = family.settle(pool, order.trader, i, j, q.amount_in, q.amount_out, ledgers)
-    pool2 = family.apply(pool, i, j, q.fee_paid, after)
+    pool2 = family.apply(pool, i, j, q.amount_in, q.amount_out, q.fee_paid)
     receipt = TradeReceipt(
         quote=q,
         reserves_after=pool2.reserves,
@@ -790,14 +792,15 @@ def _bond(
     trader: AccountId,
     i: int,
     amount: float,
-    paid: float,
+    taken: float,
     ledgers: Ledgers,
 ) -> tuple[PoolState, float, dict[TokenId, Ledger]]:
-    """Exact-in trade of `amount` from token i, settled from its one quote."""
+    """Exact-in trade of `amount` of token i, settled from its one quote;
+    `taken` is what leaves the trader's ledger."""
     state = family.view(pool)
-    _, out, fee_paid, after = family.trade(state, i, 1 - i, EXACT_IN, amount, pool.fee.trade_fee)
-    updated = family.settle(pool, trader, i, 1 - i, paid, out, ledgers)
-    return family.apply(pool, i, 1 - i, fee_paid, after), out, updated
+    _, out, fee, _ = family.trade(state, i, 1 - i, EXACT_IN, amount, pool.fee.trade_fee)
+    updated = family.settle(pool, trader, i, 1 - i, taken, out, ledgers)
+    return family.apply(pool, i, 1 - i, amount, out, fee), out, updated
 
 
 def curve_buy(

@@ -2,14 +2,21 @@
 
 Seven dimensions are measured by black-box trading experiments against the
 pool's pricing rule; five are read directly off the pool spec.  Probed
-dimensions canonicalize every experiment to signed displacements of one
-canonical asset per pricing family:
+dimensions canonicalize every experiment to signed displacements of the
+canonical risky leg of the pool's pricing family (engine.PricingFamily):
 
 * conservation curves and price adoption displace token 0 against token 1
   (buys are exact-out, sells exact-in, so a displacement multiset reaches the
   same terminal token-0 balance in any order);
 * the market-scoring rule displaces outstanding shares of outcome 0;
 * the bonding rule displaces circulating supply.
+
+Buys and sells are the family's own trade step, the one engine.quote uses, so
+the probe charges fees on the side the family charges them and keeps them
+where the family keeps them; its spots and deficiency values are the family's
+observations too.  The per-family harnesses below add only the moves the
+probe alone needs (ten-times liquidity, walks toward the price bounds, basket
+costs, mean prices).
 
 All mechanism probes run fee-free: they characterize the pricing rule, not the
 fee plumbing.  The one exception is path deficiency, which runs at the spec's
