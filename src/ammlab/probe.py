@@ -360,27 +360,23 @@ def _classify_variant(deviation: float, variant: str, invariant: str) -> str:
 
 
 def _probe_information(probe, rng, trials):
+    spots = probe.family.spots
     worst = 0.0
     for _ in range(trials):
         state = _prime(probe, rng)
         qty = _draw(rng, _SIZE_LO, _SIZE_HI, probe.scale)
-        spots = probe.family.spots
         worst = max(worst, _shift(spots(state), spots(probe.buy(state, qty))))
     return _classify_variant(worst, "Incorporative", "Non-incorporative"), worst
 
 
 def _probe_sensitivity(probe, rng, trials):
     big = probe.tenx()
+    spots, spots_big = probe.family.spots, big.family.spots
     worst = 0.0
     for _ in range(trials):
         qty = _draw(rng, _SIZE_LO, _SIZE_HI, probe.scale)
-        impact_base = _shift(
-            probe.family.spots(probe.state0),
-            probe.family.spots(probe.buy(probe.state0, qty)),
-        )
-        impact_big = _shift(
-            big.family.spots(big.state0), big.family.spots(big.buy(big.state0, qty))
-        )
+        impact_base = _shift(spots(probe.state0), spots(probe.buy(probe.state0, qty)))
+        impact_big = _shift(spots_big(big.state0), spots_big(big.buy(big.state0, qty)))
         worst = max(worst, abs(impact_base - impact_big))
     return _classify_variant(worst, "Sensitive", "Insensitive"), worst
 

@@ -15,7 +15,8 @@ therefore sits within the no-trade fee band around the reference:
 Metrics mark portfolios to the reference: the pricing family's marked leg
 (token0 for conservation and price-adoption pools, the issued token for
 supply-sovereign pools, the collateral for prediction markets) is valued at
-the reference price and everything else at par.  Cells that need an undefined reference are left empty.
+the reference price and everything else at par.  Cells that need an
+undefined reference are left empty.
 Divergence loss compares the pool's current holdings to a buy-and-hold
 baseline that grows with deposits and shrinks pro rata with withdrawals,
 so a deposit-only scenario reports exactly zero.
@@ -460,16 +461,16 @@ def _observed(observe, state) -> float | None:
         return None
 
 
-def _mark(risky: int, amounts, reference: float | None) -> float | None:
-    """Value a token vector at the reference; None when that needs an
-    undefined reference."""
+def _mark(marked: int, amounts, reference: float | None) -> float | None:
+    """Value a token vector, leg `marked` at the reference and the rest at
+    par; None when that needs an undefined reference."""
     value = 0.0
     for index, amount in enumerate(amounts):
-        if index == risky and amount != 0.0:
+        if index == marked and amount != 0.0:
             if reference is None:
                 return None
             value += amount * reference
-        elif index != risky:
+        elif index != marked:
             value += amount
     return value
 
@@ -491,15 +492,15 @@ def _observe(
     tracking = None
     if spot is not None and reference is not None:
         tracking = abs(spot - reference) / reference
-    risky = family.marked
+    marked = family.marked
     lp_value = None
     divergence = None
     if family.lp_error is None and not closed:
-        lp_value = _mark(risky, pool.reserves, reference)
-        hold_value = _mark(risky, hold, reference)
+        lp_value = _mark(marked, pool.reserves, reference)
+        hold_value = _mark(marked, hold, reference)
         if lp_value is not None and hold_value:
             divergence = lp_value / hold_value - 1.0
-    fees_cum = _mark(risky, fees_vector, reference)
+    fees_cum = _mark(marked, fees_vector, reference)
     return MetricsRecord(
         step=event.step,
         event=event.verb,
