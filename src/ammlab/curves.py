@@ -251,9 +251,20 @@ def _solve_increasing(
 # ---------------------------------------------------------------------------
 
 
+# The reserve checks loop instead of calling any(): they run several times
+# in every quote.
+
+
 def _require_positive(reserves: Sequence[float]) -> None:
-    if any(not r > 0.0 for r in reserves):
-        raise DomainError(f"reserves must be strictly positive: {tuple(reserves)}")
+    for r in reserves:
+        if not r > 0.0:
+            raise DomainError(f"reserves must be strictly positive: {tuple(reserves)}")
+
+
+def _require_nonnegative(reserves: Sequence[float]) -> None:
+    for r in reserves:
+        if r < 0.0:
+            raise DomainError(f"reserves must be non-negative: {tuple(reserves)}")
 
 
 def _lmsr_cost(b: float, q: Sequence[float]) -> float:
@@ -283,8 +294,7 @@ def invariant_value(spec: CurveSpec, reserves: Sequence[float]) -> float:
         _require_positive(reserves)
         return math.prod(r**w for r, w in zip(reserves, spec.weights))
     if isinstance(spec, ConstantSum):
-        if any(r < 0.0 for r in reserves):
-            raise DomainError(f"reserves must be non-negative: {tuple(reserves)}")
+        _require_nonnegative(reserves)
         return math.fsum(reserves)
     if isinstance(spec, ConstantProductSum):
         return solve_stableswap_d(reserves, spec.chi)
@@ -533,8 +543,7 @@ def _conservation_quote_out(
 
 def _require_positive_for_quote(spec: CurveSpec, reserves: Sequence[float]) -> None:
     if isinstance(spec, ConstantSum):
-        if any(r < 0.0 for r in reserves):
-            raise DomainError(f"reserves must be non-negative: {tuple(reserves)}")
+        _require_nonnegative(reserves)
     else:
         _require_positive(reserves)
 

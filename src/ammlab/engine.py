@@ -256,6 +256,8 @@ class PricingFamily:
     @staticmethod
     def of(curve: CurveSpec, price: float | None = None) -> PricingFamily:
         """The family that prices `curve`, bound to it and the adopted price."""
+        # the only constructor: every quote builds one, and skipping a
+        # Python-level __init__ keeps that cheap
         family = object.__new__(_FAMILIES[curve.family])
         family.curve = curve
         family.price = price
