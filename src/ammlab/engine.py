@@ -663,14 +663,14 @@ def quote(pool: PoolState, order: TradeOrder) -> Quote:
         raise DomainError(
             f"cannot price {order.kind} {order.amount}: the input would be {amount_in}"
         )
-    return Quote(
-        amount_in=amount_in,
-        amount_out=amount_out,
-        fee_paid=fee_paid,
-        surcharge_component=family.surcharge(i, order.kind, amount_in, amount_out, fee),
-        spot_before=_safe_spot(family, state, i, j),
-        spot_after=_safe_spot(family, after, i, j),
-        mean_price=amount_out / amount_in,
+    return Quote(  # positional: this runs dozens of times per arbitrage step
+        amount_in,
+        amount_out,
+        fee_paid,
+        family.surcharge(i, order.kind, amount_in, amount_out, fee),
+        _safe_spot(family, state, i, j),
+        _safe_spot(family, after, i, j),
+        amount_out / amount_in,
     )
 
 
