@@ -256,9 +256,13 @@ class PricingFamily:
     @staticmethod
     def of(curve: CurveSpec, price: float | None = None) -> PricingFamily:
         """The family that prices `curve`, bound to it and the adopted price."""
+        try:
+            family_class = _FAMILIES[curve.family]
+        except AttributeError:
+            raise DomainError(f"unknown curve spec: {curve!r}") from None
         # the only constructor: every quote builds one, and skipping a
         # Python-level __init__ keeps that cheap
-        family = object.__new__(_FAMILIES[curve.family])
+        family = object.__new__(family_class)
         family.curve = curve
         family.price = price
         return family

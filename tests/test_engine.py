@@ -161,6 +161,7 @@ class TestCreatePool:
             (PRICE_DISCOVERING_LP_BASED, PriceAdoption(k=0.5, target_reserves=(1.0, 1.0))),
             (PRICE_ADOPTING_LP_BASED, ConstantProduct()),
             (PRICE_DISCOVERING_SUPPLY_SOVEREIGN, ConstantSum()),
+            (PRICE_DISCOVERING_LP_BASED, object()),  # not a curve spec at all
         ]
         for archetype, curve in bad:
             config = PoolConfig(
