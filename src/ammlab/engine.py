@@ -390,7 +390,7 @@ class PricingFamily:
         return invariant_value(self.curve, state)
 
     def deficiency(self, state: State) -> float:
-        """Value the pool holds beyond what its pricing rule owes."""
+        """The value path deficiency tracks; trades never lower it."""
         return self.invariant(state)
 
     def deficiency_ref(self, state0: State) -> float:
@@ -398,6 +398,7 @@ class PricingFamily:
         return self.deficiency(state0)
 
     def surcharged(self) -> bool:
+        """Whether quotes carry an imbalance surcharge (risk management)."""
         return False
 
 
