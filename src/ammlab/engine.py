@@ -480,7 +480,7 @@ class ScoringFamily(PricingFamily):
         return spot_price(self.curve, state[1:], 0, None)
 
     def spots(self, state):
-        return (spot_price(self.curve, state[1:], 0, None),)
+        return (self.spot(state),)
 
     def invariant(self, state):
         return invariant_value(self.curve, state[1:])
