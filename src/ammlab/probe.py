@@ -297,7 +297,8 @@ class _ScoringProbe(_Probe):
 class _BondingProbe(_Probe):
     """Displaces circulating supply against the bonded reserve."""
 
-    def __init__(self, family: PricingFamily, bonded: float):
+    def __init__(self, family: PricingFamily, reserves: tuple[float, ...]):
+        bonded = reserves[0]
         if not bonded > 0.0:
             raise DomainError(
                 f"probing a bonding pool requires a positive reserve: {bonded}"
@@ -316,7 +317,7 @@ class _BondingProbe(_Probe):
         return self.family.trade(state, 0, 1, EXACT_OUT, volume, 0.0)[0] / volume
 
     def tenx(self):
-        return _BondingProbe(self.family, 10.0 * self.state0[0])
+        return _BondingProbe(self.family, (10.0 * self.state0[0],))
 
     def walk_up(self, state, fraction: float):
         target = state[1] / (1.0 - fraction)
@@ -330,7 +331,7 @@ _PROBES = {
     PricingFamily: _ConservationProbe,
     AdoptionFamily: _AdoptionProbe,
     ScoringFamily: _ScoringProbe,
-    BondingFamily: lambda family, reserves: _BondingProbe(family, reserves[0]),
+    BondingFamily: _BondingProbe,
 }
 
 
