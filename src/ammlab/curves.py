@@ -514,7 +514,10 @@ def _conservation_quote_in(
             return r_j
         raise DepletionError(f"trade would deplete reserve {j}")
     x_star = _solve_increasing(f, fp, 0.0, r_j)
-    return r_j - x_star
+    out = r_j - x_star
+    if out == r_j and not zero_ok:  # x_star is below the float spacing of r_j
+        raise DepletionError(f"input {dx} would deplete reserve {j}")
+    return out
 
 
 def _conservation_quote_out(

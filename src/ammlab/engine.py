@@ -741,13 +741,13 @@ def deposit_liquidity(
     updated = dict(ledgers)
     for t, amount in zip(pool.tokens, deposit):
         updated[t] = ledger_transfer(_ledger_for(updated, t), provider, pool.account, amount)
-    shares = dict(pool.lp_shares)
+    shares = pool.lp_shares.copy()
     shares[provider] = shares.get(provider, 0.0) + minted
     pool2 = replace(
         pool,
         reserves=tuple(r + a for r, a in zip(pool.reserves, deposit)),
         lp_share_supply=pool.lp_share_supply + minted,
-        lp_shares=shares,
+        lp_shares=MappingProxyType(shares),
     )
     return pool2, minted, updated
 
@@ -771,7 +771,7 @@ def withdraw_liquidity(
     updated = dict(ledgers)
     for t, amount in zip(pool.tokens, amounts):
         updated[t] = ledger_transfer(_ledger_for(updated, t), pool.account, provider, amount)
-    new_shares = dict(pool.lp_shares)
+    new_shares = pool.lp_shares.copy()
     remaining = held - shares
     if remaining > 0.0:
         new_shares[provider] = remaining
@@ -781,7 +781,7 @@ def withdraw_liquidity(
         pool,
         reserves=tuple(r - a for r, a in zip(pool.reserves, amounts)),
         lp_share_supply=pool.lp_share_supply - shares,
-        lp_shares=new_shares,
+        lp_shares=MappingProxyType(new_shares),
     )
     return pool2, amounts, updated
 

@@ -373,11 +373,12 @@ def _probe_information(probe, rng, trials):
 def _probe_sensitivity(probe, rng, trials):
     big = probe.tenx()
     spots, spots_big = probe.family.spots, big.family.spots
+    opening, opening_big = spots(probe.state0), spots_big(big.state0)
     worst = 0.0
     for _ in range(trials):
         qty = _draw(rng, _SIZE_LO, _SIZE_HI, probe.scale)
-        impact_base = _shift(spots(probe.state0), spots(probe.buy(probe.state0, qty)))
-        impact_big = _shift(spots_big(big.state0), spots_big(big.buy(big.state0, qty)))
+        impact_base = _shift(opening, spots(probe.buy(probe.state0, qty)))
+        impact_big = _shift(opening_big, spots_big(big.buy(big.state0, qty)))
         worst = max(worst, abs(impact_base - impact_big))
     return _classify_variant(worst, "Sensitive", "Insensitive"), worst
 
@@ -497,6 +498,7 @@ def run_dimension_probe(
     if not config.reserves:
         raise DomainError("probing requires a pool spec with initial reserves")
     family = PricingFamily.of(config.curve, config.oracle_price)
+    family.check(config.archetype, len(config.tokens))
     probe = _PROBES[type(family)](family, config.reserves)
     rng = random.Random(seed * 7919 + DIMENSION_ORDER.index(dimension))
     tolerance = TOL_VARIANT

@@ -33,7 +33,7 @@ from .core import (
     DomainError,
     Ledger,
     UnsupportedOperation,
-    ledger_mint,
+    ledger_mint_many,
     new_ledger,
 )
 from .engine import (
@@ -331,7 +331,13 @@ class ScenarioError(AmmError):
 
 
 def _golden_max(profit, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Maximize a unimodal function on [lo, hi]; returns (argmax, max)."""
+    """Maximize a unimodal function on [lo, hi]; returns (argmax, max).
+
+    The tolerance is floored at a few ulps of `hi`: a bracket that narrow
+    cannot shrink further in floating point, and a smaller tolerance would
+    never be met.
+    """
+    tol = max(tol, 4.0 * math.ulp(hi))
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -528,19 +534,24 @@ def run_scenario(
     """
     pool, working = load_pool(scenario.pool_source)
     working = dict(working)
-    if ledgers is not None:
-        for token, extra in ledgers.items():
-            base = working.get(token, new_ledger(token))
-            for account, amount in extra.balances.items():
-                if amount > 0.0:
-                    base = ledger_mint(base, account, amount)
-            working[token] = base
+    # grants per token, in the order a one-at-a-time mint would apply them
+    grants: dict[str, list[tuple[str, float]]] = {}
+    for token, extra in (ledgers or {}).items():
+        working.setdefault(token, new_ledger(token))
+        grants.setdefault(token, []).extend(
+            (account, amount) for account, amount in extra.balances.items() if amount > 0.0
+        )
+    unknown = None
     for account, token, amount in scenario.endowments:
-        base = working.get(token)
-        if base is None:
-            raise DomainError(f"endowment for unknown token {token!r}")
+        if token not in working:
+            unknown = token  # raised after the grants before it are checked
+            break
         if amount > 0.0:
-            working[token] = ledger_mint(base, account, amount)
+            grants.setdefault(token, []).append((account, amount))
+    for token, batch in grants.items():
+        working[token] = ledger_mint_many(working[token], batch)
+    if unknown is not None:
+        raise DomainError(f"endowment for unknown token {unknown!r}")
 
     hold = list(pool.reserves)
     records: list[MetricsRecord] = []

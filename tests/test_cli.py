@@ -57,6 +57,7 @@ class TestQuote:
             ["--amount", "inf"],
             ["--amount", "nan"],
             ["--amount", "1e-300", "--kind", "exact-out"],
+            ["--amount", "1e300"],  # output within float spacing of the reserve
         ],
     )
     def test_unpriceable_amount_is_an_engine_error(self, extra, capsys):
@@ -142,6 +143,25 @@ class TestClassify:
              "--trials", "99"]
         )
         assert code == 2
+
+    def test_archetype_that_does_not_fit_the_curve_is_an_engine_error(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "adopting-cp.pool"
+        path.write_text(
+            CP_ZERO_FEE.replace("price-discovering", "price-adopting")
+        )
+        code = main(["classify", "--pool", str(path), "--seed", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        quoted = main(
+            ["quote", "--pool", str(path), "--in", "T0", "--out", "T1",
+             "--amount", "1"]
+        )
+        assert quoted == 2
+        assert captured.err == capsys.readouterr().err
+        assert "price-adoption curve" in captured.err
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "report.csv"

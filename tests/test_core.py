@@ -8,6 +8,7 @@ transfer/mint/burn, the sum of balances equals total_supply.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +22,19 @@ from ammlab.core import (
     balance_of,
     ledger_burn,
     ledger_mint,
+    ledger_mint_many,
     ledger_transfer,
     new_ledger,
 )
 
 REL = 1e-9
+amounts = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+def _bits(ledger: Ledger):
+    """Token, balances in insertion order and supply, floats as exact hex."""
+    balances = [(account, value.hex()) for account, value in ledger.balances.items()]
+    return ledger.token, balances, ledger.total_supply.hex()
 
 
 def _supply_ok(ledger: Ledger) -> bool:
@@ -113,6 +122,46 @@ class TestMintBurn:
         with pytest.raises(DomainError):
             ledger_mint(led, "a", -1.0)
 
+    def test_mint_many_with_only_zero_grants_returns_the_input(self):
+        led = new_ledger("TOK", {"a": 1.0})
+        assert ledger_mint_many(led, [("a", 0.0), ("b", 0.0)]) is led
+        assert ledger_mint_many(led, []) is led
+
+    @given(
+        start=st.dictionaries(st.sampled_from(["a", "b", "c", "pool"]), amounts, max_size=4),
+        grants=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "c", "d", "pool"]),
+                st.one_of(st.just(0.0), amounts, st.floats(min_value=0.0, max_value=1e300)),
+            ),
+            max_size=30,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mint_many_is_bitwise_a_fold_of_mint(self, start, grants):
+        led = new_ledger("TOK", start)
+        folded = reduce(lambda acc, grant: ledger_mint(acc, *grant), grants, led)
+        assert _bits(ledger_mint_many(led, grants)) == _bits(folded)
+
+
+class TestSnapshots:
+    @pytest.mark.parametrize("operation", [
+        lambda led: ledger_transfer(led, "a", "b", 1.0),
+        lambda led: ledger_mint(led, "c", 2.0),
+        lambda led: ledger_mint_many(led, [("a", 1.0), ("c", 2.0)]),
+        lambda led: ledger_burn(led, "a", 1.0),
+    ], ids=["transfer", "mint", "mint_many", "burn"])
+    def test_operations_leave_their_input_unchanged(self, operation):
+        led = new_ledger("TOK", {"a": 3.0, "b": 1.0})
+        before = _bits(led)
+        out = operation(led)
+        assert _bits(led) == before
+        assert _bits(out) != before
+        for snapshot in (led, out):
+            with pytest.raises(TypeError):
+                snapshot.balances["a"] = 0.0
+        assert _bits(led) == before
+
 
 class TestNonFiniteAmounts:
     @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
@@ -121,7 +170,7 @@ class TestNonFiniteAmounts:
             new_ledger("TOK", {"a": value})
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
-    @pytest.mark.parametrize("operation", ["transfer", "mint", "burn"])
+    @pytest.mark.parametrize("operation", ["transfer", "mint", "burn", "mint_many"])
     def test_operations_reject(self, operation, value):
         led = new_ledger("TOK", {"a": 1.0})
         with pytest.raises(DomainError):
@@ -129,6 +178,8 @@ class TestNonFiniteAmounts:
                 ledger_transfer(led, "a", "b", value)
             elif operation == "mint":
                 ledger_mint(led, "a", value)
+            elif operation == "mint_many":
+                ledger_mint_many(led, [("a", 1.0), ("b", value)])
             else:
                 ledger_burn(led, "a", value)
 
@@ -156,8 +207,6 @@ class TestFeeParams:
 # ---------------------------------------------------------------------------
 # conservation property
 # ---------------------------------------------------------------------------
-
-amounts = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
 class TestLedgerConservation:

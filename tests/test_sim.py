@@ -6,6 +6,7 @@ on (sqrt(k/p), sqrt(k*p)); the price-doubling divergence loss is
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from ammlab import (
     load_pool,
     quote,
 )
+from ammlab import sim
 from ammlab.engine import EXACT_IN, EXACT_OUT
 from ammlab.core import ledger_mint, new_ledger
 from ammlab.sim import (
@@ -264,6 +266,36 @@ class TestArbitrage:
         with pytest.raises(UnsupportedOperation):
             arbitrage_step(pool, 0.5, "arb", ledgers)
 
+    def test_search_ends_on_a_drained_stable_pool(self, monkeypatch):
+        """The first arb steps of the seed-8 criterion-08 walk drain
+        mstable-2021-like's risky reserve to about 2e-7; 1e-9 of that is
+        below the float spacing of the sell bracket (hi about 113), so a
+        search stopping only at that tolerance never ended."""
+        search = sim._golden_max
+
+        def bounded(profit, lo, hi, tol):
+            calls = 0
+
+            def counted(amount):
+                nonlocal calls
+                calls += 1
+                if calls > 10_000:
+                    raise RuntimeError(f"search on [{lo}, {hi}] at tol {tol} did not end")
+                return profit(amount)
+
+            return search(counted, lo, hi, tol)
+
+        monkeypatch.setattr(sim, "_golden_max", bounded)
+        pool, ledgers = load_pool("mstable-2021-like")
+        for token in pool.tokens:
+            fund(ledgers, token, "arb", 1e12)
+        rng, level, lowest = random.Random(8), 1.0, math.inf
+        for _ in range(3):
+            level *= math.exp(rng.uniform(-0.08, 0.08))
+            lowest = min(lowest, *pool.reserves)
+            pool, ledgers, _ = arbitrage_step(pool, level, "arb", ledgers)
+        assert 0.0 < lowest < 1e-6
+
     @settings(max_examples=200, deadline=None)
     @given(
         r0=st.floats(min_value=10.0, max_value=1e6),
@@ -405,6 +437,57 @@ class TestRunScenario:
         with pytest.raises(ScenarioError) as exc_info:
             run_scenario(parse_scenario(text))
         assert exc_info.value.event_index == 0
+
+    def test_endowments_and_ledgers_mint_as_one_at_a_time(self, monkeypatch):
+        seen = []
+
+        def record(pool, order, ledgers):
+            seen.append(ledgers)
+            return execute_swap(pool, order, ledgers)
+
+        monkeypatch.setattr(sim, "execute_swap", record)
+        text = (
+            "pool uniswap-v2-like\n"
+            "account alice TOKEN0 0.1\n"
+            "account bob TOKEN1 3\n"
+            "account alice TOKEN0 0.2\n"
+            "account carol EXTRA 0\n"
+            "account carol EXTRA 7.5\n"
+            "account creator TOKEN1 1e-17\n"
+            "1 trade alice TOKEN0 TOKEN1 0.25\n"
+        )
+        extra = {
+            "TOKEN0": new_ledger("TOKEN0", {"bob": 0.3, "zed": 0.0, "alice": 1e16}),
+            "EXTRA": new_ledger("EXTRA", {"dave": 2.0}),
+        }
+        run_scenario(parse_scenario(text), ledgers=extra)
+
+        _, expected = load_pool("uniswap-v2-like")
+        grants = [(t, a, v) for t, ledger in extra.items() for a, v in ledger.balances.items()]
+        grants += [(t, a, v) for a, t, v in parse_scenario(text).endowments]
+        for token, account, amount in grants:
+            base = expected.setdefault(token, new_ledger(token))
+            if amount > 0.0:
+                expected[token] = ledger_mint(base, account, amount)
+
+        def bits(ledgers):
+            return [
+                (t, [(a, v.hex()) for a, v in led.balances.items()], led.total_supply.hex())
+                for t, led in ledgers.items()
+            ]
+
+        assert bits(seen[0]) == bits(expected)
+
+    @pytest.mark.parametrize("endowments, message", [
+        ((("a", "TOKEN0", math.inf),), "amount must be finite"),
+        ((("a", "WRONG", 1.0),), "endowment for unknown token 'WRONG'"),
+        ((("a", "TOKEN1", math.inf), ("b", "WRONG", 1.0)), "amount must be finite"),
+        ((("b", "WRONG", 1.0), ("a", "TOKEN1", math.inf)), "unknown token 'WRONG'"),
+    ], ids=["inf", "unknown", "inf-then-unknown", "unknown-then-inf"])
+    def test_bad_endowments_fail_in_script_order(self, endowments, message):
+        scenario = Scenario("uniswap-v2-like", endowments, 0, ())
+        with pytest.raises(DomainError, match=message):
+            run_scenario(scenario)
 
     def test_fixed_seed_reproduces_bit_identical_metrics(self, tmp_path):
         text = (
