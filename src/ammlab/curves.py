@@ -20,8 +20,8 @@ plus three non-conservation mechanisms:
     exponential     bonding curve r(S) = S**kappa / c over (reserve, supply)
 
 All quoting goes through one Newton-with-bisection-bracket scalar solver
-(tolerance 1e-12, 64 iterations, pure bisection as fallback); the closed forms
-live in the tests as independent oracles.
+(step tolerance 1e-12 * max(1, |x|), 64 iterations, pure bisection as
+fallback); the closed forms live in the tests as independent oracles.
 
 Token legs are integer indices into the reserves vector. Two conventions:
 LMSR uses ``None`` for the collateral leg (reserves are outstanding share
@@ -191,8 +191,6 @@ def _solve_increasing(
     fprime: Callable[[float], float],
     lo: float,
     hi: float,
-    *,
-    tol: float = NEWTON_TOL,
 ) -> float:
     """Root of an increasing f with f(lo) <= 0 <= f(hi).
 
@@ -227,7 +225,7 @@ def _solve_increasing(
             x_new = 0.5 * (lo + hi)
         if not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= tol * max(1.0, abs(x_new)):
+        if abs(x_new - x) <= NEWTON_TOL * max(1.0, abs(x_new)):
             return x_new
         x = x_new
 
@@ -240,10 +238,20 @@ def _solve_increasing(
             hi = mid
         else:
             lo = mid
-        if hi - lo <= tol * max(1.0, abs(mid)):
+        if hi - lo <= NEWTON_TOL * max(1.0, abs(mid)):
             return 0.5 * (lo + hi)
 
     raise SolverError("scalar solve did not converge", residual=f(0.5 * (lo + hi)))
+
+
+def _bracket_above(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Double hi's distance from lo until f(hi) >= 0; the upper end of a
+    bracket for `_solve_increasing`."""
+    for _ in range(200):
+        if f(hi) >= 0.0:
+            return hi
+        hi = lo + 2.0 * (hi - lo)
+    raise SolverError("could not bracket the required input", residual=f(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -422,16 +430,10 @@ def spot_price(
 def _lmsr_spot(
     spec: Lmsr, q: Sequence[float], token_in: int | None, token_out: int | None
 ) -> float:
-    if token_in is None and token_out is None:
-        raise DomainError("one leg must be an outcome index")
-    if token_in is not None and token_out is not None:
-        raise UnsupportedOperation("LMSR trades one outcome against collateral")
-    j = token_in if token_in is not None else token_out
-    if not 0 <= j < len(q):
-        raise DomainError(f"outcome index out of range: {j}")
+    j, buying = _lmsr_outcome_leg(q, token_in, token_out)
     price = _lmsr_price(spec.b, q, j)
     # selling outcome j yields `price` collateral per share; buying inverts it
-    return price if token_in is not None else 1.0 / price
+    return 1.0 / price if buying else price
 
 
 # ---------------------------------------------------------------------------
@@ -533,14 +535,7 @@ def _conservation_quote_out(
     updated[j] = r_j - dy
     f, fp, _ = _residual_in_out(spec, reserves, updated, i, c0)
     lo = reserves[i]
-    hi = lo + dy
-    for _ in range(200):
-        if f(hi) >= 0.0:
-            break
-        hi = lo + 2.0 * (hi - lo)
-    else:
-        raise SolverError("could not bracket the required input", residual=f(hi))
-    x_star = _solve_increasing(f, fp, lo, hi)
+    x_star = _solve_increasing(f, fp, lo, _bracket_above(f, lo, lo + dy))
     return x_star - lo
 
 
@@ -860,14 +855,7 @@ def _pmm_quote_out(
     def fp(delta: float) -> float:
         return _pmm_bid(k, t0, r0 + delta, p)
 
-    hi = dy / p
-    for _ in range(200):
-        if f(hi) >= 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise SolverError("could not bracket the required input", residual=f(hi))
-    return _solve_increasing(f, fp, 0.0, hi)
+    return _solve_increasing(f, fp, 0.0, _bracket_above(f, 0.0, dy / p))
 
 
 # ---------------------------------------------------------------------------

@@ -384,7 +384,7 @@ class PricingFamily:
 
     def spots(self, state: State) -> tuple[float, ...]:
         """Every spot the probe watches; by default the risky leg's."""
-        return (spot_price(self.curve, state, self.risky, 1 - self.risky, self.price),)
+        return (self.spot(state),)
 
     def invariant(self, state: State) -> float | None:
         return invariant_value(self.curve, state)
@@ -448,7 +448,7 @@ class ScoringFamily(PricingFamily):
     pool issues the outcome shares and keeps fees in the collateral."""
 
     __slots__ = ()
-    risky = 1  # outcome 0
+    risky = marked = 1  # outcome 0, the leg the spot prices
     issued_from = 1
     lp_error = "LMSR pools are funded by the creation subsidy only"
     arb_error = "arbitrage needs a two-token pool, not a prediction market"
@@ -478,9 +478,6 @@ class ScoringFamily(PricingFamily):
 
     def spot(self, state):
         return spot_price(self.curve, state[1:], 0, None)
-
-    def spots(self, state):
-        return (self.spot(state),)
 
     def invariant(self, state):
         return invariant_value(self.curve, state[1:])
@@ -646,9 +643,8 @@ def _validate_order(pool: PoolState, order: TradeOrder) -> tuple[int, int]:
 
 
 def _safe_spot(family: PricingFamily, state: State, i: int, j: int) -> float:
-    view, leg_in, leg_out = family.curve_args(state, i, j)
     try:
-        return spot_price(family.curve, view, leg_in, leg_out, family.price)
+        return family.spot_between(state, i, j)
     except DomainError:
         return math.nan
 

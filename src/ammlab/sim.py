@@ -6,15 +6,15 @@ strictly increasing; the reference price for a step is the latest series
 entry at or before it (undefined before the first entry).
 
 The arbitrageur is curve-agnostic: it searches trade sizes numerically
-(golden-section over a doubling-expanded bracket) against the engine's own
-fee-inclusive quotes and trades only when the best marked profit is
-strictly positive.  After an arb step on a two-token pool the spot price
-therefore sits within the no-trade fee band around the reference:
-|spot - reference| / max(spot, reference) <= fee.
+(golden-section over a doubling-expanded bracket) on the pricing family's
+fee-inclusive trade step, the one `engine.quote` runs, and trades only when
+the best marked profit is strictly positive.  After an arb step on a
+two-token pool the spot price therefore sits within the no-trade fee band
+around the reference: |spot - reference| / max(spot, reference) <= fee.
 
 Metrics mark portfolios to the reference: the pricing family's marked leg
 (token0 for conservation and price-adoption pools, the issued token for
-supply-sovereign pools, the collateral for prediction markets) is valued at
+supply-sovereign pools, outcome 0 for prediction markets) is valued at
 the reference price and everything else at par.  Cells that need an
 undefined reference are left empty.
 Divergence loss compares the pool's current holdings to a buy-and-hold
@@ -47,7 +47,6 @@ from .engine import (
     deposit_liquidity,
     execute_swap,
     load_pool,
-    quote,
     resolve_prediction,
     set_oracle_price,
     withdraw_liquidity,
@@ -398,9 +397,9 @@ def arbitrage_step(
         raise DomainError(f"reference price must be > 0: {reference_price}")
 
     risky = family.risky
-    risky_token = pool.tokens[risky]
-    numeraire_token = pool.tokens[1 - risky]
-    held = family.view(pool)[risky]
+    state = family.view(pool)
+    fee = pool.fee.trade_fee
+    held = state[risky]
     if risky >= family.issued_from:  # minting is unbounded, burning stops at the supply
         scale = max(held, 1.0)
         buy_cap, sell_cap = 1e15 * scale, held * (1.0 - 1e-12)
@@ -409,38 +408,33 @@ def arbitrage_step(
         buy_cap, sell_cap = held * (1.0 - 1e-9), 1e15 * scale
     tol = _SEARCH_TOL * scale
 
-    def buy_profit(amount: float) -> float:
+    def profit(buying: bool, amount: float) -> float:
+        """Marked profit of buying (exact out) or selling (exact in) `amount`
+        of the risky leg; -inf where the trade cannot be priced."""
         if not amount > 0.0:
             return 0.0
-        order = TradeOrder(arb_account, numeraire_token, risky_token, amount, EXACT_OUT)
+        i = 1 - risky if buying else risky
         try:
-            return amount * reference_price - quote(pool, order).amount_in
+            paid, got, _, _ = family.trade(
+                state, i, 1 - i, EXACT_OUT if buying else EXACT_IN, amount, fee
+            )
         except AmmError:
             return -math.inf
-
-    def sell_profit(amount: float) -> float:
-        if not amount > 0.0:
-            return 0.0
-        order = TradeOrder(arb_account, risky_token, numeraire_token, amount, EXACT_IN)
-        try:
-            return quote(pool, order).amount_out - amount * reference_price
-        except AmmError:
+        if not 0.0 < paid < math.inf:  # what quote rejects as unpriceable
             return -math.inf
+        worth = amount * reference_price
+        return worth - paid if buying else got - worth
 
     start = 1e-6 * scale
-    buy_size, buy_value = _best_size(buy_profit, buy_cap, tol, start)
-    sell_size, sell_value = _best_size(sell_profit, sell_cap, tol, start)
+    buy_size, buy_value = _best_size(lambda a: profit(True, a), buy_cap, tol, start)
+    sell_size, sell_value = _best_size(lambda a: profit(False, a), sell_cap, tol, start)
 
     if max(buy_value, sell_value) <= 0.0:
         return pool, ledgers, None
-    if buy_value >= sell_value:
-        order = TradeOrder(
-            arb_account, numeraire_token, risky_token, buy_size, EXACT_OUT
-        )
-    else:
-        order = TradeOrder(
-            arb_account, risky_token, numeraire_token, sell_size, EXACT_IN
-        )
+    buying = buy_value >= sell_value
+    i = 1 - risky if buying else risky
+    size, kind = (buy_size, EXACT_OUT) if buying else (sell_size, EXACT_IN)
+    order = TradeOrder(arb_account, pool.tokens[i], pool.tokens[1 - i], size, kind)
     pool, receipt, ledgers = execute_swap(pool, order, ledgers)
     return pool, ledgers, receipt
 

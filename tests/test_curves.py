@@ -167,6 +167,18 @@ class TestSpotPrice:
         for j in range(3):
             assert close(spot_price(Lmsr(b=b), q, j, None), math.exp(q[j] / b) / z)
 
+    @pytest.mark.parametrize("legs", [(None, None), (0, 1)], ids=["no-outcome", "two-outcomes"])
+    def test_lmsr_spot_needs_exactly_one_collateral_leg(self, legs):
+        # the same leg rule as the LMSR quotes
+        with pytest.raises(UnsupportedOperation, match="one outcome against collateral"):
+            spot_price(Lmsr(b=100.0), (0.0, 0.0), *legs)
+        with pytest.raises(UnsupportedOperation, match="one outcome against collateral"):
+            quote_exact_in(Lmsr(b=100.0), (0.0, 0.0), *legs, 1.0)
+
+    def test_lmsr_spot_outcome_index_out_of_range(self):
+        with pytest.raises(DomainError, match="out of range"):
+            spot_price(Lmsr(b=100.0), (0.0, 0.0), 2, None)
+
     def test_power_sum_ratio(self):
         spec = ConstantPowerSum(t=0.5)
         assert close(spot_price(spec, (100.0, 25.0), 0, 1), 0.5)

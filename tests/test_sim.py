@@ -21,8 +21,9 @@ from ammlab import (
     load_pool,
     quote,
 )
-from ammlab import sim
-from ammlab.engine import EXACT_IN, EXACT_OUT
+from ammlab import engine, sim
+from ammlab.core import AmmError
+from ammlab.engine import EXACT_IN, EXACT_OUT, PricingFamily, set_oracle_price
 from ammlab.core import ledger_mint, new_ledger
 from ammlab.sim import (
     Metrics,
@@ -328,6 +329,145 @@ class TestArbitrage:
 
 
 # ---------------------------------------------------------------------------
+# the arbitrage search prices on the family trade step
+# ---------------------------------------------------------------------------
+
+TWO_TOKEN_BUILTINS = (
+    "uniswap-v2-like",
+    "curve-v1-like",
+    "mstable-2021-like",
+    "dodo-like",
+    "bancor-like",
+)
+
+
+def quote_priced_arbitrage(pool, reference_price, arb_account, ledgers):
+    """The arbitrage step with every candidate size priced by a full
+    `quote`: the reference the family-trade-step search must match bit for
+    bit."""
+    family = PricingFamily.of(pool.curve, pool.oracle_price)
+    risky = family.risky
+    risky_token = pool.tokens[risky]
+    numeraire_token = pool.tokens[1 - risky]
+    held = family.view(pool)[risky]
+    if risky >= family.issued_from:
+        scale = max(held, 1.0)
+        buy_cap, sell_cap = 1e15 * scale, held * (1.0 - 1e-12)
+    else:
+        scale = held
+        buy_cap, sell_cap = held * (1.0 - 1e-9), 1e15 * scale
+    tol = sim._SEARCH_TOL * scale
+
+    def buy_profit(amount):
+        if not amount > 0.0:
+            return 0.0
+        order = TradeOrder(arb_account, numeraire_token, risky_token, amount, EXACT_OUT)
+        try:
+            return amount * reference_price - quote(pool, order).amount_in
+        except AmmError:
+            return -math.inf
+
+    def sell_profit(amount):
+        if not amount > 0.0:
+            return 0.0
+        order = TradeOrder(arb_account, risky_token, numeraire_token, amount, EXACT_IN)
+        try:
+            return quote(pool, order).amount_out - amount * reference_price
+        except AmmError:
+            return -math.inf
+
+    start = 1e-6 * scale
+    buy_size, buy_value = sim._best_size(buy_profit, buy_cap, tol, start)
+    sell_size, sell_value = sim._best_size(sell_profit, sell_cap, tol, start)
+    if max(buy_value, sell_value) <= 0.0:
+        return pool, ledgers, None
+    if buy_value >= sell_value:
+        order = TradeOrder(arb_account, numeraire_token, risky_token, buy_size, EXACT_OUT)
+    else:
+        order = TradeOrder(arb_account, risky_token, numeraire_token, sell_size, EXACT_IN)
+    pool, receipt, ledgers = execute_swap(pool, order, ledgers)
+    return pool, ledgers, receipt
+
+
+def arb_outcome(step, pool, reference, ledgers):
+    """What an arbitrage step did, in exact bits, or the error it raised."""
+    try:
+        pool, ledgers, receipt = step(pool, reference, "arb", ledgers)
+    except AmmError as error:
+        return (type(error).__name__, str(error)), None, None
+    if receipt is None:
+        return None, pool, ledgers
+    q = receipt.quote
+    amounts = (
+        q.amount_in, q.amount_out, q.fee_paid, q.surcharge_component,
+        q.spot_before, q.spot_after, q.mean_price,
+        *receipt.reserves_after, pool.circulating_supply,
+    )
+    return tuple(float.hex(a) for a in amounts), pool, ledgers
+
+
+class TestSearchPricing:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(TWO_TOKEN_BUILTINS),
+        moves=st.lists(
+            st.tuples(st.floats(-3.0, 3.0), st.floats(-1.0, 1.0)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_receipts_match_the_quote_priced_search(self, name, moves):
+        pool, ledgers = load_pool(name)
+        family = PricingFamily.of(pool.curve, pool.oracle_price)
+        for token in pool.tokens:
+            fund(ledgers, token, "arb", 1e12)
+        level = family.spot(family.view(pool))
+        for log_move, oracle_move in moves:
+            if pool.oracle_price is not None:
+                pool = set_oracle_price(pool, pool.oracle_price * math.exp(oracle_move))
+            level *= math.exp(log_move)
+            expected, _, _ = arb_outcome(quote_priced_arbitrage, pool, level, ledgers)
+            got, pool, ledgers = arb_outcome(arbitrage_step, pool, level, ledgers)
+            assert got == expected
+            if pool is None:
+                break
+
+    def test_the_search_does_not_quote(self, monkeypatch):
+        """Only `execute_swap` quotes: once when the step trades, never
+        while the search prices candidate sizes."""
+        calls = {"search": 0, "swap": 0}
+        swapping = False
+        real_quote, real_swap = engine.quote, sim.execute_swap
+
+        def counted_quote(pool, order):
+            calls["swap" if swapping else "search"] += 1
+            return real_quote(pool, order)
+
+        def flagged_swap(pool, order, ledgers):
+            nonlocal swapping
+            swapping = True
+            try:
+                return real_swap(pool, order, ledgers)
+            finally:
+                swapping = False
+
+        monkeypatch.setattr(engine, "quote", counted_quote)
+        if hasattr(sim, "quote"):
+            monkeypatch.setattr(sim, "quote", counted_quote)
+        monkeypatch.setattr(sim, "execute_swap", flagged_swap)
+        pool, ledgers = load_pool("uniswap-v2-like")
+        fund(ledgers, "TOKEN0", "arb", 1e9)
+        fund(ledgers, "TOKEN1", "arb", 1e9)
+        traded = []
+        for reference in (4.0, 4.0, 0.5, 0.5):  # a repeat finds the pool in its band
+            calls.update(search=0, swap=0)
+            pool, ledgers, receipt = arbitrage_step(pool, reference, "arb", ledgers)
+            traded.append(receipt is not None)
+            assert calls == {"search": 0, "swap": int(traded[-1])}
+        assert traded == [True, False, True, False]
+
+
+# ---------------------------------------------------------------------------
 # scenario runs
 # ---------------------------------------------------------------------------
 
@@ -488,6 +628,29 @@ class TestRunScenario:
         scenario = Scenario("uniswap-v2-like", endowments, 0, ())
         with pytest.raises(DomainError, match=message):
             run_scenario(scenario)
+
+    @pytest.mark.parametrize("series", [None, "step,price\n1,5.0\n"], ids=["no-series", "series"])
+    def test_prediction_market_fees_are_collateral_at_par(self, tmp_path, series):
+        """The reference prices outcome 0 (the family's spot), so the
+        collateral a prediction market collects in fees is marked at par:
+        10 CASH at fee 0.01 is 0.1 with or without a reference."""
+        spec = (
+            "archetype = price-discovering-lp-based\n"
+            "curve = lmsr\n"
+            "tokens = CASH, OUT0, OUT1\n"
+            "reserves = 70, 0, 0\n"
+            "fee = 0.01\n"
+            "b = 100\n"
+        )
+        text = (
+            f"pool {cp_pool(tmp_path, spec, 'lmsr.pool')}\n"
+            "account alice CASH 10\n"
+            "1 trade alice CASH OUT0 10\n"
+        )
+        prices = None if series is None else parse_price_series(series)
+        metrics = run_scenario(parse_scenario(text), price_series=prices)
+        row = metrics_to_csv(metrics).strip().splitlines()[1].split(",")
+        assert row[8] == "0.09999999999999964"
 
     def test_fixed_seed_reproduces_bit_identical_metrics(self, tmp_path):
         text = (
