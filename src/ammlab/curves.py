@@ -188,14 +188,16 @@ CONSERVATION_CURVES = tuple(c for c in CURVES if c.family == CONSERVATION)
 
 def _solve_increasing(
     f: Callable[[float], float],
-    fprime: Callable[[float], float],
+    fprime: Callable[[float], float] | None,
     lo: float,
     hi: float,
 ) -> float:
     """Root of an increasing f with f(lo) <= 0 <= f(hi).
 
     Newton steps that leave the bracket (or hit a flat derivative) fall back
-    to bisection; the bracket shrinks monotonically either way.
+    to bisection; the bracket shrinks monotonically either way.  Without a
+    derivative (`fprime` None) each step takes the slope of the secant
+    through the previous point, one evaluation of f per step.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -209,6 +211,8 @@ def _solve_increasing(
     x = lo + (hi - lo) * (-flo) / (fhi - flo)
     if not lo < x < hi:
         x = 0.5 * (lo + hi)
+    # the secant's previous point: the bracket end nearer the root
+    px, pfx = (lo, flo) if -flo <= fhi else (hi, fhi)
 
     for _ in range(NEWTON_MAX_ITER):
         fx = f(x)
@@ -218,7 +222,11 @@ def _solve_increasing(
             hi = x
         else:
             lo = x
-        d = fprime(x)
+        if fprime is None:
+            d = (fx - pfx) / (x - px)
+            px, pfx = x, fx
+        else:
+            d = fprime(x)
         if d > 0.0 and math.isfinite(d):
             x_new = x - fx / d
         else:

@@ -5,12 +5,14 @@ accounts, and fixing a seed, followed by one event per step.  Steps are
 strictly increasing; the reference price for a step is the latest series
 entry at or before it (undefined before the first entry).
 
-The arbitrageur is curve-agnostic: it searches trade sizes numerically
-(golden-section over a doubling-expanded bracket) on the pricing family's
-fee-inclusive trade step, the one `engine.quote` runs, and trades only when
-the best marked profit is strictly positive.  After an arb step on a
-two-token pool the spot price therefore sits within the no-trade fee band
-around the reference: |spot - reference| / max(spot, reference) <= fee.
+The arbitrageur is curve-agnostic.  Optimal arbitrage moves the pool until
+its fee-adjusted marginal price meets the reference (Angeris & Chitra,
+"Improved Price Oracles: Constant Function Market Makers", 2020), so it
+solves once for that size, within its caps and its balance of the token it
+pays, and trades only when the marked profit is strictly positive.  After
+an arb step on a two-token pool the spot price therefore sits within the
+no-trade fee band around the reference:
+|spot - reference| / max(spot, reference) <= fee.
 
 Metrics mark portfolios to the reference: the pricing family's marked leg
 (token0 for conservation and price-adoption pools, the issued token for
@@ -33,9 +35,11 @@ from .core import (
     DomainError,
     Ledger,
     UnsupportedOperation,
+    balance_of,
     ledger_mint_many,
     new_ledger,
 )
+from .curves import _solve_increasing
 from .engine import (
     EXACT_IN,
     EXACT_OUT,
@@ -69,9 +73,12 @@ EVENT_VERBS = frozenset({"trade", "deposit", "withdraw", "oracle", "arb", "resol
 
 CREATOR_ACCOUNT = "creator"
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_SEARCH_TOL = 1e-9
-_MAX_EXPANSIONS = 200
+# arbitrage sizes, in units of the pool's scale: the bracket starts at
+# _START and grows by _GROWTH until the first-order condition holds, and a
+# limit of the trade step is resolved to _RESOLUTION
+_START = 1e-6
+_GROWTH = 16.0
+_RESOLUTION = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -329,49 +336,43 @@ class ScenarioError(AmmError):
 # ---------------------------------------------------------------------------
 
 
-def _golden_max(profit, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Maximize a unimodal function on [lo, hi]; returns (argmax, max).
+def _solve_size(g, cap: float, scale: float) -> float:
+    """Trade size at which the increasing residual g crosses zero; 0 when
+    `cap` is 0 or g(0) >= 0, so that no size earns anything.
 
-    The tolerance is floored at a few ulps of `hi`: a bracket that narrow
-    cannot shrink further in floating point, and a smaller tolerance would
-    never be met.
+    The bracket grows from _START * scale by _GROWTH until g is no longer
+    negative, then one root solve finds the crossing.  g is nan where the
+    trade step cannot price a size (or, at 0, where the pool has no marginal
+    price: a bonding curve at zero supply).  A profit still growing where g
+    turns nan is taken at the largest size the step prices, to within
+    _RESOLUTION * scale; no size below the bracket's start is tried.
     """
-    tol = max(tol, 4.0 * math.ulp(hi))
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = profit(c), profit(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = profit(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = profit(d)
-    x = (a + b) / 2.0
-    return x, profit(x)
-
-
-def _best_size(profit, cap: float, tol: float, start: float) -> tuple[float, float]:
-    """Expand a bracket by doubling, then refine with golden section."""
     if not cap > 0.0:
-        return 0.0, -math.inf
-    hi = min(cap, max(tol, start))
-    best = profit(hi)
-    for _ in range(_MAX_EXPANSIONS):
-        if hi >= cap:
-            break
-        grown = min(cap, hi * 2.0)
-        value = profit(grown)
-        if value < best and value != -math.inf:
-            hi = grown  # keep one step past the peak inside the bracket
-            break
-        if value == -math.inf:
-            break
-        hi, best = grown, value
-    return _golden_max(profit, 0.0, hi, tol)
+        return 0.0
+    lo, g_lo = 0.0, g(0.0)
+    if g_lo >= 0.0:
+        return 0.0
+    hi = min(cap, _START * scale)
+    g_hi = g(hi)
+    while g_hi < 0.0 and lo < hi < cap:
+        lo, g_lo = hi, g_hi
+        hi = min(cap, hi * _GROWTH)
+        g_hi = g(hi)
+    if g_hi < 0.0:
+        return hi
+    if not g_lo < 0.0:  # g(0) is nan, and no size tried was found to earn
+        return 0.0
+    while not g_hi >= 0.0:  # nan: narrow onto the largest priceable size
+        mid = 0.5 * (lo + hi)
+        if lo == 0.0 or hi - lo <= _RESOLUTION * scale or not lo < mid < hi:
+            return lo
+        g_mid = g(mid)
+        if g_mid < 0.0:
+            lo, g_lo = mid, g_mid
+        else:
+            hi, g_hi = mid, g_mid
+    known = {lo: g_lo, hi: g_hi}  # the solve opens by evaluating both ends
+    return _solve_increasing(lambda a: known.pop(a) if a in known else g(a), None, lo, hi)
 
 
 def arbitrage_step(
@@ -382,11 +383,14 @@ def arbitrage_step(
 ) -> tuple[PoolState, Ledgers, TradeReceipt | None]:
     """Trade the pool toward the reference price if profitable.
 
-    Searches both directions for the trade size with the highest profit at
-    reference marks (risky asset valued at `reference_price`, the other
-    token at par) and executes it only when the maximum is strictly
-    positive.  Works on any two-token pool; prediction markets have no
-    single risky asset and are rejected.
+    Values the risky asset at `reference_price` and the other token at par.
+    Buying the risky leg pays while its fee-adjusted marginal cost is below
+    the reference, selling while its fee-adjusted marginal proceeds are
+    above it; the step sizes the one profitable trade where that marginal
+    meets the reference, within the caps and what `arb_account` holds of
+    the token it pays, and executes it only when the marked profit is
+    strictly positive.  Works on any two-token pool; prediction markets
+    have no single risky asset and are rejected.
     """
     if pool.closed:
         raise UnsupportedOperation("pool is closed")
@@ -397,8 +401,10 @@ def arbitrage_step(
         raise DomainError(f"reference price must be > 0: {reference_price}")
 
     risky = family.risky
+    numeraire = 1 - risky
     state = family.view(pool)
     fee = pool.fee.trade_fee
+    keep = 1.0 - fee
     held = state[risky]
     if risky >= family.issued_from:  # minting is unbounded, burning stops at the supply
         scale = max(held, 1.0)
@@ -406,34 +412,62 @@ def arbitrage_step(
     else:  # buying stops short of the reserve, selling is unbounded
         scale = held
         buy_cap, sell_cap = held * (1.0 - 1e-9), 1e15 * scale
-    tol = _SEARCH_TOL * scale
 
-    def profit(buying: bool, amount: float) -> float:
-        """Marked profit of buying (exact out) or selling (exact in) `amount`
-        of the risky leg; -inf where the trade cannot be priced."""
-        if not amount > 0.0:
-            return 0.0
-        i = 1 - risky if buying else risky
+    def holding(leg: int) -> float:
+        ledger = ledgers.get(pool.tokens[leg])
+        return 0.0 if ledger is None else balance_of(ledger, arb_account)
+
+    budget = holding(numeraire)
+    sell_cap = min(sell_cap, holding(risky))
+
+    def priced(i: int, kind: str, amount: float):
+        """The trade step's (paid, got, fee, state after) for paying leg i,
+        or None where `quote` would refuse the order."""
         try:
-            paid, got, _, _ = family.trade(
-                state, i, 1 - i, EXACT_OUT if buying else EXACT_IN, amount, fee
-            )
+            trade = family.trade(state, i, 1 - i, kind, amount, fee)
         except AmmError:
-            return -math.inf
-        if not 0.0 < paid < math.inf:  # what quote rejects as unpriceable
-            return -math.inf
-        worth = amount * reference_price
-        return worth - paid if buying else got - worth
+            return None
+        return trade if 0.0 < trade[0] < math.inf else None
 
-    start = 1e-6 * scale
-    buy_size, buy_value = _best_size(lambda a: profit(True, a), buy_cap, tol, start)
-    sell_size, sell_value = _best_size(lambda a: profit(False, a), sell_cap, tol, start)
+    def residual(buying: bool, amount: float) -> float:
+        """First-order residual of buying (exact out) or selling (exact in)
+        `amount` of the risky leg: increasing, negative while a larger trade
+        earns more, nan where the trade cannot be priced.  The marginal is
+        read on the curve, without the fee the reserves keep; a buy's
+        1 - spot*ref*keep has the sign and root of cost - ref*keep."""
+        i = numeraire if buying else risky
+        curve_state = state
+        if amount > 0.0:
+            trade = priced(i, EXACT_OUT if buying else EXACT_IN, amount)
+            if trade is None:
+                return math.nan
+            _, _, fee_paid, curve_state = trade
+            if family.fee_in_reserves:
+                curve_state = list(curve_state)
+                curve_state[1 - i if i >= family.issued_from else i] -= fee_paid
+        try:
+            spot = family.spot_between(curve_state, i, 1 - i)
+        except AmmError:
+            return math.nan
+        return 1.0 - spot * reference_price * keep if buying else reference_price - spot * keep
 
-    if max(buy_value, sell_value) <= 0.0:
+    for buying, cap in ((True, buy_cap if budget > 0.0 else 0.0), (False, sell_cap)):
+        size = _solve_size(lambda a: residual(buying, a), cap, scale)
+        if size > 0.0:
+            break
+    else:
         return pool, ledgers, None
-    buying = buy_value >= sell_value
-    i = 1 - risky if buying else risky
-    size, kind = (buy_size, EXACT_OUT) if buying else (sell_size, EXACT_IN)
+    i = numeraire if buying else risky
+    kind = EXACT_OUT if buying else EXACT_IN
+    trade = priced(i, kind, size)
+    if buying and trade is not None and trade[0] > budget:
+        kind, size = EXACT_IN, budget  # the best buy costs more than is held
+        trade = priced(i, kind, size)
+    if trade is None:
+        return pool, ledgers, None
+    paid, got = trade[0], trade[1]
+    if not (got * reference_price - paid if buying else got - paid * reference_price) > 0.0:
+        return pool, ledgers, None
     order = TradeOrder(arb_account, pool.tokens[i], pool.tokens[1 - i], size, kind)
     pool, receipt, ledgers = execute_swap(pool, order, ledgers)
     return pool, ledgers, receipt

@@ -238,10 +238,10 @@ CURVE_TABLE = {
 }
 
 ARB = {
-    'bancor-like': '0413891d0bea9bf77a54fd3b5156bf72e326229470a60c872306ce56f5c5be75',
-    'curve-v1-like': 'fe26d1f1547bfc9757b96b58d3b4c2814b8a41bc1b5840d44e69335eafd79fbf',
-    'dodo-like': 'f8df5271828569b22531e4f4a5935994aec556e3ecf70a727fd0de6448743d95',
-    'uniswap-v2-like': '78c419dd51ac08447cd4e7c1658f47874adb5b87440a6122855571a1eb0e5f5d',
+    'bancor-like': 'fdfecae23197d7dac649c4dde6e9d8380f4c6c2edc4b060213c556a66e46910d',
+    'curve-v1-like': '3d0376d58b17f9a8129fd9eb86e5a32e421cb4e8c031e3b8e73c216078882477',
+    'dodo-like': '0e8a012972d71764356bd31f062db2602978960b97b978df7f2e6bbb32786cef',
+    'uniswap-v2-like': '347da0aaa4f004ebb2b4d9c3736f183505992ebf6e8d1f649c31e865853b50e6',
 }
 
 SCRIPT = {

@@ -262,6 +262,50 @@ class TestArbitrage:
         assert math.isclose(pool2.circulating_supply, 15.0, rel_tol=1e-6)
         assert math.isclose(pool2.reserves[0], 225.0, rel_tol=1e-6)
 
+    def test_an_underfunded_buy_spends_what_the_arbitrageur_holds(self):
+        """The best buy at 4.0 costs about 100 TOKEN1; holding 1 of each
+        token, the arbitrageur buys with all of its TOKEN1 instead."""
+        pool, ledgers = load_pool("uniswap-v2-like")
+        fund(ledgers, "TOKEN0", "arb", 1.0)
+        fund(ledgers, "TOKEN1", "arb", 1.0)
+        _, ledgers2, receipt = arbitrage_step(pool, 4.0, "arb", ledgers)
+        assert receipt is not None
+        assert receipt.quote.amount_in == 1.0
+        assert balance_of(ledgers2["TOKEN1"], "arb") == 0.0
+        deltas = receipt.trader_deltas
+        assert deltas["TOKEN0"] * 4.0 + deltas["TOKEN1"] > 0.0
+
+    def test_a_sale_is_capped_by_the_issued_tokens_held(self):
+        pool, ledgers = load_pool("bancor-like")
+        fund(ledgers, "RESERVE", "arb", 1e9)
+        pool2, _, receipt = arbitrage_step(pool, 1.0, "arb", ledgers)
+        assert receipt is None
+        assert pool2 is pool
+        fund(ledgers, "ISSUED", "arb", 2.0)
+        _, ledgers2, receipt = arbitrage_step(pool, 1.0, "arb", ledgers)
+        assert receipt.quote.amount_in == 2.0
+        assert balance_of(ledgers2["ISSUED"], "arb") == 0.0
+
+    def test_arb_fills_an_empty_bonding_curve(self, tmp_path):
+        """At zero supply the curve has no marginal price; the step still
+        bonds up to where 2*S/c meets the reference: S = 10, reserve 100."""
+        path = tmp_path / "empty.pool"
+        path.write_text(
+            "archetype = price-discovering-supply-sovereign\n"
+            "curve = exponential\n"
+            "tokens = RESERVE, ISSUED\n"
+            "reserves = 0, 0\n"
+            "fee = 0\n"
+            "kappa = 2\n"
+            "c = 1\n"
+        )
+        pool, ledgers = load_pool(str(path))
+        fund(ledgers, "RESERVE", "arb", 1e9)
+        pool2, _, receipt = arbitrage_step(pool, 20.0, "arb", ledgers)
+        assert receipt is not None
+        assert math.isclose(pool2.circulating_supply, 10.0, rel_tol=1e-9)
+        assert math.isclose(pool2.reserves[0], 100.0, rel_tol=1e-9)
+
     def test_lmsr_pool_rejected(self):
         pool, ledgers = load_pool("augur-like")
         with pytest.raises(UnsupportedOperation):
@@ -271,22 +315,23 @@ class TestArbitrage:
         """The first arb steps of the seed-8 criterion-08 walk drain
         mstable-2021-like's risky reserve to about 2e-7; 1e-9 of that is
         below the float spacing of the sell bracket (hi about 113), so a
-        search stopping only at that tolerance never ended."""
-        search = sim._golden_max
+        search stopping only at that tolerance never ended.  The size solve
+        must end there too."""
+        solve = sim._solve_size
 
-        def bounded(profit, lo, hi, tol):
+        def bounded(g, cap, scale):
             calls = 0
 
             def counted(amount):
                 nonlocal calls
                 calls += 1
                 if calls > 10_000:
-                    raise RuntimeError(f"search on [{lo}, {hi}] at tol {tol} did not end")
-                return profit(amount)
+                    raise RuntimeError(f"size solve up to {cap} at scale {scale} did not end")
+                return g(amount)
 
-            return search(counted, lo, hi, tol)
+            return solve(counted, cap, scale)
 
-        monkeypatch.setattr(sim, "_golden_max", bounded)
+        monkeypatch.setattr(sim, "_solve_size", bounded)
         pool, ledgers = load_pool("mstable-2021-like")
         for token in pool.tokens:
             fund(ledgers, token, "arb", 1e12)
@@ -329,7 +374,7 @@ class TestArbitrage:
 
 
 # ---------------------------------------------------------------------------
-# the arbitrage search prices on the family trade step
+# the first-order arbitrage step against a golden-section search
 # ---------------------------------------------------------------------------
 
 TWO_TOKEN_BUILTINS = (
@@ -340,23 +385,84 @@ TWO_TOKEN_BUILTINS = (
     "bancor-like",
 )
 
+# The search the arbitrageur ran before it solved the first-order condition:
+# a doubling-expanded bracket refined by golden section.  It needs no
+# derivative and no convexity beyond unimodality, which makes it the oracle.
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SEARCH_TOL = 1e-9
+_MAX_EXPANSIONS = 200
+
+
+def _golden_max(profit, lo, hi, tol):
+    """Maximize a unimodal function on [lo, hi]; returns (argmax, max).
+
+    The tolerance is floored at a few ulps of `hi`: a bracket that narrow
+    cannot shrink further in floating point, and a smaller tolerance would
+    never be met.
+    """
+    tol = max(tol, 4.0 * math.ulp(hi))
+    a, b = lo, hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = profit(c), profit(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = profit(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = profit(d)
+    x = (a + b) / 2.0
+    return x, profit(x)
+
+
+def _best_size(profit, cap, tol, start):
+    """Expand a bracket by doubling, then refine with golden section."""
+    if not cap > 0.0:
+        return 0.0, -math.inf
+    hi = min(cap, max(tol, start))
+    best = profit(hi)
+    for _ in range(_MAX_EXPANSIONS):
+        if hi >= cap:
+            break
+        grown = min(cap, hi * 2.0)
+        value = profit(grown)
+        if value < best and value != -math.inf:
+            hi = grown  # keep one step past the peak inside the bracket
+            break
+        if value == -math.inf:
+            break
+        hi, best = grown, value
+    return _golden_max(profit, 0.0, hi, tol)
+
+
+def arb_scale(pool):
+    """The size scale the arbitrageur measures its trades against."""
+    family = PricingFamily.of(pool.curve, pool.oracle_price)
+    held = family.view(pool)[family.risky]
+    return max(held, 1.0) if family.risky >= family.issued_from else held
+
+
+def arb_caps(pool):
+    """The arbitrageur's (buy, sell) limits on the risky amount it trades."""
+    family = PricingFamily.of(pool.curve, pool.oracle_price)
+    held = family.view(pool)[family.risky]
+    if family.risky >= family.issued_from:
+        return 1e15 * arb_scale(pool), held * (1.0 - 1e-12)
+    return held * (1.0 - 1e-9), 1e15 * arb_scale(pool)
+
 
 def quote_priced_arbitrage(pool, reference_price, arb_account, ledgers):
-    """The arbitrage step with every candidate size priced by a full
-    `quote`: the reference the family-trade-step search must match bit for
-    bit."""
+    """The golden-section arbitrage search with every candidate size priced
+    by a full `quote`: the reference the first-order step is held to."""
     family = PricingFamily.of(pool.curve, pool.oracle_price)
     risky = family.risky
     risky_token = pool.tokens[risky]
     numeraire_token = pool.tokens[1 - risky]
-    held = family.view(pool)[risky]
-    if risky >= family.issued_from:
-        scale = max(held, 1.0)
-        buy_cap, sell_cap = 1e15 * scale, held * (1.0 - 1e-12)
-    else:
-        scale = held
-        buy_cap, sell_cap = held * (1.0 - 1e-9), 1e15 * scale
-    tol = sim._SEARCH_TOL * scale
+    buy_cap, sell_cap = arb_caps(pool)
+    tol = _SEARCH_TOL * arb_scale(pool)
 
     def buy_profit(amount):
         if not amount > 0.0:
@@ -376,9 +482,9 @@ def quote_priced_arbitrage(pool, reference_price, arb_account, ledgers):
         except AmmError:
             return -math.inf
 
-    start = 1e-6 * scale
-    buy_size, buy_value = sim._best_size(buy_profit, buy_cap, tol, start)
-    sell_size, sell_value = sim._best_size(sell_profit, sell_cap, tol, start)
+    start = 1e-6 * arb_scale(pool)
+    buy_size, buy_value = _best_size(buy_profit, buy_cap, tol, start)
+    sell_size, sell_value = _best_size(sell_profit, sell_cap, tol, start)
     if max(buy_value, sell_value) <= 0.0:
         return pool, ledgers, None
     if buy_value >= sell_value:
@@ -389,47 +495,104 @@ def quote_priced_arbitrage(pool, reference_price, arb_account, ledgers):
     return pool, ledgers, receipt
 
 
-def arb_outcome(step, pool, reference, ledgers):
-    """What an arbitrage step did, in exact bits, or the error it raised."""
-    try:
-        pool, ledgers, receipt = step(pool, reference, "arb", ledgers)
-    except AmmError as error:
-        return (type(error).__name__, str(error)), None, None
+def profit_bound(pool, reference):
+    """How far the first-order step's profit may fall short of the oracle's:
+    1e-9 of the arbitrage scale, but no less than the float resolution the
+    profit is computed at, a few ulps of the largest reserve at the
+    reference.  A drained leg makes the scale far smaller than that."""
+    state = PricingFamily.of(pool.curve, pool.oracle_price).view(pool)
+    return max(1e-9 * arb_scale(pool), 4.0 * math.ulp(max(state)) * max(1.0, reference))
+
+
+def marked_profit(pool, receipt, reference):
+    """What a receipt's trader deltas are worth at reference marks."""
     if receipt is None:
-        return None, pool, ledgers
-    q = receipt.quote
-    amounts = (
-        q.amount_in, q.amount_out, q.fee_paid, q.surcharge_component,
-        q.spot_before, q.spot_after, q.mean_price,
-        *receipt.reserves_after, pool.circulating_supply,
-    )
-    return tuple(float.hex(a) for a in amounts), pool, ledgers
+        return 0.0
+    risky = PricingFamily.of(pool.curve, pool.oracle_price).risky
+    deltas = receipt.trader_deltas
+    return (deltas.get(pool.tokens[risky], 0.0) * reference
+            + deltas.get(pool.tokens[1 - risky], 0.0))
+
+
+def fee_band(pool, reference):
+    """(buy, sell) fee-adjusted marginals of the risky leg over the
+    reference: the step is done when buy >= 1 >= sell."""
+    family = PricingFamily.of(pool.curve, pool.oracle_price)
+    state, risky, keep = family.view(pool), family.risky, 1.0 - pool.fee.trade_fee
+    cost = 1.0 / family.spot_between(state, 1 - risky, risky)
+    proceeds = family.spot_between(state, risky, 1 - risky)
+    return cost / keep / reference, proceeds * keep / reference
+
+
+ARB_MOVES = st.lists(
+    st.tuples(st.floats(-3.0, 3.0), st.floats(-1.0, 1.0)), min_size=1, max_size=4
+)
+
+
+def arb_walk(name, moves):
+    """Each reference level of a walk from the pool's opening spot, with the
+    pool and ledgers it finds (a dodo oracle moves first); the arbitrageur
+    holds 1e18 of both tokens."""
+    pool, ledgers = load_pool(name)
+    family = PricingFamily.of(pool.curve, pool.oracle_price)
+    for token in pool.tokens:
+        fund(ledgers, token, "arb", 1e18)
+    level = family.spot(family.view(pool))
+    for log_move, oracle_move in moves:
+        if pool.oracle_price is not None:
+            pool = set_oracle_price(pool, pool.oracle_price * math.exp(oracle_move))
+        level *= math.exp(log_move)
+        pool, ledgers = yield pool, ledgers, level
 
 
 class TestSearchPricing:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        name=st.sampled_from(TWO_TOKEN_BUILTINS),
-        moves=st.lists(
-            st.tuples(st.floats(-3.0, 3.0), st.floats(-1.0, 1.0)),
-            min_size=1,
-            max_size=4,
-        ),
-    )
+    @given(name=st.sampled_from(TWO_TOKEN_BUILTINS), moves=ARB_MOVES)
     def test_receipts_match_the_quote_priced_search(self, name, moves):
-        pool, ledgers = load_pool(name)
-        family = PricingFamily.of(pool.curve, pool.oracle_price)
-        for token in pool.tokens:
-            fund(ledgers, token, "arb", 1e12)
-        level = family.spot(family.view(pool))
-        for log_move, oracle_move in moves:
-            if pool.oracle_price is not None:
-                pool = set_oracle_price(pool, pool.oracle_price * math.exp(oracle_move))
-            level *= math.exp(log_move)
-            expected, _, _ = arb_outcome(quote_priced_arbitrage, pool, level, ledgers)
-            got, pool, ledgers = arb_outcome(arbitrage_step, pool, level, ledgers)
-            assert got == expected
-            if pool is None:
+        """The first-order step's marked profit is at least the golden-section
+        oracle's less 1e-9 of the pool's scale, and it trades wherever the
+        oracle earns more than that."""
+        walk = arb_walk(name, moves)
+        pool, ledgers, level = next(walk)
+        while True:
+            bound = profit_bound(pool, level)
+            _, _, expected = quote_priced_arbitrage(pool, level, "arb", ledgers)
+            after, ledgers, receipt = arbitrage_step(pool, level, "arb", ledgers)
+            oracle = marked_profit(pool, expected, level)
+            assert marked_profit(pool, receipt, level) >= oracle - bound
+            if oracle > bound:
+                assert receipt is not None
+            try:
+                pool, ledgers, level = walk.send((after, ledgers))
+            except StopIteration:
+                break
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(TWO_TOKEN_BUILTINS), moves=ARB_MOVES)
+    def test_every_two_token_builtin_ends_in_its_fee_band(self, name, moves):
+        """After a trade the fee-adjusted marginal is inside the no-trade band,
+        unless the trade stopped at a limit: the reserve it was paid from
+        nearly drained, or the size cap; after a decline it was already
+        inside the band."""
+        opening = load_pool(name)[0]
+        walk = arb_walk(name, moves)
+        pool, ledgers, level = next(walk)
+        while True:
+            buy, sell = fee_band(pool, level)
+            after, ledgers, receipt = arbitrage_step(pool, level, "arb", ledgers)
+            family = PricingFamily.of(after.curve, after.oracle_price)
+            buying = buy < 1.0
+            paying = family.risky if buying else 1 - family.risky
+            limited = family.view(after)[paying] <= 1e-6 * family.view(opening)[paying]
+            if receipt is not None:
+                q = receipt.quote
+                size = q.amount_out if buying else q.amount_in
+                limited |= size >= arb_caps(pool)[not buying] * (1.0 - 1e-12)
+                buy, sell = fee_band(after, level)
+            assert (buy >= 1.0 - 1e-9 and sell <= 1.0 + 1e-9) or limited
+            try:
+                pool, ledgers, level = walk.send((after, ledgers))
+            except StopIteration:
                 break
 
     def test_the_search_does_not_quote(self, monkeypatch):
