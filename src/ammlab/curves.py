@@ -28,6 +28,9 @@ LMSR uses ``None`` for the collateral leg (reserves are outstanding share
 quantities), and the exponential curve expects ``reserves = (reserve_balance,
 circulating_supply)`` with index 0 the reserve token and 1 the issued token.
 
+Each curve is one `CurveSpec` subclass that owns its pricing; the
+conservation curves share their quotes through `_Conservation`.  The
+module-level functions check their arguments and delegate to the spec.
 Each spec class is declared with ``@_curve(spec_name, label, family)``: its
 ``curve =`` value in a pool specification file, its Price Discovery taxonomy
 label, and the pricing family the engine prices it with.  Its dataclass
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 from .core import DepletionError, DomainError, SolverError, UnsupportedOperation
 
@@ -69,116 +72,6 @@ def _curve(spec_name: str, label: str, family: str):
         return cls
 
     return declare
-
-
-# ---------------------------------------------------------------------------
-# curve specifications
-# ---------------------------------------------------------------------------
-
-
-@_curve("constant-product", "Constant-product", CONSERVATION)
-@dataclass(frozen=True, slots=True)
-class ConstantProduct:
-    pass
-
-
-@_curve("geometric-mean", "Geometric Mean", CONSERVATION)
-@dataclass(frozen=True, slots=True)
-class GeometricMean:
-    weights: tuple[float, ...]  # one weight per token, positive, summing to 1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if len(self.weights) < 2:
-            raise DomainError("geometric mean needs at least two weights")
-        if any(not (w > 0.0 and math.isfinite(w)) for w in self.weights):
-            raise DomainError(f"weights must be positive and finite: {self.weights}")
-        if abs(sum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
-            raise DomainError(f"weights must sum to 1: {self.weights}")
-
-
-@_curve("constant-sum", "Constant-sum", CONSERVATION)
-@dataclass(frozen=True, slots=True)
-class ConstantSum:
-    pass
-
-
-@_curve("constant-product-sum", "Constant-product-sum", CONSERVATION)
-@dataclass(frozen=True, slots=True)
-class ConstantProductSum:
-    chi: float  # leverage factor, finite, >= 0; 0 -> constant product, large -> sum
-
-    def __post_init__(self) -> None:
-        if not (self.chi >= 0.0 and math.isfinite(self.chi)):
-            raise DomainError(f"chi must be finite and >= 0: {self.chi}")
-
-
-@_curve("constant-power-sum", "Constant-power-sum", CONSERVATION)
-@dataclass(frozen=True, slots=True)
-class ConstantPowerSum:
-    t: float  # curvature in [0, 1); 0 degenerates to constant sum
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.t < 1.0:
-            raise DomainError(f"t must be in [0, 1): {self.t}")
-
-
-@_curve("lmsr", "Logarithmic Market Scoring", SCORING_RULE)
-@dataclass(frozen=True, slots=True)
-class Lmsr:
-    b: float  # liquidity parameter, finite, > 0
-
-    def __post_init__(self) -> None:
-        if not (self.b > 0.0 and math.isfinite(self.b)):
-            raise DomainError(f"b must be finite and > 0: {self.b}")
-
-
-@_curve("price-adoption", "Price Adoption", PRICE_ADOPTION)
-@dataclass(frozen=True, slots=True)
-class PriceAdoption:
-    k: float  # surcharge magnitude, in [0, 1]
-    target_reserves: tuple[float, ...]  # (t0, t1); t0 drives the imbalance term
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "target_reserves", tuple(float(t) for t in self.target_reserves)
-        )
-        if not 0.0 <= self.k <= 1.0:
-            raise DomainError(f"k must be in [0, 1]: {self.k}")
-        if len(self.target_reserves) != 2:
-            raise DomainError("price adoption is a two-token mechanism")
-        if any(not (t > 0.0 and math.isfinite(t)) for t in self.target_reserves):
-            raise DomainError(
-                f"target reserves must be positive and finite: {self.target_reserves}"
-            )
-
-
-@_curve("exponential", "Exponential Function", BONDING)
-@dataclass(frozen=True, slots=True)
-class Exponential:
-    kappa: float  # curvature, finite, > 0
-    c: float  # invariant constant, finite, > 0
-
-    def __post_init__(self) -> None:
-        if not (self.kappa > 0.0 and math.isfinite(self.kappa)):
-            raise DomainError(f"kappa must be finite and > 0: {self.kappa}")
-        if not (self.c > 0.0 and math.isfinite(self.c)):
-            raise DomainError(f"c must be finite and > 0: {self.c}")
-
-
-CurveSpec = Union[
-    ConstantProduct,
-    GeometricMean,
-    ConstantSum,
-    ConstantProductSum,
-    ConstantPowerSum,
-    Lmsr,
-    PriceAdoption,
-    Exponential,
-]
-
-#: curves whose conservation value defines quoting (and path deficiency)
-CONSERVATION_CURVES = tuple(c for c in CURVES if c.family == CONSERVATION)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +156,7 @@ def _bracket_above(f: Callable[[float], float], lo: float, hi: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# invariant values
+# argument checks
 # ---------------------------------------------------------------------------
 
 
@@ -283,6 +176,237 @@ def _require_nonnegative(reserves: Sequence[float]) -> None:
             raise DomainError(f"reserves must be non-negative: {tuple(reserves)}")
 
 
+def _check_pair(reserves: Sequence[float], i: int, j: int) -> None:
+    n = len(reserves)
+    if not (0 <= i < n and 0 <= j < n):
+        raise DomainError(f"token index out of range for {n} reserves: ({i}, {j})")
+    if i == j:
+        raise DomainError("token_in and token_out must differ")
+
+
+# ---------------------------------------------------------------------------
+# curve specifications
+# ---------------------------------------------------------------------------
+
+
+class CurveSpec:
+    """A curve specification and its pricing rule: `invariant(reserves)`,
+    `spot(reserves, i, j, adopted_price)` and `quote_in` / `quote_out(reserves,
+    i, j, amount, adopted_price)`, which take legs that passed `check_legs`
+    and a positive amount."""
+
+    __slots__ = ()
+
+    def check_legs(self, reserves, token_in: int | None, token_out: int | None) -> None:
+        """Reject a trade leg this curve cannot price."""
+        if token_in is None or token_out is None:
+            raise DomainError("collateral leg (None) is only defined for LMSR curves")
+        _check_pair(reserves, token_in, token_out)
+
+    def check_tokens(self, n_tokens: int) -> None:
+        """Reject a pool of n_tokens tokens that this curve cannot price."""
+
+
+class _Conservation(CurveSpec):
+    """A curve that prices trades by holding its conservation value fixed.
+
+    Subclasses give `value(reserves)`, the conservation value of reserves
+    that passed `require_reserves`; `residual(original, updated, j, c0)`, the
+    pair (f, f') where f(x) is the value of `updated` with x at slot j, minus
+    c0 (`original` is the pre-trade state, `updated` the known post-trade
+    values); `spot`; and `drainable`, whether a trade may empty a reserve.
+    """
+
+    __slots__ = ()
+
+    drainable = False
+    require_reserves = staticmethod(_require_positive)
+
+    def invariant(self, reserves: Sequence[float]) -> float:
+        self.require_reserves(reserves)
+        try:
+            c = self.value(reserves)
+        except OverflowError:
+            c = math.inf
+        if not math.isfinite(c):
+            raise DomainError(
+                f"conservation value overflows at reserves {tuple(reserves)}"
+            )
+        return c
+
+    def quote_in(self, reserves, i, j, dx, adopted_price=None):
+        c0 = self.invariant(reserves)
+        updated = list(reserves)
+        updated[i] = reserves[i] + dx
+        f, fp = self.residual(reserves, updated, j, c0)
+        r_j = reserves[j]
+        f0 = f(0.0)
+        if f0 > 0.0:
+            raise DepletionError(
+                f"input {dx} would drain more than the {r_j} units in reserve"
+            )
+        if f0 == 0.0:
+            if self.drainable:
+                return r_j
+            raise DepletionError(f"trade would deplete reserve {j}")
+        x_star = _solve_increasing(f, fp, 0.0, r_j)
+        out = r_j - x_star
+        if out == r_j and not self.drainable:  # x_star is below the float spacing of r_j
+            raise DepletionError(f"input {dx} would deplete reserve {j}")
+        return out
+
+    def quote_out(self, reserves, i, j, dy, adopted_price=None):
+        self.require_reserves(reserves)
+        r_j = reserves[j]
+        if dy > r_j or (dy == r_j and not self.drainable):
+            raise DepletionError(f"requested {dy} exceeds the {r_j} units available")
+        c0 = self.invariant(reserves)
+        updated = list(reserves)
+        updated[j] = r_j - dy
+        f, fp = self.residual(reserves, updated, i, c0)
+        lo = reserves[i]
+        x_star = _solve_increasing(f, fp, lo, _bracket_above(f, lo, lo + dy))
+        return x_star - lo
+
+
+@_curve("constant-product", "Constant-product", CONSERVATION)
+@dataclass(frozen=True, slots=True)
+class ConstantProduct(_Conservation):
+    def value(self, reserves):
+        return math.prod(reserves)
+
+    def residual(self, original, updated, j, c0):
+        known = math.prod(v for idx, v in enumerate(updated) if idx != j)
+        return (lambda x: known * x - c0), (lambda x: known)
+
+    def spot(self, reserves, token_in, token_out, adopted_price=None):
+        _require_positive(reserves)
+        return reserves[token_out] / reserves[token_in]
+
+
+@_curve("geometric-mean", "Geometric Mean", CONSERVATION)
+@dataclass(frozen=True, slots=True)
+class GeometricMean(_Conservation):
+    weights: tuple[float, ...]  # one weight per token, positive, summing to 1
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        if len(self.weights) < 2:
+            raise DomainError("geometric mean needs at least two weights")
+        if any(not (w > 0.0 and math.isfinite(w)) for w in self.weights):
+            raise DomainError(f"weights must be positive and finite: {self.weights}")
+        if abs(sum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
+            raise DomainError(f"weights must sum to 1: {self.weights}")
+
+    def check_tokens(self, n_tokens: int, legs: str = "tokens") -> None:
+        if len(self.weights) != n_tokens:
+            raise DomainError(f"{len(self.weights)} weights for {n_tokens} {legs}")
+
+    def value(self, reserves):
+        self.check_tokens(len(reserves), "reserves")
+        return math.prod(r**w for r, w in zip(reserves, self.weights))
+
+    def residual(self, original, updated, j, c0):
+        w = self.weights
+        known = math.prod(
+            v ** w[idx] for idx, v in enumerate(updated) if idx != j
+        )
+        wj = w[j]
+        return (
+            lambda x: known * x**wj - c0,
+            lambda x: wj * known * x ** (wj - 1.0),
+        )
+
+    def spot(self, reserves, token_in, token_out, adopted_price=None):
+        self.check_tokens(len(reserves), "reserves")
+        _require_positive(reserves)
+        return (self.weights[token_in] * reserves[token_out]) / (
+            self.weights[token_out] * reserves[token_in]
+        )
+
+
+@_curve("constant-sum", "Constant-sum", CONSERVATION)
+@dataclass(frozen=True, slots=True)
+class ConstantSum(_Conservation):
+    drainable = True
+    require_reserves = staticmethod(_require_nonnegative)
+
+    def value(self, reserves):
+        return math.fsum(reserves)
+
+    def residual(self, original, updated, j, c0):
+        known = math.fsum(v for idx, v in enumerate(updated) if idx != j)
+        return (lambda x: known + x - c0), (lambda x: 1.0)
+
+    def spot(self, reserves, token_in, token_out, adopted_price=None):
+        return 1.0
+
+
+@_curve("constant-product-sum", "Constant-product-sum", CONSERVATION)
+@dataclass(frozen=True, slots=True)
+class ConstantProductSum(_Conservation):
+    chi: float  # leverage factor, finite, >= 0; 0 -> constant product, large -> sum
+
+    def __post_init__(self) -> None:
+        if not (self.chi >= 0.0 and math.isfinite(self.chi)):
+            raise DomainError(f"chi must be finite and >= 0: {self.chi}")
+
+    def value(self, reserves):
+        return solve_stableswap_d(reserves, self.chi)
+
+    def residual(self, original, updated, j, c0):
+        # c0 here is D of the pre-trade state; quote at that fixed D.  The
+        # right side is the pre-trade left side (same level set), which
+        # avoids the D -> (D/n)**n round trip that loses precision on the
+        # chi = 0 product limit.
+        n = len(updated)
+        a = self.chi * c0 ** (n - 1)
+        rhs = a * math.fsum(original) + math.prod(original)
+        s_known = math.fsum(v for idx, v in enumerate(updated) if idx != j)
+        p_known = math.prod(v for idx, v in enumerate(updated) if idx != j)
+        return (
+            lambda x: a * (s_known + x) + p_known * x - rhs,
+            lambda x: a + p_known,
+        )
+
+    def spot(self, reserves, token_in, token_out, adopted_price=None):
+        a = self.chi * self.invariant(reserves) ** (len(reserves) - 1)
+        p = math.prod(reserves)
+        return (a + p / reserves[token_in]) / (a + p / reserves[token_out])
+
+
+@_curve("constant-power-sum", "Constant-power-sum", CONSERVATION)
+@dataclass(frozen=True, slots=True)
+class ConstantPowerSum(_Conservation):
+    t: float  # curvature in [0, 1); 0 degenerates to constant sum
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.t < 1.0:
+            raise DomainError(f"t must be in [0, 1): {self.t}")
+
+    def value(self, reserves):
+        return math.fsum(r ** (1.0 - self.t) for r in reserves)
+
+    def residual(self, original, updated, j, c0):
+        e = 1.0 - self.t
+        s_known = math.fsum(
+            v**e for idx, v in enumerate(updated) if idx != j
+        )
+        return (
+            lambda x: s_known + x**e - c0,
+            lambda x: e * x ** (e - 1.0) if x > 0.0 else math.inf,
+        )
+
+    def spot(self, reserves, token_in, token_out, adopted_price=None):
+        _require_positive(reserves)
+        return (reserves[token_out] / reserves[token_in]) ** self.t
+
+
+# ---------------------------------------------------------------------------
+# LMSR
+# ---------------------------------------------------------------------------
+
+
 def _lmsr_cost(b: float, q: Sequence[float]) -> float:
     # b*ln(sum e^(q/b)) with the max shifted out for stability
     m = max(q)
@@ -293,345 +417,6 @@ def _lmsr_price(b: float, q: Sequence[float], j: int) -> float:
     m = max(q)
     z = sum(math.exp((qi - m) / b) for qi in q)
     return math.exp((q[j] - m) / b) / z
-
-
-def invariant_value(spec: CurveSpec, reserves: Sequence[float]) -> float:
-    """Conservation value at the given reserves.
-
-    Constant product-sum reports D; LMSR reports the cost-function value C(q);
-    the exponential curve reports S**kappa / r over (reserve, supply).
-    Price adoption has no conservation function.
-    """
-    if isinstance(spec, ConstantProduct):
-        _require_positive(reserves)
-        return math.prod(reserves)
-    if isinstance(spec, GeometricMean):
-        _check_weights(spec, reserves)
-        _require_positive(reserves)
-        return math.prod(r**w for r, w in zip(reserves, spec.weights))
-    if isinstance(spec, ConstantSum):
-        _require_nonnegative(reserves)
-        return math.fsum(reserves)
-    if isinstance(spec, ConstantProductSum):
-        return solve_stableswap_d(reserves, spec.chi)
-    if isinstance(spec, ConstantPowerSum):
-        _require_positive(reserves)
-        return math.fsum(r ** (1.0 - spec.t) for r in reserves)
-    if isinstance(spec, Lmsr):
-        if any(q < 0.0 for q in reserves):
-            raise DomainError(f"share quantities must be non-negative: {tuple(reserves)}")
-        return _lmsr_cost(spec.b, reserves)
-    if isinstance(spec, Exponential):
-        r, supply = _split_bonding_state(reserves, require_reserve=True)
-        return supply**spec.kappa / r
-    if isinstance(spec, PriceAdoption):
-        raise UnsupportedOperation("price adoption has no conservation function")
-    raise DomainError(f"unknown curve spec: {spec!r}")
-
-
-def _check_weights(spec: GeometricMean, reserves: Sequence[float]) -> None:
-    if len(spec.weights) != len(reserves):
-        raise DomainError(
-            f"{len(spec.weights)} weights for {len(reserves)} reserves"
-        )
-
-
-def _split_bonding_state(
-    reserves: Sequence[float], *, require_reserve: bool = False
-) -> tuple[float, float]:
-    if len(reserves) != 2:
-        raise DomainError("exponential curve state is (reserve_balance, supply)")
-    r, supply = reserves
-    if r < 0.0 or (require_reserve and r == 0.0):
-        raise DomainError(f"reserve out of range: {r}")
-    if supply < 0.0:
-        raise DomainError(f"supply must be non-negative: {supply}")
-    return r, supply
-
-
-# ---------------------------------------------------------------------------
-# spot prices
-# ---------------------------------------------------------------------------
-
-
-def _check_pair(reserves: Sequence[float], i: int, j: int) -> None:
-    n = len(reserves)
-    if not (0 <= i < n and 0 <= j < n):
-        raise DomainError(f"token index out of range for {n} reserves: ({i}, {j})")
-    if i == j:
-        raise DomainError("token_in and token_out must differ")
-
-
-def _pmm_mid(k: float, t0: float, r0: float, p: float) -> float:
-    return p * (1.0 + k * (t0 - r0) / t0)
-
-
-def _pmm_ask(k: float, t0: float, r0: float, p: float) -> float:
-    # charged when the trader buys token 0: never below the adopted price
-    return max(p, _pmm_mid(k, t0, r0, p))
-
-
-def _pmm_bid(k: float, t0: float, r0: float, p: float) -> float:
-    # paid when the trader sells token 0: never above the adopted price
-    return max(0.0, min(p, _pmm_mid(k, t0, r0, p)))
-
-
-def _require_adopted_price(adopted_price: float | None) -> float:
-    if adopted_price is None:
-        raise DomainError("price adoption requires an adopted price")
-    if not adopted_price > 0.0:
-        raise DomainError(f"adopted price must be positive: {adopted_price}")
-    return adopted_price
-
-
-def spot_price(
-    spec: CurveSpec,
-    reserves: Sequence[float],
-    token_in: int | None,
-    token_out: int | None,
-    adopted_price: float | None = None,
-) -> float:
-    """Instantaneous units of token_out per unit of token_in."""
-    if isinstance(spec, Lmsr):
-        return _lmsr_spot(spec, reserves, token_in, token_out)
-    if token_in is None or token_out is None:
-        raise DomainError("collateral leg (None) is only defined for LMSR curves")
-    _check_pair(reserves, token_in, token_out)
-
-    if isinstance(spec, ConstantProduct):
-        _require_positive(reserves)
-        return reserves[token_out] / reserves[token_in]
-    if isinstance(spec, GeometricMean):
-        _check_weights(spec, reserves)
-        _require_positive(reserves)
-        return (spec.weights[token_in] * reserves[token_out]) / (
-            spec.weights[token_out] * reserves[token_in]
-        )
-    if isinstance(spec, ConstantSum):
-        return 1.0
-    if isinstance(spec, ConstantProductSum):
-        _require_positive(reserves)
-        n = len(reserves)
-        d = solve_stableswap_d(reserves, spec.chi)
-        a = spec.chi * d ** (n - 1)
-        p = math.prod(reserves)
-        return (a + p / reserves[token_in]) / (a + p / reserves[token_out])
-    if isinstance(spec, ConstantPowerSum):
-        _require_positive(reserves)
-        return (reserves[token_out] / reserves[token_in]) ** spec.t
-    if isinstance(spec, PriceAdoption):
-        p = _require_adopted_price(adopted_price)
-        r0 = reserves[0]
-        t0 = spec.target_reserves[0]
-        if token_out == 0:
-            return 1.0 / _pmm_ask(spec.k, t0, r0, p)
-        return _pmm_bid(spec.k, t0, r0, p)
-    if isinstance(spec, Exponential):
-        r, supply = _split_bonding_state(reserves)
-        if supply <= 0.0:
-            raise DomainError("spot price undefined at zero supply")
-        marginal = spec.kappa * supply ** (spec.kappa - 1.0) / spec.c  # dr/dS
-        return marginal if token_in == 1 else 1.0 / marginal
-    raise DomainError(f"unknown curve spec: {spec!r}")
-
-
-def _lmsr_spot(
-    spec: Lmsr, q: Sequence[float], token_in: int | None, token_out: int | None
-) -> float:
-    j, buying = _lmsr_outcome_leg(q, token_in, token_out)
-    price = _lmsr_price(spec.b, q, j)
-    # selling outcome j yields `price` collateral per share; buying inverts it
-    return 1.0 / price if buying else price
-
-
-# ---------------------------------------------------------------------------
-# conservation-curve residuals
-# ---------------------------------------------------------------------------
-
-
-def _residual_in_out(
-    spec: CurveSpec, original: Sequence[float], updated: Sequence[float],
-    j: int, c0: float
-) -> tuple[Callable[[float], float], Callable[[float], float], bool]:
-    """Residual f(x) = I(reserves with x at slot j) - c0 plus its derivative.
-
-    `original` is the pre-trade state and `updated` already carries the
-    known post-trade values at every other slot. Returns (f, f',
-    zero_reachable) where zero_reachable marks curves that may legally
-    deplete slot j.
-    """
-    if isinstance(spec, ConstantProduct):
-        known = math.prod(v for idx, v in enumerate(updated) if idx != j)
-        return (lambda x: known * x - c0), (lambda x: known), False
-    if isinstance(spec, GeometricMean):
-        w = spec.weights
-        known = math.prod(
-            v ** w[idx] for idx, v in enumerate(updated) if idx != j
-        )
-        wj = w[j]
-        return (
-            lambda x: known * x**wj - c0,
-            lambda x: wj * known * x ** (wj - 1.0),
-            False,
-        )
-    if isinstance(spec, ConstantSum):
-        known = math.fsum(v for idx, v in enumerate(updated) if idx != j)
-        return (lambda x: known + x - c0), (lambda x: 1.0), True
-    if isinstance(spec, ConstantProductSum):
-        # c0 here is D of the pre-trade state; quote at that fixed D.  The
-        # right side is the pre-trade left side (same level set), which
-        # avoids the D -> (D/n)**n round trip that loses precision on the
-        # chi = 0 product limit.
-        n = len(updated)
-        a = spec.chi * c0 ** (n - 1)
-        rhs = a * math.fsum(original) + math.prod(original)
-        s_known = math.fsum(v for idx, v in enumerate(updated) if idx != j)
-        p_known = math.prod(v for idx, v in enumerate(updated) if idx != j)
-        return (
-            lambda x: a * (s_known + x) + p_known * x - rhs,
-            lambda x: a + p_known,
-            False,
-        )
-    if isinstance(spec, ConstantPowerSum):
-        e = 1.0 - spec.t
-        s_known = math.fsum(
-            v**e for idx, v in enumerate(updated) if idx != j
-        )
-        return (
-            lambda x: s_known + x**e - c0,
-            lambda x: e * x ** (e - 1.0) if x > 0.0 else math.inf,
-            False,
-        )
-    raise DomainError(f"not a conservation curve: {spec!r}")
-
-
-def _conservation_quote_in(
-    spec: CurveSpec, reserves: Sequence[float], i: int, j: int, dx: float
-) -> float:
-    _require_positive_for_quote(spec, reserves)
-    c0 = invariant_value(spec, reserves)
-    updated = list(reserves)
-    updated[i] = reserves[i] + dx
-    f, fp, zero_ok = _residual_in_out(spec, reserves, updated, j, c0)
-    r_j = reserves[j]
-    f0 = f(0.0)
-    if f0 > 0.0:
-        raise DepletionError(
-            f"input {dx} would drain more than the {r_j} units in reserve"
-        )
-    if f0 == 0.0:
-        if zero_ok:
-            return r_j
-        raise DepletionError(f"trade would deplete reserve {j}")
-    x_star = _solve_increasing(f, fp, 0.0, r_j)
-    out = r_j - x_star
-    if out == r_j and not zero_ok:  # x_star is below the float spacing of r_j
-        raise DepletionError(f"input {dx} would deplete reserve {j}")
-    return out
-
-
-def _conservation_quote_out(
-    spec: CurveSpec, reserves: Sequence[float], i: int, j: int, dy: float
-) -> float:
-    _require_positive_for_quote(spec, reserves)
-    r_j = reserves[j]
-    zero_ok = isinstance(spec, ConstantSum)
-    if dy > r_j or (dy == r_j and not zero_ok):
-        raise DepletionError(f"requested {dy} exceeds the {r_j} units available")
-    c0 = invariant_value(spec, reserves)
-    updated = list(reserves)
-    updated[j] = r_j - dy
-    f, fp, _ = _residual_in_out(spec, reserves, updated, i, c0)
-    lo = reserves[i]
-    x_star = _solve_increasing(f, fp, lo, _bracket_above(f, lo, lo + dy))
-    return x_star - lo
-
-
-def _require_positive_for_quote(spec: CurveSpec, reserves: Sequence[float]) -> None:
-    if isinstance(spec, ConstantSum):
-        _require_nonnegative(reserves)
-    else:
-        _require_positive(reserves)
-
-
-# ---------------------------------------------------------------------------
-# quoting
-# ---------------------------------------------------------------------------
-
-
-def quote_exact_in(
-    spec: CurveSpec,
-    reserves: Sequence[float],
-    token_in: int | None,
-    token_out: int | None,
-    dx: float,
-    adopted_price: float | None = None,
-) -> float:
-    """Output amount for an exact input of dx (no fees at this layer)."""
-    if not dx >= 0.0:
-        raise DomainError(f"input amount must be non-negative: {dx}")
-    if dx == 0.0:
-        return 0.0
-
-    if isinstance(spec, Lmsr):
-        return _lmsr_quote_in(spec, reserves, token_in, token_out, dx)
-    if token_in is None or token_out is None:
-        raise DomainError("collateral leg (None) is only defined for LMSR curves")
-    _check_pair(reserves, token_in, token_out)
-
-    if isinstance(spec, PriceAdoption):
-        p = _require_adopted_price(adopted_price)
-        return pmm_trade_cost(
-            spec.k, spec.target_reserves, reserves, p, token_in, token_out, dx
-        )
-    if isinstance(spec, Exponential):
-        r, supply = _split_bonding_state(reserves)
-        if token_in == 0:  # bond reserve, mint issued tokens
-            return (spec.c * (r + dx)) ** (1.0 / spec.kappa) - supply
-        payout = bonding_trade(spec.kappa, spec.c, supply, -dx)
-        if payout > r * (1.0 + 1e-9):
-            raise DepletionError(f"payout {payout} exceeds bonded reserve {r}")
-        return min(payout, r)
-    return _conservation_quote_in(spec, reserves, token_in, token_out, dx)
-
-
-def quote_exact_out(
-    spec: CurveSpec,
-    reserves: Sequence[float],
-    token_in: int | None,
-    token_out: int | None,
-    dy: float,
-    adopted_price: float | None = None,
-) -> float:
-    """Input amount required to receive exactly dy (no fees at this layer)."""
-    if not dy >= 0.0:
-        raise DomainError(f"output amount must be non-negative: {dy}")
-    if dy == 0.0:
-        return 0.0
-
-    if isinstance(spec, Lmsr):
-        return _lmsr_quote_out(spec, reserves, token_in, token_out, dy)
-    if token_in is None or token_out is None:
-        raise DomainError("collateral leg (None) is only defined for LMSR curves")
-    _check_pair(reserves, token_in, token_out)
-
-    if isinstance(spec, PriceAdoption):
-        p = _require_adopted_price(adopted_price)
-        return _pmm_quote_out(spec, reserves, p, token_in, token_out, dy)
-    if isinstance(spec, Exponential):
-        r, supply = _split_bonding_state(reserves)
-        if token_out == 1:  # exact issued tokens out: direct bonding cost
-            return bonding_trade(spec.kappa, spec.c, supply, dy)
-        if dy > r:
-            raise DepletionError(f"requested {dy} exceeds bonded reserve {r}")
-        s_new = (spec.c * (r - dy)) ** (1.0 / spec.kappa)
-        return supply - s_new
-    return _conservation_quote_out(spec, reserves, token_in, token_out, dy)
-
-
-# ---------------------------------------------------------------------------
-# LMSR trades
-# ---------------------------------------------------------------------------
 
 
 def lmsr_trade_cost(b: float, q: Sequence[float], dq: Sequence[float]) -> float:
@@ -668,111 +453,234 @@ def _lmsr_outcome_leg(
     return j, token_in is None
 
 
-def _lmsr_quote_in(
-    spec: Lmsr,
-    q: Sequence[float],
-    token_in: int | None,
-    token_out: int | None,
-    dx: float,
-) -> float:
-    j, buying = _lmsr_outcome_leg(q, token_in, token_out)
-    b = spec.b
-    if not buying:
-        # exact shares in, collateral out
-        if dx > q[j]:
-            raise DepletionError(f"only {q[j]} outstanding shares of outcome {j}")
-        return -_lmsr_leg_cost(b, q, j, -dx)
-    # exact collateral in: invert C(q + s*e_j) - C(q) = dx for s
-    base = _lmsr_cost(b, q)
-    price_now = _lmsr_price(b, q, j)
-    hi = dx / price_now * (1.0 + 1e-9) + 1e-12
+@_curve("lmsr", "Logarithmic Market Scoring", SCORING_RULE)
+@dataclass(frozen=True, slots=True)
+class Lmsr(CurveSpec):
+    b: float  # liquidity parameter, finite, > 0
 
-    def f(s: float) -> float:
-        after = list(q)
-        after[j] += s
-        return _lmsr_cost(b, after) - base - dx
+    def __post_init__(self) -> None:
+        if not (self.b > 0.0 and math.isfinite(self.b)):
+            raise DomainError(f"b must be finite and > 0: {self.b}")
 
-    def fp(s: float) -> float:
-        after = list(q)
-        after[j] += s
-        return _lmsr_price(b, after, j)
+    def check_legs(self, q, token_in, token_out):
+        """Legs are resolved by `_lmsr_outcome_leg` in each method."""
 
-    return _solve_increasing(f, fp, 0.0, hi)
+    def invariant(self, reserves):
+        if any(q < 0.0 for q in reserves):
+            raise DomainError(f"share quantities must be non-negative: {tuple(reserves)}")
+        return _lmsr_cost(self.b, reserves)
+
+    def spot(self, q, token_in, token_out, adopted_price=None):
+        j, buying = _lmsr_outcome_leg(q, token_in, token_out)
+        price = _lmsr_price(self.b, q, j)
+        # selling outcome j yields `price` collateral per share; buying inverts it
+        return 1.0 / price if buying else price
+
+    def quote_in(self, q, token_in, token_out, dx, adopted_price=None):
+        j, buying = _lmsr_outcome_leg(q, token_in, token_out)
+        b = self.b
+        if not buying:
+            # exact shares in, collateral out
+            if dx > q[j]:
+                raise DepletionError(f"only {q[j]} outstanding shares of outcome {j}")
+            return -_lmsr_leg_cost(b, q, j, -dx)
+        # exact collateral in: invert C(q + s*e_j) - C(q) = dx for s
+        base = _lmsr_cost(b, q)
+        price_now = _lmsr_price(b, q, j)
+        hi = dx / price_now * (1.0 + 1e-9) + 1e-12
+
+        def f(s: float) -> float:
+            after = list(q)
+            after[j] += s
+            return _lmsr_cost(b, after) - base - dx
+
+        def fp(s: float) -> float:
+            after = list(q)
+            after[j] += s
+            return _lmsr_price(b, after, j)
+
+        return _solve_increasing(f, fp, 0.0, hi)
+
+    def quote_out(self, q, token_in, token_out, dy, adopted_price=None):
+        j, buying = _lmsr_outcome_leg(q, token_in, token_out)
+        b = self.b
+        if buying:
+            # exact shares out: direct cost difference
+            return _lmsr_leg_cost(b, q, j, dy)
+        # exact collateral out: solve C(q) - C(q - s*e_j) = dy for shares in
+        base = _lmsr_cost(b, q)
+        depleted = list(q)
+        depleted[j] = 0.0
+        max_payout = base - _lmsr_cost(b, depleted)
+        if dy > max_payout:
+            raise DepletionError(
+                f"outcome {j} can pay out at most {max_payout} collateral"
+            )
+        if dy == max_payout:
+            return q[j]
+
+        def f(s: float) -> float:
+            after = list(q)
+            after[j] -= s
+            return (base - _lmsr_cost(b, after)) - dy
+
+        def fp(s: float) -> float:
+            after = list(q)
+            after[j] -= s
+            return _lmsr_price(b, after, j)
+
+        return _solve_increasing(f, fp, 0.0, q[j])
 
 
-def _lmsr_quote_out(
-    spec: Lmsr,
-    q: Sequence[float],
-    token_in: int | None,
-    token_out: int | None,
-    dy: float,
-) -> float:
-    j, buying = _lmsr_outcome_leg(q, token_in, token_out)
-    b = spec.b
-    if buying:
-        # exact shares out: direct cost difference
-        return _lmsr_leg_cost(b, q, j, dy)
-    # exact collateral out: solve C(q) - C(q - s*e_j) = dy for shares in
-    base = _lmsr_cost(b, q)
-    depleted = list(q)
-    depleted[j] = 0.0
-    max_payout = base - _lmsr_cost(b, depleted)
-    if dy > max_payout:
-        raise DepletionError(
-            f"outcome {j} can pay out at most {max_payout} collateral"
+# ---------------------------------------------------------------------------
+# price adoption
+# ---------------------------------------------------------------------------
+
+
+def _require_adopted_price(adopted_price: float | None) -> float:
+    if adopted_price is None:
+        raise DomainError("price adoption requires an adopted price")
+    if not adopted_price > 0.0:
+        raise DomainError(f"adopted price must be positive: {adopted_price}")
+    return adopted_price
+
+
+@_curve("price-adoption", "Price Adoption", PRICE_ADOPTION)
+@dataclass(frozen=True, slots=True)
+class PriceAdoption(CurveSpec):
+    """The marginal price is affine in the token-0 reserve, so both trade
+    directions integrate in closed form (width times the price at the
+    midpoint, piece by piece); a quote that fixes the token-1 side
+    inverts the integral with the shared scalar solver."""
+
+    k: float  # surcharge magnitude, in [0, 1]
+    target_reserves: tuple[float, ...]  # (t0, t1); t0 drives the imbalance term
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "target_reserves", tuple(float(t) for t in self.target_reserves)
         )
-    if dy == max_payout:
-        return q[j]
+        if not 0.0 <= self.k <= 1.0:
+            raise DomainError(f"k must be in [0, 1]: {self.k}")
+        self.check_tokens(len(self.target_reserves))
+        if any(not (t > 0.0 and math.isfinite(t)) for t in self.target_reserves):
+            raise DomainError(
+                f"target reserves must be positive and finite: {self.target_reserves}"
+            )
 
-    def f(s: float) -> float:
-        after = list(q)
-        after[j] -= s
-        return (base - _lmsr_cost(b, after)) - dy
+    def check_tokens(self, n_tokens: int) -> None:
+        if n_tokens != 2:
+            raise DomainError("price adoption is a two-token mechanism")
 
-    def fp(s: float) -> float:
-        after = list(q)
-        after[j] -= s
-        return _lmsr_price(b, after, j)
+    def mid(self, r0: float, p: float) -> float:
+        """Price of token 0 in token 1 at token-0 reserve r0, before the ask
+        and bid clamps."""
+        t0 = self.target_reserves[0]
+        return p * (1.0 + self.k * (t0 - r0) / t0)
 
-    return _solve_increasing(f, fp, 0.0, q[j])
+    def zero_bid_reserve(self) -> float:
+        """Token-0 reserve at which the bid floors at zero (inf when k = 0)."""
+        return self.target_reserves[0] * (1.0 + 1.0 / self.k) if self.k > 0.0 else math.inf
 
+    def _ask(self, r0: float, p: float) -> float:
+        # charged when the trader buys token 0: never below the adopted price
+        return max(p, self.mid(r0, p))
 
-# ---------------------------------------------------------------------------
-# price-adoption trades
-# ---------------------------------------------------------------------------
+    def _bid(self, r0: float, p: float) -> float:
+        # paid when the trader sells token 0: never above the adopted price
+        return max(0.0, min(p, self.mid(r0, p)))
 
+    def _ask_integral(self, p: float, x: float, y: float) -> float:
+        """Integral of the ask price over the token-0 reserve interval [x, y]."""
+        lo, hi = min(x, y), max(x, y)
+        t0 = self.target_reserves[0]
+        total = 0.0
+        if lo < t0:  # surcharged leg
+            seg_hi = min(hi, t0)
+            total += (seg_hi - lo) * self.mid(0.5 * (lo + seg_hi), p)
+        if hi > t0:  # at-par leg
+            total += p * (hi - max(lo, t0))
+        return total
 
-def _affine_strip(price_at_mid: Callable[[float], float], x: float, y: float) -> float:
-    # exact integral of an affine price over [x, y]: width * midpoint value
-    return (y - x) * price_at_mid(0.5 * (x + y))
+    def _bid_integral(self, p: float, x: float, y: float) -> float:
+        """Integral of the bid price over the token-0 reserve interval [x, y]."""
+        lo, hi = min(x, y), max(x, y)
+        t0 = self.target_reserves[0]
+        total = 0.0
+        if lo < t0:  # at-par leg
+            total += p * (min(hi, t0) - lo)
+        if hi > t0:  # discounted leg, clamped at a zero price
+            seg_lo = max(lo, t0)
+            seg_hi = min(hi, self.zero_bid_reserve())
+            if seg_hi > seg_lo:
+                total += (seg_hi - seg_lo) * self.mid(0.5 * (seg_lo + seg_hi), p)
+        return total
 
+    def invariant(self, reserves):
+        raise UnsupportedOperation("price adoption has no conservation function")
 
-def _pmm_ask_integral(k: float, t0: float, p: float, x: float, y: float) -> float:
-    """Integral of the ask price over the token-0 reserve interval [x, y]."""
-    lo, hi = min(x, y), max(x, y)
-    mid = lambda u: _pmm_mid(k, t0, u, p)
-    total = 0.0
-    if lo < t0:  # surcharged leg
-        total += _affine_strip(mid, lo, min(hi, t0))
-    if hi > t0:  # at-par leg
-        total += p * (hi - max(lo, t0))
-    return total
+    def spot(self, reserves, token_in, token_out, adopted_price=None):
+        p = _require_adopted_price(adopted_price)
+        if token_out == 0:
+            return 1.0 / self._ask(reserves[0], p)
+        return self._bid(reserves[0], p)
 
+    def quote_in(self, reserves, token_in, token_out, dx, adopted_price=None):
+        p = _require_adopted_price(adopted_price)
+        if token_in not in (0, 1) or token_out not in (0, 1) or token_in == token_out:
+            raise DomainError("price adoption trades token 0 against token 1")
+        r0, r1 = reserves[0], reserves[1]
+        if token_in == 0:
+            # trader sells token 0: reserve walks r0 -> r0 + dx at the bid
+            out = self._bid_integral(p, r0, r0 + dx)
+            if out > r1:
+                raise DepletionError(f"payout {out} exceeds the {r1} units in reserve")
+            return out
 
-def _pmm_bid_integral(k: float, t0: float, p: float, x: float, y: float) -> float:
-    """Integral of the bid price over the token-0 reserve interval [x, y]."""
-    lo, hi = min(x, y), max(x, y)
-    total = 0.0
-    if lo < t0:  # at-par leg
-        total += p * (min(hi, t0) - lo)
-    if hi > t0:  # discounted leg, clamped at a zero price
-        u_zero = t0 * (1.0 + 1.0 / k) if k > 0.0 else math.inf
-        seg_lo = max(lo, t0)
-        seg_hi = min(hi, u_zero)
-        if seg_hi > seg_lo:
-            mid = lambda u: _pmm_mid(k, t0, u, p)
-            total += _affine_strip(mid, seg_lo, seg_hi)
-    return total
+        # trader buys token 0 with dx of token 1: invert the ask integral
+        full_cost = self._ask_integral(p, 0.0, r0)
+        if dx > full_cost:
+            raise DepletionError(
+                f"input {dx} exceeds the {full_cost} cost of the whole reserve"
+            )
+        if dx == full_cost:
+            return r0
+
+        def f(delta: float) -> float:
+            return self._ask_integral(p, r0 - delta, r0) - dx
+
+        def fp(delta: float) -> float:
+            return self._ask(r0 - delta, p)
+
+        return _solve_increasing(f, fp, 0.0, r0)
+
+    def quote_out(self, reserves, token_in, token_out, dy, adopted_price=None):
+        p = _require_adopted_price(adopted_price)
+        r0, r1 = reserves[0], reserves[1]
+
+        if token_out == 0:
+            # exact token 0 out: pay the ask integral over the displacement
+            if dy > r0:
+                raise DepletionError(f"requested {dy} exceeds the {r0} units available")
+            return self._ask_integral(p, r0 - dy, r0)
+
+        # exact token 1 out: solve the bid integral for the token-0 input
+        if dy > r1:
+            raise DepletionError(f"requested {dy} exceeds the {r1} units available")
+        u_zero = self.zero_bid_reserve()
+        max_payout = self._bid_integral(p, r0, u_zero) if math.isfinite(u_zero) else math.inf
+        if dy > max_payout:
+            raise DepletionError(
+                f"bid price floors at zero after {max_payout} units of payout"
+            )
+
+        def f(delta: float) -> float:
+            return self._bid_integral(p, r0, r0 + delta) - dy
+
+        def fp(delta: float) -> float:
+            return self._bid(r0 + delta, p)
+
+        return _solve_increasing(f, fp, 0.0, _bracket_above(f, 0.0, dy / p))
 
 
 def pmm_trade_cost(
@@ -784,90 +692,88 @@ def pmm_trade_cost(
     token_out: int | None,
     dx: float,
 ) -> float:
-    """Output amount for an exact-in price-adoption trade.
-
-    The marginal price is affine in the token-0 reserve, so both directions
-    integrate in closed form; buying token 0 inverts the integral for the
-    reserve displacement with the shared scalar solver.
-    """
+    """Output amount for an exact-in trade on `PriceAdoption(k, target_reserves)`."""
     if not dx >= 0.0:
         raise DomainError(f"input amount must be non-negative: {dx}")
-    if token_in not in (0, 1) or token_out not in (0, 1) or token_in == token_out:
-        raise DomainError("price adoption trades token 0 against token 1")
-    p = _require_adopted_price(adopted_price)
-    if not 0.0 <= k <= 1.0:
-        raise DomainError(f"k must be in [0, 1]: {k}")
-    t0 = target_reserves[0]
-    r0, r1 = current_reserves[0], current_reserves[1]
-    if t0 <= 0.0:
-        raise DomainError(f"target reserve must be positive: {t0}")
-    if dx == 0.0:
-        return 0.0
-
-    if token_in == 0:
-        # trader sells token 0: reserve walks r0 -> r0 + dx at the bid
-        out = _pmm_bid_integral(k, t0, p, r0, r0 + dx)
-        if out > r1:
-            raise DepletionError(f"payout {out} exceeds the {r1} units in reserve")
-        return out
-
-    # trader buys token 0 with dx of token 1: invert the ask integral
-    full_cost = _pmm_ask_integral(k, t0, p, 0.0, r0)
-    if dx > full_cost:
-        raise DepletionError(
-            f"input {dx} exceeds the {full_cost} cost of the whole reserve"
-        )
-    if dx == full_cost:
-        return r0
-
-    def f(delta: float) -> float:
-        return _pmm_ask_integral(k, t0, p, r0 - delta, r0) - dx
-
-    def fp(delta: float) -> float:
-        return _pmm_ask(k, t0, r0 - delta, p)
-
-    return _solve_increasing(f, fp, 0.0, r0)
-
-
-def _pmm_quote_out(
-    spec: PriceAdoption,
-    reserves: Sequence[float],
-    p: float,
-    token_in: int,
-    token_out: int,
-    dy: float,
-) -> float:
-    k = spec.k
-    t0 = spec.target_reserves[0]
-    r0, r1 = reserves[0], reserves[1]
-
-    if token_out == 0:
-        # exact token 0 out: pay the ask integral over the displacement
-        if dy > r0:
-            raise DepletionError(f"requested {dy} exceeds the {r0} units available")
-        return _pmm_ask_integral(k, t0, p, r0 - dy, r0)
-
-    # exact token 1 out: solve the bid integral for the token-0 input
-    if dy > r1:
-        raise DepletionError(f"requested {dy} exceeds the {r1} units available")
-    u_zero = t0 * (1.0 + 1.0 / k) if k > 0.0 else math.inf
-    max_payout = _pmm_bid_integral(k, t0, p, r0, u_zero) if math.isfinite(u_zero) else math.inf
-    if dy > max_payout:
-        raise DepletionError(
-            f"bid price floors at zero after {max_payout} units of payout"
-        )
-
-    def f(delta: float) -> float:
-        return _pmm_bid_integral(k, t0, p, r0, r0 + delta) - dy
-
-    def fp(delta: float) -> float:
-        return _pmm_bid(k, t0, r0 + delta, p)
-
-    return _solve_increasing(f, fp, 0.0, _bracket_above(f, 0.0, dy / p))
+    return PriceAdoption(k, target_reserves).quote_in(current_reserves, token_in, token_out, dx, adopted_price)
 
 
 # ---------------------------------------------------------------------------
-# StableSwap D and the bonding closed form
+# exponential bonding
+# ---------------------------------------------------------------------------
+
+
+def bonding_trade(kappa: float, c: float, supply: float, d_supply: float) -> float:
+    """Reserve delta |r(S + dS) - r(S)| on the bonding curve r(S) = S**kappa / c."""
+    if not kappa > 0.0:
+        raise DomainError(f"kappa must be > 0: {kappa}")
+    if not c > 0.0:
+        raise DomainError(f"c must be > 0: {c}")
+    if supply < 0.0:
+        raise DomainError(f"supply must be non-negative: {supply}")
+    s_new = supply + d_supply
+    if s_new < 0.0:
+        raise DomainError(f"cannot burn below zero supply: {supply} + {d_supply}")
+    return abs(s_new**kappa - supply**kappa) / c
+
+
+def _split_bonding_state(
+    reserves: Sequence[float], *, require_reserve: bool = False
+) -> tuple[float, float]:
+    if len(reserves) != 2:
+        raise DomainError("exponential curve state is (reserve_balance, supply)")
+    r, supply = reserves
+    if r < 0.0 or (require_reserve and r == 0.0):
+        raise DomainError(f"reserve out of range: {r}")
+    if supply < 0.0:
+        raise DomainError(f"supply must be non-negative: {supply}")
+    return r, supply
+
+
+@_curve("exponential", "Exponential Function", BONDING)
+@dataclass(frozen=True, slots=True)
+class Exponential(CurveSpec):
+    kappa: float  # curvature, finite, > 0
+    c: float  # invariant constant, finite, > 0
+
+    def __post_init__(self) -> None:
+        if not (self.kappa > 0.0 and math.isfinite(self.kappa)):
+            raise DomainError(f"kappa must be finite and > 0: {self.kappa}")
+        if not (self.c > 0.0 and math.isfinite(self.c)):
+            raise DomainError(f"c must be finite and > 0: {self.c}")
+
+    def invariant(self, reserves):
+        r, supply = _split_bonding_state(reserves, require_reserve=True)
+        return supply**self.kappa / r
+
+    def spot(self, reserves, token_in, token_out, adopted_price=None):
+        r, supply = _split_bonding_state(reserves)
+        if supply <= 0.0:
+            raise DomainError("spot price undefined at zero supply")
+        marginal = self.kappa * supply ** (self.kappa - 1.0) / self.c  # dr/dS
+        return marginal if token_in == 1 else 1.0 / marginal
+
+    def quote_in(self, reserves, token_in, token_out, dx, adopted_price=None):
+        r, supply = _split_bonding_state(reserves)
+        if token_in == 0:  # bond reserve, mint issued tokens
+            return (self.c * (r + dx)) ** (1.0 / self.kappa) - supply
+        payout = bonding_trade(self.kappa, self.c, supply, -dx)
+        if payout > r * (1.0 + 1e-9):
+            raise DepletionError(f"payout {payout} exceeds bonded reserve {r}")
+        return min(payout, r)
+
+    def quote_out(self, reserves, token_in, token_out, dy, adopted_price=None):
+        r, supply = _split_bonding_state(reserves)
+        if token_out == 1:  # exact issued tokens out: direct bonding cost
+            return bonding_trade(self.kappa, self.c, supply, dy)
+        if dy > r:
+            raise DepletionError(f"requested {dy} exceeds bonded reserve {r}")
+        s_new = (self.c * (r - dy)) ** (1.0 / self.kappa)
+        return supply - s_new
+
+
+# ---------------------------------------------------------------------------
+# StableSwap D
 # ---------------------------------------------------------------------------
 
 
@@ -876,12 +782,20 @@ def solve_stableswap_d(reserves: Sequence[float], chi: float) -> float:
 
     Newton from D0 = sum(reserves), 64 iterations at 1e-12 relative, falling
     back to bisection on the AM-GM bracket [n*(prod x)^(1/n), sum x].
+    Reserves whose residual terms (up to (1 + chi) * sum(x)**n) overflow a
+    float raise DomainError.
     """
     _require_positive(reserves)
     if not chi >= 0.0:
         raise DomainError(f"chi must be >= 0: {chi}")
     n = len(reserves)
-    s = math.fsum(reserves)
+    try:
+        s = math.fsum(reserves)
+        largest = (1.0 + chi) * s**n  # D <= s bounds every residual term
+    except OverflowError:
+        largest = math.inf
+    if largest == math.inf:
+        raise DomainError(f"reserves overflow the product-sum invariant: {tuple(reserves)}")
     prod = math.prod(reserves)
     if chi == 0.0:
         return n * prod ** (1.0 / n)
@@ -930,15 +844,62 @@ def solve_stableswap_d(reserves: Sequence[float], chi: float) -> float:
     raise SolverError("D solve did not converge", residual=g(0.5 * (lo + hi)))
 
 
-def bonding_trade(kappa: float, c: float, supply: float, d_supply: float) -> float:
-    """Reserve delta |r(S + dS) - r(S)| on the bonding curve r(S) = S**kappa / c."""
-    if not kappa > 0.0:
-        raise DomainError(f"kappa must be > 0: {kappa}")
-    if not c > 0.0:
-        raise DomainError(f"c must be > 0: {c}")
-    if supply < 0.0:
-        raise DomainError(f"supply must be non-negative: {supply}")
-    s_new = supply + d_supply
-    if s_new < 0.0:
-        raise DomainError(f"cannot burn below zero supply: {supply} + {d_supply}")
-    return abs(s_new**kappa - supply**kappa) / c
+# ---------------------------------------------------------------------------
+# the public curve functions
+# ---------------------------------------------------------------------------
+
+
+def invariant_value(spec: CurveSpec, reserves: Sequence[float]) -> float:
+    """Conservation value at the given reserves.
+
+    Constant product-sum reports D; LMSR reports the cost-function value C(q);
+    the exponential curve reports S**kappa / r over (reserve, supply).
+    Price adoption has no conservation function.
+    """
+    return spec.invariant(reserves)
+
+
+def spot_price(
+    spec: CurveSpec,
+    reserves: Sequence[float],
+    token_in: int | None,
+    token_out: int | None,
+    adopted_price: float | None = None,
+) -> float:
+    """Instantaneous units of token_out per unit of token_in."""
+    spec.check_legs(reserves, token_in, token_out)
+    return spec.spot(reserves, token_in, token_out, adopted_price)
+
+
+def quote_exact_in(
+    spec: CurveSpec,
+    reserves: Sequence[float],
+    token_in: int | None,
+    token_out: int | None,
+    dx: float,
+    adopted_price: float | None = None,
+) -> float:
+    """Output amount for an exact input of dx (no fees at this layer)."""
+    if not dx >= 0.0:
+        raise DomainError(f"input amount must be non-negative: {dx}")
+    if dx == 0.0:
+        return 0.0
+    spec.check_legs(reserves, token_in, token_out)
+    return spec.quote_in(reserves, token_in, token_out, dx, adopted_price)
+
+
+def quote_exact_out(
+    spec: CurveSpec,
+    reserves: Sequence[float],
+    token_in: int | None,
+    token_out: int | None,
+    dy: float,
+    adopted_price: float | None = None,
+) -> float:
+    """Input amount required to receive exactly dy (no fees at this layer)."""
+    if not dy >= 0.0:
+        raise DomainError(f"output amount must be non-negative: {dy}")
+    if dy == 0.0:
+        return 0.0
+    spec.check_legs(reserves, token_in, token_out)
+    return spec.quote_out(reserves, token_in, token_out, dy, adopted_price)

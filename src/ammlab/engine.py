@@ -46,11 +46,11 @@ Other conventions chosen here (the pricing layer itself lives in curves.py):
 All operations are pure: they return new PoolState / ledger values and on
 failure raise without having changed anything the caller holds.
 
-Adding a curve: declare its spec class in curves.py with
-`@_curve(spec_name, label, family)` (its dataclass fields are its
-specification keys), teach the curves-layer functions its pricing, and
-export it from the package.  The spec parser, the family table, the
-simulator and the probe pick it up from there.
+Adding a curve: write its spec class in curves.py, a `CurveSpec` subclass
+declared with `@_curve(spec_name, label, family)` whose methods price it and
+whose dataclass fields are its specification keys, and export it from the
+package.  The spec parser, the family table, the simulator and the probe
+pick it up from there.
 """
 
 from __future__ import annotations
@@ -283,9 +283,7 @@ class PricingFamily:
     def check(self, archetype: str, n_tokens: int) -> None:
         if archetype != self.archetype:
             raise DomainError(_ARCHETYPE_CURVES[archetype])
-        weights = getattr(self.curve, "weights", None)
-        if weights is not None and len(weights) != n_tokens:
-            raise DomainError(f"{len(weights)} weights for {n_tokens} tokens")
+        self.curve.check_tokens(n_tokens)
 
     def open(self, deposit: State, creator: AccountId) -> tuple:
         """(reserves, LP share supply, LP shares) of a new pool."""
@@ -407,11 +405,6 @@ class AdoptionFamily(PricingFamily):
 
     __slots__ = ()
     archetype = PRICE_ADOPTING_LP_BASED
-
-    def check(self, archetype: str, n_tokens: int) -> None:
-        super().check(archetype, n_tokens)
-        if n_tokens != 2:
-            raise DomainError("price adoption is a two-token mechanism")
 
     def curve_args(self, state, i, j):
         if self.price is None:

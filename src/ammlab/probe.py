@@ -227,9 +227,7 @@ class _AdoptionProbe(_ConservationProbe):
         )
 
     def basket_cost(self, state, amount: float) -> float:
-        k, t0 = self.family.curve.k, self.family.curve.target_reserves[0]
-        mid = self.family.price * (1.0 + k * (t0 - state[0]) / t0)
-        return amount * (1.0 + mid)
+        return amount * (1.0 + self.family.curve.mid(state[0], self.family.price))
 
     def tenx(self):
         curve = self.family.curve
@@ -242,10 +240,10 @@ class _AdoptionProbe(_ConservationProbe):
         )
 
     def walk_down(self, state, fraction: float):
-        k, t0 = self.family.curve.k, self.family.curve.target_reserves[0]
-        if k > 0.0:
+        curve = self.family.curve
+        if curve.k > 0.0:
             # walk toward the reserve level where the bid floors at zero
-            span = t0 * (1.0 + 1.0 / k) - state[0]
+            span = curve.zero_bid_reserve() - state[0]
             if span > 0.0:
                 try:
                     return self.sell(state, fraction * span)

@@ -1,9 +1,9 @@
 """Scenario simulator: reference price series, scripted events, arbitrageur.
 
-A scenario is a small text file: a preamble naming the pool, funding
-accounts, and fixing a seed, followed by one event per step.  Steps are
-strictly increasing; the reference price for a step is the latest series
-entry at or before it (undefined before the first entry).
+A scenario is a small text file: a preamble naming the pool and funding
+accounts, followed by one event per step.  Steps are strictly increasing;
+the reference price for a step is the latest series entry at or before it
+(undefined before the first entry).
 
 The arbitrageur is curve-agnostic.  Optimal arbitrage moves the pool until
 its fee-adjusted marginal price meets the reference (Angeris & Chitra,
@@ -150,7 +150,6 @@ class ScenarioEvent:
 class Scenario:
     pool_source: str
     endowments: tuple[tuple[str, str, float], ...]
-    seed: int
     events: tuple[ScenarioEvent, ...]
 
 
@@ -180,7 +179,6 @@ _ACCOUNT_ARG = {"trade": 0, "deposit": 0, "withdraw": 0, "arb": 0}
 def parse_scenario(text: str) -> Scenario:
     """Parse a scenario script; see the module docstring for the format."""
     pool_source: str | None = None
-    seed = 0
     seed_seen = False
     endowments: list[tuple[str, str, float]] = []
     accounts: set[str] = {CREATOR_ACCOUNT}
@@ -211,11 +209,11 @@ def parse_scenario(text: str) -> Scenario:
             endowments.append((parts[0], parts[1], amount))
             accounts.add(parts[0])
             continue
-        if head == "seed":
+        if head == "seed":  # checked, then ignored: the simulator draws no random numbers
             if seed_seen:
                 raise DomainError(f"scenario line {number}: duplicate seed directive")
             try:
-                seed = int(rest.strip())
+                int(rest.strip())
             except ValueError:
                 raise DomainError(
                     f"scenario line {number}: bad seed {rest.strip()!r}"
@@ -268,7 +266,6 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(
         pool_source=pool_source,
         endowments=tuple(endowments),
-        seed=seed,
         events=tuple(events),
     )
 

@@ -174,6 +174,35 @@ class TestClassify:
         assert out.read_text().startswith("dimension,")
 
 
+class TestOverflowingReserves:
+    """Reserves whose conservation value or product-sum residual overflows a
+    float are rejected with an AmmError message, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "curve, reserves, argv",
+        [
+            ("constant-product-sum\nchi = 10", "1e160, 1e160",
+             ["quote", "--in", "T0", "--out", "T1", "--amount", "1"]),
+            ("constant-product-sum\nchi = 10", "1e-300, 1e300",
+             ["classify", "--seed", "0", "--trials", "128"]),
+            ("constant-product", "1e160, 1e160",
+             ["quote", "--in", "T0", "--out", "T1", "--amount", "1e150"]),
+        ],
+        ids=["product-sum-quote", "product-sum-classify", "product-quote"],
+    )
+    def test_engine_error(self, tmp_path, capsys, curve, reserves, argv):
+        path = tmp_path / "huge.pool"
+        path.write_text(
+            CP_ZERO_FEE.replace("constant-product", curve).replace("100, 100", reserves)
+        )
+        code = main(argv[:1] + ["--pool", str(path)] + argv[1:])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "overflow" in captured.err
+        assert "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

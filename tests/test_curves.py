@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,7 @@ from ammlab.curves import (
     quote_exact_out,
     solve_stableswap_d,
     spot_price,
+    _Conservation,
 )
 
 REL = 1e-9
@@ -227,6 +229,22 @@ class TestQuoteExactIn:
         dy = quote_exact_in(CP, (100.0, 100.0), 0, 1, 10.0)
         assert close(dy, 100.0 - 10000.0 / 110.0)
 
+    def test_constant_product_overflowing_value_rejected(self):
+        # c = 1e320 is past the largest float.  The closed form, written as
+        # r_out * dx / (r_in + dx), still gives 9.999e149 here; a quote
+        # solved from c = inf gave 9.095e147.
+        reserves = (1e160, 1e160)
+        assert close(1e160 * (1e150 / (1e160 + 1e150)), 9.999999999e149)
+        with pytest.raises(DomainError, match="overflows"):
+            invariant_value(CP, reserves)
+        with pytest.raises(DomainError, match="overflows"):
+            quote_exact_in(CP, reserves, 0, 1, 1e150)
+        with pytest.raises(DomainError, match="overflows"):
+            quote_exact_out(CP, reserves, 0, 1, 1e150)
+        # a sum that overflows is rejected the same way
+        with pytest.raises(DomainError, match="overflows"):
+            quote_exact_in(CS, (1e308, 1e308), 0, 1, 1.0)
+
     def test_constant_sum_one_to_one(self):
         assert close(quote_exact_in(CS, (100.0, 100.0), 0, 1, 10.0), 10.0)
 
@@ -350,6 +368,20 @@ class TestStableswapD:
 
     def test_three_token_symmetric(self):
         assert close(solve_stableswap_d((100.0, 100.0, 100.0), 10.0), 300.0)
+
+    @pytest.mark.parametrize("reserves", [(1e160, 1e160), (1e-300, 1e300), (1e308, 1e308)])
+    def test_overflowing_reserves_rejected(self, reserves):
+        # the residual's d**n would raise OverflowError
+        spec = ConstantProductSum(chi=10.0)
+        with pytest.raises(DomainError, match="overflow"):
+            solve_stableswap_d(reserves, 10.0)
+        with pytest.raises(DomainError, match="overflow"):
+            spot_price(spec, reserves, 0, 1)
+        with pytest.raises(DomainError, match="overflow"):
+            quote_exact_in(spec, reserves, 0, 1, 1.0)
+
+    def test_largest_accepted_reserves(self):
+        assert close(solve_stableswap_d((1e150, 1e150), 10.0), 2e150)
 
     def test_matches_bisection_oracle(self):
         rng = random.Random(7)
@@ -553,6 +585,48 @@ class TestLimitEquivalences:
         assert close(dy, 5.0, rel=1e-6)
 
 
+@dataclass(frozen=True, slots=True)
+class ScaledProduct(_Conservation):
+    """A ninth conservation curve, defined here alone: c = scale * prod(r_i).
+    It prices like constant product, whatever the scale."""
+
+    scale: float
+
+    def value(self, reserves):
+        return self.scale * math.prod(reserves)
+
+    def residual(self, original, updated, j, c0):
+        known = self.scale * math.prod(v for i, v in enumerate(updated) if i != j)
+        return (lambda x: known * x - c0), (lambda x: known)
+
+    def spot(self, reserves, token_in, token_out, adopted_price=None):
+        return reserves[token_out] / reserves[token_in]
+
+
+class TestNinthCurve:
+    """A curve needs only its class: the public functions price it."""
+
+    SPEC = ScaledProduct(scale=3.0)
+
+    def test_quotes_and_spot_match_the_closed_form(self):
+        r = (100.0, 250.0)
+        assert close(invariant_value(self.SPEC, r), 3.0 * 25000.0)
+        assert close(spot_price(self.SPEC, r, 0, 1), 2.5)
+        assert close(quote_exact_in(self.SPEC, r, 0, 1, 10.0), cp_out(100.0, 250.0, 10.0))
+        # exact out: dx = r_in * dy / (r_out - dy)
+        assert close(quote_exact_out(self.SPEC, r, 0, 1, 50.0), 100.0 * 50.0 / 200.0)
+        assert close(quote_exact_out(self.SPEC, r, 1, 0, 20.0), 250.0 * 20.0 / 80.0)
+
+    def test_shared_checks_apply(self):
+        with pytest.raises(DepletionError):
+            quote_exact_out(self.SPEC, (100.0, 250.0), 0, 1, 250.0)
+        with pytest.raises(DomainError):
+            quote_exact_in(self.SPEC, (0.0, 250.0), 0, 1, 1.0)
+        with pytest.raises(DomainError):
+            spot_price(self.SPEC, (100.0, 250.0), None, 1)
+        assert ScaledProduct not in CURVES
+
+
 class TestLmsrPriceLaws:
     @given(
         q0=st.floats(min_value=0.0, max_value=400.0),
@@ -610,6 +684,16 @@ class TestCurveSpecDomains:
     def test_weights_must_be_positive(self):
         with pytest.raises(DomainError):
             GeometricMean(weights=(1.2, -0.2))
+
+    def test_one_weight_per_reserve(self):
+        spec = GeometricMean(weights=(0.5, 0.5))
+        for call in (
+            lambda r: invariant_value(spec, r),
+            lambda r: spot_price(spec, r, 0, 1),
+            lambda r: quote_exact_in(spec, r, 0, 1, 1.0),
+        ):
+            with pytest.raises(DomainError, match="2 weights for 3 reserves"):
+                call((100.0, 100.0, 100.0))
 
     def test_chi_nonnegative(self):
         with pytest.raises(DomainError):

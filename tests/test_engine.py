@@ -155,6 +155,19 @@ class TestCreatePool:
         with pytest.raises(DomainError):
             create_pool(config, (0.0, 100.0), "creator", ledgers)
 
+    @pytest.mark.parametrize("archetype, curve, message", [
+        (PRICE_DISCOVERING_LP_BASED, GeometricMean(weights=(0.5, 0.5)),
+         "2 weights for 3 tokens"),
+        (PRICE_ADOPTING_LP_BASED, PriceAdoption(k=0.5, target_reserves=(1.0, 1.0)),
+         "price adoption is a two-token mechanism"),
+    ])
+    def test_curve_rejects_its_token_count(self, archetype, curve, message):
+        tokens = ("T0", "T1", "T2")
+        config = PoolConfig(archetype=archetype, tokens=tokens, curve=curve, fee_rate=0.0)
+        ledgers = funded_ledgers(tokens, "creator", 1e6)
+        with pytest.raises(DomainError, match=message):
+            create_pool(config, (100.0, 100.0, 100.0), "creator", ledgers)
+
     def test_archetype_curve_mismatch_rejected(self):
         bad = [
             (PRICE_DISCOVERING_LP_BASED, Exponential(kappa=2.0, c=1.0)),

@@ -15,7 +15,9 @@ The inputs are built here from fixed seeds:
 * `simulate` on 200-step arbitrage walks (uniswap-v2; dodo with an oracle
   that trails the reference by one step; curve-v1 held near par; bancor);
 * `simulate` on scripted trades, deposits and withdrawals (uniswap-v2), an
-  augur buy/sell/resolve script, and a bancor script with trades only.
+  augur buy/sell/resolve script, and a bancor script with trades only;
+* each `demos/*.py` script, run as `__main__`: the demos are the only
+  callers of the public curve functions that no other test runs.
 """
 
 from __future__ import annotations
@@ -23,10 +25,14 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 
 from ammlab.cli import main
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 BUILTINS = (
     "uniswap-v2-like",
@@ -244,6 +250,14 @@ ARB = {
     'uniswap-v2-like': '347da0aaa4f004ebb2b4d9c3736f183505992ebf6e8d1f649c31e865853b50e6',
 }
 
+DEMO = {
+    "demo_bonding.py": "ba6ad633de6aab178c1ef5ae12c7047eb48d6cd0f2fdaf181835abf2c2227f6d",
+    "demo_curves.py": "8aa29c79723bcac9c8a3240c0314ed26faaf8506c62bb36846862687c9b5aabc",
+    "demo_divergence.py": "bcdab02ad70223fb538fb32c5f2273387bcf123576d6743a54ec22fd7ca3ec74",
+    "demo_prediction.py": "8ce778227975be8e1f351ca18a5d6fa8def403bded80d6d6d9a8269d59b7006b",
+    "demo_probe.py": "99515496d532502425f53d12ae239a9d60f96617dfad2104eea2dcedfe7fe3a9",
+}
+
 SCRIPT = {
     'augur-like': '54af9202c486d206c338877722b7497408c1f0ae06c4a5c925f5fafab1fe27cd',
     'bancor-like': '4926dc646ae1f2d60de9aeae90b37cc2f061606c27f2355573e5bbd68e3ddcc4',
@@ -315,3 +329,15 @@ def test_arbitrage_walk(pool, tmp_path, capsys):
 def test_scripted_scenario(pool, tmp_path, capsys):
     out = _simulate(tmp_path, capsys, pool, *SCRIPT_CASES[pool])
     assert _digest(out) == SCRIPT[pool]
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO))
+def test_demo(demo, capsys):
+    runpy.run_path(str(DEMOS / demo), run_name="__main__")
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _digest(captured.out) == DEMO[demo]
+
+
+def test_every_demo_is_pinned():
+    assert sorted(path.name for path in DEMOS.glob("*.py")) == sorted(DEMO)

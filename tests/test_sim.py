@@ -135,7 +135,6 @@ class TestParseScenario:
     def test_full_scenario_parses(self):
         scenario = parse_scenario(SCENARIO_TEXT)
         assert scenario.pool_source == "uniswap-v2-like"
-        assert scenario.seed == 42
         assert ("alice", "TOKEN0", 1000.0) in scenario.endowments
         assert ("bob", "TOKEN1", 5000.0) in scenario.endowments
         assert [e.verb for e in scenario.events] == [
@@ -146,9 +145,12 @@ class TestParseScenario:
         ]
         assert [e.step for e in scenario.events] == [1, 2, 3, 4]
 
-    def test_seed_defaults_to_zero(self):
-        scenario = parse_scenario("pool uniswap-v2-like\n1 arb creator\n")
-        assert scenario.seed == 0
+    def test_seed_directive_is_checked_then_ignored(self):
+        bare = "pool uniswap-v2-like\n1 arb creator\n"
+        assert parse_scenario(bare + "seed 42\n") == parse_scenario(bare)
+        for bad in ("seed 1\nseed 1\n", "seed 1.5\n", "seed\n"):
+            with pytest.raises(DomainError, match="seed"):
+                parse_scenario(bare + bad)
 
     def test_missing_pool_rejected(self):
         with pytest.raises(DomainError, match="pool"):
@@ -788,7 +790,7 @@ class TestRunScenario:
         ((("b", "WRONG", 1.0), ("a", "TOKEN1", math.inf)), "unknown token 'WRONG'"),
     ], ids=["inf", "unknown", "inf-then-unknown", "unknown-then-inf"])
     def test_bad_endowments_fail_in_script_order(self, endowments, message):
-        scenario = Scenario("uniswap-v2-like", endowments, 0, ())
+        scenario = Scenario("uniswap-v2-like", endowments, ())
         with pytest.raises(DomainError, match=message):
             run_scenario(scenario)
 
