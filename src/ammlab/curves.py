@@ -192,8 +192,17 @@ def _check_pair(reserves: Sequence[float], i: int, j: int) -> None:
 class CurveSpec:
     """A curve specification and its pricing rule: `invariant(reserves)`,
     `spot(reserves, i, j, adopted_price)` and `quote_in` / `quote_out(reserves,
-    i, j, amount, adopted_price)`, which take legs that passed `check_legs`
-    and a positive amount."""
+    i, j, amount, adopted_price, level)`, which take legs that passed
+    `check_legs` and a positive amount.
+
+    `level`, when given, is the conservation value of `reserves`, which a
+    conservation curve then reads instead of computing (constant
+    product-sum: one D solve per state, not per call); `spot_at` is `spot`
+    at a known level, and the other curves ignore it.  A level holds only
+    for reserves on it: the state it was computed at, states that fee-free
+    trades reach from there, and a trade's reserves without the fee they
+    keep.  A fee kept in the reserves moves them off it.
+    """
 
     __slots__ = ()
 
@@ -205,6 +214,11 @@ class CurveSpec:
 
     def check_tokens(self, n_tokens: int) -> None:
         """Reject a pool of n_tokens tokens that this curve cannot price."""
+
+    def spot_at(self, reserves, token_in, token_out, level, adopted_price=None):
+        """`spot` at reserves whose conservation value is `level`; only a
+        curve whose spot reads that value overrides it."""
+        return self.spot(reserves, token_in, token_out, adopted_price)
 
 
 class _Conservation(CurveSpec):
@@ -234,13 +248,24 @@ class _Conservation(CurveSpec):
             )
         return c
 
-    def quote_in(self, reserves, i, j, dx, adopted_price=None):
-        c0 = self.invariant(reserves)
+    def quote_in(self, reserves, i, j, dx, adopted_price=None, level=None):
+        if level is None:
+            c0 = self.invariant(reserves)
+        else:
+            self.require_reserves(reserves)
+            c0 = level
         updated = list(reserves)
         updated[i] = reserves[i] + dx
-        f, fp = self.residual(reserves, updated, j, c0)
+        try:
+            f, fp = self.residual(reserves, updated, j, c0)
+            f0 = f(0.0)
+        except OverflowError:  # math.fsum of the known reserves
+            f0 = math.nan
+        if f0 != f0:  # nan: a known term overflowed
+            raise DomainError(
+                f"input {dx} overflows the conservation value at reserves {tuple(reserves)}"
+            )
         r_j = reserves[j]
-        f0 = f(0.0)
         if f0 > 0.0:
             raise DepletionError(
                 f"input {dx} would drain more than the {r_j} units in reserve"
@@ -255,12 +280,12 @@ class _Conservation(CurveSpec):
             raise DepletionError(f"input {dx} would deplete reserve {j}")
         return out
 
-    def quote_out(self, reserves, i, j, dy, adopted_price=None):
+    def quote_out(self, reserves, i, j, dy, adopted_price=None, level=None):
         self.require_reserves(reserves)
         r_j = reserves[j]
         if dy > r_j or (dy == r_j and not self.drainable):
             raise DepletionError(f"requested {dy} exceeds the {r_j} units available")
-        c0 = self.invariant(reserves)
+        c0 = self.invariant(reserves) if level is None else level
         updated = list(reserves)
         updated[j] = r_j - dy
         f, fp = self.residual(reserves, updated, i, c0)
@@ -370,7 +395,12 @@ class ConstantProductSum(_Conservation):
         )
 
     def spot(self, reserves, token_in, token_out, adopted_price=None):
-        a = self.chi * self.invariant(reserves) ** (len(reserves) - 1)
+        return self.spot_at(reserves, token_in, token_out, self.invariant(reserves))
+
+    def spot_at(self, reserves, token_in, token_out, level, adopted_price=None):
+        # closed form at a known D: the ratio of the invariant's partials
+        _require_positive(reserves)
+        a = self.chi * level ** (len(reserves) - 1)
         p = math.prod(reserves)
         return (a + p / reserves[token_in]) / (a + p / reserves[token_out])
 
@@ -476,7 +506,7 @@ class Lmsr(CurveSpec):
         # selling outcome j yields `price` collateral per share; buying inverts it
         return 1.0 / price if buying else price
 
-    def quote_in(self, q, token_in, token_out, dx, adopted_price=None):
+    def quote_in(self, q, token_in, token_out, dx, adopted_price=None, level=None):
         j, buying = _lmsr_outcome_leg(q, token_in, token_out)
         b = self.b
         if not buying:
@@ -501,7 +531,7 @@ class Lmsr(CurveSpec):
 
         return _solve_increasing(f, fp, 0.0, hi)
 
-    def quote_out(self, q, token_in, token_out, dy, adopted_price=None):
+    def quote_out(self, q, token_in, token_out, dy, adopted_price=None, level=None):
         j, buying = _lmsr_outcome_leg(q, token_in, token_out)
         b = self.b
         if buying:
@@ -625,7 +655,7 @@ class PriceAdoption(CurveSpec):
             return 1.0 / self._ask(reserves[0], p)
         return self._bid(reserves[0], p)
 
-    def quote_in(self, reserves, token_in, token_out, dx, adopted_price=None):
+    def quote_in(self, reserves, token_in, token_out, dx, adopted_price=None, level=None):
         p = _require_adopted_price(adopted_price)
         if token_in not in (0, 1) or token_out not in (0, 1) or token_in == token_out:
             raise DomainError("price adoption trades token 0 against token 1")
@@ -654,7 +684,7 @@ class PriceAdoption(CurveSpec):
 
         return _solve_increasing(f, fp, 0.0, r0)
 
-    def quote_out(self, reserves, token_in, token_out, dy, adopted_price=None):
+    def quote_out(self, reserves, token_in, token_out, dy, adopted_price=None, level=None):
         p = _require_adopted_price(adopted_price)
         r0, r1 = reserves[0], reserves[1]
 
@@ -714,7 +744,13 @@ def bonding_trade(kappa: float, c: float, supply: float, d_supply: float) -> flo
     s_new = supply + d_supply
     if s_new < 0.0:
         raise DomainError(f"cannot burn below zero supply: {supply} + {d_supply}")
-    return abs(s_new**kappa - supply**kappa) / c
+    try:
+        delta = abs(s_new**kappa - supply**kappa) / c
+    except OverflowError:
+        delta = math.inf
+    if delta == math.inf:
+        raise DomainError(f"the reserve at supply {max(supply, s_new)} overflows a float")
+    return delta
 
 
 def _split_bonding_state(
@@ -742,34 +778,58 @@ class Exponential(CurveSpec):
         if not (self.c > 0.0 and math.isfinite(self.c)):
             raise DomainError(f"c must be finite and > 0: {self.c}")
 
+    # Each power below raises OverflowError or divides to inf past the float
+    # range; both become a DomainError.
+
+    def supply_at(self, reserve: float) -> float:
+        """The supply S at which the bonded reserve r(S) is `reserve`."""
+        try:
+            supply = (self.c * reserve) ** (1.0 / self.kappa)
+        except OverflowError:
+            supply = math.inf
+        if supply == math.inf:
+            raise DomainError(f"the supply bonding a reserve of {reserve} overflows a float")
+        return supply
+
     def invariant(self, reserves):
         r, supply = _split_bonding_state(reserves, require_reserve=True)
-        return supply**self.kappa / r
+        try:
+            value = supply**self.kappa / r
+        except OverflowError:
+            value = math.inf
+        if value == math.inf:
+            raise DomainError(f"S**kappa / r overflows a float at {tuple(reserves)}")
+        return value
 
     def spot(self, reserves, token_in, token_out, adopted_price=None):
         r, supply = _split_bonding_state(reserves)
         if supply <= 0.0:
             raise DomainError("spot price undefined at zero supply")
-        marginal = self.kappa * supply ** (self.kappa - 1.0) / self.c  # dr/dS
-        return marginal if token_in == 1 else 1.0 / marginal
+        try:
+            marginal = self.kappa * supply ** (self.kappa - 1.0) / self.c  # dr/dS
+        except OverflowError:
+            marginal = math.inf
+        price = marginal if token_in == 1 else 1.0 / marginal if marginal else math.inf
+        if not 0.0 < price < math.inf:
+            raise DomainError(f"spot price leaves the float range at supply {supply}")
+        return price
 
-    def quote_in(self, reserves, token_in, token_out, dx, adopted_price=None):
+    def quote_in(self, reserves, token_in, token_out, dx, adopted_price=None, level=None):
         r, supply = _split_bonding_state(reserves)
         if token_in == 0:  # bond reserve, mint issued tokens
-            return (self.c * (r + dx)) ** (1.0 / self.kappa) - supply
+            return self.supply_at(r + dx) - supply
         payout = bonding_trade(self.kappa, self.c, supply, -dx)
         if payout > r * (1.0 + 1e-9):
             raise DepletionError(f"payout {payout} exceeds bonded reserve {r}")
         return min(payout, r)
 
-    def quote_out(self, reserves, token_in, token_out, dy, adopted_price=None):
+    def quote_out(self, reserves, token_in, token_out, dy, adopted_price=None, level=None):
         r, supply = _split_bonding_state(reserves)
         if token_out == 1:  # exact issued tokens out: direct bonding cost
             return bonding_trade(self.kappa, self.c, supply, dy)
         if dy > r:
             raise DepletionError(f"requested {dy} exceeds bonded reserve {r}")
-        s_new = (self.c * (r - dy)) ** (1.0 / self.kappa)
-        return supply - s_new
+        return supply - self.supply_at(r - dy)
 
 
 # ---------------------------------------------------------------------------
@@ -865,10 +925,14 @@ def spot_price(
     token_in: int | None,
     token_out: int | None,
     adopted_price: float | None = None,
+    level: float | None = None,
 ) -> float:
-    """Instantaneous units of token_out per unit of token_in."""
+    """Instantaneous units of token_out per unit of token_in; `level`, when
+    given, is the conservation value of reserves (see CurveSpec)."""
     spec.check_legs(reserves, token_in, token_out)
-    return spec.spot(reserves, token_in, token_out, adopted_price)
+    if level is None:
+        return spec.spot(reserves, token_in, token_out, adopted_price)
+    return spec.spot_at(reserves, token_in, token_out, level, adopted_price)
 
 
 def quote_exact_in(
@@ -878,14 +942,16 @@ def quote_exact_in(
     token_out: int | None,
     dx: float,
     adopted_price: float | None = None,
+    level: float | None = None,
 ) -> float:
-    """Output amount for an exact input of dx (no fees at this layer)."""
+    """Output amount for an exact input of dx (no fees at this layer);
+    `level` as in `spot_price`."""
     if not dx >= 0.0:
         raise DomainError(f"input amount must be non-negative: {dx}")
     if dx == 0.0:
         return 0.0
     spec.check_legs(reserves, token_in, token_out)
-    return spec.quote_in(reserves, token_in, token_out, dx, adopted_price)
+    return spec.quote_in(reserves, token_in, token_out, dx, adopted_price, level)
 
 
 def quote_exact_out(
@@ -895,11 +961,13 @@ def quote_exact_out(
     token_out: int | None,
     dy: float,
     adopted_price: float | None = None,
+    level: float | None = None,
 ) -> float:
-    """Input amount required to receive exactly dy (no fees at this layer)."""
+    """Input amount required to receive exactly dy (no fees at this layer);
+    `level` as in `spot_price`."""
     if not dy >= 0.0:
         raise DomainError(f"output amount must be non-negative: {dy}")
     if dy == 0.0:
         return 0.0
     spec.check_legs(reserves, token_in, token_out)
-    return spec.quote_out(reserves, token_in, token_out, dy, adopted_price)
+    return spec.quote_out(reserves, token_in, token_out, dy, adopted_price, level)

@@ -63,6 +63,7 @@ from typing import Mapping, Sequence
 
 from .core import (
     AccountId,
+    AmmError,
     DepletionError,
     DomainError,
     FeeParams,
@@ -241,15 +242,24 @@ class PricingFamily:
     the fee out of the payout, everyone else pays it on the input.  The fee
     stays in the reserves unless `fee_in_reserves` is False, and is booked in
     `accumulated_fees` on the side that paid it either way.
+
+    A conservation family can carry the conservation `level` of the state
+    it prices (`on_level`), which its trade step and spots pass to the
+    curve layer.  A bound family prices only states on its level: the state
+    it was bound to, states that fee-free trades reach from it, and the
+    curve state of a trade without the fee the reserves keep.  A fee kept
+    in the reserves moves a state off the level; an unbound family prices
+    it.
     """
 
-    __slots__ = ("curve", "price")
+    __slots__ = ("curve", "price", "level")
 
     archetype = PRICE_DISCOVERING_LP_BASED
     risky = 0  # canonical risky leg; the numeraire is leg 1 - risky
     marked = 0  # the leg a portfolio mark values at the reference price
     issued_from: float = math.inf
     fee_in_reserves = True
+    leveled = True  # whether pricing can read a conservation level (on_level)
     lp_error: str | None = None  # why the pool takes no deposits
     arb_error: str | None = None  # why the pool cannot be arbitraged
 
@@ -265,6 +275,22 @@ class PricingFamily:
         family = object.__new__(family_class)
         family.curve = curve
         family.price = price
+        family.level = None
+        return family
+
+    def on_level(self, state: State) -> PricingFamily:
+        """This family bound to the conservation level of `state` (see the
+        class docstring).  A family that cannot read a level returns itself;
+        a level that cannot be computed leaves the family unbound, so that
+        pricing raises what it raised before."""
+        if not self.leveled:
+            return self
+        family = object.__new__(type(self))
+        family.curve, family.price, family.level = self.curve, self.price, None
+        try:
+            family.level = invariant_value(self.curve, state)
+        except AmmError:
+            pass
         return family
 
     # -- state view and creation --------------------------------------------
@@ -310,25 +336,26 @@ class PricingFamily:
         """Trade token i for token j: (amount_in, amount_out, fee_paid, state
         after).  `amount` is the exact input or output, fee included."""
         view, leg_in, leg_out = self.curve_args(state, i, j)
+        curve, price, level = self.curve, self.price, self.level
         keep = 1.0 - fee
         if i >= self.issued_from:  # the fee comes out of the payout
             if kind == EXACT_IN:
                 amount_in = amount
-                gross = quote_exact_in(self.curve, view, leg_in, leg_out, amount, self.price)
+                gross = quote_exact_in(curve, view, leg_in, leg_out, amount, price, level)
                 amount_out = gross * keep
             else:
                 amount_out = amount
                 gross = amount / keep
-                amount_in = quote_exact_out(self.curve, view, leg_in, leg_out, gross, self.price)
+                amount_in = quote_exact_out(curve, view, leg_in, leg_out, gross, price, level)
             fee_paid = gross - amount_out
         elif kind == EXACT_IN:  # the fee comes off the input
             amount_in = amount
             net = amount * keep
-            amount_out = quote_exact_in(self.curve, view, leg_in, leg_out, net, self.price)
+            amount_out = quote_exact_in(curve, view, leg_in, leg_out, net, price, level)
             fee_paid = amount_in - net
         else:
             amount_out = amount
-            net = quote_exact_out(self.curve, view, leg_in, leg_out, amount, self.price)
+            net = quote_exact_out(curve, view, leg_in, leg_out, amount, price, level)
             amount_in = net / keep
             fee_paid = amount_in - net
         after = self.after(state, i, j, amount_in, amount_out, fee_paid)
@@ -374,11 +401,11 @@ class PricingFamily:
     def spot_between(self, state: State, i: int, j: int) -> float:
         """Instantaneous units of token j per unit of token i."""
         view, leg_in, leg_out = self.curve_args(state, i, j)
-        return spot_price(self.curve, view, leg_in, leg_out, self.price)
+        return spot_price(self.curve, view, leg_in, leg_out, self.price, self.level)
 
     def spot(self, state: State) -> float:
         """Spot of the risky leg in the numeraire."""
-        return spot_price(self.curve, state, self.risky, 1 - self.risky, self.price)
+        return spot_price(self.curve, state, self.risky, 1 - self.risky, self.price, self.level)
 
     def spots(self, state: State) -> tuple[float, ...]:
         """Every spot the probe watches; by default the risky leg's."""
@@ -405,6 +432,7 @@ class AdoptionFamily(PricingFamily):
 
     __slots__ = ()
     archetype = PRICE_ADOPTING_LP_BASED
+    leveled = False
 
     def curve_args(self, state, i, j):
         if self.price is None:
@@ -443,6 +471,7 @@ class ScoringFamily(PricingFamily):
     __slots__ = ()
     risky = marked = 1  # outcome 0, the leg the spot prices
     issued_from = 1
+    leveled = False
     lp_error = "LMSR pools are funded by the creation subsidy only"
     arb_error = "arbitrage needs a two-token pool, not a prediction market"
 
@@ -490,6 +519,7 @@ class BondingFamily(PricingFamily):
     archetype = PRICE_DISCOVERING_SUPPLY_SOVEREIGN
     risky = marked = issued_from = 1
     fee_in_reserves = False
+    leveled = False
     lp_error = "supply-sovereign pools have no LP shares"
 
     def view(self, pool):
@@ -516,7 +546,7 @@ class BondingFamily(PricingFamily):
 
     def primed(self, bonded: float) -> State:
         """The (reserve, supply) state whose bonded reserve is `bonded`."""
-        return (bonded, (self.curve.c * bonded) ** (1.0 / self.curve.kappa))
+        return (bonded, self.curve.supply_at(bonded))
 
     def materialize(self, config, creator):
         if any(r != 0.0 for r in config.reserves[1:]):
@@ -650,7 +680,8 @@ def quote(pool: PoolState, order: TradeOrder) -> Quote:
     family = PricingFamily.of(pool.curve, pool.oracle_price)
     state = family.view(pool)
     fee = pool.fee.trade_fee
-    amount_in, amount_out, fee_paid, after = family.trade(
+    on_state = family.on_level(state)  # the trade and spot_before share one level
+    amount_in, amount_out, fee_paid, after = on_state.trade(
         state, i, j, order.kind, order.amount, fee
     )
     if not 0.0 < amount_in < math.inf:
@@ -662,8 +693,8 @@ def quote(pool: PoolState, order: TradeOrder) -> Quote:
         amount_out,
         fee_paid,
         family.surcharge(i, order.kind, amount_in, amount_out, fee),
-        _safe_spot(family, state, i, j),
-        _safe_spot(family, after, i, j),
+        _safe_spot(on_state, state, i, j),
+        _safe_spot(family, after, i, j),  # the fee kept in `after` moves it off the level
         amount_out / amount_in,
     )
 

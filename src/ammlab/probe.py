@@ -21,7 +21,12 @@ costs, mean prices).
 All mechanism probes run fee-free: they characterize the pricing rule, not the
 fee plumbing.  The one exception is path deficiency, which runs at the spec's
 own fee rate because the strict form of the property only appears when fees
-are retained.  Every probe is deterministic for a fixed (pool spec, dimension,
+are retained.  Every state a fee-free probe visits lies on the conservation
+level of the opening state, so a conservation probe binds its family to that
+level once (engine.PricingFamily.on_level); the fee-bearing sale in the path
+deficiency probe starts off that level and is priced unbound, and the
+deficiency values themselves are computed afresh, since they measure how the
+level moves.  Every probe is deterministic for a fixed (pool spec, dimension,
 seed, trials) tuple: the generator is seeded from the seed and the dimension's
 position, never from object hashes.
 
@@ -176,9 +181,9 @@ class _Probe:
         risky = self.family.risky
         return self.family.trade(state, 1 - risky, risky, EXACT_OUT, qty, fee)[3]
 
-    def sell(self, state, qty: float, fee: float = 0.0):
+    def sell(self, state, qty: float):
         risky = self.family.risky
-        return self.family.trade(state, risky, 1 - risky, EXACT_IN, qty, fee)[3]
+        return self.family.trade(state, risky, 1 - risky, EXACT_IN, qty, 0.0)[3]
 
     def can_sell(self, state, qty: float) -> bool:
         return True
@@ -194,10 +199,11 @@ class _Probe:
 
 
 class _ConservationProbe(_Probe):
-    """Displaces token 0 against token 1 on a conservation curve."""
+    """Displaces token 0 against token 1 on a conservation curve, its family
+    bound to the level of the opening state."""
 
     def __init__(self, family: PricingFamily, reserves: tuple[float, ...]):
-        super().__init__(family, reserves, min(reserves))
+        super().__init__(family.on_level(reserves), reserves, min(reserves))
 
     def basket_cost(self, state, amount: float) -> float:
         total = 1.0  # one unit of the numeraire token 1
@@ -382,14 +388,19 @@ def _probe_sensitivity(probe, rng, trials):
 
 
 def _probe_deficiency(probe, rng, trials, fee):
-    deficiency = probe.family.deficiency
-    ref = probe.family.deficiency_ref(probe.state0)
+    family = probe.family
+    deficiency = family.deficiency
+    ref = family.deficiency_ref(probe.state0)
+    # the fee a buy keeps in the reserves moves `bought` off the level the
+    # probe's family is bound to, so the sale back is priced unbound
+    off_level = PricingFamily.of(family.curve, family.price)
+    risky = family.risky
     floor = math.inf
     for _ in range(trials):
         state = _prime(probe, rng)
         qty = _draw(rng, _WALK_LO, _WALK_HI, probe.scale)
         bought = probe.buy(state, qty, fee)
-        sold = probe.sell(bought, qty, fee)
+        sold = off_level.trade(bought, risky, 1 - risky, EXACT_IN, qty, fee)[3]
         w0 = deficiency(state)
         w1 = deficiency(bought)
         w2 = deficiency(sold)

@@ -400,6 +400,9 @@ def arbitrage_step(
     risky = family.risky
     numeraire = 1 - risky
     state = family.view(pool)
+    # every trade step prices `state`, and every residual's spot a curve
+    # state on its level: one level serves them all
+    family = family.on_level(state)
     fee = pool.fee.trade_fee
     keep = 1.0 - fee
     held = state[risky]
@@ -518,8 +521,9 @@ def _observe(
     spot = invariant = None
     if not closed:
         state = family.view(pool)
+        family = family.on_level(state)  # the spot reads the invariant's level
         spot = _observed(family.spot, state)
-        invariant = _observed(family.invariant, state)
+        invariant = _observed(family.invariant, state) if family.level is None else family.level
     tracking = None
     if spot is not None and reference is not None:
         tracking = abs(spot - reference) / reference

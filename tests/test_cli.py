@@ -203,6 +203,41 @@ class TestOverflowingReserves:
         assert "Traceback" not in captured.err
 
 
+    def test_exponential_overflow(self, tmp_path, capsys):
+        # minting for 1e10 at kappa = 0.01 needs a supply of (1e10)**100
+        path = tmp_path / "steep.pool"
+        path.write_text(
+            "archetype = price-discovering-supply-sovereign\ncurve = exponential\n"
+            "tokens = RESERVE, ISSUED\nreserves = 100, 0\nkappa = 0.01\nc = 1\n"
+        )
+        code = main(["quote", "--pool", str(path), "--in", "RESERVE", "--out", "ISSUED",
+                     "--amount", "1e10", "--kind", "exact-in"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "overflows a float" in captured.err
+        assert "Traceback" not in captured.err
+
+
+class TestUnresolvableSpread:
+    def test_classify_refuses_reserves_600_decades_apart(self, tmp_path, capsys):
+        """Decided: `classify` on reserves 1e-300, 1e300 exits 2.  The probe
+        sizes its trades from the smallest reserve: its first buy takes
+        about 1e-303 of token 0 for about 1e297 of token 1.  The exact-out
+        bracket starts at the 1e300 reserve plus the amount bought, which
+        rounds to the reserve itself, so it cannot grow; widening it only
+        moves the failure to the root solve.  Deviations measured on a
+        1e-300 scale would read float rounding of the 1e300 reserve as a
+        property of the design, so no verdict beats a wrong one."""
+        path = tmp_path / "spread.pool"
+        path.write_text(CP_ZERO_FEE.replace("100, 100", "1e-300, 1e300"))
+        code = main(["classify", "--pool", str(path), "--seed", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: could not bracket the required input\n"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

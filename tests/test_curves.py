@@ -229,6 +229,24 @@ class TestQuoteExactIn:
         dy = quote_exact_in(CP, (100.0, 100.0), 0, 1, 10.0)
         assert close(dy, 100.0 - 10000.0 / 110.0)
 
+    @pytest.mark.parametrize(
+        "spec, reserves, dx",
+        [
+            (CS, (1.0, 1.0, 1e308), 1e308),
+            (ConstantPowerSum(t=0.0), (1.0, 1.0, 1e308), 1e308),
+            (ConstantProductSum(chi=1.0), (1e100, 1e100, 1e100), 1e300),
+            (CP, (1e200, 1e-200, 1e200), 1e200),
+        ],
+        ids=["sum", "power-sum", "product-sum", "product"],
+    )
+    def test_overflowing_residual_rejected(self, spec, reserves, dx):
+        # the conservation value is finite, but the known reserves of the
+        # post-trade state overflow: math.fsum raised OverflowError, and an
+        # infinite product gave a wrong quote (7.5e-201 for the product case,
+        # whose closed form is 5e-201)
+        with pytest.raises(DomainError, match="overflows the conservation value"):
+            quote_exact_in(spec, reserves, 0, 1, dx)
+
     def test_constant_product_overflowing_value_rejected(self):
         # c = 1e320 is past the largest float.  The closed form, written as
         # r_out * dx / (r_in + dx), still gives 9.999e149 here; a quote
@@ -471,6 +489,33 @@ class TestBondingTrade:
         with pytest.raises(DomainError):
             bonding_trade(2.0, 1.0, 10.0, -11.0)
 
+    def test_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="overflows"):
+            bonding_trade(2.0, 1.0, 1e200, 1.0)
+        with pytest.raises(DomainError, match="overflows"):
+            bonding_trade(1.0, 1e-300, 1e100, 1e100)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: invariant_value(Exponential(kappa=2.0, c=1.0), (1.0, 1e200)),
+            lambda: invariant_value(Exponential(kappa=1.0, c=1.0), (1e-300, 1e100)),
+            lambda: spot_price(Exponential(kappa=3.0, c=1.0), (1.0, 1e200), 0, 1),
+            lambda: spot_price(Exponential(kappa=3.0, c=1.0), (1.0, 1e-200), 0, 1),
+            lambda: quote_exact_in(Exponential(kappa=2.0, c=1.0), (1.0, 1e200), 1, 0, 1.0),
+            lambda: quote_exact_in(Exponential(kappa=0.01, c=1.0), (100.0, 1e200), 0, 1, 1e10),
+            lambda: quote_exact_out(Exponential(kappa=2.0, c=1.0), (1.0, 1e200), 0, 1, 1.0),
+            lambda: quote_exact_out(Exponential(kappa=0.01, c=1.0), (1e10, 1e200), 1, 0, 1.0),
+        ],
+        ids=["invariant", "invariant-quotient", "spot", "spot-underflow", "sell",
+             "buy", "mint", "burn"],
+    )
+    def test_exponential_overflow_is_a_domain_error(self, call):
+        # each of these raised OverflowError (or ZeroDivisionError, for the
+        # marginal that underflows to zero) instead of an AmmError
+        with pytest.raises(DomainError, match="overflows|leaves the float range"):
+            call()
+
     @given(
         s=st.floats(min_value=0.0, max_value=1e3),
         d=st.floats(min_value=0.0, max_value=1e3),
@@ -625,6 +670,83 @@ class TestNinthCurve:
         with pytest.raises(DomainError):
             spot_price(self.SPEC, (100.0, 250.0), None, 1)
         assert ScaledProduct not in CURVES
+
+
+class TestKnownLevel:
+    """Pricing at a known conservation level agrees with pricing that solves
+    for it, on every state that fee-free trades reach from the state the
+    level was computed at."""
+
+    @given(
+        n=st.sampled_from([2, 3]),
+        chi=st.sampled_from([0.0, 0.01, 0.5, 2.0, 10.0, 1000.0]),
+        reserves=st.lists(st.floats(min_value=1.0, max_value=1e4), min_size=3, max_size=3),
+        trades=st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.integers(0, 1),
+                st.booleans(),
+                st.floats(min_value=1e-4, max_value=0.5),
+            ),
+            max_size=8,
+        ),
+    )
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_product_sum_at_its_level(self, n, chi, reserves, trades):
+        spec = ConstantProductSum(chi=chi)
+        state = tuple(reserves[:n])
+        level = invariant_value(spec, state)
+        for first, offset, exact_in, fraction in [(0, 0, True, 0.01), *trades]:
+            i, j = first % n, (first + 1 + offset % (n - 1)) % n
+            spot = spot_price(spec, state, i, j)
+            assert math.isclose(spot_price(spec, state, i, j, level=level), spot, rel_tol=1e-12)
+            # a quote is a difference of reserves (out = r_j - x*), so its
+            # rounding is relative to the reserve it moves, not to itself
+            quote_fn = quote_exact_in if exact_in else quote_exact_out
+            amount = fraction * state[i if exact_in else j]
+            try:
+                want = quote_fn(spec, state, i, j, amount)
+            except DepletionError:  # a near-sum pool runs dry: so must the bound quote
+                with pytest.raises(DepletionError):
+                    quote_fn(spec, state, i, j, amount, level=level)
+                continue
+            got = quote_fn(spec, state, i, j, amount, level=level)
+            if exact_in:
+                paid, received, moved = amount, got, state[j]
+            else:
+                paid, received, moved = got, amount, state[i]
+            assert abs(got - want) <= 1e-12 * max(abs(want), moved)
+            after = list(state)
+            after[i] += paid
+            after[j] -= received
+            state = tuple(after)
+
+    def test_a_level_keeps_the_reserve_checks(self):
+        spec = ConstantProductSum(chi=10.0)
+        with pytest.raises(DomainError, match="strictly positive"):
+            quote_exact_in(spec, (0.0, 100.0), 0, 1, 1.0, level=200.0)
+        with pytest.raises(DomainError, match="strictly positive"):
+            quote_exact_out(spec, (0.0, 100.0), 0, 1, 1.0, level=200.0)
+        with pytest.raises(DomainError, match="strictly positive"):
+            spot_price(spec, (0.0, 100.0), 0, 1, level=200.0)
+
+    @pytest.mark.parametrize("spec", CONSERVATION_CASES, ids=lambda s: type(s).__name__)
+    def test_the_computed_level_changes_nothing(self, spec):
+        r = (120.0, 80.0)
+        level = invariant_value(spec, r)
+        assert quote_exact_in(spec, r, 0, 1, 5.0, level=level) == quote_exact_in(spec, r, 0, 1, 5.0)
+        assert quote_exact_out(spec, r, 0, 1, 5.0, level=level) == quote_exact_out(spec, r, 0, 1, 5.0)
+        assert spot_price(spec, r, 0, 1, level=level) == spot_price(spec, r, 0, 1)
+
+    def test_curves_without_a_level_ignore_it(self):
+        lmsr = Lmsr(b=100.0)
+        assert quote_exact_in(lmsr, (0.0, 0.0), None, 0, 5.0, level=1.0) == quote_exact_in(
+            lmsr, (0.0, 0.0), None, 0, 5.0
+        )
+        assert spot_price(lmsr, (10.0, 0.0), 0, None, level=1.0) == spot_price(
+            lmsr, (10.0, 0.0), 0, None
+        )
+        assert spot_price(ScaledProduct(scale=3.0), (100.0, 250.0), 0, 1, level=1.0) == 2.5
 
 
 class TestLmsrPriceLaws:

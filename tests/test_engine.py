@@ -32,6 +32,7 @@ from ammlab.core import (
     balance_of,
     new_ledger,
 )
+from ammlab import curves
 from ammlab.curves import (
     CURVES,
     ConstantPowerSum,
@@ -228,6 +229,22 @@ class TestQuote:
         assert math.isclose(q.fee_paid, 0.03, rel_tol=REL)
         assert math.isclose(q.amount_in, 10.0, rel_tol=REL)
         assert math.isclose(q.mean_price, q.amount_out / 10.0, rel_tol=REL)
+
+    def test_product_sum_quote_solves_d_twice(self, monkeypatch):
+        """The trade and spot_before share the pre-trade level; spot_after
+        solves for the post-trade one, which the kept fee moves off it."""
+        pool, _ = load_pool("curve-v1-like")
+        solved = []
+        solve = curves.solve_stableswap_d
+
+        def counting(reserves, chi):
+            solved.append(tuple(reserves))
+            return solve(reserves, chi)
+
+        monkeypatch.setattr(curves, "solve_stableswap_d", counting)
+        q = quote(pool, TradeOrder("alice", "STABLE0", "STABLE1", 10.0, "exact-in"))
+        assert solved[0] == pool.reserves and len(solved) == 2
+        assert solved[1] == (110.0, 100.0 - q.amount_out)
 
     def test_zero_fee_matches_curve_layer(self):
         pool, _ = make_cp_pool(fee=0.0)

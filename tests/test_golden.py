@@ -176,8 +176,8 @@ account bob RESERVE 1000
 CLASSIFY = {
     ('uniswap-v2-like', 0): '9cd9271d3c0d378792ac10950d228b87276758662023292f99f114127a0c165e',
     ('uniswap-v2-like', 7): '9c90a737fa9bf85e13bd30bedbb5f15fac8329962a52d80d639b70297e0e1a21',
-    ('curve-v1-like', 0): 'de46f3011f3b1d23ce54af760a224ab71b01768e9380fff35fc8f2718d6746c5',
-    ('curve-v1-like', 7): 'ec5407c25043237bc09b6bbb0b981c793484cf0011dc125781a61b199d377379',
+    ('curve-v1-like', 0): '9b24e31764aded132e02a62266bb6085431274500929e5174d32965ba63c4710',
+    ('curve-v1-like', 7): '7360eac4f645a9a5f0401d09ba11c4fa16cc127354e1e9bd2c1479555fb91bbb',
     ('mstable-2021-like', 0): '774c6665911b3cf8b12473b701d2bccfffd36dc41ebcdfc7963d7f2a010a2cba',
     ('mstable-2021-like', 7): 'c6ebb9a5c4557e0bc6a2f2ba8102284dbbf2c0a659a9760c48792a8c5ad8328d',
     ('dodo-like', 0): 'f506b7503a9ba0a3907b029e6ae34e2013dee3d83907fb4750d70231b9e95945',
@@ -245,7 +245,7 @@ CURVE_TABLE = {
 
 ARB = {
     'bancor-like': 'fdfecae23197d7dac649c4dde6e9d8380f4c6c2edc4b060213c556a66e46910d',
-    'curve-v1-like': '3d0376d58b17f9a8129fd9eb86e5a32e421cb4e8c031e3b8e73c216078882477',
+    'curve-v1-like': '195efa2f7e391f3e3b4adc23adaff3522280fcff0e339da77e054ba1e1996a1b',
     'dodo-like': '0e8a012972d71764356bd31f062db2602978960b97b978df7f2e6bbb32786cef',
     'uniswap-v2-like': '347da0aaa4f004ebb2b4d9c3736f183505992ebf6e8d1f649c31e865853b50e6',
 }
@@ -255,7 +255,7 @@ DEMO = {
     "demo_curves.py": "8aa29c79723bcac9c8a3240c0314ed26faaf8506c62bb36846862687c9b5aabc",
     "demo_divergence.py": "bcdab02ad70223fb538fb32c5f2273387bcf123576d6743a54ec22fd7ca3ec74",
     "demo_prediction.py": "8ce778227975be8e1f351ca18a5d6fa8def403bded80d6d6d9a8269d59b7006b",
-    "demo_probe.py": "99515496d532502425f53d12ae239a9d60f96617dfad2104eea2dcedfe7fe3a9",
+    "demo_probe.py": "86ee5eba0fc422ffacb74bfab30a1a323ce2f53c538e1216f258e715c245535a",
 }
 
 SCRIPT = {

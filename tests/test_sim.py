@@ -21,7 +21,7 @@ from ammlab import (
     load_pool,
     quote,
 )
-from ammlab import engine, sim
+from ammlab import curves, engine, sim
 from ammlab.core import AmmError
 from ammlab.engine import EXACT_IN, EXACT_OUT, PricingFamily, set_oracle_price
 from ammlab.core import ledger_mint, new_ledger
@@ -65,6 +65,19 @@ def cp_pool(tmp_path, text=CP_ZERO_FEE, name="cp.pool"):
 def fund(ledgers, token, account, amount):
     ledgers[token] = ledger_mint(ledgers[token], account, amount)
     return ledgers
+
+
+def count_d_solves(monkeypatch) -> list:
+    """The reserves of every product-sum D solve from here on."""
+    solved = []
+    solve = curves.solve_stableswap_d
+
+    def counting(reserves, chi):
+        solved.append(tuple(reserves))
+        return solve(reserves, chi)
+
+    monkeypatch.setattr(curves, "solve_stableswap_d", counting)
+    return solved
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +236,22 @@ class TestArbitrage:
         pool2, ledgers2, receipt = arbitrage_step(pool, 1.0, "arb", ledgers)
         assert receipt is None
         assert pool2.reserves == pool.reserves
+
+    def test_product_sum_step_solves_d_once_per_state(self, monkeypatch):
+        """The search prices every candidate at the pool state's level: a
+        step that declines solves D once (twice before), and one that trades
+        adds only its swap's quote, at most 4 solves in all (25 before)."""
+        pool, ledgers = load_pool("curve-v1-like")
+        fund(ledgers, "STABLE0", "arb", 1e9)
+        fund(ledgers, "STABLE1", "arb", 1e9)
+        solved = count_d_solves(monkeypatch)
+        _, _, receipt = arbitrage_step(pool, 1.001, "arb", ledgers)
+        assert receipt is None
+        assert solved == [pool.reserves]
+        solved.clear()
+        _, _, receipt = arbitrage_step(pool, 1.05, "arb", ledgers)
+        assert receipt is not None
+        assert len(solved) <= 4
 
     def test_no_trade_inside_the_fee_band(self, tmp_path):
         pool, ledgers = self.make_cp(tmp_path, CP_FEE)
