@@ -21,7 +21,9 @@ plus three non-conservation mechanisms:
 
 All quoting goes through one Newton-with-bisection-bracket scalar solver
 (step tolerance 1e-12 * max(1, |x|), 64 iterations, pure bisection as
-fallback); the closed forms live in the tests as independent oracles.
+fallback); the closed-form quotes live in the tests as independent oracles.
+The one closed form here is the inverse of the spot, `state_at_spot`, which
+sizes an arbitrage trade without a root solve where a curve has one.
 
 Token legs are integer indices into the reserves vector. Two conventions:
 LMSR uses ``None`` for the collateral leg (reserves are outstanding share
@@ -202,6 +204,12 @@ class CurveSpec:
     for reserves on it: the state it was computed at, states that fee-free
     trades reach from there, and a trade's reserves without the fee they
     keep.  A fee kept in the reserves moves them off it.
+
+    `state_at_spot(reserves, i, j, price, level)` inverts the spot: the
+    reserves on the level of `reserves` at which `spot(i -> j)` is `price`,
+    with only legs i and j moved.  It is None where the curve has no closed
+    form for that state (the base class) or the state leaves its domain;
+    callers then solve for it.
     """
 
     __slots__ = ()
@@ -219,6 +227,20 @@ class CurveSpec:
         """`spot` at reserves whose conservation value is `level`; only a
         curve whose spot reads that value overrides it."""
         return self.spot(reserves, token_in, token_out, adopted_price)
+
+    def state_at_spot(self, reserves, token_in, token_out, price, level=None):
+        """The reserves at which the spot is `price` (see the class docstring)."""
+        return None
+
+
+def _moved(reserves, token_in: int, token_out: int, r_in: float, r_out: float):
+    """`reserves` with legs token_in and token_out at r_in and r_out, or None
+    unless both are positive and finite."""
+    if not (0.0 < r_in < math.inf and 0.0 < r_out < math.inf):
+        return None
+    moved = list(reserves)
+    moved[token_in], moved[token_out] = r_in, r_out
+    return tuple(moved)
 
 
 class _Conservation(CurveSpec):
@@ -307,6 +329,11 @@ class ConstantProduct(_Conservation):
     def spot(self, reserves, token_in, token_out, adopted_price=None):
         _require_positive(reserves)
         return reserves[token_out] / reserves[token_in]
+
+    def state_at_spot(self, reserves, token_in, token_out, price, level=None):
+        # r_out / r_in = price on the hyperbola r_in * r_out = k
+        k = reserves[token_in] * reserves[token_out]
+        return _moved(reserves, token_in, token_out, math.sqrt(k / price), math.sqrt(k * price))
 
 
 @_curve("geometric-mean", "Geometric Mean", CONSERVATION)
@@ -403,6 +430,21 @@ class ConstantProductSum(_Conservation):
         a = self.chi * level ** (len(reserves) - 1)
         p = math.prod(reserves)
         return (a + p / reserves[token_in]) / (a + p / reserves[token_out])
+
+    def state_at_spot(self, reserves, token_in, token_out, price, level=None):
+        # With the other reserves fixed at product q, the level set is the
+        # hyperbola (b + x_in) * (b + x_out) = m, b = chi * D^(n-1) / q, on
+        # which spot_at is (b + x_out) / (b + x_in): no D solve at a known D.
+        if level is None:
+            level = self.invariant(reserves)
+        others = math.prod(r for idx, r in enumerate(reserves) if idx not in (token_in, token_out))
+        b = self.chi * level ** (len(reserves) - 1) / others
+        x_in, x_out = reserves[token_in], reserves[token_out]
+        moved_in = math.sqrt((b + x_in) * (b + x_out) / price) - b
+        # x_out follows from the move of x_in along the hyperbola, which keeps
+        # the state on the level to the rounding of the reserves, not of b
+        moved_out = x_out - (b + x_out) * (moved_in - x_in) / (b + moved_in)
+        return _moved(reserves, token_in, token_out, moved_in, moved_out)
 
 
 @_curve("constant-power-sum", "Constant-power-sum", CONSERVATION)
@@ -813,6 +855,19 @@ class Exponential(CurveSpec):
         if not 0.0 < price < math.inf:
             raise DomainError(f"spot price leaves the float range at supply {supply}")
         return price
+
+    def state_at_spot(self, reserves, token_in, token_out, price, level=None):
+        # the marginal kappa * S^(kappa-1) / c takes each value once, unless
+        # kappa is 1 and it is constant; the reserve is r(S) at that supply
+        if self.kappa == 1.0:
+            return None
+        marginal = price if token_in == 1 else 1.0 / price
+        try:
+            supply = (self.c * marginal / self.kappa) ** (1.0 / (self.kappa - 1.0))
+            reserve = supply**self.kappa / self.c
+        except (OverflowError, ZeroDivisionError):
+            return None
+        return _moved(reserves, 0, 1, reserve, supply)
 
     def quote_in(self, reserves, token_in, token_out, dx, adopted_price=None, level=None):
         r, supply = _split_bonding_state(reserves)

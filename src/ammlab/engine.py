@@ -403,6 +403,12 @@ class PricingFamily:
         view, leg_in, leg_out = self.curve_args(state, i, j)
         return spot_price(self.curve, view, leg_in, leg_out, self.price, self.level)
 
+    def state_at_spot(self, state: State, i: int, j: int, price: float) -> State | None:
+        """The curve state on this family's level at which `spot_between(.,
+        i, j)` is `price`, or None where the curve gives no closed form."""
+        view, leg_in, leg_out = self.curve_args(state, i, j)
+        return self.curve.state_at_spot(view, leg_in, leg_out, price, self.level)
+
     def spot(self, state: State) -> float:
         """Spot of the risky leg in the numeraire."""
         return spot_price(self.curve, state, self.risky, 1 - self.risky, self.price, self.level)

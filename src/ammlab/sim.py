@@ -8,8 +8,10 @@ the reference price for a step is the latest series entry at or before it
 The arbitrageur is curve-agnostic.  Optimal arbitrage moves the pool until
 its fee-adjusted marginal price meets the reference (Angeris & Chitra,
 "Improved Price Oracles: Constant Function Market Makers", 2020), so it
-solves once for that size, within its caps and its balance of the token it
-pays, and trades only when the marked profit is strictly positive.  After
+sizes its trade there, within its caps and its balance of the token it
+pays, and trades only when the marked profit is strictly positive.  A curve
+that inverts its spot in closed form gives that size directly; on the
+others one root solve finds it.  After
 an arb step on a two-token pool the spot price therefore sits within the
 no-trade fee band around the reference:
 |spot - reference| / max(spot, reference) <= fee.
@@ -73,9 +75,10 @@ EVENT_VERBS = frozenset({"trade", "deposit", "withdraw", "oracle", "arb", "resol
 
 CREATOR_ACCOUNT = "creator"
 
-# arbitrage sizes, in units of the pool's scale: the bracket starts at
-# _START and grows by _GROWTH until the first-order condition holds, and a
-# limit of the trade step is resolved to _RESOLUTION
+# arbitrage sizes solved for where the curve has no closed form, in units
+# of the pool's scale: the bracket starts at _START and grows by _GROWTH
+# until the first-order condition holds, and a limit of the trade step is
+# resolved to _RESOLUTION
 _START = 1e-6
 _GROWTH = 16.0
 _RESOLUTION = 1e-15
@@ -335,7 +338,8 @@ class ScenarioError(AmmError):
 
 def _solve_size(g, cap: float, scale: float) -> float:
     """Trade size at which the increasing residual g crosses zero; 0 when
-    `cap` is 0 or g(0) >= 0, so that no size earns anything.
+    `cap` is 0 or g(0) >= 0, so that no size earns anything.  The
+    arbitrageur's fallback where the curve gives no closed-form size.
 
     The bracket grows from _START * scale by _GROWTH until g is no longer
     negative, then one root solve finds the crossing.  g is nan where the
@@ -388,6 +392,13 @@ def arbitrage_step(
     the token it pays, and executes it only when the marked profit is
     strictly positive.  Works on any two-token pool; prediction markets
     have no single risky asset and are rejected.
+
+    Once the residual at size 0 shows that a direction earns, the size is
+    read off the curve state at which the marginal meets the reference
+    (`PricingFamily.state_at_spot`), in closed form.  `_solve_size` finds
+    it instead where the curve gives no such state, the state lies on the
+    wrong side of the pool (a residual that is not increasing), or the size
+    cannot be priced.
     """
     if pool.closed:
         raise UnsupportedOperation("pool is closed")
@@ -406,12 +417,13 @@ def arbitrage_step(
     fee = pool.fee.trade_fee
     keep = 1.0 - fee
     held = state[risky]
-    if risky >= family.issued_from:  # minting is unbounded, burning stops at the supply
+    issued = risky >= family.issued_from
+    if issued:  # minting is unbounded, burning stops at the supply
         scale = max(held, 1.0)
         buy_cap, sell_cap = 1e15 * scale, held * (1.0 - 1e-12)
     else:  # buying stops short of the reserve, selling is unbounded
         scale = held
-        buy_cap, sell_cap = held * (1.0 - 1e-9), 1e15 * scale
+        buy_cap, sell_cap = held * (1.0 - 1e-9), 1e15 * max(state)
 
     def holding(leg: int) -> float:
         ledger = ledgers.get(pool.tokens[leg])
@@ -451,15 +463,40 @@ def arbitrage_step(
             return math.nan
         return 1.0 - spot * reference_price * keep if buying else reference_price - spot * keep
 
+    def sized(buying: bool, cap: float):
+        """(size, its priced trade or None) of the trade that meets the
+        first-order condition in this direction; size 0 when none earns."""
+        g0 = residual(buying, 0.0) if cap > 0.0 else 0.0
+        if g0 >= 0.0:
+            return 0.0, None
+        if g0 < 0.0:  # not nan
+            i = numeraire if buying else risky
+            # the marginal at which the residual is zero
+            price = 1.0 / (reference_price * keep) if buying else reference_price / keep
+            target = family.state_at_spot(state, i, 1 - i, price)
+            if target is not None:
+                # the risky amount the trader gets: minted on an issued leg,
+                # paid out of a held one; a sale pays its fee on the input
+                # unless the leg is issued
+                gets = target[risky] - state[risky] if issued else state[risky] - target[risky]
+                size = gets if buying else -gets if issued else -gets / keep
+                if size > 0.0:
+                    size = min(size, cap)
+                    trade = priced(i, EXACT_OUT if buying else EXACT_IN, size)
+                    if trade is not None:
+                        return size, trade
+        return _solve_size(lambda a: g0 if a == 0.0 else residual(buying, a), cap, scale), None
+
     for buying, cap in ((True, buy_cap if budget > 0.0 else 0.0), (False, sell_cap)):
-        size = _solve_size(lambda a: residual(buying, a), cap, scale)
+        size, trade = sized(buying, cap)
         if size > 0.0:
             break
     else:
         return pool, ledgers, None
     i = numeraire if buying else risky
     kind = EXACT_OUT if buying else EXACT_IN
-    trade = priced(i, kind, size)
+    if trade is None:
+        trade = priced(i, kind, size)
     if buying and trade is not None and trade[0] > budget:
         kind, size = EXACT_IN, budget  # the best buy costs more than is held
         trade = priced(i, kind, size)

@@ -749,6 +749,80 @@ class TestKnownLevel:
         assert spot_price(ScaledProduct(scale=3.0), (100.0, 250.0), 0, 1, level=1.0) == 2.5
 
 
+class TestStateAtSpot:
+    """`state_at_spot` inverts the spot: at the state it returns the spot is
+    the asked price, the conservation value is the level it started on, and
+    only the two traded legs moved."""
+
+    @given(
+        curve=st.sampled_from(["product", "product-sum"]),
+        n=st.sampled_from([2, 3]),
+        chi=st.sampled_from([0.0, 0.01, 0.5, 2.0, 10.0, 1000.0]),
+        reserves=st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=3, max_size=3),
+        legs=st.sampled_from([(0, 1), (1, 0), (2, 0), (1, 2)]),
+        log_move=st.floats(min_value=-5.0, max_value=5.0),
+    )
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_conservation_curves(self, curve, n, chi, reserves, legs, log_move):
+        spec = ConstantProduct() if curve == "product" else ConstantProductSum(chi=chi)
+        state = tuple(reserves[:n])
+        i, j = (leg % n for leg in legs)
+        if i == j:
+            j = (i + 1) % n
+        level = invariant_value(spec, state)
+        price = spot_price(spec, state, i, j) * math.exp(log_move)
+        target = spec.state_at_spot(state, i, j, price, level)
+        if target is None:
+            # only where the crossing leaves the positive quadrant: with the
+            # leg the move empties drained to 1e-9 of itself, the spot is
+            # still short of the price
+            assert curve == "product-sum" and chi > 0.0
+            drained, paying = (i, j) if log_move > 0.0 else (j, i)
+            out = state[drained] * (1.0 - 1e-9)
+            edge = list(state)
+            edge[paying] += quote_exact_out(spec, state, paying, drained, out)
+            edge[drained] -= out
+            assert (spot_price(spec, edge, i, j) - price) * log_move <= 0.0
+            return
+        assert all(target[k] == state[k] for k in range(n) if k not in (i, j))
+        assert math.isclose(spot_price(spec, target, i, j), price, rel_tol=1e-9)
+        assert math.isclose(invariant_value(spec, target), level, rel_tol=1e-10)
+
+    @given(
+        kappa=st.one_of(st.floats(0.2, 0.9), st.floats(1.1, 4.0)),
+        c=st.floats(0.1, 10.0),
+        supply=st.floats(1e-2, 1e4),
+        sell=st.booleans(),
+        log_move=st.floats(min_value=-3.0, max_value=3.0),
+    )
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_exponential(self, kappa, c, supply, sell, log_move):
+        spec = Exponential(kappa=kappa, c=c)
+        state = (supply**kappa / c, supply)
+        i, j = (1, 0) if sell else (0, 1)
+        price = spot_price(spec, state, i, j) * math.exp(log_move)
+        target = spec.state_at_spot(state, i, j, price)
+        assert math.isclose(spot_price(spec, target, i, j), price, rel_tol=1e-9)
+        assert math.isclose(invariant_value(spec, target), c, rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec,reserves,legs,price",
+        [
+            (GeometricMean(weights=(0.2, 0.8)), (100.0, 100.0), (0, 1), 2.0),
+            (CS, (100.0, 100.0), (0, 1), 2.0),
+            (ConstantPowerSum(t=0.5), (100.0, 100.0), (0, 1), 2.0),
+            (PriceAdoption(k=0.5, target_reserves=(100.0, 1000.0)), (100.0, 1000.0), (0, 1), 5.0),
+            (Lmsr(b=100.0), (0.0, 0.0), (None, 0), 2.0),
+            (Exponential(kappa=1.0, c=2.0), (5.0, 10.0), (0, 1), 3.0),
+            # chi 10 at (100, 100): the spot stays below about 1.1 however far it moves
+            (ConstantProductSum(chi=10.0), (100.0, 100.0), (0, 1), 2.0),
+        ],
+        ids=["geometric-mean", "sum", "power-sum", "adoption", "lmsr", "kappa-1", "past-the-edge"],
+    )
+    def test_no_closed_form_state(self, spec, reserves, legs, price):
+        assert spec.state_at_spot(reserves, *legs, price) is None
+
+
 class TestLmsrPriceLaws:
     @given(
         q0=st.floats(min_value=0.0, max_value=400.0),

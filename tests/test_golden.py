@@ -244,10 +244,10 @@ CURVE_TABLE = {
 }
 
 ARB = {
-    'bancor-like': 'fdfecae23197d7dac649c4dde6e9d8380f4c6c2edc4b060213c556a66e46910d',
-    'curve-v1-like': '195efa2f7e391f3e3b4adc23adaff3522280fcff0e339da77e054ba1e1996a1b',
+    'bancor-like': '2909a3807f4b77d212434a8d8912babff4a28714927e63cf57a46248e0cb7a09',
+    'curve-v1-like': '295a0014e58e32296466710f367b50ac38cc4d372147fae8db4d361c42e8e335',
     'dodo-like': '0e8a012972d71764356bd31f062db2602978960b97b978df7f2e6bbb32786cef',
-    'uniswap-v2-like': '347da0aaa4f004ebb2b4d9c3736f183505992ebf6e8d1f649c31e865853b50e6',
+    'uniswap-v2-like': '83772cc9cdf280bacd8f95ddd720664585044acef00697ded69588a3257dd363',
 }
 
 DEMO = {

@@ -7,6 +7,7 @@ on (sqrt(k/p), sqrt(k*p)); the price-doubling divergence loss is
 
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,14 @@ from ammlab import (
 )
 from ammlab import curves, engine, sim
 from ammlab.core import AmmError
-from ammlab.engine import EXACT_IN, EXACT_OUT, PricingFamily, set_oracle_price
+from ammlab.engine import (
+    EXACT_IN,
+    EXACT_OUT,
+    PricingFamily,
+    materialize_pool,
+    parse_pool_spec,
+    set_oracle_price,
+)
 from ammlab.core import ledger_mint, new_ledger
 from ammlab.sim import (
     Metrics,
@@ -388,8 +396,6 @@ class TestArbitrage:
             f"reserves = {r0!r}, {r1!r}\n"
             f"fee = {fee!r}\n"
         )
-        from ammlab.engine import materialize_pool, parse_pool_spec
-
         pool, ledgers = materialize_pool(parse_pool_spec(text))
         fund(ledgers, "T0", "arb", 1e18)
         fund(ledgers, "T1", "arb", 1e18)
@@ -479,10 +485,11 @@ def arb_scale(pool):
 def arb_caps(pool):
     """The arbitrageur's (buy, sell) limits on the risky amount it trades."""
     family = PricingFamily.of(pool.curve, pool.oracle_price)
-    held = family.view(pool)[family.risky]
+    state = family.view(pool)
+    held = state[family.risky]
     if family.risky >= family.issued_from:
         return 1e15 * arb_scale(pool), held * (1.0 - 1e-12)
-    return held * (1.0 - 1e-9), 1e15 * arb_scale(pool)
+    return held * (1.0 - 1e-9), 1e15 * max(state)
 
 
 def quote_priced_arbitrage(pool, reference_price, arb_account, ledgers):
@@ -626,6 +633,22 @@ class TestSearchPricing:
             except StopIteration:
                 break
 
+    def test_a_drained_pool_is_sold_back_into_its_band(self):
+        """Two buys at e times par leave curve-v1-like about 1e-16 of its
+        risky reserve.  A sale capped at 1e15 times that reserve (0.1 units)
+        left the pool about 10% outside its band back at par; the cap is
+        1e15 times the largest reserve."""
+        walk = arb_walk("curve-v1-like", [(1.0, 0.0), (0.0, 0.0), (-1.0, 0.0)])
+        pool, ledgers, level = next(walk)
+        while True:
+            pool, ledgers, _ = arbitrage_step(pool, level, "arb", ledgers)
+            try:
+                pool, ledgers, level = walk.send((pool, ledgers))
+            except StopIteration:
+                break
+        buy, sell = fee_band(pool, level)
+        assert buy >= 1.0 - 1e-9 and sell <= 1.0 + 1e-9
+
     def test_the_search_does_not_quote(self, monkeypatch):
         """Only `execute_swap` quotes: once when the step trades, never
         while the search prices candidate sizes."""
@@ -659,6 +682,124 @@ class TestSearchPricing:
             traded.append(receipt is not None)
             assert calls == {"search": 0, "swap": int(traded[-1])}
         assert traded == [True, False, True, False]
+
+
+# ---------------------------------------------------------------------------
+# closed-form arbitrage sizes against the size solve
+# ---------------------------------------------------------------------------
+
+
+def placed_order(pool, reference, ledgers):
+    """The order `arbitrage_step` executes at `reference`, or None."""
+    placed = []
+
+    def recorded(pool, order, ledgers):
+        placed.append(order)
+        return execute_swap(pool, order, ledgers)
+
+    with mock.patch.object(sim, "execute_swap", recorded):
+        arbitrage_step(pool, reference, "arb", ledgers)
+    return placed[0] if placed else None
+
+
+def solved_only():
+    """Every curve without its closed-form state: each size is solved for."""
+    return mock.patch.object(PricingFamily, "state_at_spot", lambda *args: None)
+
+
+class TestClosedFormSize:
+    @pytest.mark.parametrize(
+        "name,reference",
+        [
+            ("uniswap-v2-like", 1.5),
+            ("uniswap-v2-like", 0.6),
+            ("curve-v1-like", 1.05),
+            ("curve-v1-like", 0.95),
+            ("bancor-like", 30.0),
+            ("bancor-like", 15.0),
+        ],
+    )
+    def test_a_trading_step_prices_two_trades(self, monkeypatch, name, reference):
+        """One trade step prices the closed-form size and one is
+        `execute_swap`'s quote; no size is solved for."""
+        steps = []
+        trade = PricingFamily.trade
+
+        def counted(family, *args):
+            steps.append(args)
+            return trade(family, *args)
+
+        def unexpected(g, cap, scale):
+            raise AssertionError("the size was solved for")
+
+        pool, ledgers = load_pool(name)
+        for token in pool.tokens:
+            fund(ledgers, token, "arb", 1e9)
+        monkeypatch.setattr(PricingFamily, "trade", counted)
+        monkeypatch.setattr(sim, "_solve_size", unexpected)
+        _, _, receipt = arbitrage_step(pool, reference, "arb", ledgers)
+        assert receipt is not None
+        assert len(steps) <= 2
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        curve=st.sampled_from(["constant-product", "constant-product-sum", "exponential"]),
+        reserves=st.tuples(st.floats(1e-2, 1e6), st.floats(1e-2, 1e6)),
+        chi=st.sampled_from([0.0, 0.01, 0.5, 2.0, 10.0, 100.0, 1000.0]),
+        kappa=st.one_of(st.floats(0.2, 0.9), st.floats(1.1, 4.0)),
+        c=st.floats(0.1, 10.0),
+        fee=st.sampled_from([0.0, 0.003, 0.01]),
+        move=st.floats(0.03, 3.0),
+        up=st.booleans(),
+    )
+    def test_the_closed_form_size_is_the_solved_size(
+        self, curve, reserves, chi, kappa, c, fee, move, up
+    ):
+        """The size read off `state_at_spot` is the root `_solve_size` finds
+        on the same residual, to the solver's step tolerance 1e-12 * max(1,
+        size) plus 8 ulps of the largest coordinate that moves (the shifted
+        reserve b + x of the product-sum hyperbola, b = chi * D; the supply
+        of a bonding curve, whose spot reads S^(kappa - 1), amplified by
+        1 / |kappa - 1|), over keep for a sale.  Exponential curves with
+        kappa < 1 have no increasing residual: they take the solve's size
+        exactly."""
+        if curve == "exponential":
+            spec = (
+                "archetype = price-discovering-supply-sovereign\n"
+                "curve = exponential\ntokens = T0, T1\n"
+                f"reserves = {reserves[0]!r}, 0\nkappa = {kappa!r}\nc = {c!r}\n"
+            )
+        else:
+            spec = (
+                f"archetype = price-discovering-lp-based\ncurve = {curve}\ntokens = T0, T1\n"
+                f"reserves = {reserves[0]!r}, {reserves[1]!r}\n"
+            )
+            if curve == "constant-product-sum":
+                spec += f"chi = {chi!r}\n"
+        pool, ledgers = materialize_pool(parse_pool_spec(spec + f"fee = {fee!r}\n"))
+        fund(ledgers, "T0", "arb", 1e18)
+        fund(ledgers, "T1", "arb", 1e18)
+        family = PricingFamily.of(pool.curve)
+        state = family.view(pool)
+        reference = family.spot(state) * math.exp(move if up else -move)
+        closed = placed_order(pool, reference, ledgers)
+        with solved_only():
+            solved = placed_order(pool, reference, ledgers)
+        assert (closed is None) == (solved is None)
+        if closed is None:
+            return
+        assert (closed.token_in, closed.kind) == (solved.token_in, solved.kind)
+        if curve == "exponential" and kappa < 1.0:
+            assert closed == solved
+            return
+        moved = max(state[family.risky], abs(state[family.risky] - closed.amount))
+        if curve == "exponential":
+            moved /= abs(kappa - 1.0)
+        elif curve == "constant-product-sum":
+            moved += chi * family.invariant(state)
+        size = solved.amount
+        keep = 1.0 if closed.kind == EXACT_OUT else 1.0 - fee
+        assert abs(closed.amount - size) <= 1e-12 * max(1.0, size) + 8.0 * math.ulp(moved) / keep
 
 
 # ---------------------------------------------------------------------------
