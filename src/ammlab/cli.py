@@ -10,24 +10,19 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
+from operator import attrgetter
 
 from .core import AmmError
-from .engine import EXACT_IN, EXACT_OUT, TradeOrder, load_pool, load_pool_config
+from .engine import EXACT_IN, EXACT_OUT, Quote, TradeOrder, load_pool, load_pool_config
 from .engine import quote as engine_quote
 from .probe import DEFAULT_TRIALS, classify, report_to_csv
 from .sim import load_price_series, load_scenario, metrics_to_csv, run_scenario
 
-QUOTE_FIELDS = (
-    "amount_in",
-    "amount_out",
-    "fee_paid",
-    "surcharge_component",
-    "spot_before",
-    "spot_after",
-    "mean_price",
-)
+QUOTE_FIELDS = tuple(f.name for f in fields(Quote))
 
 CURVE_TABLE_HEADER = "amount_in,amount_out,mean_price,spot_after"
+_CURVE_TABLE_ROW = attrgetter(*CURVE_TABLE_HEADER.split(","))  # Quote fields
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -83,18 +78,7 @@ def _cmd_curve_table(args: argparse.Namespace) -> int:
         t = index / (args.samples - 1) if args.samples > 1 else 0.0
         amount = math.exp(math.log(lo) + t * (math.log(hi) - math.log(lo)))
         order = TradeOrder("cli", pool.tokens[0], pool.tokens[1], amount, EXACT_IN)
-        result = engine_quote(pool, order)
-        lines.append(
-            ",".join(
-                repr(value)
-                for value in (
-                    result.amount_in,
-                    result.amount_out,
-                    result.mean_price,
-                    result.spot_after,
-                )
-            )
-        )
+        lines.append(",".join(map(repr, _CURVE_TABLE_ROW(engine_quote(pool, order)))))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

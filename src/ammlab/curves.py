@@ -644,6 +644,10 @@ class PriceAdoption(CurveSpec):
         if n_tokens != 2:
             raise DomainError("price adoption is a two-token mechanism")
 
+    def check_legs(self, reserves, token_in, token_out):
+        if len(reserves) != 2 or {token_in, token_out} != {0, 1}:
+            raise DomainError("price adoption trades token 0 against token 1")
+
     def mid(self, r0: float, p: float) -> float:
         """Price of token 0 in token 1 at token-0 reserve r0, before the ask
         and bid clamps."""
@@ -699,8 +703,6 @@ class PriceAdoption(CurveSpec):
 
     def quote_in(self, reserves, token_in, token_out, dx, adopted_price=None, level=None):
         p = _require_adopted_price(adopted_price)
-        if token_in not in (0, 1) or token_out not in (0, 1) or token_in == token_out:
-            raise DomainError("price adoption trades token 0 against token 1")
         r0, r1 = reserves[0], reserves[1]
         if token_in == 0:
             # trader sells token 0: reserve walks r0 -> r0 + dx at the bid

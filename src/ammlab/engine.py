@@ -8,11 +8,12 @@ Three archetypes share one pool abstraction:
 
 Each curve belongs to one of four pricing families, and the family table
 below (`PricingFamily` and its subclasses, looked up once from the curve's
-`family`) is the only place that knows the difference.  A family owns the
-state view of a pool, its canonical risky leg, the fee-aware trade step,
-settlement against the ledgers, the archetype check, and the spot,
-invariant and deficiency observations that the simulator and the probe
-read:
+`family`) is the only place in the engine and the simulator that knows the
+difference; the probe keeps one harness per family (`probe._PROBES`) for
+the moves only it makes.  A family owns the state view of a pool, its
+canonical risky leg, the fee-aware trade step, settlement against the
+ledgers, the archetype check, and the spot, invariant and deficiency
+observations that the simulator and the probe read:
 
   family        curves                     state view            fee paid on         fee kept
   conservation  constant product, geometric reserves              the input           in the reserves
@@ -31,8 +32,9 @@ reserves[0] = S**kappa / c exact.
 Other conventions chosen here (the pricing layer itself lives in curves.py):
 
   * The first liquidity provider mints the geometric mean of the deposit;
-    later deposits must be reserve-proportional (1e-9 relative) and mint
-    pro rata. Withdrawals pay a pro-rata slice of every reserve.
+    later deposits must be reserve-proportional (1e-9 relative), an empty
+    reserve taking nothing, and mint pro rata. Withdrawals pay a pro-rata
+    slice of every reserve.
   * LMSR pools hold tokens = (collateral, outcome_0, ..., outcome_{n-1}) and
     reserves = (collateral_held, outstanding_0, ..., outstanding_{n-1}).
     Creation requires a collateral subsidy of at least C(0) = b*ln(n), the
@@ -94,13 +96,16 @@ PRICE_DISCOVERING_LP_BASED = "price-discovering-lp-based"
 PRICE_ADOPTING_LP_BASED = "price-adopting-lp-based"
 PRICE_DISCOVERING_SUPPLY_SOVEREIGN = "price-discovering-supply-sovereign"
 
-ARCHETYPES = frozenset(
-    {
-        PRICE_DISCOVERING_LP_BASED,
-        PRICE_ADOPTING_LP_BASED,
-        PRICE_DISCOVERING_SUPPLY_SOVEREIGN,
-    }
-)
+# what each archetype's pools must be priced by
+_ARCHETYPE_CURVES = {
+    PRICE_DISCOVERING_LP_BASED: (
+        "price-discovering LP pools need a conservation-function or LMSR curve"
+    ),
+    PRICE_ADOPTING_LP_BASED: "price-adopting pools need a price-adoption curve",
+    PRICE_DISCOVERING_SUPPLY_SOVEREIGN: "supply-sovereign pools need an exponential curve",
+}
+
+ARCHETYPES = frozenset(_ARCHETYPE_CURVES)
 
 EXACT_IN = "exact-in"
 EXACT_OUT = "exact-out"
@@ -222,14 +227,6 @@ class TradeReceipt:
 
 State = tuple[float, ...]
 
-_ARCHETYPE_CURVES = {
-    PRICE_DISCOVERING_LP_BASED: (
-        "price-discovering LP pools need a conservation-function or LMSR curve"
-    ),
-    PRICE_ADOPTING_LP_BASED: "price-adopting pools need a price-adoption curve",
-    PRICE_DISCOVERING_SUPPLY_SOVEREIGN: "supply-sovereign pools need an exponential curve",
-}
-
 
 class PricingFamily:
     """How one pricing family prices, settles and observes a pool.
@@ -255,8 +252,9 @@ class PricingFamily:
     __slots__ = ("curve", "price", "level")
 
     archetype = PRICE_DISCOVERING_LP_BASED
-    risky = 0  # canonical risky leg; the numeraire is leg 1 - risky
-    marked = 0  # the leg a portfolio mark values at the reference price
+    # canonical risky leg, the one a portfolio mark values at the reference
+    # price; the numeraire is leg 1 - risky
+    risky = 0
     issued_from: float = math.inf
     fee_in_reserves = True
     leveled = True  # whether pricing can read a conservation level (on_level)
@@ -411,7 +409,7 @@ class PricingFamily:
 
     def spot(self, state: State) -> float:
         """Spot of the risky leg in the numeraire."""
-        return spot_price(self.curve, state, self.risky, 1 - self.risky, self.price, self.level)
+        return self.spot_between(state, self.risky, 1 - self.risky)
 
     def spots(self, state: State) -> tuple[float, ...]:
         """Every spot the probe watches; by default the risky leg's."""
@@ -457,8 +455,7 @@ class AdoptionFamily(PricingFamily):
 
     def spots(self, state):
         """(bid, ask) for token 0, both in token 1."""
-        ask = spot_price(self.curve, state, 1, 0, self.price)
-        return (spot_price(self.curve, state, 0, 1, self.price), 1.0 / ask)
+        return (self.spot_between(state, 0, 1), 1.0 / self.spot_between(state, 1, 0))
 
     def invariant(self, state):
         return None  # price adoption has no conservation function
@@ -475,7 +472,7 @@ class ScoringFamily(PricingFamily):
     pool issues the outcome shares and keeps fees in the collateral."""
 
     __slots__ = ()
-    risky = marked = 1  # outcome 0, the leg the spot prices
+    risky = 1  # outcome 0
     issued_from = 1
     leveled = False
     lp_error = "LMSR pools are funded by the creation subsidy only"
@@ -504,9 +501,6 @@ class ScoringFamily(PricingFamily):
             raise DomainError("LMSR pools start with zero outstanding shares")
         return (subsidy,) + (0.0,) * (n - 1), 0.0, {}
 
-    def spot(self, state):
-        return spot_price(self.curve, state[1:], 0, None)
-
     def invariant(self, state):
         return invariant_value(self.curve, state[1:])
 
@@ -523,7 +517,7 @@ class BondingFamily(PricingFamily):
 
     __slots__ = ()
     archetype = PRICE_DISCOVERING_SUPPLY_SOVEREIGN
-    risky = marked = issued_from = 1
+    risky = issued_from = 1
     fee_in_reserves = False
     leveled = False
     lp_error = "supply-sovereign pools have no LP shares"
@@ -694,7 +688,7 @@ def quote(pool: PoolState, order: TradeOrder) -> Quote:
         raise DomainError(
             f"cannot price {order.kind} {order.amount}: the input would be {amount_in}"
         )
-    return Quote(  # positional: this runs dozens of times per arbitrage step
+    return Quote(  # positional: this runs on every swap
         amount_in,
         amount_out,
         fee_paid,
@@ -756,9 +750,12 @@ def deposit_liquidity(
             raise DomainError("the first deposit must fund every token")
         minted = math.prod(deposit) ** (1.0 / len(deposit))
     else:
-        ratios = [a / r for a, r in zip(deposit, pool.reserves)]
-        ratio = ratios[0]
-        if any(abs(x - ratio) > PROPORTIONAL_TOL * max(ratio, x) for x in ratios):
+        # an empty leg takes nothing, and the others set the ratio
+        ratios = [a / r for a, r in zip(deposit, pool.reserves) if r > 0.0]
+        ratio = ratios[0] if ratios else 0.0
+        if any(a > 0.0 and r == 0.0 for a, r in zip(deposit, pool.reserves)) or any(
+            abs(x - ratio) > PROPORTIONAL_TOL * max(ratio, x) for x in ratios
+        ):
             raise DomainError(
                 f"deposit {deposit} is not proportional to reserves {pool.reserves}"
             )

@@ -39,9 +39,7 @@ call it variant, with the gap reported as Indeterminate.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import math
 import random
 from dataclasses import dataclass
@@ -62,6 +60,8 @@ from .engine import (
     ScoringFamily,
 )
 
+# the taxonomy's dimensions; `_DECIDERS` below gives their row order and how
+# each is decided
 DIM_INFORMATION = "Information Incorporation"
 DIM_SENSITIVITY = "Liquidity Sensitivity"
 DIM_DEFICIENCY = "Path Deficiency"
@@ -75,39 +75,6 @@ DIM_TOKENS = "Number of Tokens per Liquidity Pool"
 DIM_RISK = "Risk Management"
 DIM_LIQUIDITY_SOURCE = "Source of Liquidity"
 
-DIMENSION_ORDER = (
-    DIM_INFORMATION,
-    DIM_SENSITIVITY,
-    DIM_DEFICIENCY,
-    DIM_INDEPENDENCE,
-    DIM_BOUNDING,
-    DIM_DISCOVERY,
-    DIM_PRICE_SOURCE,
-    DIM_TRANSLATION,
-    DIM_VOLUME,
-    DIM_TOKENS,
-    DIM_RISK,
-    DIM_LIQUIDITY_SOURCE,
-)
-
-PROBED_DIMENSIONS = (
-    DIM_INFORMATION,
-    DIM_SENSITIVITY,
-    DIM_DEFICIENCY,
-    DIM_INDEPENDENCE,
-    DIM_BOUNDING,
-    DIM_TRANSLATION,
-    DIM_VOLUME,
-)
-
-STATIC_DIMENSIONS = (
-    DIM_DISCOVERY,
-    DIM_PRICE_SOURCE,
-    DIM_TOKENS,
-    DIM_RISK,
-    DIM_LIQUIDITY_SOURCE,
-)
-
 INDETERMINATE = "Indeterminate"
 
 TOL_INVARIANT = 1e-6
@@ -120,8 +87,6 @@ MIN_TRIALS = 100
 # log-uniform trade-size bands, relative to the pool's characteristic scale
 _SIZE_LO, _SIZE_HI = 1e-4, 1e-1
 _WALK_LO, _WALK_HI = 1e-3, 1e-2
-
-CSV_HEADER = ("dimension", "characteristic", "max_deviation", "trials", "tolerance")
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,6 +103,9 @@ class DimensionVerdict:
     max_deviation: float | None
     trials: int
     tolerance: float | None
+
+
+CSV_HEADER = tuple(f.name for f in dataclasses.fields(DimensionVerdict))
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,10 +160,13 @@ class _Probe:
         return self.state0
 
     def mean_price(self, state, volume: float) -> float:
-        """Mean sale price of `volume` risky units."""
-        risky = self.family.risky
-        _, out, _, _ = self.family.trade(state, risky, 1 - risky, EXACT_IN, volume, 0.0)
-        return out / volume
+        """Mean price of `volume` risky units: bought where the pool issues
+        the leg (a sale needs that much outstanding), sold where it holds
+        the leg."""
+        family, risky = self.family, self.family.risky
+        if risky >= family.issued_from:
+            return family.trade(state, 1 - risky, risky, EXACT_OUT, volume, 0.0)[0] / volume
+        return family.trade(state, risky, 1 - risky, EXACT_IN, volume, 0.0)[1] / volume
 
 
 class _ConservationProbe(_Probe):
@@ -276,10 +247,6 @@ class _ScoringProbe(_Probe):
         n = len(self.state0) - 1
         return lmsr_trade_cost(self.family.curve.b, state[1:], (amount,) * n)
 
-    def mean_price(self, state, volume: float) -> float:
-        """Mean purchase price of `volume` shares."""
-        return self.family.trade(state, 0, 1, EXACT_OUT, volume, 0.0)[0] / volume
-
     def tenx(self):
         scaled = dataclasses.replace(self.family.curve, b=10.0 * self.family.curve.b)
         return _ScoringProbe(
@@ -315,10 +282,6 @@ class _BondingProbe(_Probe):
 
     def basket_cost(self, state, amount: float) -> float:
         return amount * (1.0 + self.family.spot(state))
-
-    def mean_price(self, state, volume: float) -> float:
-        """Mean purchase price of `volume` issued tokens."""
-        return self.family.trade(state, 0, 1, EXACT_OUT, volume, 0.0)[0] / volume
 
     def tenx(self):
         return _BondingProbe(self.family, (10.0 * self.state0[0],))
@@ -364,7 +327,7 @@ def _classify_variant(deviation: float, variant: str, invariant: str) -> str:
     return INDETERMINATE
 
 
-def _probe_information(probe, rng, trials):
+def _probe_information(probe, rng, trials, fee):
     spots = probe.family.spots
     worst = 0.0
     for _ in range(trials):
@@ -374,7 +337,7 @@ def _probe_information(probe, rng, trials):
     return _classify_variant(worst, "Incorporative", "Non-incorporative"), worst
 
 
-def _probe_sensitivity(probe, rng, trials):
+def _probe_sensitivity(probe, rng, trials, fee):
     big = probe.tenx()
     spots, spots_big = probe.family.spots, big.family.spots
     opening, opening_big = spots(probe.state0), spots_big(big.state0)
@@ -414,7 +377,7 @@ def _probe_deficiency(probe, rng, trials, fee):
     return label, floor
 
 
-def _probe_independence(probe, rng, trials):
+def _probe_independence(probe, rng, trials, fee):
     base = probe.path_base()
     worst = 0.0
     for _ in range(trials):
@@ -435,7 +398,7 @@ def _probe_independence(probe, rng, trials):
     return _classify_variant(worst, "Path Dependent", "Path Independent"), worst
 
 
-def _probe_bounding(probe, rng, trials):
+def _probe_bounding(probe, rng, trials, fee):
     spots = probe.family.spots
     start = spots(probe.state0)
     up = down = 0.0
@@ -458,7 +421,7 @@ def _probe_bounding(probe, rng, trials):
     return label, max(up, down)
 
 
-def _probe_translation(probe, rng, trials):
+def _probe_translation(probe, rng, trials, fee):
     amount = 0.01 * probe.scale
     reference = probe.basket_cost(probe.state0, amount)
     worst = 0.0
@@ -472,7 +435,7 @@ def _probe_translation(probe, rng, trials):
     )
 
 
-def _probe_volume(probe, rng, trials):
+def _probe_volume(probe, rng, trials, fee):
     worst = 0.0
     for _ in range(trials):
         state = _prime(probe, rng)
@@ -481,6 +444,46 @@ def _probe_volume(probe, rng, trials):
         large = probe.mean_price(state, 10.0 * volume)
         worst = max(worst, abs(small - large) / abs(small))
     return _classify_variant(worst, "Volume-dependent", "Volume-independent"), worst
+
+
+# ---------------------------------------------------------------------------
+# the taxonomy table
+# ---------------------------------------------------------------------------
+
+# (Token Price Source, Source of Liquidity) per archetype
+_ARCHETYPE_SOURCES = {
+    PRICE_DISCOVERING_LP_BASED: ("Internal", "External"),
+    PRICE_ADOPTING_LP_BASED: ("External", "External"),
+    PRICE_DISCOVERING_SUPPLY_SOVEREIGN: ("Internal", "Internal"),
+}
+
+# How each dimension is decided, in the published taxonomy row order: a probe
+# procedure, called as (probe, rng, trials, the spec's fee rate) and judged
+# against the tolerance beside it, or a reader of the pool spec, beside None.
+# Only the path deficiency probe charges the fee; the others run fee-free.
+_DECIDERS = {
+    DIM_INFORMATION: (_probe_information, TOL_VARIANT),
+    DIM_SENSITIVITY: (_probe_sensitivity, TOL_VARIANT),
+    DIM_DEFICIENCY: (_probe_deficiency, TOL_DEFICIENCY),
+    DIM_INDEPENDENCE: (_probe_independence, TOL_VARIANT),
+    DIM_BOUNDING: (_probe_bounding, TOL_VARIANT),
+    DIM_DISCOVERY: (lambda config: config.curve.label, None),
+    DIM_PRICE_SOURCE: (lambda config: _ARCHETYPE_SOURCES[config.archetype][0], None),
+    DIM_TRANSLATION: (_probe_translation, TOL_VARIANT),
+    DIM_VOLUME: (_probe_volume, TOL_VARIANT),
+    DIM_TOKENS: (lambda config: "Two" if len(config.tokens) == 2 else "Three or More", None),
+    DIM_RISK: (
+        lambda config: "Imbalance Surcharges"
+        if PricingFamily.of(config.curve).surcharged()
+        else "No Risk Management",
+        None,
+    ),
+    DIM_LIQUIDITY_SOURCE: (lambda config: _ARCHETYPE_SOURCES[config.archetype][1], None),
+}
+
+DIMENSION_ORDER = tuple(_DECIDERS)
+PROBED_DIMENSIONS = tuple(d for d, (_, tol) in _DECIDERS.items() if tol is not None)
+STATIC_DIMENSIONS = tuple(d for d, (_, tol) in _DECIDERS.items() if tol is None)
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +498,10 @@ def run_dimension_probe(
     trials: int = DEFAULT_TRIALS,
 ) -> DimensionVerdict:
     """Measure one probeable dimension of a pool spec."""
-    if dimension not in DIMENSION_ORDER:
+    if dimension not in _DECIDERS:
         raise DomainError(f"unknown taxonomy dimension: {dimension!r}")
-    if dimension not in PROBED_DIMENSIONS:
+    procedure, tolerance = _DECIDERS[dimension]
+    if tolerance is None:
         raise DomainError(
             f"dimension {dimension!r} is read off the pool spec, not probed"
         )
@@ -510,47 +514,8 @@ def run_dimension_probe(
     family.check(config.archetype, len(config.tokens))
     probe = _PROBES[type(family)](family, config.reserves)
     rng = random.Random(seed * 7919 + DIMENSION_ORDER.index(dimension))
-    tolerance = TOL_VARIANT
-    if dimension == DIM_INFORMATION:
-        label, deviation = _probe_information(probe, rng, trials)
-    elif dimension == DIM_SENSITIVITY:
-        label, deviation = _probe_sensitivity(probe, rng, trials)
-    elif dimension == DIM_DEFICIENCY:
-        label, deviation = _probe_deficiency(probe, rng, trials, config.fee_rate)
-        tolerance = TOL_DEFICIENCY
-    elif dimension == DIM_INDEPENDENCE:
-        label, deviation = _probe_independence(probe, rng, trials)
-    elif dimension == DIM_BOUNDING:
-        label, deviation = _probe_bounding(probe, rng, trials)
-    elif dimension == DIM_TRANSLATION:
-        label, deviation = _probe_translation(probe, rng, trials)
-    else:
-        label, deviation = _probe_volume(probe, rng, trials)
+    label, deviation = procedure(probe, rng, trials, config.fee_rate)
     return DimensionVerdict(dimension, label, deviation, trials, tolerance)
-
-
-# (Token Price Source, Source of Liquidity) per archetype
-_ARCHETYPE_SOURCES = {
-    PRICE_DISCOVERING_LP_BASED: ("Internal", "External"),
-    PRICE_ADOPTING_LP_BASED: ("External", "External"),
-    PRICE_DISCOVERING_SUPPLY_SOVEREIGN: ("Internal", "Internal"),
-}
-
-
-def _static_characteristic(config: PoolConfig, dimension: str) -> str:
-    if dimension == DIM_DISCOVERY:
-        return config.curve.label
-    if dimension == DIM_PRICE_SOURCE:
-        return _ARCHETYPE_SOURCES[config.archetype][0]
-    if dimension == DIM_TOKENS:
-        return "Two" if len(config.tokens) == 2 else "Three or More"
-    if dimension == DIM_RISK:
-        if PricingFamily.of(config.curve).surcharged():
-            return "Imbalance Surcharges"
-        return "No Risk Management"
-    if dimension == DIM_LIQUIDITY_SOURCE:
-        return _ARCHETYPE_SOURCES[config.archetype][1]
-    raise DomainError(f"not a static dimension: {dimension!r}")
 
 
 def classify(
@@ -560,33 +525,29 @@ def classify(
     pool_name: str | None = None,
 ) -> TaxonomyReport:
     """Classify a pool spec along every taxonomy dimension."""
-    verdicts = []
-    for dimension in DIMENSION_ORDER:
-        if dimension in PROBED_DIMENSIONS:
-            verdicts.append(run_dimension_probe(config, dimension, seed, trials))
-        else:
-            verdicts.append(
-                DimensionVerdict(
-                    dimension, _static_characteristic(config, dimension), None, 0, None
-                )
-            )
+    verdicts = tuple(
+        run_dimension_probe(config, dimension, seed, trials)
+        if tolerance is not None
+        else DimensionVerdict(dimension, decide(config), None, 0, None)
+        for dimension, (decide, tolerance) in _DECIDERS.items()
+    )
     name = pool_name or f"{config.archetype}:{type(config.curve).__name__}"
-    return TaxonomyReport(pool=name, verdicts=tuple(verdicts))
+    return TaxonomyReport(pool=name, verdicts=verdicts)
 
 
 def report_to_csv(report: TaxonomyReport) -> str:
     """Render a report as CSV, one row per dimension in taxonomy order."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    lines = [",".join(CSV_HEADER)]
     for v in report.verdicts:
-        writer.writerow(
-            [
-                v.dimension,
-                v.characteristic,
-                "" if v.max_deviation is None else repr(v.max_deviation),
-                str(v.trials),
-                "" if v.tolerance is None else repr(v.tolerance),
-            ]
+        lines.append(
+            ",".join(
+                (
+                    v.dimension,
+                    v.characteristic,
+                    "" if v.max_deviation is None else repr(v.max_deviation),
+                    str(v.trials),
+                    "" if v.tolerance is None else repr(v.tolerance),
+                )
+            )
         )
-    return buffer.getvalue()
+    return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ an arb step on a two-token pool the spot price therefore sits within the
 no-trade fee band around the reference:
 |spot - reference| / max(spot, reference) <= fee.
 
-Metrics mark portfolios to the reference: the pricing family's marked leg
+Metrics mark portfolios to the reference: the pricing family's risky leg
 (token0 for conservation and price-adoption pools, the issued token for
 supply-sovereign pools, outcome 0 for prediction markets) is valued at
 the reference price and everything else at par.  Cells that need an
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .core import (
     AmmError,
@@ -59,19 +59,6 @@ from .engine import (
 )
 
 PRICE_HEADER = "step,price"
-METRICS_HEADER = (
-    "step",
-    "event",
-    "spot",
-    "reference",
-    "tracking_error",
-    "invariant",
-    "lp_value",
-    "divergence_loss",
-    "fees_cum",
-)
-
-EVENT_VERBS = frozenset({"trade", "deposit", "withdraw", "oracle", "arb", "resolve"})
 
 CREATOR_ACCOUNT = "creator"
 
@@ -174,6 +161,8 @@ _EVENT_ARITY = {
     "arb": (1, 1),
     "resolve": (1, 1),
 }
+
+EVENT_VERBS = frozenset(_EVENT_ARITY)
 
 # argument positions holding account names, per verb
 _ACCOUNT_ARG = {"trade": 0, "deposit": 0, "withdraw": 0, "arb": 0}
@@ -296,6 +285,9 @@ class MetricsRecord:
     lp_value: float | None
     divergence_loss: float | None
     fees_cum: float | None
+
+
+METRICS_HEADER = tuple(f.name for f in fields(MetricsRecord))
 
 
 @dataclass(frozen=True, slots=True)
@@ -564,15 +556,15 @@ def _observe(
     tracking = None
     if spot is not None and reference is not None:
         tracking = abs(spot - reference) / reference
-    marked = family.marked
+    risky = family.risky
     lp_value = None
     divergence = None
     if family.lp_error is None and not closed:
-        lp_value = _mark(marked, pool.reserves, reference)
-        hold_value = _mark(marked, hold, reference)
+        lp_value = _mark(risky, pool.reserves, reference)
+        hold_value = _mark(risky, hold, reference)
         if lp_value is not None and hold_value:
             divergence = lp_value / hold_value - 1.0
-    fees_cum = _mark(marked, fees_vector, reference)
+    fees_cum = _mark(risky, fees_vector, reference)
     return MetricsRecord(
         step=event.step,
         event=event.verb,

@@ -297,6 +297,20 @@ class TestSimulate:
         assert code == 2
         assert "event" in captured.err
 
+    def test_deposit_after_a_drain_is_an_engine_error(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(
+            "pool mstable-2021-like\n"
+            "account t STABLE0 1000\naccount t STABLE1 1000\n"
+            "1 trade t STABLE0 STABLE1 100.30090270812437\n"  # drains STABLE1
+            "2 deposit t 1 1\n"
+        )
+        code = main(["simulate", "--scenario", str(scenario)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
 
 # ---------------------------------------------------------------------------
 # curve-table

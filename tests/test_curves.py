@@ -218,6 +218,21 @@ class TestSpotPrice:
         with pytest.raises(DomainError):
             spot_price(spec, (100.0, 1000.0), 0, 1)
 
+    @pytest.mark.parametrize(
+        "price_leg",
+        [
+            lambda spec, r: spot_price(spec, r, 2, 0, adopted_price=10.0),
+            lambda spec, r: quote_exact_in(spec, r, 2, 1, 1.0, adopted_price=10.0),
+            lambda spec, r: quote_exact_out(spec, r, 2, 1, 1.0, adopted_price=10.0),
+        ],
+        ids=["spot", "exact-in", "exact-out"],
+    )
+    def test_price_adoption_prices_only_token_0_against_token_1(self, price_leg):
+        """A third reserve is no leg of price adoption, in any direction."""
+        spec = PriceAdoption(k=0.5, target_reserves=(100.0, 1000.0))
+        with pytest.raises(DomainError, match="token 0 against token 1"):
+            price_leg(spec, (100.0, 1000.0, 5.0))
+
 
 # ---------------------------------------------------------------------------
 # quote_exact_in

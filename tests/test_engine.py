@@ -30,6 +30,7 @@ from ammlab.core import (
     InsufficientBalance,
     UnsupportedOperation,
     balance_of,
+    ledger_mint,
     new_ledger,
 )
 from ammlab import curves
@@ -482,6 +483,22 @@ class TestLiquidity:
         ledgers["T1"] = new_ledger("T1", {"bob": 100.0, pool.account: 400.0})
         with pytest.raises(DomainError):
             deposit_liquidity(pool, "bob", (10.0, 39.0), ledgers)
+
+    def test_deposit_into_an_emptied_reserve(self):
+        """An empty leg takes nothing: a deposit proportional on the other
+        legs mints pro rata, and one that funds the empty leg is refused."""
+        pool, ledgers = load_pool("mstable-2021-like")
+        ledgers["STABLE0"] = ledger_mint(ledgers["STABLE0"], "t", 1000.0)
+        ledgers["STABLE1"] = ledger_mint(ledgers["STABLE1"], "t", 1000.0)
+        order = TradeOrder("t", "STABLE0", "STABLE1", 100.30090270812437, "exact-in")
+        pool, _, ledgers = execute_swap(pool, order, ledgers)
+        assert pool.reserves[1] == 0.0
+        with pytest.raises(DomainError, match="not proportional"):
+            deposit_liquidity(pool, "t", (1.0, 1.0), ledgers)
+        ratio = 1.0 / pool.reserves[0]
+        pool2, minted, _ = deposit_liquidity(pool, "t", (1.0, 0.0), ledgers)
+        assert math.isclose(minted, pool.lp_share_supply * ratio, rel_tol=REL)
+        assert pool2.reserves == (pool.reserves[0] + 1.0, 0.0)
 
     def test_zero_deposit_mints_zero(self):
         pool, ledgers = make_cp_pool(reserves=(100.0, 400.0))

@@ -166,6 +166,10 @@ class TestReportStructure:
         assert not set(PROBED_DIMENSIONS) & set(STATIC_DIMENSIONS)
         assert len(PROBED_DIMENSIONS) == 7
         assert len(STATIC_DIMENSIONS) == 5
+        assert (PROBED_DIMENSIONS, STATIC_DIMENSIONS) == tuple(
+            tuple(d for d in DIMENSION_ORDER if d in group)
+            for group in (PROBED_DIMENSIONS, STATIC_DIMENSIONS)
+        )
 
     def test_report_rows_follow_dimension_order(self):
         report = classify_builtin("uniswap-v2-like")
