@@ -1,10 +1,10 @@
 """Domain primitives: token ledgers, fee parameters, and the error taxonomy.
 
 Amounts and prices are plain binary64 floats; this is a research simulator,
-not an on-chain contract, so exactness lives in relative-tolerance checks
-(default 1e-9) rather than fixed-point arithmetic. Operations that would
-produce a negative amount reject instead of clamping, so invariant breaches
-surface as errors.
+not an on-chain contract, so exactness lives in relative-tolerance checks,
+each declared where it is used, rather than fixed-point arithmetic.
+Operations that would produce a negative amount reject instead of clamping,
+so invariant breaches surface as errors.
 
 Ledgers are immutable snapshots: every operation returns a new `Ledger` and
 never touches its input, which makes copies safe to hand to concurrent
@@ -27,9 +27,6 @@ from typing import Iterable, Mapping
 # ids; pools are accounts too
 TokenId = str
 AccountId = str
-
-#: default relative tolerance for "exact" float comparisons
-REL_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -513,6 +513,24 @@ def _lmsr_leg_cost(b: float, q: Sequence[float], j: int, ds: float) -> float:
     return _lmsr_cost(b, after) - _lmsr_cost(b, q)
 
 
+def _lmsr_shares(b: float, q: Sequence[float], j: int, sign: int, amount: float, hi: float) -> float:
+    """Shares s in [0, hi] of outcome j that buy (sign 1) or sell (sign -1)
+    for exactly `amount` collateral: sign*(C(q + sign*s*e_j) - C(q)) = amount."""
+    base = _lmsr_cost(b, q)
+
+    def f(s: float) -> float:
+        after = list(q)
+        after[j] += sign * s
+        return sign * (_lmsr_cost(b, after) - base) - amount
+
+    def fp(s: float) -> float:
+        after = list(q)
+        after[j] += sign * s
+        return _lmsr_price(b, after, j)
+
+    return _solve_increasing(f, fp, 0.0, hi)
+
+
 def _lmsr_outcome_leg(
     q: Sequence[float], token_in: int | None, token_out: int | None
 ) -> tuple[int, bool]:
@@ -557,21 +575,8 @@ class Lmsr(CurveSpec):
                 raise DepletionError(f"only {q[j]} outstanding shares of outcome {j}")
             return -_lmsr_leg_cost(b, q, j, -dx)
         # exact collateral in: invert C(q + s*e_j) - C(q) = dx for s
-        base = _lmsr_cost(b, q)
-        price_now = _lmsr_price(b, q, j)
-        hi = dx / price_now * (1.0 + 1e-9) + 1e-12
-
-        def f(s: float) -> float:
-            after = list(q)
-            after[j] += s
-            return _lmsr_cost(b, after) - base - dx
-
-        def fp(s: float) -> float:
-            after = list(q)
-            after[j] += s
-            return _lmsr_price(b, after, j)
-
-        return _solve_increasing(f, fp, 0.0, hi)
+        hi = dx / _lmsr_price(b, q, j) * (1.0 + 1e-9) + 1e-12
+        return _lmsr_shares(b, q, j, 1, dx, hi)
 
     def quote_out(self, q, token_in, token_out, dy, adopted_price=None, level=None):
         j, buying = _lmsr_outcome_leg(q, token_in, token_out)
@@ -580,28 +585,16 @@ class Lmsr(CurveSpec):
             # exact shares out: direct cost difference
             return _lmsr_leg_cost(b, q, j, dy)
         # exact collateral out: solve C(q) - C(q - s*e_j) = dy for shares in
-        base = _lmsr_cost(b, q)
         depleted = list(q)
         depleted[j] = 0.0
-        max_payout = base - _lmsr_cost(b, depleted)
+        max_payout = _lmsr_cost(b, q) - _lmsr_cost(b, depleted)
         if dy > max_payout:
             raise DepletionError(
                 f"outcome {j} can pay out at most {max_payout} collateral"
             )
         if dy == max_payout:
             return q[j]
-
-        def f(s: float) -> float:
-            after = list(q)
-            after[j] -= s
-            return (base - _lmsr_cost(b, after)) - dy
-
-        def fp(s: float) -> float:
-            after = list(q)
-            after[j] -= s
-            return _lmsr_price(b, after, j)
-
-        return _solve_increasing(f, fp, 0.0, q[j])
+        return _lmsr_shares(b, q, j, -1, dy, q[j])
 
 
 # ---------------------------------------------------------------------------

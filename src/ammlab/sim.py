@@ -31,11 +31,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .core import (
     AmmError,
     DomainError,
-    Ledger,
     UnsupportedOperation,
     balance_of,
     ledger_mint_many,
@@ -150,26 +150,15 @@ def _parse_float(token: str, line: int, what: str) -> float:
         raise DomainError(f"scenario line {line}: bad {what} {token!r}") from None
     if not math.isfinite(value):
         raise DomainError(f"scenario line {line}: bad {what} {token!r}")
+    if what == "price" and not value > 0.0:
+        raise DomainError(f"scenario line {line}: price must be > 0")
     return value
 
 
-_EVENT_ARITY = {
-    "trade": (4, 4),
-    "deposit": (2, None),
-    "withdraw": (2, 2),
-    "oracle": (1, 1),
-    "arb": (1, 1),
-    "resolve": (1, 1),
-}
-
-EVENT_VERBS = frozenset(_EVENT_ARITY)
-
-# argument positions holding account names, per verb
-_ACCOUNT_ARG = {"trade": 0, "deposit": 0, "withdraw": 0, "arb": 0}
-
-
 def parse_scenario(text: str) -> Scenario:
-    """Parse a scenario script; see the module docstring for the format."""
+    """Parse a scenario script: `pool`, `account` and `seed` directives,
+    then one `<step> <verb> <args>` line per event, each verb taking the
+    arguments its entry in `_VERBS` lists."""
     pool_source: str | None = None
     seed_seen = False
     endowments: list[tuple[str, str, float]] = []
@@ -223,35 +212,16 @@ def parse_scenario(text: str) -> Scenario:
         parts = rest.split()
         if not parts:
             raise DomainError(f"scenario line {number}: step {step} has no verb")
-        verb, args = parts[0], tuple(parts[1:])
-        if verb not in EVENT_VERBS:
-            raise DomainError(f"scenario line {number}: unknown verb {verb!r}")
-        low, high = _EVENT_ARITY[verb]
-        if len(args) < low or (high is not None and len(args) > high):
-            raise DomainError(
-                f"scenario line {number}: wrong argument count for {verb!r}"
-            )
+        event = ScenarioEvent(step=step, verb=parts[0], args=tuple(parts[1:]), line=number)
+        _typed(event)
         if events and step <= events[-1].step:
             raise DomainError(
                 f"scenario line {number}: steps must strictly increase"
             )
-        account_pos = _ACCOUNT_ARG.get(verb)
-        if account_pos is not None and args[account_pos] not in accounts:
-            raise DomainError(
-                f"scenario line {number}: undeclared account {args[account_pos]!r}"
-            )
-        if verb == "trade":
-            _parse_float(args[3], number, "amount")
-        elif verb == "deposit":
-            for token in args[1:]:
-                _parse_float(token, number, "amount")
-        elif verb == "withdraw":
-            _parse_float(args[1], number, "share amount")
-        elif verb == "oracle":
-            price = _parse_float(args[0], number, "price")
-            if not price > 0.0:
-                raise DomainError(f"scenario line {number}: price must be > 0")
-        events.append(ScenarioEvent(step=step, verb=verb, args=args, line=number))
+        for kind, name in zip(_VERBS[event.verb][0], event.args):
+            if kind == "account" and name not in accounts:
+                raise DomainError(f"scenario line {number}: undeclared account {name!r}")
+        events.append(event)
 
     if pool_source is None:
         raise DomainError("scenario has no pool directive")
@@ -288,6 +258,7 @@ class MetricsRecord:
 
 
 METRICS_HEADER = tuple(f.name for f in fields(MetricsRecord))
+_VALUES = attrgetter(*METRICS_HEADER[2:])  # every cell after step and event
 
 
 @dataclass(frozen=True, slots=True)
@@ -300,15 +271,7 @@ def metrics_to_csv(metrics: Metrics) -> str:
     lines = [",".join(METRICS_HEADER)]
     for record in metrics.records:
         cells = [str(record.step), record.event]
-        for value in (
-            record.spot,
-            record.reference,
-            record.tracking_error,
-            record.invariant,
-            record.lp_value,
-            record.divergence_loss,
-            record.fees_cum,
-        ):
+        for value in _VALUES(record):
             cells.append("" if value is None else repr(value))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -507,14 +470,81 @@ def arbitrage_step(
 # ---------------------------------------------------------------------------
 
 
-def _resolve_outcome_index(pool: PoolState, token: str, line: int) -> int:
+def _trade(pool, working, hold, reference, event, *order):
+    pool, _, working = execute_swap(pool, TradeOrder(*order, EXACT_IN), working)
+    return pool, working, hold
+
+
+def _deposit(pool, working, hold, reference, event, account, *amounts):
+    pool, _, working = deposit_liquidity(pool, account, amounts, working)
+    return pool, working, [h + a for h, a in zip(hold, amounts)]
+
+
+def _withdraw(pool, working, hold, reference, event, account, shares):
+    supply_before = pool.lp_share_supply
+    pool, _, working = withdraw_liquidity(pool, account, shares, working)
+    if shares:  # a zero withdrawal keeps the baseline, even once the supply is 0
+        hold = [h * (1.0 - shares / supply_before) for h in hold]
+    return pool, working, hold
+
+
+def _oracle(pool, working, hold, reference, event, price):
+    return set_oracle_price(pool, price), working, hold
+
+
+def _arb(pool, working, hold, reference, event, account):
+    if reference is None:
+        raise DomainError(
+            f"arb event needs a reference price; none is defined at step {event.step}"
+        )
+    pool, working, _ = arbitrage_step(pool, reference, account, working)
+    return pool, working, hold
+
+
+def _resolve(pool, working, hold, reference, event, outcome):
     try:
-        return int(token)
-    except ValueError:
-        pass
-    if token in pool.tokens[1:]:
-        return pool.tokens.index(token) - 1
-    raise DomainError(f"scenario line {line}: unknown outcome {token!r}")
+        outcome = int(outcome)
+    except ValueError:  # an outcome token's name
+        if outcome not in pool.tokens[1:]:
+            raise DomainError(f"scenario line {event.line}: unknown outcome {outcome!r}") from None
+        outcome = pool.tokens.index(outcome) - 1
+    pool, working = resolve_prediction(pool, outcome, working)
+    return pool, working, hold
+
+
+# each verb's argument kinds in script order (a trailing ... repeats the
+# kind before it) and its handler, which takes the pool, the ledgers, the
+# hold baseline, the reference price, the event and the typed arguments,
+# and returns the pool, ledgers and baseline after the event
+_VERBS = {
+    "trade": (("account", "token", "token", "amount"), _trade),
+    "deposit": (("account", "amount", ...), _deposit),
+    "withdraw": (("account", "share amount"), _withdraw),
+    "oracle": (("price",), _oracle),
+    "arb": (("account",), _arb),
+    "resolve": (("outcome",), _resolve),
+}
+
+EVENT_VERBS = frozenset(_VERBS)
+
+
+def _typed(event: ScenarioEvent):
+    """(handler, typed arguments) of an event, its string arguments checked
+    against its verb's entry in `_VERBS`; DomainError naming the line if not."""
+    args, line = event.args, event.line
+    entry = _VERBS.get(event.verb)
+    if entry is None:
+        raise DomainError(f"scenario line {line}: unknown verb {event.verb!r}")
+    kinds, handler = entry
+    if kinds[-1] is ...:
+        kinds = kinds[:-1] + kinds[-2:-1] * (len(args) - len(kinds) + 1)
+    if len(args) != len(kinds):
+        raise DomainError(f"scenario line {line}: wrong argument count for {event.verb!r}")
+    values = list(args)  # names stay strings, an outcome's for the pool to resolve
+    for index, kind in enumerate(kinds):
+        if kind not in ("account", "token", "outcome"):
+            values[index] = _parse_float(args[index], line, kind)
+    return handler, values
 
 
 def _observed(observe, state) -> float | None:
@@ -543,7 +573,6 @@ def _observe(
     event: ScenarioEvent,
     reference: float | None,
     hold: list[float],
-    fees_vector,
 ) -> MetricsRecord:
     family = PricingFamily.of(pool.curve, pool.oracle_price)
     closed = pool.closed
@@ -564,7 +593,7 @@ def _observe(
         hold_value = _mark(risky, hold, reference)
         if lp_value is not None and hold_value:
             divergence = lp_value / hold_value - 1.0
-    fees_cum = _mark(risky, fees_vector, reference)
+    fees_cum = _mark(risky, pool.accumulated_fees, reference)
     return MetricsRecord(
         step=event.step,
         event=event.verb,
@@ -618,43 +647,13 @@ def run_scenario(
             price_series.at(event.step) if price_series is not None else None
         )
         try:
-            if event.verb == "trade":
-                account, token_in, token_out, raw = event.args
-                order = TradeOrder(account, token_in, token_out, float(raw), EXACT_IN)
-                pool, _, working = execute_swap(pool, order, working)
-            elif event.verb == "deposit":
-                account = event.args[0]
-                amounts = tuple(float(a) for a in event.args[1:])
-                pool, _, working = deposit_liquidity(pool, account, amounts, working)
-                hold = [h + a for h, a in zip(hold, amounts)]
-            elif event.verb == "withdraw":
-                account, raw = event.args
-                shares = float(raw)
-                supply_before = pool.lp_share_supply
-                pool, _, working = withdraw_liquidity(pool, account, shares, working)
-                fraction = shares / supply_before
-                hold = [h * (1.0 - fraction) for h in hold]
-            elif event.verb == "oracle":
-                pool = set_oracle_price(pool, float(event.args[0]))
-            elif event.verb == "arb":
-                if reference is None:
-                    raise DomainError(
-                        "arb event needs a reference price; none is defined "
-                        f"at step {event.step}"
-                    )
-                pool, working, _ = arbitrage_step(
-                    pool, reference, event.args[0], working
-                )
-            else:  # resolve
-                winning = _resolve_outcome_index(pool, event.args[0], event.line)
-                pool, working = resolve_prediction(pool, winning, working)
+            handler, values = _typed(event)
+            pool, working, hold = handler(pool, working, hold, reference, event, *values)
         except AmmError as error:
             raise ScenarioError(
                 f"event {index} (scenario line {event.line}): {error}",
                 index,
                 Metrics(records=tuple(records)),
             ) from error
-        records.append(
-            _observe(pool, event, reference, hold, pool.accumulated_fees)
-        )
+        records.append(_observe(pool, event, reference, hold))
     return Metrics(records=tuple(records))

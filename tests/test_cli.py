@@ -311,6 +311,17 @@ class TestSimulate:
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
 
+    def test_zero_withdrawal_after_the_last_share(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(
+            "pool uniswap-v2-like\n1 withdraw creator 100\n2 withdraw creator 0\n"
+        )
+        code = main(["simulate", "--scenario", str(scenario)])
+        captured = capsys.readouterr()
+        assert code == 0
+        rows = captured.out.splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["1", "withdraw"], ["2", "withdraw"]]
+
 
 # ---------------------------------------------------------------------------
 # curve-table

@@ -382,6 +382,25 @@ class TestQuoteExactOut:
         cost = quote_exact_out(Lmsr(b=b), q, None, 0, 10.0)
         assert close(cost, 100.0 * math.log((math.exp(0.1) + 1.0) / 2.0))
 
+    @pytest.mark.parametrize("q, j, dy", [
+        ((10.0, 0.0), 0, 1.0),
+        ((30.0, 5.0, 60.0), 2, 15.0),
+        ((400.0, 0.0, 0.0), 0, 250.0),
+    ])
+    def test_lmsr_sell_exact_out_round_trips_through_the_cost(self, q, j, dy):
+        shares = quote_exact_out(Lmsr(b=100.0), q, j, None, dy)
+        dq = [0.0] * len(q)
+        dq[j] = -shares
+        assert 0.0 < shares <= q[j]
+        assert close(-lmsr_trade_cost(100.0, q, dq), dy)
+
+    def test_lmsr_sell_exact_out_stops_at_the_whole_position(self):
+        q, j = (30.0, 5.0, 60.0), 2
+        max_payout = -lmsr_trade_cost(100.0, q, (0.0, 0.0, -q[j]))
+        assert quote_exact_out(Lmsr(b=100.0), q, j, None, max_payout) == q[j]
+        with pytest.raises(DepletionError):
+            quote_exact_out(Lmsr(b=100.0), q, j, None, max_payout * (1.0 + 1e-9))
+
 
 # ---------------------------------------------------------------------------
 # solve_stableswap_d

@@ -10,7 +10,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ammlab import (
@@ -199,6 +199,24 @@ class TestParseScenario:
         text = "pool uniswap-v2-like\naccount a TOKEN0 1\n1 trade a TOKEN0\n"
         with pytest.raises(DomainError, match="line 3"):
             parse_scenario(text)
+
+    @pytest.mark.parametrize("events, message", [
+        ("1 stake creator 5", "scenario line 2: unknown verb 'stake'"),
+        ("1 trade creator TOKEN0", "scenario line 2: wrong argument count for 'trade'"),
+        ("1 deposit creator", "scenario line 2: wrong argument count for 'deposit'"),
+        ("1 withdraw creator 1 2", "scenario line 2: wrong argument count for 'withdraw'"),
+        ("1 trade creator TOKEN0 TOKEN1 ten", "scenario line 2: bad amount 'ten'"),
+        ("1 deposit creator 1 nan", "scenario line 2: bad amount 'nan'"),
+        ("1 withdraw creator x", "scenario line 2: bad share amount 'x'"),
+        ("1 oracle abc", "scenario line 2: bad price 'abc'"),
+        ("1 oracle 0", "scenario line 2: price must be > 0"),
+        ("1 arb mallory", "scenario line 2: undeclared account 'mallory'"),
+        ("1 arb creator\n1 arb creator", "scenario line 3: steps must strictly increase"),
+    ])
+    def test_each_parse_error_names_its_line_and_cause(self, events, message):
+        with pytest.raises(DomainError) as info:
+            parse_scenario(f"pool uniswap-v2-like\n{events}\n")
+        assert str(info.value) == message
 
     def test_creator_account_is_implicitly_declared(self):
         scenario = parse_scenario("pool uniswap-v2-like\n1 arb creator\n")
@@ -963,6 +981,62 @@ class TestRunScenario:
         scenario = Scenario("uniswap-v2-like", endowments, ())
         with pytest.raises(DomainError, match=message):
             run_scenario(scenario)
+
+    @pytest.mark.parametrize("pool, verb, args", [
+        ("uniswap-v2-like", "trade", ("creator", "TOKEN0", "TOKEN1", "ten")),
+        ("uniswap-v2-like", "trade", ("creator", "TOKEN0")),
+        ("uniswap-v2-like", "deposit", ("creator", "x", "1")),
+        ("uniswap-v2-like", "withdraw", ("creator", "inf")),
+        ("dodo-like", "oracle", ("-1",)),
+        ("augur-like", "resolve", ()),
+        ("augur-like", "stake", ("0",)),
+    ])
+    def test_hand_built_events_pass_the_script_checks(self, pool, verb, args):
+        scenario = Scenario(pool, (), (sim.ScenarioEvent(1, verb, args, 1),))
+        with pytest.raises(ScenarioError) as info:
+            run_scenario(scenario)
+        assert isinstance(info.value.__cause__, DomainError)
+        assert info.value.metrics.records == ()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(sorted(engine.BUILTIN_POOLS)),
+        events=st.lists(
+            st.tuples(
+                st.sampled_from(sorted(sim.EVENT_VERBS)),
+                st.integers(0, 3),
+                st.integers(0, 3),
+                st.sampled_from(["0", "1", "all", "1e9"]),
+            ),
+            max_size=12,
+        ),
+    )
+    @example(name="curve-v1-like", events=[("withdraw", 0, 0, "all"), ("withdraw", 0, 0, "0")])
+    def test_random_scripts_raise_only_amm_errors(self, name, events):
+        """A script on a built-in pool runs or fails with an AmmError: zero,
+        partial and full withdrawals, trades that drain or overdraw, and
+        verbs the pool does not support."""
+        pool, _ = load_pool(name)
+        tokens, n = pool.tokens, len(pool.tokens)
+        lines = [f"pool {name}"] + [f"account a {token} 1000" for token in tokens]
+        for step, (verb, i, j, size) in enumerate(events, start=1):
+            amount = repr(pool.lp_share_supply) if size == "all" else size
+            args = {
+                "trade": f"a {tokens[i % n]} {tokens[(i + 1 + j % (n - 1)) % n]} {amount}",
+                "deposit": " ".join(
+                    ["a", *(repr(r * float(amount) / 100.0) for r in pool.reserves)]
+                ),
+                "withdraw": f"creator {amount}",  # the creator holds the opening shares
+                "oracle": repr(2.0 ** (j - 1)),
+                "arb": "a",
+                "resolve": str(i) if j % 2 else tokens[i % n],
+            }[verb]
+            lines.append(f"{step} {verb} {args}")
+        series = parse_price_series("step,price\n0,1.0\n4,3.0\n8,0.5\n")
+        try:
+            run_scenario(parse_scenario("\n".join(lines) + "\n"), price_series=series)
+        except AmmError:
+            pass
 
     @pytest.mark.parametrize("series", [None, "step,price\n1,5.0\n"], ids=["no-series", "series"])
     def test_prediction_market_fees_are_collateral_at_par(self, tmp_path, series):
