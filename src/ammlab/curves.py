@@ -564,7 +564,12 @@ class Lmsr(CurveSpec):
         j, buying = _lmsr_outcome_leg(q, token_in, token_out)
         price = _lmsr_price(self.b, q, j)
         # selling outcome j yields `price` collateral per share; buying inverts it
-        return 1.0 / price if buying else price
+        if not buying:
+            return price
+        shares = 1.0 / price if price > 0.0 else math.inf
+        if shares == math.inf:
+            raise DomainError(f"outcome {j} costs {price} per share: its inverse is not finite")
+        return shares
 
     def quote_in(self, q, token_in, token_out, dx, adopted_price=None, level=None):
         j, buying = _lmsr_outcome_leg(q, token_in, token_out)
@@ -575,7 +580,12 @@ class Lmsr(CurveSpec):
                 raise DepletionError(f"only {q[j]} outstanding shares of outcome {j}")
             return -_lmsr_leg_cost(b, q, j, -dx)
         # exact collateral in: invert C(q + s*e_j) - C(q) = dx for s
-        hi = dx / _lmsr_price(b, q, j) * (1.0 + 1e-9) + 1e-12
+        price = _lmsr_price(b, q, j)
+        hi = dx / price * (1.0 + 1e-9) + 1e-12 if price > 0.0 else math.inf
+        if not hi < math.inf:
+            # the price is too small to divide by: s shares cost at least
+            # q_j + s - C(q), and C(q) <= max(q) + b*ln(n)
+            hi = dx + (max(q) - q[j]) + b * math.log(len(q))
         return _lmsr_shares(b, q, j, 1, dx, hi)
 
     def quote_out(self, q, token_in, token_out, dy, adopted_price=None, level=None):

@@ -247,6 +247,12 @@ class PricingFamily:
     curve state of a trade without the fee the reserves keep.  A fee kept
     in the reserves moves a state off the level; an unbound family prices
     it.
+
+    Each pool state's level is bound once, by whoever first prices that
+    state: `quote` and `execute_swap` bind the state they trade from, the
+    settlement of a trade binds the state it reaches, and the simulator
+    hands that family on to the metrics row and the next arbitrage step
+    instead of binding the state again.
     """
 
     __slots__ = ("curve", "price", "level")
@@ -296,9 +302,10 @@ class PricingFamily:
     def view(self, pool: PoolState) -> State:
         return pool.reserves
 
-    def stored(self, pool: PoolState, state: State) -> dict:
-        """PoolState fields that hold `state`, the inverse of view."""
-        return {"reserves": state}
+    def stored(self, pool: PoolState, state: State) -> tuple:
+        """(reserves, circulating supply) that hold `state`, the inverse of
+        view."""
+        return state, pool.circulating_supply
 
     def curve_args(self, state: State, i: int, j: int) -> tuple:
         """(curve-layer reserves, leg in, leg out) of a trade from i to j."""
@@ -386,13 +393,17 @@ class PricingFamily:
             led_out = ledger_transfer(led_out, pool.account, trader, received)
         return _with(ledgers, led_in, led_out)
 
-    def apply(self, pool: PoolState, i: int, j: int, paid: float, got: float, fee: float):
-        """The pool once a trade paying `paid` of token i for `got` of token j
-        settles, its fee booked on the side that paid it."""
-        state = self.after(self.view(pool), i, j, paid, got, fee)
+    def apply(self, pool: PoolState, i: int, j: int, after: State, fee: float) -> PoolState:
+        """The pool at `after`, the state a trade of token i for token j
+        reaches, its fee `fee` booked on the side that paid it."""
         fees = list(pool.accumulated_fees)
         fees[j if i >= self.issued_from else i] += fee
-        return replace(pool, accumulated_fees=tuple(fees), **self.stored(pool, state))
+        reserves, supply = self.stored(pool, after)
+        return PoolState(  # positional: this runs on every swap
+            pool.archetype, pool.tokens, pool.curve, reserves, pool.fee,
+            pool.lp_share_supply, pool.lp_shares, supply, pool.oracle_price,
+            tuple(fees), pool.account, pool.creator, pool.closed,
+        )
 
     # -- observations -------------------------------------------------------
 
@@ -532,7 +543,7 @@ class BondingFamily(PricingFamily):
             if reserve < -1e-9 * max(1.0, pool.reserves[0]):
                 raise DepletionError(f"bonded reserve underflow: {reserve}")
             reserve = 0.0
-        return {"reserves": (reserve, 0.0), "circulating_supply": supply}
+        return (reserve, 0.0), supply
 
     def check(self, archetype, n_tokens):
         super().check(archetype, n_tokens)
@@ -672,51 +683,89 @@ def _safe_spot(family: PricingFamily, state: State, i: int, j: int) -> float:
         return math.nan
 
 
-def quote(pool: PoolState, order: TradeOrder) -> Quote:
-    """Price an order against the pool without changing any state."""
+Trade = tuple[float, float, float, State]  # a trade step: (paid, got, fee, state after)
+
+
+def _priced(pool: PoolState, order: TradeOrder) -> tuple[PricingFamily, int, int, Trade]:
+    """(the pool's family bound to its state's level, leg in, leg out, trade
+    step) of an order; raises where the order cannot be priced."""
     if pool.closed:
         raise UnsupportedOperation("pool is closed")
     i, j = _validate_order(pool, order)
     family = PricingFamily.of(pool.curve, pool.oracle_price)
     state = family.view(pool)
-    fee = pool.fee.trade_fee
-    on_state = family.on_level(state)  # the trade and spot_before share one level
-    amount_in, amount_out, fee_paid, after = on_state.trade(
-        state, i, j, order.kind, order.amount, fee
-    )
-    if not 0.0 < amount_in < math.inf:
+    family = family.on_level(state)  # the trade and spot_before share one level
+    trade = family.trade(state, i, j, order.kind, order.amount, pool.fee.trade_fee)
+    if not 0.0 < trade[0] < math.inf:
         raise DomainError(
-            f"cannot price {order.kind} {order.amount}: the input would be {amount_in}"
+            f"cannot price {order.kind} {order.amount}: the input would be {trade[0]}"
         )
-    return Quote(  # positional: this runs on every swap
-        amount_in,
-        amount_out,
+    return family, i, j, trade
+
+
+def _quoted(
+    pool: PoolState, family: PricingFamily, order: TradeOrder, i: int, j: int, trade: Trade
+) -> tuple[Quote, PricingFamily]:
+    """The Quote of `trade`, which `family`, bound to the level of the pool's
+    state, priced for `order`; and the family bound to the state the trade
+    reaches, whose level the fee kept in that state has moved."""
+    paid, got, fee_paid, after = trade
+    moved = family.on_level(after)
+    q = Quote(  # positional: this runs on every swap
+        paid,
+        got,
         fee_paid,
-        family.surcharge(i, order.kind, amount_in, amount_out, fee),
-        _safe_spot(on_state, state, i, j),
-        _safe_spot(family, after, i, j),  # the fee kept in `after` moves it off the level
-        amount_out / amount_in,
+        family.surcharge(i, order.kind, paid, got, pool.fee.trade_fee),
+        _safe_spot(family, family.view(pool), i, j),
+        _safe_spot(moved, after, i, j),
+        got / paid,
     )
+    return q, moved
+
+
+def _settle_trade(
+    pool: PoolState,
+    family: PricingFamily,
+    order: TradeOrder,
+    i: int,
+    j: int,
+    trade: Trade,
+    ledgers: Ledgers,
+) -> tuple[PoolState, TradeReceipt, dict[TokenId, Ledger], PricingFamily]:
+    """Settle `trade`, the trade step that `family`, bound to the level of
+    the pool's state, priced for `order` from leg i to leg j: move tokens
+    and advance the pool state atomically, without pricing the order again.
+    Also returns the family bound to the new state, for whoever prices that
+    state next."""
+    q, moved = _quoted(pool, family, order, i, j, trade)
+    paid, got, fee_paid, after = trade
+    updated = family.settle(pool, order.trader, i, j, paid, got, ledgers)
+    pool = family.apply(pool, i, j, after, fee_paid)
+    receipt = TradeReceipt(
+        quote=q,
+        reserves_after=pool.reserves,
+        trader_deltas={order.token_in: -paid, order.token_out: got},
+    )
+    return pool, receipt, updated, moved
+
+
+def quote(pool: PoolState, order: TradeOrder) -> Quote:
+    """Price an order against the pool without changing any state."""
+    family, i, j, trade = _priced(pool, order)
+    return _quoted(pool, family, order, i, j, trade)[0]
 
 
 def execute_swap(
     pool: PoolState, order: TradeOrder, ledgers: Ledgers
 ) -> tuple[PoolState, TradeReceipt, dict[TokenId, Ledger]]:
-    """Quote the order, move tokens, and advance the pool state atomically."""
-    q = quote(pool, order)
-    i, j = _token_index(pool, order.token_in), _token_index(pool, order.token_out)
-    family = PricingFamily.of(pool.curve, pool.oracle_price)
-    updated = family.settle(pool, order.trader, i, j, q.amount_in, q.amount_out, ledgers)
-    pool2 = family.apply(pool, i, j, q.amount_in, q.amount_out, q.fee_paid)
-    receipt = TradeReceipt(
-        quote=q,
-        reserves_after=pool2.reserves,
-        trader_deltas={
-            order.token_in: -q.amount_in,
-            order.token_out: q.amount_out,
-        },
-    )
-    return pool2, receipt, updated
+    """Quote the order, move tokens, and advance the pool state atomically.
+
+    The order is priced once, at the level of the pool's state, and that
+    trade step is what settles; the receipt's `spot_after` reads the new
+    state's level, bound once in settlement."""
+    family, i, j, trade = _priced(pool, order)
+    pool, receipt, updated, _ = _settle_trade(pool, family, order, i, j, trade, ledgers)
+    return pool, receipt, updated
 
 
 # ---------------------------------------------------------------------------
@@ -766,11 +815,11 @@ def deposit_liquidity(
         updated[t] = ledger_transfer(_ledger_for(updated, t), provider, pool.account, amount)
     shares = pool.lp_shares.copy()
     shares[provider] = shares.get(provider, 0.0) + minted
-    pool2 = replace(
-        pool,
-        reserves=tuple(r + a for r, a in zip(pool.reserves, deposit)),
-        lp_share_supply=pool.lp_share_supply + minted,
-        lp_shares=MappingProxyType(shares),
+    pool2 = PoolState(
+        pool.archetype, pool.tokens, pool.curve,
+        tuple(r + a for r, a in zip(pool.reserves, deposit)), pool.fee,
+        pool.lp_share_supply + minted, MappingProxyType(shares), pool.circulating_supply,
+        pool.oracle_price, pool.accumulated_fees, pool.account, pool.creator, pool.closed,
     )
     return pool2, minted, updated
 
@@ -800,11 +849,11 @@ def withdraw_liquidity(
         new_shares[provider] = remaining
     else:
         del new_shares[provider]
-    pool2 = replace(
-        pool,
-        reserves=tuple(r - a for r, a in zip(pool.reserves, amounts)),
-        lp_share_supply=pool.lp_share_supply - shares,
-        lp_shares=MappingProxyType(new_shares),
+    pool2 = PoolState(
+        pool.archetype, pool.tokens, pool.curve,
+        tuple(r - a for r, a in zip(pool.reserves, amounts)), pool.fee,
+        pool.lp_share_supply - shares, MappingProxyType(new_shares), pool.circulating_supply,
+        pool.oracle_price, pool.accumulated_fees, pool.account, pool.creator, pool.closed,
     )
     return pool2, amounts, updated
 
@@ -828,9 +877,9 @@ def _bond(
     """Exact-in trade of `amount` of token i, settled from its one quote;
     `taken` is what leaves the trader's ledger."""
     state = family.view(pool)
-    _, out, fee, _ = family.trade(state, i, 1 - i, EXACT_IN, amount, pool.fee.trade_fee)
+    _, out, fee, after = family.trade(state, i, 1 - i, EXACT_IN, amount, pool.fee.trade_fee)
     updated = family.settle(pool, trader, i, 1 - i, taken, out, ledgers)
-    return family.apply(pool, i, 1 - i, amount, out, fee), out, updated
+    return family.apply(pool, i, 1 - i, after, fee), out, updated
 
 
 def curve_buy(
@@ -883,7 +932,11 @@ def set_oracle_price(pool: PoolState, price: float) -> PoolState:
     _require_family(pool, AdoptionFamily, "only price-adopting pools take oracle prices")
     if not 0.0 < price < math.inf:
         raise DomainError(f"oracle price must be positive and finite: {price}")
-    return replace(pool, oracle_price=price)
+    return PoolState(
+        pool.archetype, pool.tokens, pool.curve, pool.reserves, pool.fee,
+        pool.lp_share_supply, pool.lp_shares, pool.circulating_supply, price,
+        pool.accumulated_fees, pool.account, pool.creator, pool.closed,
+    )
 
 
 def resolve_prediction(

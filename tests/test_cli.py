@@ -311,6 +311,19 @@ class TestSimulate:
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
 
+    def test_buying_an_outcome_priced_below_the_float_range(self, tmp_path, capsys):
+        """The first buy leaves OUT1 1e8 / b shares behind, priced at 0 in
+        floats; buying it must not print a traceback."""
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(
+            "pool augur-like\naccount a CASH 1e9\n"
+            "1 trade a CASH OUT0 1e8\n2 trade a CASH OUT1 1\n"
+        )
+        code = main(["simulate", "--scenario", str(scenario)])
+        captured = capsys.readouterr()
+        assert code in (0, 2)
+        assert "Traceback" not in captured.err
+
     def test_zero_withdrawal_after_the_last_share(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.txt"
         scenario.write_text(

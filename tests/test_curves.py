@@ -302,6 +302,18 @@ class TestQuoteExactIn:
         shares = quote_exact_in(Lmsr(b=100.0), (0.0, 0.0), None, 0, spend)
         assert close(shares, 10.0)
 
+    def test_lmsr_buy_of_an_outcome_priced_below_the_float_range(self):
+        """Outcome 1 trails by 1000*b, so its price exp(-1000) underflows to
+        0; the buy still matches the log-space closed form
+        b*softplus(log(expm1(m/b)) - log p_j)."""
+        b, q, spend = 1.0, (1000.0, 0.0), 1.0
+        shares = quote_exact_in(Lmsr(b=b), q, None, 1, spend)
+        log_price = (q[1] - q[0]) / b - math.log1p(math.exp((q[1] - q[0]) / b))
+        x = math.log(math.expm1(spend / b)) - log_price
+        assert close(shares, b * (x + math.log1p(math.exp(-x))), rel=1e-12)
+        with pytest.raises(DomainError, match="not finite"):
+            spot_price(Lmsr(b=b), q, None, 1)
+
     def test_lmsr_sell_is_cost_difference(self):
         spend = 100.0 * math.log((math.exp(0.1) + 1.0) / 2.0)
         payout = quote_exact_in(Lmsr(b=100.0), (10.0, 0.0), 0, None, 10.0)

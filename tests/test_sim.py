@@ -7,6 +7,7 @@ on (sqrt(k/p), sqrt(k*p)); the price-doubling divergence loss is
 
 import math
 import random
+from dataclasses import fields
 from unittest import mock
 
 import pytest
@@ -28,6 +29,7 @@ from ammlab.engine import (
     EXACT_IN,
     EXACT_OUT,
     PricingFamily,
+    Quote,
     materialize_pool,
     parse_pool_spec,
     set_oracle_price,
@@ -265,8 +267,8 @@ class TestArbitrage:
 
     def test_product_sum_step_solves_d_once_per_state(self, monkeypatch):
         """The search prices every candidate at the pool state's level: a
-        step that declines solves D once (twice before), and one that trades
-        adds only its swap's quote, at most 4 solves in all (25 before)."""
+        step that declines solves D once, and one that trades solves it once
+        more, for the state its trade reaches (25 solves in all once)."""
         pool, ledgers = load_pool("curve-v1-like")
         fund(ledgers, "STABLE0", "arb", 1e9)
         fund(ledgers, "STABLE1", "arb", 1e9)
@@ -275,9 +277,9 @@ class TestArbitrage:
         assert receipt is None
         assert solved == [pool.reserves]
         solved.clear()
-        _, _, receipt = arbitrage_step(pool, 1.05, "arb", ledgers)
+        after, _, receipt = arbitrage_step(pool, 1.05, "arb", ledgers)
         assert receipt is not None
-        assert len(solved) <= 4
+        assert solved == [pool.reserves, after.reserves]
 
     def test_no_trade_inside_the_fee_band(self, tmp_path):
         pool, ledgers = self.make_cp(tmp_path, CP_FEE)
@@ -668,37 +670,29 @@ class TestSearchPricing:
         assert buy >= 1.0 - 1e-9 and sell <= 1.0 + 1e-9
 
     def test_the_search_does_not_quote(self, monkeypatch):
-        """Only `execute_swap` quotes: once when the step trades, never
-        while the search prices candidate sizes."""
-        calls = {"search": 0, "swap": 0}
-        swapping = False
-        real_quote, real_swap = engine.quote, sim.execute_swap
+        """Neither the search nor the settlement quotes: a step that trades
+        settles the trade step it priced, and calls neither `quote` nor
+        `execute_swap`."""
+        calls = []
 
-        def counted_quote(pool, order):
-            calls["swap" if swapping else "search"] += 1
-            return real_quote(pool, order)
+        def counted(name, real):
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+            return call
 
-        def flagged_swap(pool, order, ledgers):
-            nonlocal swapping
-            swapping = True
-            try:
-                return real_swap(pool, order, ledgers)
-            finally:
-                swapping = False
-
-        monkeypatch.setattr(engine, "quote", counted_quote)
-        if hasattr(sim, "quote"):
-            monkeypatch.setattr(sim, "quote", counted_quote)
-        monkeypatch.setattr(sim, "execute_swap", flagged_swap)
+        for module in (engine, sim):
+            for name in ("quote", "execute_swap"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         pool, ledgers = load_pool("uniswap-v2-like")
         fund(ledgers, "TOKEN0", "arb", 1e9)
         fund(ledgers, "TOKEN1", "arb", 1e9)
         traded = []
         for reference in (4.0, 4.0, 0.5, 0.5):  # a repeat finds the pool in its band
-            calls.update(search=0, swap=0)
             pool, ledgers, receipt = arbitrage_step(pool, reference, "arb", ledgers)
             traded.append(receipt is not None)
-            assert calls == {"search": 0, "swap": int(traded[-1])}
+            assert calls == []
         assert traded == [True, False, True, False]
 
 
@@ -707,17 +701,25 @@ class TestSearchPricing:
 # ---------------------------------------------------------------------------
 
 
-def placed_order(pool, reference, ledgers):
-    """The order `arbitrage_step` executes at `reference`, or None."""
+def settled_step(pool, reference, ledgers):
+    """What `arbitrage_step` returns at `reference`, and the order it
+    settled, or None; a step returns a receipt exactly when it settles."""
     placed = []
+    settle = sim._settle_trade
 
-    def recorded(pool, order, ledgers):
+    def recorded(pool, family, order, *rest):
         placed.append(order)
-        return execute_swap(pool, order, ledgers)
+        return settle(pool, family, order, *rest)
 
-    with mock.patch.object(sim, "execute_swap", recorded):
-        arbitrage_step(pool, reference, "arb", ledgers)
-    return placed[0] if placed else None
+    with mock.patch.object(sim, "_settle_trade", recorded):
+        step = arbitrage_step(pool, reference, "arb", ledgers)
+    assert len(placed) == (step[2] is not None)
+    return step, placed[0] if placed else None
+
+
+def placed_order(pool, reference, ledgers):
+    """The order `arbitrage_step` settles at `reference`, or None."""
+    return settled_step(pool, reference, ledgers)[1]
 
 
 def solved_only():
@@ -738,8 +740,9 @@ class TestClosedFormSize:
         ],
     )
     def test_a_trading_step_prices_two_trades(self, monkeypatch, name, reference):
-        """One trade step prices the closed-form size and one is
-        `execute_swap`'s quote; no size is solved for."""
+        """One trade step prices the closed-form size, and that trade
+        settles as priced: no size is solved for, and no order is quoted
+        again (a second trade step, until the step settled its own)."""
         steps = []
         trade = PricingFamily.trade
 
@@ -757,7 +760,7 @@ class TestClosedFormSize:
         monkeypatch.setattr(sim, "_solve_size", unexpected)
         _, _, receipt = arbitrage_step(pool, reference, "arb", ledgers)
         assert receipt is not None
-        assert len(steps) <= 2
+        assert len(steps) == 1
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -821,11 +824,96 @@ class TestClosedFormSize:
 
 
 # ---------------------------------------------------------------------------
+# settlement of the trade the step priced
+# ---------------------------------------------------------------------------
+
+
+def float_bits(values):
+    return [float.hex(v) for v in values]
+
+
+class TestSettlement:
+    def test_a_step_settles_what_execute_swap_settles(self):
+        """On seeded walks over the two-token built-ins, the pool, ledgers and
+        receipt of every step are those of `execute_swap` on the order it
+        settled, to the bit; a step that declines returns what it was given.
+        The arbitrageur's holdings put it, somewhere on the walks, on every
+        path: buys cut to an exact-in spend of its whole budget, sales
+        capped at what it holds, bancor sales of the issued leg, and
+        declines."""
+        seen = set()
+        for seed, name in enumerate(TWO_TOKEN_BUILTINS):
+            rng = random.Random(seed)
+            for budget, stock in ((1e18, 1e18), (1.0, 1e18), (1e18, 1.0)):
+                pool, ledgers = load_pool(name)
+                family = PricingFamily.of(pool.curve, pool.oracle_price)
+                risky = pool.tokens[family.risky]
+                fund(ledgers, pool.tokens[1 - family.risky], "arb", budget)
+                fund(ledgers, risky, "arb", stock)
+                level = family.spot(family.view(pool))
+                for _ in range(12):
+                    if pool.oracle_price is not None:
+                        pool = set_oracle_price(pool, pool.oracle_price * math.exp(rng.uniform(-0.5, 0.5)))
+                    level *= math.exp(rng.uniform(-1.0, 1.0))
+                    step, order = settled_step(pool, level, ledgers)
+                    if order is None:
+                        assert step == (pool, ledgers, None)
+                        seen.add("declined")
+                        continue
+                    held = balance_of(ledgers[order.token_in], "arb")
+                    if order.token_out == risky and order.kind == EXACT_IN:
+                        seen.add("budget-limited buy")
+                        assert order.amount == held
+                    elif order.token_in == risky and order.amount == held:
+                        seen.add("capped sale")
+                    if order.token_in == risky and family.issued_from == 1:
+                        seen.add("issued-leg sale")
+                    expected = execute_swap(pool, order, ledgers)
+                    after, settled, receipt = step
+                    assert after == expected[0]
+                    assert float_bits(after.reserves) == float_bits(expected[0].reserves)
+                    assert settled == expected[2]
+                    assert float_bits(getattr(receipt.quote, f.name) for f in fields(Quote)) == (
+                        float_bits(getattr(expected[1].quote, f.name) for f in fields(Quote))
+                    )
+                    assert float_bits(receipt.reserves_after) == float_bits(expected[1].reserves_after)
+                    assert receipt.trader_deltas == expected[1].trader_deltas
+                    pool, ledgers = after, settled
+        assert seen == {"declined", "budget-limited buy", "capped sale", "issued-leg sale"}
+
+
+# ---------------------------------------------------------------------------
 # scenario runs
 # ---------------------------------------------------------------------------
 
 
 class TestRunScenario:
+    def test_each_pool_state_solves_d_once(self, monkeypatch):
+        """Arb events on curve-v1-like near par solve D once for the opening
+        state and once for each state a trade reaches: the metrics row and
+        the next arb event reuse the level the event bound."""
+        events = 40
+        scenario = parse_scenario(
+            "pool curve-v1-like\naccount arb STABLE0 1000\naccount arb STABLE1 1000\n"
+            + "".join(f"{step} arb arb\n" for step in range(1, events + 1))
+        )
+        prices = parse_price_series(
+            "step,price\n"
+            + "".join(f"{step},{1.0 + 0.01 * math.sin(step)!r}\n" for step in range(1, events + 1))
+        )
+        settled = []
+        settle = sim._settle_trade
+
+        def recorded(*args):
+            settled.append(args)
+            return settle(*args)
+
+        monkeypatch.setattr(sim, "_settle_trade", recorded)
+        solved = count_d_solves(monkeypatch)
+        run_scenario(scenario, price_series=prices)
+        assert 0 < len(settled) < events
+        assert len(solved) <= len(settled) + 1
+
     def test_zero_events_yield_empty_metrics(self):
         scenario = parse_scenario("pool uniswap-v2-like\n")
         metrics = run_scenario(scenario)
