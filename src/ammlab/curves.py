@@ -19,11 +19,15 @@ plus three non-conservation mechanisms:
                     pay max(p, P), sellers receive max(0, min(p, P))
     exponential     bonding curve r(S) = S**kappa / c over (reserve, supply)
 
-All quoting goes through one Newton-with-bisection-bracket scalar solver
-(step tolerance 1e-12 * max(1, |x|), 64 iterations, pure bisection as
-fallback); the closed-form quotes live in the tests as independent oracles.
-The one closed form here is the inverse of the spot, `state_at_spot`, which
-sizes an arbitrage trade without a root solve where a curve has one.
+Every quote is a closed form, so none runs a root solve or carries a
+solver's tolerance: a conservation curve moves the two traded reserves
+along its level set (a hyperbola for constant product and product-sum,
+one power of each reserve for geometric mean and power-sum), LMSR inverts
+its cost function in log space, and price adoption inverts its piecewise
+quadratic integrals.  `state_at_spot`, the inverse of the spot, sizes an
+arbitrage trade the same way where a curve has one.  The scalar solver
+left here serves only the arbitrageur's fallback size search, and the
+product-sum level D keeps its own Newton (`solve_stableswap_d`).
 
 Token legs are integer indices into the reserves vector. Two conventions:
 LMSR uses ``None`` for the collateral leg (reserves are outstanding share
@@ -77,22 +81,17 @@ def _curve(spec_name: str, label: str, family: str):
 
 
 # ---------------------------------------------------------------------------
-# scalar solver: Newton inside a maintained bisection bracket
+# scalar solver: secant steps inside a maintained bisection bracket
 # ---------------------------------------------------------------------------
 
 
-def _solve_increasing(
-    f: Callable[[float], float],
-    fprime: Callable[[float], float] | None,
-    lo: float,
-    hi: float,
-) -> float:
+def _solve_increasing(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of an increasing f with f(lo) <= 0 <= f(hi).
 
-    Newton steps that leave the bracket (or hit a flat derivative) fall back
-    to bisection; the bracket shrinks monotonically either way.  Without a
-    derivative (`fprime` None) each step takes the slope of the secant
-    through the previous point, one evaluation of f per step.
+    Each step takes the slope of the secant through the previous point, one
+    evaluation of f per step; a step that leaves the bracket (or meets a
+    flat secant) falls back to bisection, and the bracket shrinks
+    monotonically either way.  Only the arbitrageur's size search calls it.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -117,11 +116,8 @@ def _solve_increasing(
             hi = x
         else:
             lo = x
-        if fprime is None:
-            d = (fx - pfx) / (x - px)
-            px, pfx = x, fx
-        else:
-            d = fprime(x)
+        d = (fx - pfx) / (x - px)
+        px, pfx = x, fx
         if d > 0.0 and math.isfinite(d):
             x_new = x - fx / d
         else:
@@ -145,16 +141,6 @@ def _solve_increasing(
             return 0.5 * (lo + hi)
 
     raise SolverError("scalar solve did not converge", residual=f(0.5 * (lo + hi)))
-
-
-def _bracket_above(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Double hi's distance from lo until f(hi) >= 0; the upper end of a
-    bracket for `_solve_increasing`."""
-    for _ in range(200):
-        if f(hi) >= 0.0:
-            return hi
-        hi = lo + 2.0 * (hi - lo)
-    raise SolverError("could not bracket the required input", residual=f(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +181,7 @@ class CurveSpec:
     """A curve specification and its pricing rule: `invariant(reserves)`,
     `spot(reserves, i, j, adopted_price)` and `quote_in` / `quote_out(reserves,
     i, j, amount, adopted_price, level)`, which take legs that passed
-    `check_legs` and a positive amount.
+    `check_legs` and a positive amount; each quote is a closed form.
 
     `level`, when given, is the conservation value of `reserves`, which a
     conservation curve then reads instead of computing (constant
@@ -209,7 +195,7 @@ class CurveSpec:
     reserves on the level of `reserves` at which `spot(i -> j)` is `price`,
     with only legs i and j moved.  It is None where the curve has no closed
     form for that state (the base class) or the state leaves its domain;
-    callers then solve for it.
+    the arbitrageur then searches for the size instead.
     """
 
     __slots__ = ()
@@ -243,14 +229,26 @@ def _moved(reserves, token_in: int, token_out: int, r_in: float, r_out: float):
     return tuple(moved)
 
 
+def _grown(x: float, g: float) -> float:
+    """x * expm1(g) for x > 0 and g >= 0: x grown by the factor e^g, free of
+    cancellation for small g and of expm1's overflow for large g where the
+    product is still a float; inf past that."""
+    if g < 700.0:
+        return x * math.expm1(g)
+    g += math.log(x)  # the log of the product: e^g alone overflows
+    return math.exp(g) if g < 709.78 else math.inf
+
+
 class _Conservation(CurveSpec):
     """A curve that prices trades by holding its conservation value fixed.
 
     Subclasses give `value(reserves)`, the conservation value of reserves
-    that passed `require_reserves`; `residual(original, updated, j, c0)`, the
-    pair (f, f') where f(x) is the value of `updated` with x at slot j, minus
-    c0 (`original` is the pre-trade state, `updated` the known post-trade
-    values); `spot`; and `drainable`, whether a trade may empty a reserve.
+    that passed `require_reserves`; `marginal(reserves, i, j, level)`, the
+    spot; `out_given_in(reserves, i, j, dx, level)` and `in_given_out(
+    reserves, i, j, dy, level)`, the closed forms of a trade that moves legs
+    i and j along the level set of `reserves` (whose value is `level`); and
+    `drainable`, whether a trade may empty a reserve.  The shared methods
+    check the reserves, the overflows and the depletion around them.
     """
 
     __slots__ = ()
@@ -265,40 +263,31 @@ class _Conservation(CurveSpec):
         except OverflowError:
             c = math.inf
         if not math.isfinite(c):
-            raise DomainError(
-                f"conservation value overflows at reserves {tuple(reserves)}"
-            )
+            raise DomainError(f"conservation value overflows at reserves {tuple(reserves)}")
         return c
+
+    def spot(self, reserves, token_in, token_out, adopted_price=None):
+        return self.spot_at(reserves, token_in, token_out, None)
+
+    def spot_at(self, reserves, token_in, token_out, level, adopted_price=None):
+        self.require_reserves(reserves)
+        price = self.marginal(reserves, token_in, token_out, level)
+        if not 0.0 < price < math.inf:
+            raise DomainError(f"spot price leaves the float range at reserves {tuple(reserves)}")
+        return price
 
     def quote_in(self, reserves, i, j, dx, adopted_price=None, level=None):
         if level is None:
-            c0 = self.invariant(reserves)
+            level = self.invariant(reserves)
         else:
             self.require_reserves(reserves)
-            c0 = level
-        updated = list(reserves)
-        updated[i] = reserves[i] + dx
-        try:
-            f, fp = self.residual(reserves, updated, j, c0)
-            f0 = f(0.0)
-        except OverflowError:  # math.fsum of the known reserves
-            f0 = math.nan
-        if f0 != f0:  # nan: a known term overflowed
-            raise DomainError(
-                f"input {dx} overflows the conservation value at reserves {tuple(reserves)}"
-            )
+        out = self.out_given_in(reserves, i, j, dx, level) if reserves[i] + dx < math.inf else math.nan
+        if out != out:  # nan: the post-trade reserve or a term of the form overflowed
+            raise DomainError(f"input {dx} overflows the conservation value at reserves {tuple(reserves)}")
         r_j = reserves[j]
-        if f0 > 0.0:
-            raise DepletionError(
-                f"input {dx} would drain more than the {r_j} units in reserve"
-            )
-        if f0 == 0.0:
-            if self.drainable:
-                return r_j
-            raise DepletionError(f"trade would deplete reserve {j}")
-        x_star = _solve_increasing(f, fp, 0.0, r_j)
-        out = r_j - x_star
-        if out == r_j and not self.drainable:  # x_star is below the float spacing of r_j
+        if out > r_j:
+            raise DepletionError(f"input {dx} would drain more than the {r_j} units in reserve")
+        if out == r_j and not self.drainable:  # what stays is below the float spacing of r_j
             raise DepletionError(f"input {dx} would deplete reserve {j}")
         return out
 
@@ -307,33 +296,58 @@ class _Conservation(CurveSpec):
         r_j = reserves[j]
         if dy > r_j or (dy == r_j and not self.drainable):
             raise DepletionError(f"requested {dy} exceeds the {r_j} units available")
-        c0 = self.invariant(reserves) if level is None else level
-        updated = list(reserves)
-        updated[j] = r_j - dy
-        f, fp = self.residual(reserves, updated, i, c0)
-        lo = reserves[i]
-        x_star = _solve_increasing(f, fp, lo, _bracket_above(f, lo, lo + dy))
-        return x_star - lo
+        level = self.invariant(reserves) if level is None else level
+        paid = self.in_given_out(reserves, i, j, dy, level)
+        if not reserves[i] + paid < math.inf:
+            raise DomainError(f"the input for {dy} overflows at reserves {tuple(reserves)}")
+        return paid
+
+
+def _hyperbola_out(b: float, x_i: float, x_j: float, dx: float) -> float:
+    """Leg j's output for dx of leg i on (b + x_i) * (b + x_j) = m, ordered
+    so that no intermediate overflows: the factor dx / (b + x_i + dx) is at
+    most 1."""
+    return (b + x_j) * (dx / (b + x_i + dx))
+
+
+class _Hyperbola(_Conservation):
+    """A conservation curve whose level set in the two traded legs, the
+    other reserves held, is the hyperbola (b + x_i) * (b + x_j) = m for the
+    offset b = `offset(reserves, i, j, level)`: constant product (b = 0) and
+    constant product-sum.  Its spot is (b + x_j) / (b + x_i), and its quotes
+    and the inverse of its spot are closed forms in b."""
+
+    __slots__ = ()
+
+    def marginal(self, reserves, i, j, level):
+        b = self.offset(reserves, i, j, level)
+        return (b + reserves[j]) / (b + reserves[i])
+
+    def out_given_in(self, reserves, i, j, dx, level):
+        return _hyperbola_out(self.offset(reserves, i, j, level), reserves[i], reserves[j], dx)
+
+    def in_given_out(self, reserves, i, j, dy, level):
+        b = self.offset(reserves, i, j, level)
+        return dy * (b + reserves[i]) / (b + reserves[j] - dy)
+
+    def state_at_spot(self, reserves, token_in, token_out, price, level=None):
+        b = self.offset(reserves, token_in, token_out, level)
+        x_in, x_out = reserves[token_in], reserves[token_out]
+        moved_in = math.sqrt((b + x_in) * (b + x_out) / price) - b
+        # x_out follows from the move of x_in along the hyperbola, which keeps
+        # the state on the level to the rounding of the reserves, not of b
+        moved_out = x_out - _hyperbola_out(b, x_in, x_out, moved_in - x_in)
+        return _moved(reserves, token_in, token_out, moved_in, moved_out)
 
 
 @_curve("constant-product", "Constant-product", CONSERVATION)
 @dataclass(frozen=True, slots=True)
-class ConstantProduct(_Conservation):
+class ConstantProduct(_Hyperbola):
     def value(self, reserves):
         return math.prod(reserves)
 
-    def residual(self, original, updated, j, c0):
-        known = math.prod(v for idx, v in enumerate(updated) if idx != j)
-        return (lambda x: known * x - c0), (lambda x: known)
-
-    def spot(self, reserves, token_in, token_out, adopted_price=None):
-        _require_positive(reserves)
-        return reserves[token_out] / reserves[token_in]
-
-    def state_at_spot(self, reserves, token_in, token_out, price, level=None):
-        # r_out / r_in = price on the hyperbola r_in * r_out = k
-        k = reserves[token_in] * reserves[token_out]
-        return _moved(reserves, token_in, token_out, math.sqrt(k / price), math.sqrt(k * price))
+    def offset(self, reserves, i, j, level):
+        return 0.0
 
 
 @_curve("geometric-mean", "Geometric Mean", CONSERVATION)
@@ -354,27 +368,26 @@ class GeometricMean(_Conservation):
         if len(self.weights) != n_tokens:
             raise DomainError(f"{len(self.weights)} weights for {n_tokens} {legs}")
 
-    def value(self, reserves):
-        self.check_tokens(len(reserves), "reserves")
-        return math.prod(r**w for r, w in zip(reserves, self.weights))
-
-    def residual(self, original, updated, j, c0):
-        w = self.weights
-        known = math.prod(
-            v ** w[idx] for idx, v in enumerate(updated) if idx != j
-        )
-        wj = w[j]
-        return (
-            lambda x: known * x**wj - c0,
-            lambda x: wj * known * x ** (wj - 1.0),
-        )
-
-    def spot(self, reserves, token_in, token_out, adopted_price=None):
+    def require_reserves(self, reserves):
         self.check_tokens(len(reserves), "reserves")
         _require_positive(reserves)
-        return (self.weights[token_in] * reserves[token_out]) / (
-            self.weights[token_out] * reserves[token_in]
-        )
+
+    def value(self, reserves):
+        return math.prod(r**w for r, w in zip(reserves, self.weights))
+
+    # x_i^w_i * x_j^w_j is held, so the two legs move by reciprocal powers:
+    # x_j' / x_j = (x_i / x_i')^(w_i / w_j)
+
+    def out_given_in(self, reserves, i, j, dx, level):
+        w = self.weights
+        return -reserves[j] * math.expm1(-w[i] / w[j] * math.log1p(dx / reserves[i]))
+
+    def in_given_out(self, reserves, i, j, dy, level):
+        w = self.weights
+        return _grown(reserves[i], -w[j] / w[i] * math.log1p(-dy / reserves[j]))
+
+    def marginal(self, reserves, i, j, level):
+        return (self.weights[i] * reserves[j]) / (self.weights[j] * reserves[i])
 
 
 @_curve("constant-sum", "Constant-sum", CONSERVATION)
@@ -386,17 +399,19 @@ class ConstantSum(_Conservation):
     def value(self, reserves):
         return math.fsum(reserves)
 
-    def residual(self, original, updated, j, c0):
-        known = math.fsum(v for idx, v in enumerate(updated) if idx != j)
-        return (lambda x: known + x - c0), (lambda x: 1.0)
+    def out_given_in(self, reserves, i, j, dx, level):
+        return dx
 
-    def spot(self, reserves, token_in, token_out, adopted_price=None):
+    def in_given_out(self, reserves, i, j, dy, level):
+        return dy
+
+    def marginal(self, reserves, i, j, level):
         return 1.0
 
 
 @_curve("constant-product-sum", "Constant-product-sum", CONSERVATION)
 @dataclass(frozen=True, slots=True)
-class ConstantProductSum(_Conservation):
+class ConstantProductSum(_Hyperbola):
     chi: float  # leverage factor, finite, >= 0; 0 -> constant product, large -> sum
 
     def __post_init__(self) -> None:
@@ -406,45 +421,13 @@ class ConstantProductSum(_Conservation):
     def value(self, reserves):
         return solve_stableswap_d(reserves, self.chi)
 
-    def residual(self, original, updated, j, c0):
-        # c0 here is D of the pre-trade state; quote at that fixed D.  The
-        # right side is the pre-trade left side (same level set), which
-        # avoids the D -> (D/n)**n round trip that loses precision on the
-        # chi = 0 product limit.
-        n = len(updated)
-        a = self.chi * c0 ** (n - 1)
-        rhs = a * math.fsum(original) + math.prod(original)
-        s_known = math.fsum(v for idx, v in enumerate(updated) if idx != j)
-        p_known = math.prod(v for idx, v in enumerate(updated) if idx != j)
-        return (
-            lambda x: a * (s_known + x) + p_known * x - rhs,
-            lambda x: a + p_known,
-        )
-
-    def spot(self, reserves, token_in, token_out, adopted_price=None):
-        return self.spot_at(reserves, token_in, token_out, self.invariant(reserves))
-
-    def spot_at(self, reserves, token_in, token_out, level, adopted_price=None):
-        # closed form at a known D: the ratio of the invariant's partials
-        _require_positive(reserves)
-        a = self.chi * level ** (len(reserves) - 1)
-        p = math.prod(reserves)
-        return (a + p / reserves[token_in]) / (a + p / reserves[token_out])
-
-    def state_at_spot(self, reserves, token_in, token_out, price, level=None):
-        # With the other reserves fixed at product q, the level set is the
-        # hyperbola (b + x_in) * (b + x_out) = m, b = chi * D^(n-1) / q, on
-        # which spot_at is (b + x_out) / (b + x_in): no D solve at a known D.
+    def offset(self, reserves, i, j, level):
+        # with the other reserves' product q held, the invariant at a known D
+        # holds where (b + x_i) * (b + x_j) is constant, b = chi*D^(n-1) / q
         if level is None:
             level = self.invariant(reserves)
-        others = math.prod(r for idx, r in enumerate(reserves) if idx not in (token_in, token_out))
-        b = self.chi * level ** (len(reserves) - 1) / others
-        x_in, x_out = reserves[token_in], reserves[token_out]
-        moved_in = math.sqrt((b + x_in) * (b + x_out) / price) - b
-        # x_out follows from the move of x_in along the hyperbola, which keeps
-        # the state on the level to the rounding of the reserves, not of b
-        moved_out = x_out - (b + x_out) * (moved_in - x_in) / (b + moved_in)
-        return _moved(reserves, token_in, token_out, moved_in, moved_out)
+        others = math.prod(r for idx, r in enumerate(reserves) if idx != i and idx != j)
+        return self.chi * level ** (len(reserves) - 1) / others
 
 
 @_curve("constant-power-sum", "Constant-power-sum", CONSERVATION)
@@ -459,19 +442,25 @@ class ConstantPowerSum(_Conservation):
     def value(self, reserves):
         return math.fsum(r ** (1.0 - self.t) for r in reserves)
 
-    def residual(self, original, updated, j, c0):
-        e = 1.0 - self.t
-        s_known = math.fsum(
-            v**e for idx, v in enumerate(updated) if idx != j
-        )
-        return (
-            lambda x: s_known + x**e - c0,
-            lambda x: e * x ** (e - 1.0) if x > 0.0 else math.inf,
-        )
+    # x_i^e + x_j^e is held (e = 1 - t): what leg i's term gains, leg j's
+    # term loses, each change taken relative to the term it changes
 
-    def spot(self, reserves, token_in, token_out, adopted_price=None):
-        _require_positive(reserves)
-        return (reserves[token_out] / reserves[token_in]) ** self.t
+    def out_given_in(self, reserves, i, j, dx, level):
+        e = 1.0 - self.t
+        x_i, x_j = reserves[i], reserves[j]
+        taken = _grown(x_i**e, e * math.log1p(dx / x_i)) / x_j**e
+        if not taken < 1.0:  # leg j's whole term or more: at or past its reserve
+            return x_j * taken
+        return -x_j * math.expm1(math.log1p(-taken) / e)
+
+    def in_given_out(self, reserves, i, j, dy, level):
+        e = 1.0 - self.t
+        x_i, x_j = reserves[i], reserves[j]
+        lost = -(x_j**e) * math.expm1(e * math.log1p(-dy / x_j))
+        return _grown(x_i, math.log1p(lost / x_i**e) / e)
+
+    def marginal(self, reserves, i, j, level):
+        return (reserves[j] / reserves[i]) ** self.t
 
 
 # ---------------------------------------------------------------------------
@@ -511,24 +500,6 @@ def _lmsr_leg_cost(b: float, q: Sequence[float], j: int, ds: float) -> float:
     after = list(q)
     after[j] += ds
     return _lmsr_cost(b, after) - _lmsr_cost(b, q)
-
-
-def _lmsr_shares(b: float, q: Sequence[float], j: int, sign: int, amount: float, hi: float) -> float:
-    """Shares s in [0, hi] of outcome j that buy (sign 1) or sell (sign -1)
-    for exactly `amount` collateral: sign*(C(q + sign*s*e_j) - C(q)) = amount."""
-    base = _lmsr_cost(b, q)
-
-    def f(s: float) -> float:
-        after = list(q)
-        after[j] += sign * s
-        return sign * (_lmsr_cost(b, after) - base) - amount
-
-    def fp(s: float) -> float:
-        after = list(q)
-        after[j] += sign * s
-        return _lmsr_price(b, after, j)
-
-    return _solve_increasing(f, fp, 0.0, hi)
 
 
 def _lmsr_outcome_leg(
@@ -579,14 +550,21 @@ class Lmsr(CurveSpec):
             if dx > q[j]:
                 raise DepletionError(f"only {q[j]} outstanding shares of outcome {j}")
             return -_lmsr_leg_cost(b, q, j, -dx)
-        # exact collateral in: invert C(q + s*e_j) - C(q) = dx for s
-        price = _lmsr_price(b, q, j)
-        hi = dx / price * (1.0 + 1e-9) + 1e-12 if price > 0.0 else math.inf
-        if not hi < math.inf:
-            # the price is too small to divide by: s shares cost at least
-            # q_j + s - C(q), and C(q) <= max(q) + b*ln(n)
-            hi = dx + (max(q) - q[j]) + b * math.log(len(q))
-        return _lmsr_shares(b, q, j, 1, dx, hi)
+        # exact collateral in: C(q + s*e_j) - C(q) = dx at s = b*log1p(expm1(
+        # dx/b) / p_j), taken as b*softplus(log(expm1(dx/b)) - log(p_j)) so
+        # that neither expm1 nor the price leaves the float range
+        y = dx / b
+        if y > 50.0:
+            log_spend = y + math.log1p(-math.exp(-y))
+        else:
+            spend = math.expm1(y)
+            log_spend = math.log(spend) if spend > 0.0 else -math.inf
+        top = max(q)  # log(p_j) from the shifted sum, finite where p_j underflows
+        x = log_spend - (q[j] - top) / b + math.log(sum(math.exp((qi - top) / b) for qi in q))
+        shares = b * (x + math.log1p(math.exp(-x)) if x > 0.0 else math.log1p(math.exp(x)))
+        if shares == math.inf:
+            raise DomainError(f"the shares that {dx} collateral buys overflow a float")
+        return shares
 
     def quote_out(self, q, token_in, token_out, dy, adopted_price=None, level=None):
         j, buying = _lmsr_outcome_leg(q, token_in, token_out)
@@ -594,7 +572,7 @@ class Lmsr(CurveSpec):
         if buying:
             # exact shares out: direct cost difference
             return _lmsr_leg_cost(b, q, j, dy)
-        # exact collateral out: solve C(q) - C(q - s*e_j) = dy for shares in
+        # exact collateral out: shares in
         depleted = list(q)
         depleted[j] = 0.0
         max_payout = _lmsr_cost(b, q) - _lmsr_cost(b, depleted)
@@ -604,7 +582,23 @@ class Lmsr(CurveSpec):
             )
         if dy == max_payout:
             return q[j]
-        return _lmsr_shares(b, q, j, -1, dy, q[j])
+        # C(q) - C(q - s*e_j) = dy at s = -b*log1p(expm1(-dy/b) / p_j), at
+        # most the whole position where rounding puts it past that
+        y = dy / b
+        price = _lmsr_price(b, q, j)
+        if price <= math.exp(-y):
+            ratio = math.expm1(-y) / price
+            shares = -b * math.log1p(ratio) if ratio > -1.0 else q[j]
+        else:
+            # a leading outcome, where 1 + ratio cancels: with the others'
+            # price 1 - p_j summed directly, s = dy + b*log(p_j) -
+            # b*log1p(-(1 - p_j)*e^(dy/b))
+            top = max(q)
+            terms = [math.exp((qi - top) / b) for qi in q]
+            rest = sum(t for k, t in enumerate(terms) if k != j) / sum(terms)
+            tail = math.exp(math.log(rest) + y) if rest > 0.0 else 0.0
+            shares = dy + b * (math.log1p(-rest) - math.log1p(-tail)) if tail < 1.0 else q[j]
+        return min(q[j], shares)
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +619,9 @@ def _require_adopted_price(adopted_price: float | None) -> float:
 class PriceAdoption(CurveSpec):
     """The marginal price is affine in the token-0 reserve, so both trade
     directions integrate in closed form (width times the price at the
-    midpoint, piece by piece); a quote that fixes the token-1 side
-    inverts the integral with the shared scalar solver."""
+    midpoint, piece by piece), and a quote that fixes the token-1 side
+    inverts that integral in closed form: linearly on the at-par piece, by
+    the quadratic formula on the affine one (`_affine_width`)."""
 
     k: float  # surcharge magnitude, in [0, 1]
     target_reserves: tuple[float, ...]  # (t0, t1); t0 drives the imbalance term
@@ -661,61 +656,61 @@ class PriceAdoption(CurveSpec):
         """Token-0 reserve at which the bid floors at zero (inf when k = 0)."""
         return self.target_reserves[0] * (1.0 + 1.0 / self.k) if self.k > 0.0 else math.inf
 
-    def _ask(self, r0: float, p: float) -> float:
-        # charged when the trader buys token 0: never below the adopted price
-        return max(p, self.mid(r0, p))
+    # Each integral below is piecewise: a piece's width times the price at
+    # its midpoint, the exact integral of an affine price.
 
-    def _bid(self, r0: float, p: float) -> float:
-        # paid when the trader sells token 0: never above the adopted price
-        return max(0.0, min(p, self.mid(r0, p)))
-
-    def _ask_integral(self, p: float, x: float, y: float) -> float:
-        """Integral of the ask price over the token-0 reserve interval [x, y]."""
-        lo, hi = min(x, y), max(x, y)
+    def _ask_cost(self, p: float, r0: float, width: float) -> float:
+        """The ask's integral as the token-0 reserve falls by `width` from
+        r0: at par down to t0, then surcharged."""
         t0 = self.target_reserves[0]
-        total = 0.0
-        if lo < t0:  # surcharged leg
-            seg_hi = min(hi, t0)
-            total += (seg_hi - lo) * self.mid(0.5 * (lo + seg_hi), p)
-        if hi > t0:  # at-par leg
-            total += p * (hi - max(lo, t0))
-        return total
+        par = min(width, max(r0 - t0, 0.0))
+        ramp = width - par
+        return p * par + ramp * self.mid(min(r0, t0) - 0.5 * ramp, p)
 
-    def _bid_integral(self, p: float, x: float, y: float) -> float:
-        """Integral of the bid price over the token-0 reserve interval [x, y]."""
-        lo, hi = min(x, y), max(x, y)
+    def _bid_payout(self, p: float, r0: float, width: float) -> float:
+        """The bid's integral as the token-0 reserve rises by `width` from
+        r0: at par up to t0, then discounted until the bid floors at zero."""
         t0 = self.target_reserves[0]
-        total = 0.0
-        if lo < t0:  # at-par leg
-            total += p * (min(hi, t0) - lo)
-        if hi > t0:  # discounted leg, clamped at a zero price
-            seg_lo = max(lo, t0)
-            seg_hi = min(hi, self.zero_bid_reserve())
-            if seg_hi > seg_lo:
-                total += (seg_hi - seg_lo) * self.mid(0.5 * (seg_lo + seg_hi), p)
-        return total
+        par = min(width, max(t0 - r0, 0.0))
+        bottom = max(r0, t0)
+        ramp = min(width - par, max(self.zero_bid_reserve() - bottom, 0.0))
+        if not ramp > 0.0:  # no discounted piece; mid(bottom) may not be finite
+            return p * par
+        return p * par + ramp * self.mid(bottom + 0.5 * ramp, p)
+
+    def _affine_width(self, p: float, start: float, amount: float, sign: float) -> float:
+        """The reserve width d over which the price, starting at mid(start)
+        = m and moving at sign * slope per unit, integrates to `amount`:
+        m*d + sign*slope*d^2/2 = amount.  The quadratic formula's root
+        2A / (m + sqrt(m^2 + 2*sign*slope*A)) is free of cancellation, and
+        is divided through by m so that m^2 cannot overflow."""
+        m = self.mid(start, p)
+        width = amount / m  # at the starting price
+        grow = 2.0 * sign * p * self.k / self.target_reserves[0] / m * width
+        return 2.0 * width / (1.0 + math.sqrt(max(0.0, 1.0 + grow)))
 
     def invariant(self, reserves):
         raise UnsupportedOperation("price adoption has no conservation function")
 
     def spot(self, reserves, token_in, token_out, adopted_price=None):
         p = _require_adopted_price(adopted_price)
-        if token_out == 0:
-            return 1.0 / self._ask(reserves[0], p)
-        return self._bid(reserves[0], p)
+        mid = self.mid(reserves[0], p)
+        if token_out == 0:  # the ask, charged for token 0: never below p
+            return 1.0 / max(p, mid)
+        return max(0.0, min(p, mid))  # the bid, paid for token 0: never above p
 
     def quote_in(self, reserves, token_in, token_out, dx, adopted_price=None, level=None):
         p = _require_adopted_price(adopted_price)
         r0, r1 = reserves[0], reserves[1]
         if token_in == 0:
             # trader sells token 0: reserve walks r0 -> r0 + dx at the bid
-            out = self._bid_integral(p, r0, r0 + dx)
+            out = self._bid_payout(p, r0, dx)
             if out > r1:
                 raise DepletionError(f"payout {out} exceeds the {r1} units in reserve")
             return out
 
         # trader buys token 0 with dx of token 1: invert the ask integral
-        full_cost = self._ask_integral(p, 0.0, r0)
+        full_cost = self._ask_cost(p, r0, r0)
         if dx > full_cost:
             raise DepletionError(
                 f"input {dx} exceeds the {full_cost} cost of the whole reserve"
@@ -723,13 +718,12 @@ class PriceAdoption(CurveSpec):
         if dx == full_cost:
             return r0
 
-        def f(delta: float) -> float:
-            return self._ask_integral(p, r0 - delta, r0) - dx
-
-        def fp(delta: float) -> float:
-            return self._ask(r0 - delta, p)
-
-        return _solve_increasing(f, fp, 0.0, r0)
+        t0 = self.target_reserves[0]
+        par = p * (r0 - t0) if r0 > t0 else 0.0  # at par down to t0
+        if dx <= par:
+            return dx / p
+        top = min(r0, t0)  # then surcharged below t0, the ask rising from its top
+        return min(r0, (r0 - top) + self._affine_width(p, top, dx - par, 1.0))
 
     def quote_out(self, reserves, token_in, token_out, dy, adopted_price=None, level=None):
         p = _require_adopted_price(adopted_price)
@@ -739,25 +733,27 @@ class PriceAdoption(CurveSpec):
             # exact token 0 out: pay the ask integral over the displacement
             if dy > r0:
                 raise DepletionError(f"requested {dy} exceeds the {r0} units available")
-            return self._ask_integral(p, r0 - dy, r0)
+            cost = self._ask_cost(p, r0, dy)
+            if cost == math.inf:
+                raise DomainError(f"the cost of {dy} units of token 0 overflows a float")
+            return cost
 
-        # exact token 1 out: solve the bid integral for the token-0 input
+        # exact token 1 out: invert the bid integral for the token-0 input
         if dy > r1:
             raise DepletionError(f"requested {dy} exceeds the {r1} units available")
         u_zero = self.zero_bid_reserve()
-        max_payout = self._bid_integral(p, r0, u_zero) if math.isfinite(u_zero) else math.inf
+        max_payout = self._bid_payout(p, r0, max(u_zero - r0, 0.0)) if math.isfinite(u_zero) else math.inf
         if dy > max_payout:
             raise DepletionError(
                 f"bid price floors at zero after {max_payout} units of payout"
             )
 
-        def f(delta: float) -> float:
-            return self._bid_integral(p, r0, r0 + delta) - dy
-
-        def fp(delta: float) -> float:
-            return self._bid(r0 + delta, p)
-
-        return _solve_increasing(f, fp, 0.0, _bracket_above(f, 0.0, dy / p))
+        t0 = self.target_reserves[0]
+        par = p * (t0 - r0) if r0 < t0 else 0.0  # at par up to t0
+        if dy <= par:
+            return dy / p
+        bottom = max(r0, t0)  # then discounted above t0, the bid falling from its bottom
+        return (bottom - r0) + self._affine_width(p, bottom, dy - par, -1.0)
 
 
 def pmm_trade_cost(

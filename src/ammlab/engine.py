@@ -42,8 +42,8 @@ Other conventions chosen here (the pricing layer itself lives in curves.py):
     the pool, and deposit/withdraw are not supported after creation.
   * Resolution pays 1 collateral per winning share, burns the redeemed
     shares, sweeps leftover collateral to the creator, and closes the pool.
-  * A quote that cannot be priced (a non-finite amount, or an input that
-    underflows to zero) raises DomainError.
+  * A quote that cannot be priced (a non-finite amount, or an input that is
+    not a positive float, as a tiny bonding or LMSR cost) raises DomainError.
 
 All operations are pure: they return new PoolState / ledger values and on
 failure raise without having changed anything the caller holds.

@@ -329,7 +329,7 @@ def _solve_size(g, cap: float, scale: float) -> float:
         else:
             hi, g_hi = mid, g_mid
     known = {lo: g_lo, hi: g_hi}  # the solve opens by evaluating both ends
-    return _solve_increasing(lambda a: known.pop(a) if a in known else g(a), None, lo, hi)
+    return _solve_increasing(lambda a: known.pop(a) if a in known else g(a), lo, hi)
 
 
 def arbitrage_step(

@@ -52,20 +52,27 @@ class TestQuote:
         assert captured.err == ""
 
     @pytest.mark.parametrize(
-        "extra",
+        "extra, priced",
         [
-            ["--amount", "inf"],
-            ["--amount", "nan"],
-            ["--amount", "1e-300", "--kind", "exact-out"],
-            ["--amount", "1e300"],  # output within float spacing of the reserve
+            pytest.param(["--amount", "inf"], False, id="extra0"),
+            pytest.param(["--amount", "nan"], False, id="extra1"),
+            # the closed form prices an output below the reserves' float spacing
+            pytest.param(["--amount", "1e-300", "--kind", "exact-out"], True, id="extra2"),
+            # output within float spacing of the reserve
+            pytest.param(["--amount", "1e300"], False, id="extra3"),
         ],
     )
-    def test_unpriceable_amount_is_an_engine_error(self, extra, capsys):
+    def test_unpriceable_amount_is_an_engine_error(self, extra, priced, capsys):
         code = main(
             ["quote", "--pool", "uniswap-v2-like", "--in", "TOKEN0", "--out", "TOKEN1"]
             + extra
         )
         captured = capsys.readouterr()
+        if priced:
+            assert code == 0
+            assert captured.out.startswith("amount_in 0.000000\namount_out 0.000000\n")
+            assert captured.err == ""
+            return
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
@@ -222,20 +229,20 @@ class TestOverflowingReserves:
 class TestUnresolvableSpread:
     def test_classify_refuses_reserves_600_decades_apart(self, tmp_path, capsys):
         """Decided: `classify` on reserves 1e-300, 1e300 exits 2.  The probe
-        sizes its trades from the smallest reserve: its first buy takes
-        about 1e-303 of token 0 for about 1e297 of token 1.  The exact-out
-        bracket starts at the 1e300 reserve plus the amount bought, which
-        rounds to the reserve itself, so it cannot grow; widening it only
-        moves the failure to the root solve.  Deviations measured on a
-        1e-300 scale would read float rounding of the 1e300 reserve as a
-        property of the design, so no verdict beats a wrong one."""
+        sizes its trades from the smallest reserve, and its spot of token 0,
+        1e300 / 1e-300, is past the largest float: the conservation spots
+        refuse it with DomainError rather than return inf.  Deviations
+        measured on a 1e-300 scale would read float rounding of the 1e300
+        reserve as a property of the design ('Non-incorporative', and
+        'Path Dependent' at inf, where the spot was let through), so no
+        verdict beats a wrong one."""
         path = tmp_path / "spread.pool"
         path.write_text(CP_ZERO_FEE.replace("100, 100", "1e-300, 1e300"))
         code = main(["classify", "--pool", str(path), "--seed", "0"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "error: could not bracket the required input\n"
+        assert captured.err.startswith("error: spot price leaves the float range at reserves")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Pricing-curve tests.
 
-Each quoting rule the package solves numerically is checked here against an
-independently derived closed form ("one code path, many oracles"):
+Every quote is a closed form.  The hand-derived formulas below, once
+independent oracles for a root solver, now restate the production formulas
+in another arrangement (`cp_out` is constant product's exact-in, `gm_out`
+geometric mean's): they catch a wrong formula, not its rounding.
 
     constant product   dy = r_out - (r_in * r_out) / (r_in + dx)
     geometric mean     x_out' = (c0 / prod_known(r^w))^(1/w_out)
@@ -11,13 +13,18 @@ independently derived closed form ("one code path, many oracles"):
     LMSR               share buy inverted in closed log form
     price adoption     piecewise-quadratic integrals done by hand
     bonding            r(S) = S^kappa / c evaluated directly
-"""
+
+The independent check of each closed form is `TestExactOracle`: the same
+quote evaluated exactly, with `fractions.Fraction` or `decimal` at 50
+digits, on fixed-seed float inputs."""
 
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -159,6 +166,17 @@ class TestSpotPrice:
     def test_constant_sum_unity(self):
         assert spot_price(CS, (17.0, 3.0), 0, 1) == 1.0
 
+    @pytest.mark.parametrize(
+        "spec",
+        [CP, GeometricMean(weights=(0.5, 0.5)), ConstantPowerSum(t=0.5)],
+        ids=lambda s: type(s).__name__,
+    )
+    @pytest.mark.parametrize("legs", [(0, 1), (1, 0)], ids=["to-inf", "to-zero"])
+    def test_conservation_spot_past_the_float_range_is_a_domain_error(self, spec, legs):
+        # 1e300 / 1e-300 was returned as inf one way and 0.0 the other
+        with pytest.raises(DomainError, match="spot price leaves the float range"):
+            spot_price(spec, (1e-300, 1e300), *legs)
+
     def test_lmsr_symmetric_outcome_price(self):
         # price of an outcome in collateral units, collateral leg = None
         assert close(spot_price(Lmsr(b=100.0), (0.0, 0.0), 0, None), 0.5)
@@ -245,22 +263,27 @@ class TestQuoteExactIn:
         assert close(dy, 100.0 - 10000.0 / 110.0)
 
     @pytest.mark.parametrize(
-        "spec, reserves, dx",
+        "spec, reserves, dx, out",
         [
-            (CS, (1.0, 1.0, 1e308), 1e308),
-            (ConstantPowerSum(t=0.0), (1.0, 1.0, 1e308), 1e308),
-            (ConstantProductSum(chi=1.0), (1e100, 1e100, 1e100), 1e300),
-            (CP, (1e200, 1e-200, 1e200), 1e200),
+            (CS, (1.0, 1.0, 1e308), 1e308, DepletionError),
+            (ConstantPowerSum(t=0.0), (1.0, 1.0, 1e308), 1e308, DepletionError),
+            (ConstantProductSum(chi=1.0), (1e100, 1e100, 1e100), 1e300, DepletionError),
+            (CP, (1e200, 1e-200, 1e200), 1e200, 5e-201),
         ],
         ids=["sum", "power-sum", "product-sum", "product"],
     )
-    def test_overflowing_residual_rejected(self, spec, reserves, dx):
-        # the conservation value is finite, but the known reserves of the
-        # post-trade state overflow: math.fsum raised OverflowError, and an
-        # infinite product gave a wrong quote (7.5e-201 for the product case,
-        # whose closed form is 5e-201)
-        with pytest.raises(DomainError, match="overflows the conservation value"):
-            quote_exact_in(spec, reserves, 0, 1, dx)
+    def test_overflowing_residual_rejected(self, spec, reserves, dx, out):
+        """The conservation value is finite, but the known reserves of the
+        post-trade state overflow a float.  A solved residual summed or
+        multiplied them: math.fsum raised OverflowError, and an infinite
+        product gave 7.5e-201 for the product case.  The closed forms never
+        form those terms: the product case pays its exact 5e-201, and the
+        others ask for more of token 1 than the pool holds."""
+        if out is DepletionError:
+            with pytest.raises(DepletionError, match="drain more"):
+                quote_exact_in(spec, reserves, 0, 1, dx)
+        else:
+            assert quote_exact_in(spec, reserves, 0, 1, dx) == out
 
     def test_constant_product_overflowing_value_rejected(self):
         # c = 1e320 is past the largest float.  The closed form, written as
@@ -345,6 +368,12 @@ class TestQuoteExactIn:
         dy = quote_exact_in(spec, (120.0, 800.0), 1, 0, 410.0, adopted_price=10.0)
         assert close(dy, 40.0)
 
+    def test_price_adoption_sale_past_the_zero_bid_pays_nothing(self):
+        # the bid is zero from 1.5e-10 up; at 1e300 its unclamped affine
+        # price is past the float range, and nothing of it may leak in
+        spec = PriceAdoption(k=1.0, target_reserves=(1e-10, 1.0))
+        assert quote_exact_in(spec, (1e300, 1.0), 0, 1, 1.0, adopted_price=1.0) == 0.0
+
     def test_exponential_buy_and_sell(self):
         spec = Exponential(kappa=2.0, c=1.0)
         # spending 21 reserve at S=10 mints exactly 1 (121 - 100 = 21)
@@ -388,6 +417,12 @@ class TestQuoteExactOut:
         spec = PriceAdoption(k=0.5, target_reserves=(100.0, 1000.0))
         dx = quote_exact_out(spec, (80.0, 800.0), 1, 0, 10.0, adopted_price=10.0)
         assert close(dx, 112.5)
+
+    def test_price_adoption_cost_past_the_float_range_is_a_domain_error(self):
+        # 1e300 units at par for 1e300 each: the cost was returned as inf
+        spec = PriceAdoption(k=0.5, target_reserves=(1.0, 1.0))
+        with pytest.raises(DomainError, match="overflows a float"):
+            quote_exact_out(spec, (2e300, 1.0), 1, 0, 1e300, adopted_price=1e300)
 
     def test_lmsr_buy_exact_out_is_direct_cost(self):
         b, q = 100.0, (0.0, 0.0)
@@ -686,12 +721,14 @@ class ScaledProduct(_Conservation):
     def value(self, reserves):
         return self.scale * math.prod(reserves)
 
-    def residual(self, original, updated, j, c0):
-        known = self.scale * math.prod(v for i, v in enumerate(updated) if i != j)
-        return (lambda x: known * x - c0), (lambda x: known)
+    def marginal(self, reserves, i, j, level):
+        return reserves[j] / reserves[i]
 
-    def spot(self, reserves, token_in, token_out, adopted_price=None):
-        return reserves[token_out] / reserves[token_in]
+    def out_given_in(self, reserves, i, j, dx, level):
+        return reserves[j] * dx / (reserves[i] + dx)
+
+    def in_given_out(self, reserves, i, j, dy, level):
+        return reserves[i] * dy / (reserves[j] - dy)
 
 
 class TestNinthCurve:
@@ -746,8 +783,9 @@ class TestKnownLevel:
             i, j = first % n, (first + 1 + offset % (n - 1)) % n
             spot = spot_price(spec, state, i, j)
             assert math.isclose(spot_price(spec, state, i, j, level=level), spot, rel_tol=1e-12)
-            # a quote is a difference of reserves (out = r_j - x*), so its
-            # rounding is relative to the reserve it moves, not to itself
+            # the level held from the first state and the D solved at this
+            # one differ by the D solve's rounding; the bound allows for it
+            # relative to the reserve the quote moves as well as to the quote
             quote_fn = quote_exact_in if exact_in else quote_exact_out
             amount = fraction * state[i if exact_in else j]
             try:
@@ -867,6 +905,231 @@ class TestStateAtSpot:
     )
     def test_no_closed_form_state(self, spec, reserves, legs, price):
         assert spec.state_at_spot(reserves, *legs, price) is None
+
+
+# ---------------------------------------------------------------------------
+# exact oracles
+# ---------------------------------------------------------------------------
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _rel_err(got, exact):
+    """|got - exact| / |exact|, taken exactly; `exact` a Fraction or Decimal."""
+    exact = Fraction(exact)
+    return float(abs(Fraction(got) - exact) / abs(exact))
+
+
+class TestExactOracle:
+    """Each closed-form quote against the exact value of the same quote at
+    the same float inputs: `fractions.Fraction` where the form is rational,
+    `decimal` at 50 digits where it takes logs, powers or a square root.
+    The inputs are drawn from fixed seeds.  A bound is the largest relative
+    error allowed; the worst error measured over 6,000 such cases (seeds 1 to
+    3, 2,000 each) is beside it.  A power's bound is wider than a ratio's: the
+    float rounding of the exponent is amplified by the power it takes."""
+
+    CASES = 300
+
+    def cases(self, seed):
+        rng = random.Random(seed)
+        for _ in range(self.CASES):
+            x_i, x_j = _log_uniform(rng, 1e-3, 1e6), _log_uniform(rng, 1e-3, 1e6)
+            dx = x_i * _log_uniform(rng, 1e-9, 10.0)
+            dy = x_j * rng.uniform(1e-9, 0.9)
+            yield rng, x_i, x_j, dx, dy
+
+    def test_constant_product(self):
+        # bound 1e-15 both ways; worst 2.8e-16
+        worst = 0.0
+        for _, x_i, x_j, dx, dy in self.cases(1):
+            out = Fraction(x_j) * Fraction(dx) / (Fraction(x_i) + Fraction(dx))
+            paid = Fraction(x_i) * Fraction(dy) / (Fraction(x_j) - Fraction(dy))
+            worst = max(worst, _rel_err(quote_exact_in(CP, (x_i, x_j), 0, 1, dx), out),
+                        _rel_err(quote_exact_out(CP, (x_i, x_j), 0, 1, dy), paid))
+        assert worst <= 1e-15
+
+    def test_constant_sum_is_exact(self):
+        for _, x_i, x_j, dx, dy in self.cases(2):
+            assert quote_exact_in(CS, (x_i, x_j + dx), 0, 1, dx) == dx
+            assert quote_exact_out(CS, (x_i, x_j), 0, 1, dy) == dy
+
+    def test_product_sum_at_a_level(self):
+        # (b + x_i) * (b + x_j) held, b = chi * D^(n-1) / (other reserves),
+        # D the float level: bound 2e-15; worst 5.9e-16
+        worst = 0.0
+        for rng, x_i, x_j, dx, dy in self.cases(3):
+            spec = ConstantProductSum(chi=rng.choice([0.0, 0.01, 1.0, 10.0, 1000.0]))
+            reserves = (x_i, x_j, _log_uniform(rng, 1e-3, 1e6))[: rng.choice([2, 3])]
+            level = invariant_value(spec, reserves)
+            n = len(reserves)
+            b = Fraction(spec.chi) * Fraction(level) ** (n - 1) / Fraction(math.prod(reserves[2:]))
+            out = Fraction(dx) * (b + Fraction(x_j)) / (b + Fraction(x_i) + Fraction(dx))
+            try:
+                got = quote_exact_in(spec, reserves, 0, 1, dx, level=level)
+            except DepletionError:  # a near-sum pool cannot pay dx out of x_j
+                assert out >= x_j * (1 - 1e-15)
+            else:
+                worst = max(worst, _rel_err(got, out))
+            paid = Fraction(dy) * (b + Fraction(x_i)) / (b + Fraction(x_j) - Fraction(dy))
+            worst = max(worst, _rel_err(quote_exact_out(spec, reserves, 0, 1, dy, level=level), paid))
+        assert worst <= 2e-15
+
+    def test_geometric_mean(self):
+        # x_j' = x_j * (x_i / x_i')^(w_i / w_j): bound 2e-15 in (worst 3.8e-16),
+        # 3e-14 out (worst 7.8e-15, at growth factors up to about e^44)
+        worst_in = worst_out = 0.0
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for rng, x_i, x_j, dx, dy in self.cases(4):
+                w = rng.uniform(0.05, 0.95)
+                spec = GeometricMean(weights=(w, 1.0 - w))
+                power = Decimal(spec.weights[0]) / Decimal(spec.weights[1])
+                kept = ((Decimal(x_i) / (Decimal(x_i) + Decimal(dx))).ln() * power).exp()
+                try:
+                    got = quote_exact_in(spec, (x_i, x_j), 0, 1, dx)
+                except DepletionError:  # what stays of x_j is below its float spacing
+                    assert kept < 1e-16
+                else:
+                    worst_in = max(worst_in, _rel_err(got, Decimal(x_j) * (1 - kept)))
+                grown = ((Decimal(x_j) / (Decimal(x_j) - Decimal(dy))).ln() / power).exp()
+                got = quote_exact_out(spec, (x_i, x_j), 0, 1, dy)
+                worst_out = max(worst_out, _rel_err(got, Decimal(x_i) * (grown - 1)))
+        assert worst_in <= 2e-15
+        assert worst_out <= 3e-14
+
+    def test_power_sum(self):
+        # x_i^e + x_j^e held, e = 1 - t: bound 5e-15 in (worst 1.5e-15),
+        # 1e-14 out (worst 2.7e-15)
+        worst_in = worst_out = 0.0
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for rng, x_i, x_j, dx, dy in self.cases(5):
+                spec = ConstantPowerSum(t=rng.uniform(0.0, 0.9))
+                e = 1 - Decimal(spec.t)
+
+                def power(v):
+                    return (Decimal(v).ln() * e).exp()
+
+                def root(v):
+                    return (v.ln() / e).exp()
+
+                left = power(x_j) + power(x_i) - power(Decimal(x_i) + Decimal(dx))
+                try:
+                    got = quote_exact_in(spec, (x_i, x_j), 0, 1, dx)
+                except DepletionError:  # x_j's term cannot pay for x_i's rise
+                    assert left <= power(x_j) * Decimal(1e-15)
+                else:
+                    worst_in = max(worst_in, _rel_err(got, Decimal(x_j) - root(left)))
+                needed = power(x_i) + power(x_j) - power(Decimal(x_j) - Decimal(dy))
+                got = quote_exact_out(spec, (x_i, x_j), 0, 1, dy)
+                worst_out = max(worst_out, _rel_err(got, root(needed) - Decimal(x_i)))
+        assert worst_in <= 5e-15
+        assert worst_out <= 1e-14
+
+    def test_lmsr(self):
+        # buy s = b*ln(1 + (e^(m/b) - 1) / p_j): bound 5e-15 (worst 2.4e-15).
+        # sell s = -b*ln((e^(-m/b) - (1 - p_j)) / p_j), ill-conditioned where
+        # the sale leaves the outcome's price p' small: its error over the
+        # condition number max(1, m / (s * p')) is bounded by 1e-14 (worst
+        # 3.3e-15, leading outcomes among them)
+        worst_buy = worst_sell = 0.0
+        rng = random.Random(6)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for _ in range(self.CASES):
+                b = _log_uniform(rng, 1.0, 1e3)
+                q = tuple(_log_uniform(rng, 1e-3, 1e3) * rng.choice([0.0, 1.0])
+                          for _ in range(rng.choice([2, 3])))
+                j = rng.randrange(len(q))
+                weights = [(Decimal(qi) / Decimal(b)).exp() for qi in q]
+                others = sum(weights[:j] + weights[j + 1:])
+                p_j = weights[j] / sum(weights)
+                spend = b * _log_uniform(rng, 1e-6, 10.0)
+                shares = Decimal(b) * (1 + ((Decimal(spend) / Decimal(b)).exp() - 1) / p_j).ln()
+                got = quote_exact_in(Lmsr(b=b), q, None, j, spend)
+                worst_buy = max(worst_buy, _rel_err(got, shares))
+                # sell a part of the position for the float payout it earns
+                sold = Decimal(q[j] * rng.uniform(1e-6, 0.9))
+                kept = weights[j] * (-sold / Decimal(b)).exp()
+                payout = float(Decimal(b) * (sum(weights) / (others + kept)).ln())
+                if payout < 1e-12 * invariant_value(Lmsr(b=b), q):
+                    continue  # below what the float cost difference bounding a sale resolves
+                gap = (-Decimal(payout) / Decimal(b)).exp() - others / sum(weights)
+                if gap <= 0:
+                    continue  # rounded past what selling any number of shares pays
+                shares = -Decimal(b) * (gap.ln() - p_j.ln())
+                kept = weights[j] * (-shares / Decimal(b)).exp()
+                condition = max(1, Decimal(payout) * (others + kept) / (shares * kept))
+                got = quote_exact_out(Lmsr(b=b), q, j, None, payout)
+                worst_sell = max(worst_sell, _rel_err(got, shares) / float(condition))
+        assert worst_buy <= 5e-15
+        assert worst_sell <= 1e-14
+
+    def test_price_adoption(self):
+        # the integrals, rational: bound 4e-15 (worst 1.6e-15); their
+        # inverses, a square root: bound 1e-14 (worst 1.4e-15)
+        worst_integral = worst_inverse = 0.0
+        rng = random.Random(7)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for _ in range(self.CASES):
+                k = rng.choice([0.0, 0.1, 0.5, 1.0])
+                t0 = _log_uniform(rng, 1.0, 1e4)
+                spec = PriceAdoption(k=k, target_reserves=(t0, 10.0 * t0))
+                p = _log_uniform(rng, 0.01, 100.0)
+                r0 = t0 * rng.uniform(0.2, 1.8)
+                reserves = (r0, 1e9 * t0)
+                slope = Fraction(p) * Fraction(k) / Fraction(t0)
+
+                def mid(u):
+                    return Fraction(p) + slope * (Fraction(t0) - u)
+
+                def ask(lo, hi):  # the ask's integral over [lo, hi]
+                    a, b = min(lo, Fraction(t0)), min(hi, Fraction(t0))
+                    par = Fraction(p) * (max(hi, Fraction(t0)) - max(lo, Fraction(t0)))
+                    return par + (b - a) * (mid(a) + mid(b)) / 2
+
+                def bid(lo, hi):
+                    a, b = max(lo, Fraction(t0)), max(hi, Fraction(t0))
+                    par = Fraction(p) * (min(hi, Fraction(t0)) - min(lo, Fraction(t0)))
+                    return par + (b - a) * (mid(a) + mid(b)) / 2
+
+                r = Fraction(r0)
+                bought = r0 * rng.uniform(1e-6, 0.9)
+                got = quote_exact_out(spec, reserves, 1, 0, bought, adopted_price=p)
+                worst_integral = max(worst_integral, _rel_err(got, ask(r - Fraction(bought), r)))
+                sold = min(r0 * rng.uniform(1e-6, 0.5), 0.9 * (spec.zero_bid_reserve() - r0))
+                if sold > 0.0:
+                    got = quote_exact_in(spec, reserves, 0, 1, sold, adopted_price=p)
+                    worst_integral = max(worst_integral, _rel_err(got, bid(r, r + Fraction(sold))))
+
+                def width(amount, start, sign):
+                    m = Decimal(mid(Fraction(start)).numerator) / Decimal(mid(Fraction(start)).denominator)
+                    s = Decimal(slope.numerator) / Decimal(slope.denominator)
+                    return 2 * amount / (m + (m * m + 2 * sign * s * amount).sqrt())
+
+                spend = Decimal(p * r0 * rng.uniform(1e-6, 0.5))
+                par = Decimal(p) * max(Decimal(r0) - Decimal(t0), Decimal(0))
+                top = min(r0, t0)
+                exact = spend / Decimal(p) if spend <= par else (
+                    Decimal(r0) - Decimal(top) + width(spend - par, top, 1))
+                got = quote_exact_in(spec, reserves, 1, 0, float(spend), adopted_price=p)
+                worst_inverse = max(worst_inverse, _rel_err(got, exact))
+                payout = Decimal(p * r0 * rng.uniform(1e-6, 0.3))
+                par = Decimal(p) * max(Decimal(t0) - Decimal(r0), Decimal(0))
+                bottom = max(r0, t0)
+                try:
+                    got = quote_exact_out(spec, reserves, 0, 1, float(payout), adopted_price=p)
+                except DepletionError:  # past what the bid pays before it floors at zero
+                    continue
+                exact = payout / Decimal(p) if payout <= par else (
+                    Decimal(bottom) - Decimal(r0) + width(payout - par, bottom, -1))
+                worst_inverse = max(worst_inverse, _rel_err(got, exact))
+        assert worst_integral <= 4e-15
+        assert worst_inverse <= 1e-14
 
 
 class TestLmsrPriceLaws:

@@ -174,14 +174,14 @@ account bob RESERVE 1000
 # ---------------------------------------------------------------------------
 
 CLASSIFY = {
-    ('uniswap-v2-like', 0): '9cd9271d3c0d378792ac10950d228b87276758662023292f99f114127a0c165e',
-    ('uniswap-v2-like', 7): '9c90a737fa9bf85e13bd30bedbb5f15fac8329962a52d80d639b70297e0e1a21',
-    ('curve-v1-like', 0): '9b24e31764aded132e02a62266bb6085431274500929e5174d32965ba63c4710',
-    ('curve-v1-like', 7): '7360eac4f645a9a5f0401d09ba11c4fa16cc127354e1e9bd2c1479555fb91bbb',
-    ('mstable-2021-like', 0): '774c6665911b3cf8b12473b701d2bccfffd36dc41ebcdfc7963d7f2a010a2cba',
-    ('mstable-2021-like', 7): 'c6ebb9a5c4557e0bc6a2f2ba8102284dbbf2c0a659a9760c48792a8c5ad8328d',
-    ('dodo-like', 0): 'f506b7503a9ba0a3907b029e6ae34e2013dee3d83907fb4750d70231b9e95945',
-    ('dodo-like', 7): '37efa85b75f49c1ee06a179a79eb38c92edab5d82d50ad34dd744392638a04bc',
+    ('uniswap-v2-like', 0): '9e57913ca38abc7fc20efacc8dcc3da9b396d5591430c5af8606efe4fb5ac4b0',
+    ('uniswap-v2-like', 7): '630ed1ab360bd066ac5cbaa108158785b89017571033354650caa4b877186465',
+    ('curve-v1-like', 0): 'faf075c08cc5e8947692d5ab788f03e3ff6f685762762a85d6ebe5b5ffb46ad1',
+    ('curve-v1-like', 7): 'e69f70b0a4e32e4c7b0e42a27d3802ca944e5a23bbd40b25862e9acb6cee67b1',
+    ('mstable-2021-like', 0): '8b9110849ad7f7c56eb7afbb88b56cec27c6a030ea66dacedc9d387140d1a995',
+    ('mstable-2021-like', 7): '307edebc95da0178147236445e1d557da259b0fbb9f00eeb75c6d3dec6adc2ac',
+    ('dodo-like', 0): '567a20c923bc1c923d694ad443b48726d10688db93bab21209bd410d653651c4',
+    ('dodo-like', 7): '790b754ab63b6f52dd002bcb76b53d2cc6c69a5b341f0eacf1b898641ed67421',
     ('bancor-like', 0): 'aa45e9560b90f187c168af003dfcb33740c95c2ec8b58f39f2400f67b5831d65',
     ('bancor-like', 7): '236e81ffea6f8d5573dcc021ef016c811c7740de93ad5737c3a6bb9c53323468',
     ('augur-like', 0): '585e3b43d8e1d0b242d00cdfc7305bc75d31038af3a0f9f824a4a05649b215e9',
@@ -214,7 +214,7 @@ QUOTE = {
     ('mstable-2021-like', 'back', 'exact-out'):
         '42db526e473ce85a878aa0e6eec4494e38cd008eb8d265539d1f545f07653d79',
     ('dodo-like', 'forward', 'exact-in'):
-        '55a52a3136fca98d12576ecbcc29a3c9d6ea6b06ba50616d24487834ca2ae9a5',
+        'acdfa18a1e6ac44c167360ea19276b67bdb277c5930f5dd4ea98ebcc5118a368',
     ('dodo-like', 'forward', 'exact-out'):
         'dd73b4b46337800d21c768ebabe6e94fa621ae55ec054b50be874b72d24bc55c',
     ('dodo-like', 'back', 'exact-in'):
@@ -236,18 +236,18 @@ QUOTE = {
 }
 
 CURVE_TABLE = {
-    'uniswap-v2-like': '1e56bf298af65ee1cd82b08ba8a58998618d1b3fa72ae942fce4f87ad6c65b2b',
-    'curve-v1-like': '05761c4879ca0ac10d9bb482baff64f0440429a3dfb8b899968ff29ba5e641d1',
-    'mstable-2021-like': '718599587cbff0d23b05548d01d64d9036d364ca018e431ebb8c506a5b0dbd5e',
-    'dodo-like': 'ddaef8fd80650eff8c830ec42b6b082a0813db4125c5a26242028171c4921ba1',
+    'uniswap-v2-like': 'c8be74a8cda4f151eb3c990fdc75e57a3332e621d3181c57360ce0dbddebef8b',
+    'curve-v1-like': '0873dfda55748546ab40e5cdd30cb875a221d13d8a1da253b5fb86efe9ae491b',
+    'mstable-2021-like': '0fd939a27fa2b46909a286fddb98694b39041aa56c9b52ff47ef2ab1e82fe979',
+    'dodo-like': '91feb94a2a0f79e58f8e9e9f0ffdd9d372ec95a8637b1493b41fc96c5f82b187',
     'bancor-like': '7b9344baeebee761768e906470874bbb62f99254f96c89a96d9b4716e75f6391',
 }
 
 ARB = {
     'bancor-like': '2909a3807f4b77d212434a8d8912babff4a28714927e63cf57a46248e0cb7a09',
-    'curve-v1-like': '295a0014e58e32296466710f367b50ac38cc4d372147fae8db4d361c42e8e335',
-    'dodo-like': '0e8a012972d71764356bd31f062db2602978960b97b978df7f2e6bbb32786cef',
-    'uniswap-v2-like': '83772cc9cdf280bacd8f95ddd720664585044acef00697ded69588a3257dd363',
+    'curve-v1-like': '7d72d30e424de06c6fe9d0bb00c2f1beb89aa25d4ddaaec2ce429399da0abe4d',
+    'dodo-like': 'c1cfe35c41e539b4549ca15fe1d8b258891f9559ad86a96132ef51c4723d1c6a',
+    'uniswap-v2-like': 'd79ec7b8a504f08ff8118f6d2d8e51781a9e525814f363c30931dcba82fc92c0',
 }
 
 DEMO = {
@@ -255,13 +255,13 @@ DEMO = {
     "demo_curves.py": "8aa29c79723bcac9c8a3240c0314ed26faaf8506c62bb36846862687c9b5aabc",
     "demo_divergence.py": "bcdab02ad70223fb538fb32c5f2273387bcf123576d6743a54ec22fd7ca3ec74",
     "demo_prediction.py": "8ce778227975be8e1f351ca18a5d6fa8def403bded80d6d6d9a8269d59b7006b",
-    "demo_probe.py": "86ee5eba0fc422ffacb74bfab30a1a323ce2f53c538e1216f258e715c245535a",
+    "demo_probe.py": "f4e0626efdc14a000bc3d81c8f512aec4f75ddc9e2e59c28cca6eae62c3cd930",
 }
 
 SCRIPT = {
-    'augur-like': '54af9202c486d206c338877722b7497408c1f0ae06c4a5c925f5fafab1fe27cd',
+    'augur-like': '40e7aed98c95eb0927c12e6d674a519fefa44966e4612c99d0be1801990a7b16',
     'bancor-like': '4926dc646ae1f2d60de9aeae90b37cc2f061606c27f2355573e5bbd68e3ddcc4',
-    'uniswap-v2-like': '634a86505fbb92269d0874c01093dca9eb73adb888ed22566793e654145dc3cc',
+    'uniswap-v2-like': 'b3b9e0082fc72e312f193ceb5db63cb5c6732fa1499f8b0377699e9ab20c98d8',
 }
 
 

@@ -9,6 +9,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ammlab"
 
 # the package's `__init__` imports are its public names, used by importers
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -32,3 +33,53 @@ def test_every_imported_name_is_used(path):
         name: line for name, line in imported_names(tree).items() if name not in used
     }
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def private_names(tree: ast.Module) -> dict[str, int]:
+    """Each single-underscore name a module's top-level statements define,
+    with the line that defines it."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [
+                leaf.id
+                for target in node.targets
+                for leaf in ast.walk(target)
+                if isinstance(leaf, ast.Name)
+            ]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Every name a module reads, reads as an attribute, or imports."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_private_name_is_used():
+    """A private helper that no module of the package refers to is dead code."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    used = set().union(*map(referenced_names, trees.values()))
+    unused = [
+        f"{module}:{line} {name}"
+        for module, tree in trees.items()
+        for name, line in private_names(tree).items()
+        if name not in used
+    ]
+    assert not unused, f"private names nothing in the package uses: {unused}"
