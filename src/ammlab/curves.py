@@ -58,6 +58,9 @@ NEWTON_MAX_ITER = 64
 BISECT_MAX_ITER = 200
 
 WEIGHT_SUM_TOL = 1e-9
+# how far, relative to the larger, an exponential state's reserve may lie
+# from the reserve its supply bonds: rounding, not a second point of the curve
+ON_CURVE_TOL = 1e-9
 
 # pricing families (see engine.py)
 CONSERVATION = "conservation"
@@ -183,6 +186,13 @@ class CurveSpec:
     i, j, amount, adopted_price, level)`, which take legs that passed
     `check_legs` and a positive amount; each quote is a closed form.
 
+    The caller guarantees both.  The public functions below (`spot_price`,
+    `quote_exact_in`, `quote_exact_out`) check them on every call.  The
+    engine's pricing family (`engine.PricingFamily`) calls these methods
+    directly: it checks an amount by the same rules as the public functions,
+    and its legs where they enter (an order's tokens, the arbitrage step's
+    pool, a probe's opening state), not on every trade.
+
     `level`, when given, is the conservation value of `reserves`, which a
     conservation curve then reads instead of computing (constant
     product-sum: one D solve per state, not per call); `spot_at` is `spot`
@@ -201,7 +211,8 @@ class CurveSpec:
     __slots__ = ()
 
     def check_legs(self, reserves, token_in: int | None, token_out: int | None) -> None:
-        """Reject a trade leg this curve cannot price."""
+        """Reject a trade leg this curve cannot price at reserves shaped
+        like `reserves`."""
         if token_in is None or token_out is None:
             raise DomainError("collateral leg (None) is only defined for LMSR curves")
         _check_pair(reserves, token_in, token_out)
@@ -833,6 +844,21 @@ class Exponential(CurveSpec):
         if supply == math.inf:
             raise DomainError(f"the supply bonding a reserve of {reserve} overflows a float")
         return supply
+
+    def check_legs(self, reserves, token_in, token_out):
+        """The legs, and the state: its reserve must be r(S) = S**kappa / c
+        at its supply, to rounding, or its two legs would read the curve at
+        two different points.  The point each leg names must be a float.
+        The public functions check every state; the engine's trade step
+        checks none, and a probe checks its opening state once."""
+        CurveSpec.check_legs(self, reserves, token_in, token_out)
+        r, supply = _split_bonding_state(reserves)
+        self.supply_at(r)
+        bonded = bonding_trade(self.kappa, self.c, 0.0, supply)
+        if not abs(r - bonded) <= ON_CURVE_TOL * max(r, bonded):
+            raise DomainError(
+                f"reserve {r} is off the bonding curve, which bonds {bonded} at supply {supply}"
+            )
 
     def invariant(self, reserves):
         r, supply = _split_bonding_state(reserves, require_reserve=True)

@@ -87,9 +87,6 @@ from .curves import (
     SCORING_RULE,
     CurveSpec,
     invariant_value,
-    quote_exact_in,
-    quote_exact_out,
-    spot_price,
 )
 
 PRICE_DISCOVERING_LP_BASED = "price-discovering-lp-based"
@@ -251,8 +248,17 @@ class PricingFamily:
     Each pool state's level is bound once, by whoever first prices that
     state: `quote` and `execute_swap` bind the state they trade from, the
     settlement of a trade binds the state it reaches, and the simulator
-    hands that family on to the metrics row and the next arbitrage step
-    instead of binding the state again.
+    hands that family on to the metrics row and the next event's trade or
+    arbitrage step instead of binding the state again.
+
+    `trade` and `spot_between` call the curve spec's closed forms directly,
+    not the public curve functions, which check the legs and the amount on
+    every call.  `trade` checks the amount by the same rules.  Legs are
+    checked where they enter: `_validate_order` checks an order's tokens,
+    the arbitrage step runs `check` on the pool it trades, and the probe
+    runs the curve's `check_legs` once on the legs of its opening state.  A
+    pool that passed `check` (as every pool `create_pool` opens) gives the
+    curve legs it accepts for every pair of its tokens the family trades.
     """
 
     __slots__ = ("curve", "price", "level")
@@ -339,39 +345,47 @@ class PricingFamily:
         self, state: State, i: int, j: int, kind: str, amount: float, fee: float
     ) -> tuple[float, float, float, State]:
         """Trade token i for token j: (amount_in, amount_out, fee_paid, state
-        after).  `amount` is the exact input or output, fee included."""
+        after).  `amount` is the exact input or output, fee included.
+
+        The curve's closed form is called directly, on legs checked where
+        they entered (see the class docstring); the amount it is given
+        follows the public quote functions' rules, here in one place."""
         view, leg_in, leg_out = self.curve_args(state, i, j)
-        curve, price, level = self.curve, self.price, self.level
         keep = 1.0 - fee
-        if i >= self.issued_from:  # the fee comes out of the payout
-            if kind == EXACT_IN:
-                amount_in = amount
-                gross = quote_exact_in(curve, view, leg_in, leg_out, amount, price, level)
-                amount_out = gross * keep
-            else:
-                amount_out = amount
-                gross = amount / keep
-                amount_in = quote_exact_out(curve, view, leg_in, leg_out, gross, price, level)
-            fee_paid = gross - amount_out
-        elif kind == EXACT_IN:  # the fee comes off the input
-            amount_in = amount
-            net = amount * keep
-            amount_out = quote_exact_in(curve, view, leg_in, leg_out, net, price, level)
-            fee_paid = amount_in - net
+        issued = i >= self.issued_from  # the fee comes out of the payout
+        exact_in = kind == EXACT_IN
+        if exact_in:  # the curve's input: the amount, net of a fee paid on it
+            given = amount if issued else amount * keep
+        else:  # the curve's output: the amount, grossed up for a fee paid out of it
+            given = amount / keep if issued else amount
+        if not given >= 0.0:
+            side = "input" if exact_in else "output"
+            raise DomainError(f"{side} amount must be non-negative: {given}")
+        if given == 0.0:
+            priced = 0.0
+        elif exact_in:
+            priced = self.curve.quote_in(view, leg_in, leg_out, given, self.price, self.level)
         else:
-            amount_out = amount
-            net = quote_exact_out(curve, view, leg_in, leg_out, amount, price, level)
-            amount_in = net / keep
-            fee_paid = amount_in - net
+            priced = self.curve.quote_out(view, leg_in, leg_out, given, self.price, self.level)
+        if exact_in:
+            amount_in, curve_in, curve_out = amount, given, priced
+            amount_out = priced * keep if issued else priced
+        else:
+            amount_out, curve_in, curve_out = amount, priced, given
+            amount_in = priced if issued else priced / keep
+        fee_paid = curve_out - amount_out if issued else amount_in - curve_in
         after = self.after(state, i, j, amount_in, amount_out, fee_paid)
         return amount_in, amount_out, fee_paid, after
 
     def after(self, state: State, i: int, j: int, paid: float, got: float, fee: float):
         """The state once a trade paying `paid` for `got` (fee `fee`) settles."""
         outside = 0.0 if self.fee_in_reserves else fee
+        moved_in = state[i] + (-paid if i >= self.issued_from else paid - outside)
+        moved_out = state[j] + (got if j >= self.issued_from else -(got + outside))
+        if len(state) == 2:  # a two-token state is built directly
+            return (moved_in, moved_out) if i == 0 else (moved_out, moved_in)
         after = list(state)
-        after[i] += -paid if i >= self.issued_from else paid - outside
-        after[j] += got if j >= self.issued_from else -(got + outside)
+        after[i], after[j] = moved_in, moved_out
         return tuple(after)
 
     def surcharge(self, i: int, kind: str, paid: float, got: float, fee: float) -> float:
@@ -410,7 +424,9 @@ class PricingFamily:
     def spot_between(self, state: State, i: int, j: int) -> float:
         """Instantaneous units of token j per unit of token i."""
         view, leg_in, leg_out = self.curve_args(state, i, j)
-        return spot_price(self.curve, view, leg_in, leg_out, self.price, self.level)
+        if self.level is None:
+            return self.curve.spot(view, leg_in, leg_out, self.price)
+        return self.curve.spot_at(view, leg_in, leg_out, self.level, self.price)
 
     def state_at_spot(self, state: State, i: int, j: int, price: float) -> State | None:
         """The curve state on this family's level at which `spot_between(.,
@@ -686,15 +702,20 @@ def _safe_spot(family: PricingFamily, state: State, i: int, j: int) -> float:
 Trade = tuple[float, float, float, State]  # a trade step: (paid, got, fee, state after)
 
 
-def _priced(pool: PoolState, order: TradeOrder) -> tuple[PricingFamily, int, int, Trade]:
+def _priced(
+    pool: PoolState, order: TradeOrder, family: PricingFamily | None = None
+) -> tuple[PricingFamily, int, int, Trade]:
     """(the pool's family bound to its state's level, leg in, leg out, trade
-    step) of an order; raises where the order cannot be priced."""
+    step) of an order; raises where the order cannot be priced.  `family`
+    is that bound family where the caller holds it, else None to bind it
+    here."""
     if pool.closed:
         raise UnsupportedOperation("pool is closed")
     i, j = _validate_order(pool, order)
-    family = PricingFamily.of(pool.curve, pool.oracle_price)
+    if family is None:
+        family = PricingFamily.of(pool.curve, pool.oracle_price)
+        family = family.on_level(family.view(pool))  # the trade and spot_before share one level
     state = family.view(pool)
-    family = family.on_level(state)  # the trade and spot_before share one level
     trade = family.trade(state, i, j, order.kind, order.amount, pool.fee.trade_fee)
     if not 0.0 < trade[0] < math.inf:
         raise DomainError(

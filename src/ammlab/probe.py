@@ -14,9 +14,12 @@ canonical risky leg of the pool's pricing family (engine.PricingFamily):
 Buys and sells are the family's own trade step, the one engine.quote uses, so
 the probe charges fees on the side the family charges them and keeps them
 where the family keeps them; its spots and deficiency values are the family's
-observations too.  The per-family harnesses below add only the moves the
-probe alone needs (ten-times liquidity, walks toward the price bounds, basket
-costs, mean prices).
+observations too.  That step calls the curve's closed forms directly, never
+the checked public curve functions: the legs every probe trade and spot reads
+are checked once, when `run_dimension_probe` builds the probe.  The
+per-family harnesses below add only the moves the probe alone needs
+(ten-times liquidity, walks toward the price bounds, basket costs, mean
+prices).
 
 All mechanism probes run fee-free: they characterize the pricing rule, not the
 fee plumbing.  The one exception is path deficiency, which runs at the spec's
@@ -84,9 +87,12 @@ TOL_DEFICIENCY = 1e-9
 DEFAULT_TRIALS = 128
 MIN_TRIALS = 100
 
-# log-uniform trade-size bands, relative to the pool's characteristic scale
-_SIZE_LO, _SIZE_HI = 1e-4, 1e-1
-_WALK_LO, _WALK_HI = 1e-3, 1e-2
+# log-uniform trade-size bands, relative to the pool's characteristic scale,
+# each as the logs of its bounds: trade sizes, priming walks, and the smaller
+# of the two volumes whose mean prices the volume probe compares
+_SIZES = (math.log(1e-4), math.log(1e-1))
+_WALKS = (math.log(1e-3), math.log(1e-2))
+_VOLUMES = (math.log(1e-4), math.log(1e-1 / 10.0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,8 +127,8 @@ class TaxonomyReport:
 # ---------------------------------------------------------------------------
 
 
-def _draw(rng: random.Random, lo: float, hi: float, scale: float) -> float:
-    return scale * math.exp(rng.uniform(math.log(lo), math.log(hi)))
+def _draw(rng: random.Random, band: tuple[float, float], scale: float) -> float:
+    return scale * math.exp(rng.uniform(*band))
 
 
 def _shift(before: Sequence[float], after: Sequence[float]) -> float:
@@ -306,7 +312,7 @@ def _prime(probe, rng: random.Random):
     """Walk to a randomized nearby state without drifting far from start."""
     state = probe.state0
     for _ in range(rng.randint(1, 4)):
-        qty = _draw(rng, _WALK_LO, _WALK_HI, probe.scale)
+        qty = _draw(rng, _WALKS, probe.scale)
         if rng.random() < 0.5 and probe.can_sell(state, qty):
             state = probe.sell(state, qty)
         else:
@@ -332,7 +338,7 @@ def _probe_information(probe, rng, trials, fee):
     worst = 0.0
     for _ in range(trials):
         state = _prime(probe, rng)
-        qty = _draw(rng, _SIZE_LO, _SIZE_HI, probe.scale)
+        qty = _draw(rng, _SIZES, probe.scale)
         worst = max(worst, _shift(spots(state), spots(probe.buy(state, qty))))
     return _classify_variant(worst, "Incorporative", "Non-incorporative"), worst
 
@@ -343,7 +349,7 @@ def _probe_sensitivity(probe, rng, trials, fee):
     opening, opening_big = spots(probe.state0), spots_big(big.state0)
     worst = 0.0
     for _ in range(trials):
-        qty = _draw(rng, _SIZE_LO, _SIZE_HI, probe.scale)
+        qty = _draw(rng, _SIZES, probe.scale)
         impact_base = _shift(opening, spots(probe.buy(probe.state0, qty)))
         impact_big = _shift(opening_big, spots_big(big.buy(big.state0, qty)))
         worst = max(worst, abs(impact_base - impact_big))
@@ -361,7 +367,7 @@ def _probe_deficiency(probe, rng, trials, fee):
     floor = math.inf
     for _ in range(trials):
         state = _prime(probe, rng)
-        qty = _draw(rng, _WALK_LO, _WALK_HI, probe.scale)
+        qty = _draw(rng, _WALKS, probe.scale)
         bought = probe.buy(state, qty, fee)
         sold = off_level.trade(bought, risky, 1 - risky, EXACT_IN, qty, fee)[3]
         w0 = deficiency(state)
@@ -382,7 +388,7 @@ def _probe_independence(probe, rng, trials, fee):
     worst = 0.0
     for _ in range(trials):
         ops = [
-            (rng.random() < 0.5, _draw(rng, _SIZE_LO, _SIZE_HI, probe.scale))
+            (rng.random() < 0.5, _draw(rng, _SIZES, probe.scale))
             for _ in range(rng.randint(4, 8))
         ]
         shuffled = list(ops)
@@ -439,7 +445,7 @@ def _probe_volume(probe, rng, trials, fee):
     worst = 0.0
     for _ in range(trials):
         state = _prime(probe, rng)
-        volume = _draw(rng, _SIZE_LO, _SIZE_HI / 10.0, probe.scale)
+        volume = _draw(rng, _VOLUMES, probe.scale)
         small = probe.mean_price(state, volume)
         large = probe.mean_price(state, 10.0 * volume)
         worst = max(worst, abs(small - large) / abs(small))
@@ -513,6 +519,10 @@ def run_dimension_probe(
     family = PricingFamily.of(config.curve, config.oracle_price)
     family.check(config.archetype, len(config.tokens))
     probe = _PROBES[type(family)](family, config.reserves)
+    # every trade and spot of the probe reads the risky leg and the numeraire
+    # of states shaped like the opening one: their legs are checked here, once
+    risky = family.risky
+    family.curve.check_legs(*family.curve_args(probe.state0, risky, 1 - risky))
     rng = random.Random(seed * 7919 + DIMENSION_ORDER.index(dimension))
     label, deviation = procedure(probe, rng, trials, config.fee_rate)
     return DimensionVerdict(dimension, label, deviation, trials, tolerance)

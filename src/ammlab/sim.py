@@ -50,9 +50,9 @@ from .engine import (
     PricingFamily,
     TradeOrder,
     TradeReceipt,
+    _priced,
     _settle_trade,
     deposit_liquidity,
-    execute_swap,
     load_pool,
     resolve_prediction,
     set_oracle_price,
@@ -380,6 +380,10 @@ def _arbitrage(
         family = PricingFamily.of(pool.curve, pool.oracle_price)
     if family.arb_error is not None:
         raise UnsupportedOperation(family.arb_error)
+    # the two legs traded below are ones the curve prices on any pool that
+    # passes the check create_pool ran; a pool built by hand is checked here,
+    # once, as the trade steps check no legs
+    family.check(pool.archetype, len(pool.tokens))
     if not (math.isfinite(reference_price) and reference_price > 0.0):
         raise DomainError(f"reference price must be > 0: {reference_price}")
 
@@ -492,8 +496,10 @@ def _arbitrage(
 
 
 def _trade(pool, family, working, hold, reference, event, *order):
-    pool, _, working = execute_swap(pool, TradeOrder(*order, EXACT_IN), working)
-    return pool, None, working, hold
+    order = TradeOrder(*order, EXACT_IN)
+    family, i, j, trade = _priced(pool, order, family)
+    pool, _, working, family = _settle_trade(pool, family, order, i, j, trade, working)
+    return pool, family, working, hold
 
 
 def _deposit(pool, family, working, hold, reference, event, account, *amounts):

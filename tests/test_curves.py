@@ -582,7 +582,8 @@ class TestBondingTrade:
             lambda: invariant_value(Exponential(kappa=2.0, c=1.0), (1.0, 1e200)),
             lambda: invariant_value(Exponential(kappa=1.0, c=1.0), (1e-300, 1e100)),
             lambda: spot_price(Exponential(kappa=3.0, c=1.0), (1.0, 1e200), 0, 1),
-            lambda: spot_price(Exponential(kappa=3.0, c=1.0), (1.0, 1e-200), 0, 1),
+            # on the curve: the reserve 1e-600 that the supply bonds underflows to 0
+            lambda: spot_price(Exponential(kappa=3.0, c=1.0), (0.0, 1e-200), 0, 1),
             lambda: quote_exact_in(Exponential(kappa=2.0, c=1.0), (1.0, 1e200), 1, 0, 1.0),
             lambda: quote_exact_in(Exponential(kappa=0.01, c=1.0), (100.0, 1e200), 0, 1, 1e10),
             lambda: quote_exact_out(Exponential(kappa=2.0, c=1.0), (1.0, 1e200), 0, 1, 1.0),
@@ -609,6 +610,44 @@ class TestBondingTrade:
         up = bonding_trade(kappa, 2.0, s, d)
         down = bonding_trade(kappa, 2.0, s + d, -d)
         assert math.isclose(up, down, rel_tol=1e-12, abs_tol=1e-9)
+
+
+class TestExponentialOffTheCurve:
+    """A (reserve, supply) state whose reserve is not r(S) = S**kappa / c
+    has no price: its two legs would read the curve at two points.  The
+    public functions refuse it; engine and probe states lie on the curve."""
+
+    SPEC = Exponential(kappa=2.0, c=1.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # was -4.95: 100 read through supply_at, a supply of 5 through bonding_trade
+            lambda spec: quote_exact_out(spec, (100.0, 5.0), 1, 0, 1.0),
+            lambda spec: quote_exact_out(spec, (100.0, 5.0), 0, 1, 1.0),
+            lambda spec: quote_exact_in(spec, (100.0, 5.0), 0, 1, 1.0),
+            lambda spec: quote_exact_in(spec, (100.0, 5.0), 1, 0, 1.0),
+            lambda spec: spot_price(spec, (100.0, 5.0), 1, 0),
+            lambda spec: spot_price(spec, (1.0, 5.0), 0, 1),
+            lambda spec: spot_price(spec, (math.nan, 5.0), 0, 1),
+            lambda spec: spot_price(spec, (25.0, math.nan), 0, 1),
+        ],
+    )
+    def test_refused(self, call):
+        with pytest.raises(DomainError, match="off the bonding curve"):
+            call(self.SPEC)
+
+    def test_on_the_curve_to_rounding(self):
+        spec = Exponential(kappa=3.0, c=7.0)
+        rng = random.Random(12)
+        for _ in range(200):
+            supply = _log_uniform(rng, 1e-3, 1e6)
+            reserve = _log_uniform(rng, 1e-3, 1e6)
+            for state in ((supply**3.0 / 7.0, supply), (supply**3.0 / 7.0 * (1 + 1e-12), supply),
+                          (reserve, spec.supply_at(reserve))):
+                assert quote_exact_out(spec, state, 1, 0, 0.5 * state[0]) > 0.0
+                assert spot_price(spec, state, 1, 0) > 0.0
+        assert quote_exact_in(spec, (0.0, 0.0), 0, 1, 1.0 / 7.0) == pytest.approx(1.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -914,6 +914,33 @@ class TestRunScenario:
         assert 0 < len(settled) < events
         assert len(solved) <= len(settled) + 1
 
+    @pytest.mark.parametrize("name, tokens", [
+        ("uniswap-v2-like", ("TOKEN0", "TOKEN1")),
+        ("curve-v1-like", ("STABLE0", "STABLE1")),
+    ])
+    def test_a_trade_event_binds_one_level(self, monkeypatch, name, tokens):
+        """A trade event hands on the family that its settlement bound to
+        the state it reaches: the metrics row and the next trade read that
+        level, so each state's level is bound once, the opening state's by
+        the first trade."""
+        events = 20
+        scenario = parse_scenario(
+            f"pool {name}\naccount t {tokens[0]} 100\naccount t {tokens[1]} 100\n"
+            + "".join(f"{k} trade t {tokens[k % 2]} {tokens[1 - k % 2]} 0.5\n"
+                      for k in range(1, events + 1))
+        )
+        bound = []
+        on_level = PricingFamily.on_level
+
+        def counted(family, state):
+            bound.append(state)
+            return on_level(family, state)
+
+        monkeypatch.setattr(PricingFamily, "on_level", counted)
+        metrics = run_scenario(scenario)
+        assert [r.event for r in metrics.records] == ["trade"] * events
+        assert len(bound) == events + 1
+
     def test_zero_events_yield_empty_metrics(self):
         scenario = parse_scenario("pool uniswap-v2-like\n")
         metrics = run_scenario(scenario)
@@ -1021,12 +1048,13 @@ class TestRunScenario:
 
     def test_endowments_and_ledgers_mint_as_one_at_a_time(self, monkeypatch):
         seen = []
+        settle = sim._settle_trade
 
-        def record(pool, order, ledgers):
+        def record(pool, family, order, i, j, trade, ledgers):
             seen.append(ledgers)
-            return execute_swap(pool, order, ledgers)
+            return settle(pool, family, order, i, j, trade, ledgers)
 
-        monkeypatch.setattr(sim, "execute_swap", record)
+        monkeypatch.setattr(sim, "_settle_trade", record)
         text = (
             "pool uniswap-v2-like\n"
             "account alice TOKEN0 0.1\n"

@@ -83,3 +83,40 @@ def test_every_private_name_is_used():
         if name not in used
     ]
     assert not unused, f"private names nothing in the package uses: {unused}"
+
+
+# the checked public curve functions: each checks its legs and amount on
+# every call, which the package's hot paths must not pay again
+CHECKED_CURVE_FUNCTIONS = frozenset({"quote_exact_in", "quote_exact_out", "spot_price"})
+
+
+def called_names(tree: ast.Module) -> dict[str, int]:
+    """Each name a call reads as its function, bare or as an attribute, with
+    the line of the call."""
+    calls = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is not None:
+                calls.setdefault(name, node.lineno)
+    return calls
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_curves_calls_the_checked_curve_functions(path):
+    """The pricing family calls the curve specs' closed forms directly, on
+    legs checked where they enter; a checked public curve function called
+    from elsewhere in the package would put its checks back on a hot path."""
+    if path.name == "curves.py":
+        return
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = {
+        name: line for name, line in called_names(tree).items() if name in CHECKED_CURVE_FUNCTIONS
+    }
+    assert not found, f"{path.name} calls checked curve functions: {found}"
+
+
+def test_the_checked_curve_function_rule_sees_a_call():
+    tree = ast.parse("from .curves import spot_price\nx = curves.quote_exact_in(1)\ny = spot_price(2)\n")
+    assert set(called_names(tree)) & CHECKED_CURVE_FUNCTIONS == {"quote_exact_in", "spot_price"}
