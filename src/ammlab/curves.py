@@ -505,12 +505,59 @@ def lmsr_trade_cost(b: float, q: Sequence[float], dq: Sequence[float]) -> float:
     return _lmsr_cost(b, after) - _lmsr_cost(b, q)
 
 
-def _lmsr_leg_cost(b: float, q: Sequence[float], j: int, ds: float) -> float:
-    """C(q + ds*e_j) - C(q) for a nonzero ds that keeps q_j >= 0, which the
-    LMSR quotes below have already checked."""
-    after = list(q)
-    after[j] += ds
-    return _lmsr_cost(b, after) - _lmsr_cost(b, q)
+def _softplus(x: float) -> float:
+    """log(1 + e^x), free of overflow for large x."""
+    return x + math.log1p(math.exp(-x)) if x > 0.0 else math.log1p(math.exp(x))
+
+
+def _log_expm1(y: float) -> float:
+    """log(e^y - 1) for y >= 0, free of expm1's overflow; -inf at 0."""
+    if y > 50.0:
+        return y + math.log1p(-math.exp(-y))
+    grown = math.expm1(y)
+    return math.log(grown) if grown > 0.0 else -math.inf
+
+
+def _lmsr_log_odds(b: float, q: Sequence[float], j: int) -> float:
+    """log((1 - p_j) / p_j): the other outcomes' weight over outcome j's,
+    summed directly and shifted by the largest of them, so that it is
+    finite however far outcome j leads or trails.  log p_j is
+    -softplus of it."""
+    others = [qi for k, qi in enumerate(q) if k != j]
+    top = max(others)
+    return (top - q[j]) / b + math.log(sum(math.exp((qi - top) / b) for qi in others))
+
+
+# One outcome's trade against collateral moves C(q) by b*log1p(p_j*expm1(ds/b))
+# for ds shares of it (Hanson's scoring rule), which no float spacing of C(q)
+# limits, unlike the difference of two costs.
+
+
+def _lmsr_sale(b: float, q: Sequence[float], j: int, s: float) -> float:
+    """C(q) - C(q - s*e_j), what s shares of outcome j (0 <= s <= q_j) sell
+    for: -b*log1p(p_j*expm1(-s/b)).  Where 1 + p_j*expm1(-s/b), which is
+    (1 - p_j) + p_j*e^(-s/b), falls below 1/2 and cancels, it is read with
+    1 - p_j summed directly: b*(softplus(d) - logaddexp(d, -s/b)) for d the
+    log odds of the other outcomes."""
+    y = s / b
+    x = _lmsr_price(b, q, j) * math.expm1(-y)
+    if x > -0.5:
+        return -b * math.log1p(x)
+    d = _lmsr_log_odds(b, q, j)
+    top = max(d, -y)
+    return b * (_softplus(d) - top - math.log1p(math.exp(-abs(d + y))))
+
+
+def _lmsr_buy(b: float, q: Sequence[float], j: int, s: float) -> float:
+    """C(q + s*e_j) - C(q), what s > 0 shares of outcome j cost:
+    b*log1p(p_j*expm1(s/b)); in log space, b*softplus(log p_j + log
+    expm1(s/b)), where expm1 would overflow or p_j is not a normal float."""
+    y = s / b
+    if y <= 700.0:
+        p = _lmsr_price(b, q, j)
+        if p >= 1e-300:
+            return b * math.log1p(p * math.expm1(y))
+    return b * _softplus(_log_expm1(y) - _softplus(_lmsr_log_odds(b, q, j)))
 
 
 def _lmsr_outcome_leg(
@@ -560,19 +607,13 @@ class Lmsr(CurveSpec):
             # exact shares in, collateral out
             if dx > q[j]:
                 raise DepletionError(f"only {q[j]} outstanding shares of outcome {j}")
-            return -_lmsr_leg_cost(b, q, j, -dx)
+            return _lmsr_sale(b, q, j, dx)
         # exact collateral in: C(q + s*e_j) - C(q) = dx at s = b*log1p(expm1(
         # dx/b) / p_j), taken as b*softplus(log(expm1(dx/b)) - log(p_j)) so
         # that neither expm1 nor the price leaves the float range
-        y = dx / b
-        if y > 50.0:
-            log_spend = y + math.log1p(-math.exp(-y))
-        else:
-            spend = math.expm1(y)
-            log_spend = math.log(spend) if spend > 0.0 else -math.inf
         top = max(q)  # log(p_j) from the shifted sum, finite where p_j underflows
-        x = log_spend - (q[j] - top) / b + math.log(sum(math.exp((qi - top) / b) for qi in q))
-        shares = b * (x + math.log1p(math.exp(-x)) if x > 0.0 else math.log1p(math.exp(x)))
+        x = _log_expm1(dx / b) - (q[j] - top) / b + math.log(sum(math.exp((qi - top) / b) for qi in q))
+        shares = b * _softplus(x)
         if shares == math.inf:
             raise DomainError(f"the shares that {dx} collateral buys overflow a float")
         return shares
@@ -580,13 +621,10 @@ class Lmsr(CurveSpec):
     def quote_out(self, q, token_in, token_out, dy, adopted_price=None, level=None):
         j, buying = _lmsr_outcome_leg(q, token_in, token_out)
         b = self.b
-        if buying:
-            # exact shares out: direct cost difference
-            return _lmsr_leg_cost(b, q, j, dy)
-        # exact collateral out: shares in
-        depleted = list(q)
-        depleted[j] = 0.0
-        max_payout = _lmsr_cost(b, q) - _lmsr_cost(b, depleted)
+        if buying:  # exact shares out
+            return _lmsr_buy(b, q, j, dy)
+        # exact collateral out: shares in, at most the whole position
+        max_payout = _lmsr_sale(b, q, j, q[j])
         if dy > max_payout:
             raise DepletionError(
                 f"outcome {j} can pay out at most {max_payout} collateral"

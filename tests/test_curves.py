@@ -342,6 +342,29 @@ class TestQuoteExactIn:
         payout = quote_exact_in(Lmsr(b=100.0), (10.0, 0.0), 0, None, 10.0)
         assert close(payout, spend)
 
+    @pytest.mark.parametrize(
+        "b, q, j, sold, paid",
+        [
+            # the difference of two costs paid -3.64e-12 and 1.137e-13 here
+            (26540.62049289867, (0.0, 0.0, 1.2016504291695096), 2, 8.325743341137915e-12,
+             2.7753315489018929536e-12),
+            (20.767627074713978, (631.9097580522166, 0.44203954594367206, 0.0), 1, 0.4,
+             2.4693045908746939552e-14),
+        ],
+    )
+    def test_lmsr_small_sale_below_the_spacing_of_the_cost(self, b, q, j, sold, paid):
+        # paid: -b*ln(1 + p_j*(e^(-sold/b) - 1)) at 60 digits
+        assert close(quote_exact_in(Lmsr(b=b), q, j, None, sold), paid, rel=1e-15)
+
+    def test_lmsr_trades_past_the_float_range_of_expm1(self):
+        # a buy of 1000*b shares and a sale of a leading outcome's 800*b:
+        # each moves C(q) by about the shares, less the outcome's log odds
+        spec = Lmsr(b=1.0)
+        assert close(quote_exact_out(spec, (0.0, 0.0), None, 0, 1000.0), 1000.0 - math.log(2.0))
+        assert close(quote_exact_in(spec, (800.0, 0.0), 0, None, 800.0), 800.0 - math.log(2.0))
+        # an outcome trailing by 800*b, priced below the float range
+        assert close(quote_exact_out(spec, (800.0, 0.0), None, 1, 801.0), math.log1p(math.e))
+
     def test_price_adoption_k_zero_is_flat(self):
         spec = PriceAdoption(k=0.0, target_reserves=(100.0, 1000.0))
         assert close(quote_exact_in(spec, (80.0, 800.0), 1, 0, 10.0, adopted_price=10.0), 1.0)
@@ -442,8 +465,10 @@ class TestQuoteExactOut:
         assert close(-lmsr_trade_cost(100.0, q, dq), dy)
 
     def test_lmsr_sell_exact_out_stops_at_the_whole_position(self):
+        # the most the position pays is what selling all of it pays
         q, j = (30.0, 5.0, 60.0), 2
-        max_payout = -lmsr_trade_cost(100.0, q, (0.0, 0.0, -q[j]))
+        max_payout = quote_exact_in(Lmsr(b=100.0), q, j, None, q[j])
+        assert close(max_payout, -lmsr_trade_cost(100.0, q, (0.0, 0.0, -q[j])))
         assert quote_exact_out(Lmsr(b=100.0), q, j, None, max_payout) == q[j]
         with pytest.raises(DepletionError):
             quote_exact_out(Lmsr(b=100.0), q, j, None, max_payout * (1.0 + 1e-9))
@@ -961,6 +986,23 @@ def _rel_err(got, exact):
     return float(abs(Fraction(got) - exact) / abs(exact))
 
 
+def _dec_expm1(x):
+    """e^x - 1 of a Decimal, free of cancellation where x is tiny."""
+    return x + x * x / 2 if abs(x) < Decimal("1e-20") else x.exp() - 1
+
+
+def _lmsr_move(b, weights, j, ds):
+    """C(q + ds*e_j) - C(q), with Decimal outcome weights e^(q/b):
+    b*ln(1 + p_j*(e^(ds/b) - 1)), read as b*ln((1 - p_j) + p_j*e^(ds/b)),
+    1 - p_j summed directly, where 1 + p_j*(e^(ds/b) - 1) would cancel."""
+    b, ds, total = Decimal(b), Decimal(ds), sum(weights)
+    x = weights[j] / total * _dec_expm1(ds / b)
+    if x > Decimal(-0.5):
+        return b * (x - x * x / 2 if abs(x) < Decimal("1e-20") else (1 + x).ln())
+    others = sum(weights[:j] + weights[j + 1:])
+    return b * ((others + weights[j] * (ds / b).exp()) / total).ln()
+
+
 class TestExactOracle:
     """Each closed-form quote against the exact value of the same quote at
     the same float inputs: `fractions.Fraction` where the form is rational,
@@ -1070,12 +1112,25 @@ class TestExactOracle:
 
     def test_lmsr(self):
         # buy s = b*ln(1 + (e^(m/b) - 1) / p_j): bound 5e-15 (worst 2.4e-15).
-        # sell s = -b*ln((e^(-m/b) - (1 - p_j)) / p_j), ill-conditioned where
-        # the sale leaves the outcome's price p' small: its error over the
-        # condition number max(1, m / (s * p')) is bounded by 1e-14 (worst
-        # 3.3e-15, leading outcomes among them)
-        worst_buy = worst_sell = 0.0
+        # The one-outcome moves C(q +- s*e_j) - C(q) = b*ln(1 + p_j*(e^(+-s/b)
+        # - 1)) read p_j off e^((q_j - max q)/b), whose argument's rounding is
+        # amplified by its size: their error over max(1, |ln p_j|) is bounded
+        # by 2e-15 (worst 4.3e-16 sold or bought; a value below the float
+        # range must read 0).  sell s = -b*ln((e^(-m/b) - (1 - p_j)) / p_j),
+        # ill-conditioned also where the sale leaves the outcome's price p'
+        # small: its error over max(1, m / (s * p')) * max(1, |ln p_j|) is
+        # bounded by 1e-14 (worst 4.8e-16, leading outcomes among them); a
+        # payout past the float maximum by more than the moves' bound is not
+        # refused
+        worst_buy = worst_sell = worst_move = 0.0
         rng = random.Random(6)
+
+        def move_err(got, exact):
+            if float(exact) == 0.0:  # below the float range
+                assert got == 0.0
+                return 0.0
+            return _rel_err(got, exact) / condition
+
         with localcontext() as ctx:
             ctx.prec = 50
             for _ in range(self.CASES):
@@ -1090,22 +1145,34 @@ class TestExactOracle:
                 shares = Decimal(b) * (1 + ((Decimal(spend) / Decimal(b)).exp() - 1) / p_j).ln()
                 got = quote_exact_in(Lmsr(b=b), q, None, j, spend)
                 worst_buy = max(worst_buy, _rel_err(got, shares))
-                # sell a part of the position for the float payout it earns
-                sold = Decimal(q[j] * rng.uniform(1e-6, 0.9))
-                kept = weights[j] * (-sold / Decimal(b)).exp()
-                payout = float(Decimal(b) * (sum(weights) / (others + kept)).ln())
-                if payout < 1e-12 * invariant_value(Lmsr(b=b), q):
-                    continue  # below what the float cost difference bounding a sale resolves
-                gap = (-Decimal(payout) / Decimal(b)).exp() - others / sum(weights)
-                if gap <= 0:
-                    continue  # rounded past what selling any number of shares pays
+                # sell a part of the position, and buy as many shares
+                sold = q[j] * rng.uniform(1e-6, 0.9)
+                if sold == 0.0:
+                    continue  # no position to sell
+                condition = max(1.0, float(abs(p_j.ln())))
+                payout = -_lmsr_move(b, weights, j, -sold)
+                worst_move = max(worst_move, move_err(quote_exact_in(Lmsr(b=b), q, j, None, sold), payout))
+                bought = _lmsr_move(b, weights, j, sold)
+                worst_move = max(worst_move, move_err(quote_exact_out(Lmsr(b=b), q, None, j, sold), bought))
+                # then ask for the float payout the sale earns
+                payout = float(payout)
+                most = quote_exact_in(Lmsr(b=b), q, j, None, q[j])
+                if payout > most:  # rounded past the float maximum
+                    worst_move = max(worst_move, (payout - most) / most / condition)
+                    continue
+                # e^(-m/b) - (1 - p_j), read where it does not cancel
+                y = Decimal(payout) / Decimal(b)
+                gap = p_j + _dec_expm1(-y) if p_j < Decimal(0.5) else (-y).exp() - others / sum(weights)
+                if payout == 0.0 or gap <= 0:
+                    continue  # nothing asked, or past what selling any number of shares pays
                 shares = -Decimal(b) * (gap.ln() - p_j.ln())
                 kept = weights[j] * (-shares / Decimal(b)).exp()
-                condition = max(1, Decimal(payout) * (others + kept) / (shares * kept))
+                condition *= float(max(1, Decimal(payout) * (others + kept) / (shares * kept)))
                 got = quote_exact_out(Lmsr(b=b), q, j, None, payout)
-                worst_sell = max(worst_sell, _rel_err(got, shares) / float(condition))
+                worst_sell = max(worst_sell, _rel_err(got, shares) / condition)
         assert worst_buy <= 5e-15
         assert worst_sell <= 1e-14
+        assert worst_move <= 2e-15
 
     def test_price_adoption(self):
         # the integrals, rational: bound 4e-15 (worst 1.6e-15); their

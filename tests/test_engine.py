@@ -344,12 +344,12 @@ class TestQuote:
     )
     def test_unpriceable_order_is_an_engine_error(self, name, amount, kind):
         """A non-finite amount is refused everywhere.  An output of 1e-300
-        is refused where its input underflows to zero (the bonding and
-        scoring-rule pools); the closed-form quotes of the other pools
-        price it at the spot, as a trade that small must be."""
+        is refused where its input underflows to zero (the bonding pool);
+        the closed-form quotes of the other pools price it at the spot, as
+        a trade that small must be."""
         pool, _ = load_pool(name)
         order = TradeOrder("a", pool.tokens[0], pool.tokens[1], amount, kind)
-        if amount == 1e-300 and name not in ("bancor-like", "augur-like"):
+        if amount == 1e-300 and name != "bancor-like":
             q = quote(pool, order)
             assert math.isclose(q.amount_in, amount / q.spot_before / (1.0 - pool.fee.trade_fee),
                                 rel_tol=1e-15)

@@ -184,8 +184,8 @@ CLASSIFY = {
     ('dodo-like', 7): '790b754ab63b6f52dd002bcb76b53d2cc6c69a5b341f0eacf1b898641ed67421',
     ('bancor-like', 0): 'aa45e9560b90f187c168af003dfcb33740c95c2ec8b58f39f2400f67b5831d65',
     ('bancor-like', 7): '236e81ffea6f8d5573dcc021ef016c811c7740de93ad5737c3a6bb9c53323468',
-    ('augur-like', 0): '585e3b43d8e1d0b242d00cdfc7305bc75d31038af3a0f9f824a4a05649b215e9',
-    ('augur-like', 7): '72a567d1ed13e3a6d367b53c831f302387966c9dea256959dcae500d75b18242',
+    ('augur-like', 0): '487b91b63fdea1b28848a684467d86fa64ed71d221a1ccf006cc5abfc0166eb4',
+    ('augur-like', 7): '3d13a156be51e8996a43c38c14f9ab38781d5a1d9c347c498088345a2f4791df',
 }
 
 QUOTE = {
@@ -255,7 +255,7 @@ DEMO = {
     "demo_curves.py": "8aa29c79723bcac9c8a3240c0314ed26faaf8506c62bb36846862687c9b5aabc",
     "demo_divergence.py": "bcdab02ad70223fb538fb32c5f2273387bcf123576d6743a54ec22fd7ca3ec74",
     "demo_prediction.py": "8ce778227975be8e1f351ca18a5d6fa8def403bded80d6d6d9a8269d59b7006b",
-    "demo_probe.py": "f4e0626efdc14a000bc3d81c8f512aec4f75ddc9e2e59c28cca6eae62c3cd930",
+    "demo_probe.py": "78aa210ea47d87c358ac38df3a93b7dee3114ed0a13b0a95366cf62f8b8bd66b",
 }
 
 SCRIPT = {
