@@ -891,8 +891,8 @@ class Exponential(CurveSpec):
         checks none, and a probe checks its opening state once."""
         CurveSpec.check_legs(self, reserves, token_in, token_out)
         r, supply = _split_bonding_state(reserves)
-        self.supply_at(r)
-        bonded = bonding_trade(self.kappa, self.c, 0.0, supply)
+        self.supply_at(r)  # raises where the supply the reserve bonds is past the float range
+        bonded = bonding_trade(self.kappa, self.c, 0.0, supply)  # and where this reserve is
         if not abs(r - bonded) <= ON_CURVE_TOL * max(r, bonded):
             raise DomainError(
                 f"reserve {r} is off the bonding curve, which bonds {bonded} at supply {supply}"

@@ -353,27 +353,19 @@ class PricingFamily:
         view, leg_in, leg_out = self.curve_args(state, i, j)
         keep = 1.0 - fee
         issued = i >= self.issued_from  # the fee comes out of the payout
-        exact_in = kind == EXACT_IN
-        if exact_in:  # the curve's input: the amount, net of a fee paid on it
-            given = amount if issued else amount * keep
+        if kind == EXACT_IN:  # the curve's input: the amount, net of a fee paid on it
+            given, quote, side = amount if issued else amount * keep, self.curve.quote_in, "input"
         else:  # the curve's output: the amount, grossed up for a fee paid out of it
-            given = amount / keep if issued else amount
+            given, quote, side = amount / keep if issued else amount, self.curve.quote_out, "output"
         if not given >= 0.0:
-            side = "input" if exact_in else "output"
             raise DomainError(f"{side} amount must be non-negative: {given}")
-        if given == 0.0:
-            priced = 0.0
-        elif exact_in:
-            priced = self.curve.quote_in(view, leg_in, leg_out, given, self.price, self.level)
+        priced = quote(view, leg_in, leg_out, given, self.price, self.level) if given else 0.0
+        if kind == EXACT_IN:
+            amount_in, amount_out = amount, priced * keep if issued else priced
+            fee_paid = priced - amount_out if issued else amount - given
         else:
-            priced = self.curve.quote_out(view, leg_in, leg_out, given, self.price, self.level)
-        if exact_in:
-            amount_in, curve_in, curve_out = amount, given, priced
-            amount_out = priced * keep if issued else priced
-        else:
-            amount_out, curve_in, curve_out = amount, priced, given
-            amount_in = priced if issued else priced / keep
-        fee_paid = curve_out - amount_out if issued else amount_in - curve_in
+            amount_in, amount_out = priced if issued else priced / keep, amount
+            fee_paid = given - amount if issued else amount_in - priced
         after = self.after(state, i, j, amount_in, amount_out, fee_paid)
         return amount_in, amount_out, fee_paid, after
 

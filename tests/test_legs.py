@@ -97,8 +97,10 @@ def _logu(rng, lo, hi):
 
 
 def seeded_family(rng, curve_class):
-    """(family, state, legs) of one seeded state of a curve: a family of
-    every pricing family, with legs in both fee directions where it has two."""
+    """(family, state, legs) of one seeded state of a curve class: its
+    family, bound to the state's level half the time where it can be, and
+    every pair of legs it trades, so that an issued leg pays its fee out of
+    the payout one way and on the input the other."""
     n = rng.choice([2, 3])
     reserves = tuple(_logu(rng, 1e-3, 1e6) for _ in range(n))
     price = None
