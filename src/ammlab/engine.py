@@ -257,8 +257,11 @@ class PricingFamily:
     checked where they enter: `_validate_order` checks an order's tokens,
     the arbitrage step runs `check` on the pool it trades, and the probe
     runs the curve's `check_legs` once on the legs of its opening state.  A
-    pool that passed `check` (as every pool `create_pool` opens) gives the
-    curve legs it accepts for every pair of its tokens the family trades.
+    pool that passed `check` (as every pool `create_pool` opens) has legs
+    the curve accepts for every pair of its tokens the family trades.  The
+    exponential curve's `check_legs` checks the state as well, which a long
+    run of trades moves off the curve by more than rounding; the trade step
+    never runs it.
     """
 
     __slots__ = ("curve", "price", "level")
