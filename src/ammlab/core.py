@@ -55,7 +55,8 @@ class UnsupportedOperation(AmmError):
 
 
 class SolverError(AmmError):
-    """A numeric solver failed to converge; carries the final residual."""
+    """The product-sum level solve (`curves.solve_stableswap_d`), the one
+    root solve left, failed to converge; carries the final residual."""
 
     def __init__(self, message: str, residual: float = float("nan")):
         super().__init__(message)

@@ -25,9 +25,8 @@ along its level set (a hyperbola for constant product and product-sum,
 one power of each reserve for geometric mean and power-sum), LMSR inverts
 its cost function in log space, and price adoption inverts its piecewise
 quadratic integrals.  `state_at_spot`, the inverse of the spot, sizes an
-arbitrage trade the same way where a curve has one.  The scalar solver
-left here serves only the arbitrageur's fallback size search, and the
-product-sum level D keeps its own Newton (`solve_stableswap_d`).
+arbitrage trade the same way on every two-token curve.  The one root solve
+left is the product-sum level D, by its own Newton (`solve_stableswap_d`).
 
 Token legs are integer indices into the reserves vector. Two conventions:
 LMSR uses ``None`` for the collateral leg (reserves are outstanding share
@@ -49,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import DepletionError, DomainError, SolverError, UnsupportedOperation
 
@@ -81,69 +80,6 @@ def _curve(spec_name: str, label: str, family: str):
         return cls
 
     return declare
-
-
-# ---------------------------------------------------------------------------
-# scalar solver: secant steps inside a maintained bisection bracket
-# ---------------------------------------------------------------------------
-
-
-def _solve_increasing(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of an increasing f with f(lo) <= 0 <= f(hi).
-
-    Each step takes the slope of the secant through the previous point, one
-    evaluation of f per step; a step that leaves the bracket (or meets a
-    flat secant) falls back to bisection, and the bracket shrinks
-    monotonically either way.  Only the arbitrageur's size search calls it.
-    """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo > 0.0 or fhi < 0.0:
-        raise SolverError("root not bracketed", residual=min(abs(flo), abs(fhi)))
-
-    # secant start: near-exact for the (piecewise) linear residuals
-    x = lo + (hi - lo) * (-flo) / (fhi - flo)
-    if not lo < x < hi:
-        x = 0.5 * (lo + hi)
-    # the secant's previous point: the bracket end nearer the root
-    px, pfx = (lo, flo) if -flo <= fhi else (hi, fhi)
-
-    for _ in range(NEWTON_MAX_ITER):
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if fx > 0.0:
-            hi = x
-        else:
-            lo = x
-        d = (fx - pfx) / (x - px)
-        px, pfx = x, fx
-        if d > 0.0 and math.isfinite(d):
-            x_new = x - fx / d
-        else:
-            x_new = 0.5 * (lo + hi)
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= NEWTON_TOL * max(1.0, abs(x_new)):
-            return x_new
-        x = x_new
-
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if fm > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= NEWTON_TOL * max(1.0, abs(mid)):
-            return 0.5 * (lo + hi)
-
-    raise SolverError("scalar solve did not converge", residual=f(0.5 * (lo + hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +137,14 @@ class CurveSpec:
     trades reach from there, and a trade's reserves without the fee they
     keep.  A fee kept in the reserves moves them off it.
 
-    `state_at_spot(reserves, i, j, price, level)` inverts the spot: the
-    reserves on the level of `reserves` at which `spot(i -> j)` is `price`,
-    with only legs i and j moved.  It is None where the curve has no closed
-    form for that state (the base class) or the state leaves its domain;
-    the arbitrageur then searches for the size instead.
+    `state_at_spot(reserves, i, j, price, level, adopted_price)` inverts
+    the spot: the reserves on the level of `reserves` at which `spot(i ->
+    j)` is `price`, with only legs i and j moved, each in closed form (price
+    adoption has no level: token 1 moves by the integral the trade pays).
+    It is None where no such state lies inside the domain: the spot is flat
+    (the base class, constant sum, a flat piece), or it reaches the price
+    only past a reserve's depletion or the float range.  The arbitrageur
+    reads its trade size off this state; a curve it trades must give it.
     """
 
     __slots__ = ()
@@ -225,7 +164,7 @@ class CurveSpec:
         curve whose spot reads that value overrides it."""
         return self.spot(reserves, token_in, token_out, adopted_price)
 
-    def state_at_spot(self, reserves, token_in, token_out, price, level=None):
+    def state_at_spot(self, reserves, token_in, token_out, price, level=None, adopted_price=None):
         """The reserves at which the spot is `price` (see the class docstring)."""
         return None
 
@@ -238,6 +177,19 @@ def _moved(reserves, token_in: int, token_out: int, r_in: float, r_out: float):
     moved = list(reserves)
     moved[token_in], moved[token_out] = r_in, r_out
     return tuple(moved)
+
+
+def _scaled(reserves, token_in: int, token_out: int, g_in: float, g_out: float):
+    """`reserves` with legs token_in and token_out scaled by e^g_in and
+    e^g_out, each free of cancellation however far it moves, or None where
+    either leaves the positive floats."""
+    try:
+        return _moved(
+            reserves, token_in, token_out,
+            reserves[token_in] * math.exp(g_in), reserves[token_out] * math.exp(g_out),
+        )
+    except OverflowError:
+        return None
 
 
 def _grown(x: float, g: float) -> float:
@@ -341,7 +293,7 @@ class _Hyperbola(_Conservation):
         b = self.offset(reserves, i, j, level)
         return dy * (b + reserves[i]) / (b + reserves[j] - dy)
 
-    def state_at_spot(self, reserves, token_in, token_out, price, level=None):
+    def state_at_spot(self, reserves, token_in, token_out, price, level=None, adopted_price=None):
         b = self.offset(reserves, token_in, token_out, level)
         x_in, x_out = reserves[token_in], reserves[token_out]
         moved_in = math.sqrt((b + x_in) * (b + x_out) / price) - b
@@ -399,6 +351,14 @@ class GeometricMean(_Conservation):
 
     def marginal(self, reserves, i, j, level):
         return (self.weights[i] * reserves[j]) / (self.weights[j] * reserves[i])
+
+    def state_at_spot(self, reserves, token_in, token_out, price, level=None, adopted_price=None):
+        # holding x_i^w_i * x_j^w_j moves log x_i and log x_j in the ratio
+        # w_j : -w_i, and the spot by the difference of the two moves
+        w_i, w_j = self.weights[token_in], self.weights[token_out]
+        log_spot = math.log(w_i / w_j) + math.log(reserves[token_out]) - math.log(reserves[token_in])
+        gap = (log_spot - math.log(price)) / (w_i + w_j)
+        return _scaled(reserves, token_in, token_out, w_j * gap, -w_i * gap)
 
 
 @_curve("constant-sum", "Constant-sum", CONSERVATION)
@@ -473,6 +433,21 @@ class ConstantPowerSum(_Conservation):
     def marginal(self, reserves, i, j, level):
         return (reserves[j] / reserves[i]) ** self.t
 
+    def state_at_spot(self, reserves, token_in, token_out, price, level=None, adopted_price=None):
+        # the spot fixes the ratio x_j / x_i = price^(1/t), and the held
+        # x_i^e + x_j^e = m its scale: x_i'^e = m / (1 + price^(e/t)) and
+        # x_j'^e = m / (1 + price^(-e/t)), in softplus form so that no power
+        # overflows.  At t = 0 the spot is 1 everywhere
+        t = self.t
+        if t == 0.0:
+            return None
+        e = 1.0 - t
+        now = e * (math.log(reserves[token_out]) - math.log(reserves[token_in]))
+        then = e / t * math.log(price)
+        g_in = (_softplus(now) - _softplus(then)) / e
+        g_out = (_softplus(-now) - _softplus(-then)) / e
+        return _scaled(reserves, token_in, token_out, g_in, g_out)
+
 
 # ---------------------------------------------------------------------------
 # LMSR
@@ -492,7 +467,11 @@ def _lmsr_price(b: float, q: Sequence[float], j: int) -> float:
 
 
 def lmsr_trade_cost(b: float, q: Sequence[float], dq: Sequence[float]) -> float:
-    """C(q + dq) - C(q); positive means the trader pays collateral."""
+    """C(q + dq) - C(q); positive means the trader pays collateral.
+
+    A delta on one outcome is that outcome's closed-form buy or sale; a
+    delta on several is the difference of two costs, exact to the float
+    spacing of C(q) rather than of the delta."""
     if not b > 0.0:
         raise DomainError(f"b must be > 0: {b}")
     if len(q) != len(dq):
@@ -500,8 +479,12 @@ def lmsr_trade_cost(b: float, q: Sequence[float], dq: Sequence[float]) -> float:
     after = [qi + di for qi, di in zip(q, dq)]
     if any(v < 0.0 for v in after):
         raise DomainError(f"share quantities cannot go negative: {after}")
-    if all(d == 0.0 for d in dq):
+    moved = [j for j, d in enumerate(dq) if d != 0.0]
+    if not moved:
         return 0.0
+    if len(moved) == 1:
+        j = moved[0]
+        return _lmsr_buy(b, q, j, dq[j]) if dq[j] > 0.0 else -_lmsr_sale(b, q, j, -dq[j])
     return _lmsr_cost(b, after) - _lmsr_cost(b, q)
 
 
@@ -741,6 +724,27 @@ class PriceAdoption(CurveSpec):
     def invariant(self, reserves):
         raise UnsupportedOperation("price adoption has no conservation function")
 
+    def state_at_spot(self, reserves, token_in, token_out, price, level=None, adopted_price=None):
+        # off the at-par piece the bid (token 0 in) and the ask (token 0 out)
+        # are mid(r0), affine in r0, which meets each price once; at par, or
+        # at k = 0, they are flat.  Token 1 moves by the integral the trade
+        # pays up to there, or, for a state behind the trade (rounding at
+        # the fee band's edge), by the affine piece's integral
+        p = _require_adopted_price(adopted_price)
+        quoted = price if token_in == 0 else 1.0 / price  # mid(r0) at the state
+        if self.k == 0.0 or (quoted >= p if token_in == 0 else quoted <= p):
+            return None
+        r0, r1 = reserves
+        moved = self.target_reserves[0] * (1.0 + (1.0 - quoted / p) / self.k)
+        d = moved - r0
+        if token_in == 0 and d > 0.0:
+            flow = self._bid_payout(p, r0, d)
+        elif token_in == 1 and d < 0.0:
+            flow = -self._ask_cost(p, r0, -d)
+        else:
+            flow = d * self.mid(r0 + 0.5 * d, p)
+        return _moved(reserves, 0, 1, moved, r1 - flow)
+
     def spot(self, reserves, token_in, token_out, adopted_price=None):
         p = _require_adopted_price(adopted_price)
         mid = self.mid(reserves[0], p)
@@ -921,7 +925,7 @@ class Exponential(CurveSpec):
             raise DomainError(f"spot price leaves the float range at supply {supply}")
         return price
 
-    def state_at_spot(self, reserves, token_in, token_out, price, level=None):
+    def state_at_spot(self, reserves, token_in, token_out, price, level=None, adopted_price=None):
         # the marginal kappa * S^(kappa-1) / c takes each value once, unless
         # kappa is 1 and it is constant; the reserve is r(S) at that supply
         if self.kappa == 1.0:

@@ -425,9 +425,10 @@ class PricingFamily:
 
     def state_at_spot(self, state: State, i: int, j: int, price: float) -> State | None:
         """The curve state on this family's level at which `spot_between(.,
-        i, j)` is `price`, or None where the curve gives no closed form."""
+        i, j)` is `price`, or None where none lies inside the curve's domain
+        (see `CurveSpec`)."""
         view, leg_in, leg_out = self.curve_args(state, i, j)
-        return self.curve.state_at_spot(view, leg_in, leg_out, price, self.level)
+        return self.curve.state_at_spot(view, leg_in, leg_out, price, self.level, self.price)
 
     def spot(self, state: State) -> float:
         """Spot of the risky leg in the numeraire."""

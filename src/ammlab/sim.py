@@ -9,11 +9,12 @@ The arbitrageur is curve-agnostic.  Optimal arbitrage moves the pool until
 its fee-adjusted marginal price meets the reference (Angeris & Chitra,
 "Improved Price Oracles: Constant Function Market Makers", 2020), so it
 sizes its trade there, within its caps and its balance of the token it
-pays, and trades only when the marked profit is strictly positive.  A curve
-that inverts its spot in closed form gives that size directly; on the
-others one root solve finds it.  After
-an arb step on a two-token pool the spot price therefore sits within the
-no-trade fee band around the reference:
+pays, and trades only when the marked profit is strictly positive.  Every
+two-token curve inverts its spot in closed form, so the size is read off
+the state at which the marginal meets the reference, with no search; a
+marginal that never meets it earns up to the caps.  After an arb step on a
+two-token pool the spot price therefore sits within the no-trade fee band
+around the reference, unless a cap binds:
 |spot - reference| / max(spot, reference) <= fee.
 
 Metrics mark portfolios to the reference: the pricing family's risky leg
@@ -41,7 +42,6 @@ from .core import (
     ledger_mint_many,
     new_ledger,
 )
-from .curves import _solve_increasing
 from .engine import (
     EXACT_IN,
     EXACT_OUT,
@@ -62,14 +62,6 @@ from .engine import (
 PRICE_HEADER = "step,price"
 
 CREATOR_ACCOUNT = "creator"
-
-# arbitrage sizes solved for where the curve has no closed form, in units
-# of the pool's scale: the bracket starts at _START and grows by _GROWTH
-# until the first-order condition holds, and a limit of the trade step is
-# resolved to _RESOLUTION
-_START = 1e-6
-_GROWTH = 16.0
-_RESOLUTION = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -292,46 +284,6 @@ class ScenarioError(AmmError):
 # ---------------------------------------------------------------------------
 
 
-def _solve_size(g, cap: float, scale: float) -> float:
-    """Trade size at which the increasing residual g crosses zero; 0 when
-    `cap` is 0 or g(0) >= 0, so that no size earns anything.  The
-    arbitrageur's fallback where the curve gives no closed-form size.
-
-    The bracket grows from _START * scale by _GROWTH until g is no longer
-    negative, then one root solve finds the crossing.  g is nan where the
-    trade step cannot price a size (or, at 0, where the pool has no marginal
-    price: a bonding curve at zero supply).  A profit still growing where g
-    turns nan is taken at the largest size the step prices, to within
-    _RESOLUTION * scale; no size below the bracket's start is tried.
-    """
-    if not cap > 0.0:
-        return 0.0
-    lo, g_lo = 0.0, g(0.0)
-    if g_lo >= 0.0:
-        return 0.0
-    hi = min(cap, _START * scale)
-    g_hi = g(hi)
-    while g_hi < 0.0 and lo < hi < cap:
-        lo, g_lo = hi, g_hi
-        hi = min(cap, hi * _GROWTH)
-        g_hi = g(hi)
-    if g_hi < 0.0:
-        return hi
-    if not g_lo < 0.0:  # g(0) is nan, and no size tried was found to earn
-        return 0.0
-    while not g_hi >= 0.0:  # nan: narrow onto the largest priceable size
-        mid = 0.5 * (lo + hi)
-        if lo == 0.0 or hi - lo <= _RESOLUTION * scale or not lo < mid < hi:
-            return lo
-        g_mid = g(mid)
-        if g_mid < 0.0:
-            lo, g_lo = mid, g_mid
-        else:
-            hi, g_hi = mid, g_mid
-    known = {lo: g_lo, hi: g_hi}  # the solve opens by evaluating both ends
-    return _solve_increasing(lambda a: known.pop(a) if a in known else g(a), lo, hi)
-
-
 def arbitrage_step(
     pool: PoolState,
     reference_price: float,
@@ -351,10 +303,13 @@ def arbitrage_step(
 
     Once the residual at size 0 shows that a direction earns, the size is
     read off the curve state at which the marginal meets the reference
-    (`PricingFamily.state_at_spot`), in closed form.  `_solve_size` finds
-    it instead where the curve gives no such state, the state lies on the
-    wrong side of the pool (a residual that is not increasing), or the size
-    cannot be priced.
+    (`PricingFamily.state_at_spot`), in closed form.  Where the curve has
+    no such state inside its domain (a flat marginal, or one that meets the
+    reference only past a reserve's depletion), or the state lies behind
+    the trade and the marginal moves away from the reference, every size up
+    to the cap earns, and the step takes the cap.  A sale that would drain
+    the numeraire takes all but 1e-9 of it, as a buy takes all but 1e-9 of
+    the risky reserve.
 
     The step binds the pool state's level once; every candidate is priced
     on it, and the trade it chose settles as priced, so no order is quoted
@@ -391,18 +346,16 @@ def _arbitrage(
     numeraire = 1 - risky
     state = family.view(pool)
     if family.level is None:
-        # every trade step prices `state`, and every residual's spot a
-        # curve state on its level: one level serves them all
+        # the spot, the state at which it meets the price and every trade
+        # step read `state`'s level: one level serves them all
         family = family.on_level(state)
     fee = pool.fee.trade_fee
     keep = 1.0 - fee
     held = state[risky]
     issued = risky >= family.issued_from
     if issued:  # minting is unbounded, burning stops at the supply
-        scale = max(held, 1.0)
-        buy_cap, sell_cap = 1e15 * scale, held * (1.0 - 1e-12)
-    else:  # buying stops short of the reserve, selling is unbounded
-        scale = held
+        buy_cap, sell_cap = 1e15 * max(held, 1.0), held * (1.0 - 1e-12)
+    else:  # buying and selling stop short of the reserve paid out (`sized`)
         buy_cap, sell_cap = held * (1.0 - 1e-9), 1e15 * max(state)
 
     def holding(leg: int) -> float:
@@ -421,67 +374,61 @@ def _arbitrage(
             return None
         return trade if 0.0 < trade[0] < math.inf else None
 
-    def residual(buying: bool, amount: float) -> float:
-        """First-order residual of buying (exact out) or selling (exact in)
-        `amount` of the risky leg: increasing, negative while a larger trade
-        earns more, nan where the trade cannot be priced.  The marginal is
-        read on the curve, without the fee the reserves keep; a buy's
-        1 - spot*ref*keep has the sign and root of cost - ref*keep."""
-        i = numeraire if buying else risky
-        curve_state = state
-        if amount > 0.0:
-            trade = priced(i, EXACT_OUT if buying else EXACT_IN, amount)
-            if trade is None:
-                return math.nan
-            _, _, fee_paid, curve_state = trade
-            if family.fee_in_reserves:
-                curve_state = list(curve_state)
-                curve_state[1 - i if i >= family.issued_from else i] -= fee_paid
-        try:
-            spot = family.spot_between(curve_state, i, 1 - i)
-        except AmmError:
-            return math.nan
-        return 1.0 - spot * reference_price * keep if buying else reference_price - spot * keep
-
     def sized(buying: bool, cap: float):
-        """(size, its priced trade or None) of the trade that meets the
-        first-order condition in this direction; size 0 when none earns."""
-        g0 = residual(buying, 0.0) if cap > 0.0 else 0.0
-        if g0 >= 0.0:
-            return 0.0, None
-        if g0 < 0.0:  # not nan
-            i = numeraire if buying else risky
-            # the marginal at which the residual is zero
-            price = 1.0 / (reference_price * keep) if buying else reference_price / keep
-            target = family.state_at_spot(state, i, 1 - i, price)
-            if target is not None:
-                # the risky amount the trader gets: minted on an issued leg,
-                # paid out of a held one; a sale pays its fee on the input
-                # unless the leg is issued
-                gets = target[risky] - state[risky] if issued else state[risky] - target[risky]
-                size = gets if buying else -gets if issued else -gets / keep
-                if size > 0.0:
-                    size = min(size, cap)
-                    trade = priced(i, EXACT_OUT if buying else EXACT_IN, size)
-                    if trade is not None:
-                        return size, trade
-        return _solve_size(lambda a: g0 if a == 0.0 else residual(buying, a), cap, scale), None
+        """The priced trade, within `cap`, that meets the first-order
+        condition in this direction, or None when none earns."""
+        if not cap > 0.0:
+            return None
+        i = numeraire if buying else risky
+        try:
+            spot = family.spot_between(state, i, 1 - i)
+        except AmmError:  # no marginal: a bonding curve at zero supply
+            spot = math.nan
+        # the first-order residual at size 0, negative where a trade earns;
+        # a buy's 1 - spot*ref*keep has the sign and root of cost - ref*keep.
+        # A nan goes on: a bonding curve at zero supply has a state at which
+        # its marginal meets the price
+        if (1.0 - spot * reference_price * keep if buying else reference_price - spot * keep) >= 0.0:
+            return None
+        kind = EXACT_OUT if buying else EXACT_IN
+        # the marginal at which the residual is zero
+        price = 1.0 / (reference_price * keep) if buying else reference_price / keep
+        target = family.state_at_spot(state, i, 1 - i, price)
+        size = cap  # no such state inside the domain: every size earns
+        if target is not None:
+            # the risky amount the trader gets: minted on an issued leg,
+            # paid out of a held one; a sale pays its fee on the input
+            # unless the leg is issued
+            gets = target[risky] - state[risky] if issued else state[risky] - target[risky]
+            size = min(cap, gets if buying else -gets if issued else -gets / keep)
+            if not size > 0.0:
+                # a state behind the trade: the marginal moves away from the
+                # price (exponential at kappa < 1), and the cap earns most.
+                # A residual just negative by rounding at the fee band's edge
+                # can put an increasing marginal's state there too; its cap
+                # trade loses, and the profit check below declines it
+                size = cap
+        trade = priced(i, kind, size)
+        if not (buying or issued) and (trade is None or trade[3][numeraire] < 1e-9 * state[numeraire]):
+            # a sale takes all but 1e-9 of the numeraire, as a buy all
+            # but 1e-9 of the risky reserve
+            edge = priced(i, EXACT_OUT, state[numeraire] * (1.0 - 1e-9))
+            trade = edge and priced(i, kind, edge[0])
+        return trade
 
     for buying, cap in ((True, buy_cap if budget > 0.0 else 0.0), (False, sell_cap)):
-        size, trade = sized(buying, cap)
-        if size > 0.0:
+        trade = sized(buying, cap)
+        if trade is not None:
             break
     else:
         return pool, ledgers, None, family
     i = numeraire if buying else risky
-    kind = EXACT_OUT if buying else EXACT_IN
-    if trade is None:
-        trade = priced(i, kind, size)
-    if buying and trade is not None and trade[0] > budget:
+    kind, size = (EXACT_OUT, trade[1]) if buying else (EXACT_IN, trade[0])
+    if buying and trade[0] > budget:
         kind, size = EXACT_IN, budget  # the best buy costs more than is held
         trade = priced(i, kind, size)
-    if trade is None:
-        return pool, ledgers, None, family
+        if trade is None:
+            return pool, ledgers, None, family
     paid, got = trade[0], trade[1]
     if not (got * reference_price - paid if buying else got - paid * reference_price) > 0.0:
         return pool, ledgers, None, family

@@ -535,6 +535,39 @@ class TestLmsrTradeCost:
         with pytest.raises(DomainError):
             lmsr_trade_cost(100.0, (5.0, 3.0), (-6.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "b,q,dq",
+        [
+            # a sale of 8.3e-12 shares, which the difference of two costs of
+            # about 29,000 read as +3.64e-12, a payment
+            (26540.62049289867, (0.0, 0.0, 1.2016504291695096), (0.0, 0.0, -8.325743341137915e-12)),
+            # a sale worth 2.5e-14 that the difference read as 1.1e-13
+            (20.767627074713978, (631.9097580522166, 0.44203954594367206, 0.0), (0.0, -0.4, 0.0)),
+            (100.0, (5.0, 3.0, 0.0), (0.0, 0.0, 1e-12)),
+        ],
+        ids=["tiny-sale", "trailing-sale", "tiny-buy"],
+    )
+    def test_one_outcome_is_its_closed_form(self, b, q, dq):
+        """A delta on one outcome is priced as its buy or sale, to 1e-14 of
+        the exact C(q + dq) - C(q) at 50 digits."""
+        j = next(k for k, d in enumerate(dq) if d)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            weights = [(Decimal(qi) / Decimal(b)).exp() for qi in q]
+            exact = _lmsr_move(b, weights, j, dq[j])
+        assert _rel_err(lmsr_trade_cost(b, q, dq), exact) <= 1e-14
+
+    def test_a_basket_is_a_difference_of_costs(self):
+        """A delta on several outcomes stays C(q + dq) - C(q), exact to a
+        few dozen ulps of C(q): 1e-13 of each of three outcomes at b 100
+        costs 3e-13, read as about 9.9e-14.  Translation invariance
+        (criterion 05, the probe's basket) is measured on this form, not
+        assumed, so a uniform basket is not special-cased."""
+        b, q, dq = 100.0, (0.0, 0.0, 0.0), (1e-13,) * 3
+        cost = lmsr_trade_cost(b, q, dq)
+        assert cost != 3e-13
+        assert abs(cost - 3e-13) <= 32.0 * math.ulp(b * math.log(3.0))
+
     @given(
         a=st.floats(min_value=0.0, max_value=500.0),
         q0=st.floats(min_value=0.0, max_value=300.0),
@@ -900,7 +933,8 @@ class TestKnownLevel:
 class TestStateAtSpot:
     """`state_at_spot` inverts the spot: at the state it returns the spot is
     the asked price, the conservation value is the level it started on, and
-    only the two traded legs moved."""
+    only the two traded legs moved.  It is None only where no such state
+    lies inside the curve's domain."""
 
     @given(
         curve=st.sampled_from(["product", "product-sum"]),
@@ -953,13 +987,79 @@ class TestStateAtSpot:
         assert math.isclose(spot_price(spec, target, i, j), price, rel_tol=1e-9)
         assert math.isclose(invariant_value(spec, target), c, rel_tol=1e-12)
 
+    @given(
+        curve=st.sampled_from(["geometric-mean", "power-sum"]),
+        n=st.sampled_from([2, 3]),
+        shape=st.floats(min_value=0.05, max_value=0.95),
+        reserves=st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=3, max_size=3),
+        legs=st.sampled_from([(0, 1), (1, 0), (2, 0), (1, 2)]),
+        log_move=st.floats(min_value=-5.0, max_value=5.0),
+    )
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_geometric_mean_and_power_sum(self, curve, n, shape, reserves, legs, log_move):
+        """`shape` is the first weight of a geometric mean (the rest share
+        what is left) or a power-sum's t."""
+        if curve == "geometric-mean":
+            spec = GeometricMean(weights=(shape,) + ((1.0 - shape) / (n - 1),) * (n - 1))
+        else:
+            spec = ConstantPowerSum(t=shape)
+        state = tuple(reserves[:n])
+        i, j = (leg % n for leg in legs)
+        if i == j:
+            j = (i + 1) % n
+        level = invariant_value(spec, state)
+        price = spot_price(spec, state, i, j) * math.exp(log_move)
+        target = spec.state_at_spot(state, i, j, price, level)
+        assert all(target[k] == state[k] for k in range(n) if k not in (i, j))
+        assert math.isclose(spot_price(spec, target, i, j), price, rel_tol=1e-9)
+        assert math.isclose(invariant_value(spec, target), level, rel_tol=1e-10)
+
+    @given(
+        k=st.floats(min_value=0.05, max_value=1.0),
+        t0=st.floats(min_value=1.0, max_value=1e4),
+        p=st.floats(min_value=0.01, max_value=100.0),
+        imbalance=st.floats(min_value=0.2, max_value=1.8),
+        sell=st.booleans(),
+        log_move=st.floats(min_value=0.01, max_value=3.0),
+    )
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_price_adoption(self, k, t0, p, imbalance, sell, log_move):
+        """Price adoption has no level: its state is the one the trade that
+        moves the spot to the price reaches, so token 1 moves by the quote
+        of token 0's move.  A sale moves the bid down and a buy moves the
+        ask up; None only where that trade drains a reserve."""
+        spec = PriceAdoption(k=k, target_reserves=(t0, 10.0 * t0))
+        state = (t0 * imbalance, p * t0)
+        i, j = (0, 1) if sell else (1, 0)
+        # the spot the trade moves away from: the bid, or one over the ask
+        price = spot_price(spec, state, i, j, adopted_price=p) * math.exp(-log_move)
+        target = spec.state_at_spot(state, i, j, price, adopted_price=p)
+        if target is None:
+            if sell:  # the bid's integral up to its price pays more than token 1 holds
+                moved = t0 * (1.0 + (1.0 - price / p) / k)
+                with pytest.raises(DepletionError):
+                    quote_exact_in(spec, state, 0, 1, moved - state[0], adopted_price=p)
+            else:  # the ask reaches the price only past an empty reserve
+                assert 1.0 / price > p * (1.0 + k)
+            return
+        assert math.isclose(spot_price(spec, target, i, j, adopted_price=p), price, rel_tol=1e-9)
+        if sell:
+            paid = quote_exact_in(spec, state, 0, 1, target[0] - state[0], adopted_price=p)
+            assert math.isclose(target[1], state[1] - paid, rel_tol=1e-12)
+        else:
+            cost = quote_exact_out(spec, state, 1, 0, state[0] - target[0], adopted_price=p)
+            assert math.isclose(target[1], state[1] + cost, rel_tol=1e-12)
+
     @pytest.mark.parametrize(
         "spec,reserves,legs,price",
         [
-            (GeometricMean(weights=(0.2, 0.8)), (100.0, 100.0), (0, 1), 2.0),
+            # the target's x_0 would be 1e300 * e^354, past the float range
+            (GeometricMean(weights=(0.5, 0.5)), (1e300, 1e300), (0, 1), 1e-308),
             (CS, (100.0, 100.0), (0, 1), 2.0),
-            (ConstantPowerSum(t=0.5), (100.0, 100.0), (0, 1), 2.0),
-            (PriceAdoption(k=0.5, target_reserves=(100.0, 1000.0)), (100.0, 1000.0), (0, 1), 5.0),
+            # t = 0 is constant sum: the spot is 1 everywhere
+            (ConstantPowerSum(t=0.0), (100.0, 100.0), (0, 1), 2.0),
+            # k = 0: the bid is the adopted price 10 everywhere
+            (PriceAdoption(k=0.0, target_reserves=(100.0, 1000.0)), (100.0, 1000.0), (0, 1), 5.0),
             (Lmsr(b=100.0), (0.0, 0.0), (None, 0), 2.0),
             (Exponential(kappa=1.0, c=2.0), (5.0, 10.0), (0, 1), 3.0),
             # chi 10 at (100, 100): the spot stays below about 1.1 however far it moves
@@ -968,7 +1068,9 @@ class TestStateAtSpot:
         ids=["geometric-mean", "sum", "power-sum", "adoption", "lmsr", "kappa-1", "past-the-edge"],
     )
     def test_no_closed_form_state(self, spec, reserves, legs, price):
-        assert spec.state_at_spot(reserves, *legs, price) is None
+        """No state inside the domain: a flat spot, or one that reaches the
+        price only past a reserve's depletion or the float range."""
+        assert spec.state_at_spot(reserves, *legs, price, adopted_price=10.0) is None
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,7 @@ CURVE_TABLE = {
 ARB = {
     'bancor-like': '2909a3807f4b77d212434a8d8912babff4a28714927e63cf57a46248e0cb7a09',
     'curve-v1-like': '7d72d30e424de06c6fe9d0bb00c2f1beb89aa25d4ddaaec2ce429399da0abe4d',
-    'dodo-like': 'c1cfe35c41e539b4549ca15fe1d8b258891f9559ad86a96132ef51c4723d1c6a',
+    'dodo-like': 'd1b5e7ed487d771f282d3b09bd017283cf42c373847aad8d92b3519fb1231b86',
     'uniswap-v2-like': 'd79ec7b8a504f08ff8118f6d2d8e51781a9e525814f363c30931dcba82fc92c0',
 }
 

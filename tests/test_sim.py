@@ -370,36 +370,21 @@ class TestArbitrage:
         with pytest.raises(UnsupportedOperation):
             arbitrage_step(pool, 0.5, "arb", ledgers)
 
-    def test_search_ends_on_a_drained_stable_pool(self, monkeypatch):
+    def test_search_ends_on_a_drained_stable_pool(self):
         """The first arb steps of the seed-8 criterion-08 walk drain
-        mstable-2021-like's risky reserve to about 2e-7; 1e-9 of that is
-        below the float spacing of the sell bracket (hi about 113), so a
-        search stopping only at that tolerance never ended.  The size solve
-        must end there too."""
-        solve = sim._solve_size
-
-        def bounded(g, cap, scale):
-            calls = 0
-
-            def counted(amount):
-                nonlocal calls
-                calls += 1
-                if calls > 10_000:
-                    raise RuntimeError(f"size solve up to {cap} at scale {scale} did not end")
-                return g(amount)
-
-            return solve(counted, cap, scale)
-
-        monkeypatch.setattr(sim, "_solve_size", bounded)
+        mstable-2021-like's risky reserve to about 1e-7 of itself, where a
+        search by tolerance once never ended.  The flat marginal takes each
+        step to its cap: the three steps end, and leave both reserves
+        positive."""
         pool, ledgers = load_pool("mstable-2021-like")
         for token in pool.tokens:
             fund(ledgers, token, "arb", 1e12)
-        rng, level, lowest = random.Random(8), 1.0, math.inf
+        rng, level = random.Random(8), 1.0
         for _ in range(3):
             level *= math.exp(rng.uniform(-0.08, 0.08))
-            lowest = min(lowest, *pool.reserves)
             pool, ledgers, _ = arbitrage_step(pool, level, "arb", ledgers)
-        assert 0.0 < lowest < 1e-6
+            assert min(pool.reserves) > 0.0
+        assert min(pool.reserves) < 1e-6
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -441,6 +426,37 @@ TWO_TOKEN_BUILTINS = (
     "dodo-like",
     "bancor-like",
 )
+
+
+def spec_pool(curve, tokens, reserves, fee, **keys):
+    """The text of a pool specification on `curve`."""
+    archetype = {
+        "exponential": "price-discovering-supply-sovereign",
+        "price-adoption": "price-adopting-lp-based",
+    }.get(curve, "price-discovering-lp-based")
+    lines = [
+        f"archetype = {archetype}", f"curve = {curve}",
+        f"tokens = {tokens}", f"reserves = {reserves}", f"fee = {fee}",
+    ]
+    return "\n".join(lines + [f"{key} = {value}" for key, value in keys.items()]) + "\n"
+
+
+# two-token pools on the curves and parameters no built-in uses
+SPEC_POOLS = {
+    "geometric-mean-20-80": spec_pool("geometric-mean", "T0, T1", "100, 400", 0.003, weights="0.2, 0.8"),
+    "power-sum-0.5": spec_pool("constant-power-sum", "T0, T1", "100, 100", 0.003, t=0.5),
+    "exponential-0.5": spec_pool("exponential", "RESERVE, ISSUED", "100, 0", 0.003, kappa=0.5, c=1),
+    "exponential-1": spec_pool("exponential", "RESERVE, ISSUED", "100, 0", 0.003, kappa=1, c=1),
+}
+ARB_POOLS = TWO_TOKEN_BUILTINS + tuple(SPEC_POOLS)
+
+
+def open_pool(name):
+    """A built-in pool or one of SPEC_POOLS, and its ledgers."""
+    if name in SPEC_POOLS:
+        return materialize_pool(parse_pool_spec(SPEC_POOLS[name]))
+    return load_pool(name)
+
 
 # The search the arbitrageur ran before it solved the first-order condition:
 # a doubling-expanded bracket refined by golden section.  It needs no
@@ -514,12 +530,16 @@ def arb_caps(pool):
 
 def quote_priced_arbitrage(pool, reference_price, arb_account, ledgers):
     """The golden-section arbitrage search with every candidate size priced
-    by a full `quote`: the reference the first-order step is held to."""
+    by a full `quote`, within the caps and what the arbitrageur holds of the
+    token it pays: the reference the first-order step is held to."""
     family = PricingFamily.of(pool.curve, pool.oracle_price)
     risky = family.risky
     risky_token = pool.tokens[risky]
     numeraire_token = pool.tokens[1 - risky]
     buy_cap, sell_cap = arb_caps(pool)
+    budget = balance_of(ledgers[numeraire_token], arb_account)
+    if not budget > 0.0:
+        buy_cap = 0.0
     tol = _SEARCH_TOL * arb_scale(pool)
 
     def buy_profit(amount):
@@ -547,6 +567,10 @@ def quote_priced_arbitrage(pool, reference_price, arb_account, ledgers):
         return pool, ledgers, None
     if buy_value >= sell_value:
         order = TradeOrder(arb_account, numeraire_token, risky_token, buy_size, EXACT_OUT)
+        if quote(pool, order).amount_in > budget:
+            # the profit grows up to the best buy, so the best one the
+            # arbitrageur can pay for spends all it holds
+            order = TradeOrder(arb_account, numeraire_token, risky_token, budget, EXACT_IN)
     else:
         order = TradeOrder(arb_account, risky_token, numeraire_token, sell_size, EXACT_IN)
     pool, receipt, ledgers = execute_swap(pool, order, ledgers)
@@ -591,7 +615,7 @@ def arb_walk(name, moves):
     """Each reference level of a walk from the pool's opening spot, with the
     pool and ledgers it finds (a dodo oracle moves first); the arbitrageur
     holds 1e18 of both tokens."""
-    pool, ledgers = load_pool(name)
+    pool, ledgers = open_pool(name)
     family = PricingFamily.of(pool.curve, pool.oracle_price)
     for token in pool.tokens:
         fund(ledgers, token, "arb", 1e18)
@@ -605,7 +629,7 @@ def arb_walk(name, moves):
 
 class TestSearchPricing:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(name=st.sampled_from(TWO_TOKEN_BUILTINS), moves=ARB_MOVES)
+    @given(name=st.sampled_from(ARB_POOLS), moves=ARB_MOVES)
     def test_receipts_match_the_quote_priced_search(self, name, moves):
         """The first-order step's marked profit is at least the golden-section
         oracle's less 1e-9 of the pool's scale, and it trades wherever the
@@ -626,13 +650,15 @@ class TestSearchPricing:
                 break
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(name=st.sampled_from(TWO_TOKEN_BUILTINS), moves=ARB_MOVES)
+    @given(name=st.sampled_from(ARB_POOLS), moves=ARB_MOVES)
     def test_every_two_token_builtin_ends_in_its_fee_band(self, name, moves):
         """After a trade the fee-adjusted marginal is inside the no-trade band,
         unless the trade stopped at a limit: the reserve it was paid from
-        nearly drained, or the size cap; after a decline it was already
+        nearly drained, the size cap, or all the arbitrageur held of the
+        token it pays (reached only where the marginal never meets the
+        reference: exponential at kappa 0.5); after a decline it was already
         inside the band."""
-        opening = load_pool(name)[0]
+        opening = open_pool(name)[0]
         walk = arb_walk(name, moves)
         pool, ledgers, level = next(walk)
         while True:
@@ -642,6 +668,8 @@ class TestSearchPricing:
             buying = buy < 1.0
             paying = family.risky if buying else 1 - family.risky
             limited = family.view(after)[paying] <= 1e-6 * family.view(opening)[paying]
+            spent = pool.tokens[1 - family.risky if buying else family.risky]
+            limited |= balance_of(ledgers[spent], "arb") == 0.0
             if receipt is not None:
                 q = receipt.quote
                 size = q.amount_out if buying else q.amount_in
@@ -722,11 +750,6 @@ def placed_order(pool, reference, ledgers):
     return settled_step(pool, reference, ledgers)[1]
 
 
-def solved_only():
-    """Every curve without its closed-form state: each size is solved for."""
-    return mock.patch.object(PricingFamily, "state_at_spot", lambda *args: None)
-
-
 class TestClosedFormSize:
     @pytest.mark.parametrize(
         "name,reference",
@@ -737,11 +760,20 @@ class TestClosedFormSize:
             ("curve-v1-like", 0.95),
             ("bancor-like", 30.0),
             ("bancor-like", 15.0),
+            ("geometric-mean-20-80", 1.5),
+            ("geometric-mean-20-80", 0.6),
+            ("power-sum-0.5", 1.5),
+            ("power-sum-0.5", 0.6),
+            ("dodo-like", 12.0),
+            ("dodo-like", 8.0),
+            # a flat marginal takes the buy cap; a sale past the depletion
+            # edge prices that edge too, two trade steps more
+            ("mstable-2021-like", 1.05),
         ],
     )
     def test_a_trading_step_prices_two_trades(self, monkeypatch, name, reference):
         """One trade step prices the closed-form size, and that trade
-        settles as priced: no size is solved for, and no order is quoted
+        settles as priced: no size is searched for, and no order is quoted
         again (a second trade step, until the step settled its own)."""
         steps = []
         trade = PricingFamily.trade
@@ -750,77 +782,146 @@ class TestClosedFormSize:
             steps.append(args)
             return trade(family, *args)
 
-        def unexpected(g, cap, scale):
-            raise AssertionError("the size was solved for")
-
-        pool, ledgers = load_pool(name)
+        pool, ledgers = open_pool(name)
         for token in pool.tokens:
             fund(ledgers, token, "arb", 1e9)
         monkeypatch.setattr(PricingFamily, "trade", counted)
-        monkeypatch.setattr(sim, "_solve_size", unexpected)
         _, _, receipt = arbitrage_step(pool, reference, "arb", ledgers)
         assert receipt is not None
         assert len(steps) == 1
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
-        curve=st.sampled_from(["constant-product", "constant-product-sum", "exponential"]),
+        curve=st.sampled_from([
+            "constant-product", "constant-product-sum", "geometric-mean",
+            "constant-power-sum", "price-adoption", "exponential",
+        ]),
         reserves=st.tuples(st.floats(1e-2, 1e6), st.floats(1e-2, 1e6)),
         chi=st.sampled_from([0.0, 0.01, 0.5, 2.0, 10.0, 100.0, 1000.0]),
+        shape=st.floats(0.05, 0.95),
         kappa=st.one_of(st.floats(0.2, 0.9), st.floats(1.1, 4.0)),
         c=st.floats(0.1, 10.0),
         fee=st.sampled_from([0.0, 0.003, 0.01]),
         move=st.floats(0.03, 3.0),
         up=st.booleans(),
     )
-    def test_the_closed_form_size_is_the_solved_size(
-        self, curve, reserves, chi, kappa, c, fee, move, up
+    def test_the_closed_form_size_meets_the_first_order_condition(
+        self, curve, reserves, chi, shape, kappa, c, fee, move, up
     ):
-        """The size read off `state_at_spot` is the root `_solve_size` finds
-        on the same residual, to the solver's step tolerance 1e-12 * max(1,
-        size) plus 8 ulps of the largest coordinate that moves (the shifted
-        reserve b + x of the product-sum hyperbola, b = chi * D; the supply
-        of a bonding curve, whose spot reads S^(kappa - 1), amplified by
-        1 / |kappa - 1|), over keep for a sale.  Exponential curves with
-        kappa < 1 have no increasing residual: they take the solve's size
-        exactly."""
+        """After the step's trade, the marginal read on the curve without
+        the fee the reserves keep meets the reference (a buy's cost is
+        ref * keep, a sale's proceeds ref / keep) to 32 times the resolution
+        of the floats the trade settles: one ulp of the price, plus what the
+        marginal moves over one ulp of the size and over one ulp of each
+        reserve.  A nearly drained reserve is resolved only to an ulp of what
+        it held, which moves a power-sum marginal at small t by 1e-9.  The
+        exception is a binding limit: the size cap, the 1e18 the arbitrageur
+        holds, or a sale past the depletion edge, which leaves 1e-9 of the
+        numeraire.  `shape` is
+        geometric mean's first weight, power-sum's t and price adoption's
+        k.  Exponential curves with kappa < 1, whose marginal moves away
+        from the reference, take the cap."""
         if curve == "exponential":
-            spec = (
-                "archetype = price-discovering-supply-sovereign\n"
-                "curve = exponential\ntokens = T0, T1\n"
-                f"reserves = {reserves[0]!r}, 0\nkappa = {kappa!r}\nc = {c!r}\n"
-            )
+            spec = spec_pool(curve, "T0, T1", f"{reserves[0]!r}, 0", fee, kappa=repr(kappa), c=repr(c))
+        elif curve == "price-adoption":
+            spec = spec_pool(curve, "T0, T1", f"{reserves[0]!r}, {reserves[1]!r}", fee, k=repr(shape),
+                             target_reserves=f"{reserves[0]!r}, {reserves[1]!r}", oracle_price=repr(c))
         else:
-            spec = (
-                f"archetype = price-discovering-lp-based\ncurve = {curve}\ntokens = T0, T1\n"
-                f"reserves = {reserves[0]!r}, {reserves[1]!r}\n"
-            )
-            if curve == "constant-product-sum":
-                spec += f"chi = {chi!r}\n"
-        pool, ledgers = materialize_pool(parse_pool_spec(spec + f"fee = {fee!r}\n"))
+            keys = {"constant-product-sum": {"chi": repr(chi)},
+                    "geometric-mean": {"weights": f"{shape!r}, {1.0 - shape!r}"},
+                    "constant-power-sum": {"t": repr(shape)}}.get(curve, {})
+            spec = spec_pool(curve, "T0, T1", f"{reserves[0]!r}, {reserves[1]!r}", fee, **keys)
+        pool, ledgers = materialize_pool(parse_pool_spec(spec))
         fund(ledgers, "T0", "arb", 1e18)
         fund(ledgers, "T1", "arb", 1e18)
-        family = PricingFamily.of(pool.curve)
+        family = PricingFamily.of(pool.curve, pool.oracle_price)
         state = family.view(pool)
         reference = family.spot(state) * math.exp(move if up else -move)
-        closed = placed_order(pool, reference, ledgers)
-        with solved_only():
-            solved = placed_order(pool, reference, ledgers)
-        assert (closed is None) == (solved is None)
-        if closed is None:
+        order = placed_order(pool, reference, ledgers)
+        if order is None:
             return
-        assert (closed.token_in, closed.kind) == (solved.token_in, solved.kind)
+        i = pool.tokens.index(order.token_in)
+        buying = i != family.risky
+        buy_cap, sell_cap = arb_caps(pool)
+        cap = buy_cap if buying else min(sell_cap, 1e18)  # a sale is capped by what it holds
+        # the size cap, or the budget: a buy that costs more spends all it holds
+        capped = order.amount >= cap * (1.0 - 1e-12) or buying and order.kind == EXACT_IN
         if curve == "exponential" and kappa < 1.0:
-            assert closed == solved
+            assert capped
             return
-        moved = max(state[family.risky], abs(state[family.risky] - closed.amount))
-        if curve == "exponential":
-            moved /= abs(kappa - 1.0)
-        elif curve == "constant-product-sum":
-            moved += chi * family.invariant(state)
-        size = solved.amount
-        keep = 1.0 if closed.kind == EXACT_OUT else 1.0 - fee
-        assert abs(closed.amount - size) <= 1e-12 * max(1.0, size) + 8.0 * math.ulp(moved) / keep
+        bound = family.on_level(state)  # the level the step priced on
+
+        def curve_state(amount):
+            """The curve state after the order for `amount`, without the
+            fee the reserves keep."""
+            _, _, fee_paid, after = bound.trade(state, i, 1 - i, order.kind, amount, fee)
+            if family.fee_in_reserves:
+                after = list(after)
+                after[1 - i if i >= family.issued_from else i] -= fee_paid
+            return tuple(after)
+
+        after = curve_state(order.amount)
+        if capped or after[1 - i] <= 1e-9 * state[1 - i] * (1.0 + 1e-6):
+            return
+        keep = 1.0 - fee
+        price = 1.0 / (reference * keep) if buying else reference / keep
+        marginal = bound.spot_between(after, i, 1 - i)
+        # the size is in units of the risky reserve
+        step = math.ulp(max(state[family.risky], after[family.risky]))
+        bumped = [curve_state(order.amount + step)]
+        for leg in (0, 1):
+            moved = list(after)
+            moved[leg] += math.ulp(max(state[leg], after[leg]))
+            bumped.append(tuple(moved))
+        resolution = math.ulp(price) + sum(
+            abs(bound.spot_between(other, i, 1 - i) - marginal) for other in bumped
+        )
+        assert abs(marginal - price) <= 32.0 * resolution
+
+
+class TestSizeEdges:
+    @pytest.mark.parametrize("nudge", [1.0 - 1e-15, 1.0 + 1e-15])
+    @pytest.mark.parametrize(
+        "name",
+        ["uniswap-v2-like", "curve-v1-like", "dodo-like", "bancor-like",
+         "geometric-mean-20-80", "power-sum-0.5"],
+    )
+    def test_a_step_on_the_fee_band_edge_takes_no_cap(self, name, nudge):
+        """At a reference on either edge of the fee band, nudged by 1e-15,
+        the residual at size 0 is just negative or just not: the step
+        trades at most 1e-9 of the risky reserve, or declines.  A state
+        behind the trade by rounding is not a marginal moving away."""
+        pool, ledgers = open_pool(name)
+        for token in pool.tokens:
+            fund(ledgers, token, "arb", 1e9)
+        family = PricingFamily.of(pool.curve, pool.oracle_price)
+        state, risky, keep = family.view(pool), family.risky, 1.0 - pool.fee.trade_fee
+        cost = 1.0 / family.spot_between(state, 1 - risky, risky)
+        proceeds = family.spot_between(state, risky, 1 - risky)
+        for edge in (cost / keep, proceeds * keep):
+            _, _, receipt = arbitrage_step(pool, edge * nudge, "arb", ledgers)
+            if receipt is not None:
+                assert abs(receipt.trader_deltas[pool.tokens[risky]]) <= 1e-9 * state[risky]
+
+    @pytest.mark.parametrize("fall", [1e-6, 1e-100])
+    @pytest.mark.parametrize("name", ["curve-v1-like", "power-sum-0.5", "dodo-like"])
+    def test_a_sale_past_the_edge_leaves_the_numeraire(self, name, fall):
+        """A reference far below the pool's bid: product-sum at chi 10 has
+        no state there, and price adoption's and power-sum's leave less than
+        1e-9 of the numeraire, or none.  The sale takes all but 1e-9 of it,
+        never all of it, and so does a second step at the same reference."""
+        pool, ledgers = open_pool(name)
+        for token in pool.tokens:
+            fund(ledgers, token, "arb", 1e9)
+        family = PricingFamily.of(pool.curve, pool.oracle_price)
+        state, numeraire = family.view(pool), 1 - family.risky
+        reference = family.spot(state) * fall
+        after, ledgers, receipt = arbitrage_step(pool, reference, "arb", ledgers)
+        assert receipt is not None
+        left = family.view(after)[numeraire]
+        assert math.isclose(left, 1e-9 * state[numeraire], rel_tol=1e-6)
+        again = arbitrage_step(after, reference, "arb", ledgers)[0]
+        assert family.view(again)[numeraire] > 0.0
 
 
 # ---------------------------------------------------------------------------

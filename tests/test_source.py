@@ -120,3 +120,51 @@ def test_only_curves_calls_the_checked_curve_functions(path):
 def test_the_checked_curve_function_rule_sees_a_call():
     tree = ast.parse("from .curves import spot_price\nx = curves.quote_exact_in(1)\ny = spot_price(2)\n")
     assert set(called_names(tree)) & CHECKED_CURVE_FUNCTIONS == {"quote_exact_in", "spot_price"}
+
+
+class _SolverErrorRaises(ast.NodeVisitor):
+    """The function around each `raise SolverError`, dotted through any
+    functions it is nested in."""
+
+    def __init__(self):
+        self.where: list[str] = []
+        self.raises: list[str] = []
+
+    def visit_FunctionDef(self, node):
+        self.where.append(node.name)
+        self.generic_visit(node)
+        self.where.pop()
+
+    def visit_Raise(self, node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+        if name == "SolverError":
+            self.raises.append(".".join(self.where) or "<module>")
+
+
+def solver_error_raises(tree: ast.Module) -> list[str]:
+    visitor = _SolverErrorRaises()
+    visitor.visit(tree)
+    return visitor.raises
+
+
+def test_only_the_d_solve_raises_solver_error():
+    """Every quote and every arbitrage size is a closed form; the one root
+    solve left is the product-sum level D.  A `raise SolverError` anywhere
+    else is a generic solver coming back."""
+    found = {
+        f"{path.name}:{where}"
+        for path in SOURCES
+        for where in solver_error_raises(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {"curves.py:solve_stableswap_d"}
+
+
+def test_the_solver_error_rule_sees_a_raise():
+    tree = ast.parse(
+        "def solve():\n"
+        "    def step():\n"
+        "        raise core.SolverError('nested')\n"
+        "    raise SolverError\n"
+    )
+    assert solver_error_raises(tree) == ["solve.step", "solve"]
