@@ -7,13 +7,15 @@ Three archetypes share one pool abstraction:
   price-discovering-supply-sovereign  the exponential bonding curve
 
 Each curve belongs to one of four pricing families, and the family table
-below (`PricingFamily` and its subclasses, looked up once from the curve's
+below (`PricingFamily` and its subclasses, looked up from the curve's
 `family`) is the only place in the engine and the simulator that knows the
 difference; the probe keeps one harness per family (`probe._PROBES`) for
-the moves only it makes.  A family owns the state view of a pool, its
-canonical risky leg, the fee-aware trade step, settlement against the
-ledgers, the archetype check, and the spot, invariant and deficiency
-observations that the simulator and the probe read:
+the moves only it makes.  Each pool state binds its family once, when it
+is built (`PoolState.family`, on the level of the state's own view).  A
+family owns the state view of a pool, its canonical risky leg, the
+fee-aware trade step, settlement against the ledgers, the archetype check,
+and the spot, invariant and deficiency observations that the simulator and
+the probe read:
 
   family        curves                     state view            fee paid on         fee kept
   conservation  constant product, geometric reserves              the input           in the reserves
@@ -59,7 +61,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -170,6 +172,9 @@ class PoolState:
     account: AccountId
     creator: AccountId
     closed: bool = False
+    # the pricing family, bound to the level of this state's view when the
+    # state is built; derived, so `replace` and every constructor rebuild it
+    family: PricingFamily = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(self.tokens))
@@ -181,6 +186,8 @@ class PoolState:
             object.__setattr__(
                 self, "lp_shares", MappingProxyType(dict(self.lp_shares))
             )
+        family = PricingFamily.of(self.curve, self.oracle_price)
+        object.__setattr__(self, "family", family.on_level(family.view(self)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,11 +252,10 @@ class PricingFamily:
     in the reserves moves a state off the level; an unbound family prices
     it.
 
-    Each pool state's level is bound once, by whoever first prices that
-    state: `quote` and `execute_swap` bind the state they trade from, the
-    settlement of a trade binds the state it reaches, and the simulator
-    hands that family on to the metrics row and the next event's trade or
-    arbitrage step instead of binding the state again.
+    Each pool state binds its family once, when it is built: a
+    `PoolState`'s `family` is bound to the level of the state's own view,
+    and every quote, settlement, arbitrage step and metrics row reads that
+    family instead of binding the state again.
 
     `trade` and `spot_between` call the curve spec's closed forms directly,
     not the public curve functions, which check the legs and the amount on
@@ -598,11 +604,9 @@ _FAMILIES = {
 }
 
 
-def _require_family(pool: PoolState, family: type, message: str) -> PricingFamily:
-    found = PricingFamily.of(pool.curve, pool.oracle_price)
-    if not isinstance(found, family):
+def _require_family(pool: PoolState, family: type, message: str) -> None:
+    if not isinstance(pool.family, family):
         raise UnsupportedOperation(message)
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -698,37 +702,30 @@ def _safe_spot(family: PricingFamily, state: State, i: int, j: int) -> float:
 Trade = tuple[float, float, float, State]  # a trade step: (paid, got, fee, state after)
 
 
-def _priced(
-    pool: PoolState, order: TradeOrder, family: PricingFamily | None = None
-) -> tuple[PricingFamily, int, int, Trade]:
-    """(the pool's family bound to its state's level, leg in, leg out, trade
-    step) of an order; raises where the order cannot be priced.  `family`
-    is that bound family where the caller holds it, else None to bind it
-    here."""
+def _priced(pool: PoolState, order: TradeOrder) -> tuple[int, int, Trade]:
+    """(leg in, leg out, trade step) of an order, priced by the pool's
+    family on its state's level; raises where the order cannot be priced."""
     if pool.closed:
         raise UnsupportedOperation("pool is closed")
     i, j = _validate_order(pool, order)
-    if family is None:
-        family = PricingFamily.of(pool.curve, pool.oracle_price)
-        family = family.on_level(family.view(pool))  # the trade and spot_before share one level
-    state = family.view(pool)
-    trade = family.trade(state, i, j, order.kind, order.amount, pool.fee.trade_fee)
+    family = pool.family
+    trade = family.trade(family.view(pool), i, j, order.kind, order.amount, pool.fee.trade_fee)
     if not 0.0 < trade[0] < math.inf:
         raise DomainError(
             f"cannot price {order.kind} {order.amount}: the input would be {trade[0]}"
         )
-    return family, i, j, trade
+    return i, j, trade
 
 
 def _quoted(
-    pool: PoolState, family: PricingFamily, order: TradeOrder, i: int, j: int, trade: Trade
-) -> tuple[Quote, PricingFamily]:
-    """The Quote of `trade`, which `family`, bound to the level of the pool's
-    state, priced for `order`; and the family bound to the state the trade
-    reaches, whose level the fee kept in that state has moved."""
+    pool: PoolState, order: TradeOrder, i: int, j: int, trade: Trade, moved: PricingFamily
+) -> Quote:
+    """The Quote of `trade`, which the pool's family priced for `order`;
+    `moved` is the family bound to the state the trade reaches, whose level
+    the fee kept in that state has moved."""
     paid, got, fee_paid, after = trade
-    moved = family.on_level(after)
-    q = Quote(  # positional: this runs on every swap
+    family = pool.family
+    return Quote(  # positional: this runs on every swap
         paid,
         got,
         fee_paid,
@@ -737,39 +734,30 @@ def _quoted(
         _safe_spot(moved, after, i, j),
         got / paid,
     )
-    return q, moved
 
 
 def _settle_trade(
-    pool: PoolState,
-    family: PricingFamily,
-    order: TradeOrder,
-    i: int,
-    j: int,
-    trade: Trade,
-    ledgers: Ledgers,
-) -> tuple[PoolState, TradeReceipt, dict[TokenId, Ledger], PricingFamily]:
-    """Settle `trade`, the trade step that `family`, bound to the level of
-    the pool's state, priced for `order` from leg i to leg j: move tokens
-    and advance the pool state atomically, without pricing the order again.
-    Also returns the family bound to the new state, for whoever prices that
-    state next."""
-    q, moved = _quoted(pool, family, order, i, j, trade)
+    pool: PoolState, order: TradeOrder, i: int, j: int, trade: Trade, ledgers: Ledgers
+) -> tuple[PoolState, TradeReceipt, dict[TokenId, Ledger]]:
+    """Settle `trade`, the trade step that the pool's family priced for
+    `order` from leg i to leg j: move tokens and advance the pool state
+    atomically, without pricing the order again."""
     paid, got, fee_paid, after = trade
+    family = pool.family
     updated = family.settle(pool, order.trader, i, j, paid, got, ledgers)
-    pool = family.apply(pool, i, j, after, fee_paid)
+    settled = family.apply(pool, i, j, after, fee_paid)
     receipt = TradeReceipt(
-        quote=q,
-        reserves_after=pool.reserves,
+        quote=_quoted(pool, order, i, j, trade, settled.family),
+        reserves_after=settled.reserves,
         trader_deltas={order.token_in: -paid, order.token_out: got},
     )
-    return pool, receipt, updated, moved
+    return settled, receipt, updated
 
 
 def quote(pool: PoolState, order: TradeOrder) -> Quote:
     """Price an order against the pool without changing any state."""
-    family, i, j, trade = _priced(pool, order)
-    return _quoted(pool, family, order, i, j, trade)[0]
+    i, j, trade = _priced(pool, order)
+    return _quoted(pool, order, i, j, trade, pool.family.on_level(trade[3]))
 
 
 def execute_swap(
@@ -777,12 +765,11 @@ def execute_swap(
 ) -> tuple[PoolState, TradeReceipt, dict[TokenId, Ledger]]:
     """Quote the order, move tokens, and advance the pool state atomically.
 
-    The order is priced once, at the level of the pool's state, and that
-    trade step is what settles; the receipt's `spot_after` reads the new
-    state's level, bound once in settlement."""
-    family, i, j, trade = _priced(pool, order)
-    pool, receipt, updated, _ = _settle_trade(pool, family, order, i, j, trade, ledgers)
-    return pool, receipt, updated
+    The order is priced once, by the pool's family, and that trade step is
+    what settles; the receipt's `spot_after` reads the family the new state
+    bound when it was built."""
+    i, j, trade = _priced(pool, order)
+    return _settle_trade(pool, order, i, j, trade, ledgers)
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +778,7 @@ def execute_swap(
 
 
 def _require_lp_pool(pool: PoolState) -> None:
-    reason = PricingFamily.of(pool.curve).lp_error
+    reason = pool.family.lp_error
     if reason is not None:
         raise UnsupportedOperation(reason)
 
@@ -883,16 +870,11 @@ _NOT_SOVEREIGN = "curve buy/sell applies only to supply-sovereign pools"
 
 
 def _bond(
-    pool: PoolState,
-    family: PricingFamily,
-    trader: AccountId,
-    i: int,
-    amount: float,
-    taken: float,
-    ledgers: Ledgers,
+    pool: PoolState, trader: AccountId, i: int, amount: float, taken: float, ledgers: Ledgers
 ) -> tuple[PoolState, float, dict[TokenId, Ledger]]:
     """Exact-in trade of `amount` of token i, settled from its one quote;
     `taken` is what leaves the trader's ledger."""
+    family = pool.family
     state = family.view(pool)
     _, out, fee, after = family.trade(state, i, 1 - i, EXACT_IN, amount, pool.fee.trade_fee)
     updated = family.settle(pool, trader, i, 1 - i, taken, out, ledgers)
@@ -903,19 +885,19 @@ def curve_buy(
     pool: PoolState, buyer: AccountId, reserve_in: float, ledgers: Ledgers
 ) -> tuple[PoolState, float, dict[TokenId, Ledger]]:
     """Bond reserve tokens into the pool, minting issued tokens to the buyer."""
-    family = _require_family(pool, BondingFamily, _NOT_SOVEREIGN)
+    _require_family(pool, BondingFamily, _NOT_SOVEREIGN)
     if not reserve_in >= 0.0:
         raise DomainError(f"amount must be non-negative: {reserve_in}")
     if reserve_in == 0.0:
         return pool, 0.0, dict(ledgers)
-    return _bond(pool, family, buyer, 0, reserve_in, reserve_in, ledgers)
+    return _bond(pool, buyer, 0, reserve_in, reserve_in, ledgers)
 
 
 def curve_sell(
     pool: PoolState, seller: AccountId, tokens_in: float, ledgers: Ledgers
 ) -> tuple[PoolState, float, dict[TokenId, Ledger]]:
     """Burn issued tokens, paying out unbonded reserve minus the fee."""
-    family = _require_family(pool, BondingFamily, _NOT_SOVEREIGN)
+    _require_family(pool, BondingFamily, _NOT_SOVEREIGN)
     if not tokens_in >= 0.0:
         raise DomainError(f"amount must be non-negative: {tokens_in}")
     if tokens_in == 0.0:
@@ -936,7 +918,7 @@ def curve_sell(
                 f"{pool.circulating_supply}"
             )
         burn = pool.circulating_supply
-    return _bond(pool, family, seller, 1, burn, tokens_in, ledgers)
+    return _bond(pool, seller, 1, burn, tokens_in, ledgers)
 
 
 # ---------------------------------------------------------------------------

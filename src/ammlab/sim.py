@@ -47,12 +47,11 @@ from .engine import (
     EXACT_OUT,
     Ledgers,
     PoolState,
-    PricingFamily,
     TradeOrder,
     TradeReceipt,
-    _priced,
     _settle_trade,
     deposit_liquidity,
+    execute_swap,
     load_pool,
     resolve_prediction,
     set_oracle_price,
@@ -311,28 +310,13 @@ def arbitrage_step(
     the numeraire takes all but 1e-9 of it, as a buy takes all but 1e-9 of
     the risky reserve.
 
-    The step binds the pool state's level once; every candidate is priced
-    on it, and the trade it chose settles as priced, so no order is quoted
-    again.
+    Every candidate is priced by the pool's family, which the pool state
+    bound to its level once, when it was built; the trade the step chose
+    settles as priced, so no order is quoted again.
     """
-    pool, ledgers, receipt, _ = _arbitrage(pool, None, reference_price, arb_account, ledgers)
-    return pool, ledgers, receipt
-
-
-def _arbitrage(
-    pool: PoolState,
-    family: PricingFamily | None,
-    reference_price: float,
-    arb_account: str,
-    ledgers: Ledgers,
-) -> tuple[PoolState, Ledgers, TradeReceipt | None, PricingFamily]:
-    """`arbitrage_step`, given the pool's family bound to the level of its
-    state, or None to bind it here; also returns the family bound to the
-    state the step leaves, for whoever prices that state next."""
     if pool.closed:
         raise UnsupportedOperation("pool is closed")
-    if family is None:
-        family = PricingFamily.of(pool.curve, pool.oracle_price)
+    family = pool.family
     if family.arb_error is not None:
         raise UnsupportedOperation(family.arb_error)
     # the two legs traded below are ones the curve prices on any pool that
@@ -345,10 +329,6 @@ def _arbitrage(
     risky = family.risky
     numeraire = 1 - risky
     state = family.view(pool)
-    if family.level is None:
-        # the spot, the state at which it meets the price and every trade
-        # step read `state`'s level: one level serves them all
-        family = family.on_level(state)
     fee = pool.fee.trade_fee
     keep = 1.0 - fee
     held = state[risky]
@@ -421,20 +401,20 @@ def _arbitrage(
         if trade is not None:
             break
     else:
-        return pool, ledgers, None, family
+        return pool, ledgers, None
     i = numeraire if buying else risky
     kind, size = (EXACT_OUT, trade[1]) if buying else (EXACT_IN, trade[0])
     if buying and trade[0] > budget:
         kind, size = EXACT_IN, budget  # the best buy costs more than is held
         trade = priced(i, kind, size)
         if trade is None:
-            return pool, ledgers, None, family
+            return pool, ledgers, None
     paid, got = trade[0], trade[1]
     if not (got * reference_price - paid if buying else got - paid * reference_price) > 0.0:
-        return pool, ledgers, None, family
+        return pool, ledgers, None
     order = TradeOrder(arb_account, pool.tokens[i], pool.tokens[1 - i], size, kind)
-    pool, receipt, ledgers, family = _settle_trade(pool, family, order, i, 1 - i, trade, ledgers)
-    return pool, ledgers, receipt, family
+    pool, receipt, ledgers = _settle_trade(pool, order, i, 1 - i, trade, ledgers)
+    return pool, ledgers, receipt
 
 
 # ---------------------------------------------------------------------------
@@ -442,40 +422,38 @@ def _arbitrage(
 # ---------------------------------------------------------------------------
 
 
-def _trade(pool, family, working, hold, reference, event, *order):
-    order = TradeOrder(*order, EXACT_IN)
-    family, i, j, trade = _priced(pool, order, family)
-    pool, _, working, family = _settle_trade(pool, family, order, i, j, trade, working)
-    return pool, family, working, hold
+def _trade(pool, working, hold, reference, event, *order):
+    pool, _, working = execute_swap(pool, TradeOrder(*order, EXACT_IN), working)
+    return pool, working, hold
 
 
-def _deposit(pool, family, working, hold, reference, event, account, *amounts):
+def _deposit(pool, working, hold, reference, event, account, *amounts):
     pool, _, working = deposit_liquidity(pool, account, amounts, working)
-    return pool, None, working, [h + a for h, a in zip(hold, amounts)]
+    return pool, working, [h + a for h, a in zip(hold, amounts)]
 
 
-def _withdraw(pool, family, working, hold, reference, event, account, shares):
+def _withdraw(pool, working, hold, reference, event, account, shares):
     supply_before = pool.lp_share_supply
     pool, _, working = withdraw_liquidity(pool, account, shares, working)
     if shares:  # a zero withdrawal keeps the baseline, even once the supply is 0
         hold = [h * (1.0 - shares / supply_before) for h in hold]
-    return pool, None, working, hold
+    return pool, working, hold
 
 
-def _oracle(pool, family, working, hold, reference, event, price):
-    return set_oracle_price(pool, price), None, working, hold
+def _oracle(pool, working, hold, reference, event, price):
+    return set_oracle_price(pool, price), working, hold
 
 
-def _arb(pool, family, working, hold, reference, event, account):
+def _arb(pool, working, hold, reference, event, account):
     if reference is None:
         raise DomainError(
             f"arb event needs a reference price; none is defined at step {event.step}"
         )
-    pool, working, _, family = _arbitrage(pool, family, reference, account, working)
-    return pool, family, working, hold
+    pool, working, _ = arbitrage_step(pool, reference, account, working)
+    return pool, working, hold
 
 
-def _resolve(pool, family, working, hold, reference, event, outcome):
+def _resolve(pool, working, hold, reference, event, outcome):
     try:
         outcome = int(outcome)
     except ValueError:  # an outcome token's name
@@ -483,15 +461,15 @@ def _resolve(pool, family, working, hold, reference, event, outcome):
             raise DomainError(f"scenario line {event.line}: unknown outcome {outcome!r}") from None
         outcome = pool.tokens.index(outcome) - 1
     pool, working = resolve_prediction(pool, outcome, working)
-    return pool, None, working, hold
+    return pool, working, hold
 
 
 # each verb's argument kinds in script order (a trailing ... repeats the
-# kind before it) and its handler, which takes the pool, its family bound
-# to the level of its state (or None), the ledgers, the hold baseline, the
-# reference price, the event and the typed arguments, and returns the pool,
-# its family bound to the state the event left (or None to bind it later),
-# the ledgers and the baseline after the event
+# kind before it) and its handler, which takes the pool, the ledgers, the
+# hold baseline, the reference price, the event and the typed arguments,
+# and returns the pool, the ledgers and the baseline after the event.  Each
+# pool state binds its pricing family once, when it is built, so no handler
+# passes a family on
 _VERBS = {
     "trade": (("account", "token", "token", "amount"), _trade),
     "deposit": (("account", "amount", ...), _deposit),
@@ -545,20 +523,11 @@ def _mark(marked: int, amounts, reference: float | None) -> float | None:
 
 
 def _observe(
-    pool: PoolState,
-    family: PricingFamily | None,
-    event: ScenarioEvent,
-    reference: float | None,
-    hold: list[float],
-) -> tuple[MetricsRecord, PricingFamily]:
-    """The metrics row after an event, and the pool's family bound to the
-    level of its state; `family` is that family when the event handed it
-    on, else None and it is bound here."""
+    pool: PoolState, event: ScenarioEvent, reference: float | None, hold: list[float]
+) -> MetricsRecord:
+    """The metrics row after an event, read through the pool's family."""
     closed = pool.closed
-    if family is None:
-        family = PricingFamily.of(pool.curve, pool.oracle_price)
-        if not closed:  # the spot reads the invariant's level
-            family = family.on_level(family.view(pool))
+    family = pool.family
     spot = invariant = None
     if not closed:
         state = family.view(pool)
@@ -576,7 +545,7 @@ def _observe(
         if lp_value is not None and hold_value:
             divergence = lp_value / hold_value - 1.0
     fees_cum = _mark(risky, pool.accumulated_fees, reference)
-    record = MetricsRecord(
+    return MetricsRecord(
         step=event.step,
         event=event.verb,
         spot=spot,
@@ -587,7 +556,6 @@ def _observe(
         divergence_loss=divergence,
         fees_cum=fees_cum,
     )
-    return record, family
 
 
 def run_scenario(
@@ -624,9 +592,6 @@ def run_scenario(
         raise DomainError(f"endowment for unknown token {unknown!r}")
 
     hold = list(pool.reserves)
-    # the pool's family bound to the level of its state, handed from event
-    # to event so that each state's level is bound once; None until bound
-    family = None
     records: list[MetricsRecord] = []
     for index, event in enumerate(scenario.events):
         reference = (
@@ -634,15 +599,12 @@ def run_scenario(
         )
         try:
             handler, values = _typed(event)
-            pool, family, working, hold = handler(
-                pool, family, working, hold, reference, event, *values
-            )
+            pool, working, hold = handler(pool, working, hold, reference, event, *values)
         except AmmError as error:
             raise ScenarioError(
                 f"event {index} (scenario line {event.line}): {error}",
                 index,
                 Metrics(records=tuple(records)),
             ) from error
-        record, family = _observe(pool, family, event, reference, hold)
-        records.append(record)
+        records.append(_observe(pool, event, reference, hold))
     return Metrics(records=tuple(records))

@@ -16,6 +16,7 @@ The curves layer is validated independently in test_curves.py, so engine
 tests may use curves functions as oracles for the pure pricing component.
 """
 
+import dataclasses
 import math
 import random
 
@@ -52,6 +53,7 @@ from ammlab.engine import (
     PRICE_DISCOVERING_LP_BASED,
     PRICE_DISCOVERING_SUPPLY_SOVEREIGN,
     PoolConfig,
+    PoolState,
     TradeOrder,
     create_pool,
     curve_buy,
@@ -231,9 +233,10 @@ class TestQuote:
         assert math.isclose(q.amount_in, 10.0, rel_tol=REL)
         assert math.isclose(q.mean_price, q.amount_out / 10.0, rel_tol=REL)
 
-    def test_product_sum_quote_solves_d_twice(self, monkeypatch):
-        """The trade and spot_before share the pre-trade level; spot_after
-        solves for the post-trade one, which the kept fee moves off it."""
+    def test_product_sum_quote_solves_d_once(self, monkeypatch):
+        """The trade and spot_before share the pre-trade level, which the
+        pool state solved when it was built; spot_after solves for the
+        post-trade one, which the kept fee moves off it."""
         pool, _ = load_pool("curve-v1-like")
         solved = []
         solve = curves.solve_stableswap_d
@@ -244,8 +247,7 @@ class TestQuote:
 
         monkeypatch.setattr(curves, "solve_stableswap_d", counting)
         q = quote(pool, TradeOrder("alice", "STABLE0", "STABLE1", 10.0, "exact-in"))
-        assert solved[0] == pool.reserves and len(solved) == 2
-        assert solved[1] == (110.0, 100.0 - q.amount_out)
+        assert solved == [(110.0, 100.0 - q.amount_out)]
 
     def test_zero_fee_matches_curve_layer(self):
         pool, _ = make_cp_pool(fee=0.0)
@@ -361,6 +363,45 @@ class TestQuote:
 # ---------------------------------------------------------------------------
 # swap settlement
 # ---------------------------------------------------------------------------
+
+
+class TestPoolStateFamily:
+    """Each pool state binds its pricing family once, when it is built."""
+
+    def test_replace_rebinds_the_level(self):
+        """A replaced curve-v1-like state quotes exactly like a pool built
+        at its reserves: the level is derived, so a copy made with new
+        reserves cannot carry the old state's D."""
+        pool, _ = load_pool("curve-v1-like")
+        reserves = (130.0, 80.0)
+        moved = dataclasses.replace(pool, reserves=reserves)
+        built, _ = materialize_pool(dataclasses.replace(BUILTIN_POOLS["curve-v1-like"], reserves=reserves))
+        assert moved.family.level == built.family.level != pool.family.level
+        for order in (
+            TradeOrder("a", "STABLE0", "STABLE1", 10.0, "exact-in"),
+            TradeOrder("a", "STABLE1", "STABLE0", 10.0, "exact-out"),
+        ):
+            got, expected = quote(moved, order), quote(built, order)
+            assert [getattr(got, f.name).hex() for f in dataclasses.fields(got)] == [
+                getattr(expected, f.name).hex() for f in dataclasses.fields(expected)
+            ]
+
+    def test_equality_and_repr_ignore_the_family(self):
+        first, _ = load_pool("curve-v1-like")
+        second, _ = load_pool("curve-v1-like")
+        assert first.family is not second.family
+        assert first == second
+        assert "family" not in repr(first)
+        assert first != dataclasses.replace(first, reserves=(100.0, 90.0))
+
+    def test_the_family_is_not_an_option(self):
+        pool, _ = load_pool("uniswap-v2-like")
+        with pytest.raises(ValueError):
+            dataclasses.replace(pool, family=pool.family)
+        values = {f.name: getattr(pool, f.name) for f in dataclasses.fields(pool) if f.init}
+        with pytest.raises(TypeError):
+            PoolState(**values, family=pool.family)
+        assert PoolState(**values) == pool
 
 
 class TestExecuteSwap:

@@ -266,20 +266,20 @@ class TestArbitrage:
         assert pool2.reserves == pool.reserves
 
     def test_product_sum_step_solves_d_once_per_state(self, monkeypatch):
-        """The search prices every candidate at the pool state's level: a
-        step that declines solves D once, and one that trades solves it once
-        more, for the state its trade reaches (25 solves in all once)."""
+        """The step prices every candidate at the level the pool state
+        solved when it was built: a step that declines solves D no more
+        times, and one that trades solves it once, for the state its trade
+        reaches (25 solves in all once)."""
         pool, ledgers = load_pool("curve-v1-like")
         fund(ledgers, "STABLE0", "arb", 1e9)
         fund(ledgers, "STABLE1", "arb", 1e9)
         solved = count_d_solves(monkeypatch)
         _, _, receipt = arbitrage_step(pool, 1.001, "arb", ledgers)
         assert receipt is None
-        assert solved == [pool.reserves]
-        solved.clear()
+        assert solved == []
         after, _, receipt = arbitrage_step(pool, 1.05, "arb", ledgers)
         assert receipt is not None
-        assert solved == [pool.reserves, after.reserves]
+        assert solved == [after.reserves]
 
     def test_no_trade_inside_the_fee_band(self, tmp_path):
         pool, ledgers = self.make_cp(tmp_path, CP_FEE)
@@ -735,9 +735,9 @@ def settled_step(pool, reference, ledgers):
     placed = []
     settle = sim._settle_trade
 
-    def recorded(pool, family, order, *rest):
+    def recorded(pool, order, *rest):
         placed.append(order)
-        return settle(pool, family, order, *rest)
+        return settle(pool, order, *rest)
 
     with mock.patch.object(sim, "_settle_trade", recorded):
         step = arbitrage_step(pool, reference, "arb", ledgers)
@@ -1020,10 +1020,9 @@ class TestRunScenario:
         ("curve-v1-like", ("STABLE0", "STABLE1")),
     ])
     def test_a_trade_event_binds_one_level(self, monkeypatch, name, tokens):
-        """A trade event hands on the family that its settlement bound to
-        the state it reaches: the metrics row and the next trade read that
-        level, so each state's level is bound once, the opening state's by
-        the first trade."""
+        """Each pool state binds its level once, when it is built: the
+        opening state and the state each trade reaches.  The metrics row
+        and the next trade read that level instead of computing it again."""
         events = 20
         scenario = parse_scenario(
             f"pool {name}\naccount t {tokens[0]} 100\naccount t {tokens[1]} 100\n"
@@ -1031,16 +1030,38 @@ class TestRunScenario:
                       for k in range(1, events + 1))
         )
         bound = []
-        on_level = PricingFamily.on_level
+        invariant_value = engine.invariant_value
 
-        def counted(family, state):
+        def counted(curve, state):
             bound.append(state)
-            return on_level(family, state)
+            return invariant_value(curve, state)
 
-        monkeypatch.setattr(PricingFamily, "on_level", counted)
+        monkeypatch.setattr(engine, "invariant_value", counted)
         metrics = run_scenario(scenario)
         assert [r.event for r in metrics.records] == ["trade"] * events
         assert len(bound) == events + 1
+
+    def test_trade_and_arb_events_call_the_public_functions(self, monkeypatch):
+        """A scenario's trade and arb events go through the public
+        `execute_swap` and `arbitrage_step`, one call per event, so that
+        what wraps those functions sees every scenario trade."""
+        calls = []
+        for name in ("execute_swap", "arbitrage_step"):
+            def counted(*args, _name=name, _public=getattr(sim, name)):
+                calls.append(_name)
+                return _public(*args)
+
+            monkeypatch.setattr(sim, name, counted)
+        scenario = parse_scenario(
+            "pool uniswap-v2-like\naccount t TOKEN0 100\naccount t TOKEN1 100\n"
+            "1 trade t TOKEN0 TOKEN1 5\n2 arb t\n3 withdraw creator 1\n"
+            "4 trade t TOKEN1 TOKEN0 2\n5 arb t\n6 arb t\n"
+        )
+        metrics = run_scenario(scenario, price_series=parse_price_series("step,price\n1,1.2\n"))
+        assert len(metrics.records) == 6
+        assert calls == [
+            "execute_swap", "arbitrage_step", "execute_swap", "arbitrage_step", "arbitrage_step",
+        ]
 
     def test_zero_events_yield_empty_metrics(self):
         scenario = parse_scenario("pool uniswap-v2-like\n")
@@ -1149,13 +1170,13 @@ class TestRunScenario:
 
     def test_endowments_and_ledgers_mint_as_one_at_a_time(self, monkeypatch):
         seen = []
-        settle = sim._settle_trade
+        swap = sim.execute_swap
 
-        def record(pool, family, order, i, j, trade, ledgers):
+        def record(pool, order, ledgers):
             seen.append(ledgers)
-            return settle(pool, family, order, i, j, trade, ledgers)
+            return swap(pool, order, ledgers)
 
-        monkeypatch.setattr(sim, "_settle_trade", record)
+        monkeypatch.setattr(sim, "execute_swap", record)
         text = (
             "pool uniswap-v2-like\n"
             "account alice TOKEN0 0.1\n"

@@ -168,3 +168,28 @@ def test_the_solver_error_rule_sees_a_raise():
         "    raise SolverError\n"
     )
     assert solver_error_raises(tree) == ["solve.step", "solve"]
+
+
+def private_engine_imports(tree: ast.Module) -> set[str]:
+    """The single-underscore names a module imports from `.engine`."""
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "engine" and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
+
+def test_sim_reaches_the_engine_through_its_public_functions():
+    """Each pool state binds its pricing family once, when it is built, so
+    the simulator trades through the public `execute_swap` and prices the
+    arbitrage step's own trade only to settle it: no private pricing path
+    runs past what wraps the public functions."""
+    tree = ast.parse((PACKAGE / "sim.py").read_text(encoding="utf-8"))
+    assert private_engine_imports(tree) <= {"_settle_trade"}
+
+
+def test_the_private_engine_import_rule_sees_an_import():
+    tree = ast.parse("from .engine import _priced, quote\nfrom .core import _x\n")
+    assert private_engine_imports(tree) == {"_priced"}
