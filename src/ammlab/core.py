@@ -56,7 +56,8 @@ class UnsupportedOperation(AmmError):
 
 class SolverError(AmmError):
     """The product-sum level solve (`curves.solve_stableswap_d`), the one
-    root solve left, failed to converge; carries the final residual."""
+    root solve left, failed to converge; carries the final residual.  Only
+    a pool of three or more tokens runs it: two-token D is a closed form."""
 
     def __init__(self, message: str, residual: float = float("nan")):
         super().__init__(message)

@@ -25,8 +25,10 @@ along its level set (a hyperbola for constant product and product-sum,
 one power of each reserve for geometric mean and power-sum), LMSR inverts
 its cost function in log space, and price adoption inverts its piecewise
 quadratic integrals.  `state_at_spot`, the inverse of the spot, sizes an
-arbitrage trade the same way on every two-token curve.  The one root solve
-left is the product-sum level D, by its own Newton (`solve_stableswap_d`).
+arbitrage trade the same way on every two-token curve.  The product-sum
+level D is a closed form too for two tokens, the root of a quadratic; the
+one root solve left is D for three or more, by its own Newton
+(`solve_stableswap_d`).
 
 Token legs are integer indices into the reserves vector. Two conventions:
 LMSR uses ``None`` for the collateral leg (reserves are outstanding share
@@ -119,8 +121,8 @@ def _check_pair(reserves: Sequence[float], i: int, j: int) -> None:
 class CurveSpec:
     """A curve specification and its pricing rule: `invariant(reserves)`,
     `spot(reserves, i, j, adopted_price)` and `quote_in` / `quote_out(reserves,
-    i, j, amount, adopted_price, level)`, which take legs that passed
-    `check_legs` and a positive amount; each quote is a closed form.
+    i, j, amount, adopted_price)`, which take legs that passed `check_legs`
+    and a positive amount; each quote is a closed form.
 
     The caller guarantees both.  The public functions below (`spot_price`,
     `quote_exact_in`, `quote_exact_out`) check them on every call.  The
@@ -129,16 +131,8 @@ class CurveSpec:
     and its legs where they enter (an order's tokens, the arbitrage step's
     pool, a probe's opening state), not on every trade.
 
-    `level`, when given, is the conservation value of `reserves`, which a
-    conservation curve then reads instead of computing (constant
-    product-sum: one D solve per state, not per call); `spot_at` is `spot`
-    at a known level, and the other curves ignore it.  A level holds only
-    for reserves on it: the state it was computed at, states that fee-free
-    trades reach from there, and a trade's reserves without the fee they
-    keep.  A fee kept in the reserves moves them off it.
-
-    `state_at_spot(reserves, i, j, price, level, adopted_price)` inverts
-    the spot: the reserves on the level of `reserves` at which `spot(i ->
+    `state_at_spot(reserves, i, j, price, adopted_price)` inverts the spot:
+    the reserves on the conservation level of `reserves` at which `spot(i ->
     j)` is `price`, with only legs i and j moved, each in closed form (price
     adoption has no level: token 1 moves by the integral the trade pays).
     It is None where no such state lies inside the domain: the spot is flat
@@ -159,12 +153,7 @@ class CurveSpec:
     def check_tokens(self, n_tokens: int) -> None:
         """Reject a pool of n_tokens tokens that this curve cannot price."""
 
-    def spot_at(self, reserves, token_in, token_out, level, adopted_price=None):
-        """`spot` at reserves whose conservation value is `level`; only a
-        curve whose spot reads that value overrides it."""
-        return self.spot(reserves, token_in, token_out, adopted_price)
-
-    def state_at_spot(self, reserves, token_in, token_out, price, level=None, adopted_price=None):
+    def state_at_spot(self, reserves, token_in, token_out, price, adopted_price=None):
         """The reserves at which the spot is `price` (see the class docstring)."""
         return None
 
@@ -206,12 +195,13 @@ class _Conservation(CurveSpec):
     """A curve that prices trades by holding its conservation value fixed.
 
     Subclasses give `value(reserves)`, the conservation value of reserves
-    that passed `require_reserves`; `marginal(reserves, i, j, level)`, the
-    spot; `out_given_in(reserves, i, j, dx, level)` and `in_given_out(
-    reserves, i, j, dy, level)`, the closed forms of a trade that moves legs
-    i and j along the level set of `reserves` (whose value is `level`); and
-    `drainable`, whether a trade may empty a reserve.  The shared methods
-    check the reserves, the overflows and the depletion around them.
+    that passed `require_reserves`; `marginal(reserves, i, j)`, the spot;
+    `out_given_in(reserves, i, j, dx, value)` and `in_given_out(reserves, i,
+    j, dy, value)`, the closed forms of a trade that moves legs i and j
+    along the level set of `reserves`, handed the value that the quote
+    computed to check it for overflow; and `drainable`, whether a trade may
+    empty a reserve.  The shared methods check the reserves, the overflows
+    and the depletion around them.
     """
 
     __slots__ = ()
@@ -230,21 +220,15 @@ class _Conservation(CurveSpec):
         return c
 
     def spot(self, reserves, token_in, token_out, adopted_price=None):
-        return self.spot_at(reserves, token_in, token_out, None)
-
-    def spot_at(self, reserves, token_in, token_out, level, adopted_price=None):
         self.require_reserves(reserves)
-        price = self.marginal(reserves, token_in, token_out, level)
+        price = self.marginal(reserves, token_in, token_out)
         if not 0.0 < price < math.inf:
             raise DomainError(f"spot price leaves the float range at reserves {tuple(reserves)}")
         return price
 
-    def quote_in(self, reserves, i, j, dx, adopted_price=None, level=None):
-        if level is None:
-            level = self.invariant(reserves)
-        else:
-            self.require_reserves(reserves)
-        out = self.out_given_in(reserves, i, j, dx, level) if reserves[i] + dx < math.inf else math.nan
+    def quote_in(self, reserves, i, j, dx, adopted_price=None):
+        value = self.invariant(reserves)
+        out = self.out_given_in(reserves, i, j, dx, value) if reserves[i] + dx < math.inf else math.nan
         if out != out:  # nan: the post-trade reserve or a term of the form overflowed
             raise DomainError(f"input {dx} overflows the conservation value at reserves {tuple(reserves)}")
         r_j = reserves[j]
@@ -254,13 +238,12 @@ class _Conservation(CurveSpec):
             raise DepletionError(f"input {dx} would deplete reserve {j}")
         return out
 
-    def quote_out(self, reserves, i, j, dy, adopted_price=None, level=None):
+    def quote_out(self, reserves, i, j, dy, adopted_price=None):
         self.require_reserves(reserves)
         r_j = reserves[j]
         if dy > r_j or (dy == r_j and not self.drainable):
             raise DepletionError(f"requested {dy} exceeds the {r_j} units available")
-        level = self.invariant(reserves) if level is None else level
-        paid = self.in_given_out(reserves, i, j, dy, level)
+        paid = self.in_given_out(reserves, i, j, dy, self.invariant(reserves))
         if not reserves[i] + paid < math.inf:
             raise DomainError(f"the input for {dy} overflows at reserves {tuple(reserves)}")
         return paid
@@ -276,25 +259,27 @@ def _hyperbola_out(b: float, x_i: float, x_j: float, dx: float) -> float:
 class _Hyperbola(_Conservation):
     """A conservation curve whose level set in the two traded legs, the
     other reserves held, is the hyperbola (b + x_i) * (b + x_j) = m for the
-    offset b = `offset(reserves, i, j, level)`: constant product (b = 0) and
-    constant product-sum.  Its spot is (b + x_j) / (b + x_i), and its quotes
-    and the inverse of its spot are closed forms in b."""
+    offset b = `offset(reserves, i, j, value)`, where `value`, the
+    conservation value of `reserves`, is None where the caller has not
+    computed it: constant product (b = 0) and constant product-sum.  Its
+    spot is (b + x_j) / (b + x_i), and its quotes and the inverse of its
+    spot are closed forms in b."""
 
     __slots__ = ()
 
-    def marginal(self, reserves, i, j, level):
-        b = self.offset(reserves, i, j, level)
+    def marginal(self, reserves, i, j):
+        b = self.offset(reserves, i, j, None)
         return (b + reserves[j]) / (b + reserves[i])
 
-    def out_given_in(self, reserves, i, j, dx, level):
-        return _hyperbola_out(self.offset(reserves, i, j, level), reserves[i], reserves[j], dx)
+    def out_given_in(self, reserves, i, j, dx, value):
+        return _hyperbola_out(self.offset(reserves, i, j, value), reserves[i], reserves[j], dx)
 
-    def in_given_out(self, reserves, i, j, dy, level):
-        b = self.offset(reserves, i, j, level)
+    def in_given_out(self, reserves, i, j, dy, value):
+        b = self.offset(reserves, i, j, value)
         return dy * (b + reserves[i]) / (b + reserves[j] - dy)
 
-    def state_at_spot(self, reserves, token_in, token_out, price, level=None, adopted_price=None):
-        b = self.offset(reserves, token_in, token_out, level)
+    def state_at_spot(self, reserves, token_in, token_out, price, adopted_price=None):
+        b = self.offset(reserves, token_in, token_out, None)
         x_in, x_out = reserves[token_in], reserves[token_out]
         moved_in = math.sqrt((b + x_in) * (b + x_out) / price) - b
         # x_out follows from the move of x_in along the hyperbola, which keeps
@@ -309,7 +294,7 @@ class ConstantProduct(_Hyperbola):
     def value(self, reserves):
         return math.prod(reserves)
 
-    def offset(self, reserves, i, j, level):
+    def offset(self, reserves, i, j, value):
         return 0.0
 
 
@@ -341,18 +326,18 @@ class GeometricMean(_Conservation):
     # x_i^w_i * x_j^w_j is held, so the two legs move by reciprocal powers:
     # x_j' / x_j = (x_i / x_i')^(w_i / w_j)
 
-    def out_given_in(self, reserves, i, j, dx, level):
+    def out_given_in(self, reserves, i, j, dx, value):
         w = self.weights
         return -reserves[j] * math.expm1(-w[i] / w[j] * math.log1p(dx / reserves[i]))
 
-    def in_given_out(self, reserves, i, j, dy, level):
+    def in_given_out(self, reserves, i, j, dy, value):
         w = self.weights
         return _grown(reserves[i], -w[j] / w[i] * math.log1p(-dy / reserves[j]))
 
-    def marginal(self, reserves, i, j, level):
+    def marginal(self, reserves, i, j):
         return (self.weights[i] * reserves[j]) / (self.weights[j] * reserves[i])
 
-    def state_at_spot(self, reserves, token_in, token_out, price, level=None, adopted_price=None):
+    def state_at_spot(self, reserves, token_in, token_out, price, adopted_price=None):
         # holding x_i^w_i * x_j^w_j moves log x_i and log x_j in the ratio
         # w_j : -w_i, and the spot by the difference of the two moves
         w_i, w_j = self.weights[token_in], self.weights[token_out]
@@ -370,13 +355,13 @@ class ConstantSum(_Conservation):
     def value(self, reserves):
         return math.fsum(reserves)
 
-    def out_given_in(self, reserves, i, j, dx, level):
+    def out_given_in(self, reserves, i, j, dx, value):
         return dx
 
-    def in_given_out(self, reserves, i, j, dy, level):
+    def in_given_out(self, reserves, i, j, dy, value):
         return dy
 
-    def marginal(self, reserves, i, j, level):
+    def marginal(self, reserves, i, j):
         return 1.0
 
 
@@ -390,15 +375,21 @@ class ConstantProductSum(_Hyperbola):
             raise DomainError(f"chi must be finite and >= 0: {self.chi}")
 
     def value(self, reserves):
+        if len(reserves) == 2:
+            return _two_token_d(reserves, self.chi)
         return solve_stableswap_d(reserves, self.chi)
 
-    def offset(self, reserves, i, j, level):
-        # with the other reserves' product q held, the invariant at a known D
-        # holds where (b + x_i) * (b + x_j) is constant, b = chi*D^(n-1) / q
-        if level is None:
-            level = self.invariant(reserves)
-        others = math.prod(r for idx, r in enumerate(reserves) if idx != i and idx != j)
-        return self.chi * level ** (len(reserves) - 1) / others
+    def offset(self, reserves, i, j, value):
+        # with the other reserves' product q held, the invariant at D holds
+        # where (b + x_i) * (b + x_j) is constant, b = chi*D^(n-1) / q
+        d = self.value(reserves) if value is None else value
+        n = len(reserves)
+        if n == 2:
+            return self.chi * d
+        others = math.prod(r for k, r in enumerate(reserves) if k != i and k != j)
+        if others == 0.0:
+            raise DomainError(f"the reserves outside the trade underflow to 0: {tuple(reserves)}")
+        return self.chi * d ** (n - 1) / others
 
 
 @_curve("constant-power-sum", "Constant-power-sum", CONSERVATION)
@@ -416,7 +407,7 @@ class ConstantPowerSum(_Conservation):
     # x_i^e + x_j^e is held (e = 1 - t): what leg i's term gains, leg j's
     # term loses, each change taken relative to the term it changes
 
-    def out_given_in(self, reserves, i, j, dx, level):
+    def out_given_in(self, reserves, i, j, dx, value):
         e = 1.0 - self.t
         x_i, x_j = reserves[i], reserves[j]
         taken = _grown(x_i**e, e * math.log1p(dx / x_i)) / x_j**e
@@ -424,16 +415,16 @@ class ConstantPowerSum(_Conservation):
             return x_j * taken
         return -x_j * math.expm1(math.log1p(-taken) / e)
 
-    def in_given_out(self, reserves, i, j, dy, level):
+    def in_given_out(self, reserves, i, j, dy, value):
         e = 1.0 - self.t
         x_i, x_j = reserves[i], reserves[j]
         lost = -(x_j**e) * math.expm1(e * math.log1p(-dy / x_j))
         return _grown(x_i, math.log1p(lost / x_i**e) / e)
 
-    def marginal(self, reserves, i, j, level):
+    def marginal(self, reserves, i, j):
         return (reserves[j] / reserves[i]) ** self.t
 
-    def state_at_spot(self, reserves, token_in, token_out, price, level=None, adopted_price=None):
+    def state_at_spot(self, reserves, token_in, token_out, price, adopted_price=None):
         # the spot fixes the ratio x_j / x_i = price^(1/t), and the held
         # x_i^e + x_j^e = m its scale: x_i'^e = m / (1 + price^(e/t)) and
         # x_j'^e = m / (1 + price^(-e/t)), in softplus form so that no power
@@ -583,7 +574,7 @@ class Lmsr(CurveSpec):
             raise DomainError(f"outcome {j} costs {price} per share: its inverse is not finite")
         return shares
 
-    def quote_in(self, q, token_in, token_out, dx, adopted_price=None, level=None):
+    def quote_in(self, q, token_in, token_out, dx, adopted_price=None):
         j, buying = _lmsr_outcome_leg(q, token_in, token_out)
         b = self.b
         if not buying:
@@ -601,7 +592,7 @@ class Lmsr(CurveSpec):
             raise DomainError(f"the shares that {dx} collateral buys overflow a float")
         return shares
 
-    def quote_out(self, q, token_in, token_out, dy, adopted_price=None, level=None):
+    def quote_out(self, q, token_in, token_out, dy, adopted_price=None):
         j, buying = _lmsr_outcome_leg(q, token_in, token_out)
         b = self.b
         if buying:  # exact shares out
@@ -724,7 +715,7 @@ class PriceAdoption(CurveSpec):
     def invariant(self, reserves):
         raise UnsupportedOperation("price adoption has no conservation function")
 
-    def state_at_spot(self, reserves, token_in, token_out, price, level=None, adopted_price=None):
+    def state_at_spot(self, reserves, token_in, token_out, price, adopted_price=None):
         # off the at-par piece the bid (token 0 in) and the ask (token 0 out)
         # are mid(r0), affine in r0, which meets each price once; at par, or
         # at k = 0, they are flat.  Token 1 moves by the integral the trade
@@ -752,7 +743,7 @@ class PriceAdoption(CurveSpec):
             return 1.0 / max(p, mid)
         return max(0.0, min(p, mid))  # the bid, paid for token 0: never above p
 
-    def quote_in(self, reserves, token_in, token_out, dx, adopted_price=None, level=None):
+    def quote_in(self, reserves, token_in, token_out, dx, adopted_price=None):
         p = _require_adopted_price(adopted_price)
         r0, r1 = reserves[0], reserves[1]
         if token_in == 0:
@@ -778,7 +769,7 @@ class PriceAdoption(CurveSpec):
         top = min(r0, t0)  # then surcharged below t0, the ask rising from its top
         return min(r0, (r0 - top) + self._affine_width(p, top, dx - par, 1.0))
 
-    def quote_out(self, reserves, token_in, token_out, dy, adopted_price=None, level=None):
+    def quote_out(self, reserves, token_in, token_out, dy, adopted_price=None):
         p = _require_adopted_price(adopted_price)
         r0, r1 = reserves[0], reserves[1]
 
@@ -925,7 +916,7 @@ class Exponential(CurveSpec):
             raise DomainError(f"spot price leaves the float range at supply {supply}")
         return price
 
-    def state_at_spot(self, reserves, token_in, token_out, price, level=None, adopted_price=None):
+    def state_at_spot(self, reserves, token_in, token_out, price, adopted_price=None):
         # the marginal kappa * S^(kappa-1) / c takes each value once, unless
         # kappa is 1 and it is constant; the reserve is r(S) at that supply
         if self.kappa == 1.0:
@@ -938,7 +929,7 @@ class Exponential(CurveSpec):
             return None
         return _moved(reserves, 0, 1, reserve, supply)
 
-    def quote_in(self, reserves, token_in, token_out, dx, adopted_price=None, level=None):
+    def quote_in(self, reserves, token_in, token_out, dx, adopted_price=None):
         r, supply = _split_bonding_state(reserves)
         if token_in == 0:  # bond reserve, mint issued tokens
             return self.supply_at(r + dx) - supply
@@ -947,7 +938,7 @@ class Exponential(CurveSpec):
             raise DepletionError(f"payout {payout} exceeds bonded reserve {r}")
         return min(payout, r)
 
-    def quote_out(self, reserves, token_in, token_out, dy, adopted_price=None, level=None):
+    def quote_out(self, reserves, token_in, token_out, dy, adopted_price=None):
         r, supply = _split_bonding_state(reserves)
         if token_out == 1:  # exact issued tokens out: direct bonding cost
             return bonding_trade(self.kappa, self.c, supply, dy)
@@ -961,18 +952,43 @@ class Exponential(CurveSpec):
 # ---------------------------------------------------------------------------
 
 
+def _two_token_d(reserves: Sequence[float], chi: float) -> float:
+    """D of the two-token product-sum invariant at positive reserves (x, y):
+    the positive root of (chi + 1/4)*D^2 - chi*s*D - x*y = 0, s = x + y,
+
+        D = s * (chi + sqrt(chi^2 + (4*chi + 1)*t)) / (2*chi + 1/2)
+
+    for t = (x/s)*(y/s), in which no term cancels.  Numerator and
+    denominator are divided through by chi + 1, so that no power of chi
+    overflows.  Reserves at which (1 + chi) * s**2 overflows a float raise
+    DomainError, as for more tokens."""
+    x, y = reserves
+    s = x + y
+    if not (1.0 + chi) * (s * s) < math.inf:
+        raise DomainError(f"reserves overflow the product-sum invariant: {tuple(reserves)}")
+    t = (x / s) * (y / s)
+    e = 1.0 / (chi + 1.0)
+    a = chi * e
+    return s * (a + math.sqrt(a * a + (4.0 * a + e) * e * t)) / (2.0 * a + 0.5 * e)
+
+
 def solve_stableswap_d(reserves: Sequence[float], chi: float) -> float:
     """Total-coins parameter D of the constant product-sum invariant.
 
-    Newton from D0 = sum(reserves), 64 iterations at 1e-12 relative, falling
-    back to bisection on the AM-GM bracket [n*(prod x)^(1/n), sum x].
-    Reserves whose residual terms (up to (1 + chi) * sum(x)**n) overflow a
-    float raise DomainError.
+    Two tokens: the closed form (`_two_token_d`).  Three or more: Newton
+    from D0 = sum(reserves), stopping once a step moves D by at most 1e-12
+    of D, for at most 64 iterations; Newton converges quadratically, so D
+    is then as exact as its residual's rounding allows.  It falls back to
+    bisection on the AM-GM bracket [n*(prod x)^(1/n), sum x], down to a
+    bracket 1e-12 of D wide.  Reserves whose residual terms (up to (1 + chi)
+    * sum(x)**n) overflow a float raise DomainError.
     """
     _require_positive(reserves)
     if not chi >= 0.0:
         raise DomainError(f"chi must be >= 0: {chi}")
     n = len(reserves)
+    if n == 2:
+        return _two_token_d(reserves, chi)
     try:
         s = math.fsum(reserves)
         largest = (1.0 + chi) * s**n  # D <= s bounds every residual term
@@ -1013,7 +1029,7 @@ def solve_stableswap_d(reserves: Sequence[float], chi: float) -> float:
             d_new = 0.5 * (lo + hi)
         if not lo <= d_new <= hi:
             d_new = 0.5 * (lo + hi)
-        if abs(d_new - d) <= NEWTON_TOL * max(1.0, abs(d_new)):
+        if abs(d_new - d) <= NEWTON_TOL * d_new:
             return d_new
         d = d_new
 
@@ -1023,7 +1039,7 @@ def solve_stableswap_d(reserves: Sequence[float], chi: float) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= NEWTON_TOL * max(1.0, mid):
+        if hi - lo <= NEWTON_TOL * mid:
             return 0.5 * (lo + hi)
     raise SolverError("D solve did not converge", residual=g(0.5 * (lo + hi)))
 
@@ -1049,14 +1065,10 @@ def spot_price(
     token_in: int | None,
     token_out: int | None,
     adopted_price: float | None = None,
-    level: float | None = None,
 ) -> float:
-    """Instantaneous units of token_out per unit of token_in; `level`, when
-    given, is the conservation value of reserves (see CurveSpec)."""
+    """Instantaneous units of token_out per unit of token_in."""
     spec.check_legs(reserves, token_in, token_out)
-    if level is None:
-        return spec.spot(reserves, token_in, token_out, adopted_price)
-    return spec.spot_at(reserves, token_in, token_out, level, adopted_price)
+    return spec.spot(reserves, token_in, token_out, adopted_price)
 
 
 def quote_exact_in(
@@ -1066,16 +1078,14 @@ def quote_exact_in(
     token_out: int | None,
     dx: float,
     adopted_price: float | None = None,
-    level: float | None = None,
 ) -> float:
-    """Output amount for an exact input of dx (no fees at this layer);
-    `level` as in `spot_price`."""
+    """Output amount for an exact input of dx (no fees at this layer)."""
     if not dx >= 0.0:
         raise DomainError(f"input amount must be non-negative: {dx}")
     if dx == 0.0:
         return 0.0
     spec.check_legs(reserves, token_in, token_out)
-    return spec.quote_in(reserves, token_in, token_out, dx, adopted_price, level)
+    return spec.quote_in(reserves, token_in, token_out, dx, adopted_price)
 
 
 def quote_exact_out(
@@ -1085,13 +1095,11 @@ def quote_exact_out(
     token_out: int | None,
     dy: float,
     adopted_price: float | None = None,
-    level: float | None = None,
 ) -> float:
-    """Input amount required to receive exactly dy (no fees at this layer);
-    `level` as in `spot_price`."""
+    """Input amount required to receive exactly dy (no fees at this layer)."""
     if not dy >= 0.0:
         raise DomainError(f"output amount must be non-negative: {dy}")
     if dy == 0.0:
         return 0.0
     spec.check_legs(reserves, token_in, token_out)
-    return spec.quote_out(reserves, token_in, token_out, dy, adopted_price, level)
+    return spec.quote_out(reserves, token_in, token_out, dy, adopted_price)

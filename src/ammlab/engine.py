@@ -11,11 +11,10 @@ below (`PricingFamily` and its subclasses, looked up from the curve's
 `family`) is the only place in the engine and the simulator that knows the
 difference; the probe keeps one harness per family (`probe._PROBES`) for
 the moves only it makes.  Each pool state binds its family once, when it
-is built (`PoolState.family`, on the level of the state's own view).  A
-family owns the state view of a pool, its canonical risky leg, the
-fee-aware trade step, settlement against the ledgers, the archetype check,
-and the spot, invariant and deficiency observations that the simulator and
-the probe read:
+is built (`PoolState.family`).  A family owns the state view of a pool, its
+canonical risky leg, the fee-aware trade step, settlement against the
+ledgers, the archetype check, and the spot, invariant and deficiency
+observations that the simulator and the probe read:
 
   family        curves                     state view            fee paid on         fee kept
   conservation  constant product, geometric reserves              the input           in the reserves
@@ -67,7 +66,6 @@ from typing import Mapping, Sequence
 
 from .core import (
     AccountId,
-    AmmError,
     DepletionError,
     DomainError,
     FeeParams,
@@ -172,7 +170,7 @@ class PoolState:
     account: AccountId
     creator: AccountId
     closed: bool = False
-    # the pricing family, bound to the level of this state's view when the
+    # the pricing family, bound to the curve and the oracle price when the
     # state is built; derived, so `replace` and every constructor rebuild it
     family: PricingFamily = field(init=False, compare=False, repr=False)
 
@@ -186,8 +184,7 @@ class PoolState:
             object.__setattr__(
                 self, "lp_shares", MappingProxyType(dict(self.lp_shares))
             )
-        family = PricingFamily.of(self.curve, self.oracle_price)
-        object.__setattr__(self, "family", family.on_level(family.view(self)))
+        object.__setattr__(self, "family", PricingFamily.of(self.curve, self.oracle_price))
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,18 +241,10 @@ class PricingFamily:
     stays in the reserves unless `fee_in_reserves` is False, and is booked in
     `accumulated_fees` on the side that paid it either way.
 
-    A conservation family can carry the conservation `level` of the state
-    it prices (`on_level`), which its trade step and spots pass to the
-    curve layer.  A bound family prices only states on its level: the state
-    it was bound to, states that fee-free trades reach from it, and the
-    curve state of a trade without the fee the reserves keep.  A fee kept
-    in the reserves moves a state off the level; an unbound family prices
-    it.
-
-    Each pool state binds its family once, when it is built: a
-    `PoolState`'s `family` is bound to the level of the state's own view,
-    and every quote, settlement, arbitrage step and metrics row reads that
-    family instead of binding the state again.
+    Each pool state binds its family once, when it is built, and every
+    quote, settlement, arbitrage step and metrics row reads that family.
+    A family prices any state it is given: every price reads the
+    conservation value of the state it prices.
 
     `trade` and `spot_between` call the curve spec's closed forms directly,
     not the public curve functions, which check the legs and the amount on
@@ -270,7 +259,7 @@ class PricingFamily:
     never runs it.
     """
 
-    __slots__ = ("curve", "price", "level")
+    __slots__ = ("curve", "price")
 
     archetype = PRICE_DISCOVERING_LP_BASED
     # canonical risky leg, the one a portfolio mark values at the reference
@@ -278,7 +267,6 @@ class PricingFamily:
     risky = 0
     issued_from: float = math.inf
     fee_in_reserves = True
-    leveled = True  # whether pricing can read a conservation level (on_level)
     lp_error: str | None = None  # why the pool takes no deposits
     arb_error: str | None = None  # why the pool cannot be arbitraged
 
@@ -294,22 +282,6 @@ class PricingFamily:
         family = object.__new__(family_class)
         family.curve = curve
         family.price = price
-        family.level = None
-        return family
-
-    def on_level(self, state: State) -> PricingFamily:
-        """This family bound to the conservation level of `state` (see the
-        class docstring).  A family that cannot read a level returns itself;
-        a level that cannot be computed leaves the family unbound, so that
-        pricing raises what it raised before."""
-        if not self.leveled:
-            return self
-        family = object.__new__(type(self))
-        family.curve, family.price, family.level = self.curve, self.price, None
-        try:
-            family.level = invariant_value(self.curve, state)
-        except AmmError:
-            pass
         return family
 
     # -- state view and creation --------------------------------------------
@@ -368,7 +340,7 @@ class PricingFamily:
             given, quote, side = amount / keep if issued else amount, self.curve.quote_out, "output"
         if not given >= 0.0:
             raise DomainError(f"{side} amount must be non-negative: {given}")
-        priced = quote(view, leg_in, leg_out, given, self.price, self.level) if given else 0.0
+        priced = quote(view, leg_in, leg_out, given, self.price) if given else 0.0
         if kind == EXACT_IN:
             amount_in, amount_out = amount, priced * keep if issued else priced
             fee_paid = priced - amount_out if issued else amount - given
@@ -425,16 +397,14 @@ class PricingFamily:
     def spot_between(self, state: State, i: int, j: int) -> float:
         """Instantaneous units of token j per unit of token i."""
         view, leg_in, leg_out = self.curve_args(state, i, j)
-        if self.level is None:
-            return self.curve.spot(view, leg_in, leg_out, self.price)
-        return self.curve.spot_at(view, leg_in, leg_out, self.level, self.price)
+        return self.curve.spot(view, leg_in, leg_out, self.price)
 
     def state_at_spot(self, state: State, i: int, j: int, price: float) -> State | None:
-        """The curve state on this family's level at which `spot_between(.,
-        i, j)` is `price`, or None where none lies inside the curve's domain
-        (see `CurveSpec`)."""
+        """The curve state on the conservation level of `state` at which
+        `spot_between(., i, j)` is `price`, or None where none lies inside
+        the curve's domain (see `CurveSpec`)."""
         view, leg_in, leg_out = self.curve_args(state, i, j)
-        return self.curve.state_at_spot(view, leg_in, leg_out, price, self.level, self.price)
+        return self.curve.state_at_spot(view, leg_in, leg_out, price, self.price)
 
     def spot(self, state: State) -> float:
         """Spot of the risky leg in the numeraire."""
@@ -465,7 +435,6 @@ class AdoptionFamily(PricingFamily):
 
     __slots__ = ()
     archetype = PRICE_ADOPTING_LP_BASED
-    leveled = False
 
     def curve_args(self, state, i, j):
         if self.price is None:
@@ -503,7 +472,6 @@ class ScoringFamily(PricingFamily):
     __slots__ = ()
     risky = 1  # outcome 0
     issued_from = 1
-    leveled = False
     lp_error = "LMSR pools are funded by the creation subsidy only"
     arb_error = "arbitrage needs a two-token pool, not a prediction market"
 
@@ -548,7 +516,6 @@ class BondingFamily(PricingFamily):
     archetype = PRICE_DISCOVERING_SUPPLY_SOVEREIGN
     risky = issued_from = 1
     fee_in_reserves = False
-    leveled = False
     lp_error = "supply-sovereign pools have no LP shares"
 
     def view(self, pool):
@@ -704,7 +671,7 @@ Trade = tuple[float, float, float, State]  # a trade step: (paid, got, fee, stat
 
 def _priced(pool: PoolState, order: TradeOrder) -> tuple[int, int, Trade]:
     """(leg in, leg out, trade step) of an order, priced by the pool's
-    family on its state's level; raises where the order cannot be priced."""
+    family; raises where the order cannot be priced."""
     if pool.closed:
         raise UnsupportedOperation("pool is closed")
     i, j = _validate_order(pool, order)
@@ -717,12 +684,8 @@ def _priced(pool: PoolState, order: TradeOrder) -> tuple[int, int, Trade]:
     return i, j, trade
 
 
-def _quoted(
-    pool: PoolState, order: TradeOrder, i: int, j: int, trade: Trade, moved: PricingFamily
-) -> Quote:
-    """The Quote of `trade`, which the pool's family priced for `order`;
-    `moved` is the family bound to the state the trade reaches, whose level
-    the fee kept in that state has moved."""
+def _quoted(pool: PoolState, order: TradeOrder, i: int, j: int, trade: Trade) -> Quote:
+    """The Quote of `trade`, which the pool's family priced for `order`."""
     paid, got, fee_paid, after = trade
     family = pool.family
     return Quote(  # positional: this runs on every swap
@@ -731,7 +694,7 @@ def _quoted(
         fee_paid,
         family.surcharge(i, order.kind, paid, got, pool.fee.trade_fee),
         _safe_spot(family, family.view(pool), i, j),
-        _safe_spot(moved, after, i, j),
+        _safe_spot(family, after, i, j),
         got / paid,
     )
 
@@ -747,7 +710,7 @@ def _settle_trade(
     updated = family.settle(pool, order.trader, i, j, paid, got, ledgers)
     settled = family.apply(pool, i, j, after, fee_paid)
     receipt = TradeReceipt(
-        quote=_quoted(pool, order, i, j, trade, settled.family),
+        quote=_quoted(pool, order, i, j, trade),
         reserves_after=settled.reserves,
         trader_deltas={order.token_in: -paid, order.token_out: got},
     )
@@ -757,7 +720,7 @@ def _settle_trade(
 def quote(pool: PoolState, order: TradeOrder) -> Quote:
     """Price an order against the pool without changing any state."""
     i, j, trade = _priced(pool, order)
-    return _quoted(pool, order, i, j, trade, pool.family.on_level(trade[3]))
+    return _quoted(pool, order, i, j, trade)
 
 
 def execute_swap(
@@ -766,8 +729,7 @@ def execute_swap(
     """Quote the order, move tokens, and advance the pool state atomically.
 
     The order is priced once, by the pool's family, and that trade step is
-    what settles; the receipt's `spot_after` reads the family the new state
-    bound when it was built."""
+    what settles."""
     i, j, trade = _priced(pool, order)
     return _settle_trade(pool, order, i, j, trade, ledgers)
 

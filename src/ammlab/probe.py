@@ -24,14 +24,12 @@ prices).
 All mechanism probes run fee-free: they characterize the pricing rule, not the
 fee plumbing.  The one exception is path deficiency, which runs at the spec's
 own fee rate because the strict form of the property only appears when fees
-are retained.  Every state a fee-free probe visits lies on the conservation
-level of the opening state, so a conservation probe binds its family to that
-level once (engine.PricingFamily.on_level); the fee-bearing sale in the path
-deficiency probe starts off that level and is priced unbound, and the
-deficiency values themselves are computed afresh, since they measure how the
-level moves.  Every probe is deterministic for a fixed (pool spec, dimension,
-seed, trials) tuple: the generator is seeded from the seed and the dimension's
-position, never from object hashes.
+are retained.  Every price reads the conservation value of the state it
+prices, so the sale back after a path-deficiency buy is priced on the level
+that the buy's fee moved, which the deficiency values measure.  Every probe
+is deterministic for a fixed (pool spec, dimension, seed, trials) tuple: the
+generator is seeded from the seed and the dimension's position, never from
+object hashes.
 
 Deviations are reported relative to the pool's characteristic scale (smallest
 initial reserve, liquidity parameter b, or circulating supply), trade sizes
@@ -176,11 +174,10 @@ class _Probe:
 
 
 class _ConservationProbe(_Probe):
-    """Displaces token 0 against token 1 on a conservation curve, its family
-    bound to the level of the opening state."""
+    """Displaces token 0 against token 1 on a conservation curve."""
 
     def __init__(self, family: PricingFamily, reserves: tuple[float, ...]):
-        super().__init__(family.on_level(reserves), reserves, min(reserves))
+        super().__init__(family, reserves, min(reserves))
 
     def basket_cost(self, state, amount: float) -> float:
         total = 1.0  # one unit of the numeraire token 1
@@ -360,16 +357,13 @@ def _probe_deficiency(probe, rng, trials, fee):
     family = probe.family
     deficiency = family.deficiency
     ref = family.deficiency_ref(probe.state0)
-    # the fee a buy keeps in the reserves moves `bought` off the level the
-    # probe's family is bound to, so the sale back is priced unbound
-    off_level = PricingFamily.of(family.curve, family.price)
     risky = family.risky
     floor = math.inf
     for _ in range(trials):
         state = _prime(probe, rng)
         qty = _draw(rng, _WALKS, probe.scale)
         bought = probe.buy(state, qty, fee)
-        sold = off_level.trade(bought, risky, 1 - risky, EXACT_IN, qty, fee)[3]
+        sold = family.trade(bought, risky, 1 - risky, EXACT_IN, qty, fee)[3]
         w0 = deficiency(state)
         w1 = deficiency(bought)
         w2 = deficiency(sold)

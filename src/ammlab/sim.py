@@ -311,8 +311,8 @@ def arbitrage_step(
     the risky reserve.
 
     Every candidate is priced by the pool's family, which the pool state
-    bound to its level once, when it was built; the trade the step chose
-    settles as priced, so no order is quoted again.
+    bound once, when it was built; the trade the step chose settles as
+    priced, so no order is quoted again.
     """
     if pool.closed:
         raise UnsupportedOperation("pool is closed")
@@ -532,7 +532,7 @@ def _observe(
     if not closed:
         state = family.view(pool)
         spot = _observed(family.spot, state)
-        invariant = _observed(family.invariant, state) if family.level is None else family.level
+        invariant = _observed(family.invariant, state)
     tracking = None
     if spot is not None and reference is not None:
         tracking = abs(spot - reference) / reference

@@ -183,7 +183,8 @@ class TestClassify:
 
 class TestOverflowingReserves:
     """Reserves whose conservation value or product-sum residual overflows a
-    float are rejected with an AmmError message, never a traceback."""
+    float, or whose product-sum offset divides by an underflowed product,
+    are rejected with an AmmError message, never a traceback."""
 
     @pytest.mark.parametrize(
         "curve, reserves, argv",
@@ -209,6 +210,20 @@ class TestOverflowingReserves:
         assert captured.err.startswith("error: ") and "overflow" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_underflowing_outside_reserves(self, tmp_path, capsys):
+        """A four-token product-sum pool whose two untraded reserves
+        multiply to less than the smallest float."""
+        path = tmp_path / "tiny.pool"
+        path.write_text(
+            CP_ZERO_FEE.replace("constant-product", "constant-product-sum\nchi = 10")
+            .replace("T0, T1", "A, B, C, D").replace("100, 100", "1e-200, 1e-200, 1, 1")
+        )
+        code = main(["quote", "--pool", str(path), "--in", "C", "--out", "D", "--amount", "0.1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "underflow" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_exponential_overflow(self, tmp_path, capsys):
         # minting for 1e10 at kappa = 0.01 needs a supply of (1e10)**100

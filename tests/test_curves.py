@@ -30,7 +30,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ammlab.core import DepletionError, DomainError, UnsupportedOperation
+from ammlab import curves
+from ammlab.core import DepletionError, DomainError, SolverError, UnsupportedOperation
 from ammlab.curves import (
     CURVES,
     ConstantPowerSum,
@@ -93,6 +94,29 @@ def bisect_d(reserves, chi, iters=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def exact_d(reserves, chi):
+    """D at 60 digits from the float inputs: for two tokens the positive
+    root of (chi + 1/4)*D^2 - chi*s*D - x*y = 0 by the quadratic formula,
+    for more bisection on the AM-GM bracket down to 2^-220 of it."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = [Decimal(r) for r in reserves]
+        n, c, s, p = len(x), Decimal(chi), sum(x), math.prod(x)
+        if n == 2:
+            a = c + Decimal("0.25")
+            return (c * s + (c * c * s * s + 4 * a * p).sqrt()) / (2 * a)
+        lo, hi = n * p ** (Decimal(1) / n), s
+        if chi == 0.0:
+            return lo
+        for _ in range(220):
+            mid = (lo + hi) / 2
+            if c * mid ** (n - 1) * s + p - c * mid**n - (mid / n) ** n >= 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
 
 
 def lmsr_buy_closed(b, q, j, spend):
@@ -517,6 +541,73 @@ class TestStableswapD:
             want = bisect_d(reserves, chi)
             assert close(got, want, rel=1e-10)
 
+    @given(
+        log_x=st.floats(-20.0, 20.0),
+        log_imbalance=st.floats(-15.0, 15.0),
+        log_chi=st.one_of(st.none(), st.floats(-10.0, 10.0)),
+    )
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    def test_two_tokens_in_closed_form(self, log_x, log_imbalance, log_chi):
+        """Two-token D against its 60-digit root, chi = 0 where log_chi is
+        None: bound 1e-15; worst 4.3e-16 over 20,000 seeded states."""
+        reserves = (math.exp(log_x), math.exp(log_x + log_imbalance))
+        chi = 0.0 if log_chi is None else math.exp(log_chi)
+        assert _rel_err(solve_stableswap_d(reserves, chi), exact_d(reserves, chi)) <= 1e-15
+
+    def test_three_tokens_to_rounding(self):
+        """Newton stops relative to D, however small D is: bound 2e-15;
+        worst 1.3e-15 over 3,000 states of this seed (reserves e^-25 to e^5)."""
+        rng = random.Random(11)
+        worst = 0.0
+        for _ in range(300):
+            reserves = tuple(math.exp(rng.uniform(-25.0, 5.0)) for _ in range(3))
+            chi = rng.choice([0.0, 0.001, 0.1, 1.0, 10.0, 1000.0])
+            worst = max(worst, _rel_err(solve_stableswap_d(reserves, chi), exact_d(reserves, chi)))
+        assert worst <= 2e-15
+
+    @pytest.mark.parametrize("reserves", [(3e-9, 1e-15), (3e-9, 1e-15, 1e-12)])
+    def test_d_far_below_one(self, reserves):
+        """A Newton stop absolute below D = 1 left these 8.5e-5 and 8.0e-6
+        off; both are now exact to rounding."""
+        assert _rel_err(solve_stableswap_d(reserves, 0.001), exact_d(reserves, 0.001)) <= 1e-15
+
+    def test_two_tokens_run_no_newton(self, monkeypatch):
+        """With Newton and bisection allowed no iteration, two-token D is
+        still the closed form, and so are the quotes and the spot that
+        read it; only three or more tokens raise SolverError."""
+        want = solve_stableswap_d((100.0, 50.0), 10.0)
+        monkeypatch.setattr(curves, "NEWTON_MAX_ITER", 0)
+        monkeypatch.setattr(curves, "BISECT_MAX_ITER", 0)
+        spec = ConstantProductSum(chi=10.0)
+        assert solve_stableswap_d((100.0, 50.0), 10.0) == invariant_value(spec, (100.0, 50.0)) == want
+        assert spot_price(spec, (100.0, 50.0), 0, 1) > 0.0
+        assert quote_exact_in(spec, (100.0, 50.0), 0, 1, 5.0) > 0.0
+        assert quote_exact_out(spec, (100.0, 50.0), 0, 1, 5.0) > 0.0
+        with pytest.raises(SolverError):
+            solve_stableswap_d((100.0, 50.0, 20.0), 10.0)
+
+    def test_product_sum_keeps_the_reserve_checks(self):
+        spec = ConstantProductSum(chi=10.0)
+        with pytest.raises(DomainError, match="strictly positive"):
+            quote_exact_in(spec, (0.0, 100.0), 0, 1, 1.0)
+        with pytest.raises(DomainError, match="strictly positive"):
+            quote_exact_out(spec, (0.0, 100.0), 0, 1, 1.0)
+        with pytest.raises(DomainError, match="strictly positive"):
+            spot_price(spec, (0.0, 100.0), 0, 1)
+
+    def test_underflowing_outside_reserves_rejected(self):
+        """The offset divides by the product of the reserves outside the
+        trade; where that product underflows to 0 the state is refused."""
+        spec = ConstantProductSum(chi=10.0)
+        reserves = (1e-200, 1e-200, 1.0, 1.0)
+        for call in (
+            lambda: spot_price(spec, reserves, 2, 3),
+            lambda: quote_exact_in(spec, reserves, 2, 3, 0.1),
+            lambda: quote_exact_out(spec, reserves, 2, 3, 0.1),
+        ):
+            with pytest.raises(DomainError, match="underflow"):
+                call()
+
 
 # ---------------------------------------------------------------------------
 # lmsr_trade_cost
@@ -818,13 +909,13 @@ class ScaledProduct(_Conservation):
     def value(self, reserves):
         return self.scale * math.prod(reserves)
 
-    def marginal(self, reserves, i, j, level):
+    def marginal(self, reserves, i, j):
         return reserves[j] / reserves[i]
 
-    def out_given_in(self, reserves, i, j, dx, level):
+    def out_given_in(self, reserves, i, j, dx, value):
         return reserves[j] * dx / (reserves[i] + dx)
 
-    def in_given_out(self, reserves, i, j, dy, level):
+    def in_given_out(self, reserves, i, j, dy, value):
         return reserves[i] * dy / (reserves[j] - dy)
 
 
@@ -853,9 +944,11 @@ class TestNinthCurve:
 
 
 class TestKnownLevel:
-    """Pricing at a known conservation level agrees with pricing that solves
-    for it, on every state that fee-free trades reach from the state the
-    level was computed at."""
+    """A fee-free trade keeps the state on the conservation level computed
+    where it started: the value computed afresh at every state that trades
+    reach is that level, to the rounding of the reserves.  So a price that
+    reads the value of the state it prices agrees with one read at the
+    opening level."""
 
     @given(
         n=st.sampled_from([2, 3]),
@@ -878,56 +971,28 @@ class TestKnownLevel:
         level = invariant_value(spec, state)
         for first, offset, exact_in, fraction in [(0, 0, True, 0.01), *trades]:
             i, j = first % n, (first + 1 + offset % (n - 1)) % n
-            spot = spot_price(spec, state, i, j)
-            assert math.isclose(spot_price(spec, state, i, j, level=level), spot, rel_tol=1e-12)
-            # the level held from the first state and the D solved at this
-            # one differ by the D solve's rounding; the bound allows for it
-            # relative to the reserve the quote moves as well as to the quote
             quote_fn = quote_exact_in if exact_in else quote_exact_out
             amount = fraction * state[i if exact_in else j]
             try:
-                want = quote_fn(spec, state, i, j, amount)
-            except DepletionError:  # a near-sum pool runs dry: so must the bound quote
-                with pytest.raises(DepletionError):
-                    quote_fn(spec, state, i, j, amount, level=level)
+                got = quote_fn(spec, state, i, j, amount)
+            except DepletionError:  # a near-sum pool runs dry
                 continue
-            got = quote_fn(spec, state, i, j, amount, level=level)
-            if exact_in:
-                paid, received, moved = amount, got, state[j]
-            else:
-                paid, received, moved = got, amount, state[i]
-            assert abs(got - want) <= 1e-12 * max(abs(want), moved)
+            paid, received = (amount, got) if exact_in else (got, amount)
             after = list(state)
             after[i] += paid
             after[j] -= received
             state = tuple(after)
-
-    def test_a_level_keeps_the_reserve_checks(self):
-        spec = ConstantProductSum(chi=10.0)
-        with pytest.raises(DomainError, match="strictly positive"):
-            quote_exact_in(spec, (0.0, 100.0), 0, 1, 1.0, level=200.0)
-        with pytest.raises(DomainError, match="strictly positive"):
-            quote_exact_out(spec, (0.0, 100.0), 0, 1, 1.0, level=200.0)
-        with pytest.raises(DomainError, match="strictly positive"):
-            spot_price(spec, (0.0, 100.0), 0, 1, level=200.0)
+            assert math.isclose(invariant_value(spec, state), level, rel_tol=1e-12)
 
     @pytest.mark.parametrize("spec", CONSERVATION_CASES, ids=lambda s: type(s).__name__)
     def test_the_computed_level_changes_nothing(self, spec):
+        """Neither trade direction moves the level the value reads."""
         r = (120.0, 80.0)
         level = invariant_value(spec, r)
-        assert quote_exact_in(spec, r, 0, 1, 5.0, level=level) == quote_exact_in(spec, r, 0, 1, 5.0)
-        assert quote_exact_out(spec, r, 0, 1, 5.0, level=level) == quote_exact_out(spec, r, 0, 1, 5.0)
-        assert spot_price(spec, r, 0, 1, level=level) == spot_price(spec, r, 0, 1)
-
-    def test_curves_without_a_level_ignore_it(self):
-        lmsr = Lmsr(b=100.0)
-        assert quote_exact_in(lmsr, (0.0, 0.0), None, 0, 5.0, level=1.0) == quote_exact_in(
-            lmsr, (0.0, 0.0), None, 0, 5.0
-        )
-        assert spot_price(lmsr, (10.0, 0.0), 0, None, level=1.0) == spot_price(
-            lmsr, (10.0, 0.0), 0, None
-        )
-        assert spot_price(ScaledProduct(scale=3.0), (100.0, 250.0), 0, 1, level=1.0) == 2.5
+        got = quote_exact_in(spec, r, 0, 1, 5.0)
+        assert math.isclose(invariant_value(spec, (125.0, 80.0 - got)), level, rel_tol=1e-14)
+        paid = quote_exact_out(spec, r, 0, 1, 5.0)
+        assert math.isclose(invariant_value(spec, (120.0 + paid, 75.0)), level, rel_tol=1e-14)
 
 
 class TestStateAtSpot:
@@ -953,7 +1018,7 @@ class TestStateAtSpot:
             j = (i + 1) % n
         level = invariant_value(spec, state)
         price = spot_price(spec, state, i, j) * math.exp(log_move)
-        target = spec.state_at_spot(state, i, j, price, level)
+        target = spec.state_at_spot(state, i, j, price)
         if target is None:
             # only where the crossing leaves the positive quadrant: with the
             # leg the move empties drained to 1e-9 of itself, the spot is
@@ -1009,7 +1074,7 @@ class TestStateAtSpot:
             j = (i + 1) % n
         level = invariant_value(spec, state)
         price = spot_price(spec, state, i, j) * math.exp(log_move)
-        target = spec.state_at_spot(state, i, j, price, level)
+        target = spec.state_at_spot(state, i, j, price)
         assert all(target[k] == state[k] for k in range(n) if k not in (i, j))
         assert math.isclose(spot_price(spec, target, i, j), price, rel_tol=1e-9)
         assert math.isclose(invariant_value(spec, target), level, rel_tol=1e-10)
@@ -1151,13 +1216,13 @@ class TestExactOracle:
             b = Fraction(spec.chi) * Fraction(level) ** (n - 1) / Fraction(math.prod(reserves[2:]))
             out = Fraction(dx) * (b + Fraction(x_j)) / (b + Fraction(x_i) + Fraction(dx))
             try:
-                got = quote_exact_in(spec, reserves, 0, 1, dx, level=level)
+                got = quote_exact_in(spec, reserves, 0, 1, dx)
             except DepletionError:  # a near-sum pool cannot pay dx out of x_j
                 assert out >= x_j * (1 - 1e-15)
             else:
                 worst = max(worst, _rel_err(got, out))
             paid = Fraction(dy) * (b + Fraction(x_i)) / (b + Fraction(x_j) - Fraction(dy))
-            worst = max(worst, _rel_err(quote_exact_out(spec, reserves, 0, 1, dy, level=level), paid))
+            worst = max(worst, _rel_err(quote_exact_out(spec, reserves, 0, 1, dy), paid))
         assert worst <= 2e-15
 
     def test_geometric_mean(self):

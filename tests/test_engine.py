@@ -29,6 +29,7 @@ from ammlab.core import (
     DepletionError,
     DomainError,
     InsufficientBalance,
+    SolverError,
     UnsupportedOperation,
     balance_of,
     ledger_mint,
@@ -233,21 +234,17 @@ class TestQuote:
         assert math.isclose(q.amount_in, 10.0, rel_tol=REL)
         assert math.isclose(q.mean_price, q.amount_out / 10.0, rel_tol=REL)
 
-    def test_product_sum_quote_solves_d_once(self, monkeypatch):
-        """The trade and spot_before share the pre-trade level, which the
-        pool state solved when it was built; spot_after solves for the
-        post-trade one, which the kept fee moves off it."""
+    def test_two_token_product_sum_quote_runs_no_newton(self, monkeypatch):
+        """A two-token product-sum quote reads D in closed form: with the
+        Newton solve allowed no iteration, it still prices, and a
+        three-token state's D cannot be had."""
+        monkeypatch.setattr(curves, "NEWTON_MAX_ITER", 0)
+        monkeypatch.setattr(curves, "BISECT_MAX_ITER", 0)
         pool, _ = load_pool("curve-v1-like")
-        solved = []
-        solve = curves.solve_stableswap_d
-
-        def counting(reserves, chi):
-            solved.append(tuple(reserves))
-            return solve(reserves, chi)
-
-        monkeypatch.setattr(curves, "solve_stableswap_d", counting)
         q = quote(pool, TradeOrder("alice", "STABLE0", "STABLE1", 10.0, "exact-in"))
-        assert solved == [(110.0, 100.0 - q.amount_out)]
+        assert 0.0 < q.amount_out < 10.0
+        with pytest.raises(SolverError):
+            curves.solve_stableswap_d((110.0, 100.0, 90.0), pool.curve.chi)
 
     def test_zero_fee_matches_curve_layer(self):
         pool, _ = make_cp_pool(fee=0.0)
@@ -370,13 +367,13 @@ class TestPoolStateFamily:
 
     def test_replace_rebinds_the_level(self):
         """A replaced curve-v1-like state quotes exactly like a pool built
-        at its reserves: the level is derived, so a copy made with new
-        reserves cannot carry the old state's D."""
+        at its reserves: every price reads the level D of the reserves it
+        prices, so a copy made with new reserves cannot price on the old
+        state's D."""
         pool, _ = load_pool("curve-v1-like")
         reserves = (130.0, 80.0)
         moved = dataclasses.replace(pool, reserves=reserves)
         built, _ = materialize_pool(dataclasses.replace(BUILTIN_POOLS["curve-v1-like"], reserves=reserves))
-        assert moved.family.level == built.family.level != pool.family.level
         for order in (
             TradeOrder("a", "STABLE0", "STABLE1", 10.0, "exact-in"),
             TradeOrder("a", "STABLE1", "STABLE0", 10.0, "exact-out"),

@@ -176,8 +176,8 @@ account bob RESERVE 1000
 CLASSIFY = {
     ('uniswap-v2-like', 0): '9e57913ca38abc7fc20efacc8dcc3da9b396d5591430c5af8606efe4fb5ac4b0',
     ('uniswap-v2-like', 7): '630ed1ab360bd066ac5cbaa108158785b89017571033354650caa4b877186465',
-    ('curve-v1-like', 0): 'faf075c08cc5e8947692d5ab788f03e3ff6f685762762a85d6ebe5b5ffb46ad1',
-    ('curve-v1-like', 7): 'e69f70b0a4e32e4c7b0e42a27d3802ca944e5a23bbd40b25862e9acb6cee67b1',
+    ('curve-v1-like', 0): 'b1b099741029b9d8da801b2ef6b76426cd8b74a3d1cd18c43533bc28d0d51b9c',
+    ('curve-v1-like', 7): 'a689e1b4264ac2b46ee04828e23c4ec5124435802cfde0928796dc80ba589d15',
     ('mstable-2021-like', 0): '8b9110849ad7f7c56eb7afbb88b56cec27c6a030ea66dacedc9d387140d1a995',
     ('mstable-2021-like', 7): '307edebc95da0178147236445e1d557da259b0fbb9f00eeb75c6d3dec6adc2ac',
     ('dodo-like', 0): '567a20c923bc1c923d694ad443b48726d10688db93bab21209bd410d653651c4',
@@ -237,7 +237,7 @@ QUOTE = {
 
 CURVE_TABLE = {
     'uniswap-v2-like': 'c8be74a8cda4f151eb3c990fdc75e57a3332e621d3181c57360ce0dbddebef8b',
-    'curve-v1-like': '0873dfda55748546ab40e5cdd30cb875a221d13d8a1da253b5fb86efe9ae491b',
+    'curve-v1-like': 'b7f3d2d2b25672c0bb8df8f92549fa15c833915a1faa720fc48be85d91698697',
     'mstable-2021-like': '0fd939a27fa2b46909a286fddb98694b39041aa56c9b52ff47ef2ab1e82fe979',
     'dodo-like': '91feb94a2a0f79e58f8e9e9f0ffdd9d372ec95a8637b1493b41fc96c5f82b187',
     'bancor-like': '7b9344baeebee761768e906470874bbb62f99254f96c89a96d9b4716e75f6391',
@@ -245,7 +245,7 @@ CURVE_TABLE = {
 
 ARB = {
     'bancor-like': '2909a3807f4b77d212434a8d8912babff4a28714927e63cf57a46248e0cb7a09',
-    'curve-v1-like': '7d72d30e424de06c6fe9d0bb00c2f1beb89aa25d4ddaaec2ce429399da0abe4d',
+    'curve-v1-like': 'd194d4777ef19b4c75283fb05761b8a8e26aedaf69f1e1aa3af6961ee2b88414',
     'dodo-like': 'd1b5e7ed487d771f282d3b09bd017283cf42c373847aad8d92b3519fb1231b86',
     'uniswap-v2-like': 'd79ec7b8a504f08ff8118f6d2d8e51781a9e525814f363c30931dcba82fc92c0',
 }

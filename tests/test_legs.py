@@ -58,26 +58,26 @@ from ammlab.sim import arbitrage_step
 def public_trade(family, state, i, j, kind, amount, fee):
     """The family's trade step as the public curve functions compose it."""
     view, leg_in, leg_out = family.curve_args(state, i, j)
-    curve, price, level = family.curve, family.price, family.level
+    curve, price = family.curve, family.price
     keep = 1.0 - fee
     if i >= family.issued_from:  # the fee comes out of the payout
         if kind == EXACT_IN:
             amount_in = amount
-            gross = quote_exact_in(curve, view, leg_in, leg_out, amount, price, level)
+            gross = quote_exact_in(curve, view, leg_in, leg_out, amount, price)
             amount_out = gross * keep
         else:
             amount_out = amount
             gross = amount / keep
-            amount_in = quote_exact_out(curve, view, leg_in, leg_out, gross, price, level)
+            amount_in = quote_exact_out(curve, view, leg_in, leg_out, gross, price)
         fee_paid = gross - amount_out
     elif kind == EXACT_IN:
         amount_in = amount
         net = amount * keep
-        amount_out = quote_exact_in(curve, view, leg_in, leg_out, net, price, level)
+        amount_out = quote_exact_in(curve, view, leg_in, leg_out, net, price)
         fee_paid = amount_in - net
     else:
         amount_out = amount
-        net = quote_exact_out(curve, view, leg_in, leg_out, amount, price, level)
+        net = quote_exact_out(curve, view, leg_in, leg_out, amount, price)
         amount_in = net / keep
         fee_paid = amount_in - net
     outside = 0.0 if family.fee_in_reserves else fee_paid
@@ -89,7 +89,7 @@ def public_trade(family, state, i, j, kind, amount, fee):
 
 def public_spot(family, state, i, j):
     view, leg_in, leg_out = family.curve_args(state, i, j)
-    return spot_price(family.curve, view, leg_in, leg_out, family.price, family.level)
+    return spot_price(family.curve, view, leg_in, leg_out, family.price)
 
 
 def _logu(rng, lo, hi):
@@ -98,9 +98,8 @@ def _logu(rng, lo, hi):
 
 def seeded_family(rng, curve_class):
     """(family, state, legs) of one seeded state of a curve class: its
-    family, bound to the state's level half the time where it can be, and
-    every pair of legs it trades, so that an issued leg pays its fee out of
-    the payout one way and on the input the other."""
+    family and every pair of legs it trades, so that an issued leg pays its
+    fee out of the payout one way and on the input the other."""
     n = rng.choice([2, 3])
     reserves = tuple(_logu(rng, 1e-3, 1e6) for _ in range(n))
     price = None
@@ -129,8 +128,6 @@ def seeded_family(rng, curve_class):
         supply = _logu(rng, 1e-2, 1e3)
         reserves = (supply**curve.kappa / curve.c, supply)
     family = PricingFamily.of(curve, price)
-    if family.leveled and rng.random() < 0.5:
-        family = family.on_level(reserves)
     if isinstance(family, ScoringFamily):
         k = rng.randrange(1, len(reserves))
         legs = [(0, k), (k, 0)]

@@ -77,19 +77,6 @@ def fund(ledgers, token, account, amount):
     return ledgers
 
 
-def count_d_solves(monkeypatch) -> list:
-    """The reserves of every product-sum D solve from here on."""
-    solved = []
-    solve = curves.solve_stableswap_d
-
-    def counting(reserves, chi):
-        solved.append(tuple(reserves))
-        return solve(reserves, chi)
-
-    monkeypatch.setattr(curves, "solve_stableswap_d", counting)
-    return solved
-
-
 # ---------------------------------------------------------------------------
 # price series parsing
 # ---------------------------------------------------------------------------
@@ -265,21 +252,19 @@ class TestArbitrage:
         assert receipt is None
         assert pool2.reserves == pool.reserves
 
-    def test_product_sum_step_solves_d_once_per_state(self, monkeypatch):
-        """The step prices every candidate at the level the pool state
-        solved when it was built: a step that declines solves D no more
-        times, and one that trades solves it once, for the state its trade
-        reaches (25 solves in all once)."""
+    def test_two_token_product_sum_step_runs_no_newton(self, monkeypatch):
+        """A two-token product-sum pool reads D in closed form: with the
+        Newton solve allowed no iteration, a step that declines and one
+        that trades both run."""
+        monkeypatch.setattr(curves, "NEWTON_MAX_ITER", 0)
+        monkeypatch.setattr(curves, "BISECT_MAX_ITER", 0)
         pool, ledgers = load_pool("curve-v1-like")
         fund(ledgers, "STABLE0", "arb", 1e9)
         fund(ledgers, "STABLE1", "arb", 1e9)
-        solved = count_d_solves(monkeypatch)
         _, _, receipt = arbitrage_step(pool, 1.001, "arb", ledgers)
         assert receipt is None
-        assert solved == []
-        after, _, receipt = arbitrage_step(pool, 1.05, "arb", ledgers)
+        _, _, receipt = arbitrage_step(pool, 1.05, "arb", ledgers)
         assert receipt is not None
-        assert solved == [after.reserves]
 
     def test_no_trade_inside_the_fee_band(self, tmp_path):
         pool, ledgers = self.make_cp(tmp_path, CP_FEE)
@@ -849,12 +834,11 @@ class TestClosedFormSize:
         if curve == "exponential" and kappa < 1.0:
             assert capped
             return
-        bound = family.on_level(state)  # the level the step priced on
 
         def curve_state(amount):
             """The curve state after the order for `amount`, without the
             fee the reserves keep."""
-            _, _, fee_paid, after = bound.trade(state, i, 1 - i, order.kind, amount, fee)
+            _, _, fee_paid, after = family.trade(state, i, 1 - i, order.kind, amount, fee)
             if family.fee_in_reserves:
                 after = list(after)
                 after[1 - i if i >= family.issued_from else i] -= fee_paid
@@ -865,7 +849,7 @@ class TestClosedFormSize:
             return
         keep = 1.0 - fee
         price = 1.0 / (reference * keep) if buying else reference / keep
-        marginal = bound.spot_between(after, i, 1 - i)
+        marginal = family.spot_between(after, i, 1 - i)
         # the size is in units of the risky reserve
         step = math.ulp(max(state[family.risky], after[family.risky]))
         bumped = [curve_state(order.amount + step)]
@@ -874,7 +858,7 @@ class TestClosedFormSize:
             moved[leg] += math.ulp(max(state[leg], after[leg]))
             bumped.append(tuple(moved))
         resolution = math.ulp(price) + sum(
-            abs(bound.spot_between(other, i, 1 - i) - marginal) for other in bumped
+            abs(family.spot_between(other, i, 1 - i) - marginal) for other in bumped
         )
         assert abs(marginal - price) <= 32.0 * resolution
 
@@ -989,58 +973,6 @@ class TestSettlement:
 
 
 class TestRunScenario:
-    def test_each_pool_state_solves_d_once(self, monkeypatch):
-        """Arb events on curve-v1-like near par solve D once for the opening
-        state and once for each state a trade reaches: the metrics row and
-        the next arb event reuse the level the event bound."""
-        events = 40
-        scenario = parse_scenario(
-            "pool curve-v1-like\naccount arb STABLE0 1000\naccount arb STABLE1 1000\n"
-            + "".join(f"{step} arb arb\n" for step in range(1, events + 1))
-        )
-        prices = parse_price_series(
-            "step,price\n"
-            + "".join(f"{step},{1.0 + 0.01 * math.sin(step)!r}\n" for step in range(1, events + 1))
-        )
-        settled = []
-        settle = sim._settle_trade
-
-        def recorded(*args):
-            settled.append(args)
-            return settle(*args)
-
-        monkeypatch.setattr(sim, "_settle_trade", recorded)
-        solved = count_d_solves(monkeypatch)
-        run_scenario(scenario, price_series=prices)
-        assert 0 < len(settled) < events
-        assert len(solved) <= len(settled) + 1
-
-    @pytest.mark.parametrize("name, tokens", [
-        ("uniswap-v2-like", ("TOKEN0", "TOKEN1")),
-        ("curve-v1-like", ("STABLE0", "STABLE1")),
-    ])
-    def test_a_trade_event_binds_one_level(self, monkeypatch, name, tokens):
-        """Each pool state binds its level once, when it is built: the
-        opening state and the state each trade reaches.  The metrics row
-        and the next trade read that level instead of computing it again."""
-        events = 20
-        scenario = parse_scenario(
-            f"pool {name}\naccount t {tokens[0]} 100\naccount t {tokens[1]} 100\n"
-            + "".join(f"{k} trade t {tokens[k % 2]} {tokens[1 - k % 2]} 0.5\n"
-                      for k in range(1, events + 1))
-        )
-        bound = []
-        invariant_value = engine.invariant_value
-
-        def counted(curve, state):
-            bound.append(state)
-            return invariant_value(curve, state)
-
-        monkeypatch.setattr(engine, "invariant_value", counted)
-        metrics = run_scenario(scenario)
-        assert [r.event for r in metrics.records] == ["trade"] * events
-        assert len(bound) == events + 1
-
     def test_trade_and_arb_events_call_the_public_functions(self, monkeypatch):
         """A scenario's trade and arb events go through the public
         `execute_swap` and `arbitrage_step`, one call per event, so that

@@ -150,7 +150,8 @@ def solver_error_raises(tree: ast.Module) -> list[str]:
 
 def test_only_the_d_solve_raises_solver_error():
     """Every quote and every arbitrage size is a closed form; the one root
-    solve left is the product-sum level D.  A `raise SolverError` anywhere
+    solve left is the product-sum level D of three or more tokens, whose
+    Newton lives in `solve_stableswap_d`.  A `raise SolverError` anywhere
     else is a generic solver coming back."""
     found = {
         f"{path.name}:{where}"
