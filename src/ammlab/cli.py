@@ -8,6 +8,7 @@ unless --out names a file.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import fields
@@ -83,6 +84,7 @@ def _cmd_curve_table(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: `parse_args` does not mutate it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ammlab",

@@ -9,19 +9,22 @@ so invariant breaches surface as errors.
 Ledgers are immutable snapshots: every operation returns a new `Ledger` and
 never touches its input, which makes copies safe to hand to concurrent
 executors and makes atomicity trivial (a failed operation is just a raised
-exception with the old snapshot still in hand).  Each operation still copies
-the balance map, so it costs O(accounts), but through the proxy's `.copy()`,
-which copies the underlying dict directly (`dict(proxy)` would go key by key,
-about 15x slower at 3,000 accounts).  `ledger_mint_many` mints any number of
-grants on one copy.
+exception with the old snapshot still in hand).  Snapshots share their
+balances: each holds a base dict and a small dict of recent writes, and no
+snapshot ever writes a dict it holds, so an operation copies the recent
+writes, not the whole map, and folds them into a new base only once they
+outgrow the square root of the base (see the note above `ledger_transfer`).
+An operation thus costs O(sqrt(accounts)) amortized, not the O(accounts) of
+a full copy.  `Ledger.balances` is a read-only view of the two dicts, in
+plain-dict order.  `ledger_mint_many` mints any number of grants into one
+new snapshot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 # identifiers are plain strings: token symbols ("WETH") and opaque account
 # ids; pools are accounts too
@@ -82,14 +85,93 @@ class FeeParams:
 # per-token ledger
 # ---------------------------------------------------------------------------
 
+# the recent writes of a snapshot that has none; like every dict a snapshot
+# holds, it is never written (operations write into copies)
+_NO_WRITES: dict[AccountId, float] = {}
 
-@dataclass(frozen=True, slots=True)
+
 class Ledger:
-    """Account book for one token; sum of balances equals total_supply."""
+    """Account book for one token; sum of balances equals total_supply.
 
-    token: TokenId
-    balances: Mapping[AccountId, float]
-    total_supply: float
+    An account's balance is its entry in `_recent` if it has one, else its
+    entry in `_base`; `_size` counts the accounts.  Snapshots share both
+    dicts and never write either, and `len(_recent) ** 2 <= len(_base)`
+    holds for every snapshot an operation returns.  The public attributes
+    are read-only.  Build one with `new_ledger`.
+    """
+
+    # plain slots and read-only properties: a frozen dataclass's per-field
+    # `object.__setattr__` would triple the cost of building a snapshot,
+    # which is most of an operation on a ledger of a few accounts
+    __slots__ = ("_token", "_supply", "_base", "_recent", "_size")
+
+    def __init__(
+        self,
+        token: TokenId,
+        total_supply: float,
+        base: dict[AccountId, float],
+        recent: dict[AccountId, float],
+        size: int,
+    ):
+        self._token = token
+        self._supply = total_supply
+        self._base = base
+        self._recent = recent
+        self._size = size
+
+    @property
+    def token(self) -> TokenId:
+        return self._token
+
+    @property
+    def total_supply(self) -> float:
+        return self._supply
+
+    @property
+    def balances(self) -> Mapping[AccountId, float]:
+        """Read-only view of every balance, in the order accounts were first
+        credited (the order of a plain dict written the same way)."""
+        return _Balances(self._base, self._recent, self._size)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Ledger):
+            return NotImplemented
+        return (self._token, self._supply) == (other._token, other._supply) and (
+            self.balances == other.balances
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Ledger(token={self._token!r}, balances={dict(self.balances)!r}, "
+            f"total_supply={self._supply!r})"
+        )
+
+
+class _Balances(Mapping[AccountId, float]):
+    """`Ledger.balances`: base entries in base order, each overridden by its
+    recent write, then the accounts first written since the base was made."""
+
+    __slots__ = ("_base", "_recent", "_size")
+
+    def __init__(
+        self, base: dict[AccountId, float], recent: dict[AccountId, float], size: int
+    ):
+        self._base, self._recent, self._size = base, recent, size
+
+    def __getitem__(self, account: AccountId) -> float:
+        held = self._recent.get(account)
+        return self._base[account] if held is None else held
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[AccountId]:
+        base = self._base
+        yield from base
+        yield from (account for account in self._recent if account not in base)
+
+    def __repr__(self) -> str:
+        return f"balances({dict(self)!r})"
 
 
 def new_ledger(token: TokenId, balances: Mapping[AccountId, float] | None = None) -> Ledger:
@@ -98,15 +180,12 @@ def new_ledger(token: TokenId, balances: Mapping[AccountId, float] | None = None
     for account, value in balances.items():
         if not 0.0 <= value < math.inf:
             raise DomainError(f"balance for {account!r} must be finite and >= 0: {value}")
-    return Ledger(
-        token=token,
-        balances=MappingProxyType(balances),
-        total_supply=float(sum(balances.values())),
-    )
+    return Ledger(token, float(sum(balances.values())), balances, _NO_WRITES, len(balances))
 
 
 def balance_of(ledger: Ledger, account: AccountId) -> float:
-    return ledger.balances.get(account, 0.0)
+    held = ledger._recent.get(account)
+    return ledger._base.get(account, 0.0) if held is None else held
 
 
 def _require_amount(amount: float) -> None:
@@ -114,20 +193,45 @@ def _require_amount(amount: float) -> None:
         raise DomainError(f"amount must be finite and non-negative: {amount}")
 
 
+# The operations below read the two dicts directly: on a ledger of a few
+# accounts a call to `balance_of` costs more than the read.  Each writes its
+# entries into a copy of the recent writes or, when that copy could outgrow
+# the square root of the base (the test `(len(recent) + writes) ** 2 >
+# len(base)`), into a new base that folds the recent writes in.  A fold
+# copies O(accounts) once every O(sqrt(accounts)) writes, so an operation
+# costs O(sqrt(accounts)) amortized; a ledger of a few accounts folds on
+# every operation, which is one small dict copy.
+
+
 def ledger_transfer(ledger: Ledger, src: AccountId, dst: AccountId, amount: float) -> Ledger:
     """Move `amount` from src to dst; total supply is untouched."""
     _require_amount(amount)
     if amount == 0.0:
         return ledger
-    held = balance_of(ledger, src)
+    base, recent = ledger._base, ledger._recent
+    held = recent.get(src)
+    if held is None:
+        held = base.get(src, 0.0)
     if held < amount:
         raise InsufficientBalance(
-            f"{src!r} holds {held} {ledger.token}, cannot transfer {amount}"
+            f"{src!r} holds {held} {ledger._token}, cannot transfer {amount}"
         )
-    balances = ledger.balances.copy()
-    balances[src] = held - amount
-    balances[dst] = balances.get(dst, 0.0) + amount
-    return Ledger(ledger.token, MappingProxyType(balances), ledger.total_supply)
+    if src == dst:  # (held - amount) + amount need not round back to held
+        return ledger
+    size = ledger._size
+    got = recent.get(dst)
+    if got is None:
+        got = base.get(dst)
+        if got is None:
+            got, size = 0.0, size + 1
+    if (len(recent) + 2) ** 2 > len(base):
+        base = written = {**base, **recent}
+        recent = _NO_WRITES
+    else:
+        recent = written = recent.copy()
+    written[src] = held - amount
+    written[dst] = got + amount
+    return Ledger(ledger._token, ledger._supply, base, recent, size)
 
 
 def ledger_mint(ledger: Ledger, to: AccountId, amount: float) -> Ledger:
@@ -136,25 +240,37 @@ def ledger_mint(ledger: Ledger, to: AccountId, amount: float) -> Ledger:
 
 
 def ledger_mint_many(ledger: Ledger, grants: Iterable[tuple[AccountId, float]]) -> Ledger:
-    """Mint each `(to, amount)` grant in order on one copy of the balances.
+    """Mint each `(to, amount)` grant in order into one new snapshot.
 
     Balances and supply are summed in grant order, so the result is bitwise
     the fold of `ledger_mint` over the grants; the input is returned as is
     when every amount is zero.
     """
-    balances = None
-    supply = ledger.total_supply
+    base, recent, size = ledger._base, ledger._recent, ledger._size
+    supply = ledger._supply
+    written = None
     for to, amount in grants:
         _require_amount(amount)
         if amount == 0.0:
             continue
-        if balances is None:
-            balances = ledger.balances.copy()
-        balances[to] = balances.get(to, 0.0) + amount
+        if written is None:
+            if (len(recent) + 1) ** 2 > len(base):
+                base = written = {**base, **recent}
+                recent = _NO_WRITES
+            else:
+                recent = written = recent.copy()
+        held = written.get(to)
+        if held is None:
+            held = base.get(to)
+            if held is None:
+                held, size = 0.0, size + 1
+        written[to] = held + amount
         supply += amount
-    if balances is None:
+    if written is None:
         return ledger
-    return Ledger(ledger.token, MappingProxyType(balances), supply)
+    if len(recent) ** 2 > len(base):  # more grants than the first test allowed for
+        base, recent = {**base, **recent}, _NO_WRITES
+    return Ledger(ledger._token, supply, base, recent, size)
 
 
 def ledger_burn(ledger: Ledger, src: AccountId, amount: float) -> Ledger:
@@ -162,9 +278,16 @@ def ledger_burn(ledger: Ledger, src: AccountId, amount: float) -> Ledger:
     _require_amount(amount)
     if amount == 0.0:
         return ledger
-    held = balance_of(ledger, src)
+    base, recent = ledger._base, ledger._recent
+    held = recent.get(src)
+    if held is None:
+        held = base.get(src, 0.0)
     if held < amount:
-        raise InsufficientBalance(f"{src!r} holds {held} {ledger.token}, cannot burn {amount}")
-    balances = ledger.balances.copy()
-    balances[src] = held - amount
-    return Ledger(ledger.token, MappingProxyType(balances), ledger.total_supply - amount)
+        raise InsufficientBalance(f"{src!r} holds {held} {ledger._token}, cannot burn {amount}")
+    if (len(recent) + 1) ** 2 > len(base):
+        base = written = {**base, **recent}
+        recent = _NO_WRITES
+    else:
+        recent = written = recent.copy()
+    written[src] = held - amount
+    return Ledger(ledger._token, ledger._supply - amount, base, recent, ledger._size)

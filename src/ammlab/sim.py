@@ -76,7 +76,8 @@ class PriceSeries:
 
     def at(self, step: int) -> float | None:
         """Latest price at or before `step`, or None before the first entry."""
-        index = bisect_right(self.entries, step, key=lambda e: e[0])
+        # (step, inf) sorts after every entry at `step`, before any later one
+        index = bisect_right(self.entries, (step, math.inf))
         return None if index == 0 else self.entries[index - 1][1]
 
 

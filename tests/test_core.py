@@ -8,6 +8,8 @@ transfer/mint/burn, the sum of balances equals total_supply.
 from __future__ import annotations
 
 import math
+import random
+import tracemalloc
 from functools import reduce
 
 import pytest
@@ -79,6 +81,18 @@ class TestLedgerTransfer:
         out = ledger_transfer(led, "a", "fresh", 2.0)
         assert balance_of(out, "fresh") == 2.0
         assert _supply_ok(out)
+
+    def test_self_transfer_leaves_the_ledger_unchanged(self):
+        """`(held - x) + x` need not round back to `held`; a self-transfer
+        writes nothing, so the balances still sum to the supply bit for bit."""
+        held, amount = 3.0689956139328145, 0.30666932314854667
+        assert (held - amount) + amount != held
+        led = new_ledger("USDC", {"a": held, "b": 1.0})
+        out = ledger_transfer(led, "a", "a", amount)
+        assert _bits(out) == _bits(led)
+        assert sum(out.balances.values()) == out.total_supply
+        with pytest.raises(InsufficientBalance):
+            ledger_transfer(led, "a", "a", 2.0 * held)
 
     def test_input_ledger_is_unchanged(self):
         """Ledgers are immutable snapshots; operations return new ones."""
@@ -161,6 +175,105 @@ class TestSnapshots:
             with pytest.raises(TypeError):
                 snapshot.balances["a"] = 0.0
         assert _bits(led) == before
+        assert led == new_ledger("TOK", {"a": 3.0, "b": 1.0}) != out
+
+
+# accounts of the plain-dict model test: the first 400 start funded, so the
+# recent writes outgrow the square root of the base and get folded into it
+_account = st.integers(0, 449).map(lambda i: f"acct{i}")
+_fraction = st.floats(min_value=0.0, max_value=1.25)  # of the source balance
+_model_op = st.one_of(
+    st.tuples(st.just("transfer"), _account, _account, _fraction),
+    st.tuples(st.just("burn"), _account, _fraction),
+    st.tuples(st.just("mint"), _account, amounts),
+    st.tuples(
+        st.just("mint_many"),
+        st.lists(st.tuples(_account, st.one_of(st.just(0.0), amounts)), max_size=40),
+    ),
+)
+
+
+def _matches(ledger: Ledger, model: dict, supply: float) -> None:
+    """The ledger reads exactly as the plain dict `model` with `supply`."""
+    assert [(a, v.hex()) for a, v in ledger.balances.items()] == [
+        (a, v.hex()) for a, v in model.items()
+    ]
+    assert len(ledger.balances) == len(model)
+    for account in ("acct0", "acct399", "acct400", "acct449", "nobody"):
+        assert (account in ledger.balances) == (account in model)
+        assert ledger.balances.get(account) == model.get(account)
+        assert balance_of(ledger, account) == model.get(account, 0.0)
+    assert ledger.total_supply.hex() == supply.hex()
+
+
+class TestAgainstPlainDicts:
+    @given(ops=st.lists(st.tuples(st.integers(0, 3), _model_op), min_size=40, max_size=100))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_operations_match_copies_of_a_dict(self, ops):
+        """Each operation, applied to the latest snapshot or one up to three
+        back, reads as the same writes on a copy of a plain dict would."""
+        start = {f"acct{i}": (i % 7) * 1.25 + i / 400 for i in range(400)}
+        history = [(new_ledger("TOK", start), start, float(sum(start.values())))]
+        for back, (kind, *args) in ops:
+            led, model, supply = history[max(0, len(history) - 1 - back)]
+            model = dict(model)
+            if kind in ("transfer", "burn"):
+                src, fraction = args[0], args[-1]
+                held = model.get(src, 0.0)
+                amount = held * fraction
+                try:
+                    led = (
+                        ledger_transfer(led, src, args[1], amount)
+                        if kind == "transfer" else ledger_burn(led, src, amount)
+                    )
+                except InsufficientBalance:
+                    assert amount > held
+                    continue
+                assert amount <= held
+                if amount > 0.0 and kind == "burn":
+                    model[src] = held - amount
+                    supply -= amount
+                elif amount > 0.0 and src != args[1]:
+                    model[src] = held - amount
+                    model[args[1]] = model.get(args[1], 0.0) + amount
+            else:
+                grants = [tuple(args)] if kind == "mint" else args[0]
+                led = ledger_mint(led, *args) if kind == "mint" else ledger_mint_many(led, grants)
+                for to, amount in grants:
+                    if amount > 0.0:
+                        model[to] = model.get(to, 0.0) + amount
+                        supply += amount
+            _matches(led, model, supply)
+            history.append((led, model, supply))
+        for led, model, supply in history:  # no later operation changed one
+            _matches(led, model, supply)
+
+
+class TestOperationCost:
+    def test_transfers_copy_far_less_than_the_balance_map(self):
+        """1,000 transfers on a 3,000-account ledger allocate less than a
+        tenth of what 1,000 copies of its balance map would."""
+        accounts = [f"acct{i}" for i in range(3000)]
+        plain = dict.fromkeys(accounts, 1.0)
+        led = new_ledger("TOK", plain)
+        rng = random.Random(7)
+        moves = [(rng.choice(accounts), rng.choice(accounts)) for _ in range(1000)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            copied = plain.copy()
+            one_copy = tracemalloc.get_traced_memory()[1] - before
+            del copied
+            allocated = 0
+            for src, dst in moves:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                led = ledger_transfer(led, src, dst, 1e-3)
+                allocated += tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert allocated < 100 * one_copy, (allocated, one_copy)
 
 
 class TestNonFiniteAmounts:
