@@ -211,6 +211,11 @@ class _Conservation(CurveSpec):
 
     def invariant(self, reserves: Sequence[float]) -> float:
         self.require_reserves(reserves)
+        return self._finite_value(reserves)
+
+    def _finite_value(self, reserves: Sequence[float]) -> float:
+        """The conservation value of reserves that passed `require_reserves`,
+        or DomainError where it overflows."""
         try:
             c = self.value(reserves)
         except OverflowError:
@@ -243,7 +248,7 @@ class _Conservation(CurveSpec):
         r_j = reserves[j]
         if dy > r_j or (dy == r_j and not self.drainable):
             raise DepletionError(f"requested {dy} exceeds the {r_j} units available")
-        paid = self.in_given_out(reserves, i, j, dy, self.invariant(reserves))
+        paid = self.in_given_out(reserves, i, j, dy, self._finite_value(reserves))
         if not reserves[i] + paid < math.inf:
             raise DomainError(f"the input for {dy} overflows at reserves {tuple(reserves)}")
         return paid
@@ -263,23 +268,35 @@ class _Hyperbola(_Conservation):
     conservation value of `reserves`, is None where the caller has not
     computed it: constant product (b = 0) and constant product-sum.  Its
     spot is (b + x_j) / (b + x_i), and its quotes and the inverse of its
-    spot are closed forms in b."""
+    spot are closed forms in b.
+
+    Where b overflows to inf (product-sum, when the reserves outside the
+    trade multiply to a tiny float), the hyperbola is priced by its limit,
+    the line x_i + x_j = const: a spot of 1, an output of dx for dx, an
+    input of dy for dy, and no state at any other spot."""
 
     __slots__ = ()
 
     def marginal(self, reserves, i, j):
         b = self.offset(reserves, i, j, None)
+        if b == math.inf:
+            return 1.0
         return (b + reserves[j]) / (b + reserves[i])
 
     def out_given_in(self, reserves, i, j, dx, value):
-        return _hyperbola_out(self.offset(reserves, i, j, value), reserves[i], reserves[j], dx)
+        b = self.offset(reserves, i, j, value)
+        return dx if b == math.inf else _hyperbola_out(b, reserves[i], reserves[j], dx)
 
     def in_given_out(self, reserves, i, j, dy, value):
         b = self.offset(reserves, i, j, value)
+        if b == math.inf:
+            return dy
         return dy * (b + reserves[i]) / (b + reserves[j] - dy)
 
     def state_at_spot(self, reserves, token_in, token_out, price, adopted_price=None):
         b = self.offset(reserves, token_in, token_out, None)
+        if b == math.inf:
+            return None
         x_in, x_out = reserves[token_in], reserves[token_out]
         moved_in = math.sqrt((b + x_in) * (b + x_out) / price) - b
         # x_out follows from the move of x_in along the hyperbola, which keeps

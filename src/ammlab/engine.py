@@ -73,6 +73,7 @@ from .core import (
     Ledger,
     TokenId,
     UnsupportedOperation,
+    _slot_builder,
     balance_of,
     ledger_burn,
     ledger_mint,
@@ -187,6 +188,9 @@ class PoolState:
         object.__setattr__(self, "family", PricingFamily.of(self.curve, self.oracle_price))
 
 
+_pool_state = _slot_builder(PoolState)  # a trade's successor state (`PricingFamily.apply`)
+
+
 @dataclass(frozen=True, slots=True)
 class TradeOrder:
     trader: AccountId
@@ -207,18 +211,72 @@ class Quote:
     mean_price: float
 
 
-@dataclass(frozen=True, slots=True)
 class TradeReceipt:
-    quote: Quote
-    reserves_after: tuple[float, ...]
-    trader_deltas: Mapping[TokenId, float]
+    """What a swap settled: its `quote`, the pool's `reserves_after` and
+    the trader's `trader_deltas` (what was paid, negative, and what was
+    received, by token).
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "reserves_after", tuple(self.reserves_after))
-        if not isinstance(self.trader_deltas, MappingProxyType):
-            object.__setattr__(
-                self, "trader_deltas", MappingProxyType(dict(self.trader_deltas))
-            )
+    A receipt that `execute_swap` or the arbitrage step returns keeps the
+    trade it settled (the pool before it, the order, its legs and the
+    priced trade step) and works out `quote` and `trader_deltas` from it
+    the first time either is read: to the same bits as pricing them at
+    settlement, which a caller that discards the receipt never pays for.
+    Such a receipt keeps the pool state before the trade alive until it is
+    read.  Equality and the repr compare and print the three values; the
+    attributes are read-only.
+    """
+
+    __slots__ = ("_quote", "_reserves", "_deltas", "_settled")
+
+    def __init__(
+        self,
+        quote: Quote,
+        reserves_after: Sequence[float],
+        trader_deltas: Mapping[TokenId, float],
+    ):
+        self._quote = quote
+        self._reserves = tuple(reserves_after)
+        if not isinstance(trader_deltas, MappingProxyType):
+            trader_deltas = MappingProxyType(dict(trader_deltas))
+        self._deltas = trader_deltas
+        self._settled = None
+
+    @property
+    def quote(self) -> Quote:
+        settled = self._settled
+        if settled is not None:
+            self._price(*settled)
+        return self._quote
+
+    @property
+    def reserves_after(self) -> tuple[float, ...]:
+        return self._reserves
+
+    @property
+    def trader_deltas(self) -> Mapping[TokenId, float]:
+        settled = self._settled
+        if settled is not None:
+            self._price(*settled)
+        return self._deltas
+
+    def _price(self, pool: PoolState, order: TradeOrder, i: int, j: int, trade: Trade) -> None:
+        # the settled trade is dropped only once both values are written
+        self._quote = _quoted(pool, order, i, j, trade)
+        self._deltas = MappingProxyType({order.token_in: -trade[0], order.token_out: trade[1]})
+        self._settled = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.quote, self._reserves, self.trader_deltas) == (
+            other.quote, other._reserves, other.trader_deltas
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(quote={self.quote!r}, "
+            f"reserves_after={self._reserves!r}, trader_deltas={self.trader_deltas!r})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +440,20 @@ class PricingFamily:
 
     def apply(self, pool: PoolState, i: int, j: int, after: State, fee: float) -> PoolState:
         """The pool at `after`, the state a trade of token i for token j
-        reaches, its fee `fee` booked on the side that paid it."""
+        reaches, its fee `fee` booked on the side that paid it.
+
+        This runs on every swap, so the successor is built slot by slot
+        (`core._slot_builder`), not through the constructor: the reserves
+        `stored` gives and the fees are tuples, and the tokens, fee, LP
+        shares and the bound family are `pool`'s own, already in the form
+        the constructor gives them; the family is not looked up again."""
         fees = list(pool.accumulated_fees)
         fees[j if i >= self.issued_from else i] += fee
         reserves, supply = self.stored(pool, after)
-        return PoolState(  # positional: this runs on every swap
+        return _pool_state(
             pool.archetype, pool.tokens, pool.curve, reserves, pool.fee,
             pool.lp_share_supply, pool.lp_shares, supply, pool.oracle_price,
-            tuple(fees), pool.account, pool.creator, pool.closed,
+            tuple(fees), pool.account, pool.creator, pool.closed, pool.family,
         )
 
     # -- observations -------------------------------------------------------
@@ -704,16 +768,14 @@ def _settle_trade(
 ) -> tuple[PoolState, TradeReceipt, dict[TokenId, Ledger]]:
     """Settle `trade`, the trade step that the pool's family priced for
     `order` from leg i to leg j: move tokens and advance the pool state
-    atomically, without pricing the order again."""
+    atomically, without pricing the order again.  The receipt keeps the
+    trade and prices its quote only when it is read."""
     paid, got, fee_paid, after = trade
     family = pool.family
     updated = family.settle(pool, order.trader, i, j, paid, got, ledgers)
     settled = family.apply(pool, i, j, after, fee_paid)
-    receipt = TradeReceipt(
-        quote=_quoted(pool, order, i, j, trade),
-        reserves_after=settled.reserves,
-        trader_deltas={order.token_in: -paid, order.token_out: got},
-    )
+    receipt = object.__new__(TradeReceipt)  # priced when first read
+    receipt._reserves, receipt._settled = settled.reserves, (pool, order, i, j, trade)
     return settled, receipt, updated
 
 

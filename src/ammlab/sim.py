@@ -38,6 +38,7 @@ from .core import (
     AmmError,
     DomainError,
     UnsupportedOperation,
+    _slot_builder,
     balance_of,
     ledger_mint_many,
     new_ledger,
@@ -129,6 +130,14 @@ class ScenarioEvent:
     line: int
 
 
+# The simulator's events, metrics rows and orders, one per script line or
+# event, are built slot by slot (see `core._slot_builder`) from values
+# already in the form their constructors store: a parsed step, verb,
+# argument tuple and line; the observed floats; typed scenario arguments or
+# a pool's tokens, and a float size.
+_event = _slot_builder(ScenarioEvent)
+
+
 @dataclass(frozen=True, slots=True)
 class Scenario:
     pool_source: str
@@ -205,7 +214,7 @@ def parse_scenario(text: str) -> Scenario:
         parts = rest.split()
         if not parts:
             raise DomainError(f"scenario line {number}: step {step} has no verb")
-        event = ScenarioEvent(step=step, verb=parts[0], args=tuple(parts[1:]), line=number)
+        event = _event(step, parts[0], tuple(parts[1:]), number)
         _typed(event)
         if events and step <= events[-1].step:
             raise DomainError(
@@ -251,6 +260,7 @@ class MetricsRecord:
 
 
 METRICS_HEADER = tuple(f.name for f in fields(MetricsRecord))
+_record = _slot_builder(MetricsRecord)  # see `_event`
 _VALUES = attrgetter(*METRICS_HEADER[2:])  # every cell after step and event
 
 
@@ -282,6 +292,8 @@ class ScenarioError(AmmError):
 # ---------------------------------------------------------------------------
 # arbitrageur
 # ---------------------------------------------------------------------------
+
+_order = _slot_builder(TradeOrder)  # see `_event`
 
 
 def arbitrage_step(
@@ -413,7 +425,7 @@ def arbitrage_step(
     paid, got = trade[0], trade[1]
     if not (got * reference_price - paid if buying else got - paid * reference_price) > 0.0:
         return pool, ledgers, None
-    order = TradeOrder(arb_account, pool.tokens[i], pool.tokens[1 - i], size, kind)
+    order = _order(arb_account, pool.tokens[i], pool.tokens[1 - i], size, kind)
     pool, receipt, ledgers = _settle_trade(pool, order, i, 1 - i, trade, ledgers)
     return pool, ledgers, receipt
 
@@ -424,7 +436,7 @@ def arbitrage_step(
 
 
 def _trade(pool, working, hold, reference, event, *order):
-    pool, _, working = execute_swap(pool, TradeOrder(*order, EXACT_IN), working)
+    pool, _, working = execute_swap(pool, _order(*order, EXACT_IN), working)
     return pool, working, hold
 
 
@@ -546,16 +558,8 @@ def _observe(
         if lp_value is not None and hold_value:
             divergence = lp_value / hold_value - 1.0
     fees_cum = _mark(risky, pool.accumulated_fees, reference)
-    return MetricsRecord(
-        step=event.step,
-        event=event.verb,
-        spot=spot,
-        reference=reference,
-        tracking_error=tracking,
-        invariant=invariant,
-        lp_value=lp_value,
-        divergence_loss=divergence,
-        fees_cum=fees_cum,
+    return _record(
+        event.step, event.verb, spot, reference, tracking, invariant, lp_value, divergence, fees_cum
     )
 
 

@@ -7,6 +7,7 @@ transfer/mint/burn, the sum of balances equals total_supply.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -25,6 +26,7 @@ from ammlab.core import (
     ledger_burn,
     ledger_mint,
     ledger_mint_many,
+    _slot_builder,
     ledger_transfer,
     new_ledger,
 )
@@ -365,3 +367,36 @@ class TestLedgerConservation:
             assert math.isclose(
                 led2.total_supply, led.total_supply, rel_tol=REL, abs_tol=1e-12
             )
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _Normalised:
+    items: tuple
+    label: str = "x"
+    size: int = dataclasses.field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "items", tuple(self.items))
+        object.__setattr__(self, "size", len(self.items))
+
+
+class TestSlotBuilder:
+    def test_builds_what_the_constructor_stores(self):
+        build = _slot_builder(_Normalised)
+        built, constructed = build((1, 2), "y", 2), _Normalised([1, 2], "y")
+        assert built == constructed and repr(built) == repr(constructed)
+        assert hash(built) == hash(constructed)
+        assert (built.items, built.label, built.size) == ((1, 2), "y", 2)
+        assert type(built) is _Normalised
+
+    def test_neither_normalises_nor_checks(self):
+        # the caller hands it canonical values; it runs no __post_init__
+        assert _slot_builder(_Normalised)([1], "y", 7).items == [1]
+        with pytest.raises(TypeError):
+            _slot_builder(_Normalised)((1,), "y")
+
+    def test_a_built_value_is_frozen(self):
+        built = _slot_builder(_Normalised)((1,), "y", 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.label = "z"
+        assert dataclasses.replace(built, items=[3]).items == (3,)

@@ -608,6 +608,24 @@ class TestStableswapD:
             with pytest.raises(DomainError, match="underflow"):
                 call()
 
+    @pytest.mark.parametrize("tiny", [1e-160, 1e-150])
+    def test_an_overflowing_offset_prices_the_constant_sum_limit(self, tiny):
+        """At 1e-160 the reserves outside the trade multiply to a subnormal
+        and the offset b overflows to inf; the curve is then priced as the
+        line it tends to, as at 1e-150, where b is finite but dwarfs the
+        traded reserves.  The depletion checks still apply."""
+        spec = ConstantProductSum(chi=10.0)
+        reserves = (tiny, tiny, 1.0, 1.0)
+        assert math.isinf(spec.offset(reserves, 2, 3, None)) == (tiny == 1e-160)
+        assert spot_price(spec, reserves, 2, 3) == 1.0
+        assert quote_exact_in(spec, reserves, 2, 3, 0.1) == 0.1
+        assert quote_exact_out(spec, reserves, 2, 3, 0.1) == 0.1
+        assert spec.state_at_spot(reserves, 2, 3, 2.0) is None
+        with pytest.raises(DepletionError):
+            quote_exact_in(spec, reserves, 2, 3, 1.0)
+        with pytest.raises(DepletionError):
+            quote_exact_out(spec, reserves, 2, 3, 1.5)
+
 
 # ---------------------------------------------------------------------------
 # lmsr_trade_cost

@@ -56,6 +56,7 @@ from ammlab.engine import (
     PoolConfig,
     PoolState,
     TradeOrder,
+    TradeReceipt,
     create_pool,
     curve_buy,
     curve_sell,
@@ -507,6 +508,57 @@ class TestExecuteSwap:
         assert receipt.quote == expected
         assert receipt.trader_deltas["T0"] == -expected.amount_in
         assert receipt.trader_deltas["T1"] == expected.amount_out
+
+
+def hex_fields(value):
+    return [getattr(value, f.name).hex() for f in dataclasses.fields(value)]
+
+
+class TestReceipts:
+    """A swap's receipt prices its quote when first read; it must read as
+    the receipt built eagerly from `quote` on the same order, to the bit."""
+
+    # each built-in pool in both directions, but for selling outcome shares
+    # of a fresh prediction market, which has none outstanding
+    @pytest.mark.parametrize("name, legs", [
+        (name, legs) for name in sorted(BUILTIN_POOLS) for legs in ((0, 1), (1, 0))
+        if legs == (0, 1) or name != "augur-like"
+    ])
+    @pytest.mark.parametrize("kind", ["exact-in", "exact-out"])
+    def test_a_receipt_reads_as_the_eager_one(self, name, legs, kind):
+        pool, ledgers = load_pool(name)
+        token_in, token_out = (pool.tokens[k] for k in legs)
+        ledgers[token_in] = ledger_mint(ledgers[token_in], "alice", 1000.0)
+        order = TradeOrder("alice", token_in, token_out, 3.0, kind)
+        priced = quote(pool, order)
+        after, receipt, _ = execute_swap(pool, order, ledgers)
+        eager = TradeReceipt(
+            priced, after.reserves, {token_in: -priced.amount_in, token_out: priced.amount_out}
+        )
+        assert hex_fields(receipt.quote) == hex_fields(priced)
+        assert [(t, d.hex()) for t, d in receipt.trader_deltas.items()] == [
+            (t, d.hex()) for t, d in eager.trader_deltas.items()
+        ]
+        assert [r.hex() for r in receipt.reserves_after] == [r.hex() for r in after.reserves]
+        assert receipt == eager and eager == receipt
+        # a receipt read first through its repr or equality prices the same
+        unread = execute_swap(pool, order, ledgers)[1]
+        assert repr(unread) == repr(eager)
+        assert execute_swap(pool, order, ledgers)[1] == receipt
+        with pytest.raises(AttributeError):
+            receipt.quote = priced
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            after.reserves = pool.reserves
+
+    def test_the_constructor_normalises(self):
+        pool, ledgers = load_pool("uniswap-v2-like")
+        priced = quote(pool, TradeOrder("alice", "TOKEN0", "TOKEN1", 1.0, "exact-in"))
+        receipt = TradeReceipt(priced, [1.0, 2.0], {"TOKEN0": -1.0})
+        assert receipt.reserves_after == (1.0, 2.0)
+        assert dict(receipt.trader_deltas) == {"TOKEN0": -1.0}
+        with pytest.raises(TypeError):
+            receipt.trader_deltas["TOKEN0"] = 0.0
+        assert receipt != TradeReceipt(priced, (1.0, 2.0), {"TOKEN0": -2.0})
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ on (sqrt(k/p), sqrt(k*p)); the price-doubling divergence loss is
 
 import math
 import random
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from unittest import mock
 
 import pytest
@@ -206,6 +206,13 @@ class TestParseScenario:
         with pytest.raises(DomainError) as info:
             parse_scenario(f"pool uniswap-v2-like\n{events}\n")
         assert str(info.value) == message
+
+    def test_events_are_the_constructors_frozen_values(self):
+        event = parse_scenario("pool uniswap-v2-like\n1 trade creator TOKEN0 TOKEN1 5\n").events[0]
+        constructed = sim.ScenarioEvent(1, "trade", ("creator", "TOKEN0", "TOKEN1", "5"), 2)
+        assert event == constructed and repr(event) == repr(constructed)
+        with pytest.raises(FrozenInstanceError):
+            event.step = 2
 
     def test_creator_account_is_implicitly_declared(self):
         scenario = parse_scenario("pool uniswap-v2-like\n1 arb creator\n")
@@ -994,6 +1001,53 @@ class TestRunScenario:
         assert calls == [
             "execute_swap", "arbitrage_step", "execute_swap", "arbitrage_step", "arbitrage_step",
         ]
+
+    @pytest.mark.parametrize("pool, events, public_states", [
+        ("uniswap-v2-like", "1 trade t TOKEN0 TOKEN1 5\n2 arb t\n3 arb t\n"
+         "4 trade t TOKEN1 TOKEN0 2\n5 arb t\n", 0),
+        ("curve-v1-like", "1 trade t STABLE0 STABLE1 5\n2 arb t\n3 arb t\n"
+         "4 trade t STABLE1 STABLE0 2\n5 arb t\n", 0),
+        ("uniswap-v2-like", "1 deposit t 1 1\n2 trade t TOKEN0 TOKEN1 5\n3 arb t\n"
+         "4 withdraw t 0.5\n5 arb t\n", 2),
+        ("dodo-like", "1 oracle 11\n2 trade t BASE QUOTE 1\n3 arb t\n4 oracle 9\n5 arb t\n", 2),
+    ], ids=["uniswap", "curve", "uniswap-lp", "dodo-oracle"])
+    def test_trades_and_arbs_build_no_quote_and_bind_no_family(
+        self, monkeypatch, pool, events, public_states
+    ):
+        """A trade or arb event builds no `Quote`, as nothing reads its
+        receipt, and its successor state keeps the pool's bound family.
+        Only a state built through the public constructor looks its family
+        up: the pool `load_pool` opens, and one per deposit, withdrawal and
+        oracle event.  Counted by patching, on runs that trade every time."""
+        counts = {"Quote": 0, "of": 0}
+        real_quote, real_of = engine.Quote, PricingFamily.of
+
+        def counted_quote(*args):
+            counts["Quote"] += 1
+            return real_quote(*args)
+
+        def counted_of(*args):
+            counts["of"] += 1
+            return real_of(*args)
+
+        opened = load_pool(pool)[0]
+        preamble = f"pool {pool}\n" + "".join(f"account t {token} 100\n" for token in opened.tokens)
+        spot = opened.family.spot(opened.reserves)
+        series = parse_price_series(f"step,price\n1,{1.3 * spot}\n3,{0.8 * spot}\n5,{1.1 * spot}\n")
+        monkeypatch.setattr(engine, "Quote", counted_quote)
+        monkeypatch.setattr(PricingFamily, "of", staticmethod(counted_of))
+        run_scenario(parse_scenario(preamble), price_series=series)
+        opening = counts["of"]
+        assert opening > 0
+        metrics = run_scenario(parse_scenario(preamble + events), price_series=series)
+        assert counts == {"Quote": 0, "of": 2 * opening + public_states}
+        # every arb event traded: the spot moved
+        spots = [record.spot for record in metrics.records]
+        for index, record in enumerate(metrics.records):
+            if record.event == "arb":
+                assert spots[index] != spots[index - 1]
+        with pytest.raises(FrozenInstanceError):
+            metrics.records[-1].spot = 0.0
 
     def test_zero_events_yield_empty_metrics(self):
         scenario = parse_scenario("pool uniswap-v2-like\n")
