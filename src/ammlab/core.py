@@ -17,7 +17,9 @@ outgrow the square root of the base (see the note above `ledger_transfer`).
 An operation thus costs O(sqrt(accounts)) amortized, not the O(accounts) of
 a full copy.  `Ledger.balances` is a read-only view of the two dicts, in
 plain-dict order.  `ledger_mint_many` mints any number of grants into one
-new snapshot.
+new snapshot.  `Ledger.total_supply` is the sum of the balances, taken
+exactly and rounded once when read: a running float sum of mints and burns
+drifts from the balances, each rounded on its own, after cancellation.
 """
 
 from __future__ import annotations
@@ -132,26 +134,26 @@ _NO_WRITES: dict[AccountId, float] = {}
 class Ledger:
     """Account book for one token; sum of balances equals total_supply.
 
-    An account's balance is its entry in `_recent` if it has one, else its
-    entry in `_base`; `_size` counts the accounts.  Snapshots share both
+    `total_supply` is that sum, taken exactly (`math.fsum`) and rounded
+    once, so it is worked out on read in O(accounts) and never drifts from
+    the balances.  An account's balance is its entry in `_recent` if it has
+    one, else its entry in `_base`; `_size` counts the accounts.  Snapshots share both
     dicts and never write either, and `len(_recent) ** 2 <= len(_base)`
     holds for every snapshot an operation returns.  The public attributes
     are read-only.  Build one with `new_ledger`.
     """
 
     # plain slots and read-only properties (see the note above `_slot_builder`)
-    __slots__ = ("_token", "_supply", "_base", "_recent", "_size")
+    __slots__ = ("_token", "_base", "_recent", "_size")
 
     def __init__(
         self,
         token: TokenId,
-        total_supply: float,
         base: dict[AccountId, float],
         recent: dict[AccountId, float],
         size: int,
     ):
         self._token = token
-        self._supply = total_supply
         self._base = base
         self._recent = recent
         self._size = size
@@ -162,7 +164,10 @@ class Ledger:
 
     @property
     def total_supply(self) -> float:
-        return self._supply
+        try:
+            return math.fsum(self.balances.values())
+        except OverflowError:  # finite balances whose sum is past the float range
+            return math.inf
 
     @property
     def balances(self) -> Mapping[AccountId, float]:
@@ -173,14 +178,12 @@ class Ledger:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Ledger):
             return NotImplemented
-        return (self._token, self._supply) == (other._token, other._supply) and (
-            self.balances == other.balances
-        )
+        return self._token == other._token and self.balances == other.balances
 
     def __repr__(self) -> str:
         return (
             f"Ledger(token={self._token!r}, balances={dict(self.balances)!r}, "
-            f"total_supply={self._supply!r})"
+            f"total_supply={self.total_supply!r})"
         )
 
 
@@ -212,12 +215,12 @@ class _Balances(Mapping[AccountId, float]):
 
 
 def new_ledger(token: TokenId, balances: Mapping[AccountId, float] | None = None) -> Ledger:
-    """Build a ledger snapshot; total supply is the sum of initial balances."""
+    """Build a ledger snapshot of the given initial balances."""
     balances = dict(balances or {})
     for account, value in balances.items():
         if not 0.0 <= value < math.inf:
             raise DomainError(f"balance for {account!r} must be finite and >= 0: {value}")
-    return Ledger(token, float(sum(balances.values())), balances, _NO_WRITES, len(balances))
+    return Ledger(token, balances, _NO_WRITES, len(balances))
 
 
 def balance_of(ledger: Ledger, account: AccountId) -> float:
@@ -268,23 +271,23 @@ def ledger_transfer(ledger: Ledger, src: AccountId, dst: AccountId, amount: floa
         recent = written = recent.copy()
     written[src] = held - amount
     written[dst] = got + amount
-    return Ledger(ledger._token, ledger._supply, base, recent, size)
+    return Ledger(ledger._token, base, recent, size)
 
 
 def ledger_mint(ledger: Ledger, to: AccountId, amount: float) -> Ledger:
-    """Create `amount` new tokens in `to`; supply grows by exactly that."""
+    """Create `amount` new tokens in `to`; supply grows by what `to` is
+    credited, which is `amount` up to the rounding of its new balance."""
     return ledger_mint_many(ledger, ((to, amount),))
 
 
 def ledger_mint_many(ledger: Ledger, grants: Iterable[tuple[AccountId, float]]) -> Ledger:
     """Mint each `(to, amount)` grant in order into one new snapshot.
 
-    Balances and supply are summed in grant order, so the result is bitwise
-    the fold of `ledger_mint` over the grants; the input is returned as is
+    Balances are summed in grant order, so the result is bitwise the fold
+    of `ledger_mint` over the grants; the input is returned as is
     when every amount is zero.
     """
     base, recent, size = ledger._base, ledger._recent, ledger._size
-    supply = ledger._supply
     written = None
     for to, amount in grants:
         _require_amount(amount)
@@ -302,16 +305,16 @@ def ledger_mint_many(ledger: Ledger, grants: Iterable[tuple[AccountId, float]]) 
             if held is None:
                 held, size = 0.0, size + 1
         written[to] = held + amount
-        supply += amount
     if written is None:
         return ledger
     if len(recent) ** 2 > len(base):  # more grants than the first test allowed for
         base, recent = {**base, **recent}, _NO_WRITES
-    return Ledger(ledger._token, supply, base, recent, size)
+    return Ledger(ledger._token, base, recent, size)
 
 
 def ledger_burn(ledger: Ledger, src: AccountId, amount: float) -> Ledger:
-    """Destroy `amount` tokens held by `src`; supply shrinks by exactly that."""
+    """Destroy `amount` tokens held by `src`; supply shrinks by what `src`
+    is debited, which is `amount` up to the rounding of its new balance."""
     _require_amount(amount)
     if amount == 0.0:
         return ledger
@@ -327,4 +330,4 @@ def ledger_burn(ledger: Ledger, src: AccountId, amount: float) -> Ledger:
     else:
         recent = written = recent.copy()
     written[src] = held - amount
-    return Ledger(ledger._token, ledger._supply - amount, base, recent, ledger._size)
+    return Ledger(ledger._token, base, recent, ledger._size)

@@ -179,6 +179,11 @@ class TestSnapshots:
         assert _bits(led) == before
         assert led == new_ledger("TOK", {"a": 3.0, "b": 1.0}) != out
 
+    def test_a_supply_past_the_float_range_reads_inf(self):
+        """Two balances of 1e308 are each finite, their sum is not."""
+        led = ledger_mint(new_ledger("TOK", {"a": 1e308}), "b", 1e308)
+        assert led.total_supply == math.inf
+
 
 # accounts of the plain-dict model test: the first 400 start funded, so the
 # recent writes outgrow the square root of the base and get folded into it
@@ -215,7 +220,7 @@ class TestAgainstPlainDicts:
         """Each operation, applied to the latest snapshot or one up to three
         back, reads as the same writes on a copy of a plain dict would."""
         start = {f"acct{i}": (i % 7) * 1.25 + i / 400 for i in range(400)}
-        history = [(new_ledger("TOK", start), start, float(sum(start.values())))]
+        history = [(new_ledger("TOK", start), start, math.fsum(start.values()))]
         for back, (kind, *args) in ops:
             led, model, supply = history[max(0, len(history) - 1 - back)]
             model = dict(model)
@@ -234,7 +239,6 @@ class TestAgainstPlainDicts:
                 assert amount <= held
                 if amount > 0.0 and kind == "burn":
                     model[src] = held - amount
-                    supply -= amount
                 elif amount > 0.0 and src != args[1]:
                     model[src] = held - amount
                     model[args[1]] = model.get(args[1], 0.0) + amount
@@ -244,7 +248,7 @@ class TestAgainstPlainDicts:
                 for to, amount in grants:
                     if amount > 0.0:
                         model[to] = model.get(to, 0.0) + amount
-                        supply += amount
+            supply = math.fsum(model.values())  # the exact sum, rounded once
             _matches(led, model, supply)
             history.append((led, model, supply))
         for led, model, supply in history:  # no later operation changed one
@@ -353,6 +357,22 @@ class TestLedgerConservation:
                 continue
             assert _supply_ok(led)
             assert all(v >= 0.0 for v in led.balances.values())
+
+    @pytest.mark.parametrize("start, mint", [
+        ({"b": 0.001}, True),
+        ({"a": 32768.0, "b": 0.001}, False),
+    ], ids=["mint-then-burn", "burn"])
+    def test_supply_survives_cancellation(self, start, mint):
+        """`a` ends with nothing and `b` with 0.001, but a running float sum
+        of the supply would read 0.001 + 32768 - 32768 = 0.000999999996565748,
+        3.4e-9 off the balances; the supply read from the balances is 0.001."""
+        led = new_ledger("TOK", start)
+        if mint:
+            led = ledger_mint(led, "a", 32768.0)
+        led = ledger_burn(led, "a", 32768.0)
+        assert dict(led.balances) == {"a": 0.0, "b": 0.001}
+        assert _supply_ok(led)
+        assert led.total_supply == 0.001
 
     @given(x=amounts, y=amounts, amt=amounts)
     @settings(max_examples=200, deadline=None)
