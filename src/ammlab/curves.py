@@ -59,9 +59,6 @@ NEWTON_MAX_ITER = 64
 BISECT_MAX_ITER = 200
 
 WEIGHT_SUM_TOL = 1e-9
-# how far, relative to the larger, an exponential state's reserve may lie
-# from the reserve its supply bonds: rounding, not a second point of the curve
-ON_CURVE_TOL = 1e-9
 
 # pricing families (see engine.py)
 CONSERVATION = "conservation"
@@ -837,42 +834,77 @@ def pmm_trade_cost(
 # ---------------------------------------------------------------------------
 
 
+def _ratio_move(scale: float, power: float, base: float, move: float) -> float:
+    """scale * ((1 + move / base)**power - 1) with no two powers cancelling:
+    expm1 of a log1p up to growth by e, the power past it (one rounding,
+    where the log's grows with the move), `_grown` past a float (so a tiny
+    scale is no 0 * inf), and below half the log of base + move, which is
+    exact (Sterbenz).  -scale where the move empties base; DepletionError
+    past it."""
+    left = base + move
+    if 2.0 * left < base:
+        if left < 0.0:
+            raise DepletionError(f"a move of {move} exceeds {base}")
+        g = power * math.log(left / base) if left else -math.inf
+    else:
+        g = power * math.log1p(move / base)
+        if g > 1.0:
+            try:
+                moved = scale * ((left / base) ** power - 1.0)
+            except OverflowError:
+                moved = math.inf
+            if moved < math.inf:
+                return moved
+    moved = _grown(scale, g)
+    if moved == math.inf:
+        raise DomainError(f"a bonding trade of {move} from {base} overflows a float")
+    return moved
+
+
 def bonding_trade(kappa: float, c: float, supply: float, d_supply: float) -> float:
-    """Reserve delta |r(S + dS) - r(S)| on the bonding curve r(S) = S**kappa / c."""
-    if not kappa > 0.0:
-        raise DomainError(f"kappa must be > 0: {kappa}")
-    if not c > 0.0:
-        raise DomainError(f"c must be > 0: {c}")
+    """Reserve delta |r(S + dS) - r(S)| on the bonding curve r(S) = S**kappa /
+    c, read down from the larger supply h as r(h) * (1 - (1 - |dS| / h)**kappa)
+    (`_ratio_move`): a mint and the burn that undoes it are one expression."""
+    Exponential(kappa=kappa, c=c)  # checks kappa and c
     if supply < 0.0:
         raise DomainError(f"supply must be non-negative: {supply}")
     s_new = supply + d_supply
     if s_new < 0.0:
         raise DomainError(f"cannot burn below zero supply: {supply} + {d_supply}")
+    high = max(supply, s_new)
     try:
-        delta = abs(s_new**kappa - supply**kappa) / c
+        bonded = high**kappa / c
     except OverflowError:
-        delta = math.inf
-    if delta == math.inf:
-        raise DomainError(f"the reserve at supply {max(supply, s_new)} overflows a float")
-    return delta
+        bonded = math.inf
+    if bonded == math.inf:
+        raise DomainError(f"the reserve at supply {high} overflows a float")
+    return -_ratio_move(bonded, kappa, high, -abs(d_supply)) if high else 0.0
 
 
-def _split_bonding_state(
-    reserves: Sequence[float], *, require_reserve: bool = False
-) -> tuple[float, float]:
+def _split_bonding_state(reserves: Sequence[float]) -> tuple[float, float]:
+    """(reserve, supply): both zero or both positive."""
     if len(reserves) != 2:
         raise DomainError("exponential curve state is (reserve_balance, supply)")
     r, supply = reserves
-    if r < 0.0 or (require_reserve and r == 0.0):
-        raise DomainError(f"reserve out of range: {r}")
-    if supply < 0.0:
-        raise DomainError(f"supply must be non-negative: {supply}")
+    if not (0.0 <= r < math.inf and 0.0 <= supply < math.inf):
+        raise DomainError(f"reserve and supply must be finite and non-negative: {tuple(reserves)}")
+    if (r > 0.0) != (supply > 0.0):
+        raise DomainError(f"state {tuple(reserves)} is half empty: its spot leaves the float range")
     return r, supply
 
 
 @_curve("exponential", "Exponential Function", BONDING)
 @dataclass(frozen=True, slots=True)
 class Exponential(CurveSpec):
+    """The bonding curve r(S) = S**kappa / c over (reserve, supply).
+
+    Every price is a ratio move (`_ratio_move`) from the state's own point
+    (R, S), as in the Bancor formula: a buy of dx mints S * ((1 + dx / R)**(1
+    / kappa) - 1), a sale of dS pays R * (1 - (1 - dS / S)**kappa), all of R
+    for the whole supply, and the spot is kappa * R / S.  Prices read c only
+    at zero supply, so a state's reserve is S**kappa / c only to the
+    rounding of the trades that reached it."""
+
     kappa: float  # curvature, finite, > 0
     c: float  # invariant constant, finite, > 0
 
@@ -881,9 +913,6 @@ class Exponential(CurveSpec):
             raise DomainError(f"kappa must be finite and > 0: {self.kappa}")
         if not (self.c > 0.0 and math.isfinite(self.c)):
             raise DomainError(f"c must be finite and > 0: {self.c}")
-
-    # Each power below raises OverflowError or divides to inf past the float
-    # range; both become a DomainError.
 
     def supply_at(self, reserve: float) -> float:
         """The supply S at which the bonded reserve r(S) is `reserve`."""
@@ -896,22 +925,17 @@ class Exponential(CurveSpec):
         return supply
 
     def check_legs(self, reserves, token_in, token_out):
-        """The legs, and the state: its reserve must be r(S) = S**kappa / c
-        at its supply, to rounding, or its two legs would read the curve at
-        two different points.  The point each leg names must be a float.
-        The public functions check every state; the engine's trade step
-        checks none, and a probe checks its opening state once."""
+        """The legs, and the state (`_split_bonding_state`), whose legs must
+        each name a point of r(S) within the float range."""
         CurveSpec.check_legs(self, reserves, token_in, token_out)
         r, supply = _split_bonding_state(reserves)
-        self.supply_at(r)  # raises where the supply the reserve bonds is past the float range
-        bonded = bonding_trade(self.kappa, self.c, 0.0, supply)  # and where this reserve is
-        if not abs(r - bonded) <= ON_CURVE_TOL * max(r, bonded):
-            raise DomainError(
-                f"reserve {r} is off the bonding curve, which bonds {bonded} at supply {supply}"
-            )
+        self.supply_at(r)
+        bonding_trade(self.kappa, self.c, 0.0, supply)
 
     def invariant(self, reserves):
-        r, supply = _split_bonding_state(reserves, require_reserve=True)
+        r, supply = _split_bonding_state(reserves)
+        if r == 0.0:
+            raise DomainError(f"reserve out of range: {r}")
         try:
             value = supply**self.kappa / r
         except OverflowError:
@@ -922,46 +946,40 @@ class Exponential(CurveSpec):
 
     def spot(self, reserves, token_in, token_out, adopted_price=None):
         r, supply = _split_bonding_state(reserves)
-        if supply <= 0.0:
+        if supply == 0.0:
             raise DomainError("spot price undefined at zero supply")
-        try:
-            marginal = self.kappa * supply ** (self.kappa - 1.0) / self.c  # dr/dS
-        except OverflowError:
-            marginal = math.inf
-        price = marginal if token_in == 1 else 1.0 / marginal if marginal else math.inf
+        marginal = self.kappa * r  # dr/dS, times S
+        price = marginal / supply if token_in == 1 else supply / marginal if marginal else math.inf
         if not 0.0 < price < math.inf:
-            raise DomainError(f"spot price leaves the float range at supply {supply}")
+            raise DomainError(f"spot price leaves the float range at {tuple(reserves)}")
         return price
 
     def state_at_spot(self, reserves, token_in, token_out, price, adopted_price=None):
-        # the marginal kappa * S^(kappa-1) / c takes each value once, unless
-        # kappa is 1 and it is constant; the reserve is r(S) at that supply
+        # along R * (S' / S)**kappa the marginal kappa * R' / S' takes each value
+        # once unless kappa is 1; at zero supply the curve is r(S), through (1 / c, 1)
         if self.kappa == 1.0:
             return None
+        r, supply = reserves if reserves[1] else (1.0 / self.c, 1.0)
         marginal = price if token_in == 1 else 1.0 / price
         try:
-            supply = (self.c * marginal / self.kappa) ** (1.0 / (self.kappa - 1.0))
-            reserve = supply**self.kappa / self.c
-        except (OverflowError, ZeroDivisionError):
+            g = math.log(marginal * supply / (self.kappa * r)) / (self.kappa - 1.0)
+        except (ValueError, ZeroDivisionError):  # past the float range, or half empty
             return None
-        return _moved(reserves, 0, 1, reserve, supply)
+        return _scaled((r, supply), 0, 1, self.kappa * g, g)
 
     def quote_in(self, reserves, token_in, token_out, dx, adopted_price=None):
         r, supply = _split_bonding_state(reserves)
-        if token_in == 0:  # bond reserve, mint issued tokens
-            return self.supply_at(r + dx) - supply
-        payout = bonding_trade(self.kappa, self.c, supply, -dx)
-        if payout > r * (1.0 + 1e-9):
-            raise DepletionError(f"payout {payout} exceeds bonded reserve {r}")
-        return min(payout, r)
+        if token_in == 1:  # burn issued tokens, pay out reserve
+            return -_ratio_move(r, self.kappa, supply, -dx)
+        return _ratio_move(supply, 1.0 / self.kappa, r, dx) if supply else self.supply_at(dx)
 
     def quote_out(self, reserves, token_in, token_out, dy, adopted_price=None):
         r, supply = _split_bonding_state(reserves)
-        if token_out == 1:  # exact issued tokens out: direct bonding cost
-            return bonding_trade(self.kappa, self.c, supply, dy)
-        if dy > r:
-            raise DepletionError(f"requested {dy} exceeds bonded reserve {r}")
-        return supply - self.supply_at(r - dy)
+        if token_out == 0:  # exact reserve out: the issued tokens it unbonds
+            return -_ratio_move(supply, 1.0 / self.kappa, r, -dy)
+        if not supply:
+            return bonding_trade(self.kappa, self.c, 0.0, dy)
+        return _ratio_move(r, self.kappa, supply, dy)
 
 
 # ---------------------------------------------------------------------------

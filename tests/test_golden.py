@@ -182,8 +182,8 @@ CLASSIFY = {
     ('mstable-2021-like', 7): '307edebc95da0178147236445e1d557da259b0fbb9f00eeb75c6d3dec6adc2ac',
     ('dodo-like', 0): '567a20c923bc1c923d694ad443b48726d10688db93bab21209bd410d653651c4',
     ('dodo-like', 7): '790b754ab63b6f52dd002bcb76b53d2cc6c69a5b341f0eacf1b898641ed67421',
-    ('bancor-like', 0): 'aa45e9560b90f187c168af003dfcb33740c95c2ec8b58f39f2400f67b5831d65',
-    ('bancor-like', 7): '236e81ffea6f8d5573dcc021ef016c811c7740de93ad5737c3a6bb9c53323468',
+    ('bancor-like', 0): '72feb4cf069052d069681ca0158693e4231a21d1f8e369a746e528f1d1722efc',
+    ('bancor-like', 7): '6974f496d7c5e6a8ecec0d4d4dc5815e62171888336098e6ec613d821d9c67fc',
     ('augur-like', 0): '487b91b63fdea1b28848a684467d86fa64ed71d221a1ccf006cc5abfc0166eb4',
     ('augur-like', 7): '3d13a156be51e8996a43c38c14f9ab38781d5a1d9c347c498088345a2f4791df',
 }
@@ -240,11 +240,11 @@ CURVE_TABLE = {
     'curve-v1-like': 'b7f3d2d2b25672c0bb8df8f92549fa15c833915a1faa720fc48be85d91698697',
     'mstable-2021-like': '0fd939a27fa2b46909a286fddb98694b39041aa56c9b52ff47ef2ab1e82fe979',
     'dodo-like': '91feb94a2a0f79e58f8e9e9f0ffdd9d372ec95a8637b1493b41fc96c5f82b187',
-    'bancor-like': '7b9344baeebee761768e906470874bbb62f99254f96c89a96d9b4716e75f6391',
+    'bancor-like': '306de15d8860099811a652da8e199e4cdc21f342ce3d11ccaf6dbe1a5c7d5718',
 }
 
 ARB = {
-    'bancor-like': '2909a3807f4b77d212434a8d8912babff4a28714927e63cf57a46248e0cb7a09',
+    'bancor-like': '1d2f082e33a450779be724129a24338476d3f7e56e8b5d6ce892df694591d497',
     'curve-v1-like': 'd194d4777ef19b4c75283fb05761b8a8e26aedaf69f1e1aa3af6961ee2b88414',
     'dodo-like': 'd1b5e7ed487d771f282d3b09bd017283cf42c373847aad8d92b3519fb1231b86',
     'uniswap-v2-like': 'd79ec7b8a504f08ff8118f6d2d8e51781a9e525814f363c30931dcba82fc92c0',
@@ -255,12 +255,12 @@ DEMO = {
     "demo_curves.py": "8aa29c79723bcac9c8a3240c0314ed26faaf8506c62bb36846862687c9b5aabc",
     "demo_divergence.py": "bcdab02ad70223fb538fb32c5f2273387bcf123576d6743a54ec22fd7ca3ec74",
     "demo_prediction.py": "8ce778227975be8e1f351ca18a5d6fa8def403bded80d6d6d9a8269d59b7006b",
-    "demo_probe.py": "78aa210ea47d87c358ac38df3a93b7dee3114ed0a13b0a95366cf62f8b8bd66b",
+    "demo_probe.py": "9221800c899942df662b919f5d745e5e77feb743ea1411e7fe1bf0f4980aa36a",
 }
 
 SCRIPT = {
     'augur-like': '40e7aed98c95eb0927c12e6d674a519fefa44966e4612c99d0be1801990a7b16',
-    'bancor-like': '4926dc646ae1f2d60de9aeae90b37cc2f061606c27f2355573e5bbd68e3ddcc4',
+    'bancor-like': 'dc700759579d9966f75ac763b609ee4db382ff46f471c38947a2a9b9f0d3bebc',
     'uniswap-v2-like': 'b3b9e0082fc72e312f193ceb5db63cb5c6732fa1499f8b0377699e9ab20c98d8',
 }
 

@@ -378,7 +378,7 @@ class TestArbitrage:
             assert min(pool.reserves) > 0.0
         assert min(pool.reserves) < 1e-6
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
         r0=st.floats(min_value=10.0, max_value=1e6),
         r1=st.floats(min_value=10.0, max_value=1e6),
@@ -643,6 +643,9 @@ class TestSearchPricing:
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(name=st.sampled_from(ARB_POOLS), moves=ARB_MOVES)
+    # 1e-9 outside the band: a cost that is a difference of two powers
+    # rounded the step's profit away, and it declined
+    @example(name="bancor-like", moves=[(3.0, 0.0), (1e-9, 0.0)])
     def test_every_two_token_builtin_ends_in_its_fee_band(self, name, moves):
         """After a trade the fee-adjusted marginal is inside the no-trade band,
         unless the trade stopped at a limit: the reserve it was paid from
