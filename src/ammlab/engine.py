@@ -383,37 +383,41 @@ class PricingFamily:
         self, state: State, i: int, j: int, kind: str, amount: float, fee: float
     ) -> tuple[float, float, float, State]:
         """Trade token i for token j: (amount_in, amount_out, fee_paid, state
-        after).  `amount` is the exact input or output, fee included; the
-        curve's closed form is called directly (see the class docstring)."""
+        after).  `amount` is the exact input or output, fee included.  Each
+        order kind grosses the amount into the curve's own input or output,
+        calls the curve's closed form once (see the class docstring) and
+        books the fee on the side that paid it."""
         view, leg_in, leg_out = self.curve_args(state, i, j)
         keep = 1.0 - fee
-        issued = i >= self.issued_from  # the fee comes out of the payout
+        issued_from = self.issued_from
+        issued = i >= issued_from  # the fee comes out of the payout
         if kind == EXACT_IN:  # the curve's input: the amount, net of a fee paid on it
-            given, quote, side = amount if issued else amount * keep, self.curve.quote_in, "input"
-        else:  # the curve's output: the amount, grossed up for a fee paid out of it
-            given, quote, side = amount / keep if issued else amount, self.curve.quote_out, "output"
-        if not given >= 0.0:
-            raise DomainError(f"{side} amount must be non-negative: {given}")
-        priced = quote(view, leg_in, leg_out, given, self.price) if given else 0.0
-        if kind == EXACT_IN:
+            given = amount if issued else amount * keep
+            if not given >= 0.0:
+                raise DomainError(f"input amount must be non-negative: {given}")
+            priced = self.curve.quote_in(view, leg_in, leg_out, given, self.price) if given else 0.0
             amount_in, amount_out = amount, priced * keep if issued else priced
             fee_paid = priced - amount_out if issued else amount - given
-        else:
+            # the reserves move by what the trader pays and gets or, where the
+            # fee stays outside them, by what the curve priced
+            paid, got = (amount, amount_out) if self.fee_in_reserves else (given, priced)
+        else:  # the curve's output: the amount, grossed up for a fee paid out of it
+            given = amount / keep if issued else amount
+            if not given >= 0.0:
+                raise DomainError(f"output amount must be non-negative: {given}")
+            priced = self.curve.quote_out(view, leg_in, leg_out, given, self.price) if given else 0.0
             amount_in, amount_out = priced if issued else priced / keep, amount
             fee_paid = given - amount if issued else amount_in - priced
-        # the reserves move by what the trader pays and gets or, where the fee
-        # stays outside them, by what the curve priced; issued legs burn and mint
-        paid, got = (amount_in, amount_out) if self.fee_in_reserves else (
-            (given, priced) if kind == EXACT_IN else (priced, given))
-        moved_in = state[i] + (-paid if issued else paid)
-        moved_out = state[j] + (got if j >= self.issued_from else -got)
-        if len(state) == 2:  # a two-token state is built directly
-            after = (moved_in, moved_out) if i == 0 else (moved_out, moved_in)
-        else:
-            after = list(state)
-            after[i], after[j] = moved_in, moved_out
-            after = tuple(after)
-        return amount_in, amount_out, fee_paid, after
+            paid, got = (amount_in, amount) if self.fee_in_reserves else (priced, given)
+        # issued legs burn and mint
+        moved_in = state[i] - paid if issued else state[i] + paid
+        moved_out = state[j] + got if j >= issued_from else state[j] - got
+        if len(state) == 2:
+            return amount_in, amount_out, fee_paid, (
+                (moved_in, moved_out) if i == 0 else (moved_out, moved_in))
+        after = list(state)
+        after[i], after[j] = moved_in, moved_out
+        return amount_in, amount_out, fee_paid, tuple(after)
 
     def surcharge(self, i: int, kind: str, paid: float, got: float, fee: float) -> float:
         return 0.0

@@ -126,7 +126,10 @@ class TaxonomyReport:
 
 
 def _draw(rng: random.Random, band: tuple[float, float], scale: float) -> float:
-    return scale * math.exp(rng.uniform(*band))
+    # `rng.uniform(lo, hi)`'s own formula, one call shorter: the same draws
+    # from the same stream, bit for bit
+    lo, hi = band
+    return scale * math.exp(lo + (hi - lo) * rng.random())
 
 
 def _shift(before: Sequence[float], after: Sequence[float]) -> float:
@@ -141,21 +144,23 @@ class _Probe:
     A buy is an exact-out purchase of the risky leg with the numeraire, a
     sell an exact-in sale of it, so a displacement multiset reaches the same
     terminal risky balance in any order.  Subclasses add the probe-only
-    moves of one family.
+    moves of one family.  The family's trade step and its two legs are
+    bound once, here.
     """
 
     def __init__(self, family: PricingFamily, state0: tuple[float, ...], scale: float):
         self.family = family
         self.state0 = state0
         self.scale = scale
+        self.trade = family.trade
+        self.risky = family.risky
+        self.numeraire = 1 - family.risky
 
     def buy(self, state, qty: float, fee: float = 0.0):
-        risky = self.family.risky
-        return self.family.trade(state, 1 - risky, risky, EXACT_OUT, qty, fee)[3]
+        return self.trade(state, self.numeraire, self.risky, EXACT_OUT, qty, fee)[3]
 
     def sell(self, state, qty: float):
-        risky = self.family.risky
-        return self.family.trade(state, risky, 1 - risky, EXACT_IN, qty, 0.0)[3]
+        return self.trade(state, self.risky, self.numeraire, EXACT_IN, qty, 0.0)[3]
 
     def can_sell(self, state, qty: float) -> bool:
         return True
@@ -167,10 +172,9 @@ class _Probe:
         """Mean price of `volume` risky units: bought where the pool issues
         the leg (a sale needs that much outstanding), sold where it holds
         the leg."""
-        family, risky = self.family, self.family.risky
-        if risky >= family.issued_from:
-            return family.trade(state, 1 - risky, risky, EXACT_OUT, volume, 0.0)[0] / volume
-        return family.trade(state, risky, 1 - risky, EXACT_IN, volume, 0.0)[1] / volume
+        if self.risky >= self.family.issued_from:
+            return self.trade(state, self.numeraire, self.risky, EXACT_OUT, volume, 0.0)[0] / volume
+        return self.trade(state, self.risky, self.numeraire, EXACT_IN, volume, 0.0)[1] / volume
 
 
 class _ConservationProbe(_Probe):
@@ -193,7 +197,7 @@ class _ConservationProbe(_Probe):
         return self.buy(state, fraction * state[0])
 
     def walk_down(self, state, fraction: float):
-        return self.family.trade(state, 0, 1, EXACT_OUT, fraction * state[1], 0.0)[3]
+        return self.trade(state, 0, 1, EXACT_OUT, fraction * state[1], 0.0)[3]
 
 
 class _AdoptionProbe(_ConservationProbe):
@@ -354,16 +358,14 @@ def _probe_sensitivity(probe, rng, trials, fee):
 
 
 def _probe_deficiency(probe, rng, trials, fee):
-    family = probe.family
-    deficiency = family.deficiency
-    ref = family.deficiency_ref(probe.state0)
-    risky = family.risky
+    deficiency = probe.family.deficiency
+    ref = probe.family.deficiency_ref(probe.state0)
     floor = math.inf
     for _ in range(trials):
         state = _prime(probe, rng)
         qty = _draw(rng, _WALKS, probe.scale)
         bought = probe.buy(state, qty, fee)
-        sold = family.trade(bought, risky, 1 - risky, EXACT_IN, qty, fee)[3]
+        sold = probe.trade(bought, probe.risky, probe.numeraire, EXACT_IN, qty, fee)[3]
         w0 = deficiency(state)
         w1 = deficiency(bought)
         w2 = deficiency(sold)
@@ -442,6 +444,10 @@ def _probe_volume(probe, rng, trials, fee):
         volume = _draw(rng, _VOLUMES, probe.scale)
         small = probe.mean_price(state, volume)
         large = probe.mean_price(state, 10.0 * volume)
+        if small == 0.0:  # past a price bound, such as a bid floored at zero
+            if large != 0.0:
+                raise DomainError(f"mean price 0 for {volume} units, {large} for ten times that")
+            continue  # both volumes trade at 0: no deviation
         worst = max(worst, abs(small - large) / abs(small))
     return _classify_variant(worst, "Volume-dependent", "Volume-independent"), worst
 

@@ -259,6 +259,21 @@ class TestUnresolvableSpread:
         assert captured.out == ""
         assert captured.err.startswith("error: spot price leaves the float range at reserves")
 
+    def test_classify_past_the_zero_bid_reserve(self, tmp_path, capsys):
+        """A price-adoption pool whose bid floors at zero at a token-0
+        reserve of 2, just above its own: the probe's priming walks push the
+        reserve past it, where both volumes' mean prices are 0."""
+        path = tmp_path / "floor.pool"
+        path.write_text(
+            "archetype = price-adopting-lp-based\ncurve = price-adoption\n"
+            "tokens = BASE, QUOTE\nreserves = 1.9999, 1\nfee = 0.003\nk = 1\n"
+            "target_reserves = 1, 1\noracle_price = 1\n"
+        )
+        code = main(["classify", "--pool", str(path), "--seed", "0"])
+        captured = capsys.readouterr()
+        assert code in (0, 2)
+        assert "Traceback" not in captured.err
+
 
 # ---------------------------------------------------------------------------
 # simulate

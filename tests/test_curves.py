@@ -709,13 +709,20 @@ class TestPmmTradeCost:
         out = pmm_trade_cost(0.5, (100.0, 1000.0), (80.0, 800.0), 10.0, 0, 1, 40.0)
         assert close(out, 390.0)
 
-    def test_full_extraction_is_legal_then_errors(self):
-        # cost of all 80 base from r0=80: integral of ask over [0, 80]
+    def test_extraction_short_of_the_whole_reserve_is_legal_then_errors(self):
+        # cost of all 80 base from r0=80: integral of ask over [0, 80]; a
+        # price-adoption pool is never drained, so that cost and more is
+        # refused, and one unit less buys all but 1/15 of a unit (the ask
+        # at an empty reserve is 10 * (1 + 0.5) = 15)
         full = 10.0 * 80.0 + 0.05 * (20.0 * 80.0 + 80.0**2 / 2.0)
-        out = pmm_trade_cost(0.5, (100.0, 1000.0), (80.0, 800.0), 10.0, 1, 0, full)
-        assert close(out, 80.0)
+        out = pmm_trade_cost(0.5, (100.0, 1000.0), (80.0, 800.0), 10.0, 1, 0, full - 1.0)
+        assert close(out, 80.0 - 1.0 / 15.0, rel=1e-4) and out < 80.0
+        for dx in (full, full + 1.0):
+            with pytest.raises(DepletionError):
+                pmm_trade_cost(0.5, (100.0, 1000.0), (80.0, 800.0), 10.0, 1, 0, dx)
+        # from r0=10, whose 10 base cost 147.5, one float less rounds to all 10
         with pytest.raises(DepletionError):
-            pmm_trade_cost(0.5, (100.0, 1000.0), (80.0, 800.0), 10.0, 1, 0, full + 1.0)
+            pmm_trade_cost(0.5, (100.0, 1000.0), (10.0, 800.0), 10.0, 1, 0, math.nextafter(147.5, 0.0))
 
 
 # ---------------------------------------------------------------------------

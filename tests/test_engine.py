@@ -498,6 +498,24 @@ class TestExecuteSwap:
         assert abs(ledgers2["OUT0"].total_supply) <= 1e-9
         assert abs(pool2.reserves[1]) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "token_in, token_out, amount, kind",
+        [
+            # the bid integrates to exactly the 1000 QUOTE in reserve
+            ("BASE", "QUOTE", 1000.0, "exact-in"),
+            ("QUOTE", "BASE", 100.0, "exact-out"),
+            ("BASE", "QUOTE", 1000.0, "exact-out"),
+        ],
+    )
+    def test_price_adoption_is_never_drained(self, token_in, token_out, amount, kind):
+        """A price-adoption pool refuses a trade that would leave either
+        reserve at 0, as a conservation curve that is not drainable does."""
+        pool, ledgers = load_pool("dodo-like")
+        ledgers = {t: ledger_mint(ledgers[t], "alice", 1e6) for t in pool.tokens}
+        with pytest.raises(DepletionError):
+            execute_swap(pool, TradeOrder("alice", token_in, token_out, amount, kind), ledgers)
+        assert pool.reserves == (100.0, 1000.0)
+
     def test_receipt_mirrors_quote(self):
         pool, ledgers = make_cp_pool(fee=0.003)
         ledgers = {**ledgers, "T0": new_ledger("T0", {"alice": 100.0, pool.account: 100.0})}

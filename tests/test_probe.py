@@ -6,19 +6,29 @@ test_curves.py); the probe must recover each one from black-box trading alone.
 """
 
 import math
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ammlab import DomainError
-from ammlab.engine import BUILTIN_POOLS
+from ammlab import AmmError, DomainError
+from ammlab.curves import PriceAdoption
+from ammlab.engine import BUILTIN_POOLS, PRICE_ADOPTING_LP_BASED, PoolConfig, parse_pool_spec
 from ammlab.probe import (
+    _SIZES,
+    _VOLUMES,
+    _WALKS,
     DIMENSION_ORDER,
+    MIN_TRIALS,
     PROBED_DIMENSIONS,
     STATIC_DIMENSIONS,
     TOL_INVARIANT,
     TOL_VARIANT,
     DimensionVerdict,
     TaxonomyReport,
+    _draw,
+    _probe_volume,
     classify,
     report_to_csv,
     run_dimension_probe,
@@ -467,3 +477,102 @@ class TestStaticDimensions:
             ].characteristic
             == "External"
         )
+
+
+# ---------------------------------------------------------------------------
+# Robustness: price-adoption pools near the zero-bid reserve
+# ---------------------------------------------------------------------------
+
+# dodo-style, with the bid flooring at zero at a token-0 reserve of 2: the
+# probe's priming walks push the reserve past it, where every sale pays 0
+ZERO_BID_SPEC = """
+archetype = price-adopting-lp-based
+curve = price-adoption
+tokens = BASE, QUOTE
+reserves = 1.9999, 1
+fee = 0.003
+k = 1
+target_reserves = 1, 1
+oracle_price = 1
+"""
+
+
+class _FlooredProbe:
+    """A probe whose smaller volume trades at 0 and whose larger one does not."""
+
+    state0 = (1.0, 1.0)
+    scale = 1.0
+
+    def can_sell(self, state, qty):
+        return False
+
+    def buy(self, state, qty):
+        return state
+
+    def mean_price(self, state, volume):
+        return 0.0 if volume < 1e-2 else 1.0
+
+
+class TestZeroBid:
+    def test_volume_probe_reads_zero_prices_as_no_deviation(self):
+        verdict = run_dimension_probe(parse_pool_spec(ZERO_BID_SPEC), DIM_VOLUME, seed=0)
+        assert verdict.characteristic == "Volume-dependent"
+        assert math.isfinite(verdict.max_deviation)
+
+    def test_a_zero_small_volume_price_against_a_nonzero_large_one_is_refused(self):
+        with pytest.raises(DomainError, match="mean price 0"):
+            _probe_volume(_FlooredProbe(), random.Random(0), MIN_TRIALS, 0.0)
+
+
+class TestDrawStream:
+    def test_draw_is_uniform_of_the_same_stream(self):
+        """`_draw` inlines `Random.uniform`: the same sizes, bit for bit,
+        and the generator left in the same state."""
+        for seed in range(5):
+            for band in (_SIZES, _WALKS, _VOLUMES):
+                for scale in (1.0, 0.37, 2.5e6):
+                    drawn, reference = random.Random(seed), random.Random(seed)
+                    for _ in range(200):
+                        got = _draw(drawn, band, scale)
+                        assert got == scale * math.exp(reference.uniform(*band))
+                    assert drawn.getstate() == reference.getstate()
+
+
+def _adoption_config(k, t0, t1, side, r1, price, fee):
+    """A price-adoption pool whose token-0 reserve lies `side` of the way
+    from its target to the zero-bid reserve (past it where side > 1); at
+    k = 0, where the bid never floors, `side` times the target."""
+    curve = PriceAdoption(k=k, target_reserves=(t0, t1))
+    zero_bid = curve.zero_bid_reserve()
+    r0 = t0 + side * (zero_bid - t0) if math.isfinite(zero_bid) else side * t0
+    return PoolConfig(
+        archetype=PRICE_ADOPTING_LP_BASED, tokens=("BASE", "QUOTE"), curve=curve,
+        fee_rate=fee, reserves=(r0, r1), oracle_price=price,
+    )
+
+
+_POSITIVE = st.floats(1e-3, 1e3)
+
+
+class TestProbeRobustness:
+    @given(
+        k=st.floats(0.0, 1.0),
+        t0=_POSITIVE,
+        t1=_POSITIVE,
+        side=st.floats(0.0, 2.0),
+        r1=_POSITIVE,
+        price=_POSITIVE,
+        fee=st.sampled_from((0.0, 0.003, 0.3)),
+    )
+    @example(k=1.0, t0=1.0, t1=1.0, side=0.9999, r1=1.0, price=1.0, fee=0.003)
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_every_probe_gives_a_verdict_or_an_engine_error(
+        self, k, t0, t1, side, r1, price, fee
+    ):
+        config = _adoption_config(k, t0, t1, side, r1, price, fee)
+        for dimension in PROBED_DIMENSIONS:
+            try:
+                verdict = run_dimension_probe(config, dimension, seed=0, trials=MIN_TRIALS)
+            except AmmError:
+                continue
+            assert verdict.dimension == dimension and verdict.trials == MIN_TRIALS
