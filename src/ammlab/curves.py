@@ -894,6 +894,17 @@ def bonding_trade(kappa: float, c: float, supply: float, d_supply: float) -> flo
     return -_ratio_move(bonded, kappa, high, -abs(d_supply)) if high else 0.0
 
 
+def _bonded(r: float, supply: float, amount: float) -> float:
+    """`amount`, the quote of a bonding trade that reaches the state (r,
+    supply); DepletionError where that state is half empty, one leg rounded
+    to 0 beside a positive one: a sale whose payout rounds to all of the
+    reserve, or whose burn rounds to all of the supply, before the other
+    leg empties."""
+    if (r > 0.0) != (supply > 0.0):
+        raise DepletionError(f"the trade would leave the half-empty state {(r, supply)}")
+    return amount
+
+
 def _split_bonding_state(reserves: Sequence[float]) -> tuple[float, float]:
     """(reserve, supply): both zero or both positive."""
     if len(reserves) != 2:
@@ -916,7 +927,9 @@ class Exponential(CurveSpec):
     / kappa) - 1), a sale of dS pays R * (1 - (1 - dS / S)**kappa), all of R
     for the whole supply, and the spot is kappa * R / S.  Prices read c only
     at zero supply, so a state's reserve is S**kappa / c only to the
-    rounding of the trades that reached it."""
+    rounding of the trades that reached it.  A quote refuses a trade that
+    would leave a half-empty state (`_bonded`); a sale of the whole supply
+    returns to the origin."""
 
     kappa: float  # curvature, finite, > 0
     c: float  # invariant constant, finite, > 0
@@ -983,16 +996,18 @@ class Exponential(CurveSpec):
     def quote_in(self, reserves, token_in, token_out, dx, adopted_price=None):
         r, supply = _split_bonding_state(reserves)
         if token_in == 1:  # burn issued tokens, pay out reserve
-            return -_ratio_move(r, self.kappa, supply, -dx)
-        return _ratio_move(supply, 1.0 / self.kappa, r, dx) if supply else self.supply_at(dx)
+            out = -_ratio_move(r, self.kappa, supply, -dx)
+            return _bonded(r - out, supply - dx, out)
+        out = _ratio_move(supply, 1.0 / self.kappa, r, dx) if supply else self.supply_at(dx)
+        return _bonded(r + dx, supply + out, out)
 
     def quote_out(self, reserves, token_in, token_out, dy, adopted_price=None):
         r, supply = _split_bonding_state(reserves)
         if token_out == 0:  # exact reserve out: the issued tokens it unbonds
-            return -_ratio_move(supply, 1.0 / self.kappa, r, -dy)
-        if not supply:
-            return bonding_trade(self.kappa, self.c, 0.0, dy)
-        return _ratio_move(r, self.kappa, supply, dy)
+            burned = -_ratio_move(supply, 1.0 / self.kappa, r, -dy)
+            return _bonded(r - dy, supply - burned, burned)
+        paid = _ratio_move(r, self.kappa, supply, dy) if supply else bonding_trade(self.kappa, self.c, 0.0, dy)
+        return _bonded(r + paid, supply + dy, paid)
 
 
 # ---------------------------------------------------------------------------

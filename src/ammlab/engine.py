@@ -313,7 +313,8 @@ class PricingFamily:
     runs the curve's `check_legs` once on the legs of its opening state.  A
     pool that passed `check` (as every pool `create_pool` opens) has legs
     the curve accepts for every pair of its tokens the family trades.  An
-    exponential quote refuses a nan, negative or half-empty state itself.
+    exponential quote refuses a nan, negative or half-empty state itself,
+    and a trade that would leave a half-empty state.
     """
 
     __slots__ = ("curve", "price")
@@ -910,6 +911,11 @@ def _bond(
             raise DepletionError(
                 f"selling {amount} exceeds the circulating supply {pool.circulating_supply}"
             )
+        if amount == held == _ledger_for(ledgers, pool.tokens[1]).total_supply:
+            # the last tokens outstanding burn the whole supply, dust and all:
+            # short of it by the dust, their payout could round to all of the
+            # reserve and leave a half-empty state, which the curve refuses
+            traded = pool.circulating_supply
     family = pool.family
     _, out, fee, after = family.trade(family.view(pool), i, 1 - i, EXACT_IN, traded, pool.fee.trade_fee)
     updated = family.settle(pool, trader, i, 1 - i, amount, out, ledgers)

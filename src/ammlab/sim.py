@@ -8,13 +8,14 @@ the reference price for a step is the latest series entry at or before it
 The arbitrageur is curve-agnostic.  Optimal arbitrage moves the pool until
 its fee-adjusted marginal price meets the reference (Angeris & Chitra,
 "Improved Price Oracles: Constant Function Market Makers", 2020), so it
-sizes its trade there, within its caps and its balance of the token it
-pays, and trades only when the marked profit is strictly positive.  Every
-two-token curve inverts its spot in closed form, so the size is read off
-the state at which the marginal meets the reference, with no search; a
-marginal that never meets it earns up to the caps.  After an arb step on a
-two-token pool the spot price therefore sits within the no-trade fee band
-around the reference, unless a cap binds:
+sizes its trade there, within one depletion floor (`ARB_FLOOR`) and its
+balance of the token it pays, and trades only when the marked profit is
+strictly positive.  Every two-token curve inverts its spot in closed form,
+so the size is read off the state at which the marginal meets the
+reference, with no search; a marginal that never meets it earns up to the
+floor.  After an arb step on a two-token pool the spot price therefore
+sits within the no-trade fee band around the reference, unless the floor
+or the balance binds:
 |spot - reference| / max(spot, reference) <= fee.
 
 Metrics mark portfolios to the reference: the pricing family's risky leg
@@ -295,6 +296,11 @@ class ScenarioError(AmmError):
 
 _order = _slot_builder(TradeOrder)  # see `_event`
 
+#: the fraction of a leg that an arbitrage step which shrinks it leaves
+#: behind: the held risky reserve that a buy pays out, the numeraire that a
+#: sale into a held pool pays out, the issued supply that a sale burns
+ARB_FLOOR = 1e-9
+
 
 def arbitrage_step(
     pool: PoolState,
@@ -308,7 +314,7 @@ def arbitrage_step(
     Buying the risky leg pays while its fee-adjusted marginal cost is below
     the reference, selling while its fee-adjusted marginal proceeds are
     above it; the step sizes the one profitable trade where that marginal
-    meets the reference, within the caps and what `arb_account` holds of
+    meets the reference, within the floor and what `arb_account` holds of
     the token it pays, and executes it only when the marked profit is
     strictly positive.  Works on any two-token pool; prediction markets
     have no single risky asset and are rejected.
@@ -318,10 +324,16 @@ def arbitrage_step(
     (`PricingFamily.state_at_spot`), in closed form.  Where the curve has
     no such state inside its domain (a flat marginal, or one that meets the
     reference only past a reserve's depletion), or the state lies behind
-    the trade and the marginal moves away from the reference, every size up
-    to the cap earns, and the step takes the cap.  A sale that would drain
-    the numeraire takes all but 1e-9 of it, as a buy takes all but 1e-9 of
-    the risky reserve.
+    the trade and the marginal moves away from the reference, every size
+    earns.  One rule bounds every size: a trade that shrinks a leg leaves
+    `ARB_FLOOR` of it, so a buy takes at most all but that fraction of the
+    held risky reserve, a sale into a held pool pays out at most all but
+    that fraction of the numeraire (priced once, at that edge), and a sale
+    of an issued leg burns at most all but that fraction of the supply.  A
+    buy of an issued leg shrinks no leg: where every size earns, it spends
+    all the arbitrageur holds.  A trade that costs more than the
+    arbitrageur holds of the token it pays spends all of it instead, so a
+    step prices at most two trade steps.
 
     Every candidate is priced by the pool's family, which the pool state
     bound once, when it was built; the trade the step chose settles as
@@ -340,39 +352,15 @@ def arbitrage_step(
         raise DomainError(f"reference price must be > 0: {reference_price}")
 
     risky = family.risky
-    numeraire = 1 - risky
     state = family.view(pool)
     fee = pool.fee.trade_fee
     keep = 1.0 - fee
-    held = state[risky]
-    issued = risky >= family.issued_from
-    if issued:  # minting is unbounded, burning stops at the supply
-        buy_cap, sell_cap = 1e15 * max(held, 1.0), held * (1.0 - 1e-12)
-    else:  # buying and selling stop short of the reserve paid out (`sized`)
-        buy_cap, sell_cap = held * (1.0 - 1e-9), 1e15 * max(state)
 
-    def holding(leg: int) -> float:
-        ledger = ledgers.get(pool.tokens[leg])
-        return 0.0 if ledger is None else balance_of(ledger, arb_account)
-
-    budget = holding(numeraire)
-    sell_cap = min(sell_cap, holding(risky))
-
-    def priced(i: int, kind: str, amount: float):
-        """The trade step's (paid, got, fee, state after) for paying leg i,
-        or None where `quote` would refuse the order."""
-        try:
-            trade = family.trade(state, i, 1 - i, kind, amount, fee)
-        except AmmError:
-            return None
-        return trade if 0.0 < trade[0] < math.inf else None
-
-    def sized(buying: bool, cap: float):
-        """The priced trade, within `cap`, that meets the first-order
-        condition in this direction, or None when none earns."""
-        if not cap > 0.0:
-            return None
-        i = numeraire if buying else risky
+    for buying in (True, False):
+        i = 1 - risky if buying else risky  # the leg the trade pays, and what is held of it
+        budget = balance_of(ledgers[pool.tokens[i]], arb_account) if pool.tokens[i] in ledgers else 0.0
+        if not budget > 0.0:
+            continue
         try:
             spot = family.spot_between(state, i, 1 - i)
         except AmmError:  # no marginal: a bonding curve at zero supply
@@ -381,52 +369,52 @@ def arbitrage_step(
         # a buy's 1 - spot*ref*keep has the sign and root of cost - ref*keep.
         # A nan goes on: a bonding curve at zero supply has a state at which
         # its marginal meets the price
-        if (1.0 - spot * reference_price * keep if buying else reference_price - spot * keep) >= 0.0:
-            return None
-        kind = EXACT_OUT if buying else EXACT_IN
-        # the marginal at which the residual is zero
-        price = 1.0 / (reference_price * keep) if buying else reference_price / keep
-        target = family.state_at_spot(state, i, 1 - i, price)
-        size = cap  # no such state inside the domain: every size earns
-        if target is not None:
-            # the risky amount the trader gets: minted on an issued leg,
-            # paid out of a held one; a sale pays its fee on the input
-            # unless the leg is issued
-            gets = target[risky] - state[risky] if issued else state[risky] - target[risky]
-            size = min(cap, gets if buying else -gets if issued else -gets / keep)
-            if not size > 0.0:
-                # a state behind the trade: the marginal moves away from the
-                # price (exponential at kappa < 1), and the cap earns most.
-                # A residual just negative by rounding at the fee band's edge
-                # can put an increasing marginal's state there too; its cap
-                # trade loses, and the profit check below declines it
-                size = cap
-        trade = priced(i, kind, size)
-        if not (buying or issued) and (trade is None or trade[3][numeraire] < 1e-9 * state[numeraire]):
-            # a sale takes all but 1e-9 of the numeraire, as a buy all
-            # but 1e-9 of the risky reserve
-            edge = priced(i, EXACT_OUT, state[numeraire] * (1.0 - 1e-9))
-            trade = edge and priced(i, kind, edge[0])
-        return trade
-
-    for buying, cap in ((True, buy_cap if budget > 0.0 else 0.0), (False, sell_cap)):
-        trade = sized(buying, cap)
-        if trade is not None:
+        if not (1.0 - spot * reference_price * keep if buying else reference_price - spot * keep) >= 0.0:
             break
     else:
         return pool, ledgers, None
-    i = numeraire if buying else risky
-    kind, size = (EXACT_OUT, trade[1]) if buying else (EXACT_IN, trade[0])
-    if buying and trade[0] > budget:
-        kind, size = EXACT_IN, budget  # the best buy costs more than is held
-        trade = priced(i, kind, size)
-        if trade is None:
+    j = 1 - i
+    # the marginal at which the residual is zero, and the state there
+    price = 1.0 / (reference_price * keep) if buying else reference_price / keep
+    target = family.state_at_spot(state, i, j, price)
+    # what the trade moves to reach the target: nan where there is none,
+    # and not positive for a state behind the trade (exponential at kappa
+    # < 1, or rounding at the fee band's edge, whose trade the profit check
+    # below declines): there every size earns, up to the floor
+    if j >= family.issued_from:  # a mint, which shrinks no leg
+        minted = math.nan if target is None else target[j] - state[j]
+        kind, size = (EXACT_OUT, minted) if minted > 0.0 else (EXACT_IN, budget)
+    elif i >= family.issued_from:  # a burn, which shrinks the supply
+        edge = state[i] * (1.0 - ARB_FLOOR)
+        burned = math.nan if target is None else state[i] - target[i]
+        kind, size = EXACT_IN, min(budget, burned if 0.0 < burned < edge else edge)
+    else:  # leg j pays out of the pool's reserve; a sale pays its fee on the input
+        edge = state[j] * (1.0 - ARB_FLOOR)
+        out = math.nan if target is None else state[j] - target[j]
+        if not 0.0 < out <= edge:
+            kind, size = EXACT_OUT, edge
+        elif buying:
+            kind, size = EXACT_OUT, out
+        else:
+            kind, size = EXACT_IN, min(budget, (target[i] - state[i]) / keep)
+
+    # the trade step's (paid, got, fee, state after), declined where `quote`
+    # would refuse the order; a trade that costs more than is held is
+    # priced again as a spend of all of it
+    for kind, size in ((kind, size), (EXACT_IN, budget)):
+        try:
+            trade = family.trade(state, i, j, kind, size, fee)
+        except AmmError:
             return pool, ledgers, None
+        if not 0.0 < trade[0] < math.inf:
+            return pool, ledgers, None
+        if trade[0] <= budget:
+            break
     paid, got = trade[0], trade[1]
     if not (got * reference_price - paid if buying else got - paid * reference_price) > 0.0:
         return pool, ledgers, None
-    order = _order(arb_account, pool.tokens[i], pool.tokens[1 - i], size, kind)
-    pool, receipt, ledgers = _settle_trade(pool, order, i, 1 - i, trade, ledgers)
+    order = _order(arb_account, pool.tokens[i], pool.tokens[j], size, kind)
+    pool, receipt, ledgers = _settle_trade(pool, order, i, j, trade, ledgers)
     return pool, ledgers, receipt
 
 

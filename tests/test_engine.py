@@ -49,6 +49,7 @@ from ammlab.curves import (
     quote_exact_in,
 )
 from ammlab.engine import (
+    BOOTSTRAP_ACCOUNT,
     BUILTIN_POOLS,
     PRICE_ADOPTING_LP_BASED,
     PRICE_DISCOVERING_LP_BASED,
@@ -799,6 +800,54 @@ class TestSupplySovereign:
             assert pool.circulating_supply <= 1e-12
             assert abs(pool.reserves[0]) <= 1e-6 * 1e6
 
+
+    def test_a_near_total_sale_leaves_no_half_empty_state(self):
+        """On bancor-like, a sale of all but 1e-10 of the supply pays out
+        R * (1 - 1e-20), which rounds to all of R, and would leave the last
+        1e-9 of the supply behind no reserve: a state that no quote prices,
+        buys included.  The sale is refused, and the pool still trades."""
+        pool, ledgers = load_pool("bancor-like")
+        sold = pool.circulating_supply * (1.0 - 1e-10)
+        with pytest.raises(DepletionError, match="half-empty"):
+            curve_sell(pool, BOOTSTRAP_ACCOUNT, sold, ledgers)
+        ledgers["RESERVE"] = ledger_mint(ledgers["RESERVE"], "alice", 1.0)
+        assert curve_buy(pool, "alice", 1.0, ledgers)[1] > 0.0
+
+    @given(
+        kappa=st.floats(min_value=0.2, max_value=40.0),
+        kept=st.one_of(st.just(-math.inf), st.floats(min_value=-15.0, max_value=-0.01)),
+        kind=st.sampled_from(["exact-in", "exact-out"]),
+        fee=st.sampled_from([0.0, 0.003]),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_a_sale_empties_both_legs_or_neither(self, kappa, kept, kind, fee):
+        """A sale by the lone holder of all but 10**kept of the supply (exact
+        in), or of the reserve (exact out), down to 1e-15 of it: it is
+        refused with DepletionError, returns the pool to the origin, or
+        leaves both legs positive, where a buy still prices."""
+        spec = (
+            "archetype = price-discovering-supply-sovereign\ncurve = exponential\n"
+            f"tokens = RESERVE, ISSUED\nreserves = 100, 0\nfee = {fee!r}\n"
+            f"kappa = {kappa!r}\nc = 1\n"
+        )
+        pool, ledgers = materialize_pool(parse_pool_spec(spec))
+        sold = 1.0 - 10.0**kept
+        try:
+            if kind == "exact-in":
+                pool, _, ledgers = curve_sell(
+                    pool, BOOTSTRAP_ACCOUNT, pool.circulating_supply * sold, ledgers
+                )
+            else:
+                order = TradeOrder(
+                    BOOTSTRAP_ACCOUNT, "ISSUED", "RESERVE", pool.reserves[0] * sold * (1.0 - fee), kind
+                )
+                pool, _, ledgers = execute_swap(pool, order, ledgers)
+        except DepletionError:
+            return
+        reserve, supply = pool.reserves[0], pool.circulating_supply
+        assert (reserve > 0.0) == (supply > 0.0)
+        ledgers["RESERVE"] = ledger_mint(ledgers["RESERVE"], "alice", 1.0)
+        assert curve_buy(pool, "alice", 1.0, ledgers)[1] > 0.0
 
     @pytest.mark.parametrize("size", [1e-9, 1e-6, 1.0])
     def test_a_buy_sold_back_pays_what_it_cost(self, size):

@@ -36,6 +36,7 @@ from ammlab.engine import (
 )
 from ammlab.core import ledger_mint, new_ledger
 from ammlab.sim import (
+    ARB_FLOOR,
     Metrics,
     PriceSeries,
     Scenario,
@@ -511,13 +512,16 @@ def arb_scale(pool):
 
 
 def arb_caps(pool):
-    """The arbitrageur's (buy, sell) limits on the risky amount it trades."""
+    """The arbitrageur's (buy, sell) limits on the risky amount it trades:
+    all but `ARB_FLOOR` of the risky reserve a buy pays out, or of the
+    issued supply a sale burns.  A buy of an issued leg is bounded only by
+    what the arbitrageur holds, and a sale into a held pool by the
+    numeraire it pays out, not by a risky amount."""
     family = PricingFamily.of(pool.curve, pool.oracle_price)
-    state = family.view(pool)
-    held = state[family.risky]
+    held = family.view(pool)[family.risky]
     if family.risky >= family.issued_from:
-        return 1e15 * arb_scale(pool), held * (1.0 - 1e-12)
-    return held * (1.0 - 1e-9), 1e15 * max(state)
+        return math.inf, held * (1.0 - ARB_FLOOR)
+    return held * (1.0 - ARB_FLOOR), math.inf
 
 
 def quote_priced_arbitrage(pool, reference_price, arb_account, ledgers):
@@ -761,9 +765,11 @@ class TestClosedFormSize:
             ("power-sum-0.5", 0.6),
             ("dodo-like", 12.0),
             ("dodo-like", 8.0),
-            # a flat marginal takes the buy cap; a sale past the depletion
-            # edge prices that edge too, two trade steps more
+            # a flat marginal takes all but the floor of the risky reserve,
+            # and a sale past the depletion edge prices that edge, once
             ("mstable-2021-like", 1.05),
+            ("mstable-2021-like", 0.95),
+            ("curve-v1-like", 1e-6),
         ],
     )
     def test_a_trading_step_prices_two_trades(self, monkeypatch, name, reference):
@@ -810,12 +816,13 @@ class TestClosedFormSize:
         marginal moves over one ulp of the size and over one ulp of each
         reserve.  A nearly drained reserve is resolved only to an ulp of what
         it held, which moves a power-sum marginal at small t by 1e-9.  The
-        exception is a binding limit: the size cap, the 1e18 the arbitrageur
-        holds, or a sale past the depletion edge, which leaves 1e-9 of the
-        numeraire.  `shape` is
+        exception is a binding limit: the floor, the 1e18 the arbitrageur
+        holds, or a sale past the depletion edge, which leaves `ARB_FLOOR`
+        of the numeraire.  `shape` is
         geometric mean's first weight, power-sum's t and price adoption's
         k.  Exponential curves with kappa < 1, whose marginal moves away
-        from the reference, take the cap."""
+        from the reference, buy with all the arbitrageur holds or sell down
+        to the floor of the supply."""
         if curve == "exponential":
             spec = spec_pool(curve, "T0, T1", f"{reserves[0]!r}, 0", fee, kappa=repr(kappa), c=repr(c))
         elif curve == "price-adoption":
@@ -855,7 +862,7 @@ class TestClosedFormSize:
             return tuple(after)
 
         after = curve_state(order.amount)
-        if capped or after[1 - i] <= 1e-9 * state[1 - i] * (1.0 + 1e-6):
+        if capped or after[1 - i] <= ARB_FLOOR * state[1 - i] * (1.0 + 1e-6):
             return
         keep = 1.0 - fee
         price = 1.0 / (reference * keep) if buying else reference / keep
@@ -874,6 +881,24 @@ class TestClosedFormSize:
 
 
 class TestSizeEdges:
+    def test_a_buy_where_every_size_earns_spends_the_budget(self):
+        """On the kappa-0.5 spec pool the marginal cost falls as the supply
+        grows, so once a buy earns every size does.  The first earning step
+        of a rising walk spends all the arbitrageur holds, 1e18, and mints
+        what that buys, not a multiple of the supply (a cap of 1e15 times
+        the supply once minted that, then 1e30 times, then spent all 1e18);
+        with nothing left to pay, the later steps decline."""
+        walk = arb_walk("exponential-0.5", [(1.0, 0.0)] * 3)
+        pool, ledgers, level = next(walk)
+        pool, ledgers, receipt = arbitrage_step(pool, level, "arb", ledgers)
+        assert receipt.quote.amount_in == 1e18
+        assert balance_of(ledgers["RESERVE"], "arb") == 0.0
+        # S = (c * R)**(1 / kappa) at the reserve the budget bonds, net of the fee
+        assert math.isclose(pool.circulating_supply, (100.0 + 1e18 * 0.997) ** 2, rel_tol=1e-12)
+        for _ in range(2):
+            pool, ledgers, level = walk.send((pool, ledgers))
+            assert arbitrage_step(pool, level, "arb", ledgers)[2] is None
+
     @pytest.mark.parametrize("nudge", [1.0 - 1e-15, 1.0 + 1e-15])
     @pytest.mark.parametrize(
         "name",
@@ -883,7 +908,7 @@ class TestSizeEdges:
     def test_a_step_on_the_fee_band_edge_takes_no_cap(self, name, nudge):
         """At a reference on either edge of the fee band, nudged by 1e-15,
         the residual at size 0 is just negative or just not: the step
-        trades at most 1e-9 of the risky reserve, or declines.  A state
+        trades at most `ARB_FLOOR` of the risky reserve, or declines.  A state
         behind the trade by rounding is not a marginal moving away."""
         pool, ledgers = open_pool(name)
         for token in pool.tokens:
@@ -895,15 +920,16 @@ class TestSizeEdges:
         for edge in (cost / keep, proceeds * keep):
             _, _, receipt = arbitrage_step(pool, edge * nudge, "arb", ledgers)
             if receipt is not None:
-                assert abs(receipt.trader_deltas[pool.tokens[risky]]) <= 1e-9 * state[risky]
+                assert abs(receipt.trader_deltas[pool.tokens[risky]]) <= ARB_FLOOR * state[risky]
 
     @pytest.mark.parametrize("fall", [1e-6, 1e-100])
     @pytest.mark.parametrize("name", ["curve-v1-like", "power-sum-0.5", "dodo-like"])
     def test_a_sale_past_the_edge_leaves_the_numeraire(self, name, fall):
         """A reference far below the pool's bid: product-sum at chi 10 has
         no state there, and price adoption's and power-sum's leave less than
-        1e-9 of the numeraire, or none.  The sale takes all but 1e-9 of it,
-        never all of it, and so does a second step at the same reference."""
+        `ARB_FLOOR` of the numeraire, or none.  The sale takes all but that
+        floor of it, never all of it, and so does a second step at the same
+        reference."""
         pool, ledgers = open_pool(name)
         for token in pool.tokens:
             fund(ledgers, token, "arb", 1e9)
@@ -913,7 +939,7 @@ class TestSizeEdges:
         after, ledgers, receipt = arbitrage_step(pool, reference, "arb", ledgers)
         assert receipt is not None
         left = family.view(after)[numeraire]
-        assert math.isclose(left, 1e-9 * state[numeraire], rel_tol=1e-6)
+        assert math.isclose(left, ARB_FLOOR * state[numeraire], rel_tol=1e-6)
         again = arbitrage_step(after, reference, "arb", ledgers)[0]
         assert family.view(again)[numeraire] > 0.0
 
