@@ -73,7 +73,9 @@ def _cmd_curve_table(args: argparse.Namespace) -> int:
         raise AmmError(f"samples must be >= 1: {args.samples}")
     pool, _ = load_pool(args.pool)
     scale = pool.reserves[0] if pool.reserves[0] > 0.0 else 1.0
-    lo, hi = 1e-3 * scale, scale
+    # from 1e-3 of the scale, but no less than the least normal float, whose
+    # log is finite, up to the scale
+    lo, hi = max(1e-3 * scale, sys.float_info.min), scale
     lines = [CURVE_TABLE_HEADER]
     for index in range(args.samples):
         t = index / (args.samples - 1) if args.samples > 1 else 0.0

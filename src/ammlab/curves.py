@@ -324,7 +324,7 @@ class GeometricMean(_Conservation):
             raise DomainError("geometric mean needs at least two weights")
         if any(not (w > 0.0 and math.isfinite(w)) for w in self.weights):
             raise DomainError(f"weights must be positive and finite: {self.weights}")
-        if abs(sum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
+        if abs(math.fsum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
             raise DomainError(f"weights must sum to 1: {self.weights}")
 
     def check_tokens(self, n_tokens: int, legs: str = "tokens") -> None:
@@ -460,13 +460,13 @@ class ConstantPowerSum(_Conservation):
 # ---------------------------------------------------------------------------
 
 
-def _lmsr_weights(b: float, q: Sequence[float]) -> tuple[float, float]:
-    """(max q, sum of e^((q_i - max q)/b)): the cost's weights with the max
-    shifted out for stability.  The loop adds left to right on every
-    Python, as `sum()` does on 3.11; from 3.12 `sum()` compensates its
-    rounding, and on 3.12.1 it differs from this loop in the last place on
-    about a fifth of random weight vectors."""
-    m = max(q)
+def _lmsr_weights(b: float, q: Sequence[float], top: float | None = None) -> tuple[float, float]:
+    """(top, sum of e^((q_i - top)/b)): the cost's weights with their top,
+    max q unless given, shifted out for stability.  The loop adds left to
+    right on every Python, as `sum()` does on 3.11; from 3.12 `sum()`
+    compensates its rounding, and on 3.12.1 it differs from this loop in
+    the last place on about a fifth of random weight vectors."""
+    m = max(q) if top is None else top
     z = 0.0
     for qi in q:
         z += math.exp((qi - m) / b)
@@ -641,9 +641,8 @@ class Lmsr(CurveSpec):
             # a leading outcome, where 1 + ratio cancels: with the others'
             # price 1 - p_j summed directly, s = dy + b*log(p_j) -
             # b*log1p(-(1 - p_j)*e^(dy/b))
-            top = max(q)
-            terms = [math.exp((qi - top) / b) for qi in q]
-            rest = sum(t for k, t in enumerate(terms) if k != j) / sum(terms)
+            top, z = _lmsr_weights(b, q)
+            rest = _lmsr_weights(b, [qi for k, qi in enumerate(q) if k != j], top)[1] / z
             tail = math.exp(math.log(rest) + y) if rest > 0.0 else 0.0
             shares = dy + b * (math.log1p(-rest) - math.log1p(-tail)) if tail < 1.0 else q[j]
         return min(q[j], shares)

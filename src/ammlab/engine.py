@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -370,6 +371,13 @@ class PricingFamily:
         lp_supply = math.prod(deposit) ** (1.0 / len(deposit))
         return deposit, lp_supply, {creator: lp_supply}
 
+    def opening(self, reserves: State) -> tuple[State, float]:
+        """(state, scale) of a pool opened at the configured reserves: the
+        state a probe starts from, and the characteristic size its trades
+        are drawn from and its deviations measured against, here the
+        smallest reserve."""
+        return reserves, min(reserves)
+
     def materialize(self, config: PoolConfig, creator: AccountId) -> tuple:
         """A live pool at the configured reserves, and its ledgers."""
         ledgers = {
@@ -506,6 +514,9 @@ class AdoptionFamily(PricingFamily):
             raise DomainError("no oracle price set; call set_oracle_price first")
         return state, i, j
 
+    def opening(self, reserves):
+        return reserves, min(self.curve.target_reserves)
+
     def surcharge(self, i, kind, paid, got, fee):
         # counterfactual at k = 0: trade at the flat adopted price
         p = self.price
@@ -517,7 +528,10 @@ class AdoptionFamily(PricingFamily):
         return max(0.0, (paid * (1.0 - fee)) - flat_in)
 
     def spots(self, state):
-        """(bid, ask) for token 0, both in token 1."""
+        """(bid, ask) for token 0, both in token 1; none before a price is
+        adopted."""
+        if self.price is None:
+            return ()
         return (self.spot_between(state, 0, 1), 1.0 / self.spot_between(state, 1, 0))
 
     def invariant(self, state):
@@ -563,6 +577,9 @@ class ScoringFamily(PricingFamily):
             raise DomainError("LMSR pools start with zero outstanding shares")
         return (subsidy,) + (0.0,) * (n - 1), 0.0, {}
 
+    def opening(self, reserves):
+        return reserves, self.curve.b  # (collateral held, *outstanding shares)
+
     def invariant(self, state):
         return invariant_value(self.curve, state[1:])
 
@@ -605,6 +622,10 @@ class BondingFamily(PricingFamily):
         """The (reserve, supply) state whose bonded reserve is `bonded`."""
         return (bonded, self.curve.supply_at(bonded))
 
+    def opening(self, reserves):
+        state = self.primed(reserves[0])  # primed to the configured bonded reserve
+        return state, state[1]
+
     def materialize(self, config, creator):
         if any(r != 0.0 for r in config.reserves[1:]):
             raise DomainError("supply-sovereign reserves are (bonded_reserve, 0)")
@@ -630,6 +651,28 @@ _FAMILIES = {
     SCORING_RULE: ScoringFamily,
     BONDING: BondingFamily,
 }
+
+
+def check_opening(config: PoolConfig) -> None:
+    """Refuse, with DomainError, a configured opening state that no quote
+    or probe can measure: one whose conservation value, spots or probe
+    scale (`PricingFamily.opening`) is 0, subnormal or past the float
+    range.  `materialize_pool` and the probe run it on every config they
+    are given.  A spot of 0 is a price bound, the bid of a price-adoption
+    pool floored at zero, and passes; the origin of a bonding curve, or a
+    pool whose reserves are not funded yet, has nothing to measure, and a
+    price-adoption pool no spots before it adopts a price."""
+    family = PricingFamily.of(config.curve, config.oracle_price)
+    state, scale = family.opening(config.reserves)
+    if not any(state):
+        return
+    value, spots = family.invariant(state), family.spots(state)
+    measured = [scale, *(spot for spot in spots if spot != 0.0)] + ([] if value is None else [value])
+    if not all(sys.float_info.min <= x < math.inf for x in measured):
+        raise DomainError(
+            f"the opening state {state} leaves the normal float range: conservation "
+            f"value {value}, spots {spots}, probe scale {scale}"
+        )
 
 
 def _require_family(pool: PoolState, family: type, message: str) -> None:
@@ -1069,6 +1112,7 @@ def parse_pool_spec(text: str) -> PoolConfig:
         reserves=_parse_floats("reserves", entries["reserves"]),
         oracle_price=_parse_float("oracle_price", oracle) if oracle is not None else None,
     )
+    return config
 
 
 _BUILTIN_POOL_TEXT = {
@@ -1142,6 +1186,7 @@ def materialize_pool(
     """
     if not config.reserves:
         raise DomainError("pool configuration carries no reserves")
+    check_opening(config)
     return PricingFamily.of(config.curve, config.oracle_price).materialize(config, creator)
 
 

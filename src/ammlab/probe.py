@@ -59,6 +59,7 @@ from .engine import (
     PoolConfig,
     PricingFamily,
     ScoringFamily,
+    check_opening,
 )
 
 # the taxonomy's dimensions; `_DECIDERS` below gives their row order and how
@@ -145,13 +146,13 @@ class _Probe:
     sell an exact-in sale of it, so a displacement multiset reaches the same
     terminal risky balance in any order.  Subclasses add the probe-only
     moves of one family.  The family's trade step and its two legs are
-    bound once, here.
+    bound once, here, and the opening state and its scale are the
+    family's (`PricingFamily.opening`).
     """
 
-    def __init__(self, family: PricingFamily, state0: tuple[float, ...], scale: float):
+    def __init__(self, family: PricingFamily, reserves: tuple[float, ...]):
         self.family = family
-        self.state0 = state0
-        self.scale = scale
+        self.state0, self.scale = family.opening(reserves)
         self.trade = family.trade
         self.risky = family.risky
         self.numeraire = 1 - family.risky
@@ -180,9 +181,6 @@ class _Probe:
 class _ConservationProbe(_Probe):
     """Displaces token 0 against token 1 on a conservation curve."""
 
-    def __init__(self, family: PricingFamily, reserves: tuple[float, ...]):
-        super().__init__(family, reserves, min(reserves))
-
     def basket_cost(self, state, amount: float) -> float:
         total = 1.0  # one unit of the numeraire token 1
         for i in range(len(state)):
@@ -206,9 +204,7 @@ class _AdoptionProbe(_ConservationProbe):
     def __init__(self, family: PricingFamily, reserves: tuple[float, ...]):
         if family.price is None:
             raise DomainError("probing a price-adopting pool requires an oracle price")
-        _Probe.__init__(
-            self, family, (reserves[0], reserves[1]), min(family.curve.target_reserves)
-        )
+        super().__init__(family, reserves)
 
     def basket_cost(self, state, amount: float) -> float:
         return amount * (1.0 + self.family.curve.mid(state[0], self.family.price))
@@ -238,10 +234,6 @@ class _AdoptionProbe(_ConservationProbe):
 
 class _ScoringProbe(_Probe):
     """Displaces outstanding shares of outcome 0 against collateral."""
-
-    def __init__(self, family: PricingFamily, reserves: tuple[float, ...]):
-        # state: (collateral held, *outstanding shares)
-        super().__init__(family, reserves, family.curve.b)
 
     def can_sell(self, state, qty: float) -> bool:
         return state[1] >= qty
@@ -276,13 +268,11 @@ class _BondingProbe(_Probe):
     """Displaces circulating supply against the bonded reserve."""
 
     def __init__(self, family: PricingFamily, reserves: tuple[float, ...]):
-        bonded = reserves[0]
-        if not bonded > 0.0:
+        if not reserves[0] > 0.0:
             raise DomainError(
-                f"probing a bonding pool requires a positive reserve: {bonded}"
+                f"probing a bonding pool requires a positive reserve: {reserves[0]}"
             )
-        state0 = family.primed(bonded)
-        super().__init__(family, state0, state0[1])
+        super().__init__(family, reserves)
 
     def can_sell(self, state, qty: float) -> bool:
         return state[1] > qty
@@ -518,6 +508,7 @@ def run_dimension_probe(
         raise DomainError("probing requires a pool spec with initial reserves")
     family = PricingFamily.of(config.curve, config.oracle_price)
     family.check(config.archetype, len(config.tokens))
+    check_opening(config)
     probe = _PROBES[type(family)](family, config.reserves)
     # every trade and spot of the probe reads the risky leg and the numeraire
     # of states shaped like the opening one: their legs are checked here, once

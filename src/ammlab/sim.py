@@ -357,7 +357,7 @@ def arbitrage_step(
     keep = 1.0 - fee
 
     for buying in (True, False):
-        i = 1 - risky if buying else risky  # the leg the trade pays, and what is held of it
+        i = 1 - risky if buying else risky  # the leg the trade pays, and the balance of it
         budget = balance_of(ledgers[pool.tokens[i]], arb_account) if pool.tokens[i] in ledgers else 0.0
         if not budget > 0.0:
             continue

@@ -275,6 +275,49 @@ class TestUnresolvableSpread:
         assert "Traceback" not in captured.err
 
 
+class TestUnmeasurableOpeningState:
+    """Specs whose opening state has a conservation value, a spot or a
+    probe scale of 0, subnormal or past the float range: quotes and probes
+    on them once divided by 0 or took the log of 0 (a traceback, exit 1).
+    The pool and the probe refuse them with DomainError
+    (`engine.check_opening`), so every command on them exits 2."""
+
+    @pytest.mark.parametrize(
+        "curve, tokens, reserves, keys, argv",
+        [
+            # curve-table's smallest size, 1e-3 of reserve 0, underflows to 0
+            ("constant-product", "T0, T1", "5e-324, 1.0382785733243097e-08", "",
+             ["curve-table", "--samples", "9"]),
+            # the conservation value underflows to 0
+            ("constant-product", "T0, T1, T2, T3",
+             "6.951768629143713e-19, 100, 2.760499852225275e-24, 1e-300", "fee = 0.9\n",
+             ["classify", "--seed", "1"]),
+            # the probe scale, the smallest reserve, is subnormal
+            ("constant-sum", "T0, T1, T2", "0.0100765092960706, 5e-324, 998949505.5302217", "",
+             ["classify", "--seed", "14"]),
+            # the probe scale is 0
+            ("constant-sum", "T0, T1", "0, 0.009892767663987164", "fee = 0.3\n",
+             ["classify", "--seed", "61"]),
+            ("geometric-mean", "T0, T1, T2", "6.666859060665274e-21, 7466660641.713132, 5e-324",
+             "weights = 0.14345385895149193, 0.3629661465893346, 0.49357999445917344\n"
+             "fee = 0.3\n",
+             ["classify", "--seed", "1"]),
+        ],
+        ids=["curve-table-cp", "classify-cp4", "classify-cs3", "classify-cs-zero", "classify-gm3"],
+    )
+    def test_exits_2_without_a_traceback(self, tmp_path, capsys, curve, tokens, reserves, keys, argv):
+        path = tmp_path / "tiny.pool"
+        path.write_text(
+            "archetype = price-discovering-lp-based\n"
+            f"curve = {curve}\ntokens = {tokens}\nreserves = {reserves}\n{keys}"
+        )
+        code = main(argv[:1] + ["--pool", str(path)] + argv[1:])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

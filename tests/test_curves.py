@@ -1530,6 +1530,15 @@ class TestLmsrPriceLaws:
         assert all(0.0 < p < 1.0 for p in prices)
         assert abs(sum(prices) - 1.0) <= 1e-12
 
+    def test_a_leading_outcome_sale_has_the_same_bits_on_every_python(self):
+        """The exact-collateral sale of a leading outcome sums the other
+        outcomes' weights left to right, as `sum()` does on Python 3.11;
+        `sum()` on 3.12.1 read 8.14395875400196 here."""
+        q = (2.385002617401853, 12.867426637240534, 1.3293155774794914,
+             7.527089321636507, 2.0267901468556646)
+        got = Lmsr(b=4.319587578785168).quote_out(q, 1, None, 3.49424842752677)
+        assert got == 8.143958754001961
+
     def test_buy_inversion_matches_closed_form(self):
         rng = random.Random(11)
         for _ in range(100):

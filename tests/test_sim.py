@@ -791,6 +791,28 @@ class TestClosedFormSize:
         assert receipt is not None
         assert len(steps) == 1
 
+    @pytest.mark.parametrize(
+        "name,reference", [("uniswap-v2-like", 4.0), ("curve-v1-like", 1e-6), ("bancor-like", 40.0)]
+    )
+    def test_an_underfunded_step_prices_at_most_two_trades(self, monkeypatch, name, reference):
+        """Holding 1 of each token, the arbitrageur cannot pay for the best
+        trade (a buy, or a sale past the depletion edge): the step prices it
+        again as a spend of all it holds, and prices nothing more."""
+        steps = []
+        trade = PricingFamily.trade
+
+        def counted(family, *args):
+            steps.append(args)
+            return trade(family, *args)
+
+        pool, ledgers = open_pool(name)
+        for token in pool.tokens:
+            fund(ledgers, token, "arb", 1.0)
+        monkeypatch.setattr(PricingFamily, "trade", counted)
+        _, _, receipt = arbitrage_step(pool, reference, "arb", ledgers)
+        assert receipt.quote.amount_in == 1.0
+        assert len(steps) <= 2
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         curve=st.sampled_from([

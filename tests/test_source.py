@@ -122,6 +122,29 @@ def test_the_checked_curve_function_rule_sees_a_call():
     assert set(called_names(tree)) & CHECKED_CURVE_FUNCTIONS == {"quote_exact_in", "spot_price"}
 
 
+def builtin_sum_calls(tree: ast.Module) -> list[int]:
+    """The line of each call of the builtin `sum`, by its bare name."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_builtin_sum(path):
+    """From Python 3.12 `sum()` compensates its rounding, so a sum of
+    floats has other bits there than on 3.10 and 3.11; the package sums
+    with `math.fsum`, exact on every Python, or with a left-to-right loop."""
+    found = builtin_sum_calls(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, f"{path.name} calls the builtin sum() on lines {found}"
+
+
+def test_the_builtin_sum_rule_sees_a_call():
+    tree = ast.parse("x = sum(v)\ny = math.fsum(v)\nz = totals.sum()\nw = [sum(u) for u in v]\n")
+    assert builtin_sum_calls(tree) == [1, 4]
+
+
 class _SolverErrorRaises(ast.NodeVisitor):
     """The function around each `raise SolverError`, dotted through any
     functions it is nested in."""
