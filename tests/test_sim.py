@@ -202,11 +202,30 @@ class TestParseScenario:
         ("1 oracle 0", "scenario line 2: price must be > 0"),
         ("1 arb mallory", "scenario line 2: undeclared account 'mallory'"),
         ("1 arb creator\n1 arb creator", "scenario line 3: steps must strictly increase"),
+        # a line's head is the text before its first space, so a tab joins
+        ("1\tarb creator", "scenario line 2: expected a directive or a step number, got '1\\tarb'"),
+        ("account\ta TOKEN0 1", "scenario line 2: expected a directive or a step number, "
+                                "got 'account\\ta'"),
+        ("account a TOKEN0 -inf", "scenario line 2: bad amount '-inf'"),
+        ("account a TOKEN0 nan", "scenario line 2: bad amount 'nan'"),
+        ("account a TOKEN0 -1", "scenario line 2: negative endowment"),
+        ("seed 1 2", "scenario line 2: bad seed '1 2'"),
+        ("2 arb cre#ator", "scenario line 2: undeclared account 'cre'"),
     ])
     def test_each_parse_error_names_its_line_and_cause(self, events, message):
         with pytest.raises(DomainError) as info:
             parse_scenario(f"pool uniswap-v2-like\n{events}\n")
         assert str(info.value) == message
+
+    def test_comments_and_a_negative_zero_endowment_are_accepted(self):
+        scenario = parse_scenario(
+            "pool uniswap-v2-like\n# a comment line\naccount a TOKEN0 -0.0\n"
+            "1 arb a  # a trailing comment\n"
+        )
+        assert scenario.endowments == (("a", "TOKEN0", -0.0),)
+        assert [(e.step, e.verb, e.args, e.line) for e in scenario.events] == [
+            (1, "arb", ("a",), 4)
+        ]
 
     def test_events_are_the_constructors_frozen_values(self):
         event = parse_scenario("pool uniswap-v2-like\n1 trade creator TOKEN0 TOKEN1 5\n").events[0]
