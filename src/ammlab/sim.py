@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 from .core import (
@@ -89,6 +89,7 @@ def parse_price_series(text: str) -> PriceSeries:
     if not lines or lines[0].strip() != PRICE_HEADER:
         raise DomainError(f"price series line 1: expected header {PRICE_HEADER!r}")
     entries: list[tuple[int, float]] = []
+    last = -math.inf  # the step of the last entry
     for number, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
@@ -103,13 +104,12 @@ def parse_price_series(text: str) -> PriceSeries:
             raise DomainError(
                 f"price series line {number}: cannot parse {line!r}"
             ) from None
-        if not (math.isfinite(price) and price > 0.0):
+        if not 0.0 < price < math.inf:
             raise DomainError(f"price series line {number}: price must be > 0")
-        if entries and step <= entries[-1][0]:
-            raise DomainError(
-                f"price series line {number}: steps must strictly increase"
-            )
+        if step <= last:
+            raise DomainError(f"price series line {number}: steps must strictly increase")
         entries.append((step, price))
+        last = step
     return PriceSeries(entries=tuple(entries))
 
 
@@ -125,17 +125,27 @@ def load_price_series(path: str) -> PriceSeries:
 
 @dataclass(frozen=True, slots=True)
 class ScenarioEvent:
+    """One event of a scenario: its step, verb, string arguments and script
+    line.
+
+    The private `_call` slot holds the (handler, typed arguments) that
+    `parse_scenario` checked the event into, so that `run_scenario` types a
+    parsed event once.  It takes no part in equality, hashing or repr, and
+    the constructor and `dataclasses.replace` leave it None: an event built
+    by hand, or replaced, is typed when it runs."""
+
     step: int
     verb: str
     args: tuple[str, ...]
     line: int
+    _call: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
 
 # The simulator's events, metrics rows and orders, one per script line or
 # event, are built slot by slot (see `core._slot_builder`) from values
 # already in the form their constructors store: a parsed step, verb,
-# argument tuple and line; the observed floats; typed scenario arguments or
-# a pool's tokens, and a float size.
+# argument tuple, line and typed call; the observed floats; typed scenario
+# arguments or a pool's tokens, and a float size.
 _event = _slot_builder(ScenarioEvent)
 
 
@@ -144,18 +154,6 @@ class Scenario:
     pool_source: str
     endowments: tuple[tuple[str, str, float], ...]
     events: tuple[ScenarioEvent, ...]
-
-
-def _parse_float(token: str, line: int, what: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise DomainError(f"scenario line {line}: bad {what} {token!r}") from None
-    if not math.isfinite(value):
-        raise DomainError(f"scenario line {line}: bad {what} {token!r}")
-    if what == "price" and not value > 0.0:
-        raise DomainError(f"scenario line {line}: price must be > 0")
-    return value
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -167,13 +165,31 @@ def parse_scenario(text: str) -> Scenario:
     endowments: list[tuple[str, str, float]] = []
     accounts: set[str] = {CREATOR_ACCOUNT}
     events: list[ScenarioEvent] = []
+    last = -math.inf  # the step of the last event
 
     for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw[: raw.index("#")] if "#" in raw else raw).strip()
         if not line:
             continue
+        # the text before the first space: a tab does not end a head
         head, _, rest = line.partition(" ")
 
+        if head == "account":
+            parts = rest.split()
+            if len(parts) != 3:
+                raise DomainError(
+                    f"scenario line {number}: expected account <name> <token> <amount>"
+                )
+            try:
+                amount = float(parts[2])
+            except ValueError:
+                amount = math.nan  # a bad amount, as a non-finite one is
+            if not 0.0 <= amount < math.inf:
+                problem = "negative endowment" if -math.inf < amount else f"bad amount {parts[2]!r}"
+                raise DomainError(f"scenario line {number}: {problem}")
+            endowments.append((parts[0], parts[1], amount))
+            accounts.add(parts[0])
+            continue
         if head == "pool":
             if pool_source is not None:
                 raise DomainError(f"scenario line {number}: duplicate pool directive")
@@ -181,27 +197,13 @@ def parse_scenario(text: str) -> Scenario:
                 raise DomainError(f"scenario line {number}: pool needs a source")
             pool_source = rest.strip()
             continue
-        if head == "account":
-            parts = rest.split()
-            if len(parts) != 3:
-                raise DomainError(
-                    f"scenario line {number}: expected account <name> <token> <amount>"
-                )
-            amount = _parse_float(parts[2], number, "amount")
-            if amount < 0.0:
-                raise DomainError(f"scenario line {number}: negative endowment")
-            endowments.append((parts[0], parts[1], amount))
-            accounts.add(parts[0])
-            continue
         if head == "seed":  # checked, then ignored: the simulator draws no random numbers
             if seed_seen:
                 raise DomainError(f"scenario line {number}: duplicate seed directive")
             try:
                 int(rest.strip())
             except ValueError:
-                raise DomainError(
-                    f"scenario line {number}: bad seed {rest.strip()!r}"
-                ) from None
+                raise DomainError(f"scenario line {number}: bad seed {rest.strip()!r}") from None
             seed_seen = True
             continue
 
@@ -215,24 +217,19 @@ def parse_scenario(text: str) -> Scenario:
         parts = rest.split()
         if not parts:
             raise DomainError(f"scenario line {number}: step {step} has no verb")
-        event = _event(step, parts[0], tuple(parts[1:]), number)
-        _typed(event)
-        if events and step <= events[-1].step:
-            raise DomainError(
-                f"scenario line {number}: steps must strictly increase"
-            )
-        for kind, name in zip(_VERBS[event.verb][0], event.args):
-            if kind == "account" and name not in accounts:
-                raise DomainError(f"scenario line {number}: undeclared account {name!r}")
-        events.append(event)
+        verb, args = parts[0], tuple(parts[1:])
+        call = _typed(verb, args, number)
+        if step <= last:
+            raise DomainError(f"scenario line {number}: steps must strictly increase")
+        for position in _VERBS[verb][1]:
+            if args[position] not in accounts:
+                raise DomainError(f"scenario line {number}: undeclared account {args[position]!r}")
+        events.append(_event(step, verb, args, number, call))
+        last = step
 
     if pool_source is None:
         raise DomainError("scenario has no pool directive")
-    return Scenario(
-        pool_source=pool_source,
-        endowments=tuple(endowments),
-        events=tuple(events),
-    )
+    return Scenario(pool_source, tuple(endowments), tuple(events))
 
 
 def load_scenario(path: str) -> Scenario:
@@ -274,10 +271,13 @@ def metrics_to_csv(metrics: Metrics) -> str:
     """Render metrics as CSV; undefined cells are empty strings."""
     lines = [",".join(METRICS_HEADER)]
     for record in metrics.records:
-        cells = [str(record.step), record.event]
-        for value in _VALUES(record):
-            cells.append("" if value is None else repr(value))
-        lines.append(",".join(cells))
+        spot, ref, tracking, invariant, lp, loss, fees = _VALUES(record)
+        lines.append(
+            f"{record.step},{record.event},{'' if spot is None else repr(spot)},"
+            f"{'' if ref is None else repr(ref)},{'' if tracking is None else repr(tracking)},"
+            f"{'' if invariant is None else repr(invariant)},{'' if lp is None else repr(lp)},"
+            f"{'' if loss is None else repr(loss)},{'' if fees is None else repr(fees)}"
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -298,7 +298,8 @@ _order = _slot_builder(TradeOrder)  # see `_event`
 
 #: the fraction of a leg that an arbitrage step which shrinks it leaves
 #: behind: the held risky reserve that a buy pays out, the numeraire that a
-#: sale into a held pool pays out, the issued supply that a sale burns
+#: sale into a held pool pays out, the issued supply that a sale burns and
+#: the reserve that burn pays out
 ARB_FLOOR = 1e-9
 
 
@@ -329,7 +330,8 @@ def arbitrage_step(
     `ARB_FLOOR` of it, so a buy takes at most all but that fraction of the
     held risky reserve, a sale into a held pool pays out at most all but
     that fraction of the numeraire (priced once, at that edge), and a sale
-    of an issued leg burns at most all but that fraction of the supply.  A
+    of an issued leg burns at most what leaves that fraction of the supply
+    and of the reserve behind it.  A
     buy of an issued leg shrinks no leg: where every size earns, it spends
     all the arbitrageur holds.  A trade that costs more than the
     arbitrageur holds of the token it pays spends all of it instead, so a
@@ -384,8 +386,10 @@ def arbitrage_step(
     if j >= family.issued_from:  # a mint, which shrinks no leg
         minted = math.nan if target is None else target[j] - state[j]
         kind, size = (EXACT_OUT, minted) if minted > 0.0 else (EXACT_IN, budget)
-    elif i >= family.issued_from:  # a burn, which shrinks the supply
-        edge = state[i] * (1.0 - ARB_FLOOR)
+    elif i >= family.issued_from:  # a burn, which shrinks the supply and the reserve
+        # on r(S) = S**kappa / c the reserve falls as the supply to the power
+        # kappa: the floor of the leg that falls faster bounds the burn
+        edge = state[i] * (1.0 - ARB_FLOOR ** (1.0 / max(1.0, family.curve.kappa)))
         burned = math.nan if target is None else state[i] - target[i]
         kind, size = EXACT_IN, min(budget, burned if 0.0 < burned < edge else edge)
     else:  # leg j pays out of the pool's reserve; a sale pays its fee on the input
@@ -466,47 +470,48 @@ def _resolve(pool, working, hold, reference, event, outcome):
 
 
 # each verb's argument kinds in script order (a trailing ... repeats the
-# kind before it) and its handler, which takes the pool, the ledgers, the
-# hold baseline, the reference price, the event and the typed arguments,
-# and returns the pool, the ledgers and the baseline after the event.  Each
-# pool state binds its pricing family once, when it is built, so no handler
-# passes a family on
+# kind before it), the positions of its account arguments, and its handler,
+# which takes the pool, the ledgers, the hold baseline, the reference price,
+# the event and the typed arguments, and returns the pool, the ledgers and
+# the baseline after the event.  Each pool state binds its pricing family
+# once, when it is built, so no handler passes a family on
 _VERBS = {
-    "trade": (("account", "token", "token", "amount"), _trade),
-    "deposit": (("account", "amount", ...), _deposit),
-    "withdraw": (("account", "share amount"), _withdraw),
-    "oracle": (("price",), _oracle),
-    "arb": (("account",), _arb),
-    "resolve": (("outcome",), _resolve),
+    "trade": (("account", "token", "token", "amount"), (0,), _trade),
+    "deposit": (("account", "amount", ...), (0,), _deposit),
+    "withdraw": (("account", "share amount"), (0,), _withdraw),
+    "oracle": (("price",), (), _oracle),
+    "arb": (("account",), (0,), _arb),
+    "resolve": (("outcome",), (), _resolve),
 }
 
 EVENT_VERBS = frozenset(_VERBS)
 
 
-def _typed(event: ScenarioEvent):
+def _typed(verb: str, args: tuple[str, ...], line: int):
     """(handler, typed arguments) of an event, its string arguments checked
     against its verb's entry in `_VERBS`; DomainError naming the line if not."""
-    args, line = event.args, event.line
-    entry = _VERBS.get(event.verb)
+    entry = _VERBS.get(verb)
     if entry is None:
-        raise DomainError(f"scenario line {line}: unknown verb {event.verb!r}")
-    kinds, handler = entry
+        raise DomainError(f"scenario line {line}: unknown verb {verb!r}")
+    kinds, _, handler = entry
     if kinds[-1] is ...:
         kinds = kinds[:-1] + kinds[-2:-1] * (len(args) - len(kinds) + 1)
     if len(args) != len(kinds):
-        raise DomainError(f"scenario line {line}: wrong argument count for {event.verb!r}")
+        raise DomainError(f"scenario line {line}: wrong argument count for {verb!r}")
     values = list(args)  # names stay strings, an outcome's for the pool to resolve
     for index, kind in enumerate(kinds):
-        if kind not in ("account", "token", "outcome"):
-            values[index] = _parse_float(args[index], line, kind)
+        if kind in ("account", "token", "outcome"):
+            continue
+        try:
+            value = float(args[index])
+        except ValueError:
+            value = math.nan  # a bad number, as a non-finite one is
+        if not -math.inf < value < math.inf:
+            raise DomainError(f"scenario line {line}: bad {kind} {args[index]!r}")
+        if kind == "price" and not value > 0.0:
+            raise DomainError(f"scenario line {line}: price must be > 0")
+        values[index] = value
     return handler, values
-
-
-def _observed(observe, state) -> float | None:
-    try:
-        return observe(state)
-    except AmmError:
-        return None
 
 
 def _mark(marked: int, amounts, reference: float | None) -> float | None:
@@ -532,14 +537,19 @@ def _observe(
     spot = invariant = None
     if not closed:
         state = family.view(pool)
-        spot = _observed(family.spot, state)
-        invariant = _observed(family.invariant, state)
+        try:
+            spot = family.spot(state)
+        except AmmError:
+            pass
+        try:
+            invariant = family.invariant(state)
+        except AmmError:
+            pass
     tracking = None
     if spot is not None and reference is not None:
         tracking = abs(spot - reference) / reference
     risky = family.risky
-    lp_value = None
-    divergence = None
+    lp_value = divergence = None
     if family.lp_error is None and not closed:
         lp_value = _mark(risky, pool.reserves, reference)
         hold_value = _mark(risky, hold, reference)
@@ -566,7 +576,7 @@ def run_scenario(
     pool, working = load_pool(scenario.pool_source)
     working = dict(working)
     # grants per token, in the order a one-at-a-time mint would apply them
-    grants: dict[str, list[tuple[str, float]]] = {}
+    grants: dict[str, list[tuple[str, float]]] = {token: [] for token in working}
     for token, extra in (ledgers or {}).items():
         working.setdefault(token, new_ledger(token))
         grants.setdefault(token, []).extend(
@@ -574,11 +584,12 @@ def run_scenario(
         )
     unknown = None
     for account, token, amount in scenario.endowments:
-        if token not in working:
+        batch = grants.get(token)
+        if batch is None:
             unknown = token  # raised after the grants before it are checked
             break
         if amount > 0.0:
-            grants.setdefault(token, []).append((account, amount))
+            batch.append((account, amount))
     for token, batch in grants.items():
         working[token] = ledger_mint_many(working[token], batch)
     if unknown is not None:
@@ -587,11 +598,10 @@ def run_scenario(
     hold = list(pool.reserves)
     records: list[MetricsRecord] = []
     for index, event in enumerate(scenario.events):
-        reference = (
-            price_series.at(event.step) if price_series is not None else None
-        )
+        reference = price_series.at(event.step) if price_series is not None else None
         try:
-            handler, values = _typed(event)
+            # a parsed event carries its typed call; one built by hand is typed here
+            handler, values = event._call or _typed(event.verb, event.args, event.line)
             pool, working, hold = handler(pool, working, hold, reference, event, *values)
         except AmmError as error:
             raise ScenarioError(

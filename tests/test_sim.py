@@ -7,7 +7,7 @@ on (sqrt(k/p), sqrt(k*p)); the price-doubling divergence loss is
 
 import math
 import random
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
 
 import pytest
@@ -532,14 +532,15 @@ def arb_scale(pool):
 
 def arb_caps(pool):
     """The arbitrageur's (buy, sell) limits on the risky amount it trades:
-    all but `ARB_FLOOR` of the risky reserve a buy pays out, or of the
-    issued supply a sale burns.  A buy of an issued leg is bounded only by
-    what the arbitrageur holds, and a sale into a held pool by the
-    numeraire it pays out, not by a risky amount."""
+    all but `ARB_FLOOR` of the risky reserve a buy pays out, or the burn
+    that leaves that fraction of the issued supply and of the reserve, which
+    falls as the supply to the power kappa.  A buy of an issued leg is
+    bounded only by what the arbitrageur holds, and a sale into a held pool
+    by the numeraire it pays out, not by a risky amount."""
     family = PricingFamily.of(pool.curve, pool.oracle_price)
     held = family.view(pool)[family.risky]
     if family.risky >= family.issued_from:
-        return math.inf, held * (1.0 - ARB_FLOOR)
+        return math.inf, held * (1.0 - ARB_FLOOR ** (1.0 / max(1.0, pool.curve.kappa)))
     return held * (1.0 - ARB_FLOOR), math.inf
 
 
@@ -984,6 +985,24 @@ class TestSizeEdges:
         again = arbitrage_step(after, reference, "arb", ledgers)[0]
         assert family.view(again)[numeraire] > 0.0
 
+    @pytest.mark.parametrize("fall", [1e-6, 1e-9, 1e-12, 1e-20])
+    def test_a_burn_past_the_edge_leaves_the_floor_of_both_legs(self, fall):
+        """On bancor-like (kappa 2) a burn shrinks the reserve as the square
+        of the supply, so a sale at a reference far below the spot leaves
+        `ARB_FLOOR` of the reserve and more than that of the supply.  The
+        floor of the supply alone left R * 1e-18 of the reserve, which
+        rounds to a half-empty state the curve refuses: the step declined a
+        trade that earns, or at 1e-6 left 1e-12 of the reserve."""
+        pool, ledgers = open_pool("bancor-like")
+        fund(ledgers, "ISSUED", "arb", 1e9)
+        family = pool.family
+        state = family.view(pool)
+        after, _, receipt = arbitrage_step(pool, family.spot(state) * fall, "arb", ledgers)
+        assert receipt is not None
+        reserve, supply = family.view(after)
+        assert math.isclose(reserve, ARB_FLOOR * state[0], rel_tol=1e-6)
+        assert supply > ARB_FLOOR * state[1]
+
 
 # ---------------------------------------------------------------------------
 # settlement of the trade the step priced
@@ -1118,6 +1137,42 @@ class TestRunScenario:
                 assert spots[index] != spots[index - 1]
         with pytest.raises(FrozenInstanceError):
             metrics.records[-1].spot = 0.0
+
+    def test_parsed_events_are_typed_once(self, monkeypatch):
+        """Parsing and running an N-event script types each event once: the
+        parser keeps what it typed, and `run_scenario` types only an event
+        that lacks it.  A parsed event passed through `dataclasses.replace`,
+        or one built by hand, is typed when it runs: it gives the same
+        metrics, and a bad one still fails as a ScenarioError caused by
+        DomainError."""
+        calls = []
+        typed = sim._typed
+
+        def counted(*args):
+            calls.append(args)
+            return typed(*args)
+
+        monkeypatch.setattr(sim, "_typed", counted)
+        series = parse_price_series("step,price\n1,1.2\n")
+        scenario = parse_scenario(
+            "pool uniswap-v2-like\naccount t TOKEN0 100\naccount t TOKEN1 100\n"
+            "1 deposit t 1 1\n2 trade t TOKEN0 TOKEN1 5\n3 arb t\n4 withdraw creator 1\n"
+        )
+        metrics = run_scenario(scenario, price_series=series)
+        assert len(calls) == len(scenario.events) == 4
+        replaced = replace(scenario, events=tuple(replace(e) for e in scenario.events))
+        assert replaced == scenario
+        assert run_scenario(replaced, price_series=series) == metrics
+        assert len(calls) == 8
+        trade = scenario.events[1]
+        for bad in (
+            replace(trade, verb="stake"),
+            replace(trade, args=("t", "TOKEN0", "TOKEN1", "ten")),
+            sim.ScenarioEvent(2, "trade", ("t", "TOKEN0", "TOKEN1"), 5),
+        ):
+            with pytest.raises(ScenarioError) as info:
+                run_scenario(replace(scenario, events=(bad,)))
+            assert isinstance(info.value.__cause__, DomainError)
 
     def test_zero_events_yield_empty_metrics(self):
         scenario = parse_scenario("pool uniswap-v2-like\n")
