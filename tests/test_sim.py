@@ -217,6 +217,10 @@ class TestParseScenario:
             parse_scenario(f"pool uniswap-v2-like\n{events}\n")
         assert str(info.value) == message
 
+    def test_each_verb_lists_the_positions_of_its_account_kinds(self):
+        for kinds, accounts, _ in sim._VERBS.values():
+            assert accounts == tuple(k for k, kind in enumerate(kinds) if kind == "account")
+
     def test_comments_and_a_negative_zero_endowment_are_accepted(self):
         scenario = parse_scenario(
             "pool uniswap-v2-like\n# a comment line\naccount a TOKEN0 -0.0\n"
