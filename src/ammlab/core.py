@@ -234,18 +234,22 @@ def _require_amount(amount: float) -> None:
 
 
 # The operations below read the two dicts directly: on a ledger of a few
-# accounts a call to `balance_of` costs more than the read.  Each writes its
-# entries into a copy of the recent writes or, when that copy could outgrow
-# the square root of the base (the test `(len(recent) + writes) ** 2 >
-# len(base)`), into a new base that folds the recent writes in.  A fold
-# copies O(accounts) once every O(sqrt(accounts)) writes, so an operation
-# costs O(sqrt(accounts)) amortized; a ledger of a few accounts folds on
-# every operation, which is one small dict copy.
+# accounts a call to `balance_of` costs more than the read.  Each refuses a
+# negative, infinite or nan amount with `_require_amount`'s DomainError and
+# returns its input as is for an amount of zero; `ledger_transfer`, which
+# every settled trade calls, spells that check out inline for the same
+# reason.  Each writes its entries into a copy of the recent writes or, when
+# that copy could outgrow the square root of the base (the test
+# `(len(recent) + writes) ** 2 > len(base)`), into a new base that folds the
+# recent writes in.  A fold copies O(accounts) once every O(sqrt(accounts))
+# writes, so an operation costs O(sqrt(accounts)) amortized; a ledger of a
+# few accounts folds on every operation, which is one small dict copy.
 
 
 def ledger_transfer(ledger: Ledger, src: AccountId, dst: AccountId, amount: float) -> Ledger:
     """Move `amount` from src to dst; total supply is untouched."""
-    _require_amount(amount)
+    if not 0.0 <= amount < math.inf:  # also rejects NaN
+        raise DomainError(f"amount must be finite and non-negative: {amount}")
     if amount == 0.0:
         return ledger
     base, recent = ledger._base, ledger._recent

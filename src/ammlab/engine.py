@@ -89,7 +89,6 @@ from .curves import (
     PRICE_ADOPTION,
     SCORING_RULE,
     CurveSpec,
-    invariant_value,
 )
 
 PRICE_DISCOVERING_LP_BASED = "price-discovering-lp-based"
@@ -190,7 +189,8 @@ class PoolState:
         object.__setattr__(self, "family", PricingFamily.of(self.curve, self.oracle_price))
 
 
-_pool_state = _slot_builder(PoolState)  # a trade's successor state (`PricingFamily.apply`)
+# a trade's successor state (`PricingFamily.apply`), and an adopted price's
+_pool_state = _slot_builder(PoolState)
 
 
 @dataclass(frozen=True, slots=True)
@@ -308,7 +308,14 @@ class PricingFamily:
 
     `trade` and `spot_between` call the curve spec's closed forms directly,
     not the public curve functions, which check the legs and the amount on
-    every call.  `trade` checks the amount by the same rules.  Legs are
+    every call.  `trade` checks the amount by the same rules.  Only the
+    families that override `curve_args` (`maps_legs`, worked out when the
+    class is made) pass a state and its legs through it first: price
+    adoption, for its "no oracle price set" check, and the scoring rule,
+    whose curve prices the outcome legs alone and takes the collateral leg
+    as None.  Conservation and bonding curves
+    read the state and its legs as they are, so those families hand them
+    over unchanged.  `spot` and `invariant` call the curve spec too.  Legs are
     checked where they enter: `_validate_order` checks an order's tokens,
     the arbitrage step runs `check` on the pool it trades, and the probe
     runs the curve's `check_legs` once on the legs of its opening state.  A
@@ -325,9 +332,14 @@ class PricingFamily:
     # price; the numeraire is leg 1 - risky
     risky = 0
     issued_from: float = math.inf
+    maps_legs = False  # whether the class overrides `curve_args`; see __init_subclass__
     fee_in_reserves = True
     lp_error: str | None = None  # why the pool takes no deposits
     arb_error: str | None = None  # why the pool cannot be arbitraged
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.maps_legs = cls.curve_args is not PricingFamily.curve_args
 
     @staticmethod
     def of(curve: CurveSpec, price: float | None = None) -> PricingFamily:
@@ -396,7 +408,7 @@ class PricingFamily:
         order kind grosses the amount into the curve's own input or output,
         calls the curve's closed form once (see the class docstring) and
         books the fee on the side that paid it."""
-        view, leg_in, leg_out = self.curve_args(state, i, j)
+        view, leg_in, leg_out = self.curve_args(state, i, j) if self.maps_legs else (state, i, j)
         keep = 1.0 - fee
         issued_from = self.issued_from
         issued = i >= issued_from  # the fee comes out of the payout
@@ -434,18 +446,25 @@ class PricingFamily:
     def settle(self, pool: PoolState, trader: AccountId, i: int, j: int,
                paid: float, received: float, ledgers: Ledgers) -> dict:
         """Take `paid` of token i from the trader and give `received` of
-        token j, burning and minting the issued legs."""
-        led_in = _ledger_for(ledgers, pool.tokens[i])
+        token j, burning and minting the issued legs.  A token missing from
+        `ledgers` starts from an empty ledger."""
+        token_in, token_out = pool.tokens[i], pool.tokens[j]
+        updated = dict(ledgers)
+        led_in = updated.get(token_in)
+        if led_in is None:
+            led_in = new_ledger(token_in)
         if i >= self.issued_from:
-            led_in = ledger_burn(led_in, trader, paid)
+            updated[token_in] = ledger_burn(led_in, trader, paid)
         else:
-            led_in = ledger_transfer(led_in, trader, pool.account, paid)
-        led_out = _ledger_for(ledgers, pool.tokens[j])
+            updated[token_in] = ledger_transfer(led_in, trader, pool.account, paid)
+        led_out = updated.get(token_out)
+        if led_out is None:
+            led_out = new_ledger(token_out)
         if j >= self.issued_from:
-            led_out = ledger_mint(led_out, trader, received)
+            updated[token_out] = ledger_mint(led_out, trader, received)
         else:
-            led_out = ledger_transfer(led_out, pool.account, trader, received)
-        return _with(ledgers, led_in, led_out)
+            updated[token_out] = ledger_transfer(led_out, pool.account, trader, received)
+        return updated
 
     def apply(self, pool: PoolState, i: int, j: int, after: State, fee: float) -> PoolState:
         """The pool at `after`, the state a trade of token i for token j
@@ -469,26 +488,32 @@ class PricingFamily:
 
     def spot_between(self, state: State, i: int, j: int) -> float:
         """Instantaneous units of token j per unit of token i."""
-        view, leg_in, leg_out = self.curve_args(state, i, j)
-        return self.curve.spot(view, leg_in, leg_out, self.price)
+        if self.maps_legs:
+            state, i, j = self.curve_args(state, i, j)
+        return self.curve.spot(state, i, j, self.price)
 
     def state_at_spot(self, state: State, i: int, j: int, price: float) -> State | None:
         """The curve state on the conservation level of `state` at which
         `spot_between(., i, j)` is `price`, or None where none lies inside
         the curve's domain (see `CurveSpec`)."""
-        view, leg_in, leg_out = self.curve_args(state, i, j)
-        return self.curve.state_at_spot(view, leg_in, leg_out, price, self.price)
+        if self.maps_legs:
+            state, i, j = self.curve_args(state, i, j)
+        return self.curve.state_at_spot(state, i, j, price, self.price)
 
     def spot(self, state: State) -> float:
         """Spot of the risky leg in the numeraire."""
-        return self.spot_between(state, self.risky, 1 - self.risky)
+        i = self.risky
+        j = 1 - i
+        if self.maps_legs:
+            state, i, j = self.curve_args(state, i, j)
+        return self.curve.spot(state, i, j, self.price)
 
     def spots(self, state: State) -> tuple[float, ...]:
         """Every spot the probe watches; by default the risky leg's."""
         return (self.spot(state),)
 
     def invariant(self, state: State) -> float | None:
-        return invariant_value(self.curve, state)
+        return self.curve.invariant(state)
 
     def deficiency(self, state: State) -> float:
         """The value path deficiency tracks; trades never lower it."""
@@ -581,10 +606,10 @@ class ScoringFamily(PricingFamily):
         return reserves, self.curve.b  # (collateral held, *outstanding shares)
 
     def invariant(self, state):
-        return invariant_value(self.curve, state[1:])
+        return self.curve.invariant(state[1:])
 
     def deficiency(self, state):
-        return state[0] - invariant_value(self.curve, state[1:])
+        return state[0] - self.curve.invariant(state[1:])
 
     def deficiency_ref(self, state0):
         return self.curve.b
@@ -683,13 +708,6 @@ def _require_family(pool: PoolState, family: type, message: str) -> None:
 # ---------------------------------------------------------------------------
 # creation
 # ---------------------------------------------------------------------------
-
-
-def _with(ledgers: Ledgers, *updated: Ledger) -> dict[TokenId, Ledger]:
-    out = dict(ledgers)
-    for ledger in updated:
-        out[ledger.token] = ledger
-    return out
 
 
 def _ledger_for(ledgers: Ledgers, token: TokenId) -> Ledger:
@@ -989,10 +1007,11 @@ def set_oracle_price(pool: PoolState, price: float) -> PoolState:
     _require_family(pool, AdoptionFamily, "only price-adopting pools take oracle prices")
     if not 0.0 < price < math.inf:
         raise DomainError(f"oracle price must be positive and finite: {price}")
-    return PoolState(
+    return _pool_state(
         pool.archetype, pool.tokens, pool.curve, pool.reserves, pool.fee,
         pool.lp_share_supply, pool.lp_shares, pool.circulating_supply, price,
         pool.accumulated_fees, pool.account, pool.creator, pool.closed,
+        PricingFamily.of(pool.curve, price),
     )
 
 
@@ -1021,7 +1040,7 @@ def resolve_prediction(
     if leftover > 0.0:
         cash = ledger_transfer(cash, pool.account, pool.creator, leftover)
     pool2 = replace(pool, reserves=(0.0,) * len(pool.tokens), closed=True)
-    return pool2, _with(ledgers, cash, win)
+    return pool2, {**ledgers, collateral_token: cash, winning_token: win}
 
 
 # ---------------------------------------------------------------------------

@@ -210,10 +210,12 @@ def parse_scenario(text: str) -> Scenario:
         try:
             step = int(head)
         except ValueError:
+            step = None
+        if step is None or head[-1].isspace():  # int() also takes trailing whitespace
             raise DomainError(
                 f"scenario line {number}: expected a directive or a step number, "
                 f"got {head!r}"
-            ) from None
+            )
         parts = rest.split()
         if not parts:
             raise DomainError(f"scenario line {number}: step {step} has no verb")
@@ -516,15 +518,18 @@ def _typed(verb: str, args: tuple[str, ...], line: int):
 
 def _mark(marked: int, amounts, reference: float | None) -> float | None:
     """Value a token vector, leg `marked` at the reference and the rest at
-    par; None when that needs an undefined reference."""
-    value = 0.0
-    for index, amount in enumerate(amounts):
-        if index == marked and amount != 0.0:
-            if reference is None:
-                return None
-            value += amount * reference
-        elif index != marked:
-            value += amount
+    par; None when that needs an undefined reference.  The legs are summed
+    left to right; a zero marked leg is added as it is, a signed zero that
+    moves no running value (which starts at 0.0 and is never -0.0)."""
+    risky = amounts[marked]
+    if risky != 0.0:
+        if reference is None:
+            return None
+        risky *= reference
+    value, index = 0.0, 0
+    for amount in amounts:
+        value += risky if index == marked else amount
+        index += 1
     return value
 
 
@@ -597,8 +602,17 @@ def run_scenario(
 
     hold = list(pool.reserves)
     records: list[MetricsRecord] = []
+    # the reference carried forward, as `PriceSeries.at` gives it: entries[:ahead]
+    # lie at or before the last step seen, and the sentinel lies past every step
+    entries = (*(price_series.entries if price_series is not None else ()), (math.inf, None))
+    ahead, reference = 0, None
     for index, event in enumerate(scenario.events):
-        reference = price_series.at(event.step) if price_series is not None else None
+        step = event.step
+        if ahead and entries[ahead - 1][0] > step:  # a hand-built scenario went back
+            ahead, reference = 0, None
+        while entries[ahead][0] <= step:
+            reference = entries[ahead][1]
+            ahead += 1
         try:
             # a parsed event carries its typed call; one built by hand is typed here
             handler, values = event._call or _typed(event.verb, event.args, event.line)

@@ -17,7 +17,9 @@ The inputs are built here from fixed seeds:
 * `simulate` on scripted trades, deposits and withdrawals (uniswap-v2), an
   augur buy/sell/resolve script, and a bancor script with trades only;
 * each `demos/*.py` script, run as `__main__`: the demos are the only
-  callers of the public curve functions that no other test runs.
+  callers of the public curve functions that no other test runs;
+* one call of the library itself: exact-collateral-out LMSR quotes on
+  states whose sold outcome leads, a branch that no command reaches.
 
 This module needs only the standard library and `ammlab`: `test_golden.py`
 checks its cases under pytest, and `golden_digests.py` checks them on any
@@ -38,6 +40,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from ammlab.cli import main
+from ammlab.curves import Lmsr, quote_exact_in, quote_exact_out, spot_price
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -253,6 +256,10 @@ DEMO = {
     "demo_probe.py": "9221800c899942df662b919f5d745e5e77feb743ea1411e7fe1bf0f4980aa36a",
 }
 
+API = {
+    'lmsr-leading-outcome': 'f43b76b41dc10e6eddec80b8d62d86046cfa7e94b40a2659bf90b05a41e86ba2',
+}
+
 SCRIPT = {
     'augur-like': '40e7aed98c95eb0927c12e6d674a519fefa44966e4612c99d0be1801990a7b16',
     'bancor-like': 'dc700759579d9966f75ac763b609ee4db382ff46f471c38947a2a9b9f0d3bebc',
@@ -307,6 +314,28 @@ def demo_output(demo: str) -> str:
     return _captured(partial(runpy.run_path, str(DEMOS / demo), run_name="__main__"), demo)[1]
 
 
+def lmsr_leading_outcome_output() -> str:
+    """The `repr` of exact-collateral-out quotes (the shares that pay out dy
+    collateral) on fixed LMSR states, where the sold outcome j is priced
+    above e^(-dy/b) on most lines.  There `Lmsr.quote_out` takes its
+    leading-outcome branch, which no command reaches: pools open with no
+    outstanding shares, and `simulate` trades exact-in only.  Each line
+    flags whether the branch ran."""
+    spec = Lmsr(b=100.0)
+    lines = []
+    for q in ((300.0, 0.0, 0.0), (250.0, 180.0, 0.0), (500.0, 0.0, 0.0, 120.0), (1200.0, 0.0)):
+        for j in range(len(q)):
+            if not q[j]:
+                continue
+            price = spot_price(spec, q, j, None)  # collateral per share of j, sold
+            most = quote_exact_in(spec, q, j, None, q[j])  # the payout for every share
+            for fraction in (0.001, 0.05, 0.3, 0.75, 0.999):
+                dy = most * fraction
+                leading = price > math.exp(-dy / spec.b)
+                lines.append(f"{q!r} {j} {dy!r} {leading} {quote_exact_out(spec, q, j, None, dy)!r}")
+    return "\n".join(lines) + "\n"
+
+
 def _quote_argv(pool: str, direction: str, kind: str) -> list[str]:
     t0, t1 = TOKENS[pool]
     token_in, token_out = (t0, t1) if direction == "forward" else (t1, t0)
@@ -347,4 +376,6 @@ CASES = [
                  partial(simulate_output, pool, *SCRIPT_CASES[pool]))
       for pool in sorted(SCRIPT_CASES)),
     *(GoldenCase("test_demo", demo, DEMO[demo], partial(demo_output, demo)) for demo in sorted(DEMO)),
+    GoldenCase("test_api", "lmsr-leading-outcome", API["lmsr-leading-outcome"],
+               lmsr_leading_outcome_output),
 ]

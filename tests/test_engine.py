@@ -447,6 +447,29 @@ class TestExecuteSwap:
         assert math.isclose(pool2.accumulated_fees[0], 0.03, rel_tol=REL)
         assert pool2.accumulated_fees[1] == 0.0
 
+    def test_a_missing_ledger_starts_empty(self):
+        """Settlement reads each leg's ledger from the mapping; a token the
+        mapping lacks starts from an empty ledger, which a mint credits and
+        a payer's transfer finds empty."""
+        pool, ledgers = load_pool("bancor-like")
+        reserve = ledger_mint(ledgers["RESERVE"], "alice", 10.0)
+        pool2, receipt, updated = execute_swap(
+            pool, TradeOrder("alice", "RESERVE", "ISSUED", 5.0, "exact-in"), {"RESERVE": reserve}
+        )
+        assert list(updated) == ["RESERVE", "ISSUED"]
+        minted = receipt.quote.amount_out
+        assert minted > 0.0
+        assert dict(updated["ISSUED"].balances) == {"alice": minted}
+        assert balance_of(updated["RESERVE"], "alice") == 5.0
+
+        pool, ledgers = load_pool("uniswap-v2-like")
+        with pytest.raises(InsufficientBalance) as info:
+            execute_swap(
+                pool, TradeOrder("bob", "TOKEN0", "TOKEN1", 1.0, "exact-in"),
+                {"TOKEN1": ledgers["TOKEN1"]},
+            )
+        assert str(info.value) == "'bob' holds 0.0 TOKEN0, cannot transfer 1.0"
+
     def test_insufficient_balance_changes_nothing(self):
         pool, ledgers = make_cp_pool()
         ledgers = {**ledgers, "T0": new_ledger("T0", {"alice": 1.0, pool.account: 100.0})}
@@ -937,6 +960,19 @@ class TestOracle:
         pool, _ = make_pmm_pool(oracle=10.0)
         pool2 = set_oracle_price(pool, 12.0)
         assert pool2.reserves == pool.reserves
+
+    def test_the_adopting_state_is_the_constructors_and_binds_its_price(self):
+        pool, _ = make_pmm_pool(oracle=10.0)
+        adopted = set_oracle_price(pool, 12.0)
+        values = {f.name: getattr(pool, f.name) for f in dataclasses.fields(pool) if f.init}
+        built = PoolState(**{**values, "oracle_price": 12.0})
+        assert adopted == built and repr(adopted) == repr(built)
+        assert type(adopted.family) is type(built.family)
+        assert adopted.family.curve is pool.curve
+        assert adopted.family.price == 12.0
+        assert pool.family.price == 10.0
+        order = TradeOrder("a", "BASE", "QUOTE", 1.0, "exact-in")
+        assert quote(adopted, order) == quote(built, order)
 
     def test_wrong_archetype_rejected(self):
         pool, _ = make_cp_pool()

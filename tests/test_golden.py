@@ -49,5 +49,10 @@ def test_demo(case):
     assert digest(case.output()) == case.digest
 
 
+@_cases("test_api")
+def test_api(case):
+    assert digest(case.output()) == case.digest
+
+
 def test_every_demo_is_pinned():
     assert sorted(path.name for path in DEMOS.glob("*.py")) == sorted(DEMO)

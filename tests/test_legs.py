@@ -175,6 +175,9 @@ class TestFamilyEqualsThePublicFunctions:
                 got = outcome(lambda: family.spot_between(state, i, j))
                 want = outcome(lambda: public_spot(family, state, i, j))
                 assert float_bits(got) == float_bits(want)
+            risky = family.risky
+            got = outcome(lambda: family.spot(state))
+            assert float_bits(got) == float_bits(outcome(lambda: public_spot(family, state, risky, 1 - risky)))
         # both the priced and the refused trades were compared
         assert priced > 100 and raised > 10
 

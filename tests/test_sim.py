@@ -206,6 +206,10 @@ class TestParseScenario:
         ("1\tarb creator", "scenario line 2: expected a directive or a step number, got '1\\tarb'"),
         ("account\ta TOKEN0 1", "scenario line 2: expected a directive or a step number, "
                                 "got 'account\\ta'"),
+        # int() takes the whitespace after a number; a step head does not
+        ("1\t arb creator", "scenario line 2: expected a directive or a step number, got '1\\t'"),
+        ("1\u3000 arb creator", "scenario line 2: expected a directive or a step number, "
+                                 "got '1\\u3000'"),
         ("account a TOKEN0 -inf", "scenario line 2: bad amount '-inf'"),
         ("account a TOKEN0 nan", "scenario line 2: bad amount 'nan'"),
         ("account a TOKEN0 -1", "scenario line 2: negative endowment"),
@@ -1073,6 +1077,37 @@ class TestSettlement:
 
 
 class TestRunScenario:
+    def test_each_rows_reference_is_the_series_price_at_its_step(self):
+        """Parsed steps strictly increase, and the reference is carried
+        forward from the series' latest entry at or before each step."""
+        rng = random.Random(5)
+        steps = sorted(rng.sample(range(1, 200), 60))
+        series = parse_price_series("step,price\n" + "".join(
+            f"{step},{rng.uniform(0.5, 2.0)!r}\n" for step in sorted(rng.sample(range(10, 220), 25))
+        ))
+        scenario = parse_scenario(
+            "pool uniswap-v2-like\naccount t TOKEN0 1000\naccount t TOKEN1 1000\n"
+            # an arb needs a reference; a zero deposit does not
+            + "".join(f"{step} arb t\n" if series.at(step) else f"{step} deposit t 0 0\n" for step in steps)
+        )
+        metrics = run_scenario(scenario, price_series=series)
+        assert [record.step for record in metrics.records] == steps
+        assert [record.reference for record in metrics.records] == [series.at(s) for s in steps]
+        assert metrics.records[0].reference is None  # before the first entry
+
+    def test_a_hand_built_scenario_whose_steps_go_back_reads_the_series_at_each(self):
+        series = parse_price_series("step,price\n1,1.5\n3,0.5\n")
+        steps = (0, 5, 2, 2, 6, 3)
+        events = tuple(
+            sim.ScenarioEvent(step, "deposit", ("creator", "0", "0"), line)
+            for line, step in enumerate(steps, 1)
+        )
+        metrics = run_scenario(Scenario("uniswap-v2-like", (), events), price_series=series)
+        references = [record.reference for record in metrics.records]
+        assert references == [series.at(step) for step in steps] == [None, 0.5, 1.5, 1.5, 0.5, 0.5]
+        assert [record.reference for record in run_scenario(Scenario(
+            "uniswap-v2-like", (), events)).records] == [None] * len(steps)
+
     def test_trade_and_arb_events_call_the_public_functions(self, monkeypatch):
         """A scenario's trade and arb events go through the public
         `execute_swap` and `arbitrage_step`, one call per event, so that

@@ -85,9 +85,13 @@ def test_every_private_name_is_used():
     assert not unused, f"private names nothing in the package uses: {unused}"
 
 
-# the checked public curve functions: each checks its legs and amount on
-# every call, which the package's hot paths must not pay again
-CHECKED_CURVE_FUNCTIONS = frozenset({"quote_exact_in", "quote_exact_out", "spot_price"})
+# the public curve functions: the quotes and the spot check their legs and
+# amount on every call, which the package's hot paths must not pay again,
+# and `invariant_value` is one call more than the spec's `invariant` that it
+# forwards to
+PUBLIC_CURVE_FUNCTIONS = frozenset(
+    {"quote_exact_in", "quote_exact_out", "spot_price", "invariant_value"}
+)
 
 
 def called_names(tree: ast.Module) -> dict[str, int]:
@@ -105,21 +109,27 @@ def called_names(tree: ast.Module) -> dict[str, int]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_curves_calls_the_checked_curve_functions(path):
-    """The pricing family calls the curve specs' closed forms directly, on
-    legs checked where they enter; a checked public curve function called
-    from elsewhere in the package would put its checks back on a hot path."""
+    """The pricing family calls the curve specs' closed forms and their
+    `invariant` directly, on legs checked where they enter; a public curve
+    function called from elsewhere in the package would put its checks, or
+    a call that checks nothing, back on a hot path."""
     if path.name == "curves.py":
         return
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = {
-        name: line for name, line in called_names(tree).items() if name in CHECKED_CURVE_FUNCTIONS
+        name: line for name, line in called_names(tree).items() if name in PUBLIC_CURVE_FUNCTIONS
     }
-    assert not found, f"{path.name} calls checked curve functions: {found}"
+    assert not found, f"{path.name} calls public curve functions: {found}"
 
 
 def test_the_checked_curve_function_rule_sees_a_call():
-    tree = ast.parse("from .curves import spot_price\nx = curves.quote_exact_in(1)\ny = spot_price(2)\n")
-    assert set(called_names(tree)) & CHECKED_CURVE_FUNCTIONS == {"quote_exact_in", "spot_price"}
+    tree = ast.parse(
+        "from .curves import spot_price\nx = curves.quote_exact_in(1)\ny = spot_price(2)\n"
+        "z = invariant_value(spec, r)\nw = spec.invariant(r)\n"
+    )
+    assert set(called_names(tree)) & PUBLIC_CURVE_FUNCTIONS == {
+        "quote_exact_in", "spot_price", "invariant_value"
+    }
 
 
 def builtin_sum_calls(tree: ast.Module) -> list[int]:
