@@ -297,6 +297,8 @@ class _Hyperbola(_Conservation):
             return None
         x_in, x_out = reserves[token_in], reserves[token_out]
         moved_in = math.sqrt((b + x_in) * (b + x_out) / price) - b
+        if not moved_in > 0.0:  # where the level's product underflows to 0
+            return None
         # x_out follows from the move of x_in along the hyperbola, which keeps
         # the state on the level to the rounding of the reserves, not of b
         moved_out = x_out - _hyperbola_out(b, x_in, x_out, moved_in - x_in)
@@ -350,7 +352,8 @@ class GeometricMean(_Conservation):
         return _grown(reserves[i], -w[j] / w[i] * math.log1p(-dy / reserves[j]))
 
     def marginal(self, reserves, i, j):
-        return (self.weights[i] * reserves[j]) / (self.weights[j] * reserves[i])
+        below = self.weights[j] * reserves[i]  # 0 where a subnormal reserve underflows
+        return (self.weights[i] * reserves[j]) / below if below else math.inf
 
     def state_at_spot(self, reserves, token_in, token_out, price, adopted_price=None):
         # holding x_i^w_i * x_j^w_j moves log x_i and log x_j in the ratio

@@ -8,13 +8,15 @@ Three archetypes share one pool abstraction:
 
 Each curve belongs to one of four pricing families, and the family table
 below (`PricingFamily` and its subclasses, looked up from the curve's
-`family`) is the only place in the engine and the simulator that knows the
-difference; the probe keeps one harness per family (`probe._PROBES`) for
-the moves only it makes.  Each pool state binds its family once, when it
-is built (`PoolState.family`).  A family owns the state view of a pool, its
-canonical risky leg, the fee-aware trade step, settlement against the
-ledgers, the archetype check, and the spot, invariant and deficiency
-observations that the simulator and the probe read:
+`family`) is the only place in the package that knows the difference: the
+engine, the simulator and the taxonomy probe all read it.  Each pool state
+binds its family once, when it is built (`PoolState.family`).  A family
+owns the state view of a pool, its canonical risky leg, the fee-aware trade
+step, settlement against the ledgers, the archetype check, the spot,
+invariant and deficiency observations that the simulator and the probe
+read, and the moves only the probe makes (buys and sales of the risky leg,
+deeper liquidity, walks toward the price bounds, basket costs, mean
+prices):
 
   family        curves                     state view            fee paid on         fee kept
   conservation  constant product, geometric reserves              the input           in the reserves
@@ -89,6 +91,7 @@ from .curves import (
     PRICE_ADOPTION,
     SCORING_RULE,
     CurveSpec,
+    lmsr_trade_cost,
 )
 
 PRICE_DISCOVERING_LP_BASED = "price-discovering-lp-based"
@@ -302,8 +305,9 @@ class PricingFamily:
     `accumulated_fees` on the side that paid it either way.
 
     Each pool state binds its family once, when it is built, and every
-    quote, settlement, arbitrage step and metrics row reads that family.
-    A family prices any state it is given: every price reads the
+    quote, settlement, arbitrage step and metrics row reads that family;
+    the taxonomy probe runs its experiments through the family's probe
+    moves.  A family prices any state it is given: every price reads the
     conservation value of the state it prices.
 
     `trade` and `spot_between` call the curve spec's closed forms directly,
@@ -527,6 +531,62 @@ class PricingFamily:
         """Whether quotes carry an imbalance surcharge (risk management)."""
         return False
 
+    # -- probe moves --------------------------------------------------------
+    # The taxonomy probe displaces the risky leg through `trade`: a buy is an
+    # exact-out purchase of it with the numeraire, a sale an exact-in sale of
+    # it, so a displacement multiset reaches the same terminal risky balance
+    # in any order.
+
+    def check_probe(self, reserves: State) -> None:
+        """Refuse, with DomainError, reserves that no probe can start from."""
+
+    def buy(self, state: State, qty: float, fee: float = 0.0) -> State:
+        return self.trade(state, 1 - self.risky, self.risky, EXACT_OUT, qty, fee)[3]
+
+    def sell(self, state: State, qty: float, fee: float = 0.0) -> State:
+        return self.trade(state, self.risky, 1 - self.risky, EXACT_IN, qty, fee)[3]
+
+    def can_sell(self, state: State, qty: float) -> bool:
+        """Whether the pool holds the risky leg or has more than `qty` of it
+        outstanding."""
+        risky = self.risky
+        return risky < self.issued_from or state[risky] > qty
+
+    def path_base(self, state0: State) -> State:
+        """The state the path independence probe starts from."""
+        return state0
+
+    def mean_price(self, state: State, volume: float) -> float:
+        """Mean price of `volume` risky units: bought where the pool issues
+        the leg (a sale needs that much outstanding), sold where it holds
+        the leg."""
+        risky = self.risky
+        if risky >= self.issued_from:
+            return self.trade(state, 1 - risky, risky, EXACT_OUT, volume, 0.0)[0] / volume
+        return self.trade(state, risky, 1 - risky, EXACT_IN, volume, 0.0)[1] / volume
+
+    def basket_cost(self, state: State, amount: float) -> float:
+        """Cost of `amount` units of every leg, in the numeraire."""
+        numeraire = 1 - self.risky
+        total = 1.0  # one unit of the numeraire itself
+        for i in range(len(state)):
+            if i != numeraire:
+                total += self.spot_between(state, i, numeraire)
+        return amount * total
+
+    def deepened(self, factor: float) -> PricingFamily:
+        """The family of a pool `factor` times as deep; the probe opens it
+        at `factor` times its opening state."""
+        return self
+
+    def walk_up(self, state: State, fraction: float) -> State:
+        """A walk toward the risky leg's upper price bound."""
+        return self.buy(state, fraction * state[0])
+
+    def walk_down(self, state: State, fraction: float) -> State:
+        """A walk toward the risky leg's lower price bound."""
+        return self.trade(state, 0, 1, EXACT_OUT, fraction * state[1], 0.0)[3]
+
 
 class AdoptionFamily(PricingFamily):
     """Price adoption: reserves (r0, r1) priced around the adopted price."""
@@ -567,6 +627,29 @@ class AdoptionFamily(PricingFamily):
 
     def surcharged(self):
         return self.curve.k > 0.0
+
+    def check_probe(self, reserves):
+        if self.price is None:
+            raise DomainError("probing a price-adopting pool requires an oracle price")
+
+    def basket_cost(self, state, amount):
+        return amount * (1.0 + self.curve.mid(state[0], self.price))
+
+    def deepened(self, factor):
+        targets = tuple(factor * t for t in self.curve.target_reserves)
+        return PricingFamily.of(replace(self.curve, target_reserves=targets), self.price)
+
+    def walk_down(self, state, fraction):
+        curve = self.curve
+        if curve.k > 0.0:
+            # walk toward the reserve level where the bid floors at zero
+            span = curve.zero_bid_reserve() - state[0]
+            if span > 0.0:
+                try:
+                    return self.sell(state, fraction * span)
+                except DepletionError:
+                    pass  # the quote reserve runs out first; drain that instead
+        return super().walk_down(state, fraction)
 
 
 class ScoringFamily(PricingFamily):
@@ -613,6 +696,27 @@ class ScoringFamily(PricingFamily):
 
     def deficiency_ref(self, state0):
         return self.curve.b
+
+    def path_base(self, state0):
+        # sell headroom for outcome 0 in every permutation of a displacement set
+        return self.buy(state0, self.curve.b)
+
+    def basket_cost(self, state, amount):
+        return lmsr_trade_cost(self.curve.b, state[1:], (amount,) * (len(state) - 1))
+
+    def deepened(self, factor):
+        return PricingFamily.of(replace(self.curve, b=factor * self.curve.b))
+
+    def walk_up(self, state, fraction):
+        return self.buy(state, 2.0 * self.curve.b / (1.0 - fraction) * fraction)
+
+    def walk_down(self, state, fraction):
+        # buy every other outcome at once
+        b = self.curve.b
+        qty = 2.0 * b / (1.0 - fraction) * fraction
+        dq = (0.0,) + (qty,) * (len(state) - 2)
+        cost = lmsr_trade_cost(b, state[1:], dq)
+        return (state[0] + cost, *(v + d for v, d in zip(state[1:], dq)))
 
 
 class BondingFamily(PricingFamily):
@@ -668,6 +772,19 @@ class BondingFamily(PricingFamily):
 
     def deficiency_ref(self, state0):
         return state0[0]
+
+    def check_probe(self, reserves):
+        if not reserves[0] > 0.0:
+            raise DomainError(
+                f"probing a bonding pool requires a positive reserve: {reserves[0]}"
+            )
+
+    def walk_up(self, state, fraction):
+        target = state[1] / (1.0 - fraction)
+        return self.buy(state, target - state[1])
+
+    def walk_down(self, state, fraction):
+        return self.sell(state, fraction * state[1])
 
 
 _FAMILIES = {
@@ -1131,7 +1248,6 @@ def parse_pool_spec(text: str) -> PoolConfig:
         reserves=_parse_floats("reserves", entries["reserves"]),
         oracle_price=_parse_float("oracle_price", oracle) if oracle is not None else None,
     )
-    return config
 
 
 _BUILTIN_POOL_TEXT = {

@@ -11,15 +11,16 @@ canonical risky leg of the pool's pricing family (engine.PricingFamily):
 * the market-scoring rule displaces outstanding shares of outcome 0;
 * the bonding rule displaces circulating supply.
 
-Buys and sells are the family's own trade step, the one engine.quote uses, so
-the probe charges fees on the side the family charges them and keeps them
-where the family keeps them; its spots and deficiency values are the family's
-observations too.  That step calls the curve's closed forms directly, never
-the checked public curve functions: the legs every probe trade and spot reads
-are checked once, when `run_dimension_probe` builds the probe.  The
-per-family harnesses below add only the moves the probe alone needs
-(ten-times liquidity, walks toward the price bounds, basket costs, mean
-prices).
+Every move is the family's own: buys and sells go through its trade step,
+the one engine.quote uses, so the probe charges fees on the side the family
+charges them and keeps them where the family keeps them, and its spots and
+deficiency values are the family's observations.  The moves only the probe
+makes (deeper liquidity, walks toward the price bounds, basket costs, mean
+prices) are in the family table too (`PricingFamily`'s probe moves); this
+module holds the experiments alone.  The trade step calls the curve's closed
+forms directly, never the checked public curve functions: the legs every
+probe trade and spot reads are checked once, when `run_dimension_probe`
+opens the family's state.
 
 All mechanism probes run fee-free: they characterize the pricing rule, not the
 fee plumbing.  The one exception is path deficiency, which runs at the spec's
@@ -43,22 +44,17 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import DepletionError, DomainError
-from .curves import lmsr_trade_cost
+from .core import DomainError
 from .engine import (
-    EXACT_IN,
-    EXACT_OUT,
     PRICE_ADOPTING_LP_BASED,
     PRICE_DISCOVERING_LP_BASED,
     PRICE_DISCOVERING_SUPPLY_SOVEREIGN,
-    AdoptionFamily,
-    BondingFamily,
     PoolConfig,
     PricingFamily,
-    ScoringFamily,
     check_opening,
 )
 
@@ -122,7 +118,7 @@ class TaxonomyReport:
 
 
 # ---------------------------------------------------------------------------
-# per-family probe harnesses
+# draws and priming walks
 # ---------------------------------------------------------------------------
 
 
@@ -139,175 +135,15 @@ def _shift(before: Sequence[float], after: Sequence[float]) -> float:
     )
 
 
-class _Probe:
-    """Displaces the family's canonical risky leg through its trade step.
-
-    A buy is an exact-out purchase of the risky leg with the numeraire, a
-    sell an exact-in sale of it, so a displacement multiset reaches the same
-    terminal risky balance in any order.  Subclasses add the probe-only
-    moves of one family.  The family's trade step and its two legs are
-    bound once, here, and the opening state and its scale are the
-    family's (`PricingFamily.opening`).
-    """
-
-    def __init__(self, family: PricingFamily, reserves: tuple[float, ...]):
-        self.family = family
-        self.state0, self.scale = family.opening(reserves)
-        self.trade = family.trade
-        self.risky = family.risky
-        self.numeraire = 1 - family.risky
-
-    def buy(self, state, qty: float, fee: float = 0.0):
-        return self.trade(state, self.numeraire, self.risky, EXACT_OUT, qty, fee)[3]
-
-    def sell(self, state, qty: float):
-        return self.trade(state, self.risky, self.numeraire, EXACT_IN, qty, 0.0)[3]
-
-    def can_sell(self, state, qty: float) -> bool:
-        return True
-
-    def path_base(self):
-        return self.state0
-
-    def mean_price(self, state, volume: float) -> float:
-        """Mean price of `volume` risky units: bought where the pool issues
-        the leg (a sale needs that much outstanding), sold where it holds
-        the leg."""
-        if self.risky >= self.family.issued_from:
-            return self.trade(state, self.numeraire, self.risky, EXACT_OUT, volume, 0.0)[0] / volume
-        return self.trade(state, self.risky, self.numeraire, EXACT_IN, volume, 0.0)[1] / volume
-
-
-class _ConservationProbe(_Probe):
-    """Displaces token 0 against token 1 on a conservation curve."""
-
-    def basket_cost(self, state, amount: float) -> float:
-        total = 1.0  # one unit of the numeraire token 1
-        for i in range(len(state)):
-            if i != 1:
-                total += self.family.spot_between(state, i, 1)
-        return amount * total
-
-    def tenx(self):
-        return _ConservationProbe(self.family, tuple(10.0 * r for r in self.state0))
-
-    def walk_up(self, state, fraction: float):
-        return self.buy(state, fraction * state[0])
-
-    def walk_down(self, state, fraction: float):
-        return self.trade(state, 0, 1, EXACT_OUT, fraction * state[1], 0.0)[3]
-
-
-class _AdoptionProbe(_ConservationProbe):
-    """Displaces token 0 against token 1 under an adopted external price."""
-
-    def __init__(self, family: PricingFamily, reserves: tuple[float, ...]):
-        if family.price is None:
-            raise DomainError("probing a price-adopting pool requires an oracle price")
-        super().__init__(family, reserves)
-
-    def basket_cost(self, state, amount: float) -> float:
-        return amount * (1.0 + self.family.curve.mid(state[0], self.family.price))
-
-    def tenx(self):
-        curve = self.family.curve
-        scaled = dataclasses.replace(
-            curve, target_reserves=tuple(10.0 * t for t in curve.target_reserves)
-        )
-        return _AdoptionProbe(
-            PricingFamily.of(scaled, self.family.price),
-            tuple(10.0 * r for r in self.state0),
-        )
-
-    def walk_down(self, state, fraction: float):
-        curve = self.family.curve
-        if curve.k > 0.0:
-            # walk toward the reserve level where the bid floors at zero
-            span = curve.zero_bid_reserve() - state[0]
-            if span > 0.0:
-                try:
-                    return self.sell(state, fraction * span)
-                except DepletionError:
-                    pass  # the quote reserve runs out first; drain that instead
-        return super().walk_down(state, fraction)
-
-
-class _ScoringProbe(_Probe):
-    """Displaces outstanding shares of outcome 0 against collateral."""
-
-    def can_sell(self, state, qty: float) -> bool:
-        return state[1] >= qty
-
-    def path_base(self):
-        # sell headroom for outcome 0 in every permutation of a displacement set
-        return self.buy(self.state0, self.family.curve.b)
-
-    def basket_cost(self, state, amount: float) -> float:
-        n = len(self.state0) - 1
-        return lmsr_trade_cost(self.family.curve.b, state[1:], (amount,) * n)
-
-    def tenx(self):
-        scaled = dataclasses.replace(self.family.curve, b=10.0 * self.family.curve.b)
-        return _ScoringProbe(
-            PricingFamily.of(scaled), tuple(10.0 * v for v in self.state0)
-        )
-
-    def walk_up(self, state, fraction: float):
-        return self.buy(state, 2.0 * self.family.curve.b / (1.0 - fraction) * fraction)
-
-    def walk_down(self, state, fraction: float):
-        # buy every other outcome at once
-        b = self.family.curve.b
-        qty = 2.0 * b / (1.0 - fraction) * fraction
-        dq = (0.0,) + (qty,) * (len(self.state0) - 2)
-        cost = lmsr_trade_cost(b, state[1:], dq)
-        return (state[0] + cost, *(v + d for v, d in zip(state[1:], dq)))
-
-
-class _BondingProbe(_Probe):
-    """Displaces circulating supply against the bonded reserve."""
-
-    def __init__(self, family: PricingFamily, reserves: tuple[float, ...]):
-        if not reserves[0] > 0.0:
-            raise DomainError(
-                f"probing a bonding pool requires a positive reserve: {reserves[0]}"
-            )
-        super().__init__(family, reserves)
-
-    def can_sell(self, state, qty: float) -> bool:
-        return state[1] > qty
-
-    def basket_cost(self, state, amount: float) -> float:
-        return amount * (1.0 + self.family.spot(state))
-
-    def tenx(self):
-        return _BondingProbe(self.family, (10.0 * self.state0[0],))
-
-    def walk_up(self, state, fraction: float):
-        target = state[1] / (1.0 - fraction)
-        return self.buy(state, target - state[1])
-
-    def walk_down(self, state, fraction: float):
-        return self.sell(state, fraction * state[1])
-
-
-_PROBES = {
-    PricingFamily: _ConservationProbe,
-    AdoptionFamily: _AdoptionProbe,
-    ScoringFamily: _ScoringProbe,
-    BondingFamily: _BondingProbe,
-}
-
-
-def _prime(probe, rng: random.Random):
+def _prime(family: PricingFamily, state0, scale: float, rng: random.Random):
     """Walk to a randomized nearby state without drifting far from start."""
-    state = probe.state0
+    state = state0
     for _ in range(rng.randint(1, 4)):
-        qty = _draw(rng, _WALKS, probe.scale)
-        if rng.random() < 0.5 and probe.can_sell(state, qty):
-            state = probe.sell(state, qty)
+        qty = _draw(rng, _WALKS, scale)
+        if rng.random() < 0.5 and family.can_sell(state, qty):
+            state = family.sell(state, qty)
         else:
-            state = probe.buy(state, qty)
+            state = family.buy(state, qty)
     return state
 
 
@@ -324,38 +160,39 @@ def _classify_variant(deviation: float, variant: str, invariant: str) -> str:
     return INDETERMINATE
 
 
-def _probe_information(probe, rng, trials, fee):
-    spots = probe.family.spots
+def _probe_information(family, state0, scale, rng, trials, fee):
+    spots = family.spots
     worst = 0.0
     for _ in range(trials):
-        state = _prime(probe, rng)
-        qty = _draw(rng, _SIZES, probe.scale)
-        worst = max(worst, _shift(spots(state), spots(probe.buy(state, qty))))
+        state = _prime(family, state0, scale, rng)
+        qty = _draw(rng, _SIZES, scale)
+        worst = max(worst, _shift(spots(state), spots(family.buy(state, qty))))
     return _classify_variant(worst, "Incorporative", "Non-incorporative"), worst
 
 
-def _probe_sensitivity(probe, rng, trials, fee):
-    big = probe.tenx()
-    spots, spots_big = probe.family.spots, big.family.spots
-    opening, opening_big = spots(probe.state0), spots_big(big.state0)
+def _probe_sensitivity(family, state0, scale, rng, trials, fee):
+    big = family.deepened(10.0)
+    big0 = big.opening(tuple(10.0 * v for v in state0))[0]
+    spots, spots_big = family.spots, big.spots
+    opening, opening_big = spots(state0), spots_big(big0)
     worst = 0.0
     for _ in range(trials):
-        qty = _draw(rng, _SIZES, probe.scale)
-        impact_base = _shift(opening, spots(probe.buy(probe.state0, qty)))
-        impact_big = _shift(opening_big, spots_big(big.buy(big.state0, qty)))
+        qty = _draw(rng, _SIZES, scale)
+        impact_base = _shift(opening, spots(family.buy(state0, qty)))
+        impact_big = _shift(opening_big, spots_big(big.buy(big0, qty)))
         worst = max(worst, abs(impact_base - impact_big))
     return _classify_variant(worst, "Sensitive", "Insensitive"), worst
 
 
-def _probe_deficiency(probe, rng, trials, fee):
-    deficiency = probe.family.deficiency
-    ref = probe.family.deficiency_ref(probe.state0)
+def _probe_deficiency(family, state0, scale, rng, trials, fee):
+    deficiency = family.deficiency
+    ref = family.deficiency_ref(state0)
     floor = math.inf
     for _ in range(trials):
-        state = _prime(probe, rng)
-        qty = _draw(rng, _WALKS, probe.scale)
-        bought = probe.buy(state, qty, fee)
-        sold = probe.trade(bought, probe.risky, probe.numeraire, EXACT_IN, qty, fee)[3]
+        state = _prime(family, state0, scale, rng)
+        qty = _draw(rng, _WALKS, scale)
+        bought = family.buy(state, qty, fee)
+        sold = family.sell(bought, qty, fee)
         w0 = deficiency(state)
         w1 = deficiency(bought)
         w2 = deficiency(sold)
@@ -369,12 +206,12 @@ def _probe_deficiency(probe, rng, trials, fee):
     return label, floor
 
 
-def _probe_independence(probe, rng, trials, fee):
-    base = probe.path_base()
+def _probe_independence(family, state0, scale, rng, trials, fee):
+    base = family.path_base(state0)
     worst = 0.0
     for _ in range(trials):
         ops = [
-            (rng.random() < 0.5, _draw(rng, _SIZES, probe.scale))
+            (rng.random() < 0.5, _draw(rng, _SIZES, scale))
             for _ in range(rng.randint(4, 8))
         ]
         shuffled = list(ops)
@@ -383,43 +220,41 @@ def _probe_independence(probe, rng, trials, fee):
         for order in (ops, shuffled):
             state = base
             for is_buy, qty in order:
-                state = probe.buy(state, qty) if is_buy else probe.sell(state, qty)
+                state = family.buy(state, qty) if is_buy else family.sell(state, qty)
             terminals.append(state)
         a, b = terminals
-        worst = max(worst, max(abs(x - y) for x, y in zip(a, b)) / probe.scale)
+        worst = max(worst, max(abs(x - y) for x, y in zip(a, b)) / scale)
     return _classify_variant(worst, "Path Dependent", "Path Independent"), worst
 
 
-def _probe_bounding(probe, rng, trials, fee):
-    spots = probe.family.spots
-    start = spots(probe.state0)
+def _probe_bounding(family, state0, scale, rng, trials, fee):
+    spots = family.spots
+    start = spots(state0)
     up = down = 0.0
     for _ in range(trials):
         fraction = rng.uniform(0.90, 0.99)
-        up = max(up, _shift(start, spots(probe.walk_up(probe.state0, fraction))))
-        down = max(down, _shift(start, spots(probe.walk_down(probe.state0, fraction))))
+        up = max(up, _shift(start, spots(family.walk_up(state0, fraction))))
+        down = max(down, _shift(start, spots(family.walk_down(state0, fraction))))
     responds_up, flat_up = up > TOL_VARIANT, up < TOL_INVARIANT
     responds_dn, flat_dn = down > TOL_VARIANT, down < TOL_INVARIANT
     if responds_up and responds_dn:
         label = "Bounded from Above and Below"
-    elif flat_up and flat_dn:
+    elif flat_up and (flat_dn or responds_dn):
         label = "Bounded from Below"
     elif responds_up and flat_dn:
         label = "Bounded from Above"
-    elif responds_dn and flat_up:
-        label = "Bounded from Below"
     else:
         label = INDETERMINATE
     return label, max(up, down)
 
 
-def _probe_translation(probe, rng, trials, fee):
-    amount = 0.01 * probe.scale
-    reference = probe.basket_cost(probe.state0, amount)
+def _probe_translation(family, state0, scale, rng, trials, fee):
+    amount = 0.01 * scale
+    reference = family.basket_cost(state0, amount)
     worst = 0.0
     for _ in range(trials):
-        state = _prime(probe, rng)
-        cost = probe.basket_cost(state, amount)
+        state = _prime(family, state0, scale, rng)
+        cost = family.basket_cost(state, amount)
         worst = max(worst, abs(cost - reference) / abs(reference))
     return (
         _classify_variant(worst, "Non-translation Invariant", "Translation Invariant"),
@@ -427,13 +262,13 @@ def _probe_translation(probe, rng, trials, fee):
     )
 
 
-def _probe_volume(probe, rng, trials, fee):
+def _probe_volume(family, state0, scale, rng, trials, fee):
     worst = 0.0
     for _ in range(trials):
-        state = _prime(probe, rng)
-        volume = _draw(rng, _VOLUMES, probe.scale)
-        small = probe.mean_price(state, volume)
-        large = probe.mean_price(state, 10.0 * volume)
+        state = _prime(family, state0, scale, rng)
+        volume = _draw(rng, _VOLUMES, scale)
+        small = family.mean_price(state, volume)
+        large = family.mean_price(state, 10.0 * volume)
         if small == 0.0:  # past a price bound, such as a bid floored at zero
             if large != 0.0:
                 raise DomainError(f"mean price 0 for {volume} units, {large} for ten times that")
@@ -454,8 +289,9 @@ _ARCHETYPE_SOURCES = {
 }
 
 # How each dimension is decided, in the published taxonomy row order: a probe
-# procedure, called as (probe, rng, trials, the spec's fee rate) and judged
-# against the tolerance beside it, or a reader of the pool spec, beside None.
+# procedure, called as (family, opening state, scale, rng, trials, the spec's
+# fee rate) and judged against the tolerance beside it, or a reader of the
+# pool spec, beside None.
 # Only the path deficiency probe charges the fee; the others run fee-free.
 _DECIDERS = {
     DIM_INFORMATION: (_probe_information, TOL_VARIANT),
@@ -509,13 +345,18 @@ def run_dimension_probe(
     family = PricingFamily.of(config.curve, config.oracle_price)
     family.check(config.archetype, len(config.tokens))
     check_opening(config)
-    probe = _PROBES[type(family)](family, config.reserves)
+    family.check_probe(config.reserves)
+    state0, scale = family.opening(config.reserves)
     # every trade and spot of the probe reads the risky leg and the numeraire
     # of states shaped like the opening one: their legs are checked here, once
     risky = family.risky
-    family.curve.check_legs(*family.curve_args(probe.state0, risky, 1 - risky))
+    family.curve.check_legs(*family.curve_args(state0, risky, 1 - risky))
+    # `check_opening` passes an unfunded pool, but the probe has nothing to
+    # measure there unless its trades are of a normal size
+    if not sys.float_info.min <= scale < math.inf:
+        raise DomainError(f"probing an unfunded pool needs a normal scale: {scale} at {state0}")
     rng = random.Random(seed * 7919 + DIMENSION_ORDER.index(dimension))
-    label, deviation = procedure(probe, rng, trials, config.fee_rate)
+    label, deviation = procedure(family, state0, scale, rng, trials, config.fee_rate)
     return DimensionVerdict(dimension, label, deviation, trials, tolerance)
 
 

@@ -378,8 +378,10 @@ def arbitrage_step(
     else:
         return pool, ledgers, None
     j = 1 - i
-    # the marginal at which the residual is zero, and the state there
-    price = 1.0 / (reference_price * keep) if buying else reference_price / keep
+    # the marginal at which the residual is zero, and the state there; a net
+    # reference that underflows to 0 prices at inf, as a subnormal one does
+    net = reference_price * keep
+    price = (1.0 / net if net else math.inf) if buying else reference_price / keep
     target = family.state_at_spot(state, i, j, price)
     # what the trade moves to reach the target: nan where there is none,
     # and not positive for a state behind the trade (exponential at kappa

@@ -4,9 +4,18 @@ Exit codes: 0 success, 1 usage error, 2 engine/probe error.  Diagnostics go
 to stderr; data goes to stdout or the --out file.
 """
 
+import contextlib
+import io
+import math
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ammlab.cli import main
+from ammlab.curves import CURVES
 from ammlab.sim import metrics_to_csv, parse_price_series, parse_scenario, run_scenario
 
 CP_ZERO_FEE = """
@@ -275,42 +284,46 @@ class TestUnresolvableSpread:
         assert "Traceback" not in captured.err
 
 
-class TestUnmeasurableOpeningState:
-    """Specs whose opening state has a conservation value, a spot or a
-    probe scale of 0, subnormal or past the float range: quotes and probes
-    on them once divided by 0 or took the log of 0 (a traceback, exit 1).
-    The pool and the probe refuse them with DomainError
-    (`engine.check_opening`), so every command on them exits 2."""
+# Specs whose opening state has a conservation value, a spot or a probe scale
+# of 0, subnormal or past the float range, with a command that once failed on
+# them: (curve, tokens, reserves, other keys, argv after --pool)
+UNMEASURABLE = [
+    # curve-table's smallest size, 1e-3 of reserve 0, underflows to 0
+    pytest.param("constant-product", "T0, T1", "5e-324, 1.0382785733243097e-08", "",
+                 ["curve-table", "--samples", "9"], id="curve-table-cp"),
+    # the conservation value underflows to 0
+    pytest.param("constant-product", "T0, T1, T2, T3",
+                 "6.951768629143713e-19, 100, 2.760499852225275e-24, 1e-300", "fee = 0.9\n",
+                 ["classify", "--seed", "1"], id="classify-cp4"),
+    # the probe scale, the smallest reserve, is subnormal
+    pytest.param("constant-sum", "T0, T1, T2", "0.0100765092960706, 5e-324, 998949505.5302217",
+                 "", ["classify", "--seed", "14"], id="classify-cs3"),
+    # the probe scale is 0
+    pytest.param("constant-sum", "T0, T1", "0, 0.009892767663987164", "fee = 0.3\n",
+                 ["classify", "--seed", "61"], id="classify-cs-zero"),
+    pytest.param("geometric-mean", "T0, T1, T2", "6.666859060665274e-21, 7466660641.713132, 5e-324",
+                 "weights = 0.14345385895149193, 0.3629661465893346, 0.49357999445917344\n"
+                 "fee = 0.3\n", ["classify", "--seed", "1"], id="classify-gm3"),
+]
 
-    @pytest.mark.parametrize(
-        "curve, tokens, reserves, keys, argv",
-        [
-            # curve-table's smallest size, 1e-3 of reserve 0, underflows to 0
-            ("constant-product", "T0, T1", "5e-324, 1.0382785733243097e-08", "",
-             ["curve-table", "--samples", "9"]),
-            # the conservation value underflows to 0
-            ("constant-product", "T0, T1, T2, T3",
-             "6.951768629143713e-19, 100, 2.760499852225275e-24, 1e-300", "fee = 0.9\n",
-             ["classify", "--seed", "1"]),
-            # the probe scale, the smallest reserve, is subnormal
-            ("constant-sum", "T0, T1, T2", "0.0100765092960706, 5e-324, 998949505.5302217", "",
-             ["classify", "--seed", "14"]),
-            # the probe scale is 0
-            ("constant-sum", "T0, T1", "0, 0.009892767663987164", "fee = 0.3\n",
-             ["classify", "--seed", "61"]),
-            ("geometric-mean", "T0, T1, T2", "6.666859060665274e-21, 7466660641.713132, 5e-324",
-             "weights = 0.14345385895149193, 0.3629661465893346, 0.49357999445917344\n"
-             "fee = 0.3\n",
-             ["classify", "--seed", "1"]),
-        ],
-        ids=["curve-table-cp", "classify-cp4", "classify-cs3", "classify-cs-zero", "classify-gm3"],
+
+def lp_spec(curve, tokens, reserves, keys):
+    return (
+        "archetype = price-discovering-lp-based\n"
+        f"curve = {curve}\ntokens = {tokens}\nreserves = {reserves}\n{keys}"
     )
+
+
+class TestUnmeasurableOpeningState:
+    """Quotes and probes on the `UNMEASURABLE` specs once divided by 0 or
+    took the log of 0 (a traceback, exit 1).  The pool and the probe refuse
+    them with DomainError (`engine.check_opening`), so every command on them
+    exits 2."""
+
+    @pytest.mark.parametrize("curve, tokens, reserves, keys, argv", UNMEASURABLE)
     def test_exits_2_without_a_traceback(self, tmp_path, capsys, curve, tokens, reserves, keys, argv):
         path = tmp_path / "tiny.pool"
-        path.write_text(
-            "archetype = price-discovering-lp-based\n"
-            f"curve = {curve}\ntokens = {tokens}\nreserves = {reserves}\n{keys}"
-        )
+        path.write_text(lp_spec(curve, tokens, reserves, keys))
         code = main(argv[:1] + ["--pool", str(path)] + argv[1:])
         captured = capsys.readouterr()
         assert code == 2
@@ -461,3 +474,130 @@ class TestCurveTable:
         for name in BUILTIN_POOLS:
             assert main(["curve-table", "--pool", name, "--samples", "3"]) == 0
             capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# the contract, fuzzed: exit 0, 1 or 2, and never a traceback
+# ---------------------------------------------------------------------------
+
+
+def _logs(lo: float, hi: float):
+    return st.floats(lo, hi).map(math.exp)
+
+
+# sizes from e^-60 to e^60 and, one draw in four, an edge of the float range
+_EDGES = (0.0, 5e-324, 1e-300, 1e300, 1e308)
+_SIZES = st.one_of(*[_logs(-60.0, 60.0)] * 3, st.sampled_from(_EDGES))
+
+
+def _listed(values) -> str:
+    return ", ".join(map(repr, values))
+
+
+@st.composite
+def pool_specs(draw) -> str:
+    """The text of a pool spec for one of the eight curves, with the
+    archetype and token count its curve needs and generated parameters."""
+    curve = draw(st.sampled_from(sorted(c.spec_name for c in CURVES)))
+    archetype = "price-discovering-lp-based"
+    n = draw(st.integers(2, 4))
+    keys = ""
+    if curve == "geometric-mean":
+        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+        keys = f"weights = {_listed(w / math.fsum(raw) for w in raw)}\n"
+    elif curve == "constant-product-sum":
+        keys = f"chi = {draw(st.one_of(st.just(0.0), _logs(-30.0, 30.0)))!r}\n"
+    elif curve == "constant-power-sum":
+        keys = f"t = {draw(st.floats(0.0, 0.99))!r}\n"
+    reserves = draw(st.lists(_SIZES, min_size=n, max_size=n))
+    if curve == "lmsr":
+        n += 1
+        b = draw(_logs(-20.0, 20.0))
+        keys = f"b = {b!r}\n"
+        # the creation subsidy b*ln(outcomes), or more, or any size
+        subsidy = draw(st.one_of(st.floats(1.0, 4.0).map(lambda f: f * b * math.log(n - 1)), _SIZES))
+        reserves = [subsidy] + [0.0] * (n - 1)
+    elif curve == "price-adoption":
+        archetype, n = "price-adopting-lp-based", 2
+        # at its target, as a pool opens, or anywhere
+        targets = draw(st.one_of(st.just(reserves[:2]), st.lists(_SIZES, min_size=2, max_size=2)))
+        keys = (
+            f"k = {draw(st.floats(0.0, 1.0))!r}\ntarget_reserves = {_listed(targets)}\n"
+            f"oracle_price = {draw(_logs(-60.0, 60.0))!r}\n"
+        )
+        reserves = reserves[:2]
+    elif curve == "exponential":
+        archetype, n = "price-discovering-supply-sovereign", 2
+        keys = f"kappa = {draw(_logs(-3.0, 3.0))!r}\nc = {draw(_logs(-30.0, 30.0))!r}\n"
+        reserves = [reserves[0], 0.0]
+    fee = draw(st.sampled_from((0.0, 0.003, 0.3, 0.9)))
+    return (
+        f"archetype = {archetype}\ncurve = {curve}\n"
+        f"tokens = {', '.join(f'T{i}' for i in range(n))}\n"
+        f"reserves = {_listed(reserves)}\nfee = {fee!r}\n{keys}"
+    )
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# (spec, seed, amount) that once escaped `main` with ZeroDivisionError
+FUZZ_FOUND = [
+    # the probe's scale and deficiency reference of an unfunded pool are 0
+    (lp_spec("constant-sum", "T0, T1", "0.0, 0.0", ""), 0, 1.0),
+    ("archetype = price-adopting-lp-based\ncurve = price-adoption\ntokens = T0, T1\n"
+     "reserves = 0.0, 0.0\nfee = 0.9\nk = 0.38094576384788803\n"
+     "target_reserves = 1.0, 5e-324\noracle_price = 4.834308339132578e+21\n", 66, 1.0),
+    # the geometric-mean spot's denominator underflows to 0
+    (lp_spec("geometric-mean", "T0, T1", "5e-324, 1.0",
+             "weights = 0.7394849928659522, 0.26051500713404785\n"), 70, 1.0),
+    # the product of the arbitrage target's level underflows to 0
+    (lp_spec("constant-product-sum", "T0, T1", "1e-300, 1e-300", "fee = 0.003\nchi = 0.0\n"),
+     0, 1e-300),
+    # the arbitrageur's reference net of the fee underflows to 0
+    (lp_spec("constant-power-sum", "T0, T1", "2.972062911366752e+20, 1e-300",
+             "fee = 0.9\nt = 1e-06\n"), 0, 5e-324),
+]
+
+
+def _examples(test):
+    for case in reversed(UNMEASURABLE):
+        curve, tokens, reserves, keys, argv = case.values
+        seed = int(argv[-1]) if argv[0] == "classify" else 0
+        test = example(spec=lp_spec(curve, tokens, reserves, keys), seed=seed, amount=1.0)(test)
+    for spec, seed, amount in reversed(FUZZ_FOUND):
+        test = example(spec=spec, seed=seed, amount=amount)(test)
+    return test
+
+
+@_examples
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spec=pool_specs(), seed=st.integers(0, 99), amount=_SIZES)
+def test_no_command_prints_a_traceback(spec, seed, amount):
+    """Every command on a generated spec exits 0 or, refused, 2 with an
+    error line and no output.  The command lines are well formed, so exit
+    1, kept for a bad command line, fails too, as does a non-`AmmError`
+    escaping `main`."""
+    with tempfile.TemporaryDirectory() as scratch:
+        pool, scenario, prices = (Path(scratch) / name for name in ("fuzz.pool", "s.txt", "p.csv"))
+        pool.write_text(spec)
+        scenario.write_text(
+            f"pool {pool}\naccount arb T0 {2.0 * amount!r}\naccount arb T1 {2.0 * amount!r}\n"
+            f"1 trade arb T0 T1 {amount!r}\n2 arb arb\n3 trade arb T1 T0 {0.5 * amount!r}\n"
+        )
+        prices.write_text(f"step,price\n0,{amount!r}\n")
+        for argv in (
+            ["quote", "--pool", str(pool), "--in", "T0", "--out", "T1", "--amount", repr(amount)],
+            ["classify", "--pool", str(pool), "--seed", str(seed), "--trials", "100"],
+            ["curve-table", "--pool", str(pool), "--samples", "9"],
+            ["simulate", "--scenario", str(scenario), "--prices", str(prices)],
+        ):
+            code, out, err = _run(argv)
+            assert code in (0, 2), (argv[0], spec, code, err)
+            if code == 2:
+                assert out == "", (argv[0], spec)
+                assert err.startswith("error: ") and "Traceback" not in err, (argv[0], spec, err)

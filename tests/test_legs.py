@@ -379,12 +379,12 @@ def count_curve_calls(monkeypatch) -> dict:
     return counts
 
 
-@pytest.mark.parametrize("name", sorted(BUILTIN_POOLS))
+@pytest.mark.parametrize("name", sorted(POOL_CONFIGS))
 def test_a_probe_calls_no_public_curve_function(monkeypatch, name):
     counts = count_curve_calls(monkeypatch)
     for dimension in PROBED_DIMENSIONS:
         before = counts["check_legs"]
-        run_dimension_probe(BUILTIN_POOLS[name], dimension, seed=3, trials=128)
+        run_dimension_probe(POOL_CONFIGS[name], dimension, seed=3, trials=128)
         assert counts["check_legs"] - before <= 1
     assert counts["public"] == 0
 

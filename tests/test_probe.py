@@ -497,11 +497,8 @@ oracle_price = 1
 """
 
 
-class _FlooredProbe:
-    """A probe whose smaller volume trades at 0 and whose larger one does not."""
-
-    state0 = (1.0, 1.0)
-    scale = 1.0
+class _FlooredFamily:
+    """A family whose smaller volume trades at 0 and whose larger one does not."""
 
     def can_sell(self, state, qty):
         return False
@@ -521,7 +518,7 @@ class TestZeroBid:
 
     def test_a_zero_small_volume_price_against_a_nonzero_large_one_is_refused(self):
         with pytest.raises(DomainError, match="mean price 0"):
-            _probe_volume(_FlooredProbe(), random.Random(0), MIN_TRIALS, 0.0)
+            _probe_volume(_FlooredFamily(), (1.0, 1.0), 1.0, random.Random(0), MIN_TRIALS, 0.0)
 
 
 class TestDrawStream:

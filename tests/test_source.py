@@ -227,3 +227,47 @@ def test_sim_reaches_the_engine_through_its_public_functions():
 def test_the_private_engine_import_rule_sees_an_import():
     tree = ast.parse("from .engine import _priced, quote\nfrom .core import _x\n")
     assert private_engine_imports(tree) == {"_priced"}
+
+
+def family_leaks(tree: ast.Module) -> set[str]:
+    """Each `*Family` name other than `PricingFamily` that a module imports
+    from `.engine`, and each class it bases on a `*Family` name."""
+    leaks = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "engine" and node.level == 1:
+            leaks.update(
+                f"import {alias.name}"
+                for alias in node.names
+                if alias.name.endswith("Family") and alias.name != "PricingFamily"
+            )
+        elif isinstance(node, ast.ClassDef):
+            for base in node.bases:
+                name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+                if name.endswith("Family"):
+                    leaks.add(f"class {node.name}({name})")
+    return leaks
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_engine_defines_a_family(path):
+    """Everything that differs between the pricing families lives in the
+    family table in `engine.py`; a module that names one family's class, or
+    subclasses a family, keeps a second table that a new family must also
+    be written into."""
+    if path.name == "engine.py":
+        return
+    found = family_leaks(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, f"{path.name} reaches past PricingFamily: {sorted(found)}"
+
+
+def test_the_family_rule_sees_an_import_and_a_subclass():
+    tree = ast.parse(
+        "from .engine import PricingFamily, ScoringFamily, quote\n"
+        "from .curves import BondingFamily\n"
+        "class _Probe(engine.AdoptionFamily):\n    pass\n"
+        "class _Other(PricingFamily):\n    pass\n"
+        "class _Plain(object):\n    pass\n"
+    )
+    assert family_leaks(tree) == {
+        "import ScoringFamily", "class _Probe(AdoptionFamily)", "class _Other(PricingFamily)"
+    }
