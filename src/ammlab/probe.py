@@ -30,7 +30,10 @@ prices, so the sale back after a path-deficiency buy is priced on the level
 that the buy's fee moved, which the deficiency values measure.  Every probe
 is deterministic for a fixed (pool spec, dimension, seed, trials) tuple: the
 generator is seeded from the seed and the dimension's position, never from
-object hashes.
+object hashes.  Every draw is read straight off the generator's `random()`
+and `getrandbits()` by the formulas of `Random.uniform`, `Random.randint`
+and `Random.shuffle`, consuming the stream as they do: the same draws, bit
+for bit, at fewer Python calls per trial.
 
 Deviations are reported relative to the pool's characteristic scale (smallest
 initial reserve, liquidity parameter b, or circulating supply), trade sizes
@@ -123,24 +126,38 @@ class TaxonomyReport:
 
 
 def _draw(rng: random.Random, band: tuple[float, float], scale: float) -> float:
-    # `rng.uniform(lo, hi)`'s own formula, one call shorter: the same draws
-    # from the same stream, bit for bit
+    # `rng.uniform(lo, hi)`'s own formula, read off `rng.random()`: the same
+    # draws from the same stream, bit for bit.  The probes read their counts
+    # and shuffles off `rng.getrandbits()` by the formulas of `Random.randint`
+    # and `Random.shuffle`, whose `Random._randbelow(n)` draws n.bit_length()
+    # bits until they fall below n.
     lo, hi = band
     return scale * math.exp(lo + (hi - lo) * rng.random())
 
 
 def _shift(before: Sequence[float], after: Sequence[float]) -> float:
-    return max(
-        abs(b - a) / abs(a) if a != 0.0 else abs(b - a) for a, b in zip(before, after)
-    )
+    # the largest relative move, taken as `max()` takes it: the first leg's,
+    # then each strictly greater one, so a nan keeps its place
+    worst = None
+    for a, b in zip(before, after):
+        move = abs(b - a) / abs(a) if a != 0.0 else abs(b - a)
+        if worst is None or move > worst:
+            worst = move
+    return worst
 
 
 def _prime(family: PricingFamily, state0, scale: float, rng: random.Random):
     """Walk to a randomized nearby state without drifting far from start."""
+    # `rng.randint(1, 4)`: 1 + `_randbelow(4)`
+    steps = rng.getrandbits(3)
+    while steps >= 4:
+        steps = rng.getrandbits(3)
+    lo, hi = _WALKS
+    rand = rng.random
     state = state0
-    for _ in range(rng.randint(1, 4)):
-        qty = _draw(rng, _WALKS, scale)
-        if rng.random() < 0.5 and family.can_sell(state, qty):
+    for _ in range(1 + steps):
+        qty = scale * math.exp(lo + (hi - lo) * rand())  # `_draw(rng, _WALKS, scale)`
+        if rand() < 0.5 and family.can_sell(state, qty):
             state = family.sell(state, qty)
         else:
             state = family.buy(state, qty)
@@ -161,12 +178,12 @@ def _classify_variant(deviation: float, variant: str, invariant: str) -> str:
 
 
 def _probe_information(family, state0, scale, rng, trials, fee):
-    spots = family.spots
+    spots, buy = family.spots, family.buy
     worst = 0.0
     for _ in range(trials):
         state = _prime(family, state0, scale, rng)
         qty = _draw(rng, _SIZES, scale)
-        worst = max(worst, _shift(spots(state), spots(family.buy(state, qty))))
+        worst = max(worst, _shift(spots(state), spots(buy(state, qty))))
     return _classify_variant(worst, "Incorporative", "Non-incorporative"), worst
 
 
@@ -208,31 +225,47 @@ def _probe_deficiency(family, state0, scale, rng, trials, fee):
 
 def _probe_independence(family, state0, scale, rng, trials, fee):
     base = family.path_base(state0)
+    buy, sell = family.buy, family.sell
+    rand, getrandbits = rng.random, rng.getrandbits
     worst = 0.0
     for _ in range(trials):
-        ops = [
-            (rng.random() < 0.5, _draw(rng, _SIZES, scale))
-            for _ in range(rng.randint(4, 8))
-        ]
+        # `rng.randint(4, 8)`: 4 + `_randbelow(5)`
+        count = getrandbits(3)
+        while count >= 5:
+            count = getrandbits(3)
+        ops = [(rand() < 0.5, _draw(rng, _SIZES, scale)) for _ in range(4 + count)]
+        # `rng.shuffle(shuffled)`: from the last item down, swap item i with
+        # item `_randbelow(i + 1)`
         shuffled = list(ops)
-        rng.shuffle(shuffled)
+        for i in range(len(shuffled) - 1, 0, -1):
+            bits = (i + 1).bit_length()
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
         terminals = []
         for order in (ops, shuffled):
             state = base
             for is_buy, qty in order:
-                state = family.buy(state, qty) if is_buy else family.sell(state, qty)
+                state = buy(state, qty) if is_buy else sell(state, qty)
             terminals.append(state)
-        a, b = terminals
-        worst = max(worst, max(abs(x - y) for x, y in zip(a, b)) / scale)
+        # the largest leg gap, taken as `max()` takes it (see `_shift`)
+        gap = None
+        for x, y in zip(*terminals):
+            leg = abs(x - y)
+            if gap is None or leg > gap:
+                gap = leg
+        worst = max(worst, gap / scale)
     return _classify_variant(worst, "Path Dependent", "Path Independent"), worst
 
 
 def _probe_bounding(family, state0, scale, rng, trials, fee):
     spots = family.spots
     start = spots(state0)
+    rand = rng.random
     up = down = 0.0
     for _ in range(trials):
-        fraction = rng.uniform(0.90, 0.99)
+        fraction = 0.90 + (0.99 - 0.90) * rand()  # `rng.uniform(0.90, 0.99)`
         up = max(up, _shift(start, spots(family.walk_up(state0, fraction))))
         down = max(down, _shift(start, spots(family.walk_down(state0, fraction))))
     responds_up, flat_up = up > TOL_VARIANT, up < TOL_INVARIANT

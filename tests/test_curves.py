@@ -1184,6 +1184,15 @@ class TestStateAtSpot:
             cost = quote_exact_out(spec, state, 1, 0, state[0] - target[0], adopted_price=p)
             assert math.isclose(target[1], state[1] + cost, rel_tol=1e-12)
 
+    def test_price_adoption_behind_the_trade(self):
+        """A state already past the target (here a sale's bid of 9 at token
+        0 of 130, where mid(120) is 9) moves token 0 back to the target and
+        token 1 by the affine piece's integral: 10 units at mid(125) = 8.75."""
+        spec = PriceAdoption(k=0.5, target_reserves=(100.0, 1000.0))
+        target = spec.state_at_spot((130.0, 1000.0), 0, 1, 9.0, adopted_price=10.0)
+        assert target == (120.0, 1087.5)
+        assert spot_price(spec, target, 0, 1, adopted_price=10.0) == 9.0
+
     @pytest.mark.parametrize(
         "spec,reserves,legs,price",
         [

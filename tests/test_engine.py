@@ -642,6 +642,20 @@ class TestLiquidity:
         assert math.isclose(minted, pool.lp_share_supply * ratio, rel_tol=REL)
         assert pool2.reserves == (pool.reserves[0] + 1.0, 0.0)
 
+    def test_first_deposit_after_a_full_withdrawal(self):
+        """A pool whose shares were all withdrawn opens again on the next
+        deposit, which must fund every token and mints their geometric mean."""
+        pool, ledgers = load_pool("uniswap-v2-like")
+        pool, _, ledgers = withdraw_liquidity(pool, "creator", 100.0, ledgers)
+        assert pool.lp_share_supply == 0.0 and pool.reserves == (0.0, 0.0)
+        with pytest.raises(DomainError, match="the first deposit must fund every token"):
+            deposit_liquidity(pool, "creator", (5.0, 0.0), ledgers)
+        pool, minted, ledgers = deposit_liquidity(pool, "creator", (5.0, 5.0), ledgers)
+        assert minted == 5.0
+        assert pool.lp_share_supply == 5.0 and pool.reserves == (5.0, 5.0)
+        priced = quote(pool, TradeOrder("creator", "TOKEN0", "TOKEN1", 1.0, "exact-in"))
+        assert math.isclose(priced.amount_out, 5.0 * 0.997 / (5.0 + 0.997), rel_tol=REL)
+
     def test_zero_deposit_mints_zero(self):
         pool, ledgers = make_cp_pool(reserves=(100.0, 400.0))
         pool2, minted, _ = deposit_liquidity(pool, "bob", (0.0, 0.0), ledgers)

@@ -28,7 +28,11 @@ from ammlab.probe import (
     DimensionVerdict,
     TaxonomyReport,
     _draw,
+    _prime,
+    _probe_bounding,
+    _probe_independence,
     _probe_volume,
+    _shift,
     classify,
     report_to_csv,
     run_dimension_probe,
@@ -521,6 +525,39 @@ class TestZeroBid:
             _probe_volume(_FlooredFamily(), (1.0, 1.0), 1.0, random.Random(0), MIN_TRIALS, 0.0)
 
 
+class _RecordingFamily:
+    """A family whose moves leave the state as it is and are recorded, in
+    the order the probe makes them."""
+
+    def __init__(self):
+        self.moves = []
+
+    def can_sell(self, state, qty):
+        return True
+
+    def buy(self, state, qty):
+        self.moves.append(("buy", qty))
+        return state
+
+    def sell(self, state, qty):
+        self.moves.append(("sell", qty))
+        return state
+
+    def path_base(self, state0):
+        return state0
+
+    def spots(self, state):
+        return (1.0,)
+
+    def walk_up(self, state, fraction):
+        self.moves.append(("up", fraction))
+        return state
+
+    def walk_down(self, state, fraction):
+        self.moves.append(("down", fraction))
+        return state
+
+
 class TestDrawStream:
     def test_draw_is_uniform_of_the_same_stream(self):
         """`_draw` inlines `Random.uniform`: the same sizes, bit for bit,
@@ -533,6 +570,74 @@ class TestDrawStream:
                         got = _draw(drawn, band, scale)
                         assert got == scale * math.exp(reference.uniform(*band))
                     assert drawn.getstate() == reference.getstate()
+
+    def test_priming_walks_draw_randint_of_the_same_stream(self):
+        """`_prime` draws its step count as `Random.randint(1, 4)` and each
+        step's size and side as the walk band's `uniform` and `random()`."""
+        counts = set()
+        for seed in range(200):
+            family, reference = _RecordingFamily(), random.Random(seed)
+            rng = random.Random(seed)
+            _prime(family, (1.0, 1.0), 2.5, rng)
+            steps = reference.randint(1, 4)
+            expected = []
+            for _ in range(steps):
+                qty = 2.5 * math.exp(reference.uniform(*_WALKS))
+                expected.append(("sell" if reference.random() < 0.5 else "buy", qty))
+            assert family.moves == expected
+            assert rng.getstate() == reference.getstate()
+            counts.add(steps)
+        assert counts == {1, 2, 3, 4}
+
+    def test_path_orders_draw_randint_and_shuffle_of_the_same_stream(self):
+        """`_probe_independence` draws its trade count as
+        `Random.randint(4, 8)` and its second order as `Random.shuffle`."""
+        lengths = set()
+        for seed in range(200):
+            family, reference = _RecordingFamily(), random.Random(seed)
+            rng = random.Random(seed)
+            _probe_independence(family, (1.0, 1.0), 0.37, rng, 1, 0.0)
+            ops = []
+            for _ in range(reference.randint(4, 8)):
+                side = "buy" if reference.random() < 0.5 else "sell"
+                ops.append((side, 0.37 * math.exp(reference.uniform(*_SIZES))))
+            shuffled = list(ops)
+            reference.shuffle(shuffled)
+            assert family.moves == ops + shuffled
+            assert rng.getstate() == reference.getstate()
+            lengths.add(len(ops))
+        assert lengths == {4, 5, 6, 7, 8}
+
+    def test_bounding_fraction_is_uniform_of_the_same_stream(self):
+        for seed in range(200):
+            family, reference = _RecordingFamily(), random.Random(seed)
+            rng = random.Random(seed)
+            _probe_bounding(family, (1.0, 1.0), 1.0, rng, 3, 0.0)
+            expected = []
+            for _ in range(3):
+                fraction = reference.uniform(0.90, 0.99)
+                expected += [("up", fraction), ("down", fraction)]
+            assert family.moves == expected
+            assert rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize(
+        "before,after",
+        [
+            ((math.nan, 1.0), (1.0, 2.0)),  # a nan first stays the maximum
+            ((1.0, math.nan), (2.0, 1.0)),  # a nan later is passed over
+            ((1.0, 2.0), (math.nan, 2.5)),
+            ((0.0,), (0.5,)),  # a zero base reads the absolute move
+            ((0.0, 4.0), (0.25, 5.0)),
+            ((2.0, 0.5), (3.0, 0.25)),  # bid and ask, the bid's move binding
+            ((2.0, 0.5), (2.5, 1.0)),  # bid and ask, the ask's move binding
+            ((1.0,), (1.0,)),
+        ],
+    )
+    def test_shift_takes_the_maximum_as_max_does(self, before, after):
+        expected = max(
+            abs(b - a) / abs(a) if a != 0.0 else abs(b - a) for a, b in zip(before, after)
+        )
+        assert repr(_shift(before, after)) == repr(expected)
 
 
 def _adoption_config(k, t0, t1, side, r1, price, fee):
