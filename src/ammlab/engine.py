@@ -192,7 +192,8 @@ class PoolState:
         object.__setattr__(self, "family", PricingFamily.of(self.curve, self.oracle_price))
 
 
-# a trade's successor state (`PricingFamily.apply`), and an adopted price's
+# a trade's successor state (`PricingFamily.apply`), an LP deposit's or
+# withdrawal's, and an adopted price's
 _pool_state = _slot_builder(PoolState)
 
 
@@ -1018,11 +1019,12 @@ def deposit_liquidity(
         updated[t] = ledger_transfer(_ledger_for(updated, t), provider, pool.account, amount)
     shares = pool.lp_shares.copy()
     shares[provider] = shares.get(provider, 0.0) + minted
-    pool2 = PoolState(
+    pool2 = _pool_state(
         pool.archetype, pool.tokens, pool.curve,
         tuple(r + a for r, a in zip(pool.reserves, deposit)), pool.fee,
         pool.lp_share_supply + minted, MappingProxyType(shares), pool.circulating_supply,
         pool.oracle_price, pool.accumulated_fees, pool.account, pool.creator, pool.closed,
+        pool.family,
     )
     return pool2, minted, updated
 
@@ -1052,11 +1054,12 @@ def withdraw_liquidity(
         new_shares[provider] = remaining
     else:
         del new_shares[provider]
-    pool2 = PoolState(
+    pool2 = _pool_state(
         pool.archetype, pool.tokens, pool.curve,
         tuple(r - a for r, a in zip(pool.reserves, amounts)), pool.fee,
         pool.lp_share_supply - shares, MappingProxyType(new_shares), pool.circulating_supply,
         pool.oracle_price, pool.accumulated_fees, pool.account, pool.creator, pool.closed,
+        pool.family,
     )
     return pool2, amounts, updated
 

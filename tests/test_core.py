@@ -7,8 +7,10 @@ transfer/mint/burn, the sum of balances equals total_supply.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
+import pickle
 import random
 import tracemalloc
 from functools import reduce
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ammlab import engine, sim
 from ammlab.core import (
     DomainError,
     FeeParams,
@@ -420,3 +423,44 @@ class TestSlotBuilder:
         with pytest.raises(dataclasses.FrozenInstanceError):
             built.label = "z"
         assert dataclasses.replace(built, items=[3]).items == (3,)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del built.label
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_a_built_value_copies_as_a_constructed_one(self, clone):
+        cloned = clone(_slot_builder(_Normalised)((1, 2), "y", 2))
+        assert type(cloned) is _Normalised
+        assert cloned == _Normalised((1, 2), "y") and cloned.size == 2
+
+    def test_refuses_a_class_it_cannot_mirror(self):
+        @dataclasses.dataclass(frozen=True)
+        class Unslotted:
+            items: tuple
+
+        @dataclasses.dataclass(frozen=True, slots=True)
+        class Derived(_Normalised):
+            extra: int = 0
+
+        for cls in (Unslotted, Derived):
+            with pytest.raises(TypeError, match=cls.__name__):
+                _slot_builder(cls)
+
+    def test_package_builders_build_their_class(self):
+        config = engine.BUILTIN_POOLS["uniswap-v2-like"]
+        ledgers = {t: new_ledger(t, {"c": 1e6}) for t in config.tokens}
+        pool, _ = engine.create_pool(config, config.reserves, "c", ledgers)
+        cases = [
+            (engine._pool_state, engine.PoolState,
+             [getattr(pool, f.name) for f in dataclasses.fields(pool)]),
+            (sim._event, sim.ScenarioEvent, (3, "trade", ("a", "T0", "T1", "1"), 7, None)),
+            (sim._record, sim.MetricsRecord, (4, "arb", 1.5, 1.25, 0.2, 100.0, None, -0.5, 0.0)),
+            (sim._order, engine.TradeOrder, ("a", "T0", "T1", 2.0, "exact-in")),
+        ]
+        for build, cls, values in cases:
+            built = build(*values)
+            fields = dataclasses.fields(cls)
+            constructed = cls(*(v for v, f in zip(values, fields) if f.init))
+            assert type(built) is cls
+            assert built == constructed and repr(built) == repr(constructed)

@@ -198,6 +198,29 @@ class TestCreatePool:
                 curve=ConstantProduct(), fee_rate=0.0,
             )
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"archetype": "mystery"}, r"unknown archetype 'mystery'; expected one of \["),
+        ({"tokens": ("T0",)}, "a pool needs at least two tokens"),
+        ({"tokens": ("T0", "T1", "T0")}, r"duplicate token ids: \('T0', 'T1', 'T0'\)"),
+        ({"tokens": ("T0", "")}, "token ids must be non-empty"),
+        ({"reserves": (1.0, 2.0, 3.0)}, "3 reserves for 2 tokens"),
+        ({"reserves": (1.0, -1.0)}, r"reserves out of range: \(1.0, -1.0\)"),
+        ({"reserves": (math.inf, 1.0)}, r"reserves out of range: \(inf, 1.0\)"),
+        ({"reserves": (1.0, math.nan)}, r"reserves out of range: \(1.0, nan\)"),
+        ({"oracle_price": 0.0}, "oracle price must be positive and finite: 0.0"),
+        ({"oracle_price": -2.0}, "oracle price must be positive and finite: -2.0"),
+        ({"oracle_price": math.inf}, "oracle price must be positive and finite: inf"),
+        ({"oracle_price": math.nan}, "oracle price must be positive and finite: nan"),
+    ])
+    def test_config_refusals(self, changes, message):
+        spec = dict(
+            archetype=PRICE_DISCOVERING_LP_BASED, tokens=("T0", "T1"),
+            curve=ConstantProduct(), fee_rate=0.0,
+        )
+        spec.update(changes)
+        with pytest.raises(DomainError, match=message):
+            PoolConfig(**spec)
+
     def test_lmsr_creation_charges_subsidy(self):
         pool, ledgers = make_lmsr_pool(b=100.0, n_outcomes=3)
         subsidy = 100.0 * math.log(3.0)

@@ -1136,17 +1136,17 @@ class TestRunScenario:
         ("curve-v1-like", "1 trade t STABLE0 STABLE1 5\n2 arb t\n3 arb t\n"
          "4 trade t STABLE1 STABLE0 2\n5 arb t\n", 0),
         ("uniswap-v2-like", "1 deposit t 1 1\n2 trade t TOKEN0 TOKEN1 5\n3 arb t\n"
-         "4 withdraw t 0.5\n5 arb t\n", 2),
+         "4 withdraw t 0.5\n5 arb t\n", 0),
         ("dodo-like", "1 oracle 11\n2 trade t BASE QUOTE 1\n3 arb t\n4 oracle 9\n5 arb t\n", 2),
     ], ids=["uniswap", "curve", "uniswap-lp", "dodo-oracle"])
     def test_trades_and_arbs_build_no_quote_and_bind_no_family(
         self, monkeypatch, pool, events, public_states
     ):
         """A trade or arb event builds no `Quote`, as nothing reads its
-        receipt, and its successor state keeps the pool's bound family.
-        Only a state built through the public constructor looks its family
-        up: the pool `load_pool` opens, and one per deposit, withdrawal and
-        oracle event.  Counted by patching, on runs that trade every time."""
+        receipt, and its successor state, as a deposit's or a withdrawal's,
+        keeps the pool's bound family.  Only the pool `load_pool` opens and
+        the state of each oracle event, whose price binds a new family, look
+        a family up.  Counted by patching, on runs that trade every time."""
         counts = {"Quote": 0, "of": 0}
         real_quote, real_of = engine.Quote, PricingFamily.of
 
