@@ -113,12 +113,24 @@ class UnsupportedOperation(AmmError):
 
 class SolverError(AmmError):
     """The product-sum level solve (`curves.solve_stableswap_d`), the one
-    root solve left, failed to converge; carries the final residual.  Only
-    a pool of three or more tokens runs it: two-token D is a closed form."""
+    root solve left, reached its iteration cap (`curves.NEWTON_MAX_ITER`)
+    before its Newton step in ln D fell to 1e-12; carries the residual
+    h = chi*s/D + prod(x)/D^n - chi - n^-n at the last iterate.  Only a
+    pool of three or more tokens runs it: two-token D is a closed form."""
 
     def __init__(self, message: str, residual: float = float("nan")):
         super().__init__(message)
         self.residual = residual
+
+
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 input file; a file that is not UTF-8 raises
+    DomainError naming it, as a missing one raises OSError."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as error:
+        raise DomainError(f"{path!r} is not UTF-8 text (byte {error.start})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ its cost function in log space, and price adoption inverts its piecewise
 quadratic integrals.  `state_at_spot`, the inverse of the spot, sizes an
 arbitrage trade the same way on every two-token curve.  The product-sum
 level D is a closed form too for two tokens, the root of a quadratic; the
-one root solve left is D for three or more, by its own Newton
-(`solve_stableswap_d`).
+one root solve left is D for three or more (`solve_stableswap_d`): Newton
+in ln D from the larger one-term root, then one multiplicative step in D.
 
 Token legs are integer indices into the reserves vector. Two conventions:
 LMSR uses ``None`` for the collateral leg (reserves are outstanding share
@@ -56,7 +56,6 @@ from .core import DepletionError, DomainError, SolverError, UnsupportedOperation
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 64
-BISECT_MAX_ITER = 200
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -587,8 +586,9 @@ class Lmsr(CurveSpec):
         """Legs are resolved by `_lmsr_outcome_leg` in each method."""
 
     def invariant(self, reserves):
-        if any(q < 0.0 for q in reserves):
-            raise DomainError(f"share quantities must be non-negative: {tuple(reserves)}")
+        for q in reserves:
+            if q < 0.0:
+                raise DomainError(f"share quantities must be non-negative: {tuple(reserves)}")
         return _lmsr_cost(self.b, reserves)
 
     def spot(self, q, token_in, token_out, adopted_price=None):
@@ -1040,13 +1040,22 @@ def _two_token_d(reserves: Sequence[float], chi: float) -> float:
 def solve_stableswap_d(reserves: Sequence[float], chi: float) -> float:
     """Total-coins parameter D of the constant product-sum invariant.
 
-    Two tokens: the closed form (`_two_token_d`).  Three or more: Newton
-    from D0 = sum(reserves), stopping once a step moves D by at most 1e-12
-    of D, for at most 64 iterations; Newton converges quadratically, so D
-    is then as exact as its residual's rounding allows.  It falls back to
-    bisection on the AM-GM bracket [n*(prod x)^(1/n), sum x], down to a
-    bracket 1e-12 of D wide.  Reserves whose residual terms (up to (1 + chi)
-    * sum(x)**n) overflow a float raise DomainError.
+    Two tokens: the closed form (`_two_token_d`); chi = 0: n*(prod x)^(1/n).
+    Three or more: the invariant divided by D^n is, in u = ln D,
+
+        h(u) = e^(ln chi + ln s - u) + e^(ln P - n*u) - c = 0,
+
+    for s = sum(x), P = prod(x) and c = chi + n^-n; ln P is taken from the
+    reserves' binary mantissas and exponents, so P neither overflows nor
+    underflows.  h is convex and decreasing, so Newton rises monotonically
+    to its root from the larger one-term root, max(ln chi + ln s - ln c,
+    (ln P - ln c)/n), at most ln 2 left of it.  It stops once a step moves
+    u by at most 1e-12, a relative move of D, or no longer raises u; past
+    64 iterations it raises SolverError.  One multiplicative step, D *= 1 +
+    (t1 + t2 - c)/(t1 + n*t2) with t1 = chi*s/D and t2 = P/D^n formed from
+    D itself, then leaves D exact to rounding, which exp(u) is not.
+    Reserves whose residual terms (up to (1 + chi) * sum(x)**n) overflow a
+    float raise DomainError.
     """
     _require_positive(reserves)
     if not chi >= 0.0:
@@ -1061,52 +1070,32 @@ def solve_stableswap_d(reserves: Sequence[float], chi: float) -> float:
         largest = math.inf
     if largest == math.inf:
         raise DomainError(f"reserves overflow the product-sum invariant: {tuple(reserves)}")
-    prod = math.prod(reserves)
     if chi == 0.0:
-        return n * prod ** (1.0 / n)
-
-    def g(d: float) -> float:
-        return chi * d ** (n - 1) * s + prod - chi * d**n - (d / n) ** n
-
-    def gp(d: float) -> float:
-        return (
-            chi * (n - 1) * d ** (n - 2) * s
-            - chi * n * d ** (n - 1)
-            - (d / n) ** (n - 1)
-        )
-
-    # g >= 0 at the geometric-mean end and <= 0 at the arithmetic-sum end
-    lo = n * prod ** (1.0 / n)
-    hi = s
-    d = s
+        return n * math.prod(reserves) ** (1.0 / n)
+    # P = mantissa * 2**exponent: the n mantissas' product lies in [2^-n, 1)
+    mantissa, exponent = 1.0, 0
+    for x in reserves:
+        m, e = math.frexp(x)
+        mantissa *= m
+        exponent += e
+    log_p = math.log(mantissa) + exponent * math.log(2.0)
+    log_chi_s = math.log(chi) + math.log(s)
+    c = chi + n**-n
+    log_c = math.log(c)
+    u = max(log_chi_s - log_c, (log_p - log_c) / n)
     for _ in range(NEWTON_MAX_ITER):
-        gd = g(d)
-        if gd == 0.0:
-            return d
-        if gd >= 0.0:
-            lo = max(lo, d)
-        else:
-            hi = min(hi, d)
-        slope = gp(d)
-        if slope != 0.0 and math.isfinite(slope):
-            d_new = d - gd / slope
-        else:
-            d_new = 0.5 * (lo + hi)
-        if not lo <= d_new <= hi:
-            d_new = 0.5 * (lo + hi)
-        if abs(d_new - d) <= NEWTON_TOL * d_new:
-            return d_new
-        d = d_new
-
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if g(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= NEWTON_TOL * mid:
-            return 0.5 * (lo + hi)
-    raise SolverError("D solve did not converge", residual=g(0.5 * (lo + hi)))
+        t1, t2 = math.exp(log_chi_s - u), math.exp(log_p - n * u)
+        step = (t1 + t2 - c) / (t1 + n * t2)
+        u += step
+        if step <= NEWTON_TOL:
+            break
+    else:
+        residual = math.exp(log_chi_s - u) + math.exp(log_p - n * u) - c
+        raise SolverError("D solve did not converge", residual=residual)
+    d = math.exp(u)
+    m, e = math.frexp(d)
+    t1, t2 = chi * (s / d), math.ldexp(mantissa / m**n, exponent - n * e)
+    return d * (1.0 + (t1 + t2 - c) / (t1 + n * t2))
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,7 @@ from .core import (
     Ledger,
     TokenId,
     UnsupportedOperation,
+    _read_text,
     _slot_builder,
     balance_of,
     ledger_burn,
@@ -1333,8 +1334,7 @@ def load_pool_config(source: str) -> PoolConfig:
     if source in BUILTIN_POOLS:
         return BUILTIN_POOLS[source]
     if os.path.exists(source):
-        with open(source, encoding="utf-8") as fh:
-            return parse_pool_spec(fh.read())
+        return parse_pool_spec(_read_text(source))
     raise DomainError(
         f"{source!r} is neither a built-in pool name {sorted(BUILTIN_POOLS)} "
         "nor a readable file"

@@ -39,6 +39,7 @@ from .core import (
     AmmError,
     DomainError,
     UnsupportedOperation,
+    _read_text,
     _slot_builder,
     balance_of,
     ledger_mint_many,
@@ -114,8 +115,7 @@ def parse_price_series(text: str) -> PriceSeries:
 
 
 def load_price_series(path: str) -> PriceSeries:
-    with open(path, encoding="utf-8") as handle:
-        return parse_price_series(handle.read())
+    return parse_price_series(_read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +235,7 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, encoding="utf-8") as handle:
-        return parse_scenario(handle.read())
+    return parse_scenario(_read_text(path))
 
 
 # ---------------------------------------------------------------------------

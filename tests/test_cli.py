@@ -331,6 +331,37 @@ class TestUnmeasurableOpeningState:
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+class TestNonUtf8Input:
+    """An input file that is not UTF-8 once escaped `main` as
+    UnicodeDecodeError (a traceback, exit 1); every loader now refuses it
+    with DomainError naming the file, so the command exits 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["quote", "--pool", "{bad}", "--in", "T0", "--out", "T1", "--amount", "1"],
+            ["classify", "--pool", "{bad}", "--seed", "0"],
+            ["curve-table", "--pool", "{bad}", "--samples", "3"],
+            ["simulate", "--scenario", "{bad}"],
+            ["simulate", "--scenario", "{scenario}", "--prices", "{bad}"],
+            ["simulate", "--scenario", "{pooled}"],
+        ],
+        ids=["quote", "classify", "curve-table", "scenario", "prices", "scenario-pool"],
+    )
+    def test_exits_2_naming_the_file(self, tmp_path, cp_path, capsys, argv):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"pool = caf\xe9\n\xff\n")
+        scenario, pooled = tmp_path / "scenario.txt", tmp_path / "pooled.txt"
+        scenario.write_text(f"pool {cp_path}\naccount arb T0 10\n1 arb arb\n")
+        pooled.write_text(f"pool {bad}\naccount arb T0 10\n1 arb arb\n")
+        paths = {"bad": bad, "scenario": scenario, "pooled": pooled}
+        code = main([arg.format(**paths) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {str(bad)!r} is not UTF-8 text (byte 10)\n"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

@@ -264,7 +264,6 @@ class TestQuote:
         Newton solve allowed no iteration, it still prices, and a
         three-token state's D cannot be had."""
         monkeypatch.setattr(curves, "NEWTON_MAX_ITER", 0)
-        monkeypatch.setattr(curves, "BISECT_MAX_ITER", 0)
         pool, _ = load_pool("curve-v1-like")
         q = quote(pool, TradeOrder("alice", "STABLE0", "STABLE1", 10.0, "exact-in"))
         assert 0.0 < q.amount_out < 10.0

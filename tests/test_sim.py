@@ -292,7 +292,6 @@ class TestArbitrage:
         Newton solve allowed no iteration, a step that declines and one
         that trades both run."""
         monkeypatch.setattr(curves, "NEWTON_MAX_ITER", 0)
-        monkeypatch.setattr(curves, "BISECT_MAX_ITER", 0)
         pool, ledgers = load_pool("curve-v1-like")
         fund(ledgers, "STABLE0", "arb", 1e9)
         fund(ledgers, "STABLE1", "arb", 1e9)
