@@ -26,9 +26,10 @@ one power of each reserve for geometric mean and power-sum), LMSR inverts
 its cost function in log space, and price adoption inverts its piecewise
 quadratic integrals.  `state_at_spot`, the inverse of the spot, sizes an
 arbitrage trade the same way on every two-token curve.  The product-sum
-level D is a closed form too for two tokens, the root of a quadratic; the
-one root solve left is D for three or more (`solve_stableswap_d`): Newton
-in ln D from the larger one-term root, then one multiplicative step in D.
+level D is a closed form too for two tokens, the root of a quadratic, and
+at chi = 0; the one root solve left is D for three or more at chi > 0
+(`solve_stableswap_d`): Newton in ln D from the larger one-term root, then
+one multiplicative step in D.
 
 Token legs are integer indices into the reserves vector. Two conventions:
 LMSR uses ``None`` for the collateral leg (reserves are outstanding share
@@ -1040,8 +1041,9 @@ def _two_token_d(reserves: Sequence[float], chi: float) -> float:
 def solve_stableswap_d(reserves: Sequence[float], chi: float) -> float:
     """Total-coins parameter D of the constant product-sum invariant.
 
-    Two tokens: the closed form (`_two_token_d`); chi = 0: n*(prod x)^(1/n).
-    Three or more: the invariant divided by D^n is, in u = ln D,
+    Two tokens: the closed form (`_two_token_d`).  Three or more at chi = 0:
+    n*P^(1/n), for P = prod(x) taken as below.  At chi > 0 the invariant
+    divided by D^n is, in u = ln D,
 
         h(u) = e^(ln chi + ln s - u) + e^(ln P - n*u) - c = 0,
 
@@ -1070,14 +1072,16 @@ def solve_stableswap_d(reserves: Sequence[float], chi: float) -> float:
         largest = math.inf
     if largest == math.inf:
         raise DomainError(f"reserves overflow the product-sum invariant: {tuple(reserves)}")
-    if chi == 0.0:
-        return n * math.prod(reserves) ** (1.0 / n)
     # P = mantissa * 2**exponent: the n mantissas' product lies in [2^-n, 1)
     mantissa, exponent = 1.0, 0
     for x in reserves:
         m, e = math.frexp(x)
         mantissa *= m
         exponent += e
+    if chi == 0.0:
+        # n * P^(1/n), with the exponent's multiple of n taken out of the root
+        whole, rest = divmod(exponent, n)
+        return n * math.ldexp(math.ldexp(mantissa, rest) ** (1.0 / n), whole)
     log_p = math.log(mantissa) + exponent * math.log(2.0)
     log_chi_s = math.log(chi) + math.log(s)
     c = chi + n**-n

@@ -178,6 +178,7 @@ class PoolState:
     closed: bool = False
     # the pricing family, bound to the curve and the oracle price when the
     # state is built; derived, so `replace` and every constructor rebuild it
+    # and check the pool's shape against it
     family: PricingFamily = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -190,11 +191,14 @@ class PoolState:
             object.__setattr__(
                 self, "lp_shares", MappingProxyType(dict(self.lp_shares))
             )
-        object.__setattr__(self, "family", PricingFamily.of(self.curve, self.oracle_price))
+        family = PricingFamily.of(self.curve, self.oracle_price)
+        family.check(self.archetype, len(self.tokens))
+        object.__setattr__(self, "family", family)
 
 
 # a trade's successor state (`PricingFamily.apply`), an LP deposit's or
-# withdrawal's, and an adopted price's
+# withdrawal's, and an adopted price's: each keeps the archetype, tokens and
+# curve of a pool whose shape was checked when it was built
 _pool_state = _slot_builder(PoolState)
 
 
@@ -322,12 +326,12 @@ class PricingFamily:
     as None.  Conservation and bonding curves
     read the state and its legs as they are, so those families hand them
     over unchanged.  `spot` and `invariant` call the curve spec too.  Legs are
-    checked where they enter: `_validate_order` checks an order's tokens,
-    the arbitrage step runs `check` on the pool it trades, and the probe
-    runs the curve's `check_legs` once on the legs of its opening state.  A
-    pool that passed `check` (as every pool `create_pool` opens) has legs
-    the curve accepts for every pair of its tokens the family trades.  An
-    exponential quote refuses a nan, negative or half-empty state itself,
+    checked where they enter: a pool state runs `check` when it is built,
+    by its constructor or by `dataclasses.replace`, `_validate_order`
+    checks an order's tokens, and the probe runs the curve's `check_legs`
+    once on the legs of its opening state.  A pool that passed `check` has
+    legs the curve accepts for every pair of its tokens the family trades.
+    An exponential quote refuses a nan, negative or half-empty state itself,
     and a trade that would leave a half-empty state.
     """
 
@@ -539,8 +543,8 @@ class PricingFamily:
     # it, so a displacement multiset reaches the same terminal risky balance
     # in any order.
 
-    def check_probe(self, reserves: State) -> None:
-        """Refuse, with DomainError, reserves that no probe can start from."""
+    def check_probe(self) -> None:
+        """Refuse, with DomainError, a pool that no probe can start from."""
 
     def buy(self, state: State, qty: float, fee: float = 0.0) -> State:
         return self.trade(state, 1 - self.risky, self.risky, EXACT_OUT, qty, fee)[3]
@@ -630,7 +634,7 @@ class AdoptionFamily(PricingFamily):
     def surcharged(self):
         return self.curve.k > 0.0
 
-    def check_probe(self, reserves):
+    def check_probe(self):
         if self.price is None:
             raise DomainError("probing a price-adopting pool requires an oracle price")
 
@@ -775,12 +779,6 @@ class BondingFamily(PricingFamily):
     def deficiency_ref(self, state0):
         return state0[0]
 
-    def check_probe(self, reserves):
-        if not reserves[0] > 0.0:
-            raise DomainError(
-                f"probing a bonding pool requires a positive reserve: {reserves[0]}"
-            )
-
     def walk_up(self, state, fraction):
         target = state[1] / (1.0 - fraction)
         return self.buy(state, target - state[1])
@@ -798,15 +796,18 @@ _FAMILIES = {
 
 
 def check_opening(config: PoolConfig) -> None:
-    """Refuse, with DomainError, a configured opening state that no quote
+    """Refuse, with DomainError, a config whose shape its family refuses
+    (`PricingFamily.check`), then a configured opening state that no quote
     or probe can measure: one whose conservation value, spots or probe
     scale (`PricingFamily.opening`) is 0, subnormal or past the float
-    range.  `materialize_pool` and the probe run it on every config they
-    are given.  A spot of 0 is a price bound, the bid of a price-adoption
-    pool floored at zero, and passes; the origin of a bonding curve, or a
-    pool whose reserves are not funded yet, has nothing to measure, and a
-    price-adoption pool no spots before it adopts a price."""
+    range.  `materialize_pool` runs it on every config it is given, and
+    every command opens its pool through `materialize_pool`.  A spot of 0
+    is a price bound, the bid of a price-adoption pool floored at zero, and
+    passes; the origin of a bonding curve, or a pool whose reserves are not
+    funded yet, has nothing to measure, and a price-adoption pool no spots
+    before it adopts a price."""
     family = PricingFamily.of(config.curve, config.oracle_price)
+    family.check(config.archetype, len(config.tokens))
     state, scale = family.opening(config.reserves)
     if not any(state):
         return

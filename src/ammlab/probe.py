@@ -17,10 +17,14 @@ charges them and keeps them where the family keeps them, and its spots and
 deficiency values are the family's observations.  The moves only the probe
 makes (deeper liquidity, walks toward the price bounds, basket costs, mean
 prices) are in the family table too (`PricingFamily`'s probe moves); this
-module holds the experiments alone.  The trade step calls the curve's closed
-forms directly, never the checked public curve functions: the legs every
-probe trade and spot reads are checked once, when `run_dimension_probe`
-opens the family's state.
+module holds the experiments alone.  `run_dimension_probe` opens its pool
+through `engine.materialize_pool`, as every other command does, so the probe
+refuses exactly the specs the engine refuses, with the same error, and then
+the few that only a probe cannot start from (`PricingFamily.check_probe`, and
+a probe scale outside the normal float range).  The trade step calls the
+curve's closed forms directly, never the checked public curve functions: the
+legs every probe trade and spot reads are checked once, when
+`run_dimension_probe` opens the family's state.
 
 All mechanism probes run fee-free: they characterize the pricing rule, not the
 fee plumbing.  The one exception is path deficiency, which runs at the spec's
@@ -58,7 +62,7 @@ from .engine import (
     PRICE_DISCOVERING_SUPPLY_SOVEREIGN,
     PoolConfig,
     PricingFamily,
-    check_opening,
+    materialize_pool,
 )
 
 # the taxonomy's dimensions; `_DECIDERS` below gives their row order and how
@@ -373,19 +377,16 @@ def run_dimension_probe(
     if trials < MIN_TRIALS:
         raise DomainError(f"at least {MIN_TRIALS} trials required: {trials}")
 
-    if not config.reserves:
-        raise DomainError("probing requires a pool spec with initial reserves")
-    family = PricingFamily.of(config.curve, config.oracle_price)
-    family.check(config.archetype, len(config.tokens))
-    check_opening(config)
-    family.check_probe(config.reserves)
+    # the pool every other command would open, or its refusal
+    family = materialize_pool(config)[0].family
+    family.check_probe()
     state0, scale = family.opening(config.reserves)
     # every trade and spot of the probe reads the risky leg and the numeraire
     # of states shaped like the opening one: their legs are checked here, once
     risky = family.risky
     family.curve.check_legs(*family.curve_args(state0, risky, 1 - risky))
-    # `check_opening` passes an unfunded pool, but the probe has nothing to
-    # measure there unless its trades are of a normal size
+    # a bonding pool opens at reserve 0, but the probe has nothing to measure
+    # there, nor anywhere its trades are not of a normal size
     if not sys.float_info.min <= scale < math.inf:
         raise DomainError(f"probing an unfunded pool needs a normal scale: {scale} at {state0}")
     rng = random.Random(seed * 7919 + DIMENSION_ORDER.index(dimension))

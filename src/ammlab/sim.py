@@ -347,10 +347,6 @@ def arbitrage_step(
     family = pool.family
     if family.arb_error is not None:
         raise UnsupportedOperation(family.arb_error)
-    # the two legs traded below are ones the curve prices on any pool that
-    # passes the check create_pool ran; a pool built by hand is checked here,
-    # once, as the trade steps check no legs
-    family.check(pool.archetype, len(pool.tokens))
     if not (math.isfinite(reference_price) and reference_price > 0.0):
         raise DomainError(f"reference price must be > 0: {reference_price}")
 

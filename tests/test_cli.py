@@ -15,7 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ammlab.cli import main
+from ammlab.core import AmmError
 from ammlab.curves import CURVES
+from ammlab.engine import materialize_pool, parse_pool_spec
+from ammlab.probe import MIN_TRIALS, classify
 from ammlab.sim import metrics_to_csv, parse_price_series, parse_scenario, run_scenario
 
 CP_ZERO_FEE = """
@@ -316,9 +319,9 @@ def lp_spec(curve, tokens, reserves, keys):
 
 class TestUnmeasurableOpeningState:
     """Quotes and probes on the `UNMEASURABLE` specs once divided by 0 or
-    took the log of 0 (a traceback, exit 1).  The pool and the probe refuse
-    them with DomainError (`engine.check_opening`), so every command on them
-    exits 2."""
+    took the log of 0 (a traceback, exit 1).  `materialize_pool`, through
+    which every command opens its pool, refuses them with DomainError
+    (`engine.check_opening`), so every command on them exits 2."""
 
     @pytest.mark.parametrize("curve, tokens, reserves, keys, argv", UNMEASURABLE)
     def test_exits_2_without_a_traceback(self, tmp_path, capsys, curve, tokens, reserves, keys, argv):
@@ -360,6 +363,66 @@ class TestNonUtf8Input:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {str(bad)!r} is not UTF-8 text (byte 10)\n"
+
+
+# (input files by name, argv with {name} for each file's path, the error line)
+REFUSALS = [
+    pytest.param(
+        {"prices": "step,price\n0,1\n\n2,x\n"},
+        ["simulate", "--scenario", "{scenario}", "--prices", "{prices}"],
+        "price series line 4: cannot parse '2,x'", id="prices-blank-line-then-parse"),
+    pytest.param({"s": "account arb T0\n"}, ["simulate", "--scenario", "{s}"],
+                 "scenario line 1: expected account <name> <token> <amount>", id="account-arity"),
+    pytest.param({"s": "account arb T0 ten\n"}, ["simulate", "--scenario", "{s}"],
+                 "scenario line 1: bad amount 'ten'", id="account-amount"),
+    pytest.param({"s": "pool {pool}\npool {pool}\n"}, ["simulate", "--scenario", "{s}"],
+                 "scenario line 2: duplicate pool directive", id="duplicate-pool"),
+    pytest.param({"s": "pool \n"}, ["simulate", "--scenario", "{s}"],
+                 "scenario line 1: pool needs a source", id="empty-pool"),
+    pytest.param({"s": "pool {pool}\n1\n"}, ["simulate", "--scenario", "{s}"],
+                 "scenario line 2: step 1 has no verb", id="no-verb"),
+    pytest.param({}, ["curve-table", "--pool", "{pool}", "--samples", "0"],
+                 "samples must be >= 1: 0", id="no-samples"),
+    pytest.param({"p": CP_ZERO_FEE.replace("fee = 0", "fee = abc")}, ["classify", "--pool", "{p}", "--seed", "0"],
+                 "fee: not a number: 'abc'", id="spec-not-a-number"),
+    pytest.param({"p": CP_ZERO_FEE + "garbage\n"}, ["curve-table", "--pool", "{p}", "--samples", "3"],
+                 "line 7: expected `key = value`: 'garbage'", id="spec-no-equals"),
+    pytest.param({"p": CP_ZERO_FEE + "fee = 0\n"}, ["classify", "--pool", "{p}", "--seed", "0"],
+                 "line 7: duplicate key 'fee'", id="spec-duplicate-key"),
+    pytest.param(
+        {}, ["quote", "--pool", "{missing}", "--in", "T0", "--out", "T1", "--amount", "1"],
+        "{missing!r} is neither a built-in pool name ['augur-like', 'bancor-like', 'curve-v1-like', "
+        "'dodo-like', 'mstable-2021-like', 'uniswap-v2-like'] nor a readable file", id="no-such-pool"),
+    # 1e-300 of T0 costs 1e-300 * 1e-300 of T1, which underflows to 0
+    pytest.param(
+        {"p": CP_ZERO_FEE.replace("100, 100", "1e300, 1")},
+        ["quote", "--pool", "{p}", "--in", "T1", "--out", "T0", "--amount", "1e-300", "--kind", "exact-out"],
+        "cannot price exact-out 1e-300: the input would be 0.0", id="unpriceable-input"),
+    # a spec of the wrong shape is named by its shape, not by its opening
+    # state, whose conservation value and probe scale leave the float range
+    pytest.param(
+        {"p": lp_spec("lmsr", "C, O0", "1, 0", "b = 1e-320\n")},
+        ["quote", "--pool", "{p}", "--in", "C", "--out", "O0", "--amount", "1"],
+        "an LMSR pool needs a collateral token and at least two outcomes", id="shape-first"),
+]
+
+
+@pytest.mark.parametrize("files, argv, message", REFUSALS)
+def test_a_refused_input_exits_2_with_its_error_line(tmp_path, capsys, files, argv, message):
+    """Each refusal of a spec, a scenario, a price series or an option
+    reaches `main` as one `error:` line and exit 2."""
+    paths = {"pool": tmp_path / "cp.pool", "scenario": tmp_path / "scenario.txt",
+             "missing": str(tmp_path / "missing.pool")}
+    paths["pool"].write_text(CP_ZERO_FEE)
+    paths["scenario"].write_text(f"pool {paths['pool']}\naccount arb T0 10\n1 arb arb\n")
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text.format(**paths))
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(**paths)}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -632,3 +695,61 @@ def test_no_command_prints_a_traceback(spec, seed, amount):
             if code == 2:
                 assert out == "", (argv[0], spec)
                 assert err.startswith("error: ") and "Traceback" not in err, (argv[0], spec, err)
+
+
+# specs that `materialize_pool` refuses and `classify` once classified, with
+# the refusal every command now gives
+ADMISSION_GAPS = [
+    pytest.param(lp_spec("lmsr", "C, O0, O1", "0, 0, 0", "b = 10\n"),
+                 "collateral subsidy 0.0 is below the worst-case resolution liability "
+                 "b*ln(2) = 6.931471805599453", id="lmsr-underfunded"),
+    pytest.param(lp_spec("lmsr", "C, O0, O1", "100, 1, 0", "b = 10\n"),
+                 "LMSR pools start with zero outstanding shares", id="lmsr-outstanding-shares"),
+    pytest.param("archetype = price-discovering-supply-sovereign\ncurve = exponential\n"
+                 "tokens = R, S\nreserves = 100, 5\nkappa = 2\nc = 1\n",
+                 "supply-sovereign reserves are (bonded_reserve, 0)", id="bonding-second-reserve"),
+]
+
+
+@pytest.mark.parametrize("spec, message", ADMISSION_GAPS)
+@pytest.mark.parametrize("command", [
+    ["classify", "--seed", "0"], ["quote", "--in", "R", "--out", "S", "--amount", "1"],
+], ids=["classify", "quote"])
+def test_classify_and_quote_refuse_alike(tmp_path, capsys, spec, message, command):
+    """The probe opens its pool through `materialize_pool`, as `quote` does,
+    so both refuse these specs with the same error line and exit 2."""
+    path = tmp_path / "gap.pool"
+    path.write_text(spec)
+    code = main(command[:1] + ["--pool", str(path)] + command[1:])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def _gap_examples(test):
+    for case in reversed(ADMISSION_GAPS):
+        test = example(spec=case.values[0])(test)
+    return test
+
+
+@_gap_examples
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spec=pool_specs())
+def test_classify_refuses_what_materialize_pool_refuses(spec):
+    """Wherever `materialize_pool` refuses a generated spec, `classify`
+    raises the same exception type with the same message."""
+    try:
+        config = parse_pool_spec(spec)
+    except AmmError:  # no config for either to open
+        return
+    try:
+        materialize_pool(config)
+    except AmmError as error:
+        refused = error
+    else:
+        return
+    with pytest.raises(AmmError) as raised:
+        classify(config, trials=MIN_TRIALS)
+    assert type(raised.value) is type(refused)
+    assert str(raised.value) == str(refused)

@@ -424,6 +424,32 @@ class TestPoolStateFamily:
             PoolState(**values, family=pool.family)
         assert PoolState(**values) == pool
 
+    # (pool, changes that leave the state mis-shaped, the shape's refusal)
+    MIS_SHAPED = [
+        ("dodo-like", {"tokens": ("BASE", "QUOTE", "X"), "reserves": (100.0, 1000.0, 5.0),
+                       "accumulated_fees": (0.0,) * 3}, "price adoption is a two-token mechanism"),
+        ("uniswap-v2-like", {"archetype": PRICE_ADOPTING_LP_BASED},
+         "price-adopting pools need a price-adoption curve"),
+        ("augur-like", {"tokens": ("CASH", "OUT0"), "reserves": (1.0, 0.0)},
+         "an LMSR pool needs a collateral token and at least two outcomes"),
+        ("bancor-like", {"tokens": ("R", "I", "X"), "reserves": (1.0, 0.0, 0.0)},
+         "supply-sovereign pools hold (reserve, issued) tokens"),
+    ]
+
+    @pytest.mark.parametrize("name, changes, message", MIS_SHAPED, ids=[c[0] for c in MIS_SHAPED])
+    def test_a_mis_shaped_state_is_refused_where_it_is_built(self, name, changes, message):
+        """Every state checks its shape against its family when it is
+        built, so no quote, swap or arbitrage step ever sees a pool of the
+        wrong shape: dodo-like with a third token once quoted BASE for
+        9.945 X out of a reserve of 5."""
+        pool, _ = load_pool(name)
+        values = {f.name: getattr(pool, f.name) for f in dataclasses.fields(pool) if f.init}
+        with pytest.raises(DomainError) as by_replace:
+            dataclasses.replace(pool, **changes)
+        with pytest.raises(DomainError) as by_constructor:
+            PoolState(**{**values, **changes})
+        assert str(by_replace.value) == str(by_constructor.value) == message
+
 
 class TestExecuteSwap:
     def test_ledger_deltas_equal_and_opposite(self):

@@ -309,8 +309,8 @@ _BAD_ENGINE = [
      "reference price must be > 0: -1.0"),
     (lambda: arbitrage_step(_pool("uniswap-v2-like"), math.nan, "arb", {}), DomainError,
      "reference price must be > 0: nan"),
-    # a pool built by hand, past the check create_pool runs: the arbitrage
-    # step checks its pool once, where the trade steps check no legs
+    # a pool built by hand, past create_pool, is refused where it is built:
+    # the trade steps check no legs
     (lambda: arbitrage_step(
         dataclasses.replace(_pool("dodo-like"), tokens=("A", "B", "C"), reserves=(1.0, 1.0, 1.0)),
         1.0, "arb", {}), DomainError, "price adoption is a two-token mechanism"),
@@ -324,7 +324,7 @@ _BAD_ENGINE = [
      DomainError, "probing a price-adopting pool requires an oracle price"),
     (lambda: run_dimension_probe(
         dataclasses.replace(BUILTIN_POOLS["bancor-like"], reserves=(0.0, 0.0)), PROBED_DIMENSIONS[0]),
-     DomainError, "probing a bonding pool requires a positive reserve: 0.0"),
+     DomainError, "probing an unfunded pool needs a normal scale: 0.0 at (0.0, 0.0)"),
     (lambda: run_dimension_probe(
         dataclasses.replace(BUILTIN_POOLS["augur-like"], tokens=("CASH", "OUT0"), reserves=(1.0, 0.0)),
         PROBED_DIMENSIONS[0]),

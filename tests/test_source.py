@@ -271,3 +271,58 @@ def test_the_family_rule_sees_an_import_and_a_subclass():
     assert family_leaks(tree) == {
         "import ScoringFamily", "class _Probe(AdoptionFamily)", "class _Other(PricingFamily)"
     }
+
+
+def admissions(tree: ast.AST) -> set[str]:
+    """Each place a tree names `check_opening` (imported, bare or as an
+    attribute) or reads a `.check` attribute, as `line: name`."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = f".{node.attr}"
+        else:
+            continue
+        if name in ("check_opening", ".check_opening", ".check"):
+            found.add(f"{node.lineno}: {name}")
+    return found
+
+
+def function_named(tree: ast.Module, name: str) -> ast.FunctionDef:
+    return next(
+        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def test_a_pool_is_admitted_once_where_it_is_built():
+    """`materialize_pool` admits a config (`check_opening`, then the
+    family's `open`), and a pool state checks its shape when it is built.
+    The probe opens its pool through `materialize_pool` and the arbitrage
+    step trades pool states, so neither runs an admission check of its
+    own: a second one would let them refuse, or admit, other specs than
+    every other command does."""
+    probe = ast.parse((PACKAGE / "probe.py").read_text(encoding="utf-8"))
+    sim = ast.parse((PACKAGE / "sim.py").read_text(encoding="utf-8"))
+    assert admissions(probe) == set(), "probe.py runs an admission check of its own"
+    assert admissions(function_named(sim, "arbitrage_step")) == set()
+
+
+def test_the_admission_rule_sees_a_check():
+    tree = ast.parse(
+        "from .engine import check_opening, PricingFamily\n"
+        "def step(pool):\n"
+        "    family.check(pool.archetype, 2)\n"
+        "    engine.check_opening(config)\n"
+        "    family.check_probe()\n"
+        "    return check_opening\n"
+        "checked = check\n"
+    )
+    assert admissions(tree) == {
+        "1: check_opening", "3: .check", "4: .check_opening", "6: check_opening"
+    }
+    assert admissions(function_named(tree, "step")) == {
+        "3: .check", "4: .check_opening", "6: check_opening"
+    }
