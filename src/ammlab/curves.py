@@ -482,7 +482,11 @@ def _lmsr_cost(b: float, q: Sequence[float]) -> float:
 
 
 def _lmsr_price(b: float, q: Sequence[float], j: int) -> float:
-    m, z = _lmsr_weights(b, q)
+    # `_lmsr_weights`' loop, inlined: this runs on every LMSR spot and trade
+    m = max(q)
+    z = 0.0
+    for qi in q:
+        z += math.exp((qi - m) / b)
     return math.exp((q[j] - m) / b) / z
 
 

@@ -14,9 +14,9 @@ binds its family once, when it is built (`PoolState.family`).  A family
 owns the state view of a pool, its canonical risky leg, the fee-aware trade
 step, settlement against the ledgers, the archetype check, the spot,
 invariant and deficiency observations that the simulator and the probe
-read, and the moves only the probe makes (buys and sales of the risky leg,
-deeper liquidity, walks toward the price bounds, basket costs, mean
-prices):
+read, and the moves only the probe makes (deeper liquidity, walks toward
+the price bounds, basket costs, mean prices; its buys and sales of the
+risky leg call the trade step itself):
 
   family        curves                     state view            fee paid on         fee kept
   conservation  constant product, geometric reserves              the input           in the reserves
@@ -198,7 +198,8 @@ class PoolState:
 
 # a trade's successor state (`PricingFamily.apply`), an LP deposit's or
 # withdrawal's, and an adopted price's: each keeps the archetype, tokens and
-# curve of a pool whose shape was checked when it was built
+# curve of a pool whose shape was checked when it was built; and a new
+# pool's (`_open_pool`), whose config's shape was checked just before
 _pool_state = _slot_builder(PoolState)
 
 
@@ -339,8 +340,8 @@ class PricingFamily:
 
     archetype = PRICE_DISCOVERING_LP_BASED
     # canonical risky leg, the one a portfolio mark values at the reference
-    # price; the numeraire is leg 1 - risky
-    risky = 0
+    # price, and the numeraire, leg 1 - risky, that it is priced in
+    risky, numeraire = 0, 1
     issued_from: float = math.inf
     maps_legs = False  # whether the class overrides `curve_args`; see __init_subclass__
     fee_in_reserves = True
@@ -401,12 +402,13 @@ class PricingFamily:
         return reserves, min(reserves)
 
     def materialize(self, config: PoolConfig, creator: AccountId) -> tuple:
-        """A live pool at the configured reserves, and its ledgers."""
+        """A live pool at the configured reserves, and its ledgers, for a
+        config whose shape this family has checked (`materialize_pool`)."""
         ledgers = {
             token: new_ledger(token, {creator: amount} if amount > 0.0 else {})
             for token, amount in zip(config.tokens, config.reserves)
         }
-        return create_pool(config, config.reserves, creator, ledgers)
+        return _open_pool(self, config, config.reserves, creator, ledgers)
 
     # -- trading ------------------------------------------------------------
 
@@ -417,31 +419,45 @@ class PricingFamily:
         after).  `amount` is the exact input or output, fee included.  Each
         order kind grosses the amount into the curve's own input or output,
         calls the curve's closed form once (see the class docstring) and
-        books the fee on the side that paid it."""
-        view, leg_in, leg_out = self.curve_args(state, i, j) if self.maps_legs else (state, i, j)
-        keep = 1.0 - fee
+        books the fee on the side that paid it.  The reserves move by what
+        the trader pays and gets or, where the fee stays outside them, by
+        what the curve priced; issued legs burn and mint."""
+        view, leg_in, leg_out = state, i, j
+        if self.maps_legs:
+            view, leg_in, leg_out = self.curve_args(state, i, j)
+        curve, price, keep = self.curve, self.price, 1.0 - fee
         issued_from = self.issued_from
-        issued = i >= issued_from  # the fee comes out of the payout
-        if kind == EXACT_IN:  # the curve's input: the amount, net of a fee paid on it
-            given = amount if issued else amount * keep
-            if not given >= 0.0:
-                raise DomainError(f"input amount must be non-negative: {given}")
-            priced = self.curve.quote_in(view, leg_in, leg_out, given, self.price) if given else 0.0
-            amount_in, amount_out = amount, priced * keep if issued else priced
-            fee_paid = priced - amount_out if issued else amount - given
-            # the reserves move by what the trader pays and gets or, where the
-            # fee stays outside them, by what the curve priced
-            paid, got = (amount, amount_out) if self.fee_in_reserves else (given, priced)
-        else:  # the curve's output: the amount, grossed up for a fee paid out of it
-            given = amount / keep if issued else amount
-            if not given >= 0.0:
-                raise DomainError(f"output amount must be non-negative: {given}")
-            priced = self.curve.quote_out(view, leg_in, leg_out, given, self.price) if given else 0.0
-            amount_in, amount_out = priced if issued else priced / keep, amount
-            fee_paid = given - amount if issued else amount_in - priced
-            paid, got = (amount_in, amount) if self.fee_in_reserves else (priced, given)
-        # issued legs burn and mint
-        moved_in = state[i] - paid if issued else state[i] + paid
+        if i >= issued_from:  # an issued leg in: the fee comes out of the payout
+            if kind == EXACT_IN:
+                if not amount >= 0.0:
+                    raise DomainError(f"input amount must be non-negative: {amount}")
+                priced = curve.quote_in(view, leg_in, leg_out, amount, price) if amount else 0.0
+                amount_in, amount_out = amount, priced * keep
+                fee_paid = priced - amount_out
+                got = amount_out if self.fee_in_reserves else priced
+            else:
+                given = amount / keep
+                if not given >= 0.0:
+                    raise DomainError(f"output amount must be non-negative: {given}")
+                amount_in = curve.quote_out(view, leg_in, leg_out, given, price) if given else 0.0
+                amount_out, fee_paid = amount, given - amount
+                got = amount if self.fee_in_reserves else given
+            moved_in = state[i] - amount_in
+        else:  # the fee is paid on the input
+            if kind == EXACT_IN:
+                given = amount * keep
+                if not given >= 0.0:
+                    raise DomainError(f"input amount must be non-negative: {given}")
+                amount_in, fee_paid = amount, amount - given
+                amount_out = got = curve.quote_in(view, leg_in, leg_out, given, price) if given else 0.0
+                moved_in = state[i] + (amount if self.fee_in_reserves else given)
+            else:
+                if not amount >= 0.0:
+                    raise DomainError(f"output amount must be non-negative: {amount}")
+                priced = curve.quote_out(view, leg_in, leg_out, amount, price) if amount else 0.0
+                amount_in, amount_out, got = priced / keep, amount, amount
+                fee_paid = amount_in - priced
+                moved_in = state[i] + (amount_in if self.fee_in_reserves else priced)
         moved_out = state[j] + got if j >= issued_from else state[j] - got
         if len(state) == 2:
             return amount_in, amount_out, fee_paid, (
@@ -538,25 +554,13 @@ class PricingFamily:
         return False
 
     # -- probe moves --------------------------------------------------------
-    # The taxonomy probe displaces the risky leg through `trade`: a buy is an
-    # exact-out purchase of it with the numeraire, a sale an exact-in sale of
-    # it, so a displacement multiset reaches the same terminal risky balance
-    # in any order.
+    # The taxonomy probe displaces the risky leg by calling `trade` itself:
+    # a buy is an exact-out purchase of it with the numeraire, a sale an
+    # exact-in sale of it, so a displacement multiset reaches the same
+    # terminal risky balance in any order.
 
     def check_probe(self) -> None:
         """Refuse, with DomainError, a pool that no probe can start from."""
-
-    def buy(self, state: State, qty: float, fee: float = 0.0) -> State:
-        return self.trade(state, 1 - self.risky, self.risky, EXACT_OUT, qty, fee)[3]
-
-    def sell(self, state: State, qty: float, fee: float = 0.0) -> State:
-        return self.trade(state, self.risky, 1 - self.risky, EXACT_IN, qty, fee)[3]
-
-    def can_sell(self, state: State, qty: float) -> bool:
-        """Whether the pool holds the risky leg or has more than `qty` of it
-        outstanding."""
-        risky = self.risky
-        return risky < self.issued_from or state[risky] > qty
 
     def path_base(self, state0: State) -> State:
         """The state the path independence probe starts from."""
@@ -566,14 +570,14 @@ class PricingFamily:
         """Mean price of `volume` risky units: bought where the pool issues
         the leg (a sale needs that much outstanding), sold where it holds
         the leg."""
-        risky = self.risky
+        risky, numeraire = self.risky, self.numeraire
         if risky >= self.issued_from:
-            return self.trade(state, 1 - risky, risky, EXACT_OUT, volume, 0.0)[0] / volume
-        return self.trade(state, risky, 1 - risky, EXACT_IN, volume, 0.0)[1] / volume
+            return self.trade(state, numeraire, risky, EXACT_OUT, volume, 0.0)[0] / volume
+        return self.trade(state, risky, numeraire, EXACT_IN, volume, 0.0)[1] / volume
 
     def basket_cost(self, state: State, amount: float) -> float:
         """Cost of `amount` units of every leg, in the numeraire."""
-        numeraire = 1 - self.risky
+        numeraire = self.numeraire
         total = 1.0  # one unit of the numeraire itself
         for i in range(len(state)):
             if i != numeraire:
@@ -587,7 +591,7 @@ class PricingFamily:
 
     def walk_up(self, state: State, fraction: float) -> State:
         """A walk toward the risky leg's upper price bound."""
-        return self.buy(state, fraction * state[0])
+        return self.trade(state, 1, 0, EXACT_OUT, fraction * state[0], 0.0)[3]
 
     def walk_down(self, state: State, fraction: float) -> State:
         """A walk toward the risky leg's lower price bound."""
@@ -652,7 +656,7 @@ class AdoptionFamily(PricingFamily):
             span = curve.zero_bid_reserve() - state[0]
             if span > 0.0:
                 try:
-                    return self.sell(state, fraction * span)
+                    return self.trade(state, 0, 1, EXACT_IN, fraction * span, 0.0)[3]
                 except DepletionError:
                     pass  # the quote reserve runs out first; drain that instead
         return super().walk_down(state, fraction)
@@ -663,7 +667,7 @@ class ScoringFamily(PricingFamily):
     pool issues the outcome shares and keeps fees in the collateral."""
 
     __slots__ = ()
-    risky = 1  # outcome 0
+    risky, numeraire = 1, 0  # outcome 0, in the collateral
     issued_from = 1
     lp_error = "LMSR pools are funded by the creation subsidy only"
     arb_error = "arbitrage needs a two-token pool, not a prediction market"
@@ -671,7 +675,9 @@ class ScoringFamily(PricingFamily):
     def curve_args(self, state, i, j):
         if i != 0 and j != 0:
             raise UnsupportedOperation("LMSR trades one outcome against collateral")
-        return state[1:], *((None, j - 1) if i == 0 else (i - 1, None))
+        if i == 0:
+            return state[1:], None, j - 1
+        return state[1:], i - 1, None
 
     def check(self, archetype, n_tokens):
         super().check(archetype, n_tokens)
@@ -705,7 +711,7 @@ class ScoringFamily(PricingFamily):
 
     def path_base(self, state0):
         # sell headroom for outcome 0 in every permutation of a displacement set
-        return self.buy(state0, self.curve.b)
+        return self.trade(state0, 0, 1, EXACT_OUT, self.curve.b, 0.0)[3]
 
     def basket_cost(self, state, amount):
         return lmsr_trade_cost(self.curve.b, state[1:], (amount,) * (len(state) - 1))
@@ -714,7 +720,8 @@ class ScoringFamily(PricingFamily):
         return PricingFamily.of(replace(self.curve, b=factor * self.curve.b))
 
     def walk_up(self, state, fraction):
-        return self.buy(state, 2.0 * self.curve.b / (1.0 - fraction) * fraction)
+        qty = 2.0 * self.curve.b / (1.0 - fraction) * fraction
+        return self.trade(state, 0, 1, EXACT_OUT, qty, 0.0)[3]
 
     def walk_down(self, state, fraction):
         # buy every other outcome at once
@@ -732,6 +739,7 @@ class BondingFamily(PricingFamily):
     __slots__ = ()
     archetype = PRICE_DISCOVERING_SUPPLY_SOVEREIGN
     risky = issued_from = 1
+    numeraire = 0
     fee_in_reserves = False
     lp_error = "supply-sovereign pools have no LP shares"
 
@@ -764,13 +772,14 @@ class BondingFamily(PricingFamily):
     def materialize(self, config, creator):
         if any(r != 0.0 for r in config.reserves[1:]):
             raise DomainError("supply-sovereign reserves are (bonded_reserve, 0)")
-        pool, ledgers = create_pool(config, (0.0, 0.0), creator, {})
+        pool, ledgers = _open_pool(self, config, (0.0, 0.0), creator, {})
         r0, supply = self.primed(config.reserves[0])
         if r0 > 0.0:
             reserve_token, issued_token = config.tokens
             ledgers[reserve_token] = ledger_mint(ledgers[reserve_token], pool.account, r0)
             ledgers[issued_token] = ledger_mint(ledgers[issued_token], BOOTSTRAP_ACCOUNT, supply)
-            pool = replace(pool, reserves=(r0, 0.0), circulating_supply=supply)
+            # the pool at (r0, supply), as a fee-free buy of the supply leaves it
+            pool = self.apply(pool, 0, 1, (r0, supply), 0.0)
         return pool, ledgers
 
     def deficiency(self, state):
@@ -781,10 +790,10 @@ class BondingFamily(PricingFamily):
 
     def walk_up(self, state, fraction):
         target = state[1] / (1.0 - fraction)
-        return self.buy(state, target - state[1])
+        return self.trade(state, 0, 1, EXACT_OUT, target - state[1], 0.0)[3]
 
     def walk_down(self, state, fraction):
-        return self.sell(state, fraction * state[1])
+        return self.trade(state, 1, 0, EXACT_IN, fraction * state[1], 0.0)[3]
 
 
 _FAMILIES = {
@@ -841,11 +850,20 @@ def create_pool(
     creator: AccountId,
     ledgers: Ledgers,
 ) -> tuple[PoolState, dict[TokenId, Ledger]]:
-    """Open a pool, settling the creator's initial deposit against ledgers."""
+    """Open a pool, settling the creator's initial deposit against ledgers.
+    A config of the wrong shape for its family is refused first."""
+    family = PricingFamily.of(config.curve, config.oracle_price)
+    family.check(config.archetype, len(config.tokens))
+    return _open_pool(family, config, initial_deposit, creator, ledgers)
+
+
+def _open_pool(family: PricingFamily, config: PoolConfig, initial_deposit: Sequence[float],
+               creator: AccountId, ledgers: Ledgers) -> tuple[PoolState, dict[TokenId, Ledger]]:
+    """`create_pool` for a config whose shape `family`, its family, has
+    checked: the state is built slot by slot (`_pool_state`), not checked
+    again."""
     tokens = config.tokens
     n = len(tokens)
-    family = PricingFamily.of(config.curve, config.oracle_price)
-    family.check(config.archetype, n)
     deposit = tuple(float(a) for a in initial_deposit)
     if len(deposit) != n:
         raise DomainError(f"{len(deposit)} deposit amounts for {n} tokens")
@@ -860,19 +878,10 @@ def create_pool(
     for t, amount in zip(tokens, deposit):
         updated[t] = ledger_transfer(updated[t], creator, account, amount)
 
-    pool = PoolState(
-        archetype=config.archetype,
-        tokens=tokens,
-        curve=config.curve,
-        reserves=reserves,
-        fee=FeeParams(trade_fee=config.fee_rate),
-        lp_share_supply=lp_supply,
-        lp_shares=lp_shares,
-        circulating_supply=0.0,
-        oracle_price=config.oracle_price,
-        accumulated_fees=(0.0,) * n,
-        account=account,
-        creator=creator,
+    pool = _pool_state(
+        config.archetype, tokens, config.curve, reserves, FeeParams(trade_fee=config.fee_rate),
+        lp_supply, MappingProxyType(lp_shares), 0.0, config.oracle_price, (0.0,) * n,
+        account, creator, False, family,
     )
     return pool, updated
 
@@ -1323,6 +1332,8 @@ def materialize_pool(
     LP-based pools mint the deposit to the creator and open normally.
     Supply-sovereign pools open empty and are then primed to the configured
     bonded reserve by minting the implied supply to a bootstrap account.
+    The config's shape is checked once, by `check_opening`, before any
+    deposit is; the pool state is then built without checking it again.
     """
     if not config.reserves:
         raise DomainError("pool configuration carries no reserves")

@@ -11,20 +11,25 @@ canonical risky leg of the pool's pricing family (engine.PricingFamily):
 * the market-scoring rule displaces outstanding shares of outcome 0;
 * the bonding rule displaces circulating supply.
 
-Every move is the family's own: buys and sells go through its trade step,
-the one engine.quote uses, so the probe charges fees on the side the family
-charges them and keeps them where the family keeps them, and its spots and
-deficiency values are the family's observations.  The moves only the probe
-makes (deeper liquidity, walks toward the price bounds, basket costs, mean
-prices) are in the family table too (`PricingFamily`'s probe moves); this
-module holds the experiments alone.  `run_dimension_probe` opens its pool
-through `engine.materialize_pool`, as every other command does, so the probe
-refuses exactly the specs the engine refuses, with the same error, and then
-the few that only a probe cannot start from (`PricingFamily.check_probe`, and
-a probe scale outside the normal float range).  The trade step calls the
-curve's closed forms directly, never the checked public curve functions: the
-legs every probe trade and spot reads are checked once, when
-`run_dimension_probe` opens the family's state.
+Every move is the family's own.  Each procedure binds the family's trade
+step (`PricingFamily.trade`, the one engine.quote uses) and its risky and
+numeraire legs once, and calls it directly for every buy and sale, so the
+probe charges fees on the side the family charges them and keeps them where
+the family keeps them, and its spots and deficiency values are the family's
+observations.  The moves only the probe makes (deeper liquidity, walks toward
+the price bounds, basket costs, mean prices) are in the family table too
+(`PricingFamily`'s probe moves); this module holds the experiments alone.
+
+`classify` is one probe session: it opens its pool once, through
+`engine.materialize_pool` as every other command does, and runs all seven
+probes from that one (family, opening state, scale).  `run_dimension_probe`
+opens the pool the same way for its one dimension.  So the probe refuses
+exactly the specs the engine refuses, with the same error, and then the few
+that only a probe cannot start from (`PricingFamily.check_probe`, and a
+probe scale outside the normal float range).  The trade step calls the
+curve's closed forms directly, never the checked public curve functions:
+the legs every probe trade and spot reads are checked once, when the pool
+is opened.
 
 All mechanism probes run fee-free: they characterize the pricing rule, not the
 fee plumbing.  The one exception is path deficiency, which runs at the spec's
@@ -57,6 +62,8 @@ from typing import Sequence
 
 from .core import DomainError
 from .engine import (
+    EXACT_IN,
+    EXACT_OUT,
     PRICE_ADOPTING_LP_BASED,
     PRICE_DISCOVERING_LP_BASED,
     PRICE_DISCOVERING_SUPPLY_SOVEREIGN,
@@ -158,13 +165,15 @@ def _prime(family: PricingFamily, state0, scale: float, rng: random.Random):
         steps = rng.getrandbits(3)
     lo, hi = _WALKS
     rand = rng.random
+    trade, risky, numeraire = family.trade, family.risky, family.numeraire
     state = state0
     for _ in range(1 + steps):
         qty = scale * math.exp(lo + (hi - lo) * rand())  # `_draw(rng, _WALKS, scale)`
-        if rand() < 0.5 and family.can_sell(state, qty):
-            state = family.sell(state, qty)
+        # a sale where the pool holds the risky leg or has more than qty of it out
+        if rand() < 0.5 and (risky < family.issued_from or state[risky] > qty):
+            state = trade(state, risky, numeraire, EXACT_IN, qty, 0.0)[3]
         else:
-            state = family.buy(state, qty)
+            state = trade(state, numeraire, risky, EXACT_OUT, qty, 0.0)[3]
     return state
 
 
@@ -182,12 +191,12 @@ def _classify_variant(deviation: float, variant: str, invariant: str) -> str:
 
 
 def _probe_information(family, state0, scale, rng, trials, fee):
-    spots, buy = family.spots, family.buy
+    spots, trade, risky, numeraire = family.spots, family.trade, family.risky, family.numeraire
     worst = 0.0
     for _ in range(trials):
         state = _prime(family, state0, scale, rng)
-        qty = _draw(rng, _SIZES, scale)
-        worst = max(worst, _shift(spots(state), spots(buy(state, qty))))
+        after = trade(state, numeraire, risky, EXACT_OUT, _draw(rng, _SIZES, scale), 0.0)[3]
+        worst = max(worst, _shift(spots(state), spots(after)))
     return _classify_variant(worst, "Incorporative", "Non-incorporative"), worst
 
 
@@ -195,25 +204,27 @@ def _probe_sensitivity(family, state0, scale, rng, trials, fee):
     big = family.deepened(10.0)
     big0 = big.opening(tuple(10.0 * v for v in state0))[0]
     spots, spots_big = family.spots, big.spots
+    trade, trade_big, risky, numeraire = family.trade, big.trade, family.risky, family.numeraire
     opening, opening_big = spots(state0), spots_big(big0)
     worst = 0.0
     for _ in range(trials):
         qty = _draw(rng, _SIZES, scale)
-        impact_base = _shift(opening, spots(family.buy(state0, qty)))
-        impact_big = _shift(opening_big, spots_big(big.buy(big0, qty)))
-        worst = max(worst, abs(impact_base - impact_big))
+        base = spots(trade(state0, numeraire, risky, EXACT_OUT, qty, 0.0)[3])
+        deep = spots_big(trade_big(big0, numeraire, risky, EXACT_OUT, qty, 0.0)[3])
+        worst = max(worst, abs(_shift(opening, base) - _shift(opening_big, deep)))
     return _classify_variant(worst, "Sensitive", "Insensitive"), worst
 
 
 def _probe_deficiency(family, state0, scale, rng, trials, fee):
-    deficiency = family.deficiency
+    deficiency, trade = family.deficiency, family.trade
+    risky, numeraire = family.risky, family.numeraire
     ref = family.deficiency_ref(state0)
     floor = math.inf
     for _ in range(trials):
         state = _prime(family, state0, scale, rng)
         qty = _draw(rng, _WALKS, scale)
-        bought = family.buy(state, qty, fee)
-        sold = family.sell(bought, qty, fee)
+        bought = trade(state, numeraire, risky, EXACT_OUT, qty, fee)[3]
+        sold = trade(bought, risky, numeraire, EXACT_IN, qty, fee)[3]
         w0 = deficiency(state)
         w1 = deficiency(bought)
         w2 = deficiency(sold)
@@ -229,7 +240,9 @@ def _probe_deficiency(family, state0, scale, rng, trials, fee):
 
 def _probe_independence(family, state0, scale, rng, trials, fee):
     base = family.path_base(state0)
-    buy, sell = family.buy, family.sell
+    trade, risky, numeraire = family.trade, family.risky, family.numeraire
+    buy, sell = (numeraire, risky, EXACT_OUT), (risky, numeraire, EXACT_IN)
+    lo, hi = _SIZES
     rand, getrandbits = rng.random, rng.getrandbits
     worst = 0.0
     for _ in range(trials):
@@ -237,7 +250,9 @@ def _probe_independence(family, state0, scale, rng, trials, fee):
         count = getrandbits(3)
         while count >= 5:
             count = getrandbits(3)
-        ops = [(rand() < 0.5, _draw(rng, _SIZES, scale)) for _ in range(4 + count)]
+        # each a side, then a size: `_draw(rng, _SIZES, scale)`
+        ops = [(buy if rand() < 0.5 else sell, scale * math.exp(lo + (hi - lo) * rand()))
+               for _ in range(4 + count)]
         # `rng.shuffle(shuffled)`: from the last item down, swap item i with
         # item `_randbelow(i + 1)`
         shuffled = list(ops)
@@ -250,8 +265,8 @@ def _probe_independence(family, state0, scale, rng, trials, fee):
         terminals = []
         for order in (ops, shuffled):
             state = base
-            for is_buy, qty in order:
-                state = buy(state, qty) if is_buy else sell(state, qty)
+            for (i, j, kind), qty in order:
+                state = trade(state, i, j, kind, qty, 0.0)[3]
             terminals.append(state)
         # the largest leg gap, taken as `max()` takes it (see `_shift`)
         gap = None
@@ -259,7 +274,9 @@ def _probe_independence(family, state0, scale, rng, trials, fee):
             leg = abs(x - y)
             if gap is None or leg > gap:
                 gap = leg
-        worst = max(worst, gap / scale)
+        gap /= scale
+        if gap > worst:  # `max(worst, gap)`, nan and all
+            worst = gap
     return _classify_variant(worst, "Path Dependent", "Path Independent"), worst
 
 
@@ -360,6 +377,33 @@ STATIC_DIMENSIONS = tuple(d for d, (_, tol) in _DECIDERS.items() if tol is None)
 # ---------------------------------------------------------------------------
 
 
+def _opened(config: PoolConfig, trials: int) -> tuple:
+    """(family, opening state, scale) that every probe of `config` starts
+    from, or the refusal: too few trials, then the pool's."""
+    if trials < MIN_TRIALS:
+        raise DomainError(f"at least {MIN_TRIALS} trials required: {trials}")
+    # the pool every other command would open, or its refusal
+    family = materialize_pool(config)[0].family
+    family.check_probe()
+    state0, scale = family.opening(config.reserves)
+    # every trade and spot of the probe reads the risky leg and the numeraire
+    # of states shaped like the opening one: their legs are checked here, once
+    family.curve.check_legs(*family.curve_args(state0, family.risky, family.numeraire))
+    # a bonding pool opens at reserve 0, but the probe has nothing to measure
+    # there, nor anywhere its trades are not of a normal size
+    if not sys.float_info.min <= scale < math.inf:
+        raise DomainError(f"probing an unfunded pool needs a normal scale: {scale} at {state0}")
+    return family, state0, scale
+
+
+def _measured(opened, config, dimension, seed, trials) -> DimensionVerdict:
+    """The verdict on a probed dimension, from the pool `_opened` opened."""
+    procedure, tolerance = _DECIDERS[dimension]
+    rng = random.Random(seed * 7919 + DIMENSION_ORDER.index(dimension))
+    label, deviation = procedure(*opened, rng, trials, config.fee_rate)
+    return DimensionVerdict(dimension, label, deviation, trials, tolerance)
+
+
 def run_dimension_probe(
     config: PoolConfig,
     dimension: str,
@@ -369,29 +413,9 @@ def run_dimension_probe(
     """Measure one probeable dimension of a pool spec."""
     if dimension not in _DECIDERS:
         raise DomainError(f"unknown taxonomy dimension: {dimension!r}")
-    procedure, tolerance = _DECIDERS[dimension]
-    if tolerance is None:
-        raise DomainError(
-            f"dimension {dimension!r} is read off the pool spec, not probed"
-        )
-    if trials < MIN_TRIALS:
-        raise DomainError(f"at least {MIN_TRIALS} trials required: {trials}")
-
-    # the pool every other command would open, or its refusal
-    family = materialize_pool(config)[0].family
-    family.check_probe()
-    state0, scale = family.opening(config.reserves)
-    # every trade and spot of the probe reads the risky leg and the numeraire
-    # of states shaped like the opening one: their legs are checked here, once
-    risky = family.risky
-    family.curve.check_legs(*family.curve_args(state0, risky, 1 - risky))
-    # a bonding pool opens at reserve 0, but the probe has nothing to measure
-    # there, nor anywhere its trades are not of a normal size
-    if not sys.float_info.min <= scale < math.inf:
-        raise DomainError(f"probing an unfunded pool needs a normal scale: {scale} at {state0}")
-    rng = random.Random(seed * 7919 + DIMENSION_ORDER.index(dimension))
-    label, deviation = procedure(family, state0, scale, rng, trials, config.fee_rate)
-    return DimensionVerdict(dimension, label, deviation, trials, tolerance)
+    if _DECIDERS[dimension][1] is None:
+        raise DomainError(f"dimension {dimension!r} is read off the pool spec, not probed")
+    return _measured(_opened(config, trials), config, dimension, seed, trials)
 
 
 def classify(
@@ -400,9 +424,11 @@ def classify(
     trials: int = DEFAULT_TRIALS,
     pool_name: str | None = None,
 ) -> TaxonomyReport:
-    """Classify a pool spec along every taxonomy dimension."""
+    """Classify a pool spec along every taxonomy dimension: one opened pool
+    for every probe, each verdict what `run_dimension_probe` gives."""
+    opened = _opened(config, trials)
     verdicts = tuple(
-        run_dimension_probe(config, dimension, seed, trials)
+        _measured(opened, config, dimension, seed, trials)
         if tolerance is not None
         else DimensionVerdict(dimension, decide(config), None, 0, None)
         for dimension, (decide, tolerance) in _DECIDERS.items()

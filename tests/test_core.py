@@ -182,6 +182,16 @@ class TestSnapshots:
         assert _bits(led) == before
         assert led == new_ledger("TOK", {"a": 3.0, "b": 1.0}) != out
 
+    def test_a_ledger_prints_and_compares_as_its_balances(self):
+        """A snapshot with recent writes prints its balances in credit order;
+        against a value that is not a ledger, equality is left to the other
+        side."""
+        led = ledger_mint(new_ledger("TOK", {"a": 3.0}), "b", 0.5)
+        assert repr(led) == "Ledger(token='TOK', balances={'a': 3.0, 'b': 0.5}, total_supply=3.5)"
+        assert repr(led.balances) == "balances({'a': 3.0, 'b': 0.5})"
+        assert led.__eq__({"a": 3.0, "b": 0.5}) is NotImplemented
+        assert led != {"a": 3.0, "b": 0.5} and led != None  # noqa: E711
+
     def test_a_supply_past_the_float_range_reads_inf(self):
         """Two balances of 1e308 are each finite, their sum is not."""
         led = ledger_mint(new_ledger("TOK", {"a": 1e308}), "b", 1e308)

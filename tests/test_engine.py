@@ -19,6 +19,7 @@ tests may use curves functions as oracles for the pure pricing component.
 import dataclasses
 import math
 import random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -424,6 +425,22 @@ class TestPoolStateFamily:
             PoolState(**values, family=pool.family)
         assert PoolState(**values) == pool
 
+    @pytest.mark.parametrize("name", sorted(BUILTIN_POOLS))
+    def test_an_opened_pool_is_the_one_the_constructor_builds(self, name):
+        """`materialize_pool` checks a config's shape once and then builds
+        the pool state slot by slot: that state is the one the constructor
+        builds from the same values, whose plain dict of LP shares it makes
+        read-only."""
+        pool, _ = load_pool(name)
+        values = {f.name: getattr(pool, f.name) for f in dataclasses.fields(pool) if f.init}
+        built = PoolState(**{**values, "lp_shares": dict(pool.lp_shares)})
+        assert built == pool and repr(built) == repr(pool)
+        assert type(built.lp_shares) is type(pool.lp_shares) is MappingProxyType
+        assert type(built.family) is type(pool.family)
+        assert (built.family.curve, built.family.price) == (pool.family.curve, pool.family.price)
+        with pytest.raises(TypeError):
+            pool.lp_shares["someone"] = 1.0
+
     # (pool, changes that leave the state mis-shaped, the shape's refusal)
     MIS_SHAPED = [
         ("dodo-like", {"tokens": ("BASE", "QUOTE", "X"), "reserves": (100.0, 1000.0, 5.0),
@@ -649,6 +666,9 @@ class TestReceipts:
         with pytest.raises(TypeError):
             receipt.trader_deltas["TOKEN0"] = 0.0
         assert receipt != TradeReceipt(priced, (1.0, 2.0), {"TOKEN0": -2.0})
+        # against a value that is not a receipt, equality is left to the other side
+        assert receipt.__eq__(priced) is NotImplemented
+        assert receipt != priced and receipt != None  # noqa: E711
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +693,22 @@ class TestLiquidity:
         ledgers["T1"] = new_ledger("T1", {"bob": 100.0, pool.account: 400.0})
         with pytest.raises(DomainError):
             deposit_liquidity(pool, "bob", (10.0, 39.0), ledgers)
+
+    @pytest.mark.parametrize("off, accepted", [(1e-10, True), (1e-8, False)])
+    def test_proportionality_is_held_to_one_part_in_a_billion(self, off, accepted):
+        """`engine.PROPORTIONAL_TOL` (1e-9): a deposit off-proportion by
+        1e-10 relative mints pro rata, one off by 1e-8 is refused."""
+        pool, ledgers = make_cp_pool(reserves=(100.0, 400.0))
+        ledgers["T0"] = new_ledger("T0", {"bob": 100.0, pool.account: 100.0})
+        ledgers["T1"] = new_ledger("T1", {"bob": 100.0, pool.account: 400.0})
+        deposit = (10.0, 40.0 * (1.0 + off))
+        if not accepted:
+            with pytest.raises(DomainError, match="not proportional"):
+                deposit_liquidity(pool, "bob", deposit, ledgers)
+            return
+        after, minted, _ = deposit_liquidity(pool, "bob", deposit, ledgers)
+        assert minted == pool.lp_share_supply * 0.1
+        assert after.reserves == (110.0, 400.0 + deposit[1])
 
     def test_deposit_into_an_emptied_reserve(self):
         """An empty leg takes nothing: a deposit proportional on the other

@@ -5,6 +5,7 @@ from the pricing rules themselves (see the curve-level oracles in
 test_curves.py); the probe must recover each one from black-box trading alone.
 """
 
+import dataclasses
 import math
 import random
 
@@ -13,8 +14,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ammlab import AmmError, DomainError
+from ammlab import probe as probe_module
 from ammlab.curves import PriceAdoption
-from ammlab.engine import BUILTIN_POOLS, PRICE_ADOPTING_LP_BASED, PoolConfig, parse_pool_spec
+from ammlab.engine import (
+    BUILTIN_POOLS,
+    EXACT_IN,
+    EXACT_OUT,
+    PRICE_ADOPTING_LP_BASED,
+    PoolConfig,
+    materialize_pool,
+    parse_pool_spec,
+)
 from ammlab.probe import (
     _SIZES,
     _VOLUMES,
@@ -260,6 +270,72 @@ class TestDeterminism:
         assert a == b
 
 
+UNDERFUNDED_LMSR = """
+archetype = price-discovering-lp-based
+curve = lmsr
+tokens = C, O0, O1
+reserves = 0, 0, 0
+b = 10
+"""
+
+
+class TestProbeSession:
+    """`classify` opens its pool once and runs every probe from it: each
+    verdict is the one `run_dimension_probe` gives alone, and each refusal
+    the one it gives."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_POOLS))
+    def test_classify_gives_each_probes_verdict(self, name, seed):
+        config = BUILTIN_POOLS[name]
+        report = classify(config, seed=seed, trials=TRIALS)
+        probed = [v for v in report.verdicts if v.dimension in PROBED_DIMENSIONS]
+        assert tuple(v.dimension for v in probed) == PROBED_DIMENSIONS
+        for verdict in probed:
+            alone = run_dimension_probe(config, verdict.dimension, seed=seed, trials=TRIALS)
+            assert alone.characteristic == verdict.characteristic
+            assert alone.max_deviation.hex() == verdict.max_deviation.hex()
+            assert (alone.trials, alone.tolerance) == (verdict.trials, verdict.tolerance)
+
+    def test_classify_opens_its_pool_once(self, monkeypatch):
+        opened = []
+
+        def counted(config, *args):
+            opened.append(config)
+            return materialize_pool(config, *args)
+
+        monkeypatch.setattr(probe_module, "materialize_pool", counted)
+        config = BUILTIN_POOLS["uniswap-v2-like"]
+        classify(config, seed=0, trials=TRIALS)
+        assert opened == [config]
+
+    @pytest.mark.parametrize("config, trials", [
+        pytest.param(parse_pool_spec(UNDERFUNDED_LMSR), TRIALS, id="refused-by-the-engine"),
+        pytest.param(dataclasses.replace(BUILTIN_POOLS["dodo-like"], oracle_price=None), TRIALS,
+                     id="refused-by-the-probe"),
+        pytest.param(parse_pool_spec(UNDERFUNDED_LMSR), MIN_TRIALS - 1, id="too-few-trials"),
+    ])
+    def test_classify_refuses_as_each_probe_does(self, config, trials):
+        with pytest.raises(AmmError) as whole:
+            classify(config, seed=0, trials=trials)
+        for dimension in PROBED_DIMENSIONS:
+            with pytest.raises(AmmError) as alone:
+                run_dimension_probe(config, dimension, seed=0, trials=trials)
+            assert type(alone.value) is type(whole.value)
+            assert str(alone.value) == str(whole.value)
+
+    def test_a_probe_refuses_the_dimension_then_the_trials_then_the_pool(self):
+        refused = parse_pool_spec(UNDERFUNDED_LMSR)
+        with pytest.raises(DomainError, match="unknown taxonomy dimension"):
+            run_dimension_probe(refused, "Fee Structure", seed=0, trials=MIN_TRIALS - 1)
+        with pytest.raises(DomainError, match="read off the pool spec"):
+            run_dimension_probe(refused, DIM_TOKENS, seed=0, trials=MIN_TRIALS - 1)
+        with pytest.raises(DomainError, match="trials required"):
+            run_dimension_probe(refused, DIM_INFORMATION, seed=0, trials=MIN_TRIALS - 1)
+        with pytest.raises(DomainError, match="collateral subsidy"):
+            run_dimension_probe(refused, DIM_INFORMATION, seed=0, trials=MIN_TRIALS)
+
+
 # ---------------------------------------------------------------------------
 # Tolerance separation: verdict evidence must sit far from the thresholds
 # ---------------------------------------------------------------------------
@@ -502,13 +578,13 @@ oracle_price = 1
 
 
 class _FlooredFamily:
-    """A family whose smaller volume trades at 0 and whose larger one does not."""
+    """A family whose smaller volume trades at 0 and whose larger one does
+    not, and whose trade step leaves the state as it is."""
 
-    def can_sell(self, state, qty):
-        return False
+    risky, numeraire, issued_from = 0, 1, math.inf
 
-    def buy(self, state, qty):
-        return state
+    def trade(self, state, i, j, kind, amount, fee):
+        return amount, amount, 0.0, state
 
     def mean_price(self, state, volume):
         return 0.0 if volume < 1e-2 else 1.0
@@ -527,21 +603,21 @@ class TestZeroBid:
 
 class _RecordingFamily:
     """A family whose moves leave the state as it is and are recorded, in
-    the order the probe makes them."""
+    the order the probe makes them.  It holds its risky leg 0, so every sale
+    can go ahead; a buy is an exact-out trade into the leg, a sale an
+    exact-in trade out of it, both fee-free."""
+
+    risky, numeraire, issued_from = 0, 1, math.inf
 
     def __init__(self):
         self.moves = []
 
-    def can_sell(self, state, qty):
-        return True
-
-    def buy(self, state, qty):
-        self.moves.append(("buy", qty))
-        return state
-
-    def sell(self, state, qty):
-        self.moves.append(("sell", qty))
-        return state
+    def trade(self, state, i, j, kind, amount, fee):
+        side = "buy" if (i, j, kind) == (1, 0, EXACT_OUT) else "sell"
+        assert side == "buy" or (i, j, kind) == (0, 1, EXACT_IN)
+        assert fee == 0.0
+        self.moves.append((side, amount))
+        return amount, amount, 0.0, state
 
     def path_base(self, state0):
         return state0
