@@ -663,7 +663,7 @@ class Lmsr(CurveSpec):
 
 def _require_adopted_price(adopted_price: float | None) -> float:
     if adopted_price is None:
-        raise DomainError("price adoption requires an adopted price")
+        raise DomainError("no oracle price set; call set_oracle_price first")
     if not adopted_price > 0.0:
         raise DomainError(f"adopted price must be positive: {adopted_price}")
     return adopted_price

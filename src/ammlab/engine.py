@@ -320,13 +320,12 @@ class PricingFamily:
     `trade` and `spot_between` call the curve spec's closed forms directly,
     not the public curve functions, which check the legs and the amount on
     every call.  `trade` checks the amount by the same rules.  Only the
-    families that override `curve_args` (`maps_legs`, worked out when the
-    class is made) pass a state and its legs through it first: price
-    adoption, for its "no oracle price set" check, and the scoring rule,
-    whose curve prices the outcome legs alone and takes the collateral leg
-    as None.  Conservation and bonding curves
-    read the state and its legs as they are, so those families hand them
-    over unchanged.  `spot` and `invariant` call the curve spec too.  Legs are
+    scoring rule overrides `curve_args` (`maps_legs`, worked out when the
+    class is made) and passes a state and its legs through it first: its
+    curve prices the outcome legs alone and takes the collateral leg as
+    None.  Every other family hands the state and its legs over unchanged;
+    a price-adoption curve refuses a missing adopted price itself, on every
+    price it gives.  `spot` and `invariant` call the curve spec too.  Legs are
     checked where they enter: a pool state runs `check` when it is built,
     by its constructor or by `dataclasses.replace`, `_validate_order`
     checks an order's tokens, and the probe runs the curve's `check_legs`
@@ -521,9 +520,9 @@ class PricingFamily:
     def state_at_spot(self, state: State, i: int, j: int, price: float) -> State | None:
         """The curve state on the conservation level of `state` at which
         `spot_between(., i, j)` is `price`, or None where none lies inside
-        the curve's domain (see `CurveSpec`)."""
-        if self.maps_legs:
-            state, i, j = self.curve_args(state, i, j)
+        the curve's domain (see `CurveSpec`).  Only the arbitrage step asks,
+        and it trades no family that maps legs: a scoring rule's curve,
+        which would take them mapped, has no such state and gives None."""
         return self.curve.state_at_spot(state, i, j, price, self.price)
 
     def spot(self, state: State) -> float:
@@ -603,11 +602,6 @@ class AdoptionFamily(PricingFamily):
 
     __slots__ = ()
     archetype = PRICE_ADOPTING_LP_BASED
-
-    def curve_args(self, state, i, j):
-        if self.price is None:
-            raise DomainError("no oracle price set; call set_oracle_price first")
-        return state, i, j
 
     def opening(self, reserves):
         return reserves, min(self.curve.target_reserves)
@@ -804,29 +798,31 @@ _FAMILIES = {
 }
 
 
-def check_opening(config: PoolConfig) -> None:
-    """Refuse, with DomainError, a config whose shape its family refuses
+def check_opening(config: PoolConfig) -> PricingFamily:
+    """The config's family, bound to its curve and oracle price, once it
+    has refused, with DomainError, a config whose shape the family refuses
     (`PricingFamily.check`), then a configured opening state that no quote
     or probe can measure: one whose conservation value, spots or probe
     scale (`PricingFamily.opening`) is 0, subnormal or past the float
-    range.  `materialize_pool` runs it on every config it is given, and
-    every command opens its pool through `materialize_pool`.  A spot of 0
-    is a price bound, the bid of a price-adoption pool floored at zero, and
-    passes; the origin of a bonding curve, or a pool whose reserves are not
-    funded yet, has nothing to measure, and a price-adoption pool no spots
-    before it adopts a price."""
+    range.  `materialize_pool` runs it on every config it is given and
+    opens the pool through the family it returns, and every command opens
+    its pool through `materialize_pool`.  A spot of 0 is a price bound,
+    the bid of a price-adoption pool floored at zero, and passes; the
+    origin of a bonding curve, or a pool whose reserves are not funded
+    yet, has nothing to measure, and a price-adoption pool no spots before
+    it adopts a price."""
     family = PricingFamily.of(config.curve, config.oracle_price)
     family.check(config.archetype, len(config.tokens))
     state, scale = family.opening(config.reserves)
-    if not any(state):
-        return
-    value, spots = family.invariant(state), family.spots(state)
-    measured = [scale, *(spot for spot in spots if spot != 0.0)] + ([] if value is None else [value])
-    if not all(sys.float_info.min <= x < math.inf for x in measured):
-        raise DomainError(
-            f"the opening state {state} leaves the normal float range: conservation "
-            f"value {value}, spots {spots}, probe scale {scale}"
-        )
+    if any(state):
+        value, spots = family.invariant(state), family.spots(state)
+        measured = [scale, *(spot for spot in spots if spot != 0.0)] + ([] if value is None else [value])
+        if not all(sys.float_info.min <= x < math.inf for x in measured):
+            raise DomainError(
+                f"the opening state {state} leaves the normal float range: conservation "
+                f"value {value}, spots {spots}, probe scale {scale}"
+            )
+    return family
 
 
 def _require_family(pool: PoolState, family: type, message: str) -> None:
@@ -1333,12 +1329,12 @@ def materialize_pool(
     Supply-sovereign pools open empty and are then primed to the configured
     bonded reserve by minting the implied supply to a bootstrap account.
     The config's shape is checked once, by `check_opening`, before any
-    deposit is; the pool state is then built without checking it again.
+    deposit is; the pool is then opened through the family that
+    `check_opening` bound and its state built without checking it again.
     """
     if not config.reserves:
         raise DomainError("pool configuration carries no reserves")
-    check_opening(config)
-    return PricingFamily.of(config.curve, config.oracle_price).materialize(config, creator)
+    return check_opening(config).materialize(config, creator)
 
 
 def load_pool_config(source: str) -> PoolConfig:

@@ -345,7 +345,7 @@ _ARCHETYPE_SOURCES = {
 # How each dimension is decided, in the published taxonomy row order: a probe
 # procedure, called as (family, opening state, scale, rng, trials, the spec's
 # fee rate) and judged against the tolerance beside it, or a reader of the
-# pool spec, beside None.
+# pool spec and the family that opened it, beside None.
 # Only the path deficiency probe charges the fee; the others run fee-free.
 _DECIDERS = {
     DIM_INFORMATION: (_probe_information, TOL_VARIANT),
@@ -353,18 +353,16 @@ _DECIDERS = {
     DIM_DEFICIENCY: (_probe_deficiency, TOL_DEFICIENCY),
     DIM_INDEPENDENCE: (_probe_independence, TOL_VARIANT),
     DIM_BOUNDING: (_probe_bounding, TOL_VARIANT),
-    DIM_DISCOVERY: (lambda config: config.curve.label, None),
-    DIM_PRICE_SOURCE: (lambda config: _ARCHETYPE_SOURCES[config.archetype][0], None),
+    DIM_DISCOVERY: (lambda config, family: config.curve.label, None),
+    DIM_PRICE_SOURCE: (lambda config, family: _ARCHETYPE_SOURCES[config.archetype][0], None),
     DIM_TRANSLATION: (_probe_translation, TOL_VARIANT),
     DIM_VOLUME: (_probe_volume, TOL_VARIANT),
-    DIM_TOKENS: (lambda config: "Two" if len(config.tokens) == 2 else "Three or More", None),
+    DIM_TOKENS: (lambda config, family: "Two" if len(config.tokens) == 2 else "Three or More", None),
     DIM_RISK: (
-        lambda config: "Imbalance Surcharges"
-        if PricingFamily.of(config.curve).surcharged()
-        else "No Risk Management",
+        lambda config, family: "Imbalance Surcharges" if family.surcharged() else "No Risk Management",
         None,
     ),
-    DIM_LIQUIDITY_SOURCE: (lambda config: _ARCHETYPE_SOURCES[config.archetype][1], None),
+    DIM_LIQUIDITY_SOURCE: (lambda config, family: _ARCHETYPE_SOURCES[config.archetype][1], None),
 }
 
 DIMENSION_ORDER = tuple(_DECIDERS)
@@ -430,7 +428,7 @@ def classify(
     verdicts = tuple(
         _measured(opened, config, dimension, seed, trials)
         if tolerance is not None
-        else DimensionVerdict(dimension, decide(config), None, 0, None)
+        else DimensionVerdict(dimension, decide(config, opened[0]), None, 0, None)
         for dimension, (decide, tolerance) in _DECIDERS.items()
     )
     name = pool_name or f"{config.archetype}:{type(config.curve).__name__}"

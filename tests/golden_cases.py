@@ -23,7 +23,8 @@ The inputs are built here from fixed seeds:
 
 This module needs only the standard library and `ammlab`: `test_golden.py`
 checks its cases under pytest, and `golden_digests.py` checks them on any
-installed interpreter without pytest.
+installed interpreter without pytest.  `other_pythons` lists those
+interpreters for `test_golden.py` and `bench_digests.py`.
 """
 
 from __future__ import annotations
@@ -31,8 +32,11 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import os
 import random
+import re
 import runpy
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
@@ -379,3 +383,25 @@ CASES = [
     GoldenCase("test_api", "lmsr-leading-outcome", API["lmsr-leading-outcome"],
                lmsr_leading_outcome_output),
 ]
+
+
+def other_pythons() -> list[Path]:
+    """Each CPython 3.10 or later but the one running: pyenv's builds, as
+    `$PYENV_ROOT/versions/<version>/bin/python` (`~/.pyenv` by default),
+    then each `python3.<minor>` on PATH.  pyenv's shims are left out, as
+    they may not resolve a version outside a project that pins one; so is
+    a second name for a binary already found."""
+    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    named = [(path.parent.parent.name, path) for path in sorted(pyenv.glob("versions/*/bin/python"))]
+    for directory in filter(None, os.environ.get("PATH", "").split(os.pathsep)):
+        if Path(directory).resolve() != (pyenv / "shims").resolve():
+            named += [(path.name[len("python"):], path)
+                      for path in sorted(Path(directory).glob("python3.*"))]
+    found, seen = [], {Path(sys.executable).resolve()}
+    for version, path in named:
+        release = re.fullmatch(r"3\.(\d+)(\.\w+)?", version)
+        if release and int(release[1]) >= 10 and os.access(path, os.X_OK):
+            if path.resolve() not in seen:
+                seen.add(path.resolve())
+                found.append(path)
+    return found

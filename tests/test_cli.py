@@ -7,6 +7,9 @@ to stderr; data goes to stdout or the --out file.
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -426,6 +429,34 @@ def test_a_refused_input_exits_2_with_its_error_line(tmp_path, capsys, files, ar
 
 
 # ---------------------------------------------------------------------------
+# python -m ammlab
+# ---------------------------------------------------------------------------
+
+
+def test_python_dash_m_runs_the_command_line(capsys):
+    """`python -m ammlab` in a child process: its stdout is what `main`
+    prints in process, and it exits 0, 1 on a usage error and 2 on an
+    engine error, with no traceback."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "ammlab", *args], capture_output=True,
+                              text=True, env=env, timeout=120)
+
+    args = ["quote", "--pool", "uniswap-v2-like", "--in", "TOKEN0", "--out", "TOKEN1", "--amount", "10"]
+    done = run(*args)
+    assert main(args) == 0
+    assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+    done = run()
+    assert done.returncode == 1
+    assert done.stderr.startswith("usage: ammlab ") and "Traceback" not in done.stderr
+    done = run(*args[:2], "no-such-pool", *args[3:])
+    assert done.returncode == 2 and done.stdout == ""
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: 'no-such-pool' is neither a built-in pool name")
+
+
+# ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
@@ -510,6 +541,21 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert code in (0, 2)
         assert "Traceback" not in captured.err
+
+    def test_a_row_before_the_first_oracle_price_has_no_spot(self, tmp_path, capsys):
+        """A price-adoption pool quotes no spot before it adopts a price:
+        that row's spot cell is empty, the next one's is the adopted bid."""
+        pool = tmp_path / "unpriced.pool"
+        pool.write_text(
+            "archetype = price-adopting-lp-based\ncurve = price-adoption\n"
+            "tokens = BASE, QUOTE\nreserves = 100, 1000\nfee = 0.003\n"
+            "k = 0.5\ntarget_reserves = 100, 1000\n"
+        )
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(f"pool {pool}\n1 withdraw creator 1\n2 oracle 10\n")
+        assert main(["simulate", "--scenario", str(scenario)]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[:3] for row in rows] == [["1", "withdraw", ""], ["2", "oracle", "10.0"]]
 
     def test_zero_withdrawal_after_the_last_share(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.txt"

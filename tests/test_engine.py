@@ -57,6 +57,7 @@ from ammlab.engine import (
     PRICE_DISCOVERING_SUPPLY_SOVEREIGN,
     PoolConfig,
     PoolState,
+    PricingFamily,
     TradeOrder,
     TradeReceipt,
     create_pool,
@@ -440,6 +441,21 @@ class TestPoolStateFamily:
         assert (built.family.curve, built.family.price) == (pool.family.curve, pool.family.price)
         with pytest.raises(TypeError):
             pool.lp_shares["someone"] = 1.0
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_POOLS))
+    def test_an_opened_pool_looks_its_family_up_once(self, name, monkeypatch):
+        """`materialize_pool` opens the pool through the family that
+        `check_opening` bound and checked, and the pool state keeps it."""
+        bound = []
+
+        def counted(curve, price=None):
+            bound.append(real(curve, price))
+            return bound[-1]
+
+        real = PricingFamily.of
+        monkeypatch.setattr(PricingFamily, "of", staticmethod(counted))
+        pool, _ = materialize_pool(BUILTIN_POOLS[name])
+        assert bound == [pool.family]
 
     # (pool, changes that leave the state mis-shaped, the shape's refusal)
     MIS_SHAPED = [
@@ -1165,6 +1181,15 @@ class TestResolvePrediction:
         pool, ledgers = make_cp_pool()
         with pytest.raises(UnsupportedOperation):
             resolve_prediction(pool, 0, ledgers)
+
+    def test_a_winning_holder_at_balance_zero_is_passed_over(self):
+        pool, ledgers, alice_shares, _ = self._pool_with_positions()
+        ledgers["OUT0"] = new_ledger("OUT0", {**ledgers["OUT0"].balances, "carol": 0.0})
+        assert "carol" in ledgers["OUT0"].balances
+        pool2, ledgers2 = resolve_prediction(pool, 0, ledgers)
+        assert "carol" not in ledgers2["CASH"].balances
+        assert math.isclose(balance_of(ledgers2["CASH"], "alice"), 80.0 + alice_shares, rel_tol=REL)
+        assert pool2.closed
 
 
 # ---------------------------------------------------------------------------

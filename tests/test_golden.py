@@ -9,14 +9,12 @@ purpose and recorded.
 """
 
 import os
-import re
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from golden_cases import ARB_STEPS, CASES, DEMO, DEMOS, digest
+from golden_cases import ARB_STEPS, CASES, DEMO, DEMOS, digest, other_pythons
 
 GOLDEN_DIGESTS = Path(__file__).resolve().parent / "golden_digests.py"
 
@@ -68,29 +66,7 @@ def test_every_demo_is_pinned():
     assert sorted(path.name for path in DEMOS.glob("*.py")) == sorted(DEMO)
 
 
-def _other_pythons() -> list[Path]:
-    """Each CPython 3.10 or later but the one running: pyenv's builds, as
-    `$PYENV_ROOT/versions/<version>/bin/python` (`~/.pyenv` by default),
-    then each `python3.<minor>` on PATH.  pyenv's shims are left out, as
-    they may not resolve a version outside a project that pins one; so is
-    a second name for a binary already found."""
-    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
-    named = [(path.parent.parent.name, path) for path in sorted(pyenv.glob("versions/*/bin/python"))]
-    for directory in filter(None, os.environ.get("PATH", "").split(os.pathsep)):
-        if Path(directory).resolve() != (pyenv / "shims").resolve():
-            named += [(path.name[len("python"):], path)
-                      for path in sorted(Path(directory).glob("python3.*"))]
-    found, seen = [], {Path(sys.executable).resolve()}
-    for version, path in named:
-        release = re.fullmatch(r"3\.(\d+)(\.\w+)?", version)
-        if release and int(release[1]) >= 10 and os.access(path, os.X_OK):
-            if path.resolve() not in seen:
-                seen.add(path.resolve())
-                found.append(path)
-    return found
-
-
-@pytest.mark.parametrize("python", _other_pythons() or [None], ids=str)
+@pytest.mark.parametrize("python", other_pythons() or [None], ids=str)
 def test_every_other_python_matches(python):
     """The same bytes on every supported interpreter: `golden_digests.py`
     matches every pinned digest under each other CPython found."""

@@ -18,7 +18,7 @@ import pytest
 
 import ammlab
 from ammlab import curves
-from ammlab.core import AmmError, DomainError, UnsupportedOperation
+from ammlab.core import AmmError, DepletionError, DomainError, UnsupportedOperation, new_ledger
 from ammlab.curves import (
     CURVES,
     ConstantPowerSum,
@@ -30,8 +30,13 @@ from ammlab.curves import (
     GeometricMean,
     Lmsr,
     PriceAdoption,
+    bonding_trade,
+    invariant_value,
+    lmsr_trade_cost,
+    pmm_trade_cost,
     quote_exact_in,
     quote_exact_out,
+    solve_stableswap_d,
     spot_price,
 )
 from ammlab.engine import (
@@ -39,13 +44,20 @@ from ammlab.engine import (
     EXACT_IN,
     EXACT_OUT,
     PRICE_ADOPTING_LP_BASED,
+    AdoptionFamily,
+    BondingFamily,
     PricingFamily,
     ScoringFamily,
     TradeOrder,
+    create_pool,
+    curve_buy,
+    curve_sell,
+    deposit_liquidity,
     execute_swap,
     materialize_pool,
     parse_pool_spec,
     quote,
+    withdraw_liquidity,
 )
 from ammlab.probe import PROBED_DIMENSIONS, run_dimension_probe
 from ammlab.sim import arbitrage_step
@@ -232,6 +244,15 @@ def test_checked_pools_give_legs_the_curve_accepts(name):
     assert checked >= 4
 
 
+def test_only_the_scoring_rule_maps_legs():
+    """Price adoption hands its state and legs over unchanged: its curve
+    refuses a missing adopted price itself (the rows below)."""
+    assert PricingFamily.maps_legs is False
+    assert AdoptionFamily.maps_legs is False
+    assert BondingFamily.maps_legs is False
+    assert ScoringFamily.maps_legs is True
+
+
 # ---------------------------------------------------------------------------
 # (c) bad legs and amounts still raise what they raised
 # ---------------------------------------------------------------------------
@@ -280,6 +301,27 @@ _BAD_PUBLIC = [
      "token index out of range for 2 reserves: (0, 2)"),
     (lambda: quote_exact_in(EXP, (1.0, 1.0, 1.0), 0, 1, 1.0), DomainError,
      "exponential curve state is (reserve_balance, supply)"),
+    # each argument refusal of the curve functions
+    (lambda: quote_exact_in(ConstantSum(), (-1.0, 1.0), 0, 1, 1.0), DomainError,
+     "reserves must be non-negative: (-1.0, 1.0)"),
+    (lambda: quote_exact_in(CP, (1.0, 1.0), 0, 1, math.inf), DomainError,
+     "input inf overflows the conservation value at reserves (1.0, 1.0)"),
+    (lambda: GeometricMean(weights=(1.0,)), DomainError, "geometric mean needs at least two weights"),
+    (lambda: lmsr_trade_cost(0.0, (0.0, 0.0), (1.0, 0.0)), DomainError, "b must be > 0: 0.0"),
+    (lambda: lmsr_trade_cost(1.0, (0.0, 0.0), (1.0,)), DomainError, "1 deltas for 2 outcomes"),
+    (lambda: quote_exact_in(Lmsr(b=1.0), (0.0, 1.7e308), None, 0, 1e308), DomainError,
+     "the shares that 1e+308 collateral buys overflow a float"),
+    (lambda: spot_price(PMM, (100.0, 1000.0), 0, 1, -1.0), DomainError,
+     "adopted price must be positive: -1.0"),
+    (lambda: spot_price(PMM, (100.0, 1000.0), 0, 1, None), DomainError,
+     "no oracle price set; call set_oracle_price first"),
+    (lambda: pmm_trade_cost(0.5, (100.0, 1000.0), (100.0, 1000.0), 10.0, 0, 1, -1.0), DomainError,
+     "input amount must be non-negative: -1.0"),
+    (lambda: bonding_trade(2.0, 1.0, -1.0, 1.0), DomainError, "supply must be non-negative: -1.0"),
+    (lambda: invariant_value(EXP, (0.0, 0.0)), DomainError, "reserve out of range: 0.0"),
+    (lambda: spot_price(Exponential(kappa=1e-3, c=1.0), (1e-300, 1e30), 1, 0), DomainError,
+     "spot price leaves the float range at (1e-300, 1e+30)"),
+    (lambda: solve_stableswap_d((1.0, 1.0), -1.0), DomainError, "chi must be >= 0: -1.0"),
 ]
 
 _BAD_ENGINE = [
@@ -295,7 +337,14 @@ _BAD_ENGINE = [
      DomainError, "order kind must be exact-in or exact-out: 'exact'"),
     (lambda: quote(_pool("augur-like"), _order("OUT0", "OUT1")), UnsupportedOperation,
      "LMSR trades one outcome against collateral"),
+    # a price-adoption pool before its first oracle price: the curve refuses
+    # every price it is asked for
     (lambda: quote(_pool("dodo-like", oracle_price=None), _order("BASE", "QUOTE")),
+     DomainError, "no oracle price set; call set_oracle_price first"),
+    (lambda: execute_swap(_pool("dodo-like", oracle_price=None), _order("BASE", "QUOTE"), {}),
+     DomainError, "no oracle price set; call set_oracle_price first"),
+    (lambda: arbitrage_step(_pool("dodo-like", oracle_price=None), 10.0, "arb", {
+        token: new_ledger(token, {"arb": 1.0}) for token in ("BASE", "QUOTE")}),
      DomainError, "no oracle price set; call set_oracle_price first"),
     (lambda: execute_swap(_pool("augur-like"), _order("OUT1", "OUT2"), {}),
      UnsupportedOperation, "LMSR trades one outcome against collateral"),
@@ -309,6 +358,8 @@ _BAD_ENGINE = [
      "reference price must be > 0: -1.0"),
     (lambda: arbitrage_step(_pool("uniswap-v2-like"), math.nan, "arb", {}), DomainError,
      "reference price must be > 0: nan"),
+    (lambda: arbitrage_step(dataclasses.replace(_pool("uniswap-v2-like"), closed=True), 1.0, "arb", {}),
+     UnsupportedOperation, "pool is closed"),
     # a pool built by hand, past create_pool, is refused where it is built:
     # the trade steps check no legs
     (lambda: arbitrage_step(
@@ -317,6 +368,28 @@ _BAD_ENGINE = [
     (lambda: arbitrage_step(
         dataclasses.replace(_pool("uniswap-v2-like"), archetype=PRICE_ADOPTING_LP_BASED),
         1.0, "arb", {}), DomainError, "price-adopting pools need a price-adoption curve"),
+    # each refusal of pool creation, liquidity and bonding trades
+    (lambda: create_pool(BUILTIN_POOLS["uniswap-v2-like"], (1.0,), "creator", {}), DomainError,
+     "1 deposit amounts for 2 tokens"),
+    (lambda: create_pool(BUILTIN_POOLS["uniswap-v2-like"], (1.0, -1.0), "creator", {}),
+     DomainError, "deposit amounts out of range: (1.0, -1.0)"),
+    (lambda: create_pool(BUILTIN_POOLS["bancor-like"], (1.0, 0.0), "creator", {}), DomainError,
+     "supply-sovereign pools start with zero supply"),
+    (lambda: materialize_pool(dataclasses.replace(BUILTIN_POOLS["uniswap-v2-like"], reserves=())),
+     DomainError, "pool configuration carries no reserves"),
+    (lambda: deposit_liquidity(dataclasses.replace(_pool("uniswap-v2-like"), closed=True), "creator", (1.0, 1.0), {}),
+     UnsupportedOperation, "pool is closed"),
+    (lambda: deposit_liquidity(_pool("uniswap-v2-like"), "creator", (1.0,), {}), DomainError,
+     "1 amounts for 2 tokens"),
+    (lambda: deposit_liquidity(_pool("uniswap-v2-like"), "creator", (1.0, math.nan), {}),
+     DomainError, "deposit amounts out of range: (1.0, nan)"),
+    (lambda: withdraw_liquidity(_pool("uniswap-v2-like"), "creator", -1.0, {}), DomainError,
+     "share amount must be non-negative: -1.0"),
+    (lambda: curve_buy(_pool("bancor-like"), "x", -1.0, {}), DomainError,
+     "amount must be non-negative: -1.0"),
+    # a holder of more issued tokens than circulate (10.0), past the dust
+    (lambda: curve_sell(_pool("bancor-like"), "x", 20.0, {"ISSUED": new_ledger("ISSUED", {"x": 20.0})}),
+     DepletionError, "selling 20.0 exceeds the circulating supply 10.0"),
     (lambda: run_dimension_probe(BUILTIN_POOLS["dodo-like"], "Fee Structure"), DomainError,
      "unknown taxonomy dimension: 'Fee Structure'"),
     (lambda: run_dimension_probe(

@@ -22,6 +22,7 @@ from ammlab.engine import (
     EXACT_OUT,
     PRICE_ADOPTING_LP_BASED,
     PoolConfig,
+    PricingFamily,
     materialize_pool,
     parse_pool_spec,
 )
@@ -308,6 +309,23 @@ class TestProbeSession:
         config = BUILTIN_POOLS["uniswap-v2-like"]
         classify(config, seed=0, trials=TRIALS)
         assert opened == [config]
+
+    def test_classify_looks_its_family_up_once(self, monkeypatch):
+        """The probes and the Risk Management row read the family the
+        session opened; a constant-product pool is not deepened by a new
+        family either."""
+        bound = []
+
+        def counted(curve, price=None):
+            bound.append(curve)
+            return real(curve, price)
+
+        real = PricingFamily.of
+        monkeypatch.setattr(PricingFamily, "of", staticmethod(counted))
+        config = BUILTIN_POOLS["uniswap-v2-like"]
+        report = classify(config, seed=0, trials=TRIALS)
+        assert bound == [config.curve]
+        assert verdict_map(report)[DIM_RISK].characteristic == "No Risk Management"
 
     @pytest.mark.parametrize("config, trials", [
         pytest.param(parse_pool_spec(UNDERFUNDED_LMSR), TRIALS, id="refused-by-the-engine"),
