@@ -96,10 +96,10 @@ def _require_positive(reserves: Sequence[float]) -> None:
             raise DomainError(f"reserves must be strictly positive: {tuple(reserves)}")
 
 
-def _require_nonnegative(reserves: Sequence[float]) -> None:
+def _require_finite(reserves: Sequence[float]) -> None:
     for r in reserves:
-        if r < 0.0:
-            raise DomainError(f"reserves must be non-negative: {tuple(reserves)}")
+        if not 0.0 <= r < math.inf:
+            raise DomainError(f"reserves must be finite and non-negative: {tuple(reserves)}")
 
 
 def _check_pair(reserves: Sequence[float], i: int, j: int) -> None:
@@ -368,7 +368,7 @@ class GeometricMean(_Conservation):
 @dataclass(frozen=True, slots=True)
 class ConstantSum(_Conservation):
     drainable = True
-    require_reserves = staticmethod(_require_nonnegative)
+    require_reserves = staticmethod(_require_finite)
 
     def value(self, reserves):
         return math.fsum(reserves)
@@ -500,6 +500,8 @@ def lmsr_trade_cost(b: float, q: Sequence[float], dq: Sequence[float]) -> float:
         raise DomainError(f"b must be > 0: {b}")
     if len(q) != len(dq):
         raise DomainError(f"{len(dq)} deltas for {len(q)} outcomes")
+    if not all(map(math.isfinite, (b, *q, *dq))):
+        raise DomainError(f"b, shares and deltas must be finite: {b}, {tuple(q)}, {tuple(dq)}")
     after = [qi + di for qi, di in zip(q, dq)]
     if any(v < 0.0 for v in after):
         raise DomainError(f"share quantities cannot go negative: {after}")
@@ -508,7 +510,8 @@ def lmsr_trade_cost(b: float, q: Sequence[float], dq: Sequence[float]) -> float:
         return 0.0
     if len(moved) == 1:
         j = moved[0]
-        return _lmsr_buy(b, q, j, dq[j]) if dq[j] > 0.0 else -_lmsr_sale(b, q, j, -dq[j])
+        return _finite_quote(_lmsr_buy(b, q, j, dq[j]) if dq[j] > 0.0 else -_lmsr_sale(b, q, j, -dq[j]), dq[j], q)
+    # two costs of finite shares, each at most the largest share plus b*ln(n)
     return _lmsr_cost(b, after) - _lmsr_cost(b, q)
 
 
@@ -588,12 +591,12 @@ class Lmsr(CurveSpec):
             raise DomainError(f"b must be finite and > 0: {self.b}")
 
     def check_legs(self, q, token_in, token_out):
-        """Legs are resolved by `_lmsr_outcome_leg` in each method."""
+        """The share quantities; legs are resolved by `_lmsr_outcome_leg`
+        in each method."""
+        _require_finite(q)
 
     def invariant(self, reserves):
-        for q in reserves:
-            if q < 0.0:
-                raise DomainError(f"share quantities must be non-negative: {tuple(reserves)}")
+        _require_finite(reserves)
         return _lmsr_cost(self.b, reserves)
 
     def spot(self, q, token_in, token_out, adopted_price=None):
@@ -664,8 +667,8 @@ class Lmsr(CurveSpec):
 def _require_adopted_price(adopted_price: float | None) -> float:
     if adopted_price is None:
         raise DomainError("no oracle price set; call set_oracle_price first")
-    if not adopted_price > 0.0:
-        raise DomainError(f"adopted price must be positive: {adopted_price}")
+    if not 0.0 < adopted_price < math.inf:
+        raise DomainError(f"adopted price must be positive and finite: {adopted_price}")
     return adopted_price
 
 
@@ -701,6 +704,7 @@ class PriceAdoption(CurveSpec):
     def check_legs(self, reserves, token_in, token_out):
         if len(reserves) != 2 or {token_in, token_out} != {0, 1}:
             raise DomainError("price adoption trades token 0 against token 1")
+        _require_finite(reserves)
 
     def mid(self, r0: float, p: float) -> float:
         """Price of token 0 in token 1 at token-0 reserve r0, before the ask
@@ -844,9 +848,7 @@ def pmm_trade_cost(
     dx: float,
 ) -> float:
     """Output amount for an exact-in trade on `PriceAdoption(k, target_reserves)`."""
-    if not dx >= 0.0:
-        raise DomainError(f"input amount must be non-negative: {dx}")
-    return PriceAdoption(k, target_reserves).quote_in(current_reserves, token_in, token_out, dx, adopted_price)
+    return quote_exact_in(PriceAdoption(k, target_reserves), current_reserves, token_in, token_out, dx, adopted_price)
 
 
 # ---------------------------------------------------------------------------
@@ -888,6 +890,8 @@ def bonding_trade(kappa: float, c: float, supply: float, d_supply: float) -> flo
     Exponential(kappa=kappa, c=c)  # checks kappa and c
     if supply < 0.0:
         raise DomainError(f"supply must be non-negative: {supply}")
+    if not (math.isfinite(supply) and math.isfinite(d_supply)):
+        raise DomainError(f"supply and its change must be finite: {supply}, {d_supply}")
     s_new = supply + d_supply
     if s_new < 0.0:
         raise DomainError(f"cannot burn below zero supply: {supply} + {d_supply}")
@@ -1111,6 +1115,17 @@ def solve_stableswap_d(reserves: Sequence[float], chi: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _finite_quote(value: float, amount: float, reserves: Sequence[float]) -> float:
+    """`value`, a public quote of `amount`, where it is a float; DomainError
+    past the float range, which the closed forms reach only at a parameter
+    past it too (an LMSR b so small that shares / b overflows).  The trade
+    step reads the closed forms unchecked: its ledgers refuse a non-finite
+    amount."""
+    if not math.isfinite(value):
+        raise DomainError(f"the quote for {amount} leaves the float range at {tuple(reserves)}")
+    return value
+
+
 def invariant_value(spec: CurveSpec, reserves: Sequence[float]) -> float:
     """Conservation value at the given reserves.
 
@@ -1147,7 +1162,7 @@ def quote_exact_in(
     if dx == 0.0:
         return 0.0
     spec.check_legs(reserves, token_in, token_out)
-    return spec.quote_in(reserves, token_in, token_out, dx, adopted_price)
+    return _finite_quote(spec.quote_in(reserves, token_in, token_out, dx, adopted_price), dx, reserves)
 
 
 def quote_exact_out(
@@ -1164,4 +1179,4 @@ def quote_exact_out(
     if dy == 0.0:
         return 0.0
     spec.check_legs(reserves, token_in, token_out)
-    return spec.quote_out(reserves, token_in, token_out, dy, adopted_price)
+    return _finite_quote(spec.quote_out(reserves, token_in, token_out, dy, adopted_price), dy, reserves)

@@ -916,14 +916,30 @@ def _safe_spot(family: PricingFamily, state: State, i: int, j: int) -> float:
 Trade = tuple[float, float, float, State]  # a trade step: (paid, got, fee, state after)
 
 
-def _priced(pool: PoolState, order: TradeOrder) -> tuple[int, int, Trade]:
+def _priced(pool: PoolState, order: TradeOrder, ledgers: Ledgers | None = None) -> tuple[int, int, Trade]:
     """(leg in, leg out, trade step) of an order, priced by the pool's
-    family; raises where the order cannot be priced."""
+    family; raises where the order cannot be priced.
+
+    Given the ledgers, an exact-in sale of an issued leg i is priced at
+    state[i], what the pool has outstanding, where it is within float dust
+    (1e-9 relative) of that amount and either exceeds it or is the whole
+    ledger supply: the outstanding amount is a running float sum and the
+    ledger's supply the exact sum of its balances, so the two drift apart
+    by rounding, and no holder is refused for the drift while the last one
+    empties the pool.  The trader still pays the whole order."""
     if pool.closed:
         raise UnsupportedOperation("pool is closed")
     i, j = _validate_order(pool, order)
     family = pool.family
-    trade = family.trade(family.view(pool), i, j, order.kind, order.amount, pool.fee.trade_fee)
+    state, amount = family.view(pool), order.amount
+    if i >= family.issued_from and order.kind == EXACT_IN and ledgers is not None:
+        outstanding = state[i]
+        if abs(amount - outstanding) <= 1e-9 * max(1.0, outstanding) and (
+                amount > outstanding or amount == _ledger_for(ledgers, pool.tokens[i]).total_supply):
+            amount = outstanding
+    trade = family.trade(state, i, j, order.kind, amount, pool.fee.trade_fee)
+    if amount != order.amount:
+        trade = (order.amount, *trade[1:])
     if not 0.0 < trade[0] < math.inf:
         raise DomainError(
             f"cannot price {order.kind} {order.amount}: the input would be {trade[0]}"
@@ -963,7 +979,10 @@ def _settle_trade(
 
 
 def quote(pool: PoolState, order: TradeOrder) -> Quote:
-    """Price an order against the pool without changing any state."""
+    """Price an order against the pool without changing any state.  A
+    quote reads no ledgers, so it prices a sale of an issued leg as given,
+    not as `execute_swap` settles one within float dust of the pool's
+    outstanding amount."""
     i, j, trade = _priced(pool, order)
     return _quoted(pool, order, i, j, trade)
 
@@ -974,8 +993,12 @@ def execute_swap(
     """Quote the order, move tokens, and advance the pool state atomically.
 
     The order is priced once, by the pool's family, and that trade step is
-    what settles."""
-    i, j, trade = _priced(pool, order)
+    what settles.  An exact-in sale of an issued leg (a bonding curve's
+    token, an LMSR outcome) within float dust of what the pool has
+    outstanding is priced at that amount (`_priced`), so every holder
+    can sell out; the trader burns, and the receipt's `amount_in` is, the
+    whole order."""
+    i, j, trade = _priced(pool, order, ledgers)
     return _settle_trade(pool, order, i, j, trade, ledgers)
 
 
@@ -1081,33 +1104,20 @@ _NOT_SOVEREIGN = "curve buy/sell applies only to supply-sovereign pools"
 def _bond(
     pool: PoolState, trader: AccountId, i: int, amount: float, ledgers: Ledgers
 ) -> tuple[PoolState, float, dict[TokenId, Ledger]]:
-    """Exact-in trade of `amount` of token i (0 buys, 1 sells), settled from its one quote."""
+    """An `execute_swap` of `amount` of token i (0 buys, 1 sells), exact
+    in: (pool after, what it paid out, ledgers after)."""
     _require_family(pool, BondingFamily, _NOT_SOVEREIGN)
     if not amount >= 0.0:
         raise DomainError(f"amount must be non-negative: {amount}")
     if amount == 0.0:
         return pool, 0.0, dict(ledgers)
-    traded = amount
-    if i == 1:
+    if i == 1:  # refused before pricing: so a sale of inf, or past the supply too, is as well
         held = balance_of(_ledger_for(ledgers, pool.tokens[1]), trader)
         if amount > held:
             raise InsufficientBalance(f"{trader!r} holds {held} issued tokens, cannot sell {amount}")
-        # float dust between the supply tracker and independently accumulated
-        # ledger balances; anything larger is an inconsistency
-        traded = min(amount, pool.circulating_supply)
-        if amount - traded > 1e-9 * max(1.0, traded):
-            raise DepletionError(
-                f"selling {amount} exceeds the circulating supply {pool.circulating_supply}"
-            )
-        if amount == held == _ledger_for(ledgers, pool.tokens[1]).total_supply:
-            # the last tokens outstanding burn the whole supply, dust and all:
-            # short of it by the dust, their payout could round to all of the
-            # reserve and leave a half-empty state, which the curve refuses
-            traded = pool.circulating_supply
-    family = pool.family
-    _, out, fee, after = family.trade(family.view(pool), i, 1 - i, EXACT_IN, traded, pool.fee.trade_fee)
-    updated = family.settle(pool, trader, i, 1 - i, amount, out, ledgers)
-    return family.apply(pool, i, 1 - i, after, fee), out, updated
+    order = TradeOrder(trader, pool.tokens[i], pool.tokens[1 - i], amount, EXACT_IN)
+    pool, receipt, updated = execute_swap(pool, order, ledgers)
+    return pool, receipt.trader_deltas[order.token_out], updated
 
 
 def curve_buy(
@@ -1159,7 +1169,7 @@ def resolve_prediction(
     cash = _ledger_for(ledgers, collateral_token)
     win = _ledger_for(ledgers, winning_token)
     for holder, held in sorted(win.balances.items()):
-        if holder == pool.account or held == 0.0:
+        if holder == pool.account:
             continue
         cash = ledger_transfer(cash, pool.account, holder, held)
         win = ledger_burn(win, holder, held)

@@ -18,9 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ammlab.cli import main
-from ammlab.core import AmmError
+from ammlab.core import AmmError, ledger_mint
 from ammlab.curves import CURVES
-from ammlab.engine import materialize_pool, parse_pool_spec
+from ammlab.engine import BUILTIN_POOLS, EXACT_IN, TradeOrder, execute_swap, materialize_pool, parse_pool_spec
 from ammlab.probe import MIN_TRIALS, classify
 from ammlab.sim import metrics_to_csv, parse_price_series, parse_scenario, run_scenario
 
@@ -541,6 +541,28 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert code in (0, 2)
         assert "Traceback" not in captured.err
+
+    def test_the_last_trade_sells_a_whole_outcome_balance(self, tmp_path, capsys):
+        """Two holders buy outcome 0, then each sells its whole balance; the
+        last holds more than the pool's outstanding float sum by rounding,
+        which the sale is priced at."""
+        pool, ledgers = materialize_pool(BUILTIN_POOLS["augur-like"])
+        for holder in "ab":  # the scenario's endowments
+            ledgers["CASH"] = ledger_mint(ledgers["CASH"], holder, 100.0)
+        buys = [("b", 3.0), ("a", 1.0), ("b", 10.0)]
+        for holder, amount in buys:
+            order = TradeOrder(holder, "CASH", "OUT0", amount, EXACT_IN)
+            pool, _, ledgers = execute_swap(pool, order, ledgers)
+        held = {holder: ledgers["OUT0"].balances[holder] for holder in "ab"}
+        assert held["b"] > pool.reserves[1] - held["a"]
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(
+            "pool augur-like\naccount a CASH 100\naccount b CASH 100\n"
+            + "".join(f"{step} trade {h} CASH OUT0 {amount!r}\n" for step, (h, amount) in enumerate(buys, 1))
+            + f"4 trade a OUT0 CASH {held['a']!r}\n5 trade b OUT0 CASH {held['b']!r}\n"
+        )
+        assert main(["simulate", "--scenario", str(scenario)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_a_row_before_the_first_oracle_price_has_no_spot(self, tmp_path, capsys):
         """A price-adoption pool quotes no spot before it adopts a price:

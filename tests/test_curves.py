@@ -140,7 +140,7 @@ class TestInvariantValue:
         assert close(invariant_value(Lmsr(b=100.0), (0.0, 0.0)), 100.0 * math.log(2.0))
 
     def test_lmsr_negative_shares_rejected(self):
-        with pytest.raises(DomainError, match=r"^share quantities must be non-negative: \(0\.0, -1\.0\)$"):
+        with pytest.raises(DomainError, match=r"^reserves must be finite and non-negative: \(0\.0, -1\.0\)$"):
             invariant_value(Lmsr(b=100.0), (0.0, -1.0))
 
     def test_geometric_mean_equal_weights(self):

@@ -1056,6 +1056,107 @@ class TestSupplySovereign:
 
 
 # ---------------------------------------------------------------------------
+# sales of issued legs: one trade path, and every holder sells out
+# ---------------------------------------------------------------------------
+
+
+HOLDERS = tuple(f"h{k}" for k in range(5))
+
+
+def issuing_pool(name):
+    """(pool, ledgers, reserve token, issued token) of a built-in issuing
+    pool that nobody holds yet: the bonding curve unprimed, so that its
+    holders own the whole supply; five holders funded in the reserve."""
+    config = BUILTIN_POOLS[name]
+    if name == "bancor-like":
+        config = dataclasses.replace(config, reserves=(0.0, 0.0))
+    pool, ledgers = materialize_pool(config)
+    cash, issued = pool.tokens[0], pool.tokens[1]
+    for holder in HOLDERS:
+        ledgers[cash] = ledger_mint(ledgers[cash], holder, 1e6)
+    return pool, ledgers, cash, issued
+
+
+class TestIssuedLegSales:
+    """A pool's outstanding amount is a running float sum and the ledger's
+    supply the exact sum of its balances; `execute_swap` prices a sale
+    within float dust of the outstanding amount at that amount, so that
+    the two never strand a holder."""
+
+    @pytest.mark.parametrize("name", ["bancor-like", "augur-like"])
+    def test_every_holder_sells_out(self, name):
+        """5 holders, 20 seeded buys, then a sale of every whole balance,
+        all through `execute_swap`, 200 times: each exit settles, and the
+        pool ends with nothing outstanding."""
+        rng = random.Random(f"sell-out-{name}")
+        for _ in range(200):
+            pool, ledgers, cash, issued = issuing_pool(name)
+            for _ in range(20):
+                order = TradeOrder(rng.choice(HOLDERS), cash, issued, rng.uniform(0.1, 50.0), "exact-in")
+                pool, _, ledgers = execute_swap(pool, order, ledgers)
+            for holder in HOLDERS:
+                held = balance_of(ledgers[issued], holder)
+                if held > 0.0:
+                    order = TradeOrder(holder, issued, cash, held, "exact-in")
+                    pool, receipt, ledgers = execute_swap(pool, order, ledgers)
+                    assert receipt.quote.amount_in == held
+                    assert balance_of(ledgers[issued], holder) == 0.0
+            assert ledgers[issued].total_supply == 0.0
+            if name == "bancor-like":
+                assert pool.reserves == (0.0, 0.0) and pool.circulating_supply == 0.0
+            else:
+                assert pool.reserves[1] == 0.0
+
+    def dusty(self, excess):
+        """A bonding pool at supply S whose one holder holds S * (1 +
+        excess), as rounding could leave it, and that holding."""
+        pool, ledgers, cash, issued = issuing_pool("bancor-like")
+        pool, _, ledgers = execute_swap(pool, TradeOrder("h0", cash, issued, 100.0, "exact-in"), ledgers)
+        held = pool.circulating_supply * (1.0 + excess)
+        ledgers[issued] = new_ledger(issued, {"h0": held})
+        return pool, ledgers, TradeOrder("h0", issued, cash, held, "exact-in")
+
+    def test_a_sale_past_the_supply_by_dust_burns_it_all(self):
+        pool, ledgers, order = self.dusty(5e-10)
+        after, receipt, ledgers = execute_swap(pool, order, ledgers)
+        assert after.reserves == (0.0, 0.0) and after.circulating_supply == 0.0
+        assert receipt.quote.amount_in == order.amount
+        assert receipt.trader_deltas == {"ISSUED": -order.amount, "RESERVE": pool.reserves[0]}
+        assert ledgers["ISSUED"].total_supply == 0.0
+        # a quote reads no ledgers: it prices the order as given
+        with pytest.raises(DepletionError):
+            quote(pool, order)
+
+    def test_a_sale_past_the_supply_by_more_than_dust_is_refused(self):
+        pool, ledgers, order = self.dusty(2e-9)
+        with pytest.raises(DepletionError):
+            execute_swap(pool, order, ledgers)
+
+    def test_a_whole_ledger_far_below_the_supply_sells_as_given(self):
+        """Ledgers that leave out the bootstrap holder's supply: the one
+        holder in them sells what it holds, not the pool's whole supply."""
+        pool, ledgers = materialize_pool(BUILTIN_POOLS["bancor-like"])  # supply 10, held by bootstrap
+        ledgers = {"RESERVE": ledger_mint(ledgers["RESERVE"], "h0", 1.0), "ISSUED": new_ledger("ISSUED")}
+        pool, minted, ledgers = curve_buy(pool, "h0", 1.0, ledgers)
+        order = TradeOrder("h0", "ISSUED", "RESERVE", minted, "exact-in")
+        expected = quote(pool, order)
+        after, payout, ledgers = curve_sell(pool, "h0", minted, ledgers)
+        assert payout == expected.amount_out <= 1.0  # what the buy cost, not the reserve
+        assert after.circulating_supply == pool.circulating_supply - minted
+
+    def test_curve_buy_and_sell_settle_through_execute_swap(self):
+        pool, ledgers, cash, issued = issuing_pool("bancor-like")
+        for amount, token_in, token_out in ((40.0, cash, issued), (3.0, issued, cash)):
+            order = TradeOrder("h0", token_in, token_out, amount, "exact-in")
+            swapped, receipt, swapped_ledgers = execute_swap(pool, order, ledgers)
+            trade = curve_buy if token_in == cash else curve_sell
+            bonded, paid_out, bonded_ledgers = trade(pool, "h0", amount, ledgers)
+            assert (bonded, bonded_ledgers) == (swapped, swapped_ledgers)
+            assert paid_out == receipt.quote.amount_out
+            pool, ledgers = bonded, bonded_ledgers
+
+
+# ---------------------------------------------------------------------------
 # oracle adoption
 # ---------------------------------------------------------------------------
 
@@ -1189,6 +1290,17 @@ class TestResolvePrediction:
         pool2, ledgers2 = resolve_prediction(pool, 0, ledgers)
         assert "carol" not in ledgers2["CASH"].balances
         assert math.isclose(balance_of(ledgers2["CASH"], "alice"), 80.0 + alice_shares, rel_tol=REL)
+        assert pool2.closed
+
+    def test_winning_shares_the_pool_account_holds_are_not_redeemed(self):
+        """The pool pays no collateral to itself: shares sent to its account
+        stay there, and its leftover collateral still goes to the creator."""
+        pool, ledgers, alice_shares, _ = self._pool_with_positions()
+        ledgers["OUT0"] = ledger_mint(ledgers["OUT0"], pool.account, 5.0)
+        pool2, ledgers2 = resolve_prediction(pool, 0, ledgers)
+        assert balance_of(ledgers2["OUT0"], pool.account) == 5.0
+        assert balance_of(ledgers2["OUT0"], "alice") == 0.0
+        assert balance_of(ledgers2["CASH"], pool.account) == 0.0
         assert pool2.closed
 
 

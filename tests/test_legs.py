@@ -11,6 +11,7 @@ and a probe calls no public curve function.
 
 import dataclasses
 import importlib
+import itertools
 import math
 import random
 
@@ -18,7 +19,14 @@ import pytest
 
 import ammlab
 from ammlab import curves
-from ammlab.core import AmmError, DepletionError, DomainError, UnsupportedOperation, new_ledger
+from ammlab.core import (
+    AmmError,
+    DepletionError,
+    DomainError,
+    InsufficientBalance,
+    UnsupportedOperation,
+    new_ledger,
+)
 from ammlab.curves import (
     CURVES,
     ConstantPowerSum,
@@ -303,7 +311,7 @@ _BAD_PUBLIC = [
      "exponential curve state is (reserve_balance, supply)"),
     # each argument refusal of the curve functions
     (lambda: quote_exact_in(ConstantSum(), (-1.0, 1.0), 0, 1, 1.0), DomainError,
-     "reserves must be non-negative: (-1.0, 1.0)"),
+     "reserves must be finite and non-negative: (-1.0, 1.0)"),
     (lambda: quote_exact_in(CP, (1.0, 1.0), 0, 1, math.inf), DomainError,
      "input inf overflows the conservation value at reserves (1.0, 1.0)"),
     (lambda: GeometricMean(weights=(1.0,)), DomainError, "geometric mean needs at least two weights"),
@@ -312,11 +320,38 @@ _BAD_PUBLIC = [
     (lambda: quote_exact_in(Lmsr(b=1.0), (0.0, 1.7e308), None, 0, 1e308), DomainError,
      "the shares that 1e+308 collateral buys overflow a float"),
     (lambda: spot_price(PMM, (100.0, 1000.0), 0, 1, -1.0), DomainError,
-     "adopted price must be positive: -1.0"),
+     "adopted price must be positive and finite: -1.0"),
+    (lambda: spot_price(PMM, (100.0, 1000.0), 0, 1, math.inf), DomainError,
+     "adopted price must be positive and finite: inf"),
     (lambda: spot_price(PMM, (100.0, 1000.0), 0, 1, None), DomainError,
      "no oracle price set; call set_oracle_price first"),
     (lambda: pmm_trade_cost(0.5, (100.0, 1000.0), (100.0, 1000.0), 10.0, 0, 1, -1.0), DomainError,
      "input amount must be non-negative: -1.0"),
+    # pmm_trade_cost runs quote_exact_in's checks: these three were priced
+    # as a token-0 buy (0.4994, 0.4994) and on the first two reserves (49.375)
+    (lambda: pmm_trade_cost(0.5, (100.0, 1000.0), (100.0, 1000.0), 10.0, 1, 1, 5.0), DomainError,
+     "price adoption trades token 0 against token 1"),
+    (lambda: pmm_trade_cost(0.5, (100.0, 1000.0), (100.0, 1000.0), 10.0, None, 7, 5.0), DomainError,
+     "price adoption trades token 0 against token 1"),
+    (lambda: pmm_trade_cost(0.5, (100.0, 1000.0), (100.0, 1000.0, 5.0), 10.0, 0, 1, 5.0), DomainError,
+     "price adoption trades token 0 against token 1"),
+    # non-finite inputs, each of which priced nan or inf or raised ValueError
+    (lambda: spot_price(LMSR, (0.0, math.inf), 0, None), DomainError,
+     "reserves must be finite and non-negative: (0.0, inf)"),
+    (lambda: quote_exact_in(LMSR, (0.0, math.inf), None, 0, 1.0), DomainError,
+     "reserves must be finite and non-negative: (0.0, inf)"),
+    (lambda: invariant_value(LMSR, (0.0, math.inf)), DomainError,
+     "reserves must be finite and non-negative: (0.0, inf)"),
+    (lambda: lmsr_trade_cost(100.0, (0.0, 0.0), (math.inf, 0.0)), DomainError,
+     "b, shares and deltas must be finite: 100.0, (0.0, 0.0), (inf, 0.0)"),
+    (lambda: quote_exact_out(PMM, (math.nan, 1.0), 0, 1, 1e-300, 10.0), DomainError,
+     "reserves must be finite and non-negative: (nan, 1.0)"),
+    (lambda: bonding_trade(2.0, 1.0, 1e-300, math.nan), DomainError,
+     "supply and its change must be finite: 1e-300, nan"),
+    (lambda: quote_exact_out(LMSR, (0.0, 0.0), None, 0, math.inf), DomainError,
+     "the quote for inf leaves the float range at (0.0, 0.0)"),
+    (lambda: quote_exact_in(Lmsr(b=1e-300), (1e300, 0.0), 0, None, 1e300), DomainError,
+     "the quote for 1e+300 leaves the float range at (1e+300, 0.0)"),
     (lambda: bonding_trade(2.0, 1.0, -1.0, 1.0), DomainError, "supply must be non-negative: -1.0"),
     (lambda: invariant_value(EXP, (0.0, 0.0)), DomainError, "reserve out of range: 0.0"),
     (lambda: spot_price(Exponential(kappa=1e-3, c=1.0), (1e-300, 1e30), 1, 0), DomainError,
@@ -387,9 +422,15 @@ _BAD_ENGINE = [
      "share amount must be non-negative: -1.0"),
     (lambda: curve_buy(_pool("bancor-like"), "x", -1.0, {}), DomainError,
      "amount must be non-negative: -1.0"),
-    # a holder of more issued tokens than circulate (10.0), past the dust
+    # a holder of more issued tokens than circulate (10.0), past the dust:
+    # the curve refuses the sale, as it refuses any `execute_swap` of it
     (lambda: curve_sell(_pool("bancor-like"), "x", 20.0, {"ISSUED": new_ledger("ISSUED", {"x": 20.0})}),
-     DepletionError, "selling 20.0 exceeds the circulating supply 10.0"),
+     DepletionError, "a move of -20.0 exceeds 10.0"),
+    (lambda: execute_swap(_pool("bancor-like"), TradeOrder("x", "ISSUED", "RESERVE", 20.0, EXACT_IN),
+                          {"ISSUED": new_ledger("ISSUED", {"x": 20.0})}),
+     DepletionError, "a move of -20.0 exceeds 10.0"),
+    (lambda: curve_sell(_pool("bancor-like"), "x", math.inf, {}), InsufficientBalance,
+     "'x' holds 0.0 issued tokens, cannot sell inf"),
     (lambda: run_dimension_probe(BUILTIN_POOLS["dodo-like"], "Fee Structure"), DomainError,
      "unknown taxonomy dimension: 'Fee Structure'"),
     (lambda: run_dimension_probe(
@@ -467,3 +508,59 @@ def test_the_counters_see_the_public_functions(monkeypatch):
     curves.quote_exact_in(CP, (1.0, 1.0), 0, 1, 0.5)
     ammlab.spot_price(CP, (1.0, 1.0), 0, 1)
     assert counts == {"public": 2, "check_legs": 2}
+
+
+# ---------------------------------------------------------------------------
+# (e) every public curve function gives a finite float or raises AmmError
+# ---------------------------------------------------------------------------
+
+EDGES = (0.0, 1.0, 100.0, 1e-300, 1e300, math.inf, math.nan, -1.0)
+
+# one spec of each curve, and LMSR at a b so small that shares / b overflows
+EDGE_SPECS = (
+    ConstantProduct(), GeometricMean(weights=(0.5, 0.5)), ConstantSum(),
+    ConstantProductSum(chi=10.0), ConstantPowerSum(t=0.5), PMM, LMSR, Lmsr(b=1e-300), EXP,
+)
+
+
+def edge_calls():
+    """Each public curve function at every pair of edge values as reserves
+    and every edge value as an amount (and as an adopted price, b, kappa, c
+    and chi)."""
+    pairs = list(itertools.product(EDGES, repeat=2))
+    for spec in EDGE_SPECS:
+        legs = [(None, 0), (0, None)] if isinstance(spec, Lmsr) else [(0, 1), (1, 0)]
+        prices = EDGES if spec is PMM else (None,)
+        for reserves in pairs:
+            yield invariant_value, spec, reserves
+            for (i, j), price in itertools.product(legs, prices):
+                yield spot_price, spec, reserves, i, j, price
+                for amount in EDGES:
+                    yield quote_exact_in, spec, reserves, i, j, amount, price
+                    yield quote_exact_out, spec, reserves, i, j, amount, price
+                    if spec is PMM:
+                        yield pmm_trade_cost, PMM.k, PMM.target_reserves, reserves, price, i, j, amount
+    for b, q, dq in itertools.product(EDGES, pairs, pairs):
+        yield lmsr_trade_cost, b, q, dq
+    for kappa_c, supply, change in itertools.product(pairs, EDGES, EDGES):
+        yield bonding_trade, *kappa_c, supply, change
+    for reserves, chi in itertools.product(pairs, EDGES):
+        yield solve_stableswap_d, reserves, chi
+
+
+def test_public_curve_functions_give_a_finite_float_or_an_engine_error():
+    breaches, priced = [], 0
+    for function, *args in edge_calls():
+        try:
+            value = function(*args)
+        except AmmError:
+            continue
+        except Exception as error:  # any other error is a breach
+            breaches.append((function.__name__, args, type(error).__name__))
+            continue
+        if type(value) is float and math.isfinite(value):
+            priced += 1
+        else:
+            breaches.append((function.__name__, args, value))
+    assert not breaches, breaches[:10]
+    assert priced > 1000  # the grid prices as well as refuses

@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 
 from ammlab import AmmError, DomainError
 from ammlab import probe as probe_module
-from ammlab.curves import PriceAdoption
+from ammlab.curves import Exponential, PriceAdoption
 from ammlab.engine import (
     BUILTIN_POOLS,
     EXACT_IN,
     EXACT_OUT,
     PRICE_ADOPTING_LP_BASED,
+    PRICE_DISCOVERING_SUPPLY_SOVEREIGN,
     PoolConfig,
     PricingFamily,
     materialize_pool,
@@ -280,6 +281,12 @@ b = 10
 """
 
 
+# `materialize_pool` admits it, but the reserve at its supply of 1 overflows
+UNBONDABLE = PoolConfig(
+    PRICE_DISCOVERING_SUPPLY_SOVEREIGN, ("R", "I"), Exponential(kappa=1e150, c=5e-324), reserves=(1.0, 0.0)
+)
+
+
 class TestProbeSession:
     """`classify` opens its pool once and runs every probe from it: each
     verdict is the one `run_dimension_probe` gives alone, and each refusal
@@ -332,6 +339,7 @@ class TestProbeSession:
         pytest.param(dataclasses.replace(BUILTIN_POOLS["dodo-like"], oracle_price=None), TRIALS,
                      id="refused-by-the-probe"),
         pytest.param(parse_pool_spec(UNDERFUNDED_LMSR), MIN_TRIALS - 1, id="too-few-trials"),
+        pytest.param(UNBONDABLE, TRIALS, id="refused-by-the-leg-check"),
     ])
     def test_classify_refuses_as_each_probe_does(self, config, trials):
         with pytest.raises(AmmError) as whole:
@@ -341,6 +349,16 @@ class TestProbeSession:
                 run_dimension_probe(config, dimension, seed=0, trials=trials)
             assert type(alone.value) is type(whole.value)
             assert str(alone.value) == str(whole.value)
+
+    def test_the_opening_leg_check_refuses_a_pool_the_engine_admits(self):
+        """The probe checks its opening state's legs once; without that
+        check, its first trade of this pool raises DepletionError at a
+        half-empty state instead."""
+        materialize_pool(UNBONDABLE)
+        with pytest.raises(AmmError) as refused:
+            classify(UNBONDABLE, seed=0, trials=TRIALS)
+        assert type(refused.value) is DomainError
+        assert str(refused.value) == "the reserve at supply 1.0 overflows a float"
 
     def test_a_probe_refuses_the_dimension_then_the_trials_then_the_pool(self):
         refused = parse_pool_spec(UNDERFUNDED_LMSR)

@@ -155,24 +155,36 @@ def test_the_builtin_sum_rule_sees_a_call():
     assert builtin_sum_calls(tree) == [1, 4]
 
 
-class _SolverErrorRaises(ast.NodeVisitor):
-    """The function around each `raise SolverError`, dotted through any
-    functions it is nested in."""
+class _Where(ast.NodeVisitor):
+    """A visitor that knows the class and function around the node it
+    visits, dotted through any they are nested in (`here`)."""
 
     def __init__(self):
         self.where: list[str] = []
-        self.raises: list[str] = []
 
     def visit_FunctionDef(self, node):
         self.where.append(node.name)
         self.generic_visit(node)
         self.where.pop()
 
+    visit_ClassDef = visit_FunctionDef
+
+    def here(self) -> str:
+        return ".".join(self.where) or "<module>"
+
+
+class _SolverErrorRaises(_Where):
+    """Where each `raise SolverError` is."""
+
+    def __init__(self):
+        super().__init__()
+        self.raises: list[str] = []
+
     def visit_Raise(self, node):
         exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
         name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
         if name == "SolverError":
-            self.raises.append(".".join(self.where) or "<module>")
+            self.raises.append(self.here())
 
 
 def solver_error_raises(tree: ast.Module) -> list[str]:
@@ -202,6 +214,58 @@ def test_the_solver_error_rule_sees_a_raise():
         "    raise SolverError\n"
     )
     assert solver_error_raises(tree) == ["solve.step", "solve"]
+
+
+class _MethodCalls(_Where):
+    """Where each call of a method named in `names` is, as `.name in where`."""
+
+    def __init__(self, names):
+        super().__init__()
+        self.names, self.calls = names, []
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Attribute) and node.func.attr in self.names:
+            self.calls.append(f".{node.func.attr} in {self.here()}")
+        self.generic_visit(node)
+
+
+def method_calls(tree: ast.Module, names: set[str]) -> list[str]:
+    visitor = _MethodCalls(names)
+    visitor.visit(tree)
+    return visitor.calls
+
+
+def test_one_path_settles_a_trade():
+    """Every trade settles through `_settle_trade`, which `execute_swap`,
+    `curve_buy`, `curve_sell` and the arbitrage step share: a second
+    caller of a family's `settle` or `apply` is a second trade path, which
+    can settle by other rules.  A bonding pool primed at creation is the
+    one state `apply` builds outside a trade."""
+    found = {
+        f"{path.name}: {call}"
+        for path in SOURCES
+        for call in method_calls(ast.parse(path.read_text(encoding="utf-8")), {"settle", "apply"})
+    }
+    assert found == {
+        "engine.py: .settle in _settle_trade",
+        "engine.py: .apply in _settle_trade",
+        "engine.py: .apply in BondingFamily.materialize",
+    }
+
+
+def test_the_settlement_rule_sees_a_call():
+    tree = ast.parse(
+        "class Family:\n"
+        "    def materialize(self, pool):\n"
+        "        return self.apply(pool)\n"
+        "def bond(family):\n"
+        "    settle(1)\n"
+        "    return family.settle(lambda: x.apply(2))\n"
+        "state = Family().apply(3)\n"
+    )
+    assert method_calls(tree, {"settle", "apply"}) == [
+        ".apply in Family.materialize", ".settle in bond", ".apply in bond", ".apply in <module>"
+    ]
 
 
 def private_engine_imports(tree: ast.Module) -> set[str]:
