@@ -590,6 +590,10 @@ class Lmsr(CurveSpec):
         if not (self.b > 0.0 and math.isfinite(self.b)):
             raise DomainError(f"b must be finite and > 0: {self.b}")
 
+    def check_tokens(self, n_tokens: int) -> None:
+        if n_tokens < 3:
+            raise DomainError("an LMSR pool needs a collateral token and at least two outcomes")
+
     def check_legs(self, q, token_in, token_out):
         """The share quantities; legs are resolved by `_lmsr_outcome_leg`
         in each method."""
@@ -960,6 +964,10 @@ class Exponential(CurveSpec):
         if supply == math.inf:
             raise DomainError(f"the supply bonding a reserve of {reserve} overflows a float")
         return supply
+
+    def check_tokens(self, n_tokens: int) -> None:
+        if n_tokens != 2:
+            raise DomainError("supply-sovereign pools hold (reserve, issued) tokens")
 
     def check_legs(self, reserves, token_in, token_out):
         """The legs, and the state (`_split_bonding_state`), whose legs must

@@ -42,8 +42,9 @@ Other conventions chosen here (the pricing layer itself lives in curves.py):
   * LMSR pools hold tokens = (collateral, outcome_0, ..., outcome_{n-1}) and
     reserves = (collateral_held, outstanding_0, ..., outstanding_{n-1}).
     Creation requires a collateral subsidy of at least C(0) = b*ln(n), the
-    worst-case resolution liability; outcome shares are minted and burned by
-    the pool, and deposit/withdraw are not supported after creation.
+    worst-case resolution liability, to 1e-9 of it; outcome shares are
+    minted and burned by the pool, and deposit/withdraw are not supported
+    after creation.
   * Resolution pays 1 collateral per winning share, burns the redeemed
     shares, sweeps leftover collateral to the creator, and closes the pool.
   * A quote that cannot be priced (a non-finite amount, or an input that is
@@ -307,9 +308,13 @@ class PricingFamily:
     adoption, the adopted price) and works on a state view: a tuple indexed
     like the pool's tokens.  Legs from `issued_from` up are tokens the pool
     mints and burns instead of holding; a trader who pays in one of them pays
-    the fee out of the payout, everyone else pays it on the input.  The fee
-    stays in the reserves unless `fee_in_reserves` is False, and is booked in
-    `accumulated_fees` on the side that paid it either way.
+    the fee out of the payout, everyone else pays it on the input.  A trade
+    step names what the curve takes in (`took`) and pays out (`gave`), and
+    the fee is the gap between that and what the trader pays or gets on the
+    side that carries it.  The fee stays in the reserves unless
+    `fee_in_reserves` is False, when the reserves move by `took` and `gave`
+    alone, and is booked in `accumulated_fees` on the side that paid it
+    either way.
 
     Each pool state binds its family once, when it is built, and every
     quote, settlement, arbitrage step and metrics row reads that family;
@@ -415,49 +420,41 @@ class PricingFamily:
         self, state: State, i: int, j: int, kind: str, amount: float, fee: float
     ) -> tuple[float, float, float, State]:
         """Trade token i for token j: (amount_in, amount_out, fee_paid, state
-        after).  `amount` is the exact input or output, fee included.  Each
-        order kind grosses the amount into the curve's own input or output,
-        calls the curve's closed form once (see the class docstring) and
-        books the fee on the side that paid it.  The reserves move by what
-        the trader pays and gets or, where the fee stays outside them, by
-        what the curve priced; issued legs burn and mint."""
+        after).  `amount` is the exact input or output, fee included.
+
+        Each order kind names what the curve takes in, `took`, and what it
+        pays out, `gave`, and calls the curve's closed form once (see the
+        class docstring) for the one it does not know.  An issued leg in
+        (`payout`) pays the fee out of the payout: exact in, the curve takes
+        the whole amount and the trader gets `gave * keep`; exact out, the
+        curve gives `amount / keep` for `took`.  Every other trade pays it
+        on the input: exact in, the curve takes `amount * keep`; exact out,
+        the trader pays `took / keep`.  The fee is the gap on the side that
+        paid it.  The reserves move by what the trader pays and gets or,
+        where the fee stays outside them, by `took` and `gave`; issued legs
+        burn and mint."""
         view, leg_in, leg_out = state, i, j
         if self.maps_legs:
             view, leg_in, leg_out = self.curve_args(state, i, j)
-        curve, price, keep = self.curve, self.price, 1.0 - fee
-        issued_from = self.issued_from
-        if i >= issued_from:  # an issued leg in: the fee comes out of the payout
-            if kind == EXACT_IN:
-                if not amount >= 0.0:
-                    raise DomainError(f"input amount must be non-negative: {amount}")
-                priced = curve.quote_in(view, leg_in, leg_out, amount, price) if amount else 0.0
-                amount_in, amount_out = amount, priced * keep
-                fee_paid = priced - amount_out
-                got = amount_out if self.fee_in_reserves else priced
-            else:
-                given = amount / keep
-                if not given >= 0.0:
-                    raise DomainError(f"output amount must be non-negative: {given}")
-                amount_in = curve.quote_out(view, leg_in, leg_out, given, price) if given else 0.0
-                amount_out, fee_paid = amount, given - amount
-                got = amount if self.fee_in_reserves else given
-            moved_in = state[i] - amount_in
-        else:  # the fee is paid on the input
-            if kind == EXACT_IN:
-                given = amount * keep
-                if not given >= 0.0:
-                    raise DomainError(f"input amount must be non-negative: {given}")
-                amount_in, fee_paid = amount, amount - given
-                amount_out = got = curve.quote_in(view, leg_in, leg_out, given, price) if given else 0.0
-                moved_in = state[i] + (amount if self.fee_in_reserves else given)
-            else:
-                if not amount >= 0.0:
-                    raise DomainError(f"output amount must be non-negative: {amount}")
-                priced = curve.quote_out(view, leg_in, leg_out, amount, price) if amount else 0.0
-                amount_in, amount_out, got = priced / keep, amount, amount
-                fee_paid = amount_in - priced
-                moved_in = state[i] + (amount_in if self.fee_in_reserves else priced)
-        moved_out = state[j] + got if j >= issued_from else state[j] - got
+        keep, issued_from = 1.0 - fee, self.issued_from
+        payout = i >= issued_from
+        if kind == EXACT_IN:
+            took = amount if payout else amount * keep
+            if not took >= 0.0:
+                raise DomainError(f"input amount must be non-negative: {took}")
+            gave = self.curve.quote_in(view, leg_in, leg_out, took, self.price) if took else 0.0
+            amount_in, amount_out = amount, gave * keep if payout else gave
+        else:
+            gave = amount / keep if payout else amount
+            if not gave >= 0.0:
+                raise DomainError(f"output amount must be non-negative: {gave}")
+            took = self.curve.quote_out(view, leg_in, leg_out, gave, self.price) if gave else 0.0
+            amount_in, amount_out = took if payout else took / keep, amount
+        fee_paid = gave - amount_out if payout else amount_in - took
+        if self.fee_in_reserves:
+            took, gave = amount_in, amount_out
+        moved_in = state[i] - took if payout else state[i] + took
+        moved_out = state[j] + gave if j >= issued_from else state[j] - gave
         if len(state) == 2:
             return amount_in, amount_out, fee_paid, (
                 (moved_in, moved_out) if i == 0 else (moved_out, moved_in))
@@ -673,16 +670,11 @@ class ScoringFamily(PricingFamily):
             return state[1:], None, j - 1
         return state[1:], i - 1, None
 
-    def check(self, archetype, n_tokens):
-        super().check(archetype, n_tokens)
-        if n_tokens < 3:
-            raise DomainError("an LMSR pool needs a collateral token and at least two outcomes")
-
     def open(self, deposit, creator):
         n = len(deposit)
         subsidy = deposit[0]
         liability = self.curve.b * math.log(n - 1)
-        if subsidy < liability - 1e-9:
+        if subsidy < liability * (1.0 - 1e-9):
             raise DomainError(
                 f"collateral subsidy {subsidy} is below the worst-case "
                 f"resolution liability b*ln({n - 1}) = {liability}"
@@ -744,11 +736,6 @@ class BondingFamily(PricingFamily):
         # a sale leaves the reserve less the curve's payout, at most all of it
         reserve, supply = state
         return (reserve, 0.0), supply
-
-    def check(self, archetype, n_tokens):
-        super().check(archetype, n_tokens)
-        if n_tokens != 2:
-            raise DomainError("supply-sovereign pools hold (reserve, issued) tokens")
 
     def open(self, deposit, creator):
         if any(a != 0.0 for a in deposit):
@@ -894,7 +881,15 @@ def _token_index(pool: PoolState, token: TokenId) -> int:
         raise DomainError(f"unknown token {token!r}; pool holds {pool.tokens}") from None
 
 
+def _require_outsider(pool: PoolState, account: AccountId) -> None:
+    """Refuse the pool's own account as a trader or liquidity provider: its
+    transfers to and from the pool move no balance, yet the pool would."""
+    if account == pool.account:
+        raise DomainError(f"the pool's own account {account!r} cannot trade or provide liquidity")
+
+
 def _validate_order(pool: PoolState, order: TradeOrder) -> tuple[int, int]:
+    _require_outsider(pool, order.trader)
     if order.kind not in (EXACT_IN, EXACT_OUT):
         raise DomainError(f"order kind must be exact-in or exact-out: {order.kind!r}")
     if not 0.0 < order.amount < math.inf:
@@ -1017,6 +1012,7 @@ def deposit_liquidity(
     pool: PoolState, provider: AccountId, amounts: Sequence[float], ledgers: Ledgers
 ) -> tuple[PoolState, float, dict[TokenId, Ledger]]:
     """Add reserve-proportional liquidity, minting LP shares pro rata."""
+    _require_outsider(pool, provider)
     _require_lp_pool(pool)
     if pool.closed:
         raise UnsupportedOperation("pool is closed")
@@ -1111,10 +1107,6 @@ def _bond(
         raise DomainError(f"amount must be non-negative: {amount}")
     if amount == 0.0:
         return pool, 0.0, dict(ledgers)
-    if i == 1:  # refused before pricing: so a sale of inf, or past the supply too, is as well
-        held = balance_of(_ledger_for(ledgers, pool.tokens[1]), trader)
-        if amount > held:
-            raise InsufficientBalance(f"{trader!r} holds {held} issued tokens, cannot sell {amount}")
     order = TradeOrder(trader, pool.tokens[i], pool.tokens[1 - i], amount, EXACT_IN)
     pool, receipt, updated = execute_swap(pool, order, ledgers)
     return pool, receipt.trader_deltas[order.token_out], updated

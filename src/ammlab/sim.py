@@ -342,6 +342,8 @@ def arbitrage_step(
     bound once, when it was built; the trade the step chose settles as
     priced, so no order is quoted again.
     """
+    if arb_account == pool.account:
+        raise DomainError(f"the pool's own account {arb_account!r} cannot trade or provide liquidity")
     if pool.closed:
         raise UnsupportedOperation("pool is closed")
     family = pool.family

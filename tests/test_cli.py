@@ -515,6 +515,23 @@ class TestSimulate:
         assert code == 2
         assert "event" in captured.err
 
+    @pytest.mark.parametrize("event", ["trade pool:TOKEN0/TOKEN1 TOKEN0 TOKEN1 5",
+                                       "deposit pool:TOKEN0/TOKEN1 5 5"])
+    def test_the_pools_own_account_is_refused(self, tmp_path, capsys, event):
+        """Its transfers to the pool move no balance, so the pool state
+        would move alone."""
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(
+            "pool uniswap-v2-like\naccount pool:TOKEN0/TOKEN1 TOKEN0 5\n"
+            f"account pool:TOKEN0/TOKEN1 TOKEN1 5\n1 {event}\n"
+        )
+        code = main(["simulate", "--scenario", str(scenario)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "the pool's own account 'pool:TOKEN0/TOKEN1' cannot trade or provide liquidity\n")
+
     def test_deposit_after_a_drain_is_an_engine_error(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.txt"
         scenario.write_text(

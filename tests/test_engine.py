@@ -245,6 +245,23 @@ class TestCreatePool:
         with pytest.raises(DomainError):
             create_pool(config, (50.0, 0.0, 0.0), "creator", ledgers)
 
+    def test_lmsr_subsidy_slack_is_relative(self):
+        """At b = 1e-10 an unfunded market was admitted, and its resolution
+        after one 1e-9 buy could not pay out; at b = 1e6 a subsidy short of
+        the liability by 1e-10 of it opens."""
+        tokens = ("CASH", "OUT0", "OUT1")
+        ledgers = funded_ledgers(tokens, "creator", 1e9)
+        tiny = PoolConfig(archetype=PRICE_DISCOVERING_LP_BASED, tokens=tokens, curve=Lmsr(b=1e-10))
+        with pytest.raises(DomainError) as raised:
+            create_pool(tiny, (0.0, 0.0, 0.0), "creator", ledgers)
+        assert str(raised.value) == (
+            "collateral subsidy 0.0 is below the worst-case resolution liability "
+            f"b*ln(2) = {1e-10 * math.log(2)}")
+        large = dataclasses.replace(tiny, curve=Lmsr(b=1e6))
+        subsidy = 1e6 * math.log(2) * (1.0 - 1e-10)
+        pool, _ = create_pool(large, (subsidy, 0.0, 0.0), "creator", ledgers)
+        assert pool.reserves == (subsidy, 0.0, 0.0)
+
 
 # ---------------------------------------------------------------------------
 # quoting with fees
@@ -889,8 +906,9 @@ class TestSupplySovereign:
 
     def test_sell_beyond_balance_rejected(self):
         pool, ledgers = make_sovereign_pool()
-        ledgers["RESERVE"] = new_ledger("RESERVE", {"alice": 100.0})
+        ledgers["RESERVE"] = new_ledger("RESERVE", {"alice": 100.0, "bob": 100.0})
         pool, minted, ledgers = curve_buy(pool, "alice", 100.0, ledgers)
+        pool, _, ledgers = curve_buy(pool, "bob", 100.0, ledgers)  # so alice oversells within the supply
         with pytest.raises(InsufficientBalance):
             curve_sell(pool, "alice", minted + 1.0, ledgers)
 
@@ -1154,6 +1172,41 @@ class TestIssuedLegSales:
             assert (bonded, bonded_ledgers) == (swapped, swapped_ledgers)
             assert paid_out == receipt.quote.amount_out
             pool, ledgers = bonded, bonded_ledgers
+
+
+def _own_account_calls() -> dict:
+    """Each entry point, called by the pool's own account on a built-in
+    pool and its ledgers, in which that account holds the pool's reserves:
+    name -> (pool, ledgers, call)."""
+    from ammlab.sim import arbitrage_step
+
+    cp, cp_ledgers = materialize_pool(BUILTIN_POOLS["uniswap-v2-like"])
+    bond, bond_ledgers = materialize_pool(BUILTIN_POOLS["bancor-like"])
+    swap = TradeOrder(cp.account, "TOKEN0", "TOKEN1", 10.0, "exact-in")
+    return {
+        "quote": (cp, cp_ledgers, lambda: quote(cp, swap)),
+        "execute_swap": (cp, cp_ledgers, lambda: execute_swap(cp, swap, cp_ledgers)),
+        "arbitrage_step": (cp, cp_ledgers, lambda: arbitrage_step(cp, 2.0, cp.account, cp_ledgers)),
+        "deposit_liquidity": (cp, cp_ledgers,
+                              lambda: deposit_liquidity(cp, cp.account, (10.0, 10.0), cp_ledgers)),
+        "curve_buy": (bond, bond_ledgers, lambda: curve_buy(bond, bond.account, 10.0, bond_ledgers)),
+        "curve_sell": (bond, bond_ledgers, lambda: curve_sell(bond, bond.account, 1.0, bond_ledgers)),
+    }
+
+
+@pytest.mark.parametrize("name", ["quote", "execute_swap", "arbitrage_step", "deposit_liquidity",
+                                  "curve_buy", "curve_sell"])
+def test_the_pools_own_account_neither_trades_nor_provides_liquidity(name):
+    """Its transfers to and from the pool move no balance, so a trade or a
+    deposit would move the pool state alone: a uniswap-v2-like swap of 10
+    left reserves (110, 90.93) against balances (100, 100)."""
+    pool, ledgers, call = _own_account_calls()[name]
+    balances = {token: dict(ledger.balances) for token, ledger in ledgers.items()}
+    with pytest.raises(DomainError) as raised:
+        call()
+    assert str(raised.value) == (
+        f"the pool's own account {pool.account!r} cannot trade or provide liquidity")
+    assert {token: dict(ledger.balances) for token, ledger in ledgers.items()} == balances
 
 
 # ---------------------------------------------------------------------------

@@ -422,15 +422,15 @@ _BAD_ENGINE = [
      "share amount must be non-negative: -1.0"),
     (lambda: curve_buy(_pool("bancor-like"), "x", -1.0, {}), DomainError,
      "amount must be non-negative: -1.0"),
-    # a holder of more issued tokens than circulate (10.0), past the dust:
-    # the curve refuses the sale, as it refuses any `execute_swap` of it
+    # a sale is refused where every swap refuses it: a holder of more issued
+    # tokens than circulate (10.0), past the dust, by the curve
     (lambda: curve_sell(_pool("bancor-like"), "x", 20.0, {"ISSUED": new_ledger("ISSUED", {"x": 20.0})}),
      DepletionError, "a move of -20.0 exceeds 10.0"),
     (lambda: execute_swap(_pool("bancor-like"), TradeOrder("x", "ISSUED", "RESERVE", 20.0, EXACT_IN),
                           {"ISSUED": new_ledger("ISSUED", {"x": 20.0})}),
      DepletionError, "a move of -20.0 exceeds 10.0"),
-    (lambda: curve_sell(_pool("bancor-like"), "x", math.inf, {}), InsufficientBalance,
-     "'x' holds 0.0 issued tokens, cannot sell inf"),
+    (lambda: curve_sell(_pool("bancor-like"), "x", math.inf, {}), DomainError,
+     "order amount must be positive and finite: inf"),
     (lambda: run_dimension_probe(BUILTIN_POOLS["dodo-like"], "Fee Structure"), DomainError,
      "unknown taxonomy dimension: 'Fee Structure'"),
     (lambda: run_dimension_probe(
@@ -443,6 +443,9 @@ _BAD_ENGINE = [
         dataclasses.replace(BUILTIN_POOLS["augur-like"], tokens=("CASH", "OUT0"), reserves=(1.0, 0.0)),
         PROBED_DIMENSIONS[0]),
      DomainError, "an LMSR pool needs a collateral token and at least two outcomes"),
+    # past the seller's balance but within the supply: the ledger refuses the burn
+    (lambda: curve_sell(_pool("bancor-like"), "x", 8.0, {"ISSUED": new_ledger("ISSUED", {"x": 5.0})}),
+     InsufficientBalance, "'x' holds 5.0 ISSUED, cannot burn 8.0"),
 ]
 
 

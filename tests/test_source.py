@@ -268,6 +268,18 @@ def test_the_settlement_rule_sees_a_call():
     ]
 
 
+def test_the_trade_step_prices_each_order_kind_once():
+    """`PricingFamily.trade` prices every quote, swap, arbitrage step and
+    probe trial, with one branch per order kind: each names what the curve
+    takes in and pays out, calls the curve's closed form once, and the fee
+    rule is written once after both.  A second call of either closed form
+    is a second branch, which can book the fee by other rules."""
+    engine = ast.parse((PACKAGE / "engine.py").read_text(encoding="utf-8"))
+    assert method_calls(engine, {"quote_in", "quote_out"}) == [
+        ".quote_in in PricingFamily.trade", ".quote_out in PricingFamily.trade"
+    ]
+
+
 def private_engine_imports(tree: ast.Module) -> set[str]:
     """The single-underscore names a module imports from `.engine`."""
     return {
