@@ -129,10 +129,11 @@ class ScenarioEvent:
     line.
 
     The private `_call` slot holds the (handler, typed arguments) that
-    `parse_scenario` checked the event into, so that `run_scenario` types a
-    parsed event once.  It takes no part in equality, hashing or repr, and
-    the constructor and `dataclasses.replace` leave it None: an event built
-    by hand, or replaced, is typed when it runs."""
+    `parse_scenario` checked the event into, so that `run_scenario` types no
+    parsed event.  Events parsed from the same text share one `_call`, typed
+    once.  It takes no part in equality, hashing or repr, and the
+    constructor and `dataclasses.replace` leave it None: an event built by
+    hand, or replaced, is typed when it runs."""
 
     step: int
     verb: str
@@ -159,12 +160,19 @@ class Scenario:
 def parse_scenario(text: str) -> Scenario:
     """Parse a scenario script: `pool`, `account` and `seed` directives,
     then one `<step> <verb> <args>` line per event, each verb taking the
-    arguments its entry in `_VERBS` lists."""
+    arguments its entry in `_VERBS` lists.
+
+    Each distinct event text (a line after its step) is split, typed and
+    checked once: a later line with the same text and a larger step takes
+    the verb, arguments and typed call of the first event parsed from it,
+    so the two events share one typed call.  Any other line is checked in
+    full, so every refusal names the same line and cause."""
     pool_source: str | None = None
     seed_seen = False
     endowments: list[tuple[str, str, float]] = []
     accounts: set[str] = {CREATOR_ACCOUNT}
     events: list[ScenarioEvent] = []
+    seen: dict[str, ScenarioEvent] = {}  # an event text's first event
     last = -math.inf  # the step of the last event
 
     for number, raw in enumerate(text.splitlines(), start=1):
@@ -216,17 +224,24 @@ def parse_scenario(text: str) -> Scenario:
                 f"scenario line {number}: expected a directive or a step number, "
                 f"got {head!r}"
             )
-        parts = rest.split()
-        if not parts:
-            raise DomainError(f"scenario line {number}: step {step} has no verb")
-        verb, args = parts[0], tuple(parts[1:])
-        call = _typed(verb, args, number)
-        if step <= last:
-            raise DomainError(f"scenario line {number}: steps must strictly increase")
-        for position in _VERBS[verb][1]:
-            if args[position] not in accounts:
-                raise DomainError(f"scenario line {number}: undeclared account {args[position]!r}")
-        events.append(_event(step, verb, args, number, call))
+        first = seen.get(rest)
+        if first is not None and step > last:
+            # a text that passed every check passes them again at a later
+            # step, since the declared accounts only grow
+            event = _event(step, first.verb, first.args, number, first._call)
+        else:
+            parts = rest.split()
+            if not parts:
+                raise DomainError(f"scenario line {number}: step {step} has no verb")
+            verb, args = parts[0], tuple(parts[1:])
+            call = _typed(verb, args, number)
+            if step <= last:
+                raise DomainError(f"scenario line {number}: steps must strictly increase")
+            for position in _VERBS[verb][1]:
+                if args[position] not in accounts:
+                    raise DomainError(f"scenario line {number}: undeclared account {args[position]!r}")
+            seen[rest] = event = _event(step, verb, args, number, call)
+        events.append(event)
         last = step
 
     if pool_source is None:
@@ -489,8 +504,9 @@ EVENT_VERBS = frozenset(_VERBS)
 
 
 def _typed(verb: str, args: tuple[str, ...], line: int):
-    """(handler, typed arguments) of an event, its string arguments checked
-    against its verb's entry in `_VERBS`; DomainError naming the line if not."""
+    """(handler, typed arguments tuple) of an event, its string arguments
+    checked against its verb's entry in `_VERBS`; DomainError naming the
+    line if not."""
     entry = _VERBS.get(verb)
     if entry is None:
         raise DomainError(f"scenario line {line}: unknown verb {verb!r}")
@@ -512,7 +528,7 @@ def _typed(verb: str, args: tuple[str, ...], line: int):
         if kind == "price" and not value > 0.0:
             raise DomainError(f"scenario line {line}: price must be > 0")
         values[index] = value
-    return handler, values
+    return handler, tuple(values)
 
 
 def _mark(marked: int, amounts, reference: float | None) -> float | None:
@@ -574,30 +590,39 @@ def run_scenario(
 
     The pool and its funding come from `load_pool` on the scenario's pool
     source; endowments from the preamble are minted on top, as are any
-    balances in the optional `ledgers` argument.  A failing event raises
-    ScenarioError carrying the event index and the metrics gathered so far.
+    balances in the optional `ledgers` argument.  Neither may credit the
+    pool's own account, whose balances are the pool's reserves: DomainError
+    names it, in script order with the other endowment refusals.  A failing
+    event raises ScenarioError carrying the event index and the metrics
+    gathered so far.
     """
     pool, working = load_pool(scenario.pool_source)
     working = dict(working)
     # grants per token, in the order a one-at-a-time mint would apply them
     grants: dict[str, list[tuple[str, float]]] = {token: [] for token in working}
+    endowed = f"the pool's own account {pool.account!r} cannot be endowed"
     for token, extra in (ledgers or {}).items():
         working.setdefault(token, new_ledger(token))
+        if extra.balances.get(pool.account, 0.0) > 0.0:
+            raise DomainError(endowed)
         grants.setdefault(token, []).extend(
             (account, amount) for account, amount in extra.balances.items() if amount > 0.0
         )
-    unknown = None
+    refused = None  # raised after the grants before it are checked
     for account, token, amount in scenario.endowments:
         batch = grants.get(token)
         if batch is None:
-            unknown = token  # raised after the grants before it are checked
+            refused = f"endowment for unknown token {token!r}"
             break
         if amount > 0.0:
+            if account == pool.account:
+                refused = endowed
+                break
             batch.append((account, amount))
     for token, batch in grants.items():
         working[token] = ledger_mint_many(working[token], batch)
-    if unknown is not None:
-        raise DomainError(f"endowment for unknown token {unknown!r}")
+    if refused is not None:
+        raise DomainError(refused)
 
     hold = list(pool.reserves)
     records: list[MetricsRecord] = []

@@ -1,17 +1,20 @@
-"""Count the Python calls that a probe trial and a simulated event make.
+"""Count the Python calls that a probe trial, a simulated event and a parsed
+event make.
 
     python3 tests/call_counts.py
 
 Counts the `call` events that `sys.setprofile` reports: one for each Python
 frame entered or generator resumed.  Calls into C (`c_call` events) are left
-out.  Two figures are printed, each as the mean over its runs:
+out.  Three figures are printed, each as the mean over its runs:
 
 * calls per probe trial: `probe.classify` on the six built-in pools at
   probe seeds 0 and 7, divided by the trials run (2 seeds x 7 probed
   dimensions x 128 trials per pool);
 * calls per event: `run_scenario` on each arbitrage walk of
   `golden_cases.ARB_CASES`, divided by the walk's event count.  Parsing the
-  scenario and its price series is not counted.
+  scenario and its price series is not counted;
+* calls per parsed event: `parse_scenario` on the same scripts, divided by
+  their event counts.
 
 The counts do not depend on the machine, so they compare two versions of the
 code where wall time cannot.  They count calls, not what a call costs, so
@@ -72,6 +75,15 @@ def main() -> int:
         total_events += events
         print(f"{calls / events:9.2f}  calls per event        {name}")
     print(f"{total_calls / total_events:9.2f}  calls per event        all pools")
+
+    total_calls = total_events = 0
+    for name, (scenario_text, _) in sorted(ARB_CASES.items()):
+        calls = counted(parse_scenario, scenario_text)
+        events = len(parse_scenario(scenario_text).events)
+        total_calls += calls
+        total_events += events
+        print(f"{calls / events:9.2f}  calls per parsed event {name}")
+    print(f"{total_calls / total_events:9.2f}  calls per parsed event all pools")
     return 0
 
 

@@ -519,11 +519,11 @@ class TestSimulate:
                                        "deposit pool:TOKEN0/TOKEN1 5 5"])
     def test_the_pools_own_account_is_refused(self, tmp_path, capsys, event):
         """Its transfers to the pool move no balance, so the pool state
-        would move alone."""
+        would move alone.  A zero endowment declares it and credits nothing."""
         scenario = tmp_path / "scenario.txt"
         scenario.write_text(
-            "pool uniswap-v2-like\naccount pool:TOKEN0/TOKEN1 TOKEN0 5\n"
-            f"account pool:TOKEN0/TOKEN1 TOKEN1 5\n1 {event}\n"
+            "pool uniswap-v2-like\naccount pool:TOKEN0/TOKEN1 TOKEN0 0\n"
+            f"account pool:TOKEN0/TOKEN1 TOKEN1 0\n1 {event}\n"
         )
         code = main(["simulate", "--scenario", str(scenario)])
         captured = capsys.readouterr()
@@ -531,6 +531,20 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err.endswith(
             "the pool's own account 'pool:TOKEN0/TOKEN1' cannot trade or provide liquidity\n")
+
+    def test_an_endowment_of_the_pools_own_account_is_refused(self, tmp_path, capsys):
+        """Its balances are the pool's reserves: an endowment would leave
+        tokens on it that no reserve accounts for, stranded once the pool
+        is withdrawn."""
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(
+            "pool uniswap-v2-like\naccount pool:TOKEN0/TOKEN1 TOKEN0 5\n1 withdraw creator 100\n"
+        )
+        code = main(["simulate", "--scenario", str(scenario)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: the pool's own account 'pool:TOKEN0/TOKEN1' cannot be endowed\n"
 
     def test_deposit_after_a_drain_is_an_engine_error(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.txt"

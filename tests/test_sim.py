@@ -49,6 +49,7 @@ from ammlab.sim import (
     parse_scenario,
     run_scenario,
 )
+from golden_cases import ARB_CASES, SCRIPT_CASES
 
 CP_ZERO_FEE = """
 archetype = price-discovering-lp-based
@@ -65,6 +66,9 @@ tokens = T0, T1
 reserves = 100, 100
 fee = 0.003
 """
+
+
+POOL_ACCOUNT = "pool:TOKEN0/TOKEN1"  # uniswap-v2-like's own account
 
 
 def cp_pool(tmp_path, text=CP_ZERO_FEE, name="cp.pool"):
@@ -142,6 +146,61 @@ seed 42
 """
 
 
+def reference_events(text):
+    """(step, verb, args, line, typed call) of each event line of a valid
+    script, each line split and typed on its own."""
+    events = []
+    for number, raw in enumerate(text.splitlines(), start=1):
+        words = raw.partition("#")[0].split()
+        if words and words[0].isdigit():
+            step, verb, *args = words
+            call = sim._typed(verb, tuple(args), number)
+            events.append((int(step), verb, tuple(args), number, call))
+    return events
+
+
+def generated_script(rng, count):
+    """A valid script of `count` events of every verb, half of them or more
+    repeating an earlier text, some with extra spaces or a comment, and
+    accounts declared along the way."""
+    lines = ["pool augur-like", "account a CASH 10"]
+    accounts = ["a", "creator"]
+    texts = []
+
+    def amount():
+        return repr(rng.choice([1.0, 0.5, 2.0, rng.uniform(0.0, 10.0), -0.0]))
+
+    step = 0
+    for _ in range(count):
+        if rng.random() < 0.02:
+            accounts.append(f"n{len(accounts)}")
+            lines.append(f"account {accounts[-1]} CASH {amount()}")
+        step += rng.randint(1, 3)
+        if texts and rng.random() < 0.5:
+            text = rng.choice(texts)
+        else:
+            who = rng.choice(accounts)
+            text = rng.choice([
+                f"trade {who} CASH OUT0 {amount()}",
+                f"deposit {who} {amount()} {amount()}",
+                f"withdraw {who} {amount()}",
+                f"oracle {repr(rng.uniform(0.1, 10.0))}",
+                f"arb {who}",
+                f"arb  {who}",
+                f"resolve {rng.choice(['0', '1', 'OUT0'])}",
+            ])
+            texts.append(text)
+        lines.append(f"{step} {text}" + ("  # note" if rng.random() < 0.1 else ""))
+    return "\n".join(lines) + "\n"
+
+
+PARSE_CASES = {
+    **{f"arb-{name}": text for name, (text, _) in ARB_CASES.items()},
+    **{f"script-{name}": text for name, (text, _) in SCRIPT_CASES.items()},
+    "generated": generated_script(random.Random(5), 2000),
+}
+
+
 class TestParseScenario:
     def test_full_scenario_parses(self):
         scenario = parse_scenario(SCENARIO_TEXT)
@@ -202,6 +261,11 @@ class TestParseScenario:
         ("1 oracle 0", "scenario line 2: price must be > 0"),
         ("1 arb mallory", "scenario line 2: undeclared account 'mallory'"),
         ("1 arb creator\n1 arb creator", "scenario line 3: steps must strictly increase"),
+        # a repeated text is checked in full where its step does not increase,
+        # and a refused text is never taken as checked
+        ("1 arb creator\n2 arb creator\n2 arb creator",
+         "scenario line 4: steps must strictly increase"),
+        ("1 arb bob\naccount bob TOKEN0 1\n2 arb bob", "scenario line 2: undeclared account 'bob'"),
         # a line's head is the text before its first space, so a tab joins
         ("1\tarb creator", "scenario line 2: expected a directive or a step number, got '1\\tarb'"),
         ("account\ta TOKEN0 1", "scenario line 2: expected a directive or a step number, "
@@ -220,6 +284,36 @@ class TestParseScenario:
         with pytest.raises(DomainError) as info:
             parse_scenario(f"pool uniswap-v2-like\n{events}\n")
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("text", PARSE_CASES.values(), ids=list(PARSE_CASES))
+    def test_events_equal_a_line_by_line_reference(self, text):
+        """Whether its text was seen before or not, each event is the one
+        a line-by-line parse gives, with an equal typed call."""
+        events, expected = parse_scenario(text).events, reference_events(text)
+        assert len(events) == len(expected) > 0
+        for event, (step, verb, args, line, call) in zip(events, expected):
+            assert (event.step, event.verb, event.args, event.line) == (step, verb, args, line)
+            assert event._call == call and repr(event._call) == repr(call)
+
+    def test_a_repeated_text_is_typed_once_and_shares_its_call(self, monkeypatch):
+        calls = []
+        typed = sim._typed
+
+        def counted(*args):
+            calls.append(args)
+            return typed(*args)
+
+        monkeypatch.setattr(sim, "_typed", counted)
+        events = parse_scenario(
+            "pool dodo-like\n1 arb creator\n2 arb creator\n3 oracle 2\n4 arb creator\n"
+            "5 oracle 2  # a comment\n6 oracle  2\n"
+        ).events
+        assert [args[0] for args in calls] == ["arb", "oracle", "oracle"]
+        assert events[0]._call is events[1]._call is events[3]._call
+        assert events[2]._call is events[4]._call is not events[5]._call
+        assert events[2]._call == events[5]._call
+        assert isinstance(events[0]._call[1], tuple)
+        assert [event.line for event in events] == [2, 3, 4, 5, 6, 7]
 
     def test_each_verb_lists_the_positions_of_its_account_kinds(self):
         for kinds, accounts, _ in sim._VERBS.values():
@@ -1363,11 +1457,32 @@ class TestRunScenario:
         ((("a", "WRONG", 1.0),), "endowment for unknown token 'WRONG'"),
         ((("a", "TOKEN1", math.inf), ("b", "WRONG", 1.0)), "amount must be finite"),
         ((("b", "WRONG", 1.0), ("a", "TOKEN1", math.inf)), "unknown token 'WRONG'"),
-    ], ids=["inf", "unknown", "inf-then-unknown", "unknown-then-inf"])
+        (((POOL_ACCOUNT, "TOKEN0", 5.0),), "the pool's own account 'pool:TOKEN0/TOKEN1' cannot be endowed"),
+        (((POOL_ACCOUNT, "TOKEN0", 5.0), ("b", "WRONG", 1.0)), "cannot be endowed"),
+        ((("b", "WRONG", 1.0), (POOL_ACCOUNT, "TOKEN0", 5.0)), "unknown token 'WRONG'"),
+        (((POOL_ACCOUNT, "TOKEN1", 5.0), ("a", "TOKEN0", math.inf)), "cannot be endowed"),
+        ((("a", "TOKEN0", math.inf), (POOL_ACCOUNT, "TOKEN1", 5.0)), "amount must be finite"),
+    ], ids=["inf", "unknown", "inf-then-unknown", "unknown-then-inf", "pool", "pool-then-unknown",
+            "unknown-then-pool", "pool-then-inf", "inf-then-pool"])
     def test_bad_endowments_fail_in_script_order(self, endowments, message):
         scenario = Scenario("uniswap-v2-like", endowments, ())
         with pytest.raises(DomainError, match=message):
             run_scenario(scenario)
+
+    def test_no_ledgers_balance_may_credit_the_pools_own_account(self):
+        """The pool's balances are its reserves, so a balance passed in for
+        it is refused, as its endowment is; a zero balance credits nothing."""
+        event = sim.ScenarioEvent(1, "withdraw", ("creator", "100"), 1)
+        withdraw = Scenario("uniswap-v2-like", (), (event,))
+        for token in ("TOKEN1", "EXTRA"):
+            ledgers = {token: new_ledger(token, {"a": 1.0, POOL_ACCOUNT: 5.0})}
+            with pytest.raises(DomainError) as info:
+                run_scenario(withdraw, ledgers=ledgers)
+            assert str(info.value) == "the pool's own account 'pool:TOKEN0/TOKEN1' cannot be endowed"
+        metrics = run_scenario(withdraw)
+        zero = {"TOKEN1": new_ledger("TOKEN1", {POOL_ACCOUNT: 0.0})}
+        assert run_scenario(withdraw, ledgers=zero) == metrics
+        assert run_scenario(replace(withdraw, endowments=((POOL_ACCOUNT, "TOKEN0", 0.0),))) == metrics
 
     @pytest.mark.parametrize("pool, verb, args", [
         ("uniswap-v2-like", "trade", ("creator", "TOKEN0", "TOKEN1", "ten")),
