@@ -3,12 +3,18 @@
 Exit codes: 0 on success, 1 for usage errors, 2 when the engine or the
 probe rejects the request.  Diagnostics go to stderr; data goes to stdout
 unless --out names a file.
+
+A command runs with the cyclic garbage collector paused: ammlab builds no
+reference cycles, so the collector would only rescan the containers a job
+keeps alive.  `main` restores the collector's prior state on return.
+Argument parsing runs before the pause, since argparse does leave cycles.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import math
 import sys
 from dataclasses import fields
@@ -147,11 +153,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_request:
         return 0 if exit_request.code == 0 else 1
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except (AmmError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -262,7 +262,8 @@ def _require_amount(amount: float) -> None:
 # accounts a call to `balance_of` costs more than the read.  Each refuses a
 # negative, infinite or nan amount with `_require_amount`'s DomainError and
 # returns its input as is for an amount of zero; `ledger_transfer`, which
-# every settled trade calls, spells that check out inline for the same
+# every settled trade calls, and `ledger_mint_many`, which checks each
+# grant of a scenario's endowment, spell that check out inline for the same
 # reason.  Each writes its entries into a copy of the recent writes or, when
 # that copy could outgrow the square root of the base (the test
 # `(len(recent) + writes) ** 2 > len(base)`), into a new base that folds the
@@ -319,7 +320,8 @@ def ledger_mint_many(ledger: Ledger, grants: Iterable[tuple[AccountId, float]]) 
     base, recent, size = ledger._base, ledger._recent, ledger._size
     written = None
     for to, amount in grants:
-        _require_amount(amount)
+        if not 0.0 <= amount < math.inf:  # also rejects NaN
+            raise DomainError(f"amount must be finite and non-negative: {amount}")
         if amount == 0.0:
             continue
         if written is None:

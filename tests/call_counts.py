@@ -1,11 +1,12 @@
-"""Count the Python calls that a probe trial, a simulated event and a parsed
-event make.
+"""Count the Python calls that a probe trial, a simulated event, a parsed
+event and an endowment grant make, and the cyclic collections that run
+inside a command.
 
     python3 tests/call_counts.py
 
 Counts the `call` events that `sys.setprofile` reports: one for each Python
 frame entered or generator resumed.  Calls into C (`c_call` events) are left
-out.  Three figures are printed, each as the mean over its runs:
+out.  Five figures are printed, the first four as the mean over their runs:
 
 * calls per probe trial: `probe.classify` on the six built-in pools at
   probe seeds 0 and 7, divided by the trials run (2 seeds x 7 probed
@@ -14,7 +15,14 @@ out.  Three figures are printed, each as the mean over its runs:
   `golden_cases.ARB_CASES`, divided by the walk's event count.  Parsing the
   scenario and its price series is not counted;
 * calls per parsed event: `parse_scenario` on the same scripts, divided by
-  their event counts.
+  their event counts;
+* calls per endowment grant: `run_scenario` on a scenario of 1,000 accounts,
+  each endowed with both tokens of uniswap-v2-like, and no events, divided
+  by its 2,000 grants;
+* collections inside `cli.main`: the cyclic collections that a
+  `gc.callbacks` counter sees while `main` runs `simulate` on each golden
+  arbitrage walk, summed over the walks; each run follows a `gc.collect()`,
+  and the parser is built first.
 
 The counts do not depend on the machine, so they compare two versions of the
 code where wall time cannot.  They count calls, not what a call costs, so
@@ -25,7 +33,9 @@ through its twin class's `__init__`.  It needs only the standard library and the
 sources under src/.  Its name keeps pytest from collecting it.
 """
 
+import gc
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -33,10 +43,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from golden_cases import ARB_CASES, BUILTINS  # noqa: E402  (needs the path above)
 
 from ammlab import probe  # noqa: E402
+from ammlab.cli import _build_parser, main as cli_main  # noqa: E402
 from ammlab.engine import BUILTIN_POOLS  # noqa: E402
 from ammlab.sim import parse_price_series, parse_scenario, run_scenario  # noqa: E402
 
 PROBE_SEEDS = (0, 7)
+ENDOWED_ACCOUNTS = 1000
 
 
 def counted(function, *args) -> int:
@@ -84,6 +96,44 @@ def main() -> int:
         total_events += events
         print(f"{calls / events:9.2f}  calls per parsed event {name}")
     print(f"{total_calls / total_events:9.2f}  calls per parsed event all pools")
+
+    preamble = ["pool uniswap-v2-like"]
+    for index in range(ENDOWED_ACCOUNTS):
+        preamble += [f"account a{index} TOKEN0 1000", f"account a{index} TOKEN1 {index + 1}"]
+    scenario = parse_scenario("\n".join(preamble) + "\n")
+    calls = counted(run_scenario, scenario)
+    print(f"{calls / len(scenario.endowments):9.3f}  calls per endowment grant")
+
+    collections = 0
+    inside = False
+
+    def count(phase, info):
+        nonlocal collections
+        if inside and phase == "start":
+            collections += 1
+
+    with tempfile.TemporaryDirectory() as workdir:
+        runs = []
+        for name, (scenario_text, prices_text) in sorted(ARB_CASES.items()):
+            scenario_path, prices_path = Path(workdir, f"{name}.scenario"), Path(workdir, f"{name}.prices")
+            scenario_path.write_text(scenario_text)
+            prices_path.write_text(prices_text)
+            runs.append(["simulate", "--scenario", str(scenario_path), "--prices", str(prices_path),
+                         "--out", str(Path(workdir, f"{name}.csv"))])
+        _build_parser()  # its first build is not part of a command
+        gc.callbacks.append(count)
+        try:
+            for argv in runs:
+                gc.collect()  # each run starts with the young generation empty
+                inside = True
+                try:
+                    if cli_main(argv) != 0:
+                        raise AssertionError(f"ammlab {' '.join(argv)} failed")
+                finally:
+                    inside = False
+        finally:
+            gc.callbacks.remove(count)
+    print(f"{collections:9d}  collections inside cli.main, simulate of the golden walks")
     return 0
 
 

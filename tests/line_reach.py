@@ -35,23 +35,28 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
+def _line_tracer(lines: set[int]):
+    """A local trace function that adds each line run to `lines`."""
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            lines.add(frame.f_lineno)
+        return trace_lines
+
+    return trace_lines
+
+
 def reached_lines(argv: list[str]) -> tuple[int, dict[str, set[int]]]:
     """Run pytest with `argv` under the tracer: its exit status and the
     lines run in each package file, by path."""
     reached = {str(path): set() for path in PACKAGE.glob("*.py")}
+    # one line tracer per file, built once: a closure built per call would
+    # refer to itself, and `cli.main` runs with the cyclic collector paused
+    tracers = {path: _line_tracer(lines) for path, lines in reached.items()}
 
     def trace_calls(frame, event, arg):
-        lines = reached.get(frame.f_code.co_filename)
-        if lines is None:
-            return None
-        lines.add(frame.f_lineno)
-
-        def trace_lines(frame, event, arg):
-            if event == "line":
-                lines.add(frame.f_lineno)
-            return trace_lines
-
-        return trace_lines
+        trace_lines = tracers.get(frame.f_code.co_filename)
+        return None if trace_lines is None else trace_lines(frame, "line", arg)
 
     threading.settrace(trace_calls)
     sys.settrace(trace_calls)

@@ -5,6 +5,7 @@ to stderr; data goes to stdout or the --out file.
 """
 
 import contextlib
+import gc
 import io
 import math
 import os
@@ -17,12 +18,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ammlab.cli import main
+from ammlab import cli
+from ammlab.cli import _build_parser, main
 from ammlab.core import AmmError, ledger_mint
 from ammlab.curves import CURVES
 from ammlab.engine import BUILTIN_POOLS, EXACT_IN, TradeOrder, execute_swap, materialize_pool, parse_pool_spec
+from ammlab.engine import quote as engine_quote
 from ammlab.probe import MIN_TRIALS, classify
 from ammlab.sim import metrics_to_csv, parse_price_series, parse_scenario, run_scenario
+from golden_cases import ARB_CASES, BUILTINS
 
 CP_ZERO_FEE = """
 archetype = price-discovering-lp-based
@@ -454,6 +458,86 @@ def test_python_dash_m_runs_the_command_line(capsys):
     assert done.returncode == 2 and done.stdout == ""
     (line,) = done.stderr.splitlines()
     assert line.startswith("error: 'no-such-pool' is neither a built-in pool name")
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector
+# ---------------------------------------------------------------------------
+
+
+QUOTE_ARGV = ["quote", "--pool", "uniswap-v2-like", "--in", "TOKEN0", "--out", "TOKEN1", "--amount", "10"]
+
+
+def test_no_command_leaves_cyclic_garbage(tmp_path, capsys):
+    """With the parser built, no command leaves an object that only the
+    cyclic collector can free, on success or on refusal: the premise on which
+    `main` pauses the collector while a command runs."""
+    _build_parser()
+    pool, failing, out = tmp_path / "cp.pool", tmp_path / "failing.txt", str(tmp_path / "out.csv")
+    pool.write_text(CP_ZERO_FEE)
+    failing.write_text(f"pool {pool}\naccount alice T0 5\n1 trade alice T0 T1 10\n")
+    cases = []
+    for name, (scenario, prices) in sorted(ARB_CASES.items()):
+        (tmp_path / f"{name}.scenario").write_text(scenario)
+        (tmp_path / f"{name}.prices").write_text(prices)
+        cases.append((["simulate", "--scenario", str(tmp_path / f"{name}.scenario"),
+                       "--prices", str(tmp_path / f"{name}.prices"), "--out", out], 0))
+    cases += [
+        (["simulate", "--scenario", str(failing), "--out", out], 2),
+        *((["classify", "--pool", name, "--seed", "0", "--trials", "100", "--out", out], 0) for name in BUILTINS),
+        (QUOTE_ARGV, 0),
+        (QUOTE_ARGV[:-1] + ["-1"], 2),
+        (["curve-table", "--pool", "curve-v1-like", "--samples", "16", "--out", out], 0),
+        (["simulate", "--scenario", str(tmp_path / "missing.txt"), "--out", out], 2),
+        (["quote", "--pool", "no-such-pool", "--in", "T0", "--out", "T1", "--amount", "1"], 2),
+    ]
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for argv, code in cases:
+            assert main(argv) == code, argv
+            assert gc.collect() == 0, argv
+    finally:
+        if collecting:
+            gc.enable()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("argv, raised, outcome", [
+    pytest.param(QUOTE_ARGV, None, 0, id="exit-0"),
+    pytest.param(QUOTE_ARGV[:3], None, 1, id="exit-1"),
+    pytest.param(QUOTE_ARGV, AmmError("refused"), 2, id="exit-2"),
+    pytest.param(QUOTE_ARGV, RuntimeError("escaped"), RuntimeError, id="runtime-error"),
+    pytest.param(QUOTE_ARGV, KeyboardInterrupt(), KeyboardInterrupt, id="keyboard-interrupt"),
+])
+def test_a_command_runs_with_the_collector_paused(monkeypatch, capsys, collecting, argv, raised, outcome):
+    """The handler runs with the cyclic collector off, and `main` leaves the
+    collector as it found it on every exit, an escaping exception included;
+    a usage error stops before the handler."""
+    seen = []
+
+    def recorded_quote(pool, order):
+        seen.append(gc.isenabled())
+        if raised is not None:
+            raise raised
+        return engine_quote(pool, order)
+
+    monkeypatch.setattr(cli, "engine_quote", recorded_quote)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if isinstance(outcome, int):
+            assert main(argv) == outcome
+        else:
+            with pytest.raises(outcome):
+                main(argv)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == ([] if outcome == 1 else [False])
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -301,11 +301,13 @@ class TestNonFiniteAmounts:
         with pytest.raises(DomainError):
             new_ledger("TOK", {"a": value})
 
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
     @pytest.mark.parametrize("operation", ["transfer", "mint", "burn", "mint_many"])
     def test_operations_reject(self, operation, value):
+        """Every operation refuses with the one message, whether it calls
+        `_require_amount` or spells its check out inline."""
         led = new_ledger("TOK", {"a": 1.0})
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^amount must be finite and non-negative: "):
             if operation == "transfer":
                 ledger_transfer(led, "a", "b", value)
             elif operation == "mint":
@@ -314,6 +316,17 @@ class TestNonFiniteAmounts:
                 ledger_mint_many(led, [("a", 1.0), ("b", value)])
             else:
                 ledger_burn(led, "a", value)
+
+    @pytest.mark.parametrize("accounts", [1, 16])
+    def test_mint_many_refused_midway_leaves_its_input(self, accounts):
+        """A grant refused after an accepted one leaves the input's balances
+        as they were, whether the first grant was written into a folded base
+        (few accounts) or into a copy of the recent writes (many)."""
+        led = ledger_mint(new_ledger("TOK", {f"a{i}": 1.0 for i in range(accounts)}), "a0", 1.0)
+        before = dict(led.balances)
+        with pytest.raises(DomainError, match="^amount must be finite and non-negative: "):
+            ledger_mint_many(led, [("a0", 1.0), ("b", -1.0)])
+        assert dict(led.balances) == before
 
 
 # ---------------------------------------------------------------------------
