@@ -482,11 +482,7 @@ def _lmsr_cost(b: float, q: Sequence[float]) -> float:
 
 
 def _lmsr_price(b: float, q: Sequence[float], j: int) -> float:
-    # `_lmsr_weights`' loop, inlined: this runs on every LMSR spot and trade
-    m = max(q)
-    z = 0.0
-    for qi in q:
-        z += math.exp((qi - m) / b)
+    m, z = _lmsr_weights(b, q)
     return math.exp((q[j] - m) / b) / z
 
 

@@ -35,10 +35,11 @@ rounding of the trades that moved it (within 1e-6 of it over 3,000 trades).
 
 Other conventions chosen here (the pricing layer itself lives in curves.py):
 
-  * The first liquidity provider mints the geometric mean of the deposit;
-    later deposits must be reserve-proportional (1e-9 relative), an empty
-    reserve taking nothing, and mint pro rata. Withdrawals pay a pro-rata
-    slice of every reserve.
+  * The first liquidity provider mints the geometric mean of the deposit,
+    and so does a deposit into a pool emptied of shares, by the same
+    opening rule (`PricingFamily.open`); other deposits must be
+    reserve-proportional (1e-9 relative), an empty reserve taking nothing,
+    and mint pro rata. Withdrawals pay a pro-rata slice of every reserve.
   * LMSR pools hold tokens = (collateral, outcome_0, ..., outcome_{n-1}) and
     reserves = (collateral_held, outstanding_0, ..., outstanding_{n-1}).
     Creation requires a collateral subsidy of at least C(0) = b*ln(n), the
@@ -198,9 +199,10 @@ class PoolState:
 
 
 # a trade's successor state (`PricingFamily.apply`), an LP deposit's or
-# withdrawal's, and an adopted price's: each keeps the archetype, tokens and
-# curve of a pool whose shape was checked when it was built; and a new
-# pool's (`_open_pool`), whose config's shape was checked just before
+# withdrawal's (`_lp_moved`), and an adopted price's: each keeps the
+# archetype, tokens and curve of a pool whose shape was checked when it was
+# built; and a new pool's (`_open_pool`), whose config's shape was checked
+# just before
 _pool_state = _slot_builder(PoolState)
 
 
@@ -390,7 +392,8 @@ class PricingFamily:
         self.curve.check_tokens(n_tokens)
 
     def open(self, deposit: State, creator: AccountId) -> tuple:
-        """(reserves, LP share supply, LP shares) of a new pool."""
+        """(reserves, LP share supply, LP shares) of a new pool; the share
+        supply is also what a deposit into a pool with no shares mints."""
         if any(not a > 0.0 for a in deposit):
             raise DomainError(
                 f"LP-based pools need strictly positive initial deposits: {deposit}"
@@ -524,11 +527,7 @@ class PricingFamily:
 
     def spot(self, state: State) -> float:
         """Spot of the risky leg in the numeraire."""
-        i = self.risky
-        j = 1 - i
-        if self.maps_legs:
-            state, i, j = self.curve_args(state, i, j)
-        return self.curve.spot(state, i, j, self.price)
+        return self.spot_between(state, self.risky, self.numeraire)
 
     def spots(self, state: State) -> tuple[float, ...]:
         """Every spot the probe watches; by default the risky leg's."""
@@ -847,26 +846,36 @@ def _open_pool(family: PricingFamily, config: PoolConfig, initial_deposit: Seque
     again."""
     tokens = config.tokens
     n = len(tokens)
-    deposit = tuple(float(a) for a in initial_deposit)
-    if len(deposit) != n:
-        raise DomainError(f"{len(deposit)} deposit amounts for {n} tokens")
-    if any(a < 0.0 or not math.isfinite(a) for a in deposit):
-        raise DomainError(f"deposit amounts out of range: {deposit}")
-
+    deposit = _deposit_amounts(initial_deposit, n)
     account = "pool:" + "/".join(tokens)
-    updated = {t: _ledger_for(ledgers, t) for t in ledgers}
-    for t in tokens:
-        updated.setdefault(t, new_ledger(t))
     reserves, lp_supply, lp_shares = family.open(deposit, creator)
-    for t, amount in zip(tokens, deposit):
-        updated[t] = ledger_transfer(updated[t], creator, account, amount)
-
     pool = _pool_state(
         config.archetype, tokens, config.curve, reserves, FeeParams(trade_fee=config.fee_rate),
         lp_supply, MappingProxyType(lp_shares), 0.0, config.oracle_price, (0.0,) * n,
         account, creator, False, family,
     )
-    return pool, updated
+    return pool, _moved(ledgers, tokens, creator, account, deposit)
+
+
+def _deposit_amounts(amounts: Sequence[float], n: int) -> State:
+    """The amounts of a deposit into a pool of n tokens, as floats, once
+    each is checked to be non-negative and finite."""
+    deposit = tuple(float(a) for a in amounts)
+    if len(deposit) != n:
+        raise DomainError(f"{len(deposit)} deposit amounts for {n} tokens")
+    if any(a < 0.0 or not math.isfinite(a) for a in deposit):
+        raise DomainError(f"deposit amounts out of range: {deposit}")
+    return deposit
+
+
+def _moved(ledgers: Ledgers, tokens: Sequence[TokenId], src: AccountId, dst: AccountId,
+           amounts: Sequence[float]) -> dict[TokenId, Ledger]:
+    """The ledgers once each amount moves from src to dst in its token: a
+    pool's opening deposit, an LP deposit or an LP withdrawal."""
+    updated = dict(ledgers)
+    for t, amount in zip(tokens, amounts):
+        updated[t] = ledger_transfer(_ledger_for(updated, t), src, dst, amount)
+    return updated
 
 
 # ---------------------------------------------------------------------------
@@ -1011,23 +1020,19 @@ def _require_lp_pool(pool: PoolState) -> None:
 def deposit_liquidity(
     pool: PoolState, provider: AccountId, amounts: Sequence[float], ledgers: Ledgers
 ) -> tuple[PoolState, float, dict[TokenId, Ledger]]:
-    """Add reserve-proportional liquidity, minting LP shares pro rata."""
+    """Add reserve-proportional liquidity, minting LP shares pro rata; a
+    deposit into a pool with no shares outstanding mints by the opening
+    rule (`PricingFamily.open`)."""
     _require_outsider(pool, provider)
     _require_lp_pool(pool)
     if pool.closed:
         raise UnsupportedOperation("pool is closed")
-    deposit = tuple(float(a) for a in amounts)
-    if len(deposit) != len(pool.tokens):
-        raise DomainError(f"{len(deposit)} amounts for {len(pool.tokens)} tokens")
-    if any(a < 0.0 or not math.isfinite(a) for a in deposit):
-        raise DomainError(f"deposit amounts out of range: {deposit}")
+    deposit = _deposit_amounts(amounts, len(pool.tokens))
     if all(a == 0.0 for a in deposit):
         return pool, 0.0, dict(ledgers)
 
     if pool.lp_share_supply == 0.0:
-        if any(not a > 0.0 for a in deposit):
-            raise DomainError("the first deposit must fund every token")
-        minted = math.prod(deposit) ** (1.0 / len(deposit))
+        minted = pool.family.open(deposit, provider)[1]
     else:
         # an empty leg takes nothing, and the others set the ratio
         ratios = [a / r for a, r in zip(deposit, pool.reserves) if r > 0.0]
@@ -1040,19 +1045,9 @@ def deposit_liquidity(
             )
         minted = pool.lp_share_supply * ratio
 
-    updated = dict(ledgers)
-    for t, amount in zip(pool.tokens, deposit):
-        updated[t] = ledger_transfer(_ledger_for(updated, t), provider, pool.account, amount)
-    shares = pool.lp_shares.copy()
-    shares[provider] = shares.get(provider, 0.0) + minted
-    pool2 = _pool_state(
-        pool.archetype, pool.tokens, pool.curve,
-        tuple(r + a for r, a in zip(pool.reserves, deposit)), pool.fee,
-        pool.lp_share_supply + minted, MappingProxyType(shares), pool.circulating_supply,
-        pool.oracle_price, pool.accumulated_fees, pool.account, pool.creator, pool.closed,
-        pool.family,
-    )
-    return pool2, minted, updated
+    updated = _moved(ledgers, pool.tokens, provider, pool.account, deposit)
+    reserves = tuple(r + a for r, a in zip(pool.reserves, deposit))
+    return _lp_moved(pool, reserves, provider, minted), minted, updated
 
 
 def withdraw_liquidity(
@@ -1071,23 +1066,27 @@ def withdraw_liquidity(
         )
     fraction = shares / pool.lp_share_supply
     amounts = tuple(fraction * r for r in pool.reserves)
-    updated = dict(ledgers)
-    for t, amount in zip(pool.tokens, amounts):
-        updated[t] = ledger_transfer(_ledger_for(updated, t), pool.account, provider, amount)
-    new_shares = pool.lp_shares.copy()
-    remaining = held - shares
-    if remaining > 0.0:
-        new_shares[provider] = remaining
+    updated = _moved(ledgers, pool.tokens, pool.account, provider, amounts)
+    reserves = tuple(r - a for r, a in zip(pool.reserves, amounts))
+    return _lp_moved(pool, reserves, provider, -shares), amounts, updated
+
+
+def _lp_moved(pool: PoolState, reserves: State, provider: AccountId, minted: float) -> PoolState:
+    """The pool at `reserves` once `minted` LP shares, negative for a burn,
+    are added to the provider's holding and the share supply; a holding
+    that falls to 0 is dropped."""
+    shares = pool.lp_shares.copy()
+    held = shares.get(provider, 0.0) + minted
+    if held > 0.0:
+        shares[provider] = held
     else:
-        del new_shares[provider]
-    pool2 = _pool_state(
-        pool.archetype, pool.tokens, pool.curve,
-        tuple(r - a for r, a in zip(pool.reserves, amounts)), pool.fee,
-        pool.lp_share_supply - shares, MappingProxyType(new_shares), pool.circulating_supply,
+        shares.pop(provider, None)
+    return _pool_state(
+        pool.archetype, pool.tokens, pool.curve, reserves, pool.fee,
+        pool.lp_share_supply + minted, MappingProxyType(shares), pool.circulating_supply,
         pool.oracle_price, pool.accumulated_fees, pool.account, pool.creator, pool.closed,
         pool.family,
     )
-    return pool2, amounts, updated
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Count the Python calls that a probe trial, a simulated event, a parsed
-event and an endowment grant make, and the cyclic collections that run
-inside a command.
+event, an endowment grant, a deposit and a withdrawal make, and the cyclic
+collections that run inside a command.
 
     python3 tests/call_counts.py
 
 Counts the `call` events that `sys.setprofile` reports: one for each Python
 frame entered or generator resumed.  Calls into C (`c_call` events) are left
-out.  Five figures are printed, the first four as the mean over their runs:
+out.  Seven figures are printed, the first six as the mean over their runs:
 
 * calls per probe trial: `probe.classify` on the six built-in pools at
   probe seeds 0 and 7, divided by the trials run (2 seeds x 7 probed
@@ -19,6 +19,11 @@ out.  Five figures are printed, the first four as the mean over their runs:
 * calls per endowment grant: `run_scenario` on a scenario of 1,000 accounts,
   each endowed with both tokens of uniswap-v2-like, and no events, divided
   by its 2,000 grants;
+* calls per deposit and calls per withdrawal: the calls made inside
+  `deposit_liquidity` and `withdraw_liquidity`, each call itself included,
+  while `run_scenario` runs a fixed uniswap-v2-like script of 100
+  proportional deposits and 100 partial withdrawals, one account providing
+  all of them, divided by the deposits and the withdrawals;
 * collections inside `cli.main`: the cyclic collections that a
   `gc.callbacks` counter sees while `main` runs `simulate` on each golden
   arbitrage walk, summed over the walks; each run follows a `gc.collect()`,
@@ -44,11 +49,12 @@ from golden_cases import ARB_CASES, BUILTINS  # noqa: E402  (needs the path abov
 
 from ammlab import probe  # noqa: E402
 from ammlab.cli import _build_parser, main as cli_main  # noqa: E402
-from ammlab.engine import BUILTIN_POOLS  # noqa: E402
+from ammlab.engine import BUILTIN_POOLS, deposit_liquidity, withdraw_liquidity  # noqa: E402
 from ammlab.sim import parse_price_series, parse_scenario, run_scenario  # noqa: E402
 
 PROBE_SEEDS = (0, 7)
 ENDOWED_ACCOUNTS = 1000
+LP_ROUNDS = 100
 
 
 def counted(function, *args) -> int:
@@ -59,6 +65,31 @@ def counted(function, *args) -> int:
         nonlocal calls
         if event == "call":
             calls += 1
+
+    sys.setprofile(profile)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def counted_inside(codes, function, *args) -> dict:
+    """The Python calls made inside each outermost frame of a code object
+    in `codes`, that frame included, while `function(*args)` runs, keyed
+    by the code object."""
+    calls = dict.fromkeys(codes, 0)
+    inside = None  # (code, frame) of the counted frame on the stack
+
+    def profile(frame, event, arg):
+        nonlocal inside
+        if event == "call":
+            if inside is None and frame.f_code in calls:
+                inside = (frame.f_code, frame)
+            if inside is not None:
+                calls[inside[0]] += 1
+        elif event == "return" and inside is not None and frame is inside[1]:
+            inside = None
 
     sys.setprofile(profile)
     try:
@@ -103,6 +134,17 @@ def main() -> int:
     scenario = parse_scenario("\n".join(preamble) + "\n")
     calls = counted(run_scenario, scenario)
     print(f"{calls / len(scenario.endowments):9.3f}  calls per endowment grant")
+
+    lines = ["pool uniswap-v2-like", "account lp TOKEN0 100000", "account lp TOKEN1 100000"]
+    for index in range(LP_ROUNDS):
+        amount = index % 7 + 1.0
+        lines += [f"{2 * index + 1} deposit lp {amount} {amount}",
+                  f"{2 * index + 2} withdraw lp {amount / 2}"]
+    scenario = parse_scenario("\n".join(lines) + "\n")
+    codes = (deposit_liquidity.__code__, withdraw_liquidity.__code__)
+    calls = counted_inside(codes, run_scenario, scenario)
+    print(f"{calls[codes[0]] / LP_ROUNDS:9.2f}  calls per deposit")
+    print(f"{calls[codes[1]] / LP_ROUNDS:9.2f}  calls per withdrawal")
 
     collections = 0
     inside = False

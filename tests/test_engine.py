@@ -765,13 +765,73 @@ class TestLiquidity:
         pool, ledgers = load_pool("uniswap-v2-like")
         pool, _, ledgers = withdraw_liquidity(pool, "creator", 100.0, ledgers)
         assert pool.lp_share_supply == 0.0 and pool.reserves == (0.0, 0.0)
-        with pytest.raises(DomainError, match="the first deposit must fund every token"):
+        message = r"LP-based pools need strictly positive initial deposits: \(5\.0, 0\.0\)"
+        with pytest.raises(DomainError, match=message):
             deposit_liquidity(pool, "creator", (5.0, 0.0), ledgers)
         pool, minted, ledgers = deposit_liquidity(pool, "creator", (5.0, 5.0), ledgers)
         assert minted == 5.0
         assert pool.lp_share_supply == 5.0 and pool.reserves == (5.0, 5.0)
         priced = quote(pool, TradeOrder("creator", "TOKEN0", "TOKEN1", 1.0, "exact-in"))
         assert math.isclose(priced.amount_out, 5.0 * 0.997 / (5.0 + 0.997), rel_tol=REL)
+
+    # LP-based pools of both archetypes: two built-ins, and specs of two
+    # curves that no built-in uses
+    REOPENED = {
+        "uniswap-v2-like": BUILTIN_POOLS["uniswap-v2-like"],
+        "dodo-like": BUILTIN_POOLS["dodo-like"],
+        "geometric-mean": parse_pool_spec(
+            "archetype = price-discovering-lp-based\ncurve = geometric-mean\n"
+            "tokens = A, B\nreserves = 30, 70\nfee = 0.003\nweights = 0.3, 0.7\n"
+        ),
+        "constant-product-sum-3": parse_pool_spec(
+            "archetype = price-discovering-lp-based\ncurve = constant-product-sum\n"
+            "tokens = A, B, C\nreserves = 100, 200, 300\nfee = 0.0004\nchi = 10\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REOPENED))
+    def test_a_reopened_pool_equals_a_new_one(self, name):
+        """A deposit into a pool whose shares were all withdrawn mints by
+        the opening rule: it leaves the share supply, the provider's holding
+        and the reserves of a pool created with the same deposit, to the
+        bit, and a deposit missing a leg is refused with the same message."""
+        config = self.REOPENED[name]
+        deposit = (2.0, 3.0, 5.0)[: len(config.tokens)]
+        pool, ledgers = materialize_pool(config)
+        pool, _, ledgers = withdraw_liquidity(pool, "creator", pool.lp_shares["creator"], ledgers)
+        assert pool.lp_share_supply == 0.0 and pool.lp_shares == {}
+        for token, amount in zip(config.tokens, deposit):
+            ledgers[token] = ledger_mint(ledgers[token], "lp", amount)
+        reopened, minted, _ = deposit_liquidity(pool, "lp", deposit, ledgers)
+        created, _ = create_pool(config, deposit, "lp", funded_ledgers(config.tokens, "lp", 10.0))
+        assert minted.hex() == created.lp_share_supply.hex()
+        reopened_bits, created_bits = (
+            [x.hex() for x in (state.lp_share_supply, *state.lp_shares.values(), *state.reserves)]
+            for state in (reopened, created)
+        )
+        assert reopened.lp_shares.keys() == created.lp_shares.keys() == {"lp"}
+        assert reopened_bits == created_bits
+
+        unfunded = (deposit[0],) + (0.0,) * (len(deposit) - 1)
+        refusals = []
+        for call in (lambda: deposit_liquidity(pool, "lp", unfunded, ledgers),
+                     lambda: create_pool(config, unfunded, "lp", {})):
+            with pytest.raises(DomainError) as raised:
+                call()
+            refusals.append(str(raised.value))
+        assert refusals == [f"LP-based pools need strictly positive initial deposits: {unfunded}"] * 2
+
+    def test_a_deposit_that_mints_nothing_records_no_holding(self):
+        """A deposit too small to mint a share, its ratio to the reserves
+        underflowing to 0, moves its tokens but leaves the holdings as they
+        were: the pool records only holdings above 0."""
+        pool, ledgers = make_cp_pool(reserves=(100.0, 100.0))
+        ledgers = {t: ledger_mint(ledgers[t], "bob", 1.0) for t in ledgers}
+        tiny = 5e-324
+        pool2, minted, _ = deposit_liquidity(pool, "bob", (tiny, tiny), ledgers)
+        assert minted == 0.0
+        assert pool2.lp_shares == pool.lp_shares and "bob" not in pool2.lp_shares
+        assert pool2.reserves == (100.0 + tiny, 100.0 + tiny)
 
     def test_zero_deposit_mints_zero(self):
         pool, ledgers = make_cp_pool(reserves=(100.0, 400.0))

@@ -415,7 +415,7 @@ _BAD_ENGINE = [
     (lambda: deposit_liquidity(dataclasses.replace(_pool("uniswap-v2-like"), closed=True), "creator", (1.0, 1.0), {}),
      UnsupportedOperation, "pool is closed"),
     (lambda: deposit_liquidity(_pool("uniswap-v2-like"), "creator", (1.0,), {}), DomainError,
-     "1 amounts for 2 tokens"),
+     "1 deposit amounts for 2 tokens"),
     (lambda: deposit_liquidity(_pool("uniswap-v2-like"), "creator", (1.0, math.nan), {}),
      DomainError, "deposit amounts out of range: (1.0, nan)"),
     (lambda: withdraw_liquidity(_pool("uniswap-v2-like"), "creator", -1.0, {}), DomainError,

@@ -402,3 +402,62 @@ def test_the_admission_rule_sees_a_check():
     assert admissions(function_named(tree, "step")) == {
         "3: .check", "4: .check_opening", "6: check_opening"
     }
+
+
+class _LpShareCopies(_Where):
+    """Where each copy of an `lp_shares` mapping is made, by its `copy`
+    method or by `dict(...)`."""
+
+    def __init__(self):
+        super().__init__()
+        self.copies: list[str] = []
+
+    def visit_Call(self, node):
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "copy":
+            copied = func.value
+        elif isinstance(func, ast.Name) and func.id == "dict" and len(node.args) == 1:
+            copied = node.args[0]
+        else:
+            copied = None
+        if isinstance(copied, ast.Attribute) and copied.attr == "lp_shares":
+            self.copies.append(self.here())
+        self.generic_visit(node)
+
+
+def lp_share_copies(tree: ast.Module) -> list[str]:
+    visitor = _LpShareCopies()
+    visitor.visit(tree)
+    return visitor.copies
+
+
+def test_one_liquidity_rule():
+    """The geometric-mean mint (`math.prod`) is written once, in the
+    family's `open`, which a new pool and a deposit into a pool with no
+    shares both mint by; and every deposit and withdrawal builds its
+    successor state in `_lp_moved`, the one place that copies the LP
+    holdings to change them.  A pool state built by hand freezes a copy
+    of the holdings it is given, in its constructor."""
+    engine = ast.parse((PACKAGE / "engine.py").read_text(encoding="utf-8"))
+    assert method_calls(engine, {"prod"}) == [".prod in PricingFamily.open"]
+    found = {
+        f"{path.name}: {where}"
+        for path in SOURCES
+        for where in lp_share_copies(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {"engine.py: _lp_moved", "engine.py: PoolState.__post_init__"}
+
+
+def test_the_liquidity_rule_sees_a_mint_and_a_copy():
+    tree = ast.parse(
+        "class Family:\n"
+        "    def open(self, deposit):\n"
+        "        return math.prod(deposit)\n"
+        "def deposit(pool):\n"
+        "    minted = math.prod(amounts) ** 0.5\n"
+        "    shares = pool.lp_shares.copy()\n"
+        "    return dict(pool.lp_shares), dict(pool.reserves), pool.reserves.copy()\n"
+        "held = dict(state.lp_shares)\n"
+    )
+    assert method_calls(tree, {"prod"}) == [".prod in Family.open", ".prod in deposit"]
+    assert lp_share_copies(tree) == ["deposit", "deposit", "<module>"]
